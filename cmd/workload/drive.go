@@ -15,7 +15,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net"
 	"os"
@@ -152,10 +151,11 @@ func runDrive(cfg driveConfig, out io.Writer) error {
 
 	// One control connection discovers the served graphs and sizes the
 	// source distributions.
-	graphs, err := fetchGraphs(cfg.Addr)
+	resp, err := control(cfg.Addr, serve.OpGraphs)
 	if err != nil {
 		return err
 	}
+	graphs := resp.Graphs
 	if len(graphs) == 0 {
 		return fmt.Errorf("daemon at %s serves no graphs", cfg.Addr)
 	}
@@ -197,6 +197,16 @@ func runDrive(cfg driveConfig, out io.Writer) error {
 	fmt.Fprintf(out, ", mix %s\n", mixString(mix))
 	fmt.Fprint(out, sum.String())
 	fmt.Fprint(out, report.LatencyByKernel(records, wall))
+	// What the daemon itself counted, lifetime totals: in particular whether
+	// the PR/CC traffic above was answered from snapshots (hits) or paid for
+	// whole-graph kernel runs (builds).
+	if resp, err = control(cfg.Addr, serve.OpStats); err != nil {
+		return err
+	}
+	if st := resp.Stats; st != nil {
+		fmt.Fprintf(out, "daemon: accepted=%d ok=%d timeouts=%d panics=%d abandoned=%d snapshot_builds=%d snapshot_hits=%d snapshot_failed=%d\n",
+			st.Accepted, st.OK, st.Timeouts, st.Panics, st.Abandoned, st.SnapshotBuilds, st.SnapshotHits, st.SnapshotFailed)
+	}
 	if cfg.Bench != "" {
 		fmt.Fprintln(out, sum.BenchLine(cfg.Bench))
 	}
@@ -214,22 +224,21 @@ func mixString(mix []mixEntry) string {
 	return strings.Join(parts, " / ")
 }
 
-// fetchGraphs asks the daemon what it serves.
-func fetchGraphs(addr string) ([]serve.GraphInfo, error) {
+// control runs one control op (graphs, stats) on a connection of its own.
+func control(addr, op string) (serve.Response, error) {
 	conn, err := dialDaemon(addr)
 	if err != nil {
-		return nil, err
+		return serve.Response{}, err
 	}
 	defer func() { _ = conn.Close() }() // read-only control exchange; nothing to report
-	r := bufio.NewReader(conn)
-	resp, err := roundTrip(conn, r, serve.Request{Op: serve.OpGraphs})
+	resp, err := roundTrip(conn, bufio.NewReader(conn), serve.Request{Op: op})
 	if err != nil {
-		return nil, err
+		return resp, err
 	}
 	if resp.Code != serve.CodeOK {
-		return nil, fmt.Errorf("graphs op: %s %s", resp.Code, resp.Error)
+		return resp, fmt.Errorf("%s op: %s %s", op, resp.Code, resp.Error)
 	}
-	return resp.Graphs, nil
+	return resp, nil
 }
 
 // roundTrip sends one request line and reads one response line.
@@ -308,13 +317,12 @@ func driveClient(cfg driveConfig, graphs []serve.GraphInfo, mix []mixEntry, idx 
 		if err != nil {
 			return clientResult{err: fmt.Errorf("after %d queries: %w", len(records), err)}
 		}
-		micros := resp.Micros
-		if micros == 0 {
-			micros = int64(math.Round(float64(time.Since(sent)) / float64(time.Microsecond)))
-		}
+		// One clock per distribution: the latency is always the round trip
+		// this client observed; the daemon's own figure rides along.
 		records = append(records, report.QueryRecord{
 			OffsetMicros: sent.Sub(start).Microseconds(),
-			Micros:       micros,
+			Micros:       time.Since(sent).Microseconds(),
+			ServerMicros: resp.Micros,
 			Code:         string(resp.Code),
 			Kernel:       req.Kernel,
 			Graph:        req.Graph,

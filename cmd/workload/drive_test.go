@@ -115,7 +115,12 @@ func TestDriveEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("closed-loop drive: %v\noutput: %s", err, out.String())
 	}
-	for _, want := range []string{"closed loop", "throughput", "p99", "BenchmarkServe/test/c3 1 "} {
+	// One graph, one framework: the PR and CC halves of the mix cost at most
+	// two whole-graph kernel runs however many queries were sent.
+	if st := srv.StatsSnapshot(); st.SnapshotBuilds != 2 || st.SnapshotHits == 0 {
+		t.Errorf("snapshot_builds=%d snapshot_hits=%d, want 2 builds and the rest hits", st.SnapshotBuilds, st.SnapshotHits)
+	}
+	for _, want := range []string{"closed loop", "throughput", "p99", "daemon: accepted=", "snapshot_builds=2 ", "BenchmarkServe/test/c3 1 "} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("driver output missing %q:\n%s", want, out.String())
 		}
@@ -137,6 +142,11 @@ func TestDriveEndToEnd(t *testing.T) {
 		}
 		if rec.Code != "OK" {
 			t.Errorf("record %d: code %s (%s)", n, rec.Code, rec.Kernel)
+		}
+		// Two clocks, never mixed: the round trip the client saw contains the
+		// service time the daemon reported for it.
+		if rec.Micros <= 0 || rec.ServerMicros > rec.Micros {
+			t.Errorf("record %d: client %d us, server %d us", n, rec.Micros, rec.ServerMicros)
 		}
 		switch rec.Kernel {
 		case "BFS", "PR", "CC":

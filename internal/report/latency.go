@@ -17,8 +17,13 @@ import (
 type QueryRecord struct {
 	// OffsetMicros is the send time relative to the run start.
 	OffsetMicros int64 `json:"t_us"`
-	// Micros is the end-to-end service latency the client saw.
-	Micros int64 `json:"us"`
+	// Micros is the round trip the client observed, request written to
+	// response parsed — the figure every summary here is computed from.
+	// ServerMicros is the service time the daemon reported for the same
+	// query (admission to response; no socket, no codecs), kept alongside so
+	// the wire's share can be read off a record; 0 when none was reported.
+	Micros       int64 `json:"us"`
+	ServerMicros int64 `json:"server_us,omitempty"`
 	// Code is the response code string (serve.Code values: "OK",
 	// "RESOURCE_EXHAUSTED", ...).
 	Code string `json:"code"`

@@ -7,6 +7,7 @@ package serve
 // here skips (same convention as internal/core's chaos e2e).
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"gapbench/internal/core"
 	"gapbench/internal/graph"
 	"gapbench/internal/testutil"
+	"gapbench/internal/verify"
 )
 
 // chaosHang bounds how long injected Hang faults ignore cancellation, so
@@ -59,9 +61,16 @@ func TestChaosServeDeterministicPanicKeepsServing(t *testing.T) {
 		&chaos.Fault{Kernel: "PR", Mode: chaos.Panic})
 	c := dial(t, sock)
 
-	resp := c.do(Request{Kernel: "PR"})
-	if resp.Code != CodeInternal || !strings.Contains(resp.Error, "chaos: injected panic") {
-		t.Fatalf("panicking PR: %+v", resp)
+	// Every query leads a build that panicks (and its retry too); none is
+	// cached, so the second query fails the same way.
+	for i := 0; i < 2; i++ {
+		resp := c.do(Request{Kernel: "PR"})
+		if resp.Code != CodeInternal || !strings.Contains(resp.Error, "chaos: injected panic") {
+			t.Fatalf("panicking PR %d: %+v", i, resp)
+		}
+	}
+	if st := srv.StatsSnapshot(); st.SnapshotBuilds != 2 || st.SnapshotFailed != 2 || st.SnapshotHits != 0 {
+		t.Errorf("builds=%d failed=%d hits=%d after two panicking PR queries, want 2/2/0", st.SnapshotBuilds, st.SnapshotFailed, st.SnapshotHits)
 	}
 	// The daemon survives and the untargeted kernels keep serving.
 	for _, req := range []Request{{Kernel: "BFS", Source: 1}, {Kernel: "CC", Vertex: 1}} {
@@ -208,5 +217,108 @@ func TestChaosServeCorruptGraphTrippedByGraphguard(t *testing.T) {
 	}
 	if err := srv.Shutdown(5 * time.Second); err != nil {
 		t.Fatalf("shutdown: %v", err)
+	}
+}
+
+// ---- snapshot builds under faults ------------------------------------------
+
+func TestChaosServeSnapshotPanicOnceRetriesAndPublishes(t *testing.T) {
+	requireChaos(t)
+	defer testutil.CheckGoroutines(t)()
+	in := smallInput(t)
+	srv, sock := startChaosServer(t, Config{PoolSize: 1, Workers: 1}, in,
+		&chaos.Fault{Kernel: "PR", Mode: chaos.Panic, Once: true},
+		&chaos.Fault{Kernel: "BFS", Mode: chaos.Stall})
+	c := dial(t, sock)
+
+	build := c.do(Request{Kernel: "PR"})
+	if build.Code != CodeOK || build.Retries != 1 || build.KernelMicros == 0 {
+		t.Fatalf("once-panic PR build: %+v, want OK after 1 retry", build)
+	}
+	// The next PR query takes no lease: the pool's only machine is held by a
+	// stalled BFS on another connection, and the answer still comes.
+	busy := dial(t, sock)
+	busy.send(Request{Kernel: "BFS", Source: 1, BudgetMS: 300})
+	waitFor(t, func() bool { return srv.Pool().Outstanding() == 1 })
+	hit := c.do(Request{Kernel: "PR"})
+	if hit.Code != CodeOK || hit.KernelMicros != 0 || !reflect.DeepEqual(hit.Result, build.Result) {
+		t.Fatalf("PR hit behind a busy pool: %+v, build answered %+v", hit, build.Result)
+	}
+	if r := busy.recv(); r.Code != CodeDeadlineExceeded {
+		t.Errorf("stalled BFS: %+v", r)
+	}
+	if st := srv.StatsSnapshot(); st.SnapshotBuilds != 1 || st.SnapshotFailed != 0 || st.SnapshotHits != 1 {
+		t.Errorf("builds=%d failed=%d hits=%d, want 1/0/1", st.SnapshotBuilds, st.SnapshotFailed, st.SnapshotHits)
+	}
+	if err := srv.Shutdown(5 * time.Second); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+}
+
+func TestChaosServeSnapshotCorruptRejectedByBuildOracle(t *testing.T) {
+	requireChaos(t)
+	defer testutil.CheckGoroutines(t)()
+	in := smallInput(t)
+	srv, sock := startChaosServer(t, Config{PoolSize: 1, Workers: 1}, in,
+		&chaos.Fault{Kernel: "CC", Mode: chaos.Corrupt, Once: true})
+	c := dial(t, sock)
+
+	// The build-time oracle catches the flipped label: the client sees
+	// INTERNAL and no result, and nothing is cached.
+	bad := c.do(Request{Kernel: "CC", Vertex: 1})
+	if bad.Code != CodeInternal || !strings.Contains(bad.Error, "oracle rejected") || bad.Result != nil {
+		t.Fatalf("corrupted CC build: %+v", bad)
+	}
+	if st := srv.StatsSnapshot(); st.SnapshotBuilds != 1 || st.SnapshotFailed != 1 {
+		t.Errorf("builds=%d failed=%d after a rejected build, want 1/1", st.SnapshotBuilds, st.SnapshotFailed)
+	}
+	// The fault is spent: the next query rebuilds and answers what the serial
+	// oracle says.
+	want := verify.Components(in.Graph)
+	size := int64(0)
+	for _, l := range want {
+		if l == want[1] {
+			size++
+		}
+	}
+	good := c.do(Request{Kernel: "CC", Vertex: 1})
+	if good.Code != CodeOK || good.Result == nil || good.Result.Size != size {
+		t.Fatalf("CC after the rejected build: %+v, want size %d", good, size)
+	}
+	if err := srv.Shutdown(5 * time.Second); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+}
+
+func TestChaosServeSnapshotHangAbandonsHealsAndDrainsClean(t *testing.T) {
+	requireChaos(t)
+	defer testutil.CheckGoroutines(t)()
+	in := smallInput(t)
+	srv, sock := startChaosServer(t, Config{PoolSize: 1, Workers: 1, Grace: 40 * time.Millisecond}, in,
+		&chaos.Fault{Kernel: "PR", Mode: chaos.Hang, Once: true, HangExtra: chaosHang})
+	c := dial(t, sock)
+
+	resp := c.do(Request{Kernel: "PR", BudgetMS: 40})
+	if resp.Code != CodeDeadlineExceeded || !strings.Contains(resp.Error, "abandoned") {
+		t.Fatalf("hung PR build: %+v", resp)
+	}
+	if got := srv.Pool().Abandoned(); got != 1 {
+		t.Errorf("abandoned = %d, want 1", got)
+	}
+	// The pool healed and the slot stayed empty: the next PR query rebuilds on
+	// the replacement machine while the hung kernel sleeps on.
+	if r := c.do(Request{Kernel: "PR"}); r.Code != CodeOK {
+		t.Fatalf("PR after the hung build: %+v", r)
+	}
+	if st := srv.StatsSnapshot(); st.SnapshotBuilds != 2 || st.SnapshotFailed != 1 {
+		t.Errorf("builds=%d failed=%d, want 2/1", st.SnapshotBuilds, st.SnapshotFailed)
+	}
+	// The drain reaps the abandoned machine and proves zero leases leaked
+	// (panics under -tags=servecheck, errors otherwise — nil means clean).
+	if err := srv.Shutdown(5 * time.Second); err != nil {
+		t.Fatalf("shutdown after hang: %v", err)
+	}
+	if got := srv.Pool().Outstanding(); got != 0 {
+		t.Errorf("outstanding leases after drain = %d", got)
 	}
 }

@@ -9,6 +9,8 @@ package serve
 // analogue of a lost goroutine, and exactly the invariant the static
 // lease-return rule proves per-function. The runtime check closes the loop
 // across functions, retries, and fault paths the static rule cannot see.
+// Armed, it also panics when a snapshot (snapshot.go) is about to answer for
+// a graph epoch other than the one it was computed on.
 
 import "fmt"
 
@@ -26,5 +28,15 @@ func CheckEnabled() bool { return checkEnabled }
 func leaseLeakCheck(outstanding int64) {
 	if checkEnabled && outstanding != 0 {
 		panic(fmt.Sprintf("servecheck: %d machine lease(s) still outstanding at drain — every Acquire must reach Release or Abandon", outstanding))
+	}
+}
+
+// snapshotEpochCheck asserts a snapshot is served only for the graph epoch it
+// was built on, panicking under -tags=servecheck. Served graphs are immutable
+// today, so the two can differ only through a bug — or through the streaming
+// updates this assertion is the gate for.
+func snapshotEpochCheck(snapEpoch, graphEpoch uint64) {
+	if checkEnabled && snapEpoch != graphEpoch {
+		panic(fmt.Sprintf("servecheck: snapshot built at graph epoch %#x served at epoch %#x — a snapshot must never outlive its epoch", snapEpoch, graphEpoch))
 	}
 }

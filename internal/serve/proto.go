@@ -110,7 +110,9 @@ type Response struct {
 
 	// Micros is the end-to-end service time in microseconds: admission to
 	// response, queue wait and retries included. KernelMicros is the final
-	// attempt's kernel execution alone.
+	// attempt's kernel execution alone. A PR or CC query answered from a
+	// snapshot ran no kernel and carries no KernelMicros; the one query that
+	// built the snapshot carries the build's kernel time.
 	Micros       int64 `json:"micros,omitempty"`
 	KernelMicros int64 `json:"kernel_micros,omitempty"`
 	// Retries counts extra attempts spent on transient faults.
@@ -175,6 +177,13 @@ type Stats struct {
 	Abandoned int64 `json:"abandoned"`
 	// BreakerOpens counts circuit-breaker open transitions.
 	BreakerOpens int64 `json:"breaker_opens"`
+	// SnapshotBuilds counts PR/CC snapshot builds started (at most graphs ×
+	// frameworks × 2 on a healthy daemon — none is ever rebuilt);
+	// SnapshotFailed those that ended without publishing (the next query
+	// rebuilds); SnapshotHits queries answered from a published snapshot.
+	SnapshotBuilds int64 `json:"snapshot_builds"`
+	SnapshotHits   int64 `json:"snapshot_hits"`
+	SnapshotFailed int64 `json:"snapshot_failed"`
 	// Inflight is the number of admitted, unfinished queries right now;
 	// OutstandingLeases the machine leases currently held.
 	Inflight          int64 `json:"inflight"`

@@ -5,7 +5,9 @@ package serve
 // (panic recovery, graphguard seal checks, grace-bounded abandonment), retry
 // transient failures with backoff, and report the outcome in the Status
 // taxonomy — to the client as a Code, to the breaker as a health event, and
-// (optionally) to the suite journal as a core.Result.
+// (optionally) to the suite journal as a core.Result. The whole-graph kernels
+// (PR, CC) take this path once per snapshot build and are otherwise answered
+// from the snapshot (snapshot.go).
 
 import (
 	"fmt"
@@ -32,6 +34,9 @@ type queryPlan struct {
 	topk   int
 	budget time.Duration
 	seed   uint64 // per-query jitter stream
+	// slot is the snapshot slot a PR or CC query is answered from; nil for the
+	// source-parameterised kernels, which run per query.
+	slot *snapSlot
 }
 
 // servedKernels are the query kernels gapd exposes: the point-query shapes
@@ -76,7 +81,8 @@ func (s *Server) plan(req Request) (*queryPlan, *Response) {
 		return fail(CodeNotFound, "framework %q not served", req.Framework)
 	}
 
-	p := &queryPlan{req: req, in: in, f: f, fwName: fwName, k: k}
+	p := &queryPlan{req: req, in: in, f: f, fwName: fwName, k: k,
+		slot: s.snaps.slots[snapKey{graphName, fwName, k}]}
 	n := int64(in.Graph.NumNodes())
 	switch k {
 	case core.BFS, core.SSSP:
@@ -96,8 +102,8 @@ func (s *Server) plan(req Request) (*queryPlan, *Response) {
 		if p.topk <= 0 {
 			p.topk = 10
 		}
-		if p.topk > 100 {
-			p.topk = 100
+		if p.topk > snapshotTopK {
+			p.topk = snapshotTopK
 		}
 		if int64(p.topk) > n {
 			p.topk = int(n)
@@ -176,26 +182,38 @@ func (s *Server) query(req Request, connTok *par.CancelToken) Response {
 }
 
 // attemptOut is the raw result of one sandboxed attempt, in the suite's
-// Status taxonomy.
+// Status taxonomy. An OK attempt carries result (BFS, SSSP) or snap (a PR or
+// CC snapshot build).
 type attemptOut struct {
 	status  core.Status
 	seconds float64
 	err     string
 	stack   string
 	result  *QueryResult
+	snap    *snapshot
 }
 
-// execute runs the retry loop under the query's deadline budget. probe marks
-// the query as the breaker's half-open probe — its outcome decides whether
-// the circuit closes.
+// execute answers the query under its deadline budget. probe marks the query
+// as the breaker's half-open probe — its outcome decides whether the circuit
+// closes.
 func (s *Server) execute(p *queryPlan, connTok *par.CancelToken, probe bool) Response {
 	// The budget token is the composition satellite in action: the machine
 	// polls ONE token that fires on either the per-query deadline or the
 	// client connection going away (par.Chain). It spans the whole query —
-	// lease waits, attempts, and backoff all spend the same budget.
+	// flight and lease waits, attempts, and backoff all spend the same budget.
 	deadline := time.Now().Add(p.budget)
 	qTok := par.Chain(connTok, par.NewDeadlineToken(p.budget))
+	if p.slot != nil {
+		return s.serveSnapshot(p, qTok, deadline, probe)
+	}
+	resp, _ := s.run(p, qTok, deadline, probe)
+	return resp
+}
 
+// run is the retry loop: attempts on leased machines until one succeeds, the
+// policy gives up or the budget is gone. The snapshot is non-nil exactly when
+// a snapshot build succeeded.
+func (s *Server) run(p *queryPlan, qTok *par.CancelToken, deadline time.Time, probe bool) (Response, *snapshot) {
 	var records []core.TrialRecord
 	var out attemptOut
 	retries := 0
@@ -214,12 +232,12 @@ func (s *Server) execute(p *queryPlan, connTok *par.CancelToken, probe bool) Res
 			s.journalQuery(p, records, core.TimedOut, retries, err.Error())
 			if err == ErrPoolDraining {
 				s.c.drainShed.Add(1)
-				return Response{Code: CodeUnavailable, Error: "server draining", Retries: retries}
+				return Response{Code: CodeUnavailable, Error: "server draining", Retries: retries}, nil
 			}
 			s.c.timeouts.Add(1)
 			return Response{Code: CodeDeadlineExceeded,
 				Error:   fmt.Sprintf("budget (%v) exhausted waiting for a machine lease", p.budget),
-				Retries: retries}
+				Retries: retries}, nil
 		}
 		records = append(records, core.TrialRecord{
 			Trial: 0, Attempt: attempt,
@@ -253,15 +271,20 @@ func (s *Server) execute(p *queryPlan, connTok *par.CancelToken, probe bool) Res
 	switch out.status {
 	case core.OK:
 		s.c.ok.Add(1)
-		return Response{Code: CodeOK, Retries: retries, Result: out.result,
-			KernelMicros: int64(out.seconds * 1e6)}
+		result := out.result
+		if out.snap != nil {
+			result = out.snap.answer(p)
+		}
+		return Response{Code: CodeOK, Retries: retries, Result: result,
+			KernelMicros: int64(out.seconds * 1e6)}, out.snap
 	case core.TimedOut:
 		s.c.timeouts.Add(1)
-		return Response{Code: CodeDeadlineExceeded, Error: out.err, Retries: retries}
-	default: // Panicked
+		return Response{Code: CodeDeadlineExceeded, Error: out.err, Retries: retries}, nil
+	case core.Panicked:
 		s.c.panics.Add(1)
-		return Response{Code: CodeInternal, Error: out.err, Retries: retries}
 	}
+	// Panicked, or VerifyFailed: a snapshot build the oracle rejected.
+	return Response{Code: CodeInternal, Error: out.err, Retries: retries}, nil
 }
 
 // attempt runs one sandboxed kernel attempt on a leased machine. The lease is
@@ -306,13 +329,21 @@ func (s *Server) attempt(p *queryPlan, tok *par.CancelToken, deadline time.Time)
 				out.status = core.Panicked
 				out.err = fmt.Sprintf("%s %s on %s: panic: %v", p.fwName, p.k, p.in.Spec.Name, pv)
 				out.stack = trimStack(debug.Stack())
-				out.result = nil
+				out.result, out.snap = nil, nil
 			}
 			done <- out
 		}()
-		start := time.Now()
-		out.result = runKernel(p, g, opt)
-		out.seconds = time.Since(start).Seconds()
+		if p.slot != nil {
+			var err error
+			if out.snap, out.seconds, err = buildSnapshot(p, g, opt); err != nil {
+				out.status = core.VerifyFailed
+				out.err = fmt.Sprintf("%s %s on %s: oracle rejected the result: %v", p.fwName, p.k, p.in.Spec.Name, err)
+			}
+		} else {
+			start := time.Now()
+			out.result = runKernel(p, g, opt)
+			out.seconds = time.Since(start).Seconds()
+		}
 		// graphguard (armed under -tags=graphguard): the shared CSRs must
 		// survive every query byte-identical — one corrupting kernel must not
 		// poison answers for every later client. A mutation panics here,
@@ -322,7 +353,7 @@ func (s *Server) attempt(p *queryPlan, tok *par.CancelToken, deadline time.Time)
 		if tok.Cancelled() {
 			out.status = core.TimedOut
 			out.err = fmt.Sprintf("%s %s on %s: deadline budget (%v) exceeded", p.fwName, p.k, p.in.Spec.Name, p.budget)
-			out.result = nil
+			out.result, out.snap = nil, nil
 		}
 	}()
 
@@ -368,11 +399,12 @@ func trimStack(stack []byte) string {
 	return strings.Join(lines, "\n")
 }
 
-// runKernel dispatches the planned kernel and reduces its full output to the
-// query's answer. The reduction runs inside the sandbox on purpose: reducing
-// garbage output (a corrupted kernel result) may panic, and that is the
-// kernel's fault to report, not the daemon's to crash on. g is passed in
-// (not read off p.in) so the sandbox holds no Input-field reads.
+// runKernel runs a source-parameterised kernel (BFS, SSSP — the whole-graph
+// kernels are buildSnapshot's) and reduces its full output to the query's
+// answer. The reduction runs inside the sandbox on purpose: reducing garbage
+// output (a corrupted kernel result) may panic, and that is the kernel's
+// fault to report, not the daemon's to crash on. g is passed in (not read off
+// p.in) so the sandbox holds no Input-field reads.
 func runKernel(p *queryPlan, g *graph.Graph, opt kernel.Options) *QueryResult {
 	switch p.k {
 	case core.BFS:
@@ -384,7 +416,7 @@ func runKernel(p *queryPlan, g *graph.Graph, opt kernel.Options) *QueryResult {
 			}
 		}
 		return res
-	case core.SSSP:
+	default: // core.SSSP — plan sends PR and CC to their snapshot slot
 		dist := p.f.SSSP(g, p.src, opt)
 		res := &QueryResult{}
 		for _, d := range dist {
@@ -400,54 +432,15 @@ func runKernel(p *queryPlan, g *graph.Graph, opt kernel.Options) *QueryResult {
 			res.Dist = &d
 		}
 		return res
-	case core.PR:
-		ranks := p.f.PR(g, opt)
-		return &QueryResult{TopK: topK(ranks, p.topk)}
-	default: // core.CC — plan admits nothing else
-		labels := p.f.CC(g, opt)
-		res := &QueryResult{Component: int64(labels[p.vertex])}
-		want := labels[p.vertex]
-		for _, l := range labels {
-			if l == want {
-				res.Size++
-			}
-		}
-		return res
 	}
-}
-
-// topK selects the k highest-scoring vertices by insertion into a small
-// sorted window — O(n·k) worst case but k ≤ 100 and most vertices fail the
-// threshold test in O(1), so no full n-element sort is paid per query.
-func topK(scores []float64, k int) []RankEntry {
-	if k > len(scores) {
-		k = len(scores)
-	}
-	top := make([]RankEntry, 0, k)
-	for v, sc := range scores {
-		if len(top) == k && sc <= top[k-1].Score {
-			continue
-		}
-		i := len(top)
-		if i < k {
-			top = append(top, RankEntry{})
-		} else {
-			i = k - 1
-		}
-		for i > 0 && top[i-1].Score < sc {
-			top[i] = top[i-1]
-			i--
-		}
-		top[i] = RankEntry{V: int64(v), Score: sc}
-	}
-	return top
 }
 
 // journalQuery appends the query outcome to the suite journal (when
 // configured) as a core.Result — one "cell" with one trial, CellID-keyed like
-// any batch result, its attempts as TrialRecords. Journal write failures are
-// logged, never surfaced to the client: losing a ledger line must not fail a
-// query that already ran.
+// any batch result, its attempts as TrialRecords. A query that ran nothing (a
+// snapshot hit, a wait that outlasted its budget) has no trial and no
+// records. Journal write failures are logged, never surfaced to the client:
+// losing a ledger line must not fail a query that already ran.
 func (s *Server) journalQuery(p *queryPlan, records []core.TrialRecord, status core.Status, retries int, errMsg string) {
 	if s.cfg.JournalPath == "" {
 		return
@@ -459,9 +452,10 @@ func (s *Server) journalQuery(p *queryPlan, records []core.TrialRecord, status c
 		Mode:      kernel.Baseline,
 		Status:    status,
 		Seconds:   -1,
-		Trials:    1,
 		Retries:   retries,
-		Verified:  status == core.OK,
+		// Only a snapshot's result has been through an oracle: its build
+		// checks it, and every hit serves that checked result.
+		Verified:  status == core.OK && p.slot != nil,
 		GraphFile: p.in.File,
 	}
 	if p.in.Graph != nil {
@@ -474,7 +468,10 @@ func (s *Server) journalQuery(p *queryPlan, records []core.TrialRecord, status c
 	} else {
 		res.Err = errMsg
 	}
-	res.TrialRecords = records
+	if len(records) > 0 {
+		res.Trials = 1
+		res.TrialRecords = records
+	}
 	s.journalMu.Lock()
 	err := core.AppendJournal(s.cfg.JournalPath, res)
 	s.journalMu.Unlock()

@@ -17,6 +17,8 @@ package serve
 //     that keeps losing machines, until a probe succeeds;
 //   - the machine-lease pool (pool.go) self-heals: an abandoned machine is
 //     replaced immediately and reaped in the background;
+//   - the whole-graph kernels (PR, CC) are computed and oracle-checked once
+//     per (graph, framework) and answered from that snapshot (snapshot.go);
 //   - SIGTERM drains gracefully under a hard deadline, and the drain proves
 //     no machine lease leaked (servecheck).
 
@@ -120,6 +122,7 @@ type Server struct {
 	pool     *Pool
 	adm      *admission
 	breakers *breakerSet
+	snaps    *snapshotStore
 
 	graphs     map[string]*core.Input
 	graphOrder []string
@@ -174,6 +177,7 @@ func NewServer(cfg Config, inputs []*core.Input, frameworks []kernel.Framework) 
 		}
 		s.frameworks[f.Name()] = f
 	}
+	s.snaps = newSnapshotStore(s.graphOrder, s.frameworks)
 	return s, nil
 }
 
@@ -340,6 +344,9 @@ func (s *Server) StatsSnapshot() Stats {
 		Retries:           s.c.retries.Load(),
 		Abandoned:         s.pool.Abandoned(),
 		BreakerOpens:      s.breakers.Opens(),
+		SnapshotBuilds:    s.snaps.builds.Load(),
+		SnapshotHits:      s.snaps.hits.Load(),
+		SnapshotFailed:    s.snaps.failed.Load(),
 		Inflight:          s.adm.Inflight(),
 		OutstandingLeases: s.pool.Outstanding(),
 	}

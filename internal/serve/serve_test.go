@@ -15,6 +15,7 @@ import (
 	"gapbench/internal/graph"
 	"gapbench/internal/kernel"
 	"gapbench/internal/testutil"
+	"gapbench/internal/verify"
 )
 
 // ---- stub frameworks -------------------------------------------------------
@@ -36,11 +37,14 @@ func (stubFramework) BFS(g *graph.Graph, src graph.NodeID, opt kernel.Options) [
 func (stubFramework) SSSP(g *graph.Graph, src graph.NodeID, opt kernel.Options) []kernel.Dist {
 	return make([]kernel.Dist, g.NumNodes())
 }
+
+// PR and CC answer with the serial oracles: a snapshot build checks the whole
+// result, so a stub that serves these kernels has to be right.
 func (stubFramework) PR(g *graph.Graph, opt kernel.Options) []float64 {
-	return make([]float64, g.NumNodes())
+	return verify.PageRank(g, kernel.PRMaxIters, kernel.PRTolerance)
 }
 func (stubFramework) CC(g *graph.Graph, opt kernel.Options) []graph.NodeID {
-	return make([]graph.NodeID, g.NumNodes())
+	return verify.Components(g)
 }
 func (stubFramework) BC(g *graph.Graph, sources []graph.NodeID, opt kernel.Options) []float64 {
 	return make([]float64, g.NumNodes())
@@ -549,7 +553,9 @@ func TestServeJournalsQueryOutcomes(t *testing.T) {
 	if okRes.CellID() != "Stub|BFS|Kron|Baseline" {
 		t.Errorf("ok CellID = %q", okRes.CellID())
 	}
-	if okRes.Status != core.OK || !okRes.Verified || okRes.Seconds < 0 {
+	// No oracle runs on a BFS answer, and the journal says so (the verified
+	// rows are the snapshot-served kernels': see snapshot_test.go).
+	if okRes.Status != core.OK || okRes.Verified || okRes.Trials != 1 || okRes.Seconds < 0 {
 		t.Errorf("ok journal line: %+v", okRes)
 	}
 	if okRes.GraphEpoch != in.Graph.Epoch() {

@@ -42,6 +42,9 @@
 #      the chaos injector, graph seal checks, and the lease-leak assertion
 #      all armed — injected panics/stalls/hangs/corruption against a live
 #      server must shed, retry, quarantine, and drain clean (DESIGN.md §11).
+#      Then go test -race -count=10 -run Snapshot <serve>: the snapshot
+#      single-flight (one build per burst, waiters re-leading, breaker
+#      accounting) under the race detector, ten times over.
 #  11. graphgen + gapbench graph-store e2e tier: generate the five suite
 #      graphs once as format-v2 .sg files, then run a gapbench smoke over
 #      them via -graphfile, so the whole serialize -> mmap-load -> provenance
@@ -54,7 +57,10 @@
 #      contract `-tune` exists for (see DESIGN.md "Schedule persistence").
 #  13. gapd serving smoke tier: start the daemon on a unix socket over the
 #      tier-11 graph files (servecheck armed), drive a mixed closed-loop
-#      burst with cmd/workload, and require zero non-OK non-shed responses;
+#      burst with cmd/workload, and require zero non-OK non-shed responses
+#      and, from the daemon's stats after the burst, at most graphs x
+#      frameworks x 2 snapshot builds with the rest of the PR/CC traffic
+#      answered as hits (no per-query whole-graph recompute);
 #      then SIGTERM and require the drain to finish within its budget with
 #      no leaked lease (the servecheck assertion panics the exit otherwise).
 #  14. go test -bench=. -benchtime=1x the benchmark bit-rot guard: every
@@ -118,6 +124,7 @@ go test -tags='chaos graphguard' -short ./internal/core/
 
 say "serving-layer fault tier (go test -tags='chaos graphguard servecheck' -short)"
 go test -tags='chaos graphguard servecheck' -short ./internal/serve/
+go test -race -count=10 -run Snapshot ./internal/serve/
 
 say "graph-store e2e tier (graphgen once, gapbench mmap smoke)"
 GDIR="$(mktemp -d)"
@@ -164,6 +171,18 @@ grep -q 'failed 0)' "$TDIR/drive.log" || {
     cat "$TDIR/drive.log" >&2
     exit 1
 }
+# The driver's last act is the stats op. PR and CC are 40% of the default
+# mix: each (graph, framework) pair may cost one PageRank and one CC run, and
+# every other such query must have been a snapshot hit.
+NGRAPHS=$(ls "$GDIR"/*.sg | wc -l)
+snap_builds=$(sed -n 's/^daemon: .*snapshot_builds=\([0-9]*\).*/\1/p' "$TDIR/drive.log")
+snap_hits=$(sed -n 's/^daemon: .*snapshot_hits=\([0-9]*\).*/\1/p' "$TDIR/drive.log")
+if [ -z "$snap_builds" ] || [ "$snap_builds" -gt $(( NGRAPHS * 2 )) ] || [ "${snap_hits:-0}" -le 0 ]; then
+    echo "gapd recomputed whole-graph kernels per query: snapshot_builds=${snap_builds:-?} (limit $(( NGRAPHS * 2 ))) snapshot_hits=${snap_hits:-?}" >&2
+    cat "$TDIR/drive.log" >&2
+    kill "$GAPD_PID" 2>/dev/null || true
+    exit 1
+fi
 drain_start=$(date +%s)
 kill -TERM "$GAPD_PID"
 wait "$GAPD_PID" || { echo "gapd exited non-zero on SIGTERM drain:" >&2; cat "$TDIR/gapd.log" >&2; exit 1; }
@@ -172,7 +191,7 @@ if [ "$drain_elapsed" -gt 10 ]; then
     echo "gapd drain took ${drain_elapsed}s, budget is 10s" >&2
     exit 1
 fi
-echo "gapd smoke ok ($(grep -o 'queries [0-9]*' "$TDIR/drive.log" | head -1), drained in ${drain_elapsed}s)"
+echo "gapd smoke ok ($(grep -o 'queries [0-9]*' "$TDIR/drive.log" | head -1), $snap_builds snapshot builds, $snap_hits hits, drained in ${drain_elapsed}s)"
 
 say "benchmark bit-rot guard (go test -run='^$' -bench=. -benchtime=1x)"
 go test -run='^$' -bench=. -benchtime=1x .
