@@ -1,6 +1,9 @@
 package grb
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // grbcheck is the package's runtime sanitizer: structural invariants of the
 // opaque vector/matrix representations are asserted at every operation
@@ -108,6 +111,45 @@ func checkMatrix(op string, m *Matrix) {
 	if m.weight != nil && len(m.weight) != len(m.colInd) {
 		checkFail(op, "weight-length",
 			fmt.Sprintf("%d weights for %d entries", len(m.weight), len(m.colInd)))
+	}
+}
+
+// checkDenseMatrix asserts the representation invariants of a k-by-n dense
+// matrix at a batched product's boundary:
+//
+//	dense-row-count        one value row and one presence row per matrix row
+//	dense-row-length       every value row spans all n columns
+//	dense-presence-length  every presence bitset spans exactly n columns
+//	dense-presence-tail    no presence bit is set at or past column n
+func checkDenseMatrix(op string, d *DenseMatrix, n Index) {
+	if !grbcheckEnabled || d == nil {
+		return
+	}
+	if len(d.val) != d.rows || len(d.pres) != d.rows {
+		checkFail(op, "dense-row-count",
+			fmt.Sprintf("%d value rows and %d presence rows for %d matrix rows", len(d.val), len(d.pres), d.rows))
+	}
+	for r := 0; r < d.rows; r++ {
+		if Index(len(d.val[r])) != n {
+			checkFail(op, "dense-row-length",
+				fmt.Sprintf("row %d has %d values, operand has %d columns", r, len(d.val[r]), n))
+		}
+		p := d.pres[r]
+		if p == nil || p.n != n || Index(len(p.words)) != (n+63)/64 {
+			got := Index(-1)
+			if p != nil {
+				got = p.n
+			}
+			checkFail(op, "dense-presence-length",
+				fmt.Sprintf("row %d presence spans %d entries, operand has %d columns", r, got, n))
+		}
+		if tail := uint(n & 63); tail != 0 {
+			if stray := p.words[len(p.words)-1] >> tail; stray != 0 {
+				checkFail(op, "dense-presence-tail",
+					fmt.Sprintf("row %d marks column %d present, past the last column %d",
+						r, n+Index(bits.TrailingZeros64(stray)), n-1))
+			}
+		}
 	}
 }
 

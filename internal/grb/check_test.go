@@ -165,6 +165,47 @@ func TestGrbcheckCorruptedMatrix(t *testing.T) {
 	})
 }
 
+// TestGrbcheckCorruptedDenseMatrix seeds each dense-operand corruption at the
+// batched product's boundary, on the input and on the recycled output.
+func TestGrbcheckCorruptedDenseMatrix(t *testing.T) {
+	a := testMatrix(t)
+	at := a.Transpose()
+	n := a.NCols()
+	noMask := func(int) *Mask { return nil }
+	product := func(out, f *DenseMatrix) func() {
+		return func() { DenseMxM(par.Default(), out, f, a, at, noMask, nil, 1) }
+	}
+	frontier := func() *DenseMatrix {
+		f := NewDenseMatrix(2, n)
+		f.Set(0, 0, 1)
+		return f
+	}
+
+	t.Run("missing presence row", func(t *testing.T) {
+		f := frontier()
+		f.pres = f.pres[:1] // corrupt: two rows, one presence bitset
+		mustPanic(t, product(NewDenseMatrix(2, n), f), "DenseMxM input F", "dense-row-count")
+	})
+	t.Run("truncated value row", func(t *testing.T) {
+		f := frontier()
+		f.val[1] = f.val[1][:n-1] // corrupt: short row
+		mustPanic(t, product(NewDenseMatrix(2, n), f), "DenseMxM input F", "dense-row-length")
+	})
+	t.Run("output presence wrong length", func(t *testing.T) {
+		out := NewDenseMatrix(2, n)
+		out.pres[0] = NewBitset(n + 64) // corrupt: recycled from a wider product
+		mustPanic(t, product(out, frontier()), "DenseMxM output", "dense-presence-length")
+	})
+	t.Run("presence bit past the last column", func(t *testing.T) {
+		f := frontier()
+		f.pres[1].words[0] |= 1 << uint(n) // corrupt: column n of n
+		mustPanic(t, product(NewDenseMatrix(2, n), f), "DenseMxM input F", "dense-presence-tail")
+	})
+	t.Run("clean operands pass", func(t *testing.T) {
+		product(NewDenseMatrix(2, n), frontier())()
+	})
+}
+
 // TestGrbcheckCorruptedMask seeds a mask that does not span the output.
 func TestGrbcheckCorruptedMask(t *testing.T) {
 	a := testMatrix(t)

@@ -592,8 +592,10 @@ func TestDenseMxMMatchesVectorProduct(t *testing.T) {
 	f := grb.NewDenseMatrix(2, 4)
 	f.Set(0, 0, 1)
 	f.Set(1, 2, 3)
+	at := a.Transpose()
 	noMask := func(int) *grb.Mask { return nil }
-	out := grb.DenseMxM(par.Default(), f, a, noMask, 2)
+	out := grb.NewDenseMatrix(2, 4)
+	grb.DenseMxM(par.Default(), out, f, a, at, noMask, nil, 2)
 	// Row 0: vertex 0 -> 1 with value 1.
 	if v, ok := out.Get(0, 1); !ok || v != 1 {
 		t.Fatalf("out[0][1] = %v,%v", v, ok)
@@ -610,12 +612,13 @@ func TestDenseMxMMatchesVectorProduct(t *testing.T) {
 	// Masked: forbid column 3 in row 1.
 	allow := grb.NewBitset(4)
 	allow.Set(3)
-	masked := grb.DenseMxM(par.Default(), f, a, func(r int) *grb.Mask {
+	masked := grb.NewDenseMatrix(2, 4)
+	grb.DenseMxM(par.Default(), masked, f, a, at, func(r int) *grb.Mask {
 		if r == 1 {
 			return grb.NewMask(allow, true) // complement: everything but 3
 		}
 		return nil
-	}, 2)
+	}, nil, 2)
 	if _, ok := masked.Get(1, 3); ok {
 		t.Fatal("masked column written")
 	}
@@ -635,7 +638,8 @@ func TestDenseMxMAccumulatesSharedTargets(t *testing.T) {
 	f := grb.NewDenseMatrix(1, 3)
 	f.Set(0, 0, 2)
 	f.Set(0, 1, 5)
-	out := grb.DenseMxM(par.Default(), f, a, func(int) *grb.Mask { return nil }, 2)
+	out := grb.NewDenseMatrix(1, 3)
+	grb.DenseMxM(par.Default(), out, f, a, a.Transpose(), func(int) *grb.Mask { return nil }, nil, 2)
 	if v, ok := out.Get(0, 2); !ok || v != 7 {
 		t.Fatalf("accumulated = %v,%v want 7", v, ok)
 	}

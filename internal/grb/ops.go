@@ -30,6 +30,19 @@ func VxM[T Number](exec *par.Machine, q *Vector[T], a *Matrix, s Semiring[T], ma
 	return out
 }
 
+// VxMInto is VxM into a recycled output: out must be a bitmap-format vector of
+// a's column count; its old entries are dropped by resetting presence only,
+// so a loop of products (delta-stepping's relaxations) allocates one output,
+// not one per product.
+func VxMInto[T Number](exec *par.Machine, q *Vector[T], a *Matrix, s Semiring[T], mask *Mask, out *Vector[T], workers int) {
+	if out.format != Bitmap || out.n != a.ncols {
+		panic(fmt.Sprintf("grb: VxMInto output must be a bitmap vector of size %d", a.ncols))
+	}
+	checkVector("VxMInto output", out)
+	out.present.Reset()
+	vxmInto(exec, q, a, s, mask, out, workers)
+}
+
 // vxmInto is VxM writing into a caller-provided bitmap-format output whose
 // presence bitset is clear (the dense backing may hold stale values — every
 // write below marks presence first-write-wins, so stale slots stay hidden).

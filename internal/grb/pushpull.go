@@ -91,6 +91,27 @@ func pullFloor(mask *Mask, nrows Index) Index {
 	return c
 }
 
+// choosePull is the one direction rule of the masked products (PushPullVxM
+// per call, DenseMxM per root row): given the scout count — the degree sum of
+// the stored frontier entries, i.e. the exact push cost — it reports whether
+// to gather instead, and charges a push to the unexplored-edge budget.
+//
+// Auto pulls when the scout passes Beamer's alpha test and the pull floor.
+// The floor gate itself is gated: counting survivors costs a popcount over
+// nrows/64 mask words, and a pull costs at least that same scan, so a scout
+// that cannot beat the word count pushes without counting (the thousands of
+// thin late rounds on a high-diameter graph take this exit).
+func (st *PushPullState) choosePull(scout Index, mask *Mask, nrows Index) bool {
+	pull := st.Policy == DirPull ||
+		(st.Policy == DirAuto && st.Alpha > 0 && scout > st.edgesToCheck/Index(st.Alpha) &&
+			(st.FloorOff || (scout > nrows>>6 &&
+				scout > pullFloor(mask, nrows)*pullProbeCost)))
+	if !pull {
+		st.edgesToCheck -= scout
+	}
+	return pull
+}
+
 // frontierScout sums the a-row degrees of q's stored entries — the exact
 // edge count a push step would traverse. Sparse frontiers reduce over the
 // index list; bitmap frontiers reduce word-at-a-time on the machine.
@@ -116,12 +137,7 @@ func frontierScout[T Number](exec *par.Machine, a *Matrix, q *Vector[T], workers
 		words := q.present.words
 		if len(words) <= 512 {
 			var s Index
-			for wi, w := range words {
-				base := Index(wi) << 6
-				for ; w != 0; w &= w - 1 {
-					s += a.RowDegree(base + Index(bits.TrailingZeros64(w)))
-				}
-			}
+			q.present.Each(func(k Index) { s += a.RowDegree(k) })
 			return s
 		}
 		return Index(exec.ReduceInt64(len(words), workers, func(lo, hi int) int64 {
@@ -151,19 +167,11 @@ func PushPullVxM[T Number](exec *par.Machine, q *Vector[T], a, at *Matrix, s Sem
 		st = NewPushPullState(a, DirAuto)
 	}
 	scout := frontierScout(exec, a, q, workers)
-	// The floor gate itself is gated: counting survivors costs a popcount
-	// over nrows/64 mask words, and a pull costs at least that same scan, so
-	// a scout that cannot beat the word count pushes without counting (the
-	// thousands of thin late rounds on a high-diameter graph take this exit).
-	pull := st.Policy == DirPull ||
-		(st.Policy == DirAuto && st.Alpha > 0 && scout > st.edgesToCheck/Index(st.Alpha) &&
-			(st.FloorOff || (scout > a.nrows>>6 &&
-				scout > pullFloor(mask, a.nrows)*pullProbeCost)))
+	pull := st.choosePull(scout, mask, a.nrows)
 	var out *Vector[T]
 	if pull {
 		out = vxmPull(exec, at, q, s, mask, st, workers)
 	} else {
-		st.edgesToCheck -= scout
 		out = recycledOut(st, q, a.ncols)
 		// A scatter smaller than a region launch runs serial in q's native
 		// format: no sparse conversion, no per-worker partials, one pass.
@@ -318,10 +326,8 @@ func vxmPull[T Number](exec *par.Machine, at *Matrix, q *Vector[T], s Semiring[T
 	qb := q.ToBitmap()
 	checkVector("PushPullVxM pull bitmap-converted q", qb)
 	out := recycledOut(st, q, at.nrows)
-	// Tiny survivor sets run serial: one machine dispatch costs more than the
-	// whole gather, and the serial loop can use plain (non-atomic) bit sets.
-	const serialRowsCutoff = 2048
-	if len(rows) <= serialRowsCutoff {
+	// Tiny survivor sets run serial with plain (non-atomic) bit sets.
+	if len(rows) <= pullSerialRows {
 		vxmPullSerial(at, qb, s, rows, out)
 		checkVector("PushPullVxM pull output", out)
 		return out
@@ -407,6 +413,10 @@ func vxmPull[T Number](exec *par.Machine, at *Matrix, q *Vector[T], s Semiring[T
 // runs in the calling goroutine: one region launch on an oversubscribed
 // machine costs more than scattering this many entries.
 const pushSerialCutoff = 16384
+
+// pullSerialRows is the survivor count below which a pull gather runs in the
+// calling goroutine: one machine dispatch costs more than the whole gather.
+const pullSerialRows = 2048
 
 // vxmPushSerial is the single-threaded push: scatter each stored q entry
 // along its matrix row, merging into out directly (no per-worker partials).

@@ -1,8 +1,10 @@
 package grb
 
 import (
+	"math"
 	"testing"
 
+	"gapbench/internal/generate"
 	"gapbench/internal/graph"
 	"gapbench/internal/par"
 )
@@ -194,40 +196,154 @@ func TestMaskSurvivorRowsParallelGather(t *testing.T) {
 	}
 }
 
-// TestDenseMxMDirMatchesDenseMxM pins each direction per row and asserts the
-// batched product matches the push-only reference.
-func TestDenseMxMDirMatchesDenseMxM(t *testing.T) {
+// denseStates returns one fresh accounting per policy given.
+func denseStates(a *Matrix, policies ...DirPolicy) []*PushPullState {
+	st := make([]*PushPullState, len(policies))
+	for r, p := range policies {
+		st[r] = NewPushPullState(a, p)
+	}
+	return st
+}
+
+func sameDense(t *testing.T, label string, want, got *DenseMatrix) {
+	t.Helper()
+	for r := 0; r < want.Rows(); r++ {
+		for c := Index(0); c < want.Cols(); c++ {
+			wv, wok := want.Get(r, c)
+			gv, gok := got.Get(r, c)
+			if wok != gok || (wok && wv != gv) {
+				t.Fatalf("%s: row %d col %d: (%v,%v) vs (%v,%v)", label, r, c, wv, wok, gv, gok)
+			}
+		}
+	}
+}
+
+// TestDenseMxMDirectionsAgree runs the one batched product with every row
+// pinned to push, pinned to pull, freed, mixed, and with no states at all,
+// and asserts the products are identical, floats included: on the 4-vertex
+// graph (the serial scatter and the serial gather) and on a Kron-13 graph whose
+// full frontier exceeds pushSerialCutoff and pullSerialRows (the per-worker
+// partials and the machine-parallel gather).
+func TestDenseMxMDirectionsAgree(t *testing.T) {
+	small, smallT := pushPullMatrices(t)
+	kron, err := generate.ByName("Kron", 13, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, bigT := FromGraph(kron, false, false), FromGraph(kron, true, false)
+	if big.NVals() <= 2*pushSerialCutoff || big.NRows() <= 2*pullSerialRows {
+		t.Fatalf("Kron-13 (%d rows, %d entries) no longer reaches the parallel paths", big.NRows(), big.NVals())
+	}
+
+	for _, g := range []struct {
+		name  string
+		a, at *Matrix
+	}{{"small", small, smallT}, {"kron", big, bigT}} {
+		t.Run(g.name, func(t *testing.T) {
+			n := g.a.NRows()
+			f := NewDenseMatrix(2, n)
+			visited := []*Bitset{NewBitset(n), NewBitset(n)}
+			for c := Index(0); c < n; c++ {
+				f.Set(int(c&1), c, 0.1*float64(c+1)) // inexact floats: order of addition shows
+				if c%5 == 0 {
+					visited[c&1].Set(c)
+				}
+			}
+			rowMask := func(r int) *Mask { return NewMask(visited[r], true) }
+			want := NewDenseMatrix(2, n)
+			DenseMxM(par.Default(), want, f, g.a, g.at, rowMask, denseStates(g.a, DirPush, DirPush), 2)
+			if want.NVals() == 0 {
+				t.Fatal("reference product is empty")
+			}
+			for _, tc := range []struct {
+				name string
+				st   []*PushPullState
+			}{
+				{"nil states (push)", nil},
+				{"pinned push", denseStates(g.a, DirPush, DirPush)},
+				{"pinned pull", denseStates(g.a, DirPull, DirPull)},
+				{"auto", denseStates(g.a, DirAuto, DirAuto)},
+				{"mixed", denseStates(g.a, DirPull, DirPush)},
+			} {
+				t.Run(tc.name, func(t *testing.T) {
+					got := NewDenseMatrix(2, n)
+					DenseMxM(par.Default(), got, f, g.a, g.at, rowMask, tc.st, 2)
+					sameDense(t, tc.name, want, got)
+				})
+			}
+		})
+	}
+}
+
+// TestDenseMxMRecycledOutputHidesStaleValues poisons a recycled output's
+// values and leaves stale presence behind: nothing of either may leak past
+// the product's own presence, in any direction.
+func TestDenseMxMRecycledOutputHidesStaleValues(t *testing.T) {
 	a, at := pushPullMatrices(t)
 	n := a.NRows()
 	f := NewDenseMatrix(2, n)
 	f.Set(0, 2, 1.5)
 	f.Set(1, 0, 2.0)
 	f.Set(1, 1, 3.0)
-	visited := []*Bitset{NewBitset(n), NewBitset(n)}
-	visited[0].Set(2)
-	visited[1].Set(0)
-	rowMask := func(r int) *Mask { return NewMask(visited[r], true) }
+	noMask := func(int) *Mask { return nil }
+	for _, policy := range []DirPolicy{DirPush, DirPull} {
+		want := NewDenseMatrix(2, n)
+		DenseMxM(par.Default(), want, f, a, at, noMask, denseStates(a, policy, policy), 2)
+		got := NewDenseMatrix(2, n)
+		for r := 0; r < 2; r++ {
+			for c := Index(0); c < n; c++ {
+				got.Set(r, c, math.NaN()) // a previous product's entries
+			}
+		}
+		DenseMxM(par.Default(), got, f, a, at, noMask, denseStates(a, policy, policy), 2)
+		sameDense(t, "recycled", want, got)
+		if got.NVals() != want.NVals() || want.NVals() != 4 {
+			t.Fatalf("policy %v: recycled product has %d entries, fresh %d, want 4", policy, got.NVals(), want.NVals())
+		}
+	}
+}
 
-	want := DenseMxM(par.Default(), f, a, rowMask, 2)
+// TestDenseMxMFloorKeepsWebShapedRowPushing is PushPullVxM's Web regression
+// for the batched op: late in a crawl a few hubs pass the alpha test on
+// degree sums alone while nearly every vertex is still an unvisited survivor
+// whose in-edges a pull would probe fruitlessly. The row must push; with the
+// floor off the same operands gather.
+func TestDenseMxMFloorKeepsWebShapedRowPushing(t *testing.T) {
+	const n = 8192 // 128 mask words: the hub's degree clears the word-count gate
+	var edges []graph.Edge
+	for v := graph.NodeID(1); v <= 200; v++ {
+		edges = append(edges, graph.Edge{U: 0, V: v}) // the hub
+	}
+	for v := graph.NodeID(201); v < n; v++ {
+		edges = append(edges, graph.Edge{U: v, V: v - 1}) // the unexplored bulk
+	}
+	g, err := graph.Build(edges, graph.BuildOptions{Directed: true, NumNodes: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, at := FromGraph(g, false, false), FromGraph(g, true, false)
+	f := NewDenseMatrix(1, n)
+	f.Set(0, 0, 1)
+	visited := NewBitset(n)
+	visited.Set(0)
+	rowMask := func(int) *Mask { return NewMask(visited, true) }
+
+	want := NewDenseMatrix(1, n)
+	DenseMxM(par.Default(), want, f, a, at, rowMask, nil, 2)
 	for _, tc := range []struct {
-		name string
-		st   []*PushPullState
-	}{
-		{"nil states (push)", nil},
-		{"pinned push", []*PushPullState{NewPushPullState(a, DirPush), NewPushPullState(a, DirPush)}},
-		{"pinned pull", []*PushPullState{NewPushPullState(a, DirPull), NewPushPullState(a, DirPull)}},
-		{"mixed", []*PushPullState{NewPushPullState(a, DirPull), NewPushPullState(a, DirPush)}},
-	} {
+		name     string
+		floorOff bool
+		pushed   bool
+	}{{"floor on pushes", false, true}, {"floor off pulls", true, false}} {
 		t.Run(tc.name, func(t *testing.T) {
-			got := DenseMxMDir(par.Default(), f, a, at, rowMask, tc.st, 2)
-			for r := 0; r < 2; r++ {
-				for c := Index(0); c < n; c++ {
-					wv, wok := want.Get(r, c)
-					gv, gok := got.Get(r, c)
-					if wok != gok || (wok && wv != gv) {
-						t.Fatalf("row %d col %d: (%v,%v) vs (%v,%v)", r, c, wv, wok, gv, gok)
-					}
-				}
+			st := denseStates(a, DirAuto)
+			st[0].edgesToCheck = 0 // alpha passes on any nonzero scout
+			st[0].FloorOff = tc.floorOff
+			got := NewDenseMatrix(1, n)
+			DenseMxM(par.Default(), got, f, a, at, rowMask, st, 2)
+			sameDense(t, tc.name, want, got)
+			if pushed := st[0].edgesToCheck != 0; pushed != tc.pushed {
+				t.Fatalf("pushed = %v, want %v (scout 200, %d survivors)", pushed, tc.pushed, n-1)
 			}
 		})
 	}

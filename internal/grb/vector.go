@@ -153,21 +153,13 @@ func (v *Vector[T]) ToSparse() *Vector[T] {
 		}
 		return out
 	}
-	words := v.present.words
-	nv := 0
-	for _, w := range words {
-		nv += bits.OnesCount64(w)
-	}
+	nv := v.present.Count()
 	out.ind = make([]Index, 0, nv)
 	out.val = make([]T, 0, nv)
-	for wi, w := range words {
-		base := Index(wi) << 6
-		for ; w != 0; w &= w - 1 {
-			i := base + Index(bits.TrailingZeros64(w))
-			out.ind = append(out.ind, i)
-			out.val = append(out.val, v.dense[i])
-		}
-	}
+	v.present.Each(func(i Index) {
+		out.ind = append(out.ind, i)
+		out.val = append(out.val, v.dense[i])
+	})
 	return out
 }
 
@@ -223,13 +215,7 @@ func (v *Vector[T]) Iterate(fn func(i Index, x T)) {
 			fn(i, v.val[k])
 		}
 	case Bitmap:
-		for wi, w := range v.present.words {
-			base := Index(wi) << 6
-			for ; w != 0; w &= w - 1 {
-				i := base + Index(bits.TrailingZeros64(w))
-				fn(i, v.dense[i])
-			}
-		}
+		v.present.Each(func(i Index) { fn(i, v.dense[i]) })
 	default:
 		for i := Index(0); i < v.n; i++ {
 			fn(i, v.dense[i])
@@ -305,11 +291,7 @@ func EWiseApply[T Number](v *Vector[T], fn func(i Index, x T) T) {
 			v.val[k] = fn(i, v.val[k])
 		}
 	case Bitmap:
-		for i := Index(0); i < v.n; i++ {
-			if v.present.Get(i) {
-				v.dense[i] = fn(i, v.dense[i])
-			}
-		}
+		v.present.Each(func(i Index) { v.dense[i] = fn(i, v.dense[i]) })
 	default:
 		for i := Index(0); i < v.n; i++ {
 			v.dense[i] = fn(i, v.dense[i])

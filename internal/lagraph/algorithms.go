@@ -50,6 +50,8 @@ func deltaStepping(exec *par.Machine, aw *grb.Matrix, src grb.Index, delta kerne
 	t := grb.NewFull[int32](n, kernel.Inf)
 	t.SetElement(src, 0)
 	dense := t.Dense()
+	// One relaxation output for the whole search, recycled through VxMInto.
+	relaxed := grb.NewSparse[int32](n).ToBitmap()
 
 	for b := int32(0); ; {
 		if exec.Interrupted() {
@@ -74,7 +76,7 @@ func deltaStepping(exec *par.Machine, aw *grb.Matrix, src grb.Index, delta kerne
 		}
 		// Relax this bucket to a fixed point.
 		for tm.NVals() > 0 {
-			relaxed := grb.VxM(exec, tm, aw, s, nil, workers)
+			grb.VxMInto(exec, tm, aw, s, nil, relaxed, workers)
 			improvedInBucket := grb.NewSparse[int32](n)
 			relaxed.Iterate(func(j grb.Index, x int32) {
 				if x < dense[j] {
@@ -216,7 +218,14 @@ func fastSV(exec *par.Machine, und *grb.Matrix, workers int) *grb.Vector[int64] 
 // operations are matrix-matrix, where one matrix is dense and 4-by-n").
 // The forward sweep is a masked dense-times-sparse product per level that
 // accumulates per-root path counts; the backward sweep runs the same
-// product over A' against the recorded per-root level structures.
+// product over A' against the recorded per-root levels.
+//
+// Everything around the products costs the level it handles, not n: the two
+// k-by-n operands ping-pong through every product of both sweeps, a root's
+// levels are ranges of its visit-order list, and the backward masks are set
+// and cleared from those ranges. What remains per level is what LAGraph BFS
+// pays too — grb's word scans of n/64 presence words per row (§V-E: BC on
+// Road "shares BFS's limitation").
 func betweenness(exec *par.Machine, m *matrices, sources []grb.Index, workers int) []float64 {
 	n := m.a.NRows()
 	k := len(sources)
@@ -225,122 +234,105 @@ func betweenness(exec *par.Machine, m *matrices, sources []grb.Index, workers in
 		return scores
 	}
 
-	// sigma[r] accumulates per-root path counts; visited[r] masks the
-	// frontier; levels[r][d] is the bitset of vertices at depth d.
+	// sigma[r] accumulates root r's path counts. Its structure is root r's
+	// visited set, so its live complement masks the forward products.
 	sigma := grb.NewDenseMatrix(k, n)
-	visited := make([]*grb.Bitset, k)
-	levels := make([][]*grb.Bitset, k)
-	frontier := grb.NewDenseMatrix(k, n)
-	for r, src := range sources {
-		visited[r] = grb.NewBitset(n)
-		visited[r].Set(src)
-		sigma.Set(r, src, 1)
-		frontier.Set(r, src, 1)
-		lvl := grb.NewBitset(n)
-		lvl.Set(src)
-		levels[r] = append(levels[r], lvl)
+	cur, next := grb.NewDenseMatrix(k, n), grb.NewDenseMatrix(k, n)
+	// order[r] lists root r's reached vertices in visit order, and
+	// levelEnd[d*k+r] is where its depth-d vertices end in that list. Depths
+	// are global: an exhausted root keeps recording empty levels.
+	order := make([][]grb.Index, k)
+	var levelEnd []int
+	level := func(r, d int) []grb.Index {
+		lo := 0
+		if d > 0 {
+			lo = levelEnd[(d-1)*k+r]
+		}
+		return order[r][lo:levelEnd[d*k+r]]
 	}
-
-	// Per-root complement masks built once for the whole forward phase: each
-	// wraps the live visited[r] bitset, so in-place updates flow through and
-	// the mask factory allocates nothing on the workers' hot path.
 	fwdMasks := make([]*grb.Mask, k)
-	for r := range fwdMasks {
-		fwdMasks[r] = grb.NewMask(visited[r], true)
-	}
 	// Per-root Beamer accounting: each root row of the batch flips between the
 	// scatter and the survivor-gather direction on its own schedule.
 	states := make([]*grb.PushPullState, k)
-	for r := range states {
+	for r, src := range sources {
+		sigma.Set(r, src, 1)
+		cur.Set(r, src, 1)
+		order[r] = append(make([]grb.Index, 0, n), src)
+		levelEnd = append(levelEnd, 1)
+		fwdMasks[r] = grb.NewMask(sigma.RowStructure(r), true)
 		states[r] = grb.NewPushPullState(m.a, grb.DirAuto)
 	}
 
 	// Forward: one batched product per global level until every root's
-	// frontier is empty.
-	for frontier.NVals() > 0 {
+	// frontier is empty. The mask admits unvisited vertices only, so each
+	// product entry is a first visit carrying the vertex's whole path count.
+	fwdMask := func(r int) *grb.Mask { return fwdMasks[r] }
+	for live := k; live > 0; {
 		if exec.Interrupted() {
 			return scores // partial scores; the harness discards cancelled trials
 		}
-		next := grb.DenseMxMDir(exec, frontier, m.a, m.at, func(r int) *grb.Mask {
-			return fwdMasks[r]
-		}, states, workers)
+		grb.DenseMxM(exec, next, cur, m.a, m.at, fwdMask, states, workers)
+		live = 0
 		for r := 0; r < k; r++ {
-			lvl := grb.NewBitset(n)
-			pres := next.RowStructure(r)
 			vals := next.RowValues(r)
-			sv := sigma.RowValues(r)
-			for c := grb.Index(0); c < n; c++ {
-				if pres.Get(c) {
-					sv[c] += vals[c]
-					sigma.RowStructure(r).Set(c)
-					visited[r].Set(c)
-					lvl.Set(c)
-				}
-			}
-			levels[r] = append(levels[r], lvl)
+			before := len(order[r])
+			next.RowStructure(r).Each(func(c grb.Index) {
+				sigma.Set(r, c, vals[c])
+				order[r] = append(order[r], c)
+			})
+			levelEnd = append(levelEnd, len(order[r]))
+			live += len(order[r]) - before
 		}
-		frontier = next
+		cur, next = next, cur
 	}
 
 	// Backward: per global depth (deepest first), one batched product over
 	// A' pushes dependency shares from each root's level-d vertices to its
-	// level-(d-1) parents.
-	maxDepth := 0
-	for r := 0; r < k; r++ {
-		if len(levels[r]) > maxDepth {
-			maxDepth = len(levels[r])
-		}
-	}
+	// level-(d-1) parents. w is loaded and parents[r] — the row mask — set
+	// from the two levels' ranges, and both are emptied from them afterwards.
 	delta := make([][]float64, k)
+	parents := make([]*grb.Bitset, k)
+	bwdMasks := make([]*grb.Mask, k)
 	for r := range delta {
 		delta[r] = make([]float64, n)
+		parents[r] = grb.NewBitset(n)
+		bwdMasks[r] = grb.NewMask(parents[r], false)
 	}
-	// One shared all-absent mask for roots whose level structure is already
-	// exhausted: hoisted out of the mask factory so DenseMxM does not allocate
-	// an O(n/64) bitset per row per depth (it is never written, so sharing it
-	// across rows and depths is safe).
-	emptyMask := grb.NewMask(grb.NewBitset(n), false)
-	// Per-root parent-level masks, rebuilt sequentially each depth so the
-	// mask factory allocates nothing on the workers' hot path.
-	bwdMasks := make([]*grb.Mask, k)
-	for d := maxDepth - 1; d >= 1; d-- {
-		w := grb.NewDenseMatrix(k, n)
+	bwdMask := func(r int) *grb.Mask { return bwdMasks[r] }
+	w, t := cur, next
+	w.Clear()
+	for d := len(levelEnd)/k - 1; d >= 1; d-- {
+		if exec.Interrupted() {
+			return scores
+		}
 		for r := 0; r < k; r++ {
-			if d-1 < len(levels[r]) {
-				bwdMasks[r] = grb.NewMask(levels[r][d-1], false)
-			} else {
-				bwdMasks[r] = emptyMask // all-absent: allows nothing
+			sv, dl := sigma.RowValues(r), delta[r]
+			for _, c := range level(r, d) {
+				w.Set(r, c, (1+dl[c])/sv[c])
 			}
-			if d >= len(levels[r]) {
-				continue
-			}
-			lvl := levels[r][d]
-			sv := sigma.RowValues(r)
-			for c := grb.Index(0); c < n; c++ {
-				if lvl.Get(c) {
-					w.Set(r, c, (1+delta[r][c])/sv[c])
-				}
+			for _, c := range level(r, d-1) {
+				parents[r].Set(c)
 			}
 		}
-		t := grb.DenseMxM(exec, w, m.at, func(r int) *grb.Mask {
-			return bwdMasks[r]
-		}, workers)
+		grb.DenseMxM(exec, t, w, m.at, m.a, bwdMask, nil, workers)
 		for r := 0; r < k; r++ {
-			pres := t.RowStructure(r)
-			vals := t.RowValues(r)
-			sv := sigma.RowValues(r)
-			for c := grb.Index(0); c < n; c++ {
-				if pres.Get(c) {
-					delta[r][c] += sv[c] * vals[c]
+			sv, dl := sigma.RowValues(r), delta[r]
+			got, vals := t.RowStructure(r), t.RowValues(r)
+			for _, c := range level(r, d-1) {
+				if got.Get(c) {
+					dl[c] += sv[c] * vals[c]
 				}
+				parents[r].Clear(c)
+			}
+			loaded := w.RowStructure(r)
+			for _, c := range level(r, d) {
+				loaded.Clear(c)
 			}
 		}
 	}
-	for r, src := range sources {
-		for v := grb.Index(0); v < n; v++ {
-			if v != src {
-				scores[v] += delta[r][v]
-			}
+	for r := range sources {
+		for _, v := range order[r][1:] { // order[r][0] is the root itself
+			scores[v] += delta[r][v]
 		}
 	}
 

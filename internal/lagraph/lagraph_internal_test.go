@@ -1,6 +1,7 @@
 package lagraph
 
 import (
+	"runtime"
 	"testing"
 
 	"gapbench/internal/generate"
@@ -155,5 +156,98 @@ func TestLocalClusteringMatchesLDBC(t *testing.T) {
 		if diff := got[v] - want[v]; diff > 1e-9 || diff < -1e-9 {
 			t.Fatalf("lcc[%d] = %v, want %v", v, got[v], want[v])
 		}
+	}
+}
+
+// bcShape is a high-diameter input for the batched Brandes: many thin levels,
+// and roots whose searches end at different depths.
+type bcShape struct {
+	name  string
+	g     *graph.Graph
+	roots []graph.NodeID
+}
+
+// pathEdges returns the edges from-(from+1)-...-to.
+func pathEdges(from, to graph.NodeID) []graph.Edge {
+	var e []graph.Edge
+	for v := from; v < to; v++ {
+		e = append(e, graph.Edge{U: v, V: v + 1})
+	}
+	return e
+}
+
+func bcShapes(t *testing.T) []bcShape {
+	t.Helper()
+	build := func(edges []graph.Edge, directed bool, n int32) *graph.Graph {
+		g, err := graph.Build(edges, graph.BuildOptions{Directed: directed, NumNodes: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	path := pathEdges
+	const side = 12
+	var grid []graph.Edge
+	for y := graph.NodeID(0); y < side; y++ {
+		for x := graph.NodeID(0); x < side; x++ {
+			if x+1 < side {
+				grid = append(grid, graph.Edge{U: y*side + x, V: y*side + x + 1})
+			}
+			if y+1 < side {
+				grid = append(grid, graph.Edge{U: y*side + x, V: (y+1)*side + x})
+			}
+		}
+	}
+	// A 60-vertex path and a 6-vertex one: the short component's roots are
+	// exhausted for most of both sweeps while the long one's still advance.
+	two := append(path(0, 59), path(60, 65)...)
+	return []bcShape{
+		{"path", build(path(0, 199), false, 200), []graph.NodeID{0, 100, 199, 1}},
+		{"directed path", build(path(0, 99), true, 100), []graph.NodeID{0, 98, 50, 99}},
+		{"grid", build(grid, false, side*side), []graph.NodeID{0, side*side - 1, 5*side + 5, side - 1}},
+		{"two components", build(two, false, 66), []graph.NodeID{0, 62, 30, 65}},
+	}
+}
+
+// TestBetweennessMatchesSerialBrandes is the multi-root differential: the
+// batched kernel against verify's serial Brandes, one root and four, on shapes
+// whose depth — not whose size — is what the level bookkeeping must survive.
+func TestBetweennessMatchesSerialBrandes(t *testing.T) {
+	for _, shape := range bcShapes(t) {
+		for _, k := range []int{1, 4} {
+			roots := shape.roots[:k]
+			scores := New().BC(shape.g, roots, kernel.Options{Workers: 2})
+			if err := verify.CheckBC(shape.g, roots, scores); err != nil {
+				t.Errorf("%s, %d roots: %v", shape.name, k, err)
+			}
+		}
+	}
+}
+
+// TestBetweennessAllocationIsDepthIndependent bounds what one batched BC
+// allocates on a 4096-vertex path (4095 levels) by a constant times k*n: the
+// operands, sigma, delta and the visit-order lists. Anything allocated per
+// level — an n-bit level set is 512 bytes, a k-by-n operand 128 KiB — would
+// multiply by the depth and overshoot the bound many times over.
+func TestBetweennessAllocationIsDepthIndependent(t *testing.T) {
+	const n, k = 4096, 4
+	g, err := graph.Build(pathEdges(0, n-1), graph.BuildOptions{NumNodes: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := New()
+	f.Prepare(g, g)
+	m := f.matrices(g, g)
+	roots := []grb.Index{0, n / 2, n - 1, 7}
+	run := func() { betweenness(par.Default(), m, roots, 2) }
+	run() // warm the machine
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	const perEntry = 128 // bytes per (root, vertex); measured ~83
+	if got := after.TotalAlloc - before.TotalAlloc; got > perEntry*k*n {
+		t.Fatalf("one BC over %d levels allocated %d bytes, bound is %d (%d per root per vertex)",
+			n-1, got, perEntry*k*n, perEntry)
 	}
 }

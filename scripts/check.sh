@@ -25,7 +25,11 @@
 #      (lagraph) at -short scale, so a structurally corrupt vector/matrix/
 #      frontier — or a direction dispatch whose push and pull products
 #      disagree — panics at the operation boundary that received it (see
-#      DESIGN.md "Runtime sanitizer").
+#      DESIGN.md "Runtime sanitizer"). lagraph's multi-root BC differential
+#      against the serial Brandes (TestBetweennessMatchesSerialBrandes: path,
+#      grid, unequal-depth components) runs here too, so every batched
+#      product of both sweeps passes checkDenseMatrix on its recycled
+#      operands at both boundaries.
 #   8. go test -tags=graphguard <tier> the graphguard sanitizer tier: rebuilds
 #      with CSR seal checks armed and re-runs graph plus the runner, so a
 #      kernel that mutates shared graph memory panics at the trial boundary
