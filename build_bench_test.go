@@ -11,6 +11,10 @@
 //
 // BenchmarkTranspose times grb.Matrix.Transpose, the same histogram/scan/
 // scatter pipeline under 64-bit indices.
+//
+// BenchmarkDegreeRelabel and BenchmarkTrianglesOracle time the two pieces of
+// a verified TC trial that are not the kernel: the relabel the Baseline rules
+// charge to the trial, and the oracle that checks its count.
 package gapbench_test
 
 import (
@@ -20,6 +24,7 @@ import (
 
 	"gapbench/internal/graph"
 	"gapbench/internal/grb"
+	"gapbench/internal/verify"
 )
 
 // buildBenchScale gives 2^14 vertices; with edgeFactor 16 that is 2^18
@@ -250,4 +255,45 @@ func BenchmarkTranspose(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkDegreeRelabel times graph.DegreeRelabel — the counting-sort
+// ordering plus the cursor-scatter CSR rebuild — on the two shapes a TC trial
+// hands it: a skewed weighted undirected graph, where the Baseline rules put
+// this inside every timed trial, and a Road-shaped one.
+func BenchmarkDegreeRelabel(b *testing.B) {
+	shapes := []struct {
+		name  string
+		edges []graph.WEdge
+	}{
+		{"Kron", kronBenchEdges(buildBenchScale, edgeFactor, 0x1234)},
+		{"Road", roadBenchEdges(buildBenchScale, 0x9abc)},
+	}
+	for _, sh := range shapes {
+		g, err := graph.BuildWeighted(sh.edges, graph.BuildOptions{NumNodes: 1 << buildBenchScale})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(sh.name, func(b *testing.B) {
+			for b.Loop() {
+				graph.DegreeRelabel(g)
+			}
+			b.ReportMetric(float64(g.NumEdges()), "edges/op")
+		})
+	}
+}
+
+// BenchmarkTrianglesOracle times verify.Triangles, the serial TC oracle the
+// runner calls once per verified TC trial, on the heavy-tailed shape whose
+// hubs made the old full-list merge the largest cost of a Kron sweep.
+func BenchmarkTrianglesOracle(b *testing.B) {
+	g, err := graph.BuildWeighted(kronBenchEdges(buildBenchScale, edgeFactor, 0x1234),
+		graph.BuildOptions{NumNodes: 1 << buildBenchScale})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for b.Loop() {
+		verify.Triangles(g)
+	}
+	b.ReportMetric(float64(g.NumEdges()), "edges/op")
 }

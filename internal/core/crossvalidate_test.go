@@ -8,6 +8,7 @@ import (
 	"gapbench/internal/core"
 	"gapbench/internal/graph"
 	"gapbench/internal/kernel"
+	"gapbench/internal/verify"
 )
 
 // TestCrossValidationProperty is the paper's cross-validation made a
@@ -80,5 +81,29 @@ func TestCrossValidationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTCOracleAgreesWithEveryFramework is the TC column of the suite, cell by
+// cell: on the skewed, uniform and bounded-degree graphs every framework's
+// count — merge, SpGEMM, with and without its own relabel — must equal the
+// degree-oriented oracle's, and the oracle must not care which labelling of
+// the graph it is handed.
+func TestTCOracleAgreesWithEveryFramework(t *testing.T) {
+	for _, name := range []string{"Kron", "Urand", "Road"} {
+		in, err := core.LoadInput(core.GraphSpec{Name: name, Scale: 9, Seed: 3, Delta: 16, SourceSeed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := verify.Triangles(in.Graph)
+		if got := verify.Triangles(in.Relabeled); got != want {
+			t.Errorf("%s: oracle counts %d on the relabelled view, %d on the graph", name, got, want)
+		}
+		opt := kernel.Options{Workers: 2, UndirectedView: in.Undirected}
+		for _, fw := range core.Frameworks() {
+			if got := fw.TC(in.Graph, opt); got != want {
+				t.Errorf("%s/%s: TC = %d, oracle %d", name, fw.Name(), got, want)
+			}
+		}
 	}
 }

@@ -1,11 +1,6 @@
 package graph
 
-import (
-	"cmp"
-	"slices"
-
-	"gapbench/internal/par"
-)
+import "gapbench/internal/par"
 
 // DegreeRelabel returns a copy of g with vertices renumbered in decreasing
 // out-degree order, plus the permutation used (perm[old] = new). Triangle
@@ -57,72 +52,46 @@ func applyPermutation(g *Graph, perm []NodeID, layout Layout) *Graph {
 		mIn = int64(len(g.inNeigh))
 	}
 	a := newHeapArena(layoutFor(n, g.NumEdges(), mIn, g.directed, g.Weighted()))
-	permuteCSR(g, perm, false, a.int64s(secOutIndex), a.int32s(secOutNeigh), a.int32s(secOutWeight))
+	inv := make([]NodeID, n)
+	for old, nw := range perm {
+		inv[nw] = NodeID(old)
+	}
+	permuteCSR(perm, inv, g.outIndex, g.inIndex, g.inNeigh, g.inWeight,
+		a.int64s(secOutIndex), a.int32s(secOutNeigh), a.int32s(secOutWeight))
 	if g.directed {
-		permuteCSR(g, perm, true, a.int64s(secInIndex), a.int32s(secInNeigh), a.int32s(secInWeight))
+		permuteCSR(perm, inv, g.inIndex, g.outIndex, g.outNeigh, g.outWeight,
+			a.int64s(secInIndex), a.int32s(secInNeigh), a.int32s(secInWeight))
 	}
 	return graphFromArena(a, layout)
 }
 
-// permuteCSR rebuilds one CSR side (out or in) under the permutation into
-// the provided arena views, keeping adjacency sorted. weight is nil for
-// unweighted (or empty) graphs.
-func permuteCSR(g *Graph, perm []NodeID, in bool, index []int64, neigh []NodeID, weight []Weight) {
-	n := g.NumNodes()
-	degree := func(u NodeID) int64 {
-		if in {
-			return g.InDegree(u)
-		}
-		return g.OutDegree(u)
+// permuteCSR fills one CSR side (index, neigh, weight) of the renamed graph
+// without sorting. srcIndex is the same side of the source graph and gives
+// the row lengths; opp* is the source's opposite side (the in-CSR when
+// filling out-rows and vice versa; the two alias when undirected), whose row
+// v lists exactly the rows of this side that contain v. Walking the new ids
+// in ascending order and appending each one, with its edge's weight, at the
+// cursor of every row that contains it fills each row in strictly increasing
+// order — transposeInto's stability argument applied to a renaming. weight
+// is nil for unweighted (or empty) graphs.
+func permuteCSR(perm, inv []NodeID, srcIndex, oppIndex []int64, oppNeigh []NodeID, oppWeight []Weight, index []int64, neigh []NodeID, weight []Weight) {
+	for old, nw := range perm {
+		index[nw+1] = srcIndex[old+1] - srcIndex[old]
 	}
-	neighbors := func(u NodeID) []NodeID {
-		if in {
-			return g.InNeighbors(u)
-		}
-		return g.OutNeighbors(u)
-	}
-	weights := func(u NodeID) []Weight {
-		if in {
-			return g.InWeights(u)
-		}
-		return g.OutWeights(u)
-	}
-
-	for old := int32(0); old < n; old++ {
-		index[perm[old]+1] = degree(old)
-	}
-	for i := int32(0); i < n; i++ {
+	for i := range perm {
 		index[i+1] += index[i]
 	}
-	hasW := g.Weighted() && weight != nil
-	par.For(int(n), 0, func(oldInt int) {
-		old := NodeID(oldInt)
-		base := index[perm[old]]
-		ns := neighbors(old)
-		var ws []Weight
-		if hasW {
-			ws = weights(old)
-		}
-		type pair struct {
-			v NodeID
-			w Weight
-		}
-		row := make([]pair, len(ns))
-		for i, v := range ns {
-			w := Weight(0)
-			if hasW {
-				w = ws[i]
-			}
-			row[i] = pair{perm[v], w}
-		}
-		// Rows are duplicate-free, so ordering by the renamed neighbor alone
-		// is total; SortFunc avoids sort.Slice's reflection-based swaps.
-		slices.SortFunc(row, func(a, b pair) int { return cmp.Compare(a.v, b.v) })
-		for i, p := range row {
-			neigh[base+int64(i)] = p.v
-			if hasW {
-				weight[base+int64(i)] = p.w
+	cursor := make([]int64, len(perm))
+	copy(cursor, index)
+	for nw, old := range inv {
+		for e := oppIndex[old]; e < oppIndex[old+1]; e++ {
+			row := perm[oppNeigh[e]]
+			c := cursor[row]
+			cursor[row] = c + 1
+			neigh[c] = NodeID(nw)
+			if weight != nil {
+				weight[c] = oppWeight[e]
 			}
 		}
-	})
+	}
 }

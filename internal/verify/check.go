@@ -3,6 +3,7 @@ package verify
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"gapbench/internal/graph"
 	"gapbench/internal/kernel"
@@ -47,17 +48,8 @@ func CheckBFS(g *graph.Graph, src graph.NodeID, parent []graph.NodeID) error {
 // hasEdge reports whether the directed edge u->v exists, by binary search in
 // u's sorted out-adjacency.
 func hasEdge(g *graph.Graph, u, v graph.NodeID) bool {
-	neigh := g.OutNeighbors(u)
-	lo, hi := 0, len(neigh)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if neigh[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(neigh) && neigh[lo] == v
+	_, found := slices.BinarySearch(g.OutNeighbors(u), v)
+	return found
 }
 
 // CheckSSSP validates distances against a serial Dijkstra run.

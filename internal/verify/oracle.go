@@ -273,35 +273,64 @@ func normalizeBC(scores []float64) {
 	}
 }
 
-// Triangles counts triangles exactly with sorted-adjacency merge
-// intersections on the undirected view, each triangle counted once.
+// Triangles counts triangles exactly on the undirected view, each triangle
+// once. Vertices are ranked by (degree, id) with a counting sort and every
+// edge is kept only at its lower-ranked endpoint, so a forward list holds at
+// most O(√m) vertices however large its owner's degree. A triangle is
+// counted at its lowest-ranked corner a: mark a's forward list, then scan the
+// forward lists of its members for marked vertices — O(m^1.5) in total where
+// merging the full lists re-scans a hub once per neighbour, O(Σ deg²). The
+// rank is strict, so self-loops fall out with the orientation. No framework's
+// TC works this way (they merge sorted lists or multiply matrices), which
+// keeps the oracle an independent method.
 func Triangles(g *graph.Graph) int64 {
 	u := g.Undirected()
-	var count int64
 	n := u.NumNodes()
-	for a := int32(0); a < n; a++ {
-		na := u.OutNeighbors(a)
-		for _, b := range na {
-			if b <= a {
-				continue
+	var maxDeg int64
+	for v := int32(0); v < n; v++ {
+		maxDeg = max(maxDeg, u.OutDegree(v))
+	}
+	next := make([]int32, maxDeg+2) // next[d]: the rank the next degree-d vertex gets
+	for v := int32(0); v < n; v++ {
+		next[u.OutDegree(v)+1]++
+	}
+	for d := int64(1); d <= maxDeg; d++ {
+		next[d] += next[d-1]
+	}
+	rank := make([]int32, n)
+	for v := int32(0); v < n; v++ {
+		d := u.OutDegree(v)
+		rank[v] = next[d]
+		next[d]++
+	}
+
+	fwdIndex := make([]int64, n+1)
+	fwd := make([]graph.NodeID, 0, u.NumEdges()/2)
+	for v := int32(0); v < n; v++ {
+		for _, w := range u.OutNeighbors(v) {
+			if rank[w] > rank[v] {
+				fwd = append(fwd, w)
 			}
-			// Count common neighbors c with c > b (a < b < c exactly once).
-			nb := u.OutNeighbors(b)
-			i, j := 0, 0
-			for i < len(na) && j < len(nb) {
-				switch {
-				case na[i] < nb[j]:
-					i++
-				case na[i] > nb[j]:
-					j++
-				default:
-					if na[i] > b {
-						count++
-					}
-					i++
-					j++
+		}
+		fwdIndex[v+1] = int64(len(fwd))
+	}
+
+	var count int64
+	marked := make([]bool, n)
+	for a := int32(0); a < n; a++ {
+		fa := fwd[fwdIndex[a]:fwdIndex[a+1]]
+		for _, b := range fa {
+			marked[b] = true
+		}
+		for _, b := range fa {
+			for _, c := range fwd[fwdIndex[b]:fwdIndex[b+1]] {
+				if marked[c] {
+					count++
 				}
 			}
+		}
+		for _, b := range fa {
+			marked[b] = false
 		}
 	}
 	return count

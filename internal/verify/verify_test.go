@@ -1,6 +1,7 @@
 package verify_test
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -252,5 +253,109 @@ func TestDepthLowerBoundsDistance(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// bruteTriangles is the O(n³) executable definition: the number of vertex
+// triples a < b < c whose three pairs are each joined in either direction.
+// Self-loops join no pair, so they cannot count.
+func bruteTriangles(g *graph.Graph) int64 {
+	n := int(g.NumNodes())
+	adj := make([][]bool, n)
+	for u := range adj {
+		adj[u] = make([]bool, n)
+	}
+	for u := 0; u < n; u++ {
+		for _, v := range g.OutNeighbors(graph.NodeID(u)) {
+			if int(v) != u {
+				adj[u][v], adj[v][u] = true, true
+			}
+		}
+	}
+	var count int64
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			if !adj[a][b] {
+				continue
+			}
+			for c := b + 1; c < n; c++ {
+				if adj[a][c] && adj[b][c] {
+					count++
+				}
+			}
+		}
+	}
+	return count
+}
+
+// clique appends K_k on the given vertices.
+func clique(edges []graph.Edge, vs ...graph.NodeID) []graph.Edge {
+	for i, u := range vs {
+		for _, v := range vs[i+1:] {
+			edges = append(edges, graph.Edge{U: u, V: v})
+		}
+	}
+	return edges
+}
+
+// The shapes that stress the (degree, id) ranking: when every degree ties the
+// id alone decides each orientation, and a hub must end up ranked last.
+func TestTrianglesRankingShapes(t *testing.T) {
+	star := func() []graph.Edge {
+		var e []graph.Edge
+		for v := graph.NodeID(1); v < 9; v++ {
+			e = append(e, graph.Edge{U: 0, V: v})
+		}
+		return e
+	}
+	cases := []struct {
+		name  string
+		edges []graph.Edge
+		want  int64
+	}{
+		{"K6", clique(nil, 0, 1, 2, 3, 4, 5), 20},
+		// K4 on {0,1,2,3} and K4 on {2,3,4,5} share edge 2-3: 4 + 4.
+		{"two cliques sharing an edge", clique(clique(nil, 0, 1, 2, 3), 2, 3, 4, 5), 8},
+		{"star", star(), 0},
+		// Hub 0 sees all of K4 {1,2,3,4}: the clique's 4 plus one per clique edge.
+		{"hub joined to a clique", clique(star(), 1, 2, 3, 4), 10},
+	}
+	for _, tc := range cases {
+		for _, directed := range []bool{false, true} {
+			g, err := graph.Build(tc.edges, graph.BuildOptions{Directed: directed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, brute := verify.Triangles(g), bruteTriangles(g); got != tc.want || brute != tc.want {
+				t.Errorf("%s (directed=%v): triangles = %d, brute force %d, want %d",
+					tc.name, directed, got, brute, tc.want)
+			}
+		}
+	}
+}
+
+// Differential: the degree-oriented oracle against the adjacency-matrix
+// definition on seeded random graphs — sparse through dense, directed and
+// undirected, with isolated vertices (ids above the drawn range) and, on odd
+// trials, self-loops kept in the graph.
+func TestTrianglesMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x7c17))
+	for trial := 0; trial < 200; trial++ {
+		n := int32(1 + rng.Intn(48))
+		used := 1 + rng.Int31n(n)                    // vertices used..n-1 stay isolated
+		perVertex := []int{1, 3, int(used)}[trial%3] // sparse, medium, dense
+		m := rng.Intn(int(used)*perVertex + 1)
+		edges := make([]graph.Edge, m)
+		for i := range edges {
+			edges[i] = graph.Edge{U: rng.Int31n(used), V: rng.Int31n(used)}
+		}
+		opt := graph.BuildOptions{NumNodes: n, Directed: trial%4 < 2, KeepSelfLoops: trial%2 == 1}
+		g, err := graph.Build(edges, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := verify.Triangles(g), bruteTriangles(g); got != want {
+			t.Fatalf("trial %d (n=%d m=%d %+v): triangles = %d, brute force %d", trial, n, m, opt, got, want)
+		}
 	}
 }

@@ -73,6 +73,16 @@
 #      runs exactly one iteration at the test scale, so a
 #      signature drift or a panic on a bench-only path fails the gate
 #      instead of surfacing months later in a measurement run.
+#  15. (cd benchmark && go vet ./... && go test ./...) the benchmark-module
+#      tier: gapmark is a Go module of its own below the root module, so
+#      `./...` above never enters it. It imports this module's packages
+#      (verify.Triangles, core.LoadCachedInput/PrepareViews/Input,
+#      graph.Arena, lagraph.New/BFSWithPolicy, serve.Request/Response/
+#      NewPool, par.NewMachine, ...), and its TestSmoke builds gapd and runs
+#      both workloads at toy size, failing on any failed operation or
+#      missing metric — so a PR that breaks a symbol the benchmark uses, or
+#      a cell it sweeps, learns it here (~20 s) rather than when the
+#      pipeline's benchmark run dies.
 #
 # Any failure stops the script with a non-zero exit.
 
@@ -199,5 +209,8 @@ echo "gapd smoke ok ($(grep -o 'queries [0-9]*' "$TDIR/drive.log" | head -1), $s
 
 say "benchmark bit-rot guard (go test -run='^$' -bench=. -benchtime=1x)"
 go test -run='^$' -bench=. -benchtime=1x .
+
+say "benchmark-module tier (cd benchmark && go vet ./... && go test ./...)"
+(cd benchmark && go vet ./... && go test ./...)
 
 say "all checks passed"
