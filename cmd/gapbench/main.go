@@ -20,11 +20,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
 	"gapbench/internal/core"
-	"gapbench/internal/generate"
 	"gapbench/internal/graph"
 	"gapbench/internal/graphit"
 	"gapbench/internal/kernel"
@@ -71,17 +71,12 @@ func main() {
 }
 
 func run(tableSel string, scale, trials int, graphsCSV, kernelsCSV, fwCSV, modeSel, csvPath, mdPath, graphDir, graphFiles, saveGraphs string, doVerify, quiet bool, timeout time.Duration, journal string, resume, doTune bool, tuneFile string) error {
-	frameworks := core.Frameworks()
-	if fwCSV != "" {
-		var subset []kernel.Framework
-		for _, name := range splitCSV(fwCSV) {
-			f := core.FrameworkByName(name)
-			if f == nil {
-				return fmt.Errorf("unknown framework %q (have %v)", name, core.FrameworkNames())
-			}
-			subset = append(subset, f)
-		}
-		frameworks = subset
+	frameworks, err := core.FrameworksFromCSV(fwCSV)
+	if err != nil {
+		return err
+	}
+	if fwCSV == "" {
+		frameworks = core.Frameworks()
 	}
 
 	// Static tables need no benchmark runs.
@@ -93,22 +88,9 @@ func run(tableSel string, scale, trials int, graphsCSV, kernelsCSV, fwCSV, modeS
 		fmt.Println(report.TableIII(frameworks))
 	}
 
-	specs := core.DefaultSuite(scale)
-	if graphsCSV != "" {
-		var subset []core.GraphSpec
-		for _, name := range splitCSV(graphsCSV) {
-			found := false
-			for _, s := range specs {
-				if strings.EqualFold(s.Name, name) {
-					subset = append(subset, s)
-					found = true
-				}
-			}
-			if !found {
-				return fmt.Errorf("unknown graph %q (have %v)", name, generate.Names)
-			}
-		}
-		specs = subset
+	specs, err := core.SuiteSpecs(scale, graphsCSV)
+	if err != nil {
+		return err
 	}
 
 	needGraphs := wantTable("I") || wantTable("IV") || wantTable("V") || csvPath != "" || mdPath != ""
@@ -116,7 +98,13 @@ func run(tableSel string, scale, trials int, graphsCSV, kernelsCSV, fwCSV, modeS
 		return nil
 	}
 
-	var inputs []*core.Input
+	if graphFiles == "" && !quiet {
+		fmt.Fprintf(os.Stderr, "generating %d graphs at base scale %d...\n", len(specs), scale)
+	}
+	inputs, err := core.MountInputs(graphFiles, specs, graphDir)
+	if err != nil {
+		return err
+	}
 	defer func() {
 		for _, in := range inputs {
 			if err := in.Close(); err != nil {
@@ -126,29 +114,8 @@ func run(tableSel string, scale, trials int, graphsCSV, kernelsCSV, fwCSV, modeS
 	}()
 	var stats []graph.Stats
 	var names []string
-	if graphFiles != "" {
-		for _, path := range splitCSV(graphFiles) {
-			in, err := core.LoadInputFile(path)
-			if err != nil {
-				return err
-			}
-			inputs = append(inputs, in)
-			names = append(names, in.Spec.Name)
-		}
-	} else {
-		if !quiet {
-			fmt.Fprintf(os.Stderr, "generating %d graphs at base scale %d...\n", len(specs), scale)
-		}
-		for _, spec := range specs {
-			in, err := core.LoadCachedInput(spec, graphDir)
-			if err != nil {
-				return err
-			}
-			inputs = append(inputs, in)
-		}
-		for _, spec := range specs {
-			names = append(names, spec.Name)
-		}
+	for _, in := range inputs {
+		names = append(names, in.Spec.Name)
 	}
 	if saveGraphs != "" {
 		if err := os.MkdirAll(saveGraphs, 0o755); err != nil {
@@ -183,15 +150,9 @@ func run(tableSel string, scale, trials int, graphsCSV, kernelsCSV, fwCSV, modeS
 
 	var kernels []core.Kernel
 	if kernelsCSV != "" {
-		for _, name := range splitCSV(kernelsCSV) {
+		for _, name := range core.SplitCSV(kernelsCSV) {
 			k := core.Kernel(strings.ToUpper(name))
-			ok := false
-			for _, known := range core.Kernels {
-				if k == known {
-					ok = true
-				}
-			}
-			if !ok {
+			if !slices.Contains(core.Kernels, k) {
 				return fmt.Errorf("unknown kernel %q (have %v)", name, core.Kernels)
 			}
 			kernels = append(kernels, k)
@@ -320,17 +281,3 @@ func tuneSchedules(store *tune.Store, inputs []*core.Input, kernels []core.Kerne
 	fmt.Fprintf(os.Stderr, "tune: tuned %d schedules, reused %d from %s\n", tuned, reused, store.Path())
 	return nil
 }
-
-func splitCSV(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if p := strings.TrimSpace(part); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// Input acquisition (cache-or-generate, mmap-load with provenance specs)
-// lives in internal/core (LoadCachedInput, LoadInputFile) so gapbench and the
-// gapd daemon mount graphs identically.

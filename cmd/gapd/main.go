@@ -29,13 +29,10 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"gapbench/internal/core"
-	"gapbench/internal/generate"
-	"gapbench/internal/kernel"
 	"gapbench/internal/serve"
 )
 
@@ -88,19 +85,24 @@ func run(listenAddr, graphsCSV string, scale int, graphDir, graphFiles, fwCSV st
 		logf = func(string, ...any) {}
 	}
 
-	var frameworks []kernel.Framework
-	for _, name := range splitCSV(fwCSV) {
-		f := core.FrameworkByName(name)
-		if f == nil {
-			return fmt.Errorf("unknown framework %q (have %v)", name, core.FrameworkNames())
-		}
-		frameworks = append(frameworks, f)
+	frameworks, err := core.FrameworksFromCSV(fwCSV)
+	if err != nil {
+		return err
 	}
 	if len(frameworks) == 0 {
 		return fmt.Errorf("-frameworks named no framework")
 	}
 
-	var inputs []*core.Input
+	var specs []core.GraphSpec
+	if graphFiles == "" {
+		if specs, err = core.SuiteSpecs(scale, graphsCSV); err != nil {
+			return err
+		}
+	}
+	inputs, err := core.MountInputs(graphFiles, specs, graphDir)
+	if err != nil {
+		return err
+	}
 	defer func() {
 		for _, in := range inputs {
 			if err := in.Close(); err != nil {
@@ -108,41 +110,8 @@ func run(listenAddr, graphsCSV string, scale int, graphDir, graphFiles, fwCSV st
 			}
 		}
 	}()
-	if graphFiles != "" {
-		for _, path := range splitCSV(graphFiles) {
-			in, err := core.LoadInputFile(path)
-			if err != nil {
-				return err
-			}
-			inputs = append(inputs, in)
-			logf("mounted %s from %s (%d nodes, %d edges)", in.Spec.Name, path, in.Graph.NumNodes(), in.Graph.NumEdges())
-		}
-	} else {
-		specs := core.DefaultSuite(scale)
-		if graphsCSV != "" {
-			var subset []core.GraphSpec
-			for _, name := range splitCSV(graphsCSV) {
-				found := false
-				for _, s := range specs {
-					if strings.EqualFold(s.Name, name) {
-						subset = append(subset, s)
-						found = true
-					}
-				}
-				if !found {
-					return fmt.Errorf("unknown graph %q (have %v)", name, generate.Names)
-				}
-			}
-			specs = subset
-		}
-		for _, spec := range specs {
-			in, err := core.LoadCachedInput(spec, graphDir)
-			if err != nil {
-				return err
-			}
-			inputs = append(inputs, in)
-			logf("mounted %s (%d nodes, %d edges)", in.Spec.Name, in.Graph.NumNodes(), in.Graph.NumEdges())
-		}
+	for _, in := range inputs {
+		logf("mounted %s (%d nodes, %d edges, file %q)", in.Spec.Name, in.Graph.NumNodes(), in.Graph.NumEdges(), in.File)
 	}
 
 	// Untimed load-phase conversion, same rule as the batch suite: no
@@ -196,14 +165,4 @@ func run(listenAddr, graphsCSV string, scale int, graphDir, graphFiles, fwCSV st
 	case err := <-errCh:
 		return err
 	}
-}
-
-func splitCSV(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if p := strings.TrimSpace(part); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }

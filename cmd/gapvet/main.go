@@ -60,7 +60,9 @@
 //
 //	//gapvet:ignore rule-name -- why this is safe
 //
-// Exit status: 0 clean, 1 findings, 2 usage or load error.
+// Exit status: 0 clean, 1 findings, 2 usage or load error — including a -perf
+// harvest in which a package failed to build: the perf rules would otherwise
+// pass vacuously over facts the compiler never produced.
 package main
 
 import (
@@ -150,7 +152,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		if n := len(cfacts.BuildErrors); n > 0 {
-			fmt.Fprintf(stderr, "gapvet: compiler harvest: %d build error line(s); perf facts may be incomplete\n", n)
+			// Packages that failed to build contributed no facts: reporting
+			// "clean" over them would be vacuous.
+			for _, l := range cfacts.BuildErrors {
+				fmt.Fprintf(stderr, "gapvet: compiler harvest: %s\n", l)
+			}
+			fmt.Fprintf(stderr, "gapvet: compiler harvest: %d build error line(s); the perf rules saw incomplete facts\n", n)
+			return 2
 		}
 	}
 

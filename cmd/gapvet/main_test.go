@@ -177,3 +177,21 @@ func TestCleanPackageExitsZero(t *testing.T) {
 		t.Errorf("unexpected findings: %s", stdout)
 	}
 }
+
+// TestPerfHarvestBuildErrorIsFatal: a -perf run whose compiler harvest could
+// not build a package must not report "clean" over the facts it never got.
+func TestPerfHarvestBuildErrorIsFatal(t *testing.T) {
+	root := t.TempDir()
+	for name, src := range map[string]string{
+		"go.mod": "module broken\n\ngo 1.21\n",
+		"a.go":   "package broken\n\nvar x int = \"not an int\"\n",
+	} {
+		if err := os.WriteFile(filepath.Join(root, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	code, stdout, stderr := gapvet(t, "-root", root, "-perf", "./...")
+	if code != 2 || !strings.Contains(stderr, "build error line(s)") || !strings.Contains(stderr, "a.go:3") {
+		t.Errorf("exit = %d, want 2 naming the build error\nstdout: %s\nstderr: %s", code, stdout, stderr)
+	}
+}

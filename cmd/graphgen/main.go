@@ -5,11 +5,9 @@
 //	graphgen -out ./graphs -scale 12          # all five benchmark graphs
 //	graphgen -out ./graphs -graph Road -scale 16 -seed 7
 //	graphgen -out ./graphs -scale 12 -layout degree   # degree-sorted layout
-//	graphgen -out ./graphs -scale 12 -format gapb     # legacy v1 files
 //
-// The default -format=sg writes format v2: one arena image behind a checksummed
-// header, which gapbench -graphfile / -graphdir loads back zero-copy via mmap.
-// -format=gapb keeps the v1 streaming codec for old tooling.
+// Files are format v2 (.sg): one arena image behind a checksummed header,
+// which gapbench and gapd -graphfile / -graphdir load back zero-copy via mmap.
 package main
 
 import (
@@ -17,7 +15,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"gapbench/internal/core"
 	"gapbench/internal/generate"
@@ -30,21 +27,17 @@ func main() {
 		scale    = flag.Int("scale", 12, "base scale (log2 approximate vertex count)")
 		seed     = flag.Uint64("seed", 42, "generator seed")
 		oneGraph = flag.String("graph", "", "generate only this graph (default: the full five-graph suite)")
-		format   = flag.String("format", "sg", "file format: sg (v2, mmap-loadable) or gapb (legacy v1)")
 		layout   = flag.String("layout", "plain", "vertex layout: plain (generator order) or degree (descending degree)")
 	)
 	flag.Parse()
 
-	if err := run(*out, *scale, *seed, *oneGraph, *format, *layout); err != nil {
+	if err := run(*out, *scale, *seed, *oneGraph, *layout); err != nil {
 		fmt.Fprintln(os.Stderr, "graphgen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(out string, scale int, seed uint64, oneGraph, format, layoutName string) error {
-	if format != "sg" && format != "gapb" {
-		return fmt.Errorf("unknown -format %q (want sg or gapb)", format)
-	}
+func run(out string, scale int, seed uint64, oneGraph, layoutName string) error {
 	lay, err := graph.ParseLayout(layoutName)
 	if err != nil {
 		return err
@@ -52,19 +45,14 @@ func run(out string, scale int, seed uint64, oneGraph, format, layoutName string
 	if err := os.MkdirAll(out, 0o755); err != nil {
 		return err
 	}
-	specs := core.DefaultSuite(scale)
+	specs, err := core.SuiteSpecs(scale, oneGraph)
+	if err != nil {
+		return err
+	}
 	if oneGraph != "" {
-		var filtered []core.GraphSpec
-		for _, s := range specs {
-			if strings.EqualFold(s.Name, oneGraph) {
-				s.Seed = seed
-				filtered = append(filtered, s)
-			}
+		for i := range specs {
+			specs[i].Seed = seed
 		}
-		if len(filtered) == 0 {
-			return fmt.Errorf("unknown graph %q (have %v)", oneGraph, generate.Names)
-		}
-		specs = filtered
 	}
 	for _, spec := range specs {
 		g, err := generate.ByName(spec.Name, spec.Scale, spec.Seed)
@@ -79,13 +67,8 @@ func run(out string, scale int, seed uint64, oneGraph, format, layoutName string
 			g = rg
 		}
 		g.SetProvenance(spec.Name, uint32(spec.Scale), spec.Seed)
-		path := filepath.Join(out, core.GraphFileName(spec, format))
-		if format == "sg" {
-			err = g.SaveSG(path)
-		} else {
-			err = g.Save(path)
-		}
-		if err != nil {
+		path := filepath.Join(out, core.GraphFileName(spec, "sg"))
+		if err := g.SaveSG(path); err != nil {
 			return err
 		}
 		fmt.Printf("%-8s n=%-9d m=%-10d layout=%-6s -> %s\n",

@@ -1,8 +1,8 @@
 // Command graphstats prints Table I-style properties for graph files:
-// binary .gapb serializations or text edge lists (.el unweighted,
+// binary .sg serializations or text edge lists (.el unweighted,
 // .wel weighted — the GAP reference's interchange formats).
 //
-//	graphstats ./graphs/road-s14.gapb ./data/some-graph.el
+//	graphstats ./graphs/road-s14-seed42.sg ./data/some-graph.el
 //	graphstats -directed ./data/links.wel
 package main
 
@@ -20,7 +20,7 @@ import (
 func main() {
 	directed := flag.Bool("directed", false, "treat text edge lists as directed")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: graphstats [-directed] <graph.gapb|graph.el|graph.wel> [more...]\n")
+		fmt.Fprintf(os.Stderr, "usage: graphstats [-directed] <graph.sg|graph.el|graph.wel> [more...]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()

@@ -71,27 +71,17 @@ func main() {
 }
 
 func run(scale int, graphsCSV, kernelsCSV string) error {
-	wantGraph := func(name string) bool {
-		if graphsCSV == "" {
-			return true
-		}
-		for _, g := range strings.Split(graphsCSV, ",") {
-			if strings.EqualFold(strings.TrimSpace(g), name) {
-				return true
-			}
-		}
-		return false
+	specs, err := core.SuiteSpecs(scale, graphsCSV)
+	if err != nil {
+		return err
 	}
 	wantKernel := map[string]bool{}
-	for _, k := range strings.Split(kernelsCSV, ",") {
-		wantKernel[strings.ToUpper(strings.TrimSpace(k))] = true
+	for _, k := range core.SplitCSV(kernelsCSV) {
+		wantKernel[strings.ToUpper(k)] = true
 	}
 
 	var profiles []charact.Profile
-	for _, spec := range core.DefaultSuite(scale) {
-		if !wantGraph(spec.Name) {
-			continue
-		}
+	for _, spec := range specs {
 		g, err := generate.ByName(spec.Name, spec.Scale, spec.Seed)
 		if err != nil {
 			return err

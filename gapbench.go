@@ -124,7 +124,8 @@ func GenerateGraph(name string, scale int, seed uint64) (*Graph, error) {
 	return generate.ByName(name, scale, seed)
 }
 
-// LoadGraph reads a serialized graph written by (*Graph).Save.
+// LoadGraph mmap-loads a serialized graph written by (*Graph).SaveSG; release
+// it with Close.
 func LoadGraph(path string) (*Graph, error) { return graph.Load(path) }
 
 // ComputeStats derives Table I-style properties of a graph.

@@ -43,14 +43,15 @@ func TestFacadeBuildAndIO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := t.TempDir() + "/g.gapb"
-	if err := g.Save(path); err != nil {
+	path := t.TempDir() + "/g.sg"
+	if err := g.SaveSG(path); err != nil {
 		t.Fatal(err)
 	}
 	back, err := gapbench.LoadGraph(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer back.Close()
 	if back.NumEdges() != g.NumEdges() {
 		t.Fatal("round trip changed edge count")
 	}

@@ -1,13 +1,11 @@
 // graphio_bench_test.go: the build-once-load-many evidence for the arena
 // storage layer (DESIGN.md §3).
 //
-// BenchmarkGraphIO times the three ways a benchmark run can obtain the Kron
+// BenchmarkGraphIO times the two ways a benchmark run can obtain the Kron
 // graph:
 //
 //   - Regenerate: generator + counting-sort build from scratch — what every
 //     run pays without serialized graphs;
-//   - LoadV1: the legacy streaming codec (decode-and-copy into a heap
-//     arena);
 //   - MmapV2: the format-v2 zero-copy path — header validation plus an mmap,
 //     O(header) regardless of graph size.
 //
@@ -44,11 +42,7 @@ func BenchmarkGraphIO(b *testing.B) {
 	}
 	dir := b.TempDir()
 	v2 := filepath.Join(dir, "kron.sg")
-	v1 := filepath.Join(dir, "kron.gapb")
 	if err := g.SaveSG(v2); err != nil {
-		b.Fatal(err)
-	}
-	if err := g.Save(v1); err != nil {
 		b.Fatal(err)
 	}
 	arenaBytes := g.Arena().Size()
@@ -69,23 +63,19 @@ func BenchmarkGraphIO(b *testing.B) {
 			}
 		}
 	})
-	loadBench := func(path string, wantMapped bool) func(*testing.B) {
-		return func(b *testing.B) {
-			b.SetBytes(arenaBytes)
-			for i := 0; i < b.N; i++ {
-				lg, err := graph.Load(path)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if lg.Arena().Mapped() != wantMapped {
-					b.Fatalf("Mapped() = %v, want %v for %s", lg.Arena().Mapped(), wantMapped, path)
-				}
-				if err := lg.Close(); err != nil {
-					b.Fatal(err)
-				}
+	b.Run(name("MmapV2"), func(b *testing.B) {
+		b.SetBytes(arenaBytes)
+		for i := 0; i < b.N; i++ {
+			lg, err := graph.Load(v2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !lg.Arena().Mapped() {
+				b.Fatalf("%s loaded without an mmap", v2)
+			}
+			if err := lg.Close(); err != nil {
+				b.Fatal(err)
 			}
 		}
-	}
-	b.Run(name("LoadV1"), loadBench(v1, false))
-	b.Run(name("MmapV2"), loadBench(v2, true))
+	})
 }

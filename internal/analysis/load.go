@@ -299,7 +299,7 @@ func (l *Loader) check(importPath, dir string, files []*File) (*Package, error) 
 
 // Load expands the given patterns ("./...", directories, or module import
 // paths) and loads every matching package. It skips testdata, hidden, and
-// vendor directories, mirroring the go tool.
+// vendor directories and nested modules, mirroring the go tool.
 func (l *Loader) Load(patterns []string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -349,7 +349,10 @@ func (l *Loader) Load(patterns []string) ([]*Package, error) {
 }
 
 // walkGoDirs calls add for every directory under root that contains .go
-// files, skipping testdata, vendor, and hidden directories.
+// files, skipping testdata, vendor, and hidden directories, and — as "./..."
+// does for the go tool — any directory below root that is a module of its
+// own (the compiler harvest would otherwise abort on packages the main module
+// does not contain).
 func walkGoDirs(root string, add func(string)) error {
 	return filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -357,7 +360,13 @@ func walkGoDirs(root string, add func(string)) error {
 		}
 		if d.IsDir() {
 			name := d.Name()
-			if path != root && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			if path == root {
+				return nil
+			}
+			if name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
 				return filepath.SkipDir
 			}
 			return nil

@@ -5,9 +5,10 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
-	"strings"
+	"slices"
 	"time"
 
+	"gapbench/internal/graph"
 	"gapbench/internal/kernel"
 	"gapbench/internal/par"
 	"gapbench/internal/tune"
@@ -133,21 +134,16 @@ func DefaultRetryPolicy() *RetryPolicy {
 	}
 }
 
-func (p *RetryPolicy) maxRetries() int {
-	if p == nil {
-		return DefaultRetryPolicy().MaxRetries
-	}
-	return p.MaxRetries
-}
-
-func (p *RetryPolicy) shouldRetry(s Status) bool {
-	if p == nil {
-		return s == Panicked || s == TimedOut
-	}
-	if p.RetryOn == nil {
+// retries reports whether a trial that ended in s after the given number of
+// retries gets another attempt.
+func (p *RetryPolicy) retries(s Status, attempt int) bool {
+	if s == OK {
 		return false
 	}
-	return p.RetryOn(s)
+	if p == nil {
+		p = DefaultRetryPolicy()
+	}
+	return attempt < p.MaxRetries && p.RetryOn != nil && p.RetryOn(s)
 }
 
 // Runner executes benchmark cells under the paper's two rule sets.
@@ -300,25 +296,6 @@ func (r *Runner) options(in *Input, mode kernel.Mode) kernel.Options {
 	return opt
 }
 
-// trialOutcome is the raw result of one sandboxed attempt.
-type trialOutcome struct {
-	status  Status
-	seconds float64
-	err     string
-	stack   string
-}
-
-// trimStack keeps the head of a panic stack (the frames that identify the
-// fault) and drops the scheduler noise below.
-func trimStack(stack []byte) string {
-	lines := strings.Split(strings.TrimSpace(string(stack)), "\n")
-	const maxLines = 24
-	if len(lines) > maxLines {
-		lines = append(lines[:maxLines], "... (stack trimmed)")
-	}
-	return strings.Join(lines, "\n")
-}
-
 // checkOracle runs an oracle check under its own recover: a panic while
 // inspecting garbage kernel output is the kernel's failure, reported as a
 // verification error rather than crashing the harness.
@@ -331,39 +308,35 @@ func checkOracle(check func() error) (err error) {
 	return check()
 }
 
-// runAttempt executes one sandboxed trial attempt: the kernel call runs on
-// its own goroutine under recover with a per-attempt cancellation token
-// installed on both the kernel options and the mode's machine. If a deadline
-// is set and the kernel ignores the fired token past the grace period, the
-// machine is abandoned and the attempt reports TimedOut — the runner never
-// blocks on a stuck kernel.
-func (r *Runner) runAttempt(f kernel.Framework, k Kernel, in *Input, mode kernel.Mode, trial int) trialOutcome {
+// runAttempt executes one trial attempt in the sandbox (sandbox.go) on the
+// mode's machine, under a per-attempt cancellation token that the kernel
+// options carry too. A kernel that ignores the fired token past the grace
+// period costs the runner that machine, never the suite: the attempt reports
+// TimedOut and the next one gets a fresh pool.
+func (r *Runner) runAttempt(f kernel.Framework, k Kernel, in *Input, mode kernel.Mode, trial int) Outcome {
 	opt := r.options(in, mode)
-	m := opt.Machine
-	var tok *par.CancelToken
+	var deadline time.Time // zero: no -timeout, wait for the kernel
 	if r.Timeout > 0 {
-		tok = par.NewDeadlineToken(r.Timeout)
+		opt.Cancel = par.NewDeadlineToken(r.Timeout)
+		deadline = time.Now().Add(r.Timeout)
 	} else {
-		tok = par.NewCancelToken()
+		opt.Cancel = par.NewCancelToken()
 	}
-	opt.Cancel = tok
-	m.SetCancel(tok)
+	sb := Sandbox{
+		Framework: f.Name(),
+		Kernel:    k,
+		Graph:     in.Spec.Name,
+		Machine:   opt.Machine,
+		Token:     opt.Cancel,
+		Deadline:  deadline,
+		Limit:     r.Timeout,
+		Grace:     r.grace(),
+		Seals:     [3]*graph.Graph{in.Graph, in.Undirected, in.Relabeled},
+	}
 
 	g := in.Graph
-	cellName := fmt.Sprintf("%s %s on %s", f.Name(), k, in.Spec.Name)
-	done := make(chan trialOutcome, 1) // buffered: an abandoned sandbox still exits
-	go func() {
-		out := trialOutcome{status: OK}
-		defer func() {
-			if p := recover(); p != nil {
-				out.status = Panicked
-				out.err = fmt.Sprintf("%s: panic: %v", cellName, p)
-				out.stack = trimStack(debug.Stack())
-			}
-			done <- out
-		}()
+	_, out := RunSandboxed(sb, func() func() (struct{}, error) {
 		var check func() error
-		start := time.Now()
 		switch k {
 		case BFS:
 			src := in.Sources[trial%len(in.Sources)]
@@ -387,73 +360,31 @@ func (r *Runner) runAttempt(f kernel.Framework, k Kernel, in *Input, mode kernel
 			count := f.TC(g, opt)
 			check = func() error { return verify.CheckTC(in.Undirected, count) }
 		}
-		out.seconds = time.Since(start).Seconds()
-		// graphguard (no-op unless built with -tags=graphguard): the shared
-		// CSR must be byte-identical after every trial. A mutation panics
-		// here, inside the sandbox, so it surfaces as a Panicked record
-		// naming the corrupted array instead of as a wrong result.
-		in.Graph.MustCheckSeal()
-		in.Undirected.MustCheckSeal()
-		in.Relabeled.MustCheckSeal()
-		if tok.Cancelled() {
-			// The kernel returned, but only because the deadline fired; its
-			// partial output is discarded unverified.
-			out.status = TimedOut
-			out.err = fmt.Sprintf("%s: deadline (%v) exceeded", cellName, r.Timeout)
-			return
-		}
-		if r.Verify {
-			if err := checkOracle(check); err != nil {
-				out.status = VerifyFailed
-				out.err = fmt.Sprintf("%s: %v", cellName, err)
+		return func() (struct{}, error) {
+			if !r.Verify {
+				return struct{}{}, nil
 			}
+			return struct{}{}, checkOracle(check)
 		}
-	}()
-
-	if r.Timeout <= 0 {
-		out := <-done
-		m.SetCancel(nil)
-		return out
+	})
+	if out.Abandoned {
+		r.abandonMachine(mode, sb.Machine)
 	}
-	select {
-	case out := <-done:
-		m.SetCancel(nil)
-		return out
-	case <-time.After(r.Timeout):
-		tok.Cancel() // idempotent with the deadline; makes the intent explicit
-		select {
-		case out := <-done:
-			m.SetCancel(nil)
-			return out
-		case <-time.After(r.grace()):
-			// The kernel is ignoring the token. Abandon its machine — the
-			// sandbox goroutine and any workers stuck in the kernel keep the
-			// old pool; the next attempt/cell gets a fresh one. The token
-			// stays installed so the stray kernel's future regions still
-			// drain fast if it ever starts polling.
-			r.abandonMachine(mode, m)
-			return trialOutcome{
-				status: TimedOut,
-				err: fmt.Sprintf("%s: kernel ignored cancellation for %v past the %v deadline; machine abandoned",
-					cellName, r.grace(), r.Timeout),
-			}
-		}
-	}
+	return out
 }
 
 // prepare runs a framework's untimed load-time conversion under recover, so
 // a panicking Prepare fails its cell instead of the suite.
-func prepare(f kernel.Framework, in *Input) (out trialOutcome) {
-	out = trialOutcome{status: OK}
+func prepare(f kernel.Framework, in *Input) (out Outcome) {
 	p, ok := f.(kernel.Preparer)
 	if !ok {
 		return out
 	}
 	defer func() {
 		if pv := recover(); pv != nil {
-			out.status = Panicked
-			out.err = fmt.Sprintf("%s: panic in Prepare(%s): %v", f.Name(), in.Spec.Name, pv)
-			out.stack = trimStack(debug.Stack())
+			out.Status = Panicked
+			out.Err = fmt.Sprintf("%s: panic in Prepare(%s): %v", f.Name(), in.Spec.Name, pv)
+			out.Stack = TrimStack(debug.Stack())
 		}
 	}()
 	p.Prepare(in.Graph, in.Undirected)
@@ -475,24 +406,17 @@ func (r *Runner) RunCell(f kernel.Framework, k Kernel, in *Input, mode kernel.Mo
 	}
 	res.Trials = trials
 
-	known := false
-	for _, kk := range Kernels {
-		if k == kk {
-			known = true
-			break
-		}
-	}
-	if !known {
+	if !slices.Contains(Kernels, k) {
 		res.Status = Skipped
 		res.Verified = false
 		res.Err = fmt.Sprintf("unknown kernel %q", k)
 		return res
 	}
 
-	if out := prepare(f, in); out.status != OK {
-		res.Status = out.status
+	if out := prepare(f, in); out.Status != OK {
+		res.Status = out.Status
 		res.Verified = false
-		res.Err = out.err
+		res.Err = out.Err
 		for t := 0; t < trials; t++ {
 			res.TrialRecords = append(res.TrialRecords, TrialRecord{Trial: t, Status: Skipped})
 		}
@@ -521,27 +445,27 @@ func (r *Runner) RunCell(f kernel.Framework, k Kernel, in *Input, mode kernel.Mo
 			res.TrialRecords = append(res.TrialRecords, TrialRecord{Trial: t, Status: Skipped})
 			continue
 		}
-		var out trialOutcome
+		var out Outcome
 		for attempt := 0; ; attempt++ {
 			out = r.runAttempt(f, k, in, mode, t)
 			res.TrialRecords = append(res.TrialRecords, TrialRecord{
 				Trial: t, Attempt: attempt,
-				Status: out.status, Seconds: out.seconds,
-				Err: out.err, Stack: out.stack,
+				Status: out.Status, Seconds: out.Seconds,
+				Err: out.Err, Stack: out.Stack,
 			})
-			if out.status == OK || attempt >= r.Retry.maxRetries() || !r.Retry.shouldRetry(out.status) {
+			if !r.Retry.retries(out.Status, attempt) {
 				break
 			}
 			res.Retries++
 		}
-		if out.status == OK {
-			record(out.seconds)
+		if out.Status == OK {
+			record(out.Seconds)
 		} else {
 			failed = true
 			if res.Status == OK {
-				res.Status = out.status
+				res.Status = out.Status
 				res.Verified = false
-				res.Err = out.err
+				res.Err = out.Err
 			}
 		}
 	}

@@ -101,8 +101,8 @@ func (in *Input) Close() error {
 
 // GraphFileName is the canonical serialized-graph file name for a suite
 // spec: lowercase graph name, scale, and generator seed, with the given
-// extension ("sg" for format v2, "gapb" for v1). graphgen writes these names
-// and gapbench's -graphdir cache looks them up, so the two sides agree by
+// extension ("sg", the serialized-graph format). graphgen writes these names
+// and the -graphdir cache looks them up, so the two sides agree by
 // construction.
 func GraphFileName(spec GraphSpec, ext string) string {
 	return fmt.Sprintf("%s-s%d-seed%d.%s", strings.ToLower(spec.Name), spec.Scale, spec.Seed, ext)

@@ -224,7 +224,7 @@ func structuralEpoch(lay arenaLayout, layout Layout) uint64 {
 }
 
 // validateArenaShape rejects shapes whose layout would overflow or exceed
-// the deserialization bounds shared with the v1 reader.
+// the deserialization bounds.
 func validateArenaShape(n int64, mOut, mIn int64) error {
 	if n < 0 || n > 1<<31-2 {
 		return fmt.Errorf("graph: vertex count %d out of range", n)

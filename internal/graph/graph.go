@@ -120,14 +120,14 @@ func (g *Graph) Epoch() uint64 { return g.epoch }
 func (g *Graph) Arena() *Arena { return g.arena }
 
 // Provenance returns the generator identity carried in the format-v2 header:
-// suite graph name, scale, and seed. Empty/zero when unknown (v1 files,
-// hand-built graphs).
+// suite graph name, scale, and seed. Empty/zero when unknown
+// (hand-built graphs).
 func (g *Graph) Provenance() (name string, scale uint32, seed uint64) {
 	return g.provName, g.provScale, g.provSeed
 }
 
 // SetProvenance records the generator identity to be written into the
-// format-v2 header. Call before Save/WriteSG.
+// format-v2 header. Call before SaveSG/WriteSG.
 func (g *Graph) SetProvenance(name string, scale uint32, seed uint64) {
 	if len(name) > provNameLen {
 		name = name[:provNameLen]

@@ -6,264 +6,76 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"unsafe"
 )
 
 // Binary serialization of CSR graphs, the analogue of the GAP reference's
 // ".sg"/".wsg" serialized-graph files: generating a benchmark graph once and
 // reloading it is far cheaper than regenerating it per run.
 //
-// This file is the version-1 stream format plus the version dispatch; the
-// version-2 arena format (mmap-loadable) lives in io_v2.go. Write/Save still
-// emit v1 for compatibility; WriteSG/SaveSG emit v2, and Load/ReadFrom accept
-// both.
-//
-// v1 layout (little-endian):
-//
-//	magic "GAPB" | version u32 | flags u32 (bit0 directed, bit1 weighted)
-//	n u32 | m u64 (out-CSR entry count)
-//	outIndex [n+1]u64 | outNeigh [m]u32 | [outWeight [m]u32]
-//	directed only: mIn u64 | inIndex [n+1]u64 | inNeigh [mIn]u32 | [inWeight [mIn]u32]
+// There is one file format, the version-2 arena image of io_v2.go
+// (WriteSG/SaveSG). This file is the entry point that reads it: the
+// magic/version dispatch in front of the mmap path (Load) and the stream copy
+// path (ReadFrom). The version-1 stream format that preceded it is no longer
+// written or decoded; its header is recognised only to say so.
 
 const (
-	fileMagic   = "GAPB"
-	fileVersion = 1
+	fileMagic = "GAPB"
+	// streamVersion is the retired length-prefixed stream format.
+	streamVersion = 1
 
 	flagDirected = 1 << 0
 	flagWeighted = 1 << 1
 )
 
-// Write serializes the graph. It returns the first write error encountered.
-func (g *Graph) Write(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.WriteString(fileMagic); err != nil {
-		return err
-	}
-	var flags uint32
-	if g.directed {
-		flags |= flagDirected
-	}
-	if g.Weighted() {
-		flags |= flagWeighted
-	}
-	for _, v := range []uint32{fileVersion, flags, uint32(g.n)} {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint64(len(g.outNeigh))); err != nil {
-		return err
-	}
-	if err := putInts(bw, g.outIndex); err != nil {
-		return err
-	}
-	if err := putInts(bw, g.outNeigh); err != nil {
-		return err
-	}
-	if g.Weighted() {
-		if err := putInts(bw, g.outWeight); err != nil {
-			return err
-		}
-	}
-	if g.directed {
-		if err := binary.Write(bw, binary.LittleEndian, uint64(len(g.inNeigh))); err != nil {
-			return err
-		}
-		if err := putInts(bw, g.inIndex); err != nil {
-			return err
-		}
-		if err := putInts(bw, g.inNeigh); err != nil {
-			return err
-		}
-		if g.Weighted() {
-			if err := putInts(bw, g.inWeight); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadFrom deserializes a graph written by Write (v1) or WriteSG (v2). Both
-// paths copy into heap storage and fully validate; use Load on a file path
-// to get the zero-copy mmap fast path for v2.
-func ReadFrom(r io.Reader) (*Graph, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
+// readPrefix reads and validates the eight bytes every graph file starts
+// with: the magic and a version this build reads.
+func readPrefix(r io.Reader) ([8]byte, error) {
 	var prefix [8]byte
-	if _, err := io.ReadFull(br, prefix[:]); err != nil {
-		return nil, fmt.Errorf("graph: reading magic: %w", err)
+	if _, err := io.ReadFull(r, prefix[:]); err != nil {
+		return prefix, fmt.Errorf("graph: reading magic: %w", err)
 	}
 	if string(prefix[:4]) != fileMagic {
-		return nil, fmt.Errorf("graph: bad magic %q", prefix[:4])
+		return prefix, fmt.Errorf("graph: bad magic %q", prefix[:4])
 	}
 	switch version := binary.LittleEndian.Uint32(prefix[4:]); version {
-	case fileVersion:
-		// fall through to the v1 stream decoder below
 	case sgVersion:
-		return readSGFrom(br, prefix)
+		return prefix, nil
+	case streamVersion:
+		return prefix, fmt.Errorf("graph: file is format version 1, which is no longer read — regenerate it with graphgen")
 	default:
-		return nil, fmt.Errorf("graph: unsupported file version %d", version)
+		return prefix, fmt.Errorf("graph: unsupported file version %d", version)
 	}
-	var flags, n uint32
-	for _, p := range []*uint32{&flags, &n} {
-		if err := binary.Read(br, binary.LittleEndian, p); err != nil {
-			return nil, err
-		}
-	}
-	directed := flags&flagDirected != 0
-	weighted := flags&flagWeighted != 0
-
-	if n > 1<<31-2 {
-		return nil, fmt.Errorf("graph: vertex count %d out of range", n)
-	}
-	readSide := func() ([]int64, []NodeID, []Weight, error) {
-		var m uint64
-		if err := binary.Read(br, binary.LittleEndian, &m); err != nil {
-			return nil, nil, nil, err
-		}
-		// Bound the claimed entry count before allocating: a corrupt or
-		// hostile header must not drive a giant (or negative) make().
-		if m > 1<<40 {
-			return nil, nil, nil, fmt.Errorf("graph: entry count %d out of range", m)
-		}
-		index, err := readInts[int64](br, int(n)+1)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		// The index must account for exactly the claimed entries before the
-		// neighbor arrays are allocated — a corrupt index otherwise survives
-		// until FromCSR, after up to 2*m values were read and buffered.
-		if index[n] != int64(m) {
-			return nil, nil, nil, fmt.Errorf("graph: index end %d != entry count %d", index[n], m)
-		}
-		neigh, err := readInts[NodeID](br, int(m))
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		var weight []Weight
-		if weighted {
-			if weight, err = readInts[Weight](br, int(m)); err != nil {
-				return nil, nil, nil, err
-			}
-		}
-		return index, neigh, weight, nil
-	}
-
-	outIndex, outNeigh, outWeight, err := readSide()
-	if err != nil {
-		return nil, fmt.Errorf("graph: reading out-CSR: %w", err)
-	}
-	var inIndex []int64
-	var inNeigh []NodeID
-	var inWeight []Weight
-	if directed {
-		if inIndex, inNeigh, inWeight, err = readSide(); err != nil {
-			return nil, fmt.Errorf("graph: reading in-CSR: %w", err)
-		}
-	}
-	return FromCSR(int32(n), directed, outIndex, outNeigh, inIndex, inNeigh, outWeight, inWeight)
 }
 
-// Save writes the graph to a file.
-func (g *Graph) Save(path string) error {
-	f, err := os.Create(path)
+// ReadFrom deserializes a graph written by WriteSG, copying into heap storage
+// and fully validating; use Load on a file path to get the zero-copy mmap
+// fast path.
+func ReadFrom(r io.Reader) (*Graph, error) {
+	br := bufio.NewReaderSize(r, 1<<20)
+	prefix, err := readPrefix(br)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if err := g.Write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return readSGFrom(br, prefix)
 }
 
-// Load reads a graph from a file written by Save or SaveSG. Format-v2 files
-// are memory-mapped read-only — O(header) work, zero copies — and must be
-// released with Close; v1 files decode through the stream copy path.
+// Load reads a graph from a file written by SaveSG. The file is memory-mapped
+// read-only — O(header) work, zero copies — and must be released with Close.
 func Load(path string) (*Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	var prefix [8]byte
-	if _, err := io.ReadFull(f, prefix[:]); err != nil {
-		return nil, fmt.Errorf("graph: reading magic: %w", err)
+	if _, err := readPrefix(f); err != nil {
+		return nil, err
 	}
-	if string(prefix[:4]) == fileMagic && binary.LittleEndian.Uint32(prefix[4:]) == sgVersion {
-		st, err := f.Stat()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return nil, err
-		}
-		return loadSG(f, st.Size())
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
 	}
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return nil, err
 	}
-	return ReadFrom(f)
-}
-
-// putInts writes a little-endian integer array through one reused chunk
-// buffer. One generic body replaces the former writeInt64s/writeInt32s pair;
-// the per-byte shift loop compiles to the same stores the width-specific
-// binary.LittleEndian calls did.
-func putInts[T int32 | int64](w io.Writer, xs []T) error {
-	var zero T
-	width := int(unsafe.Sizeof(zero))
-	buf := make([]byte, 1<<15)
-	per := len(buf) / width
-	for len(xs) > 0 {
-		chunk := len(xs)
-		if chunk > per {
-			chunk = per
-		}
-		for i := 0; i < chunk; i++ {
-			v := uint64(xs[i])
-			for j := 0; j < width; j++ {
-				buf[i*width+j] = byte(v >> (8 * j))
-			}
-		}
-		if _, err := w.Write(buf[:chunk*width]); err != nil {
-			return err
-		}
-		xs = xs[chunk:]
-	}
-	return nil
-}
-
-// readInts reads n little-endian integers, unifying the former
-// readInt64s/readInt32s pair. The output grows incrementally (capped at 8
-// MiB of initial capacity) so a corrupt header claiming billions of entries
-// fails at end-of-input instead of pre-allocating unbounded memory.
-func readInts[T int32 | int64](r io.Reader, n int) ([]T, error) {
-	var zero T
-	width := int(unsafe.Sizeof(zero))
-	initial := n
-	if lim := (1 << 23) / width; initial > lim {
-		initial = lim
-	}
-	out := make([]T, 0, initial)
-	buf := make([]byte, 1<<15)
-	per := len(buf) / width
-	for i := 0; i < n; {
-		chunk := n - i
-		if chunk > per {
-			chunk = per
-		}
-		if _, err := io.ReadFull(r, buf[:chunk*width]); err != nil {
-			return nil, err
-		}
-		for j := 0; j < chunk; j++ {
-			var v uint64
-			for k := 0; k < width; k++ {
-				v |= uint64(buf[j*width+k]) << (8 * k)
-			}
-			out = append(out, T(v))
-		}
-		i += chunk
-	}
-	return out, nil
+	return loadSG(f, st.Size())
 }

@@ -2,7 +2,9 @@ package graph_test
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -59,8 +61,8 @@ func TestSerializationRoundTrip(t *testing.T) {
 
 	for i, g := range cases {
 		var buf bytes.Buffer
-		if err := g.Write(&buf); err != nil {
-			t.Fatalf("case %d: Write: %v", i, err)
+		if err := g.WriteSG(&buf); err != nil {
+			t.Fatalf("case %d: WriteSG: %v", i, err)
 		}
 		back, err := graph.ReadFrom(&buf)
 		if err != nil {
@@ -74,16 +76,34 @@ func TestSerializationRoundTrip(t *testing.T) {
 
 func TestSaveLoadFile(t *testing.T) {
 	g := mustBuild(t, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}}, graph.BuildOptions{Directed: true})
-	path := filepath.Join(t.TempDir(), "g.gapb")
-	if err := g.Save(path); err != nil {
+	path := filepath.Join(t.TempDir(), "g.sg")
+	if err := g.SaveSG(path); err != nil {
 		t.Fatal(err)
 	}
 	back, err := graph.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer back.Close()
 	if !graphsEqual(g, back) {
 		t.Fatal("file round trip changed the graph")
+	}
+}
+
+// TestVersion1Rejected: the retired stream format is refused by both readers
+// with an error that says what to do, never decoded and never a panic.
+func TestVersion1Rejected(t *testing.T) {
+	v1 := []byte("GAPB\x01\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00")
+	_, err := graph.ReadFrom(bytes.NewReader(v1))
+	if err == nil || !strings.Contains(err.Error(), "regenerate it with graphgen") {
+		t.Errorf("ReadFrom(v1 header) = %v, want a regenerate-with-graphgen error", err)
+	}
+	path := filepath.Join(t.TempDir(), "old.gapb")
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := graph.Load(path); err == nil || !strings.Contains(err.Error(), "regenerate it with graphgen") {
+		t.Errorf("Load(v1 file) = %v, want a regenerate-with-graphgen error", err)
 	}
 }
 
@@ -100,7 +120,7 @@ func TestReadFromRejectsGarbage(t *testing.T) {
 	// Truncated payload.
 	g := mustBuild(t, []graph.Edge{{U: 0, V: 1}}, graph.BuildOptions{Directed: true})
 	var buf bytes.Buffer
-	if err := g.Write(&buf); err != nil {
+	if err := g.WriteSG(&buf); err != nil {
 		t.Fatal(err)
 	}
 	truncated := buf.Bytes()[:buf.Len()-4]
@@ -125,7 +145,7 @@ func TestSerializationProperty(t *testing.T) {
 			return false
 		}
 		var buf bytes.Buffer
-		if err := g.Write(&buf); err != nil {
+		if err := g.WriteSG(&buf); err != nil {
 			return false
 		}
 		back, err := graph.ReadFrom(&buf)

@@ -10,8 +10,8 @@ import (
 
 // io_v2.go: the format-v2 serialized graph — the arena, on disk.
 //
-// Version 1 (io.go) is a stream: length-prefixed arrays, decoded element by
-// element into fresh heap slices. Version 2 is a *map*: a fixed 256-byte
+// The retired version 1 was a stream: length-prefixed arrays, decoded element
+// by element into fresh heap slices. Version 2 is a *map*: a fixed 256-byte
 // header followed by the arena block verbatim, sections at the same
 // 64-byte-aligned offsets layoutFor assigns in memory. Saving a built graph
 // is therefore the header plus one contiguous write, and loading is a
@@ -44,7 +44,7 @@ import (
 //
 // The body is mapped, not decoded, so format v2 is little-endian only; the
 // flag bit exists so a hypothetical big-endian writer is detected rather
-// than misread. v1 files remain fully readable through the copy path.
+// than misread.
 
 const (
 	sgVersion   = 2
@@ -340,8 +340,7 @@ func loadSG(f *os.File, size int64) (*Graph, error) {
 // the source is not a mappable file. The caller has already consumed the
 // 8-byte magic+version prefix; rest is the remainder of the stream. Since
 // the copy already pays O(bytes), this path also verifies every section
-// checksum and the full CSR structure, making it the strict reader v1 users
-// expect.
+// checksum and the full CSR structure.
 func readSGFrom(rest io.Reader, prefix [8]byte) (*Graph, error) {
 	if !hostLE {
 		return nil, fmt.Errorf("graph: format v2 requires a little-endian host")

@@ -3,6 +3,7 @@ package graphit
 import (
 	"testing"
 
+	"gapbench/internal/frontier"
 	"gapbench/internal/generate"
 	"gapbench/internal/graph"
 	"gapbench/internal/kernel"
@@ -10,9 +11,12 @@ import (
 	"gapbench/internal/testutil"
 )
 
+// The vertex-set tests below drive the shared frontier library through the
+// names GraphIt's schedules use for its layouts (SparseList, Bitvector).
+
 func TestVertexSetConversions(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
-	vs := FromList(100, []graph.NodeID{3, 50, 99})
+	vs := frontier.FromList(100, []graph.NodeID{3, 50, 99})
 	if vs.Size() != 3 {
 		t.Fatalf("Size = %d", vs.Size())
 	}
@@ -34,12 +38,12 @@ func TestVertexSetConversions(t *testing.T) {
 		}
 	}
 	// Add on both layouts.
-	sp := NewVertexSet(10, SparseList)
+	sp := frontier.NewSet(10, SparseList)
 	sp.Add(4)
 	if sp.Size() != 1 {
 		t.Fatal("sparse Add wrong")
 	}
-	bb := NewVertexSet(10, Bitvector)
+	bb := frontier.NewSet(10, Bitvector)
 	bb.Add(4)
 	bb.Add(4) // duplicate must not double-count
 	if bb.Size() != 1 {
@@ -53,12 +57,12 @@ func TestEdgesetApplyPush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frontier := FromList(3, []graph.NodeID{0})
+	front := frontier.FromList(3, []graph.NodeID{0})
 	visited := make([]bool, 3)
 	visited[0] = true
 	for _, layout := range []FrontierLayout{SparseList, Bitvector} {
 		v2 := append([]bool(nil), visited...)
-		next := EdgesetApplyPush(par.Default(), g, frontier, layout, 2, func(u, v graph.NodeID) bool {
+		next := frontier.Push(par.Default(), g, front, layout, 2, func(u, v graph.NodeID) bool {
 			if !v2[v] {
 				v2[v] = true
 				return true
@@ -77,9 +81,9 @@ func TestEdgesetApplyPull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frontier := FromList(3, []graph.NodeID{0})
+	front := frontier.FromList(3, []graph.NodeID{0})
 	parent := []graph.NodeID{0, -1, -1}
-	next := EdgesetApplyPull(par.Default(), g, frontier, 2,
+	next := frontier.Pull(par.Default(), g, front, 2,
 		func(v graph.NodeID) bool { return parent[v] < 0 },
 		func(u, v graph.NodeID) bool { parent[v] = u; return true })
 	if next.Size() != 2 {
@@ -248,7 +252,7 @@ func TestAutotuneExploresAndPicksBest(t *testing.T) {
 
 func TestVertexSetContainsBothLayouts(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
-	sp := FromList(10, []graph.NodeID{2, 7})
+	sp := frontier.FromList(10, []graph.NodeID{2, 7})
 	if !sp.Contains(7) || sp.Contains(3) {
 		t.Fatal("sparse Contains wrong")
 	}

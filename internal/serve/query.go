@@ -11,7 +11,6 @@ package serve
 
 import (
 	"fmt"
-	"runtime/debug"
 	"strings"
 	"time"
 
@@ -181,18 +180,6 @@ func (s *Server) query(req Request, connTok *par.CancelToken) Response {
 	return resp
 }
 
-// attemptOut is the raw result of one sandboxed attempt, in the suite's
-// Status taxonomy. An OK attempt carries result (BFS, SSSP) or snap (a PR or
-// CC snapshot build).
-type attemptOut struct {
-	status  core.Status
-	seconds float64
-	err     string
-	stack   string
-	result  *QueryResult
-	snap    *snapshot
-}
-
 // execute answers the query under its deadline budget. probe marks the query
 // as the breaker's half-open probe — its outcome decides whether the circuit
 // closes.
@@ -215,13 +202,18 @@ func (s *Server) execute(p *queryPlan, connTok *par.CancelToken, probe bool) Res
 // a snapshot build succeeded.
 func (s *Server) run(p *queryPlan, qTok *par.CancelToken, deadline time.Time, probe bool) (Response, *snapshot) {
 	var records []core.TrialRecord
-	var out attemptOut
+	var out core.Outcome
+	var result *QueryResult
+	var snap *snapshot
 	retries := 0
 	policy := s.cfg.Retry.policy()
 	for attempt := 0; ; attempt++ {
-		var abandoned bool
 		var err error
-		out, abandoned, err = s.attempt(p, qTok, deadline)
+		if p.slot != nil {
+			snap, out, err = runAttempt(s, p, qTok, deadline, buildSnapshot)
+		} else {
+			result, out, err = runAttempt(s, p, qTok, deadline, runKernel)
+		}
 		if err != nil {
 			// Lease acquisition failed — nothing ran, nothing to retry. A
 			// probe that never ran proved nothing: reset its circuit to open
@@ -241,20 +233,20 @@ func (s *Server) run(p *queryPlan, qTok *par.CancelToken, deadline time.Time, pr
 		}
 		records = append(records, core.TrialRecord{
 			Trial: 0, Attempt: attempt,
-			Status: out.status, Seconds: out.seconds,
-			Err: out.err, Stack: out.stack,
+			Status: out.Status, Seconds: out.Seconds,
+			Err: out.Err, Stack: out.Stack,
 		})
-		if abandoned {
+		if out.Abandoned {
 			s.breakers.OnAbandon(p.fwName, string(p.k), probe)
 		}
-		if out.status == core.OK {
+		if out.Status == core.OK {
 			s.breakers.OnSuccess(p.fwName, string(p.k), probe)
 			break
 		}
-		if !abandoned {
+		if !out.Abandoned {
 			s.breakers.OnFailure(p.fwName, string(p.k), probe)
 		}
-		if attempt >= policy.MaxRetries || policy.RetryOn == nil || !policy.RetryOn(out.status) {
+		if attempt >= policy.MaxRetries || policy.RetryOn == nil || !policy.RetryOn(out.Status) {
 			break
 		}
 		// Backoff before the retry, bounded by the remaining budget; a fired
@@ -267,35 +259,38 @@ func (s *Server) run(p *queryPlan, qTok *par.CancelToken, deadline time.Time, pr
 		s.c.retries.Add(1)
 	}
 
-	s.journalQuery(p, records, out.status, retries, out.err)
-	switch out.status {
+	s.journalQuery(p, records, out.Status, retries, out.Err)
+	switch out.Status {
 	case core.OK:
 		s.c.ok.Add(1)
-		result := out.result
-		if out.snap != nil {
-			result = out.snap.answer(p)
+		if snap != nil {
+			result = snap.answer(p)
 		}
 		return Response{Code: CodeOK, Retries: retries, Result: result,
-			KernelMicros: int64(out.seconds * 1e6)}, out.snap
+			KernelMicros: int64(out.Seconds * 1e6)}, snap
 	case core.TimedOut:
 		s.c.timeouts.Add(1)
-		return Response{Code: CodeDeadlineExceeded, Error: out.err, Retries: retries}, nil
+		return Response{Code: CodeDeadlineExceeded, Error: out.Err, Retries: retries}, nil
 	case core.Panicked:
 		s.c.panics.Add(1)
 	}
 	// Panicked, or VerifyFailed: a snapshot build the oracle rejected.
-	return Response{Code: CodeInternal, Error: out.err, Retries: retries}, nil
+	return Response{Code: CodeInternal, Error: out.Err, Retries: retries}, nil
 }
 
-// attempt runs one sandboxed kernel attempt on a leased machine. The lease is
-// settled on every path — Release normally, Abandon when the kernel ignored
-// its fired token past the grace period — via the deferred closure the gapvet
-// lease-return rule checks for. The bool reports abandonment; a non-nil error
-// means no lease was obtained (pool draining, budget gone while queued).
-func (s *Server) attempt(p *queryPlan, tok *par.CancelToken, deadline time.Time) (attemptOut, bool, error) {
+// runAttempt runs one kernel attempt on a leased machine in the suite's
+// sandbox (core.RunSandboxed): kernel is the timed part and returns the
+// finish that produces the attempt's value. The lease is settled on every
+// path — Release normally, Abandon when the kernel ignored its fired token
+// past the grace period — via the deferred closure the gapvet lease-return
+// rule checks for. A non-nil error means no lease was obtained (pool
+// draining, budget gone while queued).
+func runAttempt[T any](s *Server, p *queryPlan, tok *par.CancelToken, deadline time.Time,
+	kernelRun func(*queryPlan, *graph.Graph, kernel.Options) func() (T, error)) (T, core.Outcome, error) {
 	lease, err := s.pool.Acquire(tok)
 	if err != nil {
-		return attemptOut{}, false, err
+		var none T
+		return none, core.Outcome{}, err
 	}
 	abandoned := false
 	defer func() {
@@ -306,119 +301,52 @@ func (s *Server) attempt(p *queryPlan, tok *par.CancelToken, deadline time.Time)
 		}
 	}()
 
-	m := lease.Machine()
-	m.SetCancel(tok)
 	opt := kernel.Options{
 		Workers:        s.pool.Workers(),
 		Mode:           kernel.Baseline,
 		Delta:          p.in.Spec.Delta,
-		Machine:        m,
+		Machine:        lease.Machine(),
 		Cancel:         tok,
 		UndirectedView: p.in.Undirected,
 	}
-
-	// Capture the graph views before the sandbox starts: an abandoned
+	// The graph views are captured before the sandbox starts: an abandoned
 	// sandbox may wake long after this query (and even the Input) is gone,
-	// and must not re-read Input fields concurrently with a Close.
-	g, und := p.in.Graph, p.in.Undirected
-	done := make(chan attemptOut, 1) // buffered: an abandoned sandbox still exits
-	go func() {
-		out := attemptOut{status: core.OK}
-		defer func() {
-			if pv := recover(); pv != nil {
-				out.status = core.Panicked
-				out.err = fmt.Sprintf("%s %s on %s: panic: %v", p.fwName, p.k, p.in.Spec.Name, pv)
-				out.stack = trimStack(debug.Stack())
-				out.result, out.snap = nil, nil
-			}
-			done <- out
-		}()
-		if p.slot != nil {
-			var err error
-			if out.snap, out.seconds, err = buildSnapshot(p, g, opt); err != nil {
-				out.status = core.VerifyFailed
-				out.err = fmt.Sprintf("%s %s on %s: oracle rejected the result: %v", p.fwName, p.k, p.in.Spec.Name, err)
-			}
-		} else {
-			start := time.Now()
-			out.result = runKernel(p, g, opt)
-			out.seconds = time.Since(start).Seconds()
-		}
-		// graphguard (armed under -tags=graphguard): the shared CSRs must
-		// survive every query byte-identical — one corrupting kernel must not
-		// poison answers for every later client. A mutation panics here,
-		// inside the sandbox, as a Panicked attempt naming the array.
-		g.MustCheckSeal()
-		und.MustCheckSeal()
-		if tok.Cancelled() {
-			out.status = core.TimedOut
-			out.err = fmt.Sprintf("%s %s on %s: deadline budget (%v) exceeded", p.fwName, p.k, p.in.Spec.Name, p.budget)
-			out.result, out.snap = nil, nil
-		}
-	}()
-
-	remaining := time.Until(deadline)
-	if remaining < 0 {
-		remaining = 0
-	}
-	expire := time.NewTimer(remaining)
-	defer expire.Stop()
-	select {
-	case out := <-done:
-		return out, false, nil
-	case <-expire.C:
-		tok.Cancel() // idempotent with the deadline; also covers clock skew on the chained token
-		grace := time.NewTimer(s.cfg.grace())
-		defer grace.Stop()
-		select {
-		case out := <-done:
-			return out, false, nil
-		case <-grace.C:
-			// The kernel is ignoring the token: give up the machine. The
-			// sandbox goroutine keeps the stuck machine (token installed, so
-			// it still drains fast if the kernel ever polls) and the pool
-			// self-heals with a replacement.
-			abandoned = true
-			return attemptOut{
-				status: core.TimedOut,
-				err: fmt.Sprintf("%s %s on %s: kernel ignored cancellation for %v past the %v budget; machine abandoned",
-					p.fwName, p.k, p.in.Spec.Name, s.cfg.grace(), p.budget),
-			}, true, nil
-		}
-	}
+	// and must not re-read Input fields concurrently with a Close. The seal
+	// checks (armed under -tags=graphguard) keep one corrupting kernel from
+	// poisoning answers for every later client.
+	g := p.in.Graph
+	val, out := core.RunSandboxed(core.Sandbox{
+		Framework: p.fwName,
+		Kernel:    p.k,
+		Graph:     p.in.Spec.Name,
+		Machine:   opt.Machine,
+		Token:     tok,
+		Deadline:  deadline,
+		Limit:     p.budget,
+		Grace:     s.cfg.grace(),
+		Seals:     [3]*graph.Graph{g, p.in.Undirected},
+	}, func() func() (T, error) { return kernelRun(p, g, opt) })
+	abandoned = out.Abandoned
+	return val, out, nil
 }
 
-// trimStack keeps the frames that identify a panic and drops scheduler noise
-// (same convention as the suite runner's trial records).
-func trimStack(stack []byte) string {
-	lines := strings.Split(strings.TrimSpace(string(stack)), "\n")
-	const maxLines = 24
-	if len(lines) > maxLines {
-		lines = append(lines[:maxLines], "... (stack trimmed)")
-	}
-	return strings.Join(lines, "\n")
-}
-
-// runKernel runs a source-parameterised kernel (BFS, SSSP — the whole-graph
-// kernels are buildSnapshot's) and reduces its full output to the query's
-// answer. The reduction runs inside the sandbox on purpose: reducing garbage
-// output (a corrupted kernel result) may panic, and that is the kernel's
-// fault to report, not the daemon's to crash on. g is passed in (not read off
-// p.in) so the sandbox holds no Input-field reads.
-func runKernel(p *queryPlan, g *graph.Graph, opt kernel.Options) *QueryResult {
-	switch p.k {
-	case core.BFS:
-		parent := p.f.BFS(g, p.src, opt)
-		res := &QueryResult{}
-		for _, pv := range parent {
+// runKernel is the timed part of a BFS or SSSP query (the whole-graph kernels
+// are buildSnapshot's): it runs the kernel and reduces its full output to the
+// query's answer, which the returned finish only hands over. The reduction
+// runs inside the sandbox on purpose: reducing garbage output (a corrupted
+// kernel result) may panic, and that is the kernel's fault to report, not the
+// daemon's to crash on. g is passed in (not read off p.in) so the sandbox
+// holds no Input-field reads.
+func runKernel(p *queryPlan, g *graph.Graph, opt kernel.Options) func() (*QueryResult, error) {
+	res := &QueryResult{}
+	if p.k == core.BFS {
+		for _, pv := range p.f.BFS(g, p.src, opt) {
 			if pv >= 0 {
 				res.Reached++
 			}
 		}
-		return res
-	default: // core.SSSP — plan sends PR and CC to their snapshot slot
+	} else { // core.SSSP — plan sends PR and CC to their snapshot slot
 		dist := p.f.SSSP(g, p.src, opt)
-		res := &QueryResult{}
 		for _, d := range dist {
 			if d != kernel.Inf {
 				res.Reached++
@@ -431,8 +359,8 @@ func runKernel(p *queryPlan, g *graph.Graph, opt kernel.Options) *QueryResult {
 			}
 			res.Dist = &d
 		}
-		return res
 	}
+	return func() (*QueryResult, error) { return res, nil }
 }
 
 // journalQuery appends the query outcome to the suite journal (when

@@ -7,7 +7,7 @@ package serve
 // an Epoch(), so re-running an O(iterations·m) kernel per query only repeats
 // the same answer. Per (graph, framework, kernel) the first query leads a
 // single-flight build through the ordinary execution path (lease, sandbox,
-// retry, seal checks — run/attempt in query.go); the sandbox checks the full
+// retry, seal checks — run/runAttempt in query.go); the sandbox checks the full
 // result against the SPEC.md oracle once, reduces it to what queries read,
 // and the leader publishes it. Every later query is a hit: O(k) or O(1), no
 // lease, no goroutine.
@@ -92,37 +92,33 @@ func newSnapshotStore(graphs []string, frameworks map[string]kernel.Framework) *
 	return st
 }
 
-// buildSnapshot runs the planned whole-graph kernel and checks and reduces its
-// result. It runs inside the attempt sandbox: a kernel that returns garbage
-// may make the oracle or the reduction panic, and that is the kernel's fault
-// to report as Panicked. seconds is the kernel's time alone; a non-nil error
-// is the oracle's rejection.
-func buildSnapshot(p *queryPlan, g *graph.Graph, opt kernel.Options) (snap *snapshot, seconds float64, err error) {
-	start := time.Now()
-	snap = &snapshot{epoch: g.Epoch()}
+// buildSnapshot is the timed part of a snapshot build: it runs the planned
+// whole-graph kernel and returns the finish that checks the full result
+// against the oracle (an error is the oracle's rejection) and reduces it.
+// Both run inside the attempt sandbox: a kernel that returns garbage may make
+// the oracle or the reduction panic, and that is the kernel's fault to report
+// as Panicked.
+func buildSnapshot(p *queryPlan, g *graph.Graph, opt kernel.Options) func() (*snapshot, error) {
+	reject := func(err error) (*snapshot, error) {
+		return nil, fmt.Errorf("oracle rejected the result: %w", err)
+	}
 	if p.k == core.PR {
 		ranks := p.f.PR(g, opt)
-		seconds = time.Since(start).Seconds()
-		if opt.Cancelled() {
-			return nil, seconds, nil // partial output; the sandbox reports TimedOut
+		return func() (*snapshot, error) {
+			if err := verify.CheckPR(g, ranks); err != nil {
+				return reject(err)
+			}
+			return &snapshot{epoch: g.Epoch(), top: topK(ranks, snapshotTopK)}, nil
 		}
-		if err := verify.CheckPR(g, ranks); err != nil {
-			return nil, seconds, err
-		}
-		snap.top = topK(ranks, snapshotTopK)
-		return snap, seconds, nil
 	}
 	labels := p.f.CC(g, opt)
-	seconds = time.Since(start).Seconds()
-	if opt.Cancelled() {
-		return nil, seconds, nil
+	return func() (*snapshot, error) {
+		if err := verify.CheckCC(g, labels); err != nil {
+			return reject(err)
+		}
+		return &snapshot{epoch: g.Epoch(), labels: append([]graph.NodeID(nil), labels...),
+			sizes: componentSizes(labels)}, nil
 	}
-	if err := verify.CheckCC(g, labels); err != nil {
-		return nil, seconds, err
-	}
-	snap.labels = append([]graph.NodeID(nil), labels...)
-	snap.sizes = componentSizes(labels)
-	return snap, seconds, nil
 }
 
 // componentSizes counts the vertices carrying each label.

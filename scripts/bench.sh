@@ -31,8 +31,8 @@
 #      fast-path inline splits, and tail-range BCE fixes all land inside
 #      these kernels, so their timings are the deltas ISSUE 7 records.
 #   6. BenchmarkGraphIO — the storage-arena evidence (DESIGN.md §3):
-#      Regenerate (generator + counting-sort build) vs LoadV1 (streaming
-#      decode-and-copy) vs MmapV2 (header check + mmap, O(header)) for Kron,
+#      Regenerate (generator + counting-sort build) vs MmapV2 (header check
+#      + mmap, O(header)) for Kron,
 #      once at the default test scale and once at scale 20
 #      (GAPBENCH_MMAP_SCALE=20, 2^20 vertices / 2^24 directed edges), where
 #      the mmap cell must beat regeneration by >= 10x.

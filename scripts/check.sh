@@ -12,12 +12,17 @@
 #      diagnostics from a -gcflags compiler run and joins them against the
 #      timed-region dataflow. The harvest invokes the compiler, so this tier
 #      carries its own 120-second budget, separate from the pure-AST tier —
-#      a cold -gcflags build cache pays once, warm runs land in seconds
+#      a cold -gcflags build cache pays once, warm runs land in seconds. A
+#      harvest that could not build a package exits 2 and fails the tier:
+#      "clean" over facts the compiler never produced is not a pass
 #   5. go test ./...                  the full tier-1 suite
 #   6. go test -race -short <tier>    the race-detector smoke tier: the
-#      parallel substrate (par), the most race-prone executor (galois), and
-#      the harness that drives every framework (core), on tiny graphs so the
-#      whole sweep finishes in seconds.
+#      parallel substrate (par), the most race-prone executor (galois), the
+#      harness that drives every framework (core, the one trial sandbox
+#      included) and the most concurrent package in the tree, the daemon
+#      (serve: pool, admission, breaker, snapshots, drain), on tiny graphs
+#      so the whole sweep finishes in seconds (≈ 30 s with a cold race
+#      build).
 #   7. go test -tags=grbcheck <tier>  the grbcheck sanitizer tier: rebuilds
 #      the GraphBLAS substrate (and the shared frontier library, which keys
 #      its conversion checks off the same tag) with runtime invariant
@@ -122,7 +127,7 @@ say "go test ./..."
 go test ./...
 
 say "race smoke tier (go test -race -short)"
-go test -race -short ./internal/par/... ./internal/galois/... ./internal/core/...
+go test -race -short ./internal/par/... ./internal/galois/... ./internal/core/... ./internal/serve/...
 
 say "grbcheck sanitizer tier (go test -tags=grbcheck -short)"
 go test -tags=grbcheck -short ./internal/grb/ ./internal/frontier/ ./internal/lagraph/
