@@ -1,7 +1,9 @@
 // BenchmarkDirection times the LAGraph BFS under each direction policy so
-// EXPERIMENTS.md can tabulate the push-vs-pull crossover per graph and
-// scripts/bench.sh can assert the auto dispatcher stays within a few percent
-// of the better pinned direction.
+// EXPERIMENTS.md can tabulate the push-vs-pull crossover per graph and a
+// reader can check that the auto dispatcher stays within a few percent of the
+// better pinned direction:
+//
+//	go test -run '^$' -bench BenchmarkDirection -benchtime=1x -count=4 .
 package gapbench_test
 
 import (

@@ -10,8 +10,10 @@
 //     O(header) regardless of graph size.
 //
 // The input scale is GAPBENCH_MMAP_SCALE (log2 vertices, default 12 so the
-// check.sh bit-rot tier stays cheap); scripts/bench.sh adds a scale-20 cell
-// where the mmap-vs-regenerate gap is the headline number.
+// check.sh bit-rot tier stays cheap); the scale-20 cell, where the
+// mmap-vs-regenerate gap is the headline number, is
+//
+//	GAPBENCH_MMAP_SCALE=20 go test -run '^$' -bench BenchmarkGraphIO -benchtime=1x -count=4 .
 package gapbench_test
 
 import (

@@ -239,9 +239,29 @@ func TestServeEndToEndRealFramework(t *testing.T) {
 		t.Fatalf("CC: %+v", cc)
 	}
 
+	// The snapshot cap (check.sh tier 13 names this test for it): the PR and
+	// the CC above each built a snapshot, so repeats of either, over two
+	// connections, are all hits — never a whole-graph recompute.
+	const repeats = 20 // of each kernel
+	conns := []*testClient{c, dial(t, sock)}
+	for i := 0; i < repeats; i++ {
+		for _, req := range []Request{
+			{Kernel: "PR", Graph: "Kron", K: 3},
+			{Kernel: "CC", Graph: "Kron", Vertex: int64(in.Sources[i%len(in.Sources)])},
+		} {
+			if resp := conns[i%2].do(req); resp.Code != CodeOK {
+				t.Fatalf("repeat %d of %s: %+v", i, req.Kernel, resp)
+			}
+		}
+	}
+
 	st := c.do(Request{Op: OpStats})
-	if st.Stats == nil || st.Stats.OK != 4 || st.Stats.Accepted != 4 {
+	if st.Stats == nil || st.Stats.OK != 4+2*repeats || st.Stats.Accepted != 4+2*repeats {
 		t.Fatalf("stats: %+v", st.Stats)
+	}
+	if st.Stats.SnapshotBuilds != 2 || st.Stats.SnapshotHits != 2*repeats || st.Stats.SnapshotFailed != 0 {
+		t.Errorf("snapshot builds %d hits %d failed %d, want 2 builds, %d hits, 0 failed",
+			st.Stats.SnapshotBuilds, st.Stats.SnapshotHits, st.Stats.SnapshotFailed, 2*repeats)
 	}
 	if err := srv.Shutdown(5 * time.Second); err != nil {
 		t.Fatalf("shutdown: %v", err)

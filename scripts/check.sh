@@ -64,30 +64,40 @@
 #      store. The first pass must report tuning (writing the store), the
 #      second must report reusing the stored schedule — the persistence
 #      contract `-tune` exists for (see DESIGN.md "Schedule persistence").
-#  13. gapd serving smoke tier: start the daemon on a unix socket over the
-#      tier-11 graph files (servecheck armed), drive a mixed closed-loop
-#      burst with cmd/workload, and require zero non-OK non-shed responses
-#      and, from the daemon's stats after the burst, at most graphs x
-#      frameworks x 2 snapshot builds with the rest of the PR/CC traffic
-#      answered as hits (no per-query whole-graph recompute);
-#      then SIGTERM and require the drain to finish within its budget with
-#      no leaked lease (the servecheck assertion panics the exit otherwise).
+#  Tiers 13 and 15 use the tree's one gapd load driver, gapmark's
+#  (benchmark/drive); tier 14 starts no daemon.
+#  13. gapd serving smoke tier: gapmark's TestSmoke with servecheck armed
+#      (GOFLAGS=-tags=servecheck reaches the test's own `go build
+#      gapbench/cmd/gapd`, into the test's temp directory — nothing is taken
+#      from .bench_build/). gapmark's driver starts that daemon, offers both
+#      traffic shapes at toy size (PR/CC answered from snapshots, leased
+#      BFS/SSSP; closed loop and open loop), and fails on any answer that is
+#      not OK or that the oracle re-check rejects; then SIGTERM, and a
+#      non-zero gapd exit — the servecheck assertion panics it on a leaked
+#      lease — or a drain over its budget fails the run. The snapshot cap
+#      (one PageRank and one CC build per graph and framework, every other
+#      such query a hit: no per-query whole-graph recompute) is asserted
+#      in-process by TestServeEndToEndRealFramework in internal/serve, which
+#      tier 5 runs.
 #  14. go test -bench=. -benchtime=1x the benchmark bit-rot guard: every
 #      benchmark (suite cells, ablations, and the ingest-pipeline
-#      Build/Transpose groups — scripts/bench.sh's evidence included)
-#      runs exactly one iteration at the test scale, so a
-#      signature drift or a panic on a bench-only path fails the gate
-#      instead of surfacing months later in a measurement run.
-#  15. (cd benchmark && go vet ./... && go test ./...) the benchmark-module
-#      tier: gapmark is a Go module of its own below the root module, so
-#      `./...` above never enters it. It imports this module's packages
-#      (verify.Triangles, core.LoadCachedInput/PrepareViews/Input,
-#      graph.Arena, lagraph.New/BFSWithPolicy, serve.Request/Response/
-#      NewPool, par.NewMachine, ...), and its TestSmoke builds gapd and runs
-#      both workloads at toy size, failing on any failed operation or
-#      missing metric — so a PR that breaks a symbol the benchmark uses, or
-#      a cell it sweeps, learns it here (~20 s) rather than when the
-#      pipeline's benchmark run dies.
+#      Build/Transpose groups — the cells EXPERIMENTS.md "Reproducing" lists
+#      as `go test -run '^$' -bench ... -count=4 .` lines) runs exactly one
+#      iteration at the test scale, so a signature drift or a panic on a
+#      bench-only path fails the gate instead of surfacing months later in a
+#      measurement run.
+#  15. (cd benchmark && go vet ./... && go test -skip '^TestSmoke$' ./...)
+#      the benchmark-module tier: gapmark is a Go module of its own below the
+#      root module, so `./...` above never enters it. It imports this
+#      module's packages (verify.Triangles, core.LoadCachedInput/
+#      PrepareViews/Input, graph.Arena, lagraph.New/BFSWithPolicy,
+#      serve.Request/Response/NewPool, par.NewMachine, ...), so a PR that
+#      breaks a symbol the benchmark uses learns it here rather than when the
+#      pipeline's benchmark run dies. TestSmoke — both workloads end to end,
+#      failing on any failed operation or missing metric — already ran in
+#      tier 13, armed; the driver's own tests (benchmark/drive: the
+#      schedule, due-instant latency, the SLO staircase; benchmark/measure:
+#      the percentile's minimum-sample rule) run here.
 #
 # Any failure stops the script with a non-zero exit.
 
@@ -170,52 +180,13 @@ grep -q 'tune: tuned 0 schedules, reused 1' "$TDIR/second.log" || {
 }
 echo "schedule store persisted and reloaded ok"
 
-say "gapd serving smoke tier (daemon + mixed burst + SIGTERM drain)"
-go build -tags=servecheck -o "$TDIR/gapd" ./cmd/gapd
-go build -o "$TDIR/workload" ./cmd/workload
-"$TDIR/gapd" -listen "unix:$TDIR/gapd.sock" -graphfile "$SGFILES" -pool 2 -workers 2 \
-    2>"$TDIR/gapd.log" &
-GAPD_PID=$!
-for _i in $(seq 1 100); do
-    [ -S "$TDIR/gapd.sock" ] && break
-    sleep 0.1
-done
-[ -S "$TDIR/gapd.sock" ] || { echo "gapd never bound its socket:" >&2; cat "$TDIR/gapd.log" >&2; exit 1; }
-"$TDIR/workload" -addr "unix:$TDIR/gapd.sock" -clients 8 -duration 3s -zipf 1.3 \
-    >"$TDIR/drive.log" 2>&1 || { cat "$TDIR/drive.log" >&2; exit 1; }
-# The gate: every response is either OK or a deliberate shed — a failed
-# query (deadline, panic, bad request) under plain load is a serving bug.
-grep -q 'failed 0)' "$TDIR/drive.log" || {
-    echo "gapd smoke burst produced failed responses:" >&2
-    cat "$TDIR/drive.log" >&2
-    exit 1
-}
-# The driver's last act is the stats op. PR and CC are 40% of the default
-# mix: each (graph, framework) pair may cost one PageRank and one CC run, and
-# every other such query must have been a snapshot hit.
-NGRAPHS=$(ls "$GDIR"/*.sg | wc -l)
-snap_builds=$(sed -n 's/^daemon: .*snapshot_builds=\([0-9]*\).*/\1/p' "$TDIR/drive.log")
-snap_hits=$(sed -n 's/^daemon: .*snapshot_hits=\([0-9]*\).*/\1/p' "$TDIR/drive.log")
-if [ -z "$snap_builds" ] || [ "$snap_builds" -gt $(( NGRAPHS * 2 )) ] || [ "${snap_hits:-0}" -le 0 ]; then
-    echo "gapd recomputed whole-graph kernels per query: snapshot_builds=${snap_builds:-?} (limit $(( NGRAPHS * 2 ))) snapshot_hits=${snap_hits:-?}" >&2
-    cat "$TDIR/drive.log" >&2
-    kill "$GAPD_PID" 2>/dev/null || true
-    exit 1
-fi
-drain_start=$(date +%s)
-kill -TERM "$GAPD_PID"
-wait "$GAPD_PID" || { echo "gapd exited non-zero on SIGTERM drain:" >&2; cat "$TDIR/gapd.log" >&2; exit 1; }
-drain_elapsed=$(( $(date +%s) - drain_start ))
-if [ "$drain_elapsed" -gt 10 ]; then
-    echo "gapd drain took ${drain_elapsed}s, budget is 10s" >&2
-    exit 1
-fi
-echo "gapd smoke ok ($(grep -o 'queries [0-9]*' "$TDIR/drive.log" | head -1), $snap_builds snapshot builds, $snap_hits hits, drained in ${drain_elapsed}s)"
+say "gapd serving smoke tier (servecheck gapd under gapmark's driver: both traffic shapes + SIGTERM drain)"
+(cd benchmark && GOFLAGS=-tags=servecheck go test -count=1 -run '^TestSmoke$' ./cmd/gapmark/)
 
 say "benchmark bit-rot guard (go test -run='^$' -bench=. -benchtime=1x)"
 go test -run='^$' -bench=. -benchtime=1x .
 
-say "benchmark-module tier (cd benchmark && go vet ./... && go test ./...)"
-(cd benchmark && go vet ./... && go test ./...)
+say "benchmark-module tier (cd benchmark && go vet ./... && go test -skip '^TestSmoke$' ./...)"
+(cd benchmark && go vet ./... && go test -skip '^TestSmoke$' ./...)
 
 say "all checks passed"
