@@ -19,14 +19,16 @@
 //	                       fault model sanctions no silent swallowing
 //	graph-mutation         no stores through CSR memory derived from *graph.Graph
 //	                       outside internal/graph (shared graphs are immutable)
+//	arena-escape           no graph-derived slice may be used, returned, or
+//	                       retained past Graph.Close (the arena is unmapped)
 //	cancel-liveness        data-dependent kernel loops must reach a cancellation
 //	                       poll or a par schedule
-//	lease-return           every pool Acquire must settle its lease (Release or
-//	                       Abandon) on all paths, panics included
 //
-// Six of these are dataflow rules: they run on a module-wide call graph
-// built from per-function fact summaries (see internal/analysis/facts.go
-// and writeset.go), so a violation may be reported in a function that looks
+// Seven of these twelve are dataflow rules (timed-region-purity,
+// atomic-plain-mix, lock-order, alloc-in-timed-region, graph-mutation,
+// arena-escape, cancel-liveness): they run on a module-wide call graph built
+// from per-function fact summaries (see internal/analysis/facts.go and
+// writeset.go), so a violation may be reported in a function that looks
 // innocent on its own — the message names the chain that convicts it.
 //
 // Four more rules run only under -perf, because they need a compiler run:
@@ -49,8 +51,9 @@
 //	gapvet [flags] [patterns]
 //
 // Patterns default to ./... from the module root; "dir", "dir/...", and
-// module-path forms are accepted. Each rule has an enable/disable flag named
-// after it (e.g. -par-closure-race=false). Findings print one per line as
+// module-path forms are accepted. The flags are -perf, -json, -root and
+// -list; every rule always runs (the four compiler-assisted ones under -perf
+// only). Findings print one per line as
 //
 //	file:line: [rule] message
 //
@@ -60,9 +63,11 @@
 //
 //	//gapvet:ignore rule-name -- why this is safe
 //
-// Exit status: 0 clean, 1 findings, 2 usage or load error — including a -perf
-// harvest in which a package failed to build: the perf rules would otherwise
-// pass vacuously over facts the compiler never produced.
+// Exit status: 0 clean, 1 findings, 2 usage or load error — including a
+// //gapvet:ignore naming a rule that does not exist (a deleted or renamed
+// rule must take its suppressions with it), and a -perf harvest in which a
+// package failed to build: the perf rules would otherwise pass vacuously over
+// facts the compiler never produced.
 package main
 
 import (
@@ -80,7 +85,7 @@ func main() {
 }
 
 // run is the testable entry point: parse flags, load packages, apply the
-// enabled rules, print findings.
+// rules, print findings.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("gapvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -92,10 +97,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	root := fs.String("root", "", "module root directory (default: nearest go.mod above the working directory)")
 	perf := fs.Bool("perf", false, "run the compiler-assisted perf rules (invokes 'go build' with diagnostic flags)")
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array on stdout")
-	enabled := map[string]*bool{}
-	for _, a := range analysis.Analyzers() {
-		enabled[a.Name] = fs.Bool(a.Name, true, a.Doc)
-	}
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -105,17 +106,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%-22s %s\n", a.Name, a.Doc)
 		}
 		return 0
-	}
-
-	var active []*analysis.Analyzer
-	for _, a := range analysis.Analyzers() {
-		if *enabled[a.Name] {
-			active = append(active, a)
-		}
-	}
-	if len(active) == 0 {
-		fmt.Fprintln(stderr, "gapvet: all rules disabled, nothing to do")
-		return 2
 	}
 
 	dir := *root
@@ -162,7 +152,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	diags := analysis.RunWithCompilerFacts(pkgs, active, cfacts)
+	diags, err := analysis.Run(pkgs, analysis.Analyzers(), cfacts)
+	if err != nil {
+		fmt.Fprintf(stderr, "gapvet: %v\n", err)
+		return 2
+	}
 	if *jsonOut {
 		if err := writeJSON(stdout, diags); err != nil {
 			fmt.Fprintf(stderr, "gapvet: %v\n", err)

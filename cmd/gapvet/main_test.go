@@ -105,44 +105,6 @@ func TestJSONClean(t *testing.T) {
 	}
 }
 
-// TestRuleDisableFlags checks the per-rule enable/disable flags: disabling a
-// rule removes exactly its findings.
-func TestRuleDisableFlags(t *testing.T) {
-	_, all, _ := gapvet(t, fixtureArgs(t, "-perf")...)
-	for _, a := range analysis.Analyzers() {
-		t.Run(a.Name, func(t *testing.T) {
-			code, out, _ := gapvet(t, fixtureArgs(t, "-perf", "-"+a.Name+"=false")...)
-			if strings.Contains(out, "["+a.Name+"]") {
-				t.Errorf("-%s=false still produced %s findings:\n%s", a.Name, a.Name, out)
-			}
-			if code != 1 {
-				t.Errorf("other rules should still fire, exit = %d", code)
-			}
-			// Every other rule's findings must be untouched.
-			for _, line := range strings.Split(strings.TrimSpace(all), "\n") {
-				if !strings.Contains(line, "["+a.Name+"]") && !strings.Contains(out, line) {
-					t.Errorf("disabling %s also dropped %q", a.Name, line)
-				}
-			}
-		})
-	}
-}
-
-// TestAllRulesDisabled is a usage error, not a silent pass.
-func TestAllRulesDisabled(t *testing.T) {
-	var flags []string
-	for _, a := range analysis.Analyzers() {
-		flags = append(flags, "-"+a.Name+"=false")
-	}
-	code, _, stderr := gapvet(t, fixtureArgs(t, flags...)...)
-	if code != 2 {
-		t.Errorf("exit = %d, want 2", code)
-	}
-	if !strings.Contains(stderr, "all rules disabled") {
-		t.Errorf("stderr = %q", stderr)
-	}
-}
-
 // TestListFlag prints the rule catalogue.
 func TestListFlag(t *testing.T) {
 	code, stdout, _ := gapvet(t, "-list")

@@ -1,5 +1,6 @@
 // Package gap is a gapvet test fixture (never built): it prints from a
-// kernel package (timed-region-purity), allocates on a spawned hot path
+// kernel package, once through a method on an os package variable
+// (timed-region-purity), allocates on a spawned hot path
 // directly and through a cross-package call (alloc-in-timed-region), and
 // reaches the OS through the sibling kernel package, which the transitive
 // purity rule reports at the kernel-side call site.
@@ -7,6 +8,7 @@ package gap
 
 import (
 	"fmt"
+	"os"
 
 	"gapbench/cmd/gapvet/testdata/src/kernel"
 )
@@ -36,4 +38,10 @@ func HotAlloc(out [][]int64) {
 // chain at this call site, naming its endpoint.
 func Dump(name string) error {
 	return kernel.Spill(name)
+}
+
+// Progress writes through a method on an os package variable: I/O with no
+// pkg.Func call in sight.
+func Progress() {
+	_, _ = os.Stderr.WriteString("level done\n")
 }

@@ -46,7 +46,7 @@ var AllocInTimedRegion = &Analyzer{
 
 func runAllocInTimedRegion(pass *Pass) {
 	prog := pass.Prog
-	if prog == nil || !timedPurityPackages[lastSegment(pass.Pkg.Path)] {
+	if prog == nil || !hasRole(pass.Pkg.Path, roleTimed) {
 		return
 	}
 	type finding struct {
@@ -54,13 +54,13 @@ func runAllocInTimedRegion(pass *Pass) {
 		msg string
 	}
 	var findings []finding
-	for _, s := range prog.FuncsInPackage(pass.Pkg.Path) {
+	for _, s := range prog.FuncsIn(pass.Pkg) {
 		// Timed-origin concurrency only: the harness's per-trial sandbox
 		// goroutine (internal/core) wraps whole kernel invocations for
 		// fault isolation and must not drag every kernel entry point onto
 		// the "hot path" — those setup allocations are deliberately timed
 		// and paid alike by every framework.
-		funcConcurrent := prog.ConcurrentFromTimed(s.ID)
+		funcConcurrent := prog.concurrentTimed[s.ID]
 		// Direct allocation sites.
 		for _, a := range s.Allocs {
 			if a.What == "append" {
@@ -95,16 +95,16 @@ func runAllocInTimedRegion(pass *Pass) {
 			if callee == nil || callee.PkgPath == pass.Pkg.Path {
 				continue
 			}
-			if timedPurityPackages[lastSegment(callee.PkgPath)] {
+			if hasRole(callee.PkgPath, roleTimed) {
 				continue // the callee's own package reports it
 			}
-			what, pos, ok := prog.TransAlloc(c.Callee)
-			if !ok {
+			alloc := prog.transAlloc[c.Callee]
+			if alloc == nil {
 				continue
 			}
-			at := pass.Pkg.Fset.Position(pos)
+			at := pass.Pkg.Fset.Position(alloc.Pos)
 			findings = append(findings, finding{c.Pos,
-				"call to " + prog.ShortName(c.Callee) + " allocates (" + what + " at " + at.Filename + ":" + strconv.Itoa(at.Line) +
+				"call to " + prog.ShortName(c.Callee) + " allocates (" + alloc.What + " at " + at.Filename + ":" + strconv.Itoa(at.Line) +
 					") on the parallel hot path of timed kernel package " + lastSegment(pass.Pkg.Path) +
 					": hoist the allocation to setup, or justify with //gapvet:ignore alloc-in-timed-region"})
 		}

@@ -12,11 +12,64 @@ package analysis
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"go/token"
 	"slices"
 	"strings"
 )
+
+// pkgRole is a set of roles a package plays in the paper's methodology; the
+// rules scope themselves by role, never by a package list of their own.
+type pkgRole uint8
+
+const (
+	// roleFramework: one of the six framework reproductions. The comparison
+	// is only valid while these stay independent of each other
+	// (framework-isolation).
+	roleFramework pkgRole = 1 << iota
+	// roleTimed: non-test code runs inside the benchmark's timed regions —
+	// the harness times f.BFS(...) et al. with time.Now() around the call, so
+	// I/O or per-element allocation here lands inside the measurement
+	// (timed-region-purity, alloc-in-timed-region, the -perf rules).
+	roleTimed
+	// roleIndex64: GraphBLAS-side code whose indices the GAP spec mandates to
+	// be 64-bit (index-width).
+	roleIndex64
+	// rolePolled: data-dependent loops must observe cancellation
+	// (cancel-liveness). par is excluded — its schedules poll the installed
+	// token themselves and are exactly what makes a kernel loop live — and so
+	// is grb, whose operations run under lagraph's polled round loops.
+	rolePolled
+	// rolePerf: hot loops are perf-lint territory without being timed; only
+	// gapvet's own fixture carries it alone.
+	rolePerf
+
+	roleKernel = roleFramework | roleTimed | rolePolled
+)
+
+// pkgRoles is the one registry of package roles, keyed by the last element
+// of the import path.
+var pkgRoles = map[string]pkgRole{
+	"gap":      roleKernel,
+	"galois":   roleKernel,
+	"graphit":  roleKernel,
+	"gkc":      roleKernel,
+	"nwgraph":  roleKernel,
+	"lagraph":  roleKernel | roleIndex64,
+	"grb":      roleTimed | roleIndex64,
+	"par":      roleTimed,
+	"frontier": roleTimed | rolePolled,
+	// gapvet fixture packages (cmd/gapvet/testdata/src).
+	"spin":    rolePolled,
+	"hotpath": rolePerf,
+}
+
+// hasRole reports whether the package at the import path plays any of the
+// roles.
+func hasRole(path string, roles pkgRole) bool {
+	return pkgRoles[lastSegment(path)]&roles != 0
+}
 
 // Diagnostic is one finding: a position, the rule that fired, and a message.
 type Diagnostic struct {
@@ -33,8 +86,8 @@ func (d Diagnostic) String() string {
 
 // Analyzer is one named rule.
 type Analyzer struct {
-	// Name is the rule identifier used in output, flags, and
-	// //gapvet:ignore comments.
+	// Name is the rule identifier used in output and //gapvet:ignore
+	// comments.
 	Name string
 	// Doc is a one-line description of the invariant the rule protects.
 	Doc string
@@ -44,9 +97,8 @@ type Analyzer struct {
 	NeedsFacts bool
 	// NeedsCompilerFacts marks the perf rules that join harvested compiler
 	// diagnostics against the Program. These analyzers are skipped — not
-	// failed — when no harvest was supplied (Run instead of
-	// RunWithCompilerFacts), so the default gapvet invocation stays a pure
-	// AST/type pass with no compiler dependency.
+	// failed — when Run is given no harvest, so the default gapvet invocation
+	// stays a pure AST/type pass with no compiler dependency.
 	NeedsCompilerFacts bool
 	// Run inspects one package and reports findings through the pass.
 	Run func(*Pass)
@@ -75,9 +127,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Analyzers returns the full rule set in canonical order: the v1 syntactic
-// rules first, then the v2 interprocedural (dataflow-engine) rules, then the
-// v3 write-set/liveness rules.
+// Analyzers returns the full rule set in canonical order: the syntactic and
+// dataflow rules, then the four compiler-assisted -perf rules.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		FrameworkIsolation,
@@ -92,7 +143,6 @@ func Analyzers() []*Analyzer {
 		GraphMutation,
 		ArenaEscape,
 		CancelLiveness,
-		LeaseReturn,
 		EscapeInKernel,
 		ClosureCaptureHot,
 		BCEMiss,
@@ -113,16 +163,12 @@ func ByName(name string) *Analyzer {
 // Run applies the given analyzers to the packages, honoring
 // //gapvet:ignore suppressions, and returns the surviving diagnostics
 // sorted by position. When any analyzer needs interprocedural facts, the
-// module-wide Program is built once over all packages and shared.
-// Analyzers that need compiler facts are skipped; use RunWithCompilerFacts.
-func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	return RunWithCompilerFacts(pkgs, analyzers, nil)
-}
-
-// RunWithCompilerFacts is Run with a harvested compiler-diagnostics table
-// for the perf rules. With cf == nil, analyzers needing compiler facts are
-// skipped entirely — they neither run nor force the Program build.
-func RunWithCompilerFacts(pkgs []*Package, analyzers []*Analyzer, cf *CompilerFacts) []Diagnostic {
+// module-wide Program is built once over all packages and shared. cf is the
+// harvested compiler-diagnostics table for the perf rules; with cf == nil,
+// analyzers needing compiler facts are skipped entirely — they neither run
+// nor force the Program build. The error reports //gapvet:ignore directives
+// that name no rule.
+func Run(pkgs []*Package, analyzers []*Analyzer, cf *CompilerFacts) ([]Diagnostic, error) {
 	var active []*Analyzer
 	for _, a := range analyzers {
 		if a.NeedsCompilerFacts && cf == nil {
@@ -138,8 +184,10 @@ func RunWithCompilerFacts(pkgs []*Package, analyzers []*Analyzer, cf *CompilerFa
 		}
 	}
 	var diags []Diagnostic
+	var bad []error
 	for _, pkg := range pkgs {
-		ignores := collectIgnores(pkg)
+		ignores, err := collectIgnores(pkg)
+		bad = append(bad, err)
 		sink := func(d Diagnostic) {
 			if !ignores.matches(d) {
 				diags = append(diags, d)
@@ -165,7 +213,7 @@ func RunWithCompilerFacts(pkgs []*Package, analyzers []*Analyzer, cf *CompilerFa
 		}
 		return cmp.Compare(a.Rule, b.Rule)
 	})
-	return diags
+	return diags, errors.Join(bad...)
 }
 
 // ignoreSet records //gapvet:ignore directives per file and line. A
@@ -179,8 +227,13 @@ type ignoreSet map[string]map[int][]string // file -> line -> rules ("" = all)
 //	//gapvet:ignore                      suppress every rule here
 //	//gapvet:ignore rule1,rule2          suppress the listed rules
 //	//gapvet:ignore rule -- free text    trailing justification is encouraged
-func collectIgnores(pkg *Package) ignoreSet {
+//
+// A directive naming a rule that does not exist is an error, not a directive
+// that silently matches nothing: deleting or renaming a rule flushes its
+// suppressions.
+func collectIgnores(pkg *Package) (ignoreSet, error) {
 	set := ignoreSet{}
+	var bad []error
 	for _, f := range pkg.Files {
 		for _, cg := range f.AST.Comments {
 			for _, c := range cg.List {
@@ -195,13 +248,17 @@ func collectIgnores(pkg *Package) ignoreSet {
 				if i := strings.Index(rest, "--"); i >= 0 {
 					rest = rest[:i]
 				}
+				pos := pkg.Fset.Position(c.Pos())
 				var rules []string
 				for _, r := range strings.Split(rest, ",") {
-					if r = strings.TrimSpace(r); r != "" {
-						rules = append(rules, r)
+					if r = strings.TrimSpace(r); r == "" {
+						continue
 					}
+					if ByName(r) == nil {
+						bad = append(bad, fmt.Errorf("%s:%d: //gapvet:ignore names unknown rule %q", pos.Filename, pos.Line, r))
+					}
+					rules = append(rules, r)
 				}
-				pos := pkg.Fset.Position(c.Pos())
 				if set[pos.Filename] == nil {
 					set[pos.Filename] = map[int][]string{}
 				}
@@ -212,7 +269,7 @@ func collectIgnores(pkg *Package) ignoreSet {
 			}
 		}
 	}
-	return set
+	return set, errors.Join(bad...)
 }
 
 // matches reports whether the diagnostic is suppressed by a directive on

@@ -115,7 +115,6 @@ func TestAnalyzerRegistry(t *testing.T) {
 		"timed-region-purity", "unchecked-error",
 		"atomic-plain-mix", "lock-order", "alloc-in-timed-region",
 		"swallowed-panic", "graph-mutation", "arena-escape", "cancel-liveness",
-		"lease-return",
 		"escape-in-kernel", "closure-capture-hot", "bce-miss", "inline-miss",
 	}
 	if len(seen) != len(want) {
@@ -125,5 +124,22 @@ func TestAnalyzerRegistry(t *testing.T) {
 		if !seen[name] {
 			t.Errorf("missing analyzer %q", name)
 		}
+	}
+}
+
+// TestUnknownIgnoreRule: a directive naming a rule that does not exist is an
+// error carrying file:line and the name — not a suppression that silently
+// matches nothing — so a deleted or renamed rule takes its directives along.
+func TestUnknownIgnoreRule(t *testing.T) {
+	pkg := loadFixture(t, "gapbench/internal/demo", map[string]string{"bad.go": `package demo
+
+func F() {} //gapvet:ignore index-width,lease-return -- names a rule deleted in PR 23
+`})
+	_, err := Run([]*Package{pkg}, Analyzers(), nil)
+	if err == nil || !strings.Contains(err.Error(), "bad.go:3:") || !strings.Contains(err.Error(), `"lease-return"`) {
+		t.Fatalf("want an error naming bad.go:3 and the unknown rule, got %v", err)
+	}
+	if strings.Contains(err.Error(), "index-width") {
+		t.Errorf("the live rule in the same directive must not be reported: %v", err)
 	}
 }

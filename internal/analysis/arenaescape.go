@@ -69,19 +69,13 @@ func checkArenaEscape(pass *Pass, prog *Program, fn *types.Func, fd *ast.FuncDec
 	// return/retention checks but establish no in-body position.
 	closePos := token.NoPos
 	closes := false
-	var stack []ast.Node
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return false
-		}
+	walkStack(fd.Body, func(n ast.Node, stack []ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok && isGraphMethodCall(pass.Pkg, call, graphCloseMethods) {
 			closes = true
 			if !underDefer(stack) && (closePos == token.NoPos || call.Pos() < closePos) {
 				closePos = call.Pos()
 			}
 		}
-		stack = append(stack, n)
 		return true
 	})
 	if !closes {
@@ -108,12 +102,7 @@ func checkArenaEscape(pass *Pass, prog *Program, fn *types.Func, fd *ast.FuncDec
 		}
 		return false
 	}
-	stack = stack[:0]
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return false
-		}
+	walkStack(fd.Body, func(n ast.Node, stack []ast.Node) bool {
 		switch t := n.(type) {
 		case *ast.Ident:
 			// A read of a graph-derived local after the arena was released.
@@ -149,20 +138,8 @@ func checkArenaEscape(pass *Pass, prog *Program, fn *types.Func, fd *ast.FuncDec
 				}
 			}
 		}
-		stack = append(stack, n)
 		return true
 	})
-}
-
-// underDefer reports whether the ancestor stack passes through a defer
-// statement (directly or inside a deferred function literal).
-func underDefer(stack []ast.Node) bool {
-	for _, n := range stack {
-		if _, ok := n.(*ast.DeferStmt); ok {
-			return true
-		}
-	}
-	return false
 }
 
 // isAssignTarget reports whether id is the immediate left-hand side of the

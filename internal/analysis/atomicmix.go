@@ -63,7 +63,7 @@ func runAtomicPlainMix(pass *Pass) {
 		key     VarKey
 	}
 	var findings []finding
-	for _, s := range prog.FuncsInPackage(pass.Pkg.Path) {
+	for _, s := range prog.FuncsIn(pass.Pkg) {
 		reported := map[VarKey]bool{}
 		for _, a := range s.Accesses {
 			if a.Kind == AtomicAccess || reported[a.Key] {
@@ -72,7 +72,7 @@ func runAtomicPlainMix(pass *Pass) {
 			if _, mixed := atomicSite[a.Key]; !mixed {
 				continue
 			}
-			if !prog.ConcurrentAccess(s, a) {
+			if !prog.concurrentCtx(a.ctx) && !prog.concurrent[s.ID] {
 				continue
 			}
 			reported[a.Key] = true

@@ -8,25 +8,9 @@ import (
 	"strings"
 )
 
-// cancelLivenessPackages are the packages whose data-dependent loops must
-// observe cancellation: the six framework reproductions. The par substrate
-// is excluded — its schedules poll the installed token themselves and are
-// exactly what makes a kernel loop live — and so is grb, whose operations
-// run under lagraph's polled round loops. "spin" is the gapvet fixture
-// package exercising this rule.
-var cancelLivenessPackages = map[string]bool{
-	"gap":      true,
-	"galois":   true,
-	"graphit":  true,
-	"gkc":      true,
-	"lagraph":  true,
-	"nwgraph":  true,
-	"spin":     true,
-	"frontier": true,
-}
-
-// CancelLiveness flags kernel loops that can spin forever after the harness
-// cancels a trial: a condition-only (or infinite) `for` loop whose trip
+// CancelLiveness flags kernel loops (rolePolled packages: the six framework
+// reproductions and the shared frontier library) that can spin forever after
+// the harness cancels a trial: a condition-only (or infinite) `for` loop whose trip
 // count is data-dependent — frontier drains, worklist pulls, fixed-point
 // rounds — and whose condition and body never reach Options.Cancelled(),
 // par.CancelToken.Cancelled(), Machine.Interrupted(), or a par schedule
@@ -56,7 +40,7 @@ var CancelLiveness = &Analyzer{
 
 func runCancelLiveness(pass *Pass) {
 	prog := pass.Prog
-	if prog == nil || !cancelLivenessPackages[lastSegment(pass.Pkg.Path)] {
+	if prog == nil || !hasRole(pass.Pkg.Path, rolePolled) {
 		return
 	}
 	type finding struct {
@@ -86,14 +70,12 @@ func runCancelLiveness(pass *Pass) {
 				// token and the machine drains workers on cancellation.
 				continue
 			}
-			var stack []ast.Node
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if n == nil {
-					stack = stack[:len(stack)-1]
-					return false
-				}
+			walkStack(fd.Body, func(n ast.Node, stack []ast.Node) bool {
 				if loop, ok := n.(*ast.ForStmt); ok && loop.Post == nil {
-					if !inSpawnedClosure(pass.Pkg, prog, stack) &&
+					// A loop inside a goroutine or a closure handed to a
+					// spawning callee is worker-loop code: the spawning
+					// region owns its cancellation.
+					if !prog.concurrentCtx(spawnContext(pass.Pkg, stack)) &&
 						loopHasCalls(pass.Pkg, loop) &&
 						!loopIsCASRetry(pass.Pkg, loop) &&
 						!loopReachesCancel(prog, sum, loop) {
@@ -104,7 +86,6 @@ func runCancelLiveness(pass *Pass) {
 						})
 					}
 				}
-				stack = append(stack, n)
 				return true
 			})
 		}
@@ -113,36 +94,6 @@ func runCancelLiveness(pass *Pass) {
 	for _, f := range findings {
 		pass.Reportf(f.pos, "%s", f.msg)
 	}
-}
-
-// inSpawnedClosure reports whether the ancestor stack places the node inside
-// a goroutine body or a function literal handed to a spawning callee
-// (par.For and everything built on it): worker-loop code, whose cancellation
-// the spawning region owns.
-func inSpawnedClosure(pkg *Package, prog *Program, stack []ast.Node) bool {
-	for i, n := range stack {
-		switch n.(type) {
-		case *ast.GoStmt:
-			return true
-		case *ast.FuncLit:
-			if i == 0 {
-				continue
-			}
-			call, ok := stack[i-1].(*ast.CallExpr)
-			if !ok {
-				continue
-			}
-			for _, arg := range call.Args {
-				if arg == n {
-					if callee, ok2 := calleeOf(pkg, call); ok2 && prog.SpawnsGo(callee) {
-						return true
-					}
-					break
-				}
-			}
-		}
-	}
-	return false
 }
 
 // loopHasCalls reports whether the loop's condition or body contains a real
@@ -216,7 +167,7 @@ func loopReachesCancel(prog *Program, sum *FuncSummary, loop *ast.ForStmt) bool 
 		if c.Pos < loop.Pos() || c.Pos >= loop.End() {
 			continue
 		}
-		if isCancelPoll(c.Callee) || prog.ReachesCancelPoll(c.Callee) || prog.SpawnsGo(c.Callee) {
+		if prog.reachesCancel[c.Callee] || prog.SpawnsGo(c.Callee) {
 			return true
 		}
 	}

@@ -28,69 +28,24 @@ var ParClosureRace = &Analyzer{
 
 func runParClosureRace(pass *Pass) {
 	pkg := pass.Pkg
-	parPath := pkg.Module + "/internal/par"
 	for _, f := range pkg.Files {
-		ast.Inspect(f.AST, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			helper, ok := parHelperName(pkg, call, parPath)
-			if !ok {
-				return true
-			}
-			for _, arg := range call.Args {
-				if fl, ok := arg.(*ast.FuncLit); ok {
-					checkParClosure(pass, helper, fl)
+		walkStack(f.AST, func(n ast.Node, stack []ast.Node) bool {
+			// A literal handed to anything internal/par declares — a
+			// package-level shim (par.For, par.ForDynamic, ...) or a method
+			// (exec.ForDynamic, opt.Exec().ReduceInt64, h.Scatter): it runs
+			// on the machine's pool goroutines either way. The rule stays
+			// type-based rather than asking the Program which callees spawn,
+			// so it works on packages loaded without internal/par.
+			if fl, ok := n.(*ast.FuncLit); ok {
+				if call, asArg := consumer(fl, stack); asArg {
+					if fn := moduleFunc(pkg, call.Fun); fn != nil && fn.Pkg().Path() == pkg.Module+"/internal/par" {
+						checkParClosure(pass, fn.Name(), fl)
+					}
 				}
 			}
 			return true
 		})
 	}
-}
-
-// parHelperName reports whether call invokes a helper of internal/par —
-// either a package-level shim (par.For, par.ForDynamic, ...) or a method on
-// *par.Machine (exec.ForDynamic, opt.Exec().ReduceInt64, ...) — and returns
-// its name. Machine methods matter as much as the shims: the closure runs on
-// the machine's pool goroutines either way, so the same race rules apply.
-func parHelperName(pkg *Package, call *ast.CallExpr, parPath string) (string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	// Method form: the selector resolves to a method whose receiver is
-	// par.Machine (by value or pointer). The receiver expression can be
-	// anything — a local `exec`, a field, or a call like opt.Exec().
-	if fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func); ok {
-		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-			rt := sig.Recv().Type()
-			if ptr, ok := rt.(*types.Pointer); ok {
-				rt = ptr.Elem()
-			}
-			if named, ok := rt.(*types.Named); ok {
-				if obj := named.Obj(); obj.Name() == "Machine" && obj.Pkg() != nil && obj.Pkg().Path() == parPath {
-					return sel.Sel.Name, true
-				}
-			}
-		}
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return "", false
-	}
-	if pn, ok := pkg.Info.Uses[id].(*types.PkgName); ok {
-		if pn.Imported().Path() == parPath {
-			return sel.Sel.Name, true
-		}
-		return "", false
-	}
-	// Fallback when type information is incomplete (broken fixtures): accept
-	// the conventional package name.
-	if id.Name == "par" && pkg.Info.Uses[id] == nil && pkg.Info.Defs[id] == nil {
-		return sel.Sel.Name, true
-	}
-	return "", false
 }
 
 // checkParClosure inspects one closure passed to a par helper.

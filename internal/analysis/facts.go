@@ -5,8 +5,13 @@ package analysis
 // shared-state accesses, allocations, I/O, lock acquisitions) and stitches
 // the summaries into a module-wide call graph. Rules that need to see across
 // function boundaries (atomic-plain-mix, lock-order, alloc-in-timed-region,
-// the transitive half of timed-region-purity) query the resulting Program
-// instead of re-walking ASTs.
+// timed-region-purity, cancel-liveness, the -perf rules) query the resulting
+// Program instead of re-walking ASTs. It also holds the one copy of each
+// traversal helper every rule shares: the ancestry walk (walkStack), the
+// under-defer predicate, the "what consumes this function literal" predicate
+// (consumer, spawnContext), the direct-I/O catalogue (ioCall), and the two
+// call-graph fixpoints (closeOver for boolean facts, fixReach for "earliest
+// reaching site").
 //
 // The engine is deliberately a *summary* dataflow, not an SSA one: facts are
 // sets keyed by coarse variable identities, propagated to a fixpoint over
@@ -20,7 +25,8 @@ package analysis
 //   - struct fields: keyed by declaring package + field name + type, so the
 //     same field reached through different receiver objects unifies (that is
 //     what makes "Bitmap.words is CASed in SetAtomic but read plainly in
-//     Get" expressible at all);
+//     Get" expressible at all) — lock keys alone add the owning struct type
+//     (mutexOp), or every `mu sync.Mutex` of a package would be one lock;
 //   - locals and parameters: keyed by package + name + type, so the
 //     `parent []int32` a kernel allocates and the `parent []int32` its
 //     helper mutates unify across the call, without alias analysis.
@@ -165,19 +171,20 @@ type fieldUse struct {
 	ctx spawnCtx
 }
 
-// ioFact / allocFact are the propagated "this function (transitively)
-// performs X" facts, keeping one representative site plus the immediate
-// callee it was reached through ("" when direct).
-type ioFact struct {
+// reachFact is a propagated "this function (transitively) performs X" fact:
+// the earliest site of the kind that the function reaches (see fixReach).
+type reachFact struct {
 	What string
 	Pos  token.Pos
-	Via  FuncID
 }
 
-type allocFact struct {
-	What string
-	Pos  token.Pos
-	Via  FuncID
+// orEarlier returns the fact for the site at pos when it precedes f's (or f
+// is nil), else f.
+func (f *reachFact) orEarlier(what string, pos token.Pos) *reachFact {
+	if f == nil || pos < f.Pos {
+		return &reachFact{What: what, Pos: pos}
+	}
+	return f
 }
 
 // Program is the module-wide fact database: every function summary, the call
@@ -197,15 +204,15 @@ type Program struct {
 	// measured-loop overhead (alloc-in-timed-region) must not treat
 	// everything under it as spawned.
 	concurrentTimed map[FuncID]bool
-	transIO         map[FuncID]*ioFact
-	transAlloc      map[FuncID]*allocFact
-	transLocks      map[FuncID]map[VarKey]token.Pos
-	lockNames       map[VarKey]string
+	// transIO / transAlloc: the earliest direct-I/O call, and the earliest
+	// make/new, each function transitively reaches (nil when none).
+	transIO, transAlloc map[FuncID]*reachFact
+	transLocks          map[FuncID]map[VarKey]token.Pos
+	lockNames           map[VarKey]string
 	// writes holds the per-function write-set summaries (writeset.go).
 	writes map[FuncID]*writeFacts
-	// reachesCancel marks functions whose transitive call set contains a
-	// cancellation poll (a method named Cancelled or Interrupted); computed
-	// lazily by ReachesCancelPoll.
+	// reachesCancel marks the cancellation polls (isCancelPoll) and every
+	// function whose transitive call set contains one.
 	reachesCancel map[FuncID]bool
 }
 
@@ -256,8 +263,24 @@ func BuildProgram(pkgs []*Package) *Program {
 		p.fixConcurrent()
 	}
 	p.fixConcurrentTimed()
-	p.fixTransIO()
-	p.fixTransAlloc()
+	p.fixReachesCancel()
+	p.transIO = p.fixReach(func(s *FuncSummary) (best *reachFact) {
+		for _, io := range s.IO {
+			best = best.orEarlier(io.What, io.Pos)
+		}
+		return best
+	})
+	// Only make and new propagate across calls (append and closure creation
+	// are too pervasive to chase transitively without drowning the signal);
+	// all four count at the direct site.
+	p.transAlloc = p.fixReach(func(s *FuncSummary) (best *reachFact) {
+		for _, a := range s.Allocs {
+			if a.What == "make" || a.What == "new" {
+				best = best.orEarlier(a.What, a.Pos)
+			}
+		}
+		return best
+	})
 	p.fixTransLocks()
 	p.fixWriteSets(pkgs)
 	return p
@@ -271,36 +294,18 @@ func isCancelPoll(id FuncID) bool {
 	return strings.HasSuffix(string(id), ".Cancelled") || strings.HasSuffix(string(id), ".Interrupted")
 }
 
-// ReachesCancelPoll reports whether the function's transitive call set
-// contains a cancellation poll. The closure is computed once on first use.
-func (p *Program) ReachesCancelPoll(id FuncID) bool {
-	if p.reachesCancel == nil {
-		p.reachesCancel = map[FuncID]bool{}
-		for _, fid := range p.order {
-			for _, c := range p.Funcs[fid].Calls {
-				if isCancelPoll(c.Callee) {
-					p.reachesCancel[fid] = true
-					break
-				}
-			}
-		}
-		for changed := true; changed; {
-			changed = false
-			for _, fid := range p.order {
-				if p.reachesCancel[fid] {
-					continue
-				}
-				for _, c := range p.Funcs[fid].Calls {
-					if p.reachesCancel[c.Callee] {
-						p.reachesCancel[fid] = true
-						changed = true
-						break
-					}
-				}
+// fixReachesCancel seeds reachesCancel with the polls the module calls and
+// closes it over callers.
+func (p *Program) fixReachesCancel() {
+	p.reachesCancel = map[FuncID]bool{}
+	for _, id := range p.order {
+		for _, c := range p.Funcs[id].Calls {
+			if isCancelPoll(c.Callee) {
+				p.reachesCancel[c.Callee] = true
 			}
 		}
 	}
-	return p.reachesCancel[id]
+	p.closeOver(p.reachesCancel, true)
 }
 
 // ---------------------------------------------------------------------------
@@ -321,8 +326,11 @@ func summarize(pkg *Package, fd *ast.FuncDecl) *FuncSummary {
 		Locks:     map[VarKey]token.Pos{},
 		lockNames: map[VarKey]string{},
 	}
-	b := &summaryBuilder{pkg: pkg, s: s}
-	b.walk(fd.Body, nil)
+	b := &summaryBuilder{pkg: pkg, s: s, skipPlain: map[ast.Expr]bool{}}
+	walkStack(fd.Body, func(n ast.Node, stack []ast.Node) bool {
+		b.visit(n, stack)
+		return true
+	})
 	return s
 }
 
@@ -339,25 +347,6 @@ type summaryBuilder struct {
 	skipPlain map[ast.Expr]bool
 }
 
-// walk traverses n keeping the ancestor stack, recording facts.
-func (b *summaryBuilder) walk(n ast.Node, stack []ast.Node) {
-	if n == nil {
-		return
-	}
-	if b.skipPlain == nil {
-		b.skipPlain = map[ast.Expr]bool{}
-	}
-	ast.Inspect(n, func(node ast.Node) bool {
-		if node == nil {
-			stack = stack[:len(stack)-1]
-			return false
-		}
-		b.visit(node, stack)
-		stack = append(stack, node)
-		return true
-	})
-}
-
 // visit records the facts observable at one node.
 func (b *summaryBuilder) visit(node ast.Node, stack []ast.Node) {
 	switch n := node.(type) {
@@ -369,8 +358,9 @@ func (b *summaryBuilder) visit(node ast.Node, stack []ast.Node) {
 		// The literal itself allocates its capture environment where it is
 		// created; its body is walked with the literal on the stack, so
 		// facts inside it pick up the spawn context.
-		b.record(&b.s.Allocs, AllocSite{What: "func literal", Pos: n.Pos(),
-			ctx: b.spawnContext(stack), immediate: immediateFuncLit(n, stack)})
+		call, _ := consumer(n, stack)
+		b.s.Allocs = append(b.s.Allocs, AllocSite{What: "func literal", Pos: n.Pos(),
+			ctx: spawnContext(b.pkg, stack), immediate: call != nil})
 	case *ast.IndexExpr:
 		b.visitAccess(n, n.X, stack)
 	case *ast.SelectorExpr:
@@ -423,7 +413,7 @@ func (b *summaryBuilder) recordFuncFieldStore(id *ast.Ident) {
 // acquisitions, I/O, allocations, and call-graph edges.
 func (b *summaryBuilder) visitCall(call *ast.CallExpr, stack []ast.Node) {
 	info := b.pkg.Info
-	ctx := b.spawnContext(stack)
+	ctx := spawnContext(b.pkg, stack)
 
 	// Invocation of a func-typed struct field (runSlot's r.body(slot)): the
 	// raw material of the field-based spawn propagation. Recorded and fallen
@@ -444,7 +434,7 @@ func (b *summaryBuilder) visitCall(call *ast.CallExpr, stack []ast.Node) {
 		b.skipPlain[target] = true
 		if inner, ok := target.(*ast.UnaryExpr); ok && inner.Op == token.AND {
 			if key, disp, ok2 := b.rootKey(inner.X); ok2 {
-				b.record(&b.s.Accesses, Access{Key: key, Display: disp, Kind: AtomicAccess, Pos: call.Pos(), ctx: ctx})
+				b.s.Accesses = append(b.s.Accesses, Access{Key: key, Display: disp, Kind: AtomicAccess, Pos: call.Pos(), ctx: ctx})
 			}
 			b.markSkipped(inner.X)
 		}
@@ -468,11 +458,11 @@ func (b *summaryBuilder) visitCall(call *ast.CallExpr, stack []ast.Node) {
 				b.s.Locks[key] = call.Pos()
 			}
 			b.s.lockNames[key] = disp
-			if !inDefer(stack) {
+			if !underDefer(stack) {
 				b.held = append(b.held, key)
 			}
 		case "Unlock", "RUnlock":
-			if inDefer(stack) {
+			if underDefer(stack) {
 				break // deferred release: held to function exit
 			}
 			for i := len(b.held) - 1; i >= 0; i-- {
@@ -485,7 +475,7 @@ func (b *summaryBuilder) visitCall(call *ast.CallExpr, stack []ast.Node) {
 		return
 	}
 
-	// I/O catalogue (shared with timed-region-purity).
+	// Direct I/O (the catalogue timed-region-purity reports from).
 	if what, ok := ioCall(b.pkg, call); ok {
 		b.s.IO = append(b.s.IO, IOSite{What: what, Pos: call.Pos()})
 		return
@@ -496,7 +486,7 @@ func (b *summaryBuilder) visitCall(call *ast.CallExpr, stack []ast.Node) {
 		if obj := info.Uses[id]; obj != nil && obj.Parent() == types.Universe {
 			switch id.Name {
 			case "make", "new", "append":
-				b.record(&b.s.Allocs, AllocSite{What: id.Name, Pos: call.Pos(), ctx: ctx})
+				b.s.Allocs = append(b.s.Allocs, AllocSite{What: id.Name, Pos: call.Pos(), ctx: ctx})
 			}
 			return
 		}
@@ -552,17 +542,7 @@ func (b *summaryBuilder) recordAccess(key VarKey, disp string, e ast.Expr, stack
 	if isWriteContext(e, stack) {
 		kind = PlainWrite
 	}
-	b.record(&b.s.Accesses, Access{Key: key, Display: disp, Kind: kind, Pos: e.Pos(), ctx: b.spawnContext(stack)})
-}
-
-// record appends, in source order (ast.Inspect visits in position order).
-func (b *summaryBuilder) record(dst any, v any) {
-	switch d := dst.(type) {
-	case *[]Access:
-		*d = append(*d, v.(Access))
-	case *[]AllocSite:
-		*d = append(*d, v.(AllocSite))
-	}
+	b.s.Accesses = append(b.s.Accesses, Access{Key: key, Display: disp, Kind: kind, Pos: e.Pos(), ctx: spawnContext(b.pkg, stack)})
 }
 
 // markSkipped suppresses plain-access recording for e and its nested
@@ -585,30 +565,74 @@ func (b *summaryBuilder) markSkipped(e ast.Expr) {
 	}
 }
 
-// spawnContext derives the goroutine-spawning context of the current node
-// from the ancestor stack: enclosing go statements and function literals
-// passed as call arguments.
-func (b *summaryBuilder) spawnContext(stack []ast.Node) spawnCtx {
+// walkStack is the package's one ancestry walk: ast.Inspect handing every
+// node its ancestors (outermost first, the node itself excluded). Returning
+// false from visit prunes the node's subtree.
+func walkStack(root ast.Node, visit func(n ast.Node, stack []ast.Node) bool) {
+	var stack []ast.Node
+	ast.Inspect(root, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return false
+		}
+		if !visit(n, stack) {
+			return false
+		}
+		stack = append(stack, n)
+		return true
+	})
+}
+
+// underDefer reports whether the ancestor stack passes through a defer
+// statement (directly or inside a deferred function literal).
+func underDefer(stack []ast.Node) bool {
+	return slices.ContainsFunc(stack, func(n ast.Node) bool { _, ok := n.(*ast.DeferStmt); return ok })
+}
+
+// underFuncLit reports whether the ancestor stack passes through a function
+// literal.
+func underFuncLit(stack []ast.Node) bool {
+	return slices.ContainsFunc(stack, func(n ast.Node) bool { _, ok := n.(*ast.FuncLit); return ok })
+}
+
+// consumer returns the call that directly consumes function literal lit
+// (whose ancestors are stack): the call it is an argument of (asArg), or the
+// call that invokes it in place (func(){}(), go func(){}()). A nil call means
+// the literal is stored — assigned, appended, returned. Every "is this
+// closure handed to a spawner" question in the package is this plus a look
+// at the callee.
+func consumer(lit ast.Node, stack []ast.Node) (call *ast.CallExpr, asArg bool) {
+	if len(stack) == 0 {
+		return nil, false
+	}
+	call, ok := stack[len(stack)-1].(*ast.CallExpr)
+	if !ok {
+		return nil, false
+	}
+	if slices.ContainsFunc(call.Args, func(a ast.Expr) bool { return a == lit }) {
+		return call, true
+	}
+	if call.Fun == lit {
+		return call, false
+	}
+	return nil, false
+}
+
+// spawnContext derives the goroutine-spawning context of a node from its
+// ancestor stack: enclosing go statements, and the module callees that
+// enclosing function literals are handed to.
+func spawnContext(pkg *Package, stack []ast.Node) spawnCtx {
 	var ctx spawnCtx
 	for i, n := range stack {
-		switch t := n.(type) {
+		switch n.(type) {
 		case *ast.GoStmt:
 			ctx.insideGo = true
 		case *ast.FuncLit:
-			// Is this literal an argument of an enclosing call?
-			if i > 0 {
-				if call, ok := stack[i-1].(*ast.CallExpr); ok {
-					for _, arg := range call.Args {
-						if arg == n {
-							if callee, ok2 := calleeOf(b.pkg, call); ok2 {
-								ctx.spawners = append(ctx.spawners, callee)
-							}
-							break
-						}
-					}
+			if call, asArg := consumer(n, stack[:i]); asArg {
+				if callee, ok := calleeOf(pkg, call); ok {
+					ctx.spawners = append(ctx.spawners, callee)
 				}
 			}
-			_ = t
 		}
 	}
 	return ctx
@@ -748,11 +772,28 @@ func mutexOp(pkg *Package, call *ast.CallExpr) (VarKey, string, string, bool) {
 	if !ok {
 		return "", "", "", false
 	}
+	// A mutex that is a struct field is one lock per owning type: fieldKey
+	// alone would merge every `mu sync.Mutex` of a package into one lock
+	// (atomic-plain-mix wants that unification; lock-order must not have it).
+	if f, ok := ast.Unparen(sel.X).(*ast.SelectorExpr); ok {
+		if tv, ok := pkg.Info.Types[f.X]; ok && tv.Type != nil {
+			t := tv.Type
+			if ptr, ok := t.(*types.Pointer); ok {
+				t = ptr.Elem()
+			}
+			owner := types.TypeString(t, func(p *types.Package) string { return lastSegment(p.Path()) })
+			key += VarKey("@" + owner)
+			disp = owner + "." + f.Sel.Name
+		}
+	}
 	return key, disp, sel.Sel.Name, true
 }
 
-// ioCall reports whether call is a direct I/O operation from the
-// timed-region-purity catalogue, returning a display name.
+// ioCall is the direct-I/O catalogue: every call into package log or os
+// (methods on their package variables included: os.Stderr.WriteString), the
+// printing functions of fmt (Print*, Fprint*), and the print/println
+// builtins. Pure formatting (fmt.Sprintf, fmt.Errorf) is not I/O. Returns a
+// display name.
 func ioCall(pkg *Package, call *ast.CallExpr) (string, bool) {
 	switch fun := call.Fun.(type) {
 	case *ast.Ident:
@@ -761,7 +802,13 @@ func ioCall(pkg *Package, call *ast.CallExpr) (string, bool) {
 			return "builtin " + fun.Name, true
 		}
 	case *ast.SelectorExpr:
-		id, ok := fun.X.(*ast.Ident)
+		name := fun.Sel.Name
+		x := fun.X
+		if v, ok := x.(*ast.SelectorExpr); ok {
+			// A method on a package variable: os.Stderr.WriteString(...).
+			name, x = v.Sel.Name+"."+name, v.X
+		}
+		id, ok := x.(*ast.Ident)
 		if !ok {
 			return "", false
 		}
@@ -771,12 +818,12 @@ func ioCall(pkg *Package, call *ast.CallExpr) (string, bool) {
 		}
 		switch pn.Imported().Path() {
 		case "log":
-			return "log." + fun.Sel.Name, true
+			return "log." + name, true
 		case "os":
-			return "os." + fun.Sel.Name, true
+			return "os." + name, true
 		case "fmt":
-			if strings.HasPrefix(fun.Sel.Name, "Print") || strings.HasPrefix(fun.Sel.Name, "Fprint") {
-				return "fmt." + fun.Sel.Name, true
+			if strings.HasPrefix(name, "Print") || strings.HasPrefix(name, "Fprint") {
+				return "fmt." + name, true
 			}
 		}
 	}
@@ -785,42 +832,38 @@ func ioCall(pkg *Package, call *ast.CallExpr) (string, bool) {
 
 // calleeOf resolves a call to a module-internal named function or method.
 func calleeOf(pkg *Package, call *ast.CallExpr) (FuncID, bool) {
-	var obj types.Object
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		obj = pkg.Info.Uses[fun]
-	case *ast.SelectorExpr:
-		obj = pkg.Info.Uses[fun.Sel]
-	default:
-		return "", false
-	}
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return "", false
-	}
-	if !strings.HasPrefix(fn.Pkg().Path(), pkg.Module) {
-		return "", false
-	}
-	return FuncID(fn.FullName()), true
+	return funcValueOf(pkg, call.Fun)
 }
 
-// funcValueOf resolves an expression used as a value to a module function
-// (a named function passed as an argument).
+// funcValueOf resolves an expression to the module function it names: a
+// call's target, or a named function passed as an argument.
 func funcValueOf(pkg *Package, e ast.Expr) (FuncID, bool) {
+	if fn := moduleFunc(pkg, e); fn != nil {
+		return FuncID(fn.FullName()), true
+	}
+	return "", false
+}
+
+// moduleFunc is the typed form of funcValueOf, for rules that need the
+// signature.
+func moduleFunc(pkg *Package, e ast.Expr) *types.Func {
 	var obj types.Object
-	switch t := e.(type) {
+	switch t := ast.Unparen(e).(type) {
 	case *ast.Ident:
 		obj = pkg.Info.Uses[t]
 	case *ast.SelectorExpr:
 		obj = pkg.Info.Uses[t.Sel]
-	default:
-		return "", false
 	}
 	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() == nil || !strings.HasPrefix(fn.Pkg().Path(), pkg.Module) {
-		return "", false
+	if !ok || fn.Pkg() == nil || !inModule(fn.Pkg().Path(), pkg.Module) {
+		return nil
 	}
-	return FuncID(fn.FullName()), true
+	return fn
+}
+
+// inModule reports whether path is the module or a package below it.
+func inModule(path, module string) bool {
+	return module != "" && (path == module || strings.HasPrefix(path, module+"/"))
 }
 
 // displayFuncName renders a short human name for diagnostics: "Fn",
@@ -835,43 +878,30 @@ func displayFuncName(fn *types.Func) string {
 	return fn.Name()
 }
 
-// immediateFuncLit reports whether the literal is directly consumed by its
-// enclosing call: passed as an argument (par.For(n, func...)) or invoked in
-// place (go func(){}(), func(){}()). These are created once per phase or
-// spawn; only literals that are *stored* (assigned, appended, returned) can
-// churn per element on a hot path.
-func immediateFuncLit(lit *ast.FuncLit, stack []ast.Node) bool {
-	if len(stack) == 0 {
-		return false
-	}
-	call, ok := stack[len(stack)-1].(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	if call.Fun == lit {
-		return true
-	}
-	for _, arg := range call.Args {
-		if arg == lit {
-			return true
-		}
-	}
-	return false
-}
-
-// inDefer reports whether the ancestor stack passes through a defer
-// statement.
-func inDefer(stack []ast.Node) bool {
-	for _, n := range stack {
-		if _, ok := n.(*ast.DeferStmt); ok {
-			return true
-		}
-	}
-	return false
-}
-
 // ---------------------------------------------------------------------------
 // Fixpoints.
+
+// closeOver grows set to its closure over the call graph — the one boolean
+// fixpoint. With up set, a function joins when one of its callees is a member
+// ("transitively reaches a member"); otherwise every callee of a member joins
+// ("reachable from a member").
+func (p *Program) closeOver(set map[FuncID]bool, up bool) {
+	for changed := true; changed; {
+		changed = false
+		for _, id := range p.order {
+			for _, c := range p.Funcs[id].Calls {
+				from, to := id, c.Callee
+				if up {
+					from, to = to, from
+				}
+				if set[from] && !set[to] {
+					set[to] = true
+					changed = true
+				}
+			}
+		}
+	}
+}
 
 // fixSpawnsGo computes which functions transitively spawn goroutines. On
 // re-runs (after propagateFieldSpawns promoted data-flow spawners) the
@@ -885,21 +915,7 @@ func (p *Program) fixSpawnsGo() {
 			}
 		}
 	}
-	for changed := true; changed; {
-		changed = false
-		for _, id := range p.order {
-			if p.spawnsGo[id] {
-				continue
-			}
-			for _, c := range p.Funcs[id].Calls {
-				if p.spawnsGo[c.Callee] {
-					p.spawnsGo[id] = true
-					changed = true
-					break
-				}
-			}
-		}
-	}
+	p.closeOver(p.spawnsGo, true)
 }
 
 // SpawnsGo reports whether the function transitively spawns goroutines.
@@ -944,43 +960,29 @@ func (p *Program) propagateFieldSpawns() bool {
 // concurrentCtx reports whether facts collected under ctx may execute on a
 // spawned goroutine.
 func (p *Program) concurrentCtx(ctx spawnCtx) bool {
-	if ctx.insideGo {
-		return true
-	}
-	for _, s := range ctx.spawners {
-		if p.spawnsGo[s] {
-			return true
+	return ctx.insideGo || slices.ContainsFunc(ctx.spawners, p.SpawnsGo)
+}
+
+// calledUnder returns the functions called from a context that spawned
+// admits, or called (transitively) by such a function.
+func (p *Program) calledUnder(spawned func(owner *FuncSummary, ctx spawnCtx) bool) map[FuncID]bool {
+	set := map[FuncID]bool{}
+	for _, id := range p.order {
+		owner := p.Funcs[id]
+		for _, c := range owner.Calls {
+			if spawned(owner, c.ctx) {
+				set[c.Callee] = true
+			}
 		}
 	}
-	return false
+	p.closeOver(set, false)
+	return set
 }
 
 // fixConcurrent computes the set of functions that may execute on a spawned
-// goroutine: called from a concurrent context, or called (transitively) by
-// such a function.
+// goroutine.
 func (p *Program) fixConcurrent() {
-	p.concurrent = map[FuncID]bool{}
-	for _, id := range p.order {
-		for _, c := range p.Funcs[id].Calls {
-			if p.concurrentCtx(c.ctx) {
-				p.concurrent[c.Callee] = true
-			}
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, id := range p.order {
-			if !p.concurrent[id] {
-				continue
-			}
-			for _, c := range p.Funcs[id].Calls {
-				if !p.concurrent[c.Callee] {
-					p.concurrent[c.Callee] = true
-					changed = true
-				}
-			}
-		}
-	}
+	p.concurrent = p.calledUnder(func(_ *FuncSummary, ctx spawnCtx) bool { return p.concurrentCtx(ctx) })
 }
 
 // ConcurrentFunc reports whether the function may run on a spawned
@@ -995,145 +997,46 @@ func (p *Program) ConcurrentFunc(id FuncID) bool { return p.concurrent[id] }
 // internal/core's per-trial sandbox — does not qualify: it carries exactly
 // one kernel invocation and is the measurement context, not a worker.
 func (p *Program) timedSpawnCtx(owner *FuncSummary, ctx spawnCtx) bool {
-	if ctx.insideGo && timedPurityPackages[lastSegment(owner.PkgPath)] {
+	if ctx.insideGo && hasRole(owner.PkgPath, roleTimed) {
 		return true
 	}
-	for _, s := range ctx.spawners {
-		if !p.spawnsGo[s] {
-			continue
-		}
-		if sum := p.Funcs[s]; sum != nil && timedPurityPackages[lastSegment(sum.PkgPath)] {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(ctx.spawners, func(s FuncID) bool {
+		sum := p.Funcs[s]
+		return p.spawnsGo[s] && sum != nil && hasRole(sum.PkgPath, roleTimed)
+	})
 }
 
 // fixConcurrentTimed mirrors fixConcurrent but seeds only from spawn sites
-// that timedSpawnCtx accepts, then closes over the call graph. Run after the
-// joint spawnsGo/concurrent fixpoint so field-promoted spawners
-// (par.Machine's dispatch) are already visible.
+// that timedSpawnCtx accepts. Run after the joint spawnsGo/concurrent
+// fixpoint so field-promoted spawners (par.Machine's dispatch) are already
+// visible.
 func (p *Program) fixConcurrentTimed() {
-	p.concurrentTimed = map[FuncID]bool{}
+	p.concurrentTimed = p.calledUnder(p.timedSpawnCtx)
+}
+
+// fixReach is the one "earliest reaching site" fixpoint: direct yields a
+// function's own earliest site of some kind (or nil), and the result maps
+// every function to the earliest such site it transitively reaches — smallest
+// position, for determinism.
+func (p *Program) fixReach(direct func(*FuncSummary) *reachFact) map[FuncID]*reachFact {
+	reach := map[FuncID]*reachFact{}
 	for _, id := range p.order {
-		owner := p.Funcs[id]
-		for _, c := range owner.Calls {
-			if p.timedSpawnCtx(owner, c.ctx) {
-				p.concurrentTimed[c.Callee] = true
-			}
+		if f := direct(p.Funcs[id]); f != nil {
+			reach[id] = f
 		}
 	}
 	for changed := true; changed; {
 		changed = false
 		for _, id := range p.order {
-			if !p.concurrentTimed[id] {
-				continue
-			}
 			for _, c := range p.Funcs[id].Calls {
-				if !p.concurrentTimed[c.Callee] {
-					p.concurrentTimed[c.Callee] = true
+				if f := reach[c.Callee]; f != nil && (reach[id] == nil || f.Pos < reach[id].Pos) {
+					reach[id] = f
 					changed = true
 				}
 			}
 		}
 	}
-}
-
-// ConcurrentFromTimed reports whether the function may run on a goroutine
-// spawned by timed-package code (see timedSpawnCtx).
-func (p *Program) ConcurrentFromTimed(id FuncID) bool { return p.concurrentTimed[id] }
-
-// ConcurrentAccess reports whether the access may race: it is lexically
-// inside a spawning construct, or its enclosing function is reachable from
-// one.
-func (p *Program) ConcurrentAccess(owner *FuncSummary, a Access) bool {
-	return p.concurrentCtx(a.ctx) || p.concurrent[owner.ID]
-}
-
-// fixTransIO propagates "performs I/O" facts up the call graph, keeping the
-// representative site with the smallest position for determinism.
-func (p *Program) fixTransIO() {
-	p.transIO = map[FuncID]*ioFact{}
-	for changed := true; changed; {
-		changed = false
-		for _, id := range p.order {
-			s := p.Funcs[id]
-			best := p.transIO[id]
-			for _, io := range s.IO {
-				best = minIOFact(best, &ioFact{What: io.What, Pos: io.Pos})
-			}
-			for _, c := range s.Calls {
-				if f := p.transIO[c.Callee]; f != nil {
-					best = minIOFact(best, &ioFact{What: f.What, Pos: f.Pos, Via: c.Callee})
-				}
-			}
-			if best != p.transIO[id] && (p.transIO[id] == nil || best.Pos < p.transIO[id].Pos) {
-				p.transIO[id] = best
-				changed = true
-			}
-		}
-	}
-}
-
-func minIOFact(a, b *ioFact) *ioFact {
-	if a == nil || (b != nil && b.Pos < a.Pos) {
-		return b
-	}
-	return a
-}
-
-// TransIO returns the representative I/O fact the function (transitively)
-// reaches, or nil.
-func (p *Program) TransIO(id FuncID) (what string, pos token.Pos, ok bool) {
-	if f := p.transIO[id]; f != nil {
-		return f.What, f.Pos, true
-	}
-	return "", token.NoPos, false
-}
-
-// fixTransAlloc propagates "allocates" facts up the call graph. Only make
-// and new propagate across calls (append and closure creation are too
-// pervasive to chase transitively without drowning the signal); all four
-// count at the direct site.
-func (p *Program) fixTransAlloc() {
-	p.transAlloc = map[FuncID]*allocFact{}
-	for changed := true; changed; {
-		changed = false
-		for _, id := range p.order {
-			s := p.Funcs[id]
-			best := p.transAlloc[id]
-			for _, a := range s.Allocs {
-				if a.What == "make" || a.What == "new" {
-					best = minAllocFact(best, &allocFact{What: a.What, Pos: a.Pos})
-				}
-			}
-			for _, c := range s.Calls {
-				if f := p.transAlloc[c.Callee]; f != nil {
-					best = minAllocFact(best, &allocFact{What: f.What, Pos: f.Pos, Via: c.Callee})
-				}
-			}
-			if best != p.transAlloc[id] && (p.transAlloc[id] == nil || best.Pos < p.transAlloc[id].Pos) {
-				p.transAlloc[id] = best
-				changed = true
-			}
-		}
-	}
-}
-
-func minAllocFact(a, b *allocFact) *allocFact {
-	if a == nil || (b != nil && b.Pos < a.Pos) {
-		return b
-	}
-	return a
-}
-
-// TransAlloc returns the representative allocation the function
-// (transitively) performs, or ok=false.
-func (p *Program) TransAlloc(id FuncID) (what string, pos token.Pos, ok bool) {
-	if f := p.transAlloc[id]; f != nil {
-		return f.What, f.Pos, true
-	}
-	return "", token.NoPos, false
+	return reach
 }
 
 // fixTransLocks propagates "may acquire lock K" sets up the call graph.
@@ -1200,12 +1103,12 @@ func (p *Program) AllLockEdges() []LockEdge {
 	return edges
 }
 
-// FuncsInPackage returns the summaries of functions declared in the given
-// package, in deterministic order.
-func (p *Program) FuncsInPackage(pkgPath string) []*FuncSummary {
+// FuncsIn returns the summaries of the package's functions, in source
+// order.
+func (p *Program) FuncsIn(pkg *Package) []*FuncSummary {
 	var out []*FuncSummary
 	for _, id := range p.order {
-		if s := p.Funcs[id]; s.PkgPath == pkgPath {
+		if s := p.Funcs[id]; s.Pkg == pkg {
 			out = append(out, s)
 		}
 	}

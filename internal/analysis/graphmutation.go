@@ -38,7 +38,7 @@ func runGraphMutation(pass *Pass) {
 		msg string
 	}
 	var findings []finding
-	for _, s := range prog.FuncsInPackage(pass.Pkg.Path) {
+	for _, s := range prog.FuncsIn(pass.Pkg) {
 		for _, st := range prog.GraphStores(s.ID) {
 			var msg string
 			if st.Via != "" {

@@ -197,3 +197,19 @@ func scribble(ns []graph.NodeID) {
 		t.Errorf("scribble: parameter store wrongly counted as graph store: %v", stores)
 	}
 }
+
+// ParamStores returns the function's stores through parameter-derived
+// memory, keyed by parameter index (receiver first for methods).
+func (p *Program) ParamStores(id FuncID) map[int][]StoreSite {
+	if wf := p.writes[id]; wf != nil {
+		return wf.paramStores
+	}
+	return nil
+}
+
+// ReturnsGraphMemory reports whether result index i of the function may
+// alias CSR backing memory.
+func (p *Program) ReturnsGraphMemory(id FuncID, i int) bool {
+	wf := p.writes[id]
+	return wf != nil && i < len(wf.retOrigins) && wf.retOrigins[i]&originGraph != 0
+}

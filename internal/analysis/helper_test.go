@@ -1,11 +1,33 @@
 package analysis
 
 import (
+	"go/parser"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 )
+
+// LoadSource loads an in-memory package fixture: a map of file name to Go
+// source, type-checked under the given import path. Fixture files may import
+// real packages of the module (resolved against the loader's root).
+func (l *Loader) LoadSource(importPath string, sources map[string]string) (*Package, error) {
+	var names []string
+	for name := range sources {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	var files []*File
+	for _, name := range names {
+		f, err := parser.ParseFile(l.Fset, name, sources[name], parser.ParseComments)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, &File{AST: f, Name: name, Test: strings.HasSuffix(name, "_test.go")})
+	}
+	return l.check(importPath, "", files)
+}
 
 // sharedLoader amortizes standard-library type-checking across all tests in
 // this package: the source importer checks fmt/sync/... once per process.
@@ -77,8 +99,19 @@ func runRule(t *testing.T, a *Analyzer, pkg *Package) []string {
 // in the packages' order.
 func runRuleOn(t *testing.T, a *Analyzer, pkgs ...*Package) []string {
 	t.Helper()
+	return render(t, a, nil, pkgs)
+}
+
+// render runs one analyzer (with an optional compiler-facts table) and
+// renders its diagnostics.
+func render(t *testing.T, a *Analyzer, cf *CompilerFacts, pkgs []*Package) []string {
+	t.Helper()
+	diags, err := Run(pkgs, []*Analyzer{a}, cf)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
 	var out []string
-	for _, d := range Run(pkgs, []*Analyzer{a}) {
+	for _, d := range diags {
 		out = append(out, d.String())
 	}
 	return out

@@ -5,21 +5,16 @@ import (
 	"go/types"
 )
 
-// indexWidthPackages are the GraphBLAS-side packages whose indices the GAP
-// spec (and the package doc of internal/grb) mandates to be 64-bit:
-// GraphBLAS "must use 64-bit integers" because it is designed for 2^60-node
-// graphs, and the paper charges that width to its timings. A 32-bit index
-// sneaking in would quietly change the cost model being reproduced — and
-// overflow on production-scale graphs.
-var indexWidthPackages = map[string]bool{
-	"grb":     true,
-	"lagraph": true,
-}
-
-// IndexWidth flags 32-bit integers used as indices in internal/grb and
-// internal/lagraph: any slice/array/map index expression whose index operand
-// is typed int32 or uint32 (int32 *values* — edge weights, distances — are
-// fine; it is indices that must be grb.Index). Test files are exempt.
+// IndexWidth flags 32-bit integers used as indices in the GraphBLAS-side
+// packages (roleIndex64: internal/grb and internal/lagraph): any
+// slice/array/map index expression whose index operand is typed int32 or
+// uint32 (int32 *values* — edge weights, distances — are fine; it is indices
+// that must be grb.Index). The GAP spec (and the package doc of internal/grb)
+// mandates 64-bit indices there: GraphBLAS "must use 64-bit integers" because
+// it is designed for 2^60-node graphs, and the paper charges that width to
+// its timings. A 32-bit index sneaking in would quietly change the cost model
+// being reproduced — and overflow on production-scale graphs. Test files are
+// exempt.
 var IndexWidth = &Analyzer{
 	Name: "index-width",
 	Doc:  "grb/lagraph indices must be 64-bit (grb.Index), never int32/uint32",
@@ -28,7 +23,7 @@ var IndexWidth = &Analyzer{
 
 func runIndexWidth(pass *Pass) {
 	pkg := pass.Pkg
-	if !indexWidthPackages[lastSegment(pkg.Path)] {
+	if !hasRole(pkg.Path, roleIndex64) {
 		return
 	}
 	for _, f := range pkg.Files {

@@ -5,19 +5,6 @@ import (
 	"strings"
 )
 
-// frameworkSegments names the six framework reproduction packages. The
-// paper's comparison is only valid while these stay independent: a shared
-// trick leaking from one framework into another would silently change the
-// abstraction being measured.
-var frameworkSegments = map[string]bool{
-	"gap":     true,
-	"galois":  true,
-	"graphit": true,
-	"gkc":     true,
-	"lagraph": true,
-	"nwgraph": true,
-}
-
 // isolationAllowed is the substrate a framework package may build on:
 // the shared graph representation, the parallel-for substrate, the kernel
 // interface/option types, the GraphBLAS layer (for lagraph), the shared
@@ -42,8 +29,10 @@ var isolationAllowedTest = map[string]bool{
 }
 
 // FrameworkIsolation enforces the paper's validity argument at the import
-// graph: no framework package may import another framework package, and
-// framework code may only build on the shared substrate packages.
+// graph: no framework package (roleFramework) may import another framework
+// package — a shared trick leaking from one framework into another would
+// silently change the abstraction being measured — and framework code may
+// only build on the shared substrate packages.
 var FrameworkIsolation = &Analyzer{
 	Name: "framework-isolation",
 	Doc:  "framework packages must not import each other; only the shared substrate (graph, par, kernel, grb, frontier, tune, core) is allowed",
@@ -53,7 +42,7 @@ var FrameworkIsolation = &Analyzer{
 func runFrameworkIsolation(pass *Pass) {
 	pkg := pass.Pkg
 	own := lastSegment(pkg.Path)
-	if !frameworkSegments[own] {
+	if !hasRole(pkg.Path, roleFramework) {
 		return
 	}
 	prefix := pkg.Module + "/"
@@ -68,7 +57,7 @@ func runFrameworkIsolation(pass *Pass) {
 			case seg == own:
 				// A package's external test files importing the package
 				// itself is the normal Go testing layout.
-			case frameworkSegments[seg]:
+			case hasRole(path, roleFramework):
 				pass.Reportf(imp.Pos(), "framework package %s imports framework package %s: frameworks must stay isolated so the comparison measures abstractions, not shared code", own, seg)
 			case isolationAllowed[seg]:
 				// Shared substrate, fine everywhere.

@@ -231,26 +231,6 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 	return l.check(l.pathFor(abs), abs, files)
 }
 
-// LoadSource loads an in-memory package fixture: a map of file name to Go
-// source, type-checked under the given import path. Fixture files may import
-// real packages of the module (resolved against the loader's root).
-func (l *Loader) LoadSource(importPath string, sources map[string]string) (*Package, error) {
-	var names []string
-	for name := range sources {
-		names = append(names, name)
-	}
-	slices.Sort(names)
-	var files []*File
-	for _, name := range names {
-		f, err := parser.ParseFile(l.Fset, name, sources[name], parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, &File{AST: f, Name: name, Test: strings.HasSuffix(name, "_test.go")})
-	}
-	return l.check(importPath, "", files)
-}
-
 // check type-checks a group of files as one logical Package. External test
 // files (package foo_test) are type-checked as a second unit so the mixed
 // group still resolves, but analyzers see a single Package.

@@ -15,12 +15,13 @@ import (
 // cross-framework discrepancies to exactly this class of latent concurrency
 // bug, which no amount of benchmarking catches until it fires.
 //
-// Lock identity uses the engine's VarKey scheme, so two *objects* of the
-// same field/name+type unify; a deliberate lock hierarchy over same-typed
-// locks (parent-then-child) should suppress with //gapvet:ignore and a
-// comment naming the ordering rule. Re-acquiring the *same* key while held
-// is not reported: with object-merged keys that is usually two different
-// mutexes of the same type, not a self-deadlock.
+// Lock identity is the engine's VarKey scheme plus, for a mutex that is a
+// struct field, the owning struct type (mutexOp): registry.mu and entry.mu
+// are two locks, but two *objects* of one type share a key. A deliberate
+// lock hierarchy over same-typed locks (parent-then-child) should suppress
+// with //gapvet:ignore and a comment naming the ordering rule. Re-acquiring
+// the *same* key while held is not reported: with object-merged keys that is
+// usually two different mutexes of the same type, not a self-deadlock.
 var LockOrder = &Analyzer{
 	Name:       "lock-order",
 	Doc:        "mutexes must be acquired in a consistent global order (ABBA deadlock detection)",

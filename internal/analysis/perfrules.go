@@ -19,13 +19,9 @@ import (
 	"go/types"
 )
 
-// perfHotPackage reports whether a package's hot loops are perf-lint
-// territory: the timed kernel packages plus the par substrate (see
-// timedpurity.go), and the gapvet fixture package "hotpath".
-func perfHotPackage(path string) bool {
-	seg := lastSegment(path)
-	return timedPurityPackages[seg] || seg == "hotpath"
-}
+// perfHot is the role mask of perf-lint territory: the timed packages plus
+// gapvet's own "hotpath" fixture.
+const perfHot = roleTimed | rolePerf
 
 // inlineMissSlack bounds how far over budget a callee may be and still be
 // reported: within slack× the budget a split fast path is a realistic fix;
@@ -91,23 +87,45 @@ var InlineMiss = &Analyzer{
 	Run:                runInlineMiss,
 }
 
-// pathTo returns the chain of AST nodes enclosing pos, outermost first
+// enclosing returns the chain of AST nodes enclosing pos, outermost first
 // (file, ..., innermost node). Empty if pos lies outside the file.
-func pathTo(f *ast.File, pos token.Pos) []ast.Node {
-	var best, stack []ast.Node
-	ast.Inspect(f, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return false
-		}
+func enclosing(f *ast.File, pos token.Pos) []ast.Node {
+	var path []ast.Node
+	walkStack(f, func(n ast.Node, stack []ast.Node) bool {
 		if pos < n.Pos() || pos >= n.End() {
 			return false
 		}
-		stack = append(stack, n)
-		best = append(best[:0], stack...)
+		path = append(append(path[:0], stack...), n)
 		return true
 	})
-	return best
+	return path
+}
+
+// eachFact visits every harvested fact of one kind in the non-test files of
+// a perf-hot package, resolved onto the AST: its token position, the chain of
+// nodes enclosing it, and the summary of the function that owns it.
+func eachFact(pass *Pass, kind CompilerFactKind, visit func(fact CompilerFact, pos token.Pos, path []ast.Node, sum *FuncSummary)) {
+	if pass.CFacts == nil || pass.Prog == nil || !hasRole(pass.Pkg.Path, perfHot) {
+		return
+	}
+	for _, f := range pass.Pkg.Files {
+		if f.Test {
+			continue
+		}
+		for _, fact := range pass.CFacts.AtFile(f.Name) {
+			if fact.Kind != kind {
+				continue
+			}
+			pos := factPos(pass.Pkg, f, fact.Line, fact.Col)
+			if pos == token.NoPos {
+				continue
+			}
+			path := enclosing(f.AST, pos)
+			if sum := summaryAt(pass, path); sum != nil {
+				visit(fact, pos, path, sum)
+			}
+		}
+	}
 }
 
 // factPos maps a compiler fact's line:col onto the file's token stream.
@@ -137,12 +155,9 @@ func factPos(pkg *Package, f *File, line, col int) token.Pos {
 // summaryAt resolves the function summary owning a path (the innermost
 // enclosing FuncDecl; closures belong to their declaring function).
 func summaryAt(pass *Pass, path []ast.Node) *FuncSummary {
-	for i := len(path) - 1; i >= 0; i-- {
-		if fd, ok := path[i].(*ast.FuncDecl); ok {
-			if obj, _ := pass.Pkg.Info.Defs[fd.Name].(*types.Func); obj != nil {
-				return pass.Prog.Funcs[FuncID(obj.FullName())]
-			}
-			return nil
+	if fd := funcDeclOf(path); fd != nil {
+		if obj, _ := pass.Pkg.Info.Defs[fd.Name].(*types.Func); obj != nil {
+			return pass.Prog.Funcs[FuncID(obj.FullName())]
 		}
 	}
 	return nil
@@ -190,10 +205,10 @@ func isLeafLoop(loop ast.Node) bool {
 
 // onParallelHotPath reports whether code at the given path runs on worker
 // goroutines of a timed region: the enclosing function is transitively
-// reachable from a timed-package spawn (ConcurrentFromTimed), or the path
+// reachable from a timed-package spawn (Program.concurrentTimed), or the path
 // itself sits inside a goroutine or a closure handed to a spawning callee.
 func onParallelHotPath(pass *Pass, sum *FuncSummary, path []ast.Node) bool {
-	return pass.Prog.ConcurrentFromTimed(sum.ID) || inSpawnedClosure(pass.Pkg, pass.Prog, path)
+	return pass.Prog.concurrentTimed[sum.ID] || pass.Prog.concurrentCtx(spawnContext(pass.Pkg, path))
 }
 
 // fileContaining returns the package file whose span covers pos.
@@ -207,127 +222,76 @@ func fileContaining(pkg *Package, pos token.Pos) *File {
 }
 
 func runEscapeInKernel(pass *Pass) {
-	if pass.CFacts == nil || pass.Prog == nil || !perfHotPackage(pass.Pkg.Path) {
-		return
+	type at struct {
+		file      string
+		line, col int
 	}
-	for _, f := range pass.Pkg.Files {
-		if f.Test {
-			continue
-		}
-		facts := pass.CFacts.AtFile(f.Name)
-		moved := map[[2]int]bool{}
-		for _, fact := range facts {
+	moved := map[at]bool{}
+	if pass.CFacts != nil {
+		for _, fact := range pass.CFacts.Facts {
 			if fact.Kind == FactMovedToHeap {
-				moved[[2]int{fact.Line, fact.Col}] = true
+				moved[at{fact.File, fact.Line, fact.Col}] = true
 			}
-		}
-		for _, fact := range facts {
-			if fact.Kind != FactEscape || moved[[2]int{fact.Line, fact.Col}] {
-				continue // closure-capture-hot territory
-			}
-			pos := factPos(pass.Pkg, f, fact.Line, fact.Col)
-			if pos == token.NoPos {
-				continue
-			}
-			path := pathTo(f.AST, pos)
-			sum := summaryAt(pass, path)
-			if sum == nil || len(loopsIn(path)) == 0 {
-				continue
-			}
-			if !onParallelHotPath(pass, sum, path) {
-				continue
-			}
-			if isSpawnedLiteral(pass.Pkg, pass.Prog, path, pos) {
-				// The escaping value IS the closure being spawned: the
-				// region's per-worker/per-round bookkeeping, not
-				// per-element churn. Every spawner pays it once.
-				continue
-			}
-			pass.Reportf(pos, "%s escapes to heap inside a parallel hot loop of %s: hoist the allocation into setup or per-worker state, or justify with //gapvet:ignore escape-in-kernel", fact.Detail, sum.Name)
 		}
 	}
+	eachFact(pass, FactEscape, func(fact CompilerFact, pos token.Pos, path []ast.Node, sum *FuncSummary) {
+		if moved[at{fact.File, fact.Line, fact.Col}] {
+			return // closure-capture-hot territory
+		}
+		if len(loopsIn(path)) == 0 || !onParallelHotPath(pass, sum, path) || launches(pass, path, pos) {
+			return
+		}
+		pass.Reportf(pos, "%s escapes to heap inside a parallel hot loop of %s: hoist the allocation into setup or per-worker state, or justify with //gapvet:ignore escape-in-kernel", fact.Detail, sum.Name)
+	})
 }
 
-// isSpawnedLiteral reports whether the escape position denotes a function
-// literal (or its go statement wrapper) that is itself being spawned — the
-// Fun of a go statement or an argument to a spawning callee. Such escapes
-// are the cost of starting the region, not of iterating it.
-func isSpawnedLiteral(pkg *Package, prog *Program, path []ast.Node, pos token.Pos) bool {
+// launches reports whether the escape at pos IS the closure being spawned:
+// a go statement, or a function literal launched by one or handed to a
+// spawning callee. Such escapes are the region's per-worker/per-round
+// bookkeeping — every spawner pays it once — not per-element churn.
+func launches(pass *Pass, path []ast.Node, pos token.Pos) bool {
+	isGo := func(n ast.Node) bool { _, ok := n.(*ast.GoStmt); return ok }
 	for i := len(path) - 1; i >= 0; i-- {
-		switch t := path[i].(type) {
-		case *ast.GoStmt:
-			return t.Pos() == pos
-		case *ast.FuncLit:
-			if t.Pos() != pos || i == 0 {
+		if isGo(path[i]) {
+			return path[i].Pos() == pos
+		}
+		if lit, ok := path[i].(*ast.FuncLit); ok {
+			call, asArg := consumer(lit, path[:i])
+			if lit.Pos() != pos || call == nil {
 				return false
 			}
-			call, ok := path[i-1].(*ast.CallExpr)
-			if !ok {
-				return false
+			if !asArg {
+				return i >= 2 && isGo(path[i-2]) // go func(){...}(args)
 			}
-			if call.Fun == t {
-				// go func(){...}(args): the literal is the call target.
-				return i >= 2 && isGoStmt(path[i-2])
-			}
-			for _, arg := range call.Args {
-				if arg == t {
-					callee, ok := calleeOf(pkg, call)
-					return ok && prog.SpawnsGo(callee)
-				}
-			}
-			return false
+			callee, ok := calleeOf(pass.Pkg, call)
+			return ok && pass.Prog.SpawnsGo(callee)
 		}
 	}
 	return false
 }
 
-func isGoStmt(n ast.Node) bool {
-	_, ok := n.(*ast.GoStmt)
-	return ok
-}
-
 func runClosureCaptureHot(pass *Pass) {
-	if pass.CFacts == nil || pass.Prog == nil || !perfHotPackage(pass.Pkg.Path) {
-		return
-	}
-	for _, f := range pass.Pkg.Files {
-		if f.Test {
-			continue
+	eachFact(pass, FactMovedToHeap, func(fact CompilerFact, pos token.Pos, path []ast.Node, sum *FuncSummary) {
+		fd := funcDeclOf(path)
+		obj := declaredVarAt(pass.Pkg, path, pos, fact.Detail)
+		if obj == nil {
+			return
 		}
-		for _, fact := range pass.CFacts.AtFile(f.Name) {
-			if fact.Kind != FactMovedToHeap {
-				continue
-			}
-			pos := factPos(pass.Pkg, f, fact.Line, fact.Col)
-			if pos == token.NoPos {
-				continue
-			}
-			path := pathTo(f.AST, pos)
-			sum := summaryAt(pass, path)
-			fd := funcDeclOf(path)
-			if sum == nil || fd == nil {
-				continue
-			}
-			obj := declaredVarAt(pass.Pkg, path, pos, fact.Detail)
-			if obj == nil {
-				continue
-			}
-			spawner, captured := capturedBySpawnedClosure(pass.Pkg, pass.Prog, fd, obj)
-			if !captured {
-				continue
-			}
-			caller, callerPos, hot := hotCallerOf(pass, sum)
-			if !hot {
-				continue
-			}
-			where := ""
-			if caller != "" {
-				p := pass.Pkg.Fset.Position(callerPos)
-				where = fmt.Sprintf(" (called from a loop in %s at %s:%d)", caller, p.Filename, p.Line)
-			}
-			pass.Reportf(pos, "closure passed to %s captures %q, re-allocating its heap cell on every call of %s from a hot loop%s: allocate it once in setup and pass a pointer in, or capture a per-round copy, or justify with //gapvet:ignore closure-capture-hot", spawner, fact.Detail, sum.Name, where)
+		spawner, captured := capturedBySpawnedClosure(pass.Pkg, pass.Prog, fd, obj)
+		if !captured {
+			return
 		}
-	}
+		caller, callerPos, hot := hotCallerOf(pass, sum)
+		if !hot {
+			return
+		}
+		where := ""
+		if caller != "" {
+			p := pass.Pkg.Fset.Position(callerPos)
+			where = fmt.Sprintf(" (called from a loop in %s at %s:%d)", caller, p.Filename, p.Line)
+		}
+		pass.Reportf(pos, "closure passed to %s captures %q, re-allocating its heap cell on every call of %s from a hot loop%s: allocate it once in setup and pass a pointer in, or capture a per-round copy, or justify with //gapvet:ignore closure-capture-hot", spawner, fact.Detail, sum.Name, where)
+	})
 }
 
 // declaredVarAt resolves the variable declared exactly at pos with the
@@ -412,12 +376,12 @@ func usesVar(pkg *Package, n ast.Node, obj *types.Var) bool {
 // perf-hot package calls it from inside a loop. Callers in the harness
 // (internal/core, cmd/) do not count — a per-trial allocation is setup.
 func hotCallerOf(pass *Pass, sum *FuncSummary) (caller string, pos token.Pos, hot bool) {
-	if pass.Prog.ConcurrentFromTimed(sum.ID) {
+	if pass.Prog.concurrentTimed[sum.ID] {
 		return "", token.NoPos, true
 	}
 	for _, id := range pass.Prog.order {
 		cs := pass.Prog.Funcs[id]
-		if !perfHotPackage(cs.PkgPath) {
+		if !hasRole(cs.PkgPath, perfHot) {
 			continue
 		}
 		for _, c := range cs.Calls {
@@ -428,7 +392,7 @@ func hotCallerOf(pass *Pass, sum *FuncSummary) (caller string, pos token.Pos, ho
 			if f == nil || f.Test {
 				continue
 			}
-			if len(loopsIn(pathTo(f.AST, c.Pos))) > 0 {
+			if len(loopsIn(enclosing(f.AST, c.Pos))) > 0 {
 				return cs.Name, c.Pos, true
 			}
 		}
@@ -437,51 +401,31 @@ func hotCallerOf(pass *Pass, sum *FuncSummary) (caller string, pos token.Pos, ho
 }
 
 func runBCEMiss(pass *Pass) {
-	if pass.CFacts == nil || pass.Prog == nil || !perfHotPackage(pass.Pkg.Path) {
-		return
-	}
-	for _, f := range pass.Pkg.Files {
-		if f.Test {
-			continue
+	eachFact(pass, FactBoundsCheck, func(_ CompilerFact, pos token.Pos, path []ast.Node, sum *FuncSummary) {
+		idx := innermostIndexExpr(path)
+		if idx == nil {
+			return // an inlined callee's check; its own decl is the fix site
 		}
-		for _, fact := range pass.CFacts.AtFile(f.Name) {
-			if fact.Kind != FactBoundsCheck {
-				continue
-			}
-			pos := factPos(pass.Pkg, f, fact.Line, fact.Col)
-			if pos == token.NoPos {
-				continue
-			}
-			path := pathTo(f.AST, pos)
-			sum := summaryAt(pass, path)
-			if sum == nil {
-				continue
-			}
-			idx := innermostIndexExpr(path)
-			if idx == nil {
-				continue // an inlined callee's check; its own decl is the fix site
-			}
-			loops := loopsIn(path)
-			if len(loops) == 0 {
-				continue
-			}
-			loop := loops[len(loops)-1]
-			if !isLeafLoop(loop) || !onParallelHotPath(pass, sum, path) {
-				continue
-			}
-			if !loopBoundsIndex(pass.Pkg, loop, idx) {
-				continue // not provably eliminable; stay quiet
-			}
-			base := types.ExprString(idx.X)
-			hint := "hoist " + base + " into a local before the loop, or assert `_ = " + base + "[len(" + base + ")-1]` ahead of it, so the compiler can eliminate the check"
-			fd := funcDeclOf(path)
-			if obj, _ := pass.Pkg.Info.Defs[fd.Name].(*types.Func); obj != nil &&
-				pass.Prog.ExprAliasesGraph(pass.Pkg, obj, fd, idx.X) {
-				hint += " (the slice aliases immutable CSR memory, so its length is loop-invariant)"
-			}
-			pass.Reportf(pos, "bounds check on %s retained in the innermost parallel loop of %s although the loop already bounds the index: %s, or justify with //gapvet:ignore bce-miss", base, sum.Name, hint)
+		loops := loopsIn(path)
+		if len(loops) == 0 {
+			return
 		}
-	}
+		loop := loops[len(loops)-1]
+		if !isLeafLoop(loop) || !onParallelHotPath(pass, sum, path) {
+			return
+		}
+		if !loopBoundsIndex(pass.Pkg, loop, idx) {
+			return // not provably eliminable; stay quiet
+		}
+		base := types.ExprString(idx.X)
+		hint := "hoist " + base + " into a local before the loop, or assert `_ = " + base + "[len(" + base + ")-1]` ahead of it, so the compiler can eliminate the check"
+		fd := funcDeclOf(path)
+		if obj, _ := pass.Pkg.Info.Defs[fd.Name].(*types.Func); obj != nil &&
+			pass.Prog.ExprAliasesGraph(pass.Pkg, obj, fd, idx.X) {
+			hint += " (the slice aliases immutable CSR memory, so its length is loop-invariant)"
+		}
+		pass.Reportf(pos, "bounds check on %s retained in the innermost parallel loop of %s although the loop already bounds the index: %s, or justify with //gapvet:ignore bce-miss", base, sum.Name, hint)
+	})
 }
 
 // innermostIndexExpr returns the innermost s[i] expression on the path, or
@@ -571,10 +515,10 @@ func sameExpr(pkg *Package, a, b ast.Expr) bool {
 }
 
 func runInlineMiss(pass *Pass) {
-	if pass.CFacts == nil || pass.Prog == nil || !perfHotPackage(pass.Pkg.Path) {
+	if pass.CFacts == nil || pass.Prog == nil || !hasRole(pass.Pkg.Path, perfHot) {
 		return
 	}
-	for _, sum := range pass.Prog.FuncsInPackage(pass.Pkg.Path) {
+	for _, sum := range pass.Prog.FuncsIn(pass.Pkg) {
 		for _, c := range sum.Calls {
 			callee := pass.Prog.Funcs[c.Callee]
 			if callee == nil || callee.Pos == token.NoPos {
@@ -589,7 +533,7 @@ func runInlineMiss(pass *Pass) {
 			if f == nil || f.Test {
 				continue
 			}
-			path := pathTo(f.AST, c.Pos)
+			path := enclosing(f.AST, c.Pos)
 			if !directCallAt(pass.Pkg, path, c) {
 				continue // a func value being passed, not a call
 			}

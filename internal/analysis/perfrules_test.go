@@ -29,15 +29,11 @@ func fact(t *testing.T, src, marker, msg string) string {
 
 // runPerfRule applies one compiler-assisted analyzer to a fixture with a
 // synthetic diagnostics stream, the real internal/par riding along for
-// spawn-awareness (mirroring how cmd/gapvet invokes RunWithCompilerFacts).
+// spawn-awareness (mirroring how cmd/gapvet invokes Run under -perf).
 func runPerfRule(t *testing.T, a *Analyzer, pkg *Package, diagnostics []string) []string {
 	t.Helper()
 	cf := ParseCompilerDiagnostics(strings.NewReader(strings.Join(diagnostics, "\n") + "\n"))
-	var out []string
-	for _, d := range RunWithCompilerFacts([]*Package{pkg, parPackage(t)}, []*Analyzer{a}, cf) {
-		out = append(out, d.String())
-	}
-	return out
+	return render(t, a, cf, []*Package{pkg, parPackage(t)})
 }
 
 const escapeFixture = `package gap

@@ -28,34 +28,13 @@ func runSwallowedPanic(pass *Pass) {
 		if f.Test {
 			continue // test helpers assert through testing.T; out of scope
 		}
-		parents := buildParents(f.AST)
-		ast.Inspect(f.AST, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || !isBuiltinRecover(pkg, call) {
-				return true
+		walkStack(f.AST, func(n ast.Node, stack []ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok && isBuiltinRecover(pkg, call) {
+				checkRecoverUse(pass, f.AST, stack[len(stack)-1], call)
 			}
-			checkRecoverUse(pass, pkg, f.AST, parents, call)
 			return true
 		})
 	}
-}
-
-// buildParents records each node's syntactic parent.
-func buildParents(root ast.Node) map[ast.Node]ast.Node {
-	parents := map[ast.Node]ast.Node{}
-	var stack []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if len(stack) > 0 {
-			parents[n] = stack[len(stack)-1]
-		}
-		stack = append(stack, n)
-		return true
-	})
-	return parents
 }
 
 // isBuiltinRecover reports whether call invokes the predeclared recover.
@@ -68,10 +47,11 @@ func isBuiltinRecover(pkg *Package, call *ast.CallExpr) bool {
 	return ok && b.Name() == "recover"
 }
 
-// checkRecoverUse classifies the recover call's context and reports when the
-// panic value never escapes a nil test.
-func checkRecoverUse(pass *Pass, pkg *Package, file *ast.File, parents map[ast.Node]ast.Node, call *ast.CallExpr) {
-	switch parent := parents[call].(type) {
+// checkRecoverUse classifies the recover call's context (its syntactic
+// parent) and reports when the panic value never escapes a nil test.
+func checkRecoverUse(pass *Pass, file *ast.File, parent ast.Node, call *ast.CallExpr) {
+	pkg := pass.Pkg
+	switch parent := parent.(type) {
 	case *ast.ExprStmt:
 		pass.Reportf(call.Pos(), "recover() discards the panic value: record it (message/status/stack) or rethrow with panic(v), or justify with //gapvet:ignore swallowed-panic")
 	case *ast.BinaryExpr:
@@ -86,7 +66,7 @@ func checkRecoverUse(pass *Pass, pkg *Package, file *ast.File, parents map[ast.N
 			pass.Reportf(call.Pos(), "recover() result assigned to _: record the panic value or rethrow, or justify with //gapvet:ignore swallowed-panic")
 			return
 		}
-		if !valueRecorded(pkg, file, parents, obj) {
+		if !valueRecorded(pkg, file, obj) {
 			pass.Reportf(call.Pos(), "recover() result %q is only nil-checked, never recorded or rethrown: pass it to a call, assignment, return, or panic, or justify with //gapvet:ignore swallowed-panic", obj.Name())
 		}
 	case *ast.ValueSpec:
@@ -100,7 +80,7 @@ func checkRecoverUse(pass *Pass, pkg *Package, file *ast.File, parents map[ast.N
 				pass.Reportf(call.Pos(), "recover() result assigned to _: record the panic value or rethrow, or justify with //gapvet:ignore swallowed-panic")
 				continue
 			}
-			if !valueRecorded(pkg, file, parents, obj) {
+			if !valueRecorded(pkg, file, obj) {
 				pass.Reportf(call.Pos(), "recover() result %q is only nil-checked, never recorded or rethrown: pass it to a call, assignment, return, or panic, or justify with //gapvet:ignore swallowed-panic", obj.Name())
 			}
 		}
@@ -132,29 +112,20 @@ func recoverTarget(pkg *Package, assign *ast.AssignStmt, call *ast.CallExpr) typ
 // appearance as a call argument, panic operand, return value, assignment
 // source, send, composite-literal element, or anything else that carries the
 // value onward counts as recording it.
-func valueRecorded(pkg *Package, file *ast.File, parents map[ast.Node]ast.Node, obj types.Object) bool {
+func valueRecorded(pkg *Package, file *ast.File, obj types.Object) bool {
 	recorded := false
-	ast.Inspect(file, func(n ast.Node) bool {
-		if recorded {
-			return false
-		}
-		id, ok := n.(*ast.Ident)
-		if !ok || pkg.Info.Uses[id] != obj {
-			return true
-		}
-		switch parent := parents[id].(type) {
-		case *ast.BinaryExpr:
-			if parent.Op == token.EQL || parent.Op == token.NEQ {
-				return true // nil test: not a recording use
+	walkStack(file, func(n ast.Node, stack []ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && pkg.Info.Uses[id] == obj {
+			// A nil test is not a recording use. Anything else — call
+			// argument (including panic(p) and fmt.Sprint(p)), assignment,
+			// return, send, composite literal, index, selector — carries
+			// the value somewhere.
+			test, ok := stack[len(stack)-1].(*ast.BinaryExpr)
+			if !ok || (test.Op != token.EQL && test.Op != token.NEQ) {
+				recorded = true
 			}
-			recorded = true
-		default:
-			// Call argument (including panic(p) and fmt.Sprint(p)),
-			// assignment, return, send, composite literal, index, selector:
-			// the value flows somewhere.
-			recorded = true
 		}
-		return true
+		return !recorded
 	})
 	return recorded
 }

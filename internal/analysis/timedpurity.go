@@ -1,34 +1,13 @@
 package analysis
 
-import (
-	"go/ast"
-	"go/types"
-	"strings"
-)
+import "strings"
 
-// timedPurityPackages are the packages whose non-test code runs inside the
-// benchmark's timed regions: the six framework reproductions registered with
-// internal/core plus the substrates their kernels execute on (par, grb).
-// The harness times f.BFS(...) et al. with time.Now() around the call, so
-// any I/O on these paths lands inside the measurement — the paper's numbers
-// assume kernels compute and nothing else. Printing belongs in cmd/ and
-// internal/report.
-var timedPurityPackages = map[string]bool{
-	"gap":      true,
-	"galois":   true,
-	"graphit":  true,
-	"gkc":      true,
-	"lagraph":  true,
-	"nwgraph":  true,
-	"par":      true,
-	"grb":      true,
-	"frontier": true,
-}
-
-// TimedRegionPurity flags I/O calls in timed-kernel packages: every call
-// into package log or package os, the printing functions of package fmt
-// (Print*, Fprint*), and the print/println builtins. Pure formatting
-// (fmt.Sprintf, fmt.Errorf) is allowed.
+// TimedRegionPurity flags I/O in the packages whose non-test code runs
+// inside the benchmark's timed regions (roleTimed: the six framework
+// reproductions registered with internal/core plus the substrates their
+// kernels execute on). The paper's numbers assume kernels compute and nothing
+// else; printing belongs in cmd/ and internal/report. What counts as I/O is
+// the ioCall catalogue (facts.go).
 //
 // The rule is transitive: besides direct I/O sites, it reports call sites
 // in kernel packages whose callee *reaches* I/O through any call chain the
@@ -45,75 +24,33 @@ var TimedRegionPurity = &Analyzer{
 }
 
 func runTimedRegionPurity(pass *Pass) {
-	pkg := pass.Pkg
-	if !timedPurityPackages[lastSegment(pkg.Path)] {
-		return
-	}
-	runTransitivePurity(pass)
-	for _, f := range pkg.Files {
-		if f.Test {
-			continue // tests are harness, not timed region
-		}
-		ast.Inspect(f.AST, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			switch fun := call.Fun.(type) {
-			case *ast.Ident:
-				// The print/println builtins write to stderr.
-				if obj := pkg.Info.Uses[fun]; obj != nil && obj.Parent() == types.Universe &&
-					(fun.Name == "print" || fun.Name == "println") {
-					pass.Reportf(call.Pos(), "builtin %s writes to stderr inside timed kernel package %s: printing belongs in the harness", fun.Name, lastSegment(pkg.Path))
-				}
-			case *ast.SelectorExpr:
-				id, ok := fun.X.(*ast.Ident)
-				if !ok {
-					return true
-				}
-				pn, ok := pkg.Info.Uses[id].(*types.PkgName)
-				if !ok {
-					return true
-				}
-				switch pn.Imported().Path() {
-				case "log":
-					pass.Reportf(call.Pos(), "call to log.%s inside timed kernel package %s: logging belongs in the harness", fun.Sel.Name, lastSegment(pkg.Path))
-				case "os":
-					pass.Reportf(call.Pos(), "call to os.%s inside timed kernel package %s: OS interaction belongs in the harness", fun.Sel.Name, lastSegment(pkg.Path))
-				case "fmt":
-					if strings.HasPrefix(fun.Sel.Name, "Print") || strings.HasPrefix(fun.Sel.Name, "Fprint") {
-						pass.Reportf(call.Pos(), "call to fmt.%s inside timed kernel package %s: printing belongs in the harness", fun.Sel.Name, lastSegment(pkg.Path))
-					}
-				}
-			}
-			return true
-		})
-	}
-}
-
-// runTransitivePurity reports call sites in this timed package whose callee
-// transitively reaches I/O. Callees inside timed packages are skipped: the
-// violation is (or will be) reported where the chain leaves the timed set,
-// or at the I/O site itself.
-func runTransitivePurity(pass *Pass) {
 	prog := pass.Prog
-	if prog == nil {
+	if prog == nil || !hasRole(pass.Pkg.Path, roleTimed) {
 		return
 	}
-	for _, s := range prog.FuncsInPackage(pass.Pkg.Path) {
+	seg := lastSegment(pass.Pkg.Path)
+	for _, s := range prog.FuncsIn(pass.Pkg) {
+		for _, io := range s.IO {
+			if strings.HasPrefix(io.What, "builtin ") {
+				pass.Reportf(io.Pos, "%s writes to stderr inside timed kernel package %s: I/O belongs in the harness", io.What, seg)
+			} else {
+				pass.Reportf(io.Pos, "call to %s inside timed kernel package %s: I/O belongs in the harness", io.What, seg)
+			}
+		}
+		// Callees inside timed packages are skipped: the violation is (or
+		// will be) reported where the chain leaves the timed set, or at the
+		// I/O site itself.
 		for _, c := range s.Calls {
 			callee := prog.Funcs[c.Callee]
-			if callee == nil || timedPurityPackages[lastSegment(callee.PkgPath)] {
+			if callee == nil || hasRole(callee.PkgPath, roleTimed) {
 				continue
 			}
-			what, pos, ok := prog.TransIO(c.Callee)
-			if !ok {
-				continue
+			if io := prog.transIO[c.Callee]; io != nil {
+				at := pass.Pkg.Fset.Position(io.Pos)
+				pass.Reportf(c.Pos,
+					"call to %s reaches %s (%s:%d) inside timed kernel package %s: I/O belongs in the harness",
+					prog.ShortName(c.Callee), io.What, at.Filename, at.Line, seg)
 			}
-			at := pass.Pkg.Fset.Position(pos)
-			pass.Reportf(c.Pos,
-				"call to %s reaches %s (%s:%d) inside timed kernel package %s: I/O belongs in the harness",
-				prog.ShortName(c.Callee), what, at.Filename, at.Line, lastSegment(pass.Pkg.Path))
 		}
 	}
 }

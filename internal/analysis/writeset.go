@@ -312,12 +312,7 @@ func (w *wsWalker) bindIdent(id *ast.Ident, o origin) {
 // ancestor stack so returns inside nested function literals are not
 // attributed to the outer function's results.
 func (w *wsWalker) collectStores(body *ast.BlockStmt) {
-	var stack []ast.Node
-	ast.Inspect(body, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return false
-		}
+	walkStack(body, func(n ast.Node, stack []ast.Node) bool {
 		switch t := n.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range t.Lhs {
@@ -332,18 +327,8 @@ func (w *wsWalker) collectStores(body *ast.BlockStmt) {
 				w.visitReturn(t)
 			}
 		}
-		stack = append(stack, n)
 		return true
 	})
-}
-
-func underFuncLit(stack []ast.Node) bool {
-	for _, n := range stack {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return true
-		}
-	}
-	return false
 }
 
 // storeThrough records lhs as a store when the memory it writes into is
@@ -407,7 +392,7 @@ func (w *wsWalker) visitCallStores(call *ast.CallExpr) {
 		w.recordStore(w.exprOrigin(call.Args[0]), name, call.Pos(), "")
 		return
 	}
-	fn := moduleCallee(w.pkg, call)
+	fn := moduleFunc(w.pkg, call.Fun)
 	if fn == nil {
 		return
 	}
@@ -503,7 +488,7 @@ func (w *wsWalker) callOrigin(call *ast.CallExpr, result int) origin {
 	if isGraphAccessorCall(w.pkg, call) {
 		return originGraph
 	}
-	fn := moduleCallee(w.pkg, call)
+	fn := moduleFunc(w.pkg, call.Fun)
 	if fn == nil {
 		return 0
 	}
@@ -559,31 +544,6 @@ func isGraphMethodCall(pkg *Package, call *ast.CallExpr, names map[string]bool) 
 		return false
 	}
 	return lastSegment(named.Obj().Pkg().Path()) == "graph"
-}
-
-// moduleCallee resolves a call to a module-internal *types.Func (the typed
-// sibling of calleeOf, which rules need for signatures).
-func moduleCallee(pkg *Package, call *ast.CallExpr) *types.Func {
-	var obj types.Object
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		obj = pkg.Info.Uses[fun]
-	case *ast.SelectorExpr:
-		obj = pkg.Info.Uses[fun.Sel]
-	default:
-		return nil
-	}
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() == nil || !inModule(fn.Pkg().Path(), pkg.Module) {
-		return nil
-	}
-	return fn
-}
-
-// inModule reports whether path is inside the module (shared with calleeOf's
-// prefix convention).
-func inModule(path, module string) bool {
-	return module != "" && (path == module || len(path) > len(module) && path[:len(module)] == module && path[len(module)] == '/')
 }
 
 // argForParam maps callee parameter index i (receiver first for methods)
@@ -650,20 +610,4 @@ func (p *Program) GraphStores(id FuncID) []StoreSite {
 		return wf.graphStores
 	}
 	return nil
-}
-
-// ParamStores returns the function's stores through parameter-derived
-// memory, keyed by parameter index (receiver first for methods).
-func (p *Program) ParamStores(id FuncID) map[int][]StoreSite {
-	if wf := p.writes[id]; wf != nil {
-		return wf.paramStores
-	}
-	return nil
-}
-
-// ReturnsGraphMemory reports whether result index i of the function may
-// alias CSR backing memory.
-func (p *Program) ReturnsGraphMemory(id FuncID, i int) bool {
-	wf := p.writes[id]
-	return wf != nil && i < len(wf.retOrigins) && wf.retOrigins[i]&originGraph != 0
 }

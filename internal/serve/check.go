@@ -6,9 +6,9 @@ package serve
 // — but armed only when the binary is built with -tags=servecheck. Armed, a
 // pool drain that finds outstanding machine leases panics naming the count:
 // a leaked lease is a machine no future query can ever use, the serving-layer
-// analogue of a lost goroutine, and exactly the invariant the static
-// lease-return rule proves per-function. The runtime check closes the loop
-// across functions, retries, and fault paths the static rule cannot see.
+// analogue of a lost goroutine. It is the invariant's only enforcement since
+// PR 23 retired gapvet's per-function lease-return rule, which guarded one
+// call site: this covers functions, retries, and fault paths alike.
 // Armed, it also panics when a snapshot (snapshot.go) is about to answer for
 // a graph epoch other than the one it was computed on.
 

@@ -5,11 +5,11 @@ package serve
 // par.Machine whose kernel ignores cancellation and lazily build a fresh one;
 // this pool is that idea extracted into a multi-tenant form: a fixed number
 // of persistent worker pools, leased one query at a time, with self-healing
-// replacement when a lease is abandoned. The invariants are sharp enough to
-// enforce twice — statically by the gapvet `lease-return` rule (every Acquire
-// must reach Release or Abandon on all paths, including panic paths) and at
-// runtime by the servecheck drain assertion (outstanding leases must be zero
-// when the pool drains, see check.go).
+// replacement when a lease is abandoned. The invariant — every Acquire must
+// reach Release or Abandon on all paths, including panic paths — is enforced
+// at runtime by the servecheck drain assertion (outstanding leases must be
+// zero when the pool drains, see check.go), which replaced the gapvet
+// lease-return rule in PR 23 (DESIGN.md §8, "The audit").
 
 import (
 	"errors"
@@ -81,8 +81,8 @@ func (p *Pool) Abandoned() int64 { return p.abandoned.Load() }
 
 // Lease is one held machine. Exactly one of Release or Abandon must be
 // called, exactly once, on every lease — on all paths, including panic paths
-// (defer it). The gapvet lease-return rule enforces this shape statically;
-// a second settlement panics here.
+// (defer it). The servecheck drain assertion (check.go) catches a lease that
+// never settles; a second settlement panics here.
 type Lease struct {
 	p       *Pool
 	m       *par.Machine
@@ -173,7 +173,7 @@ func (l *Lease) Abandon() {
 // as they come back, and Drain blocks until every lease is settled and every
 // abandoned-machine reaper has joined its workers — or the timeout passes.
 // On success the outstanding-lease counter is provably zero; under the
-// servecheck build tag a leak panics (the runtime half of the lease-return
+// servecheck build tag a leak panics (that assertion is what enforces the
 // invariant), otherwise it is returned as an error for the caller to report.
 func (p *Pool) Drain(timeout time.Duration) error {
 	p.draining.Store(true)

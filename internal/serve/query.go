@@ -282,9 +282,9 @@ func (s *Server) run(p *queryPlan, qTok *par.CancelToken, deadline time.Time, pr
 // sandbox (core.RunSandboxed): kernel is the timed part and returns the
 // finish that produces the attempt's value. The lease is settled on every
 // path — Release normally, Abandon when the kernel ignored its fired token
-// past the grace period — via the deferred closure the gapvet lease-return
-// rule checks for. A non-nil error means no lease was obtained (pool
-// draining, budget gone while queued).
+// past the grace period — via the deferred closure (a panic cannot skip it;
+// servecheck's drain assertion fails without it). A non-nil error means no
+// lease was obtained (pool draining, budget gone while queued).
 func runAttempt[T any](s *Server, p *queryPlan, tok *par.CancelToken, deadline time.Time,
 	kernelRun func(*queryPlan, *graph.Graph, kernel.Options) func() (T, error)) (T, core.Outcome, error) {
 	lease, err := s.pool.Acquire(tok)
