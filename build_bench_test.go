@@ -9,9 +9,6 @@
 // dominates wall-clock for short benchmark runs, which is why the pipeline
 // exists.
 //
-// BenchmarkTranspose times grb.Matrix.Transpose, the same histogram/scan/
-// scatter pipeline under 64-bit indices.
-//
 // BenchmarkDegreeRelabel and BenchmarkTrianglesOracle time the two pieces of
 // a verified TC trial that are not the kernel: the relabel the Baseline rules
 // charge to the trial, and the oracle that checks its count.
@@ -23,7 +20,6 @@ import (
 	"testing"
 
 	"gapbench/internal/graph"
-	"gapbench/internal/grb"
 	"gapbench/internal/verify"
 )
 
@@ -236,27 +232,6 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
-func BenchmarkTranspose(b *testing.B) {
-	g, err := graph.BuildWeighted(kronBenchEdges(buildBenchScale, edgeFactor, 0x1234),
-		graph.BuildOptions{NumNodes: 1 << buildBenchScale, Directed: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, weighted := range []bool{false, true} {
-		name := "Structural"
-		if weighted {
-			name = "Weighted"
-		}
-		a := grb.FromGraph(g, false, weighted)
-		b.Run(name, func(b *testing.B) {
-			b.ReportMetric(float64(a.NVals()), "vals/op")
-			for i := 0; i < b.N; i++ {
-				_ = a.Transpose()
-			}
-		})
-	}
-}
-
 // BenchmarkDegreeRelabel times graph.DegreeRelabel — the counting-sort
 // ordering plus the cursor-scatter CSR rebuild — on the two shapes a TC trial
 // hands it: a skewed weighted undirected graph, where the Baseline rules put
@@ -276,7 +251,7 @@ func BenchmarkDegreeRelabel(b *testing.B) {
 		}
 		b.Run(sh.name, func(b *testing.B) {
 			for b.Loop() {
-				graph.DegreeRelabel(g)
+				graph.DegreeRelabel(nil, g)
 			}
 			b.ReportMetric(float64(g.NumEdges()), "edges/op")
 		})

@@ -29,7 +29,6 @@ import (
 	"gapbench/internal/graphit"
 	"gapbench/internal/kernel"
 	"gapbench/internal/report"
-	"gapbench/internal/tune"
 )
 
 func main() {
@@ -181,16 +180,22 @@ func run(tableSel string, scale, trials int, graphsCSV, kernelsCSV, fwCSV, modeS
 	core.PrepareViews(frameworks, inputs) // untimed load-phase conversions
 
 	if tuneFile != "" {
-		store, err := tune.LoadStore(tuneFile)
+		store, err := loadStore(tuneFile)
 		if err != nil {
 			return err
 		}
 		if doTune {
-			if err := tuneSchedules(store, inputs, kernels, trials, runner.OptimizedWorkers); err != nil {
+			tuned, reused := tuneSchedules(store, inputs, kernels, trials, runner.OptimizedWorkers)
+			if err := saveStore(tuneFile, store); err != nil {
 				return err
 			}
+			fmt.Fprintf(os.Stderr, "tune: tuned %d schedules, reused %d from %s\n", tuned, reused, tuneFile)
 		}
-		runner.Schedules = store
+		for _, f := range frameworks {
+			if g, ok := f.(*graphit.Framework); ok {
+				g.Schedules = store
+			}
+		}
 	}
 
 	progress := func(r core.Result) {
@@ -246,16 +251,47 @@ func run(tableSel string, scale, trials int, graphsCSV, kernelsCSV, fwCSV, modeS
 // covers (TC has no schedule space).
 var tunableKernels = map[core.Kernel]bool{"BFS": true, "SSSP": true, "PR": true, "CC": true, "BC": true}
 
+// loadStore reads the schedule store at path. A missing file yields an empty
+// store (first tuning run); a malformed or wrong-version file is an error.
+func loadStore(path string) (*graphit.Store, error) {
+	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return graphit.NewStore(), nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("reading schedule store: %w", err)
+	}
+	store, err := graphit.ParseStore(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return store, nil
+}
+
+// saveStore writes the schedule store to path, creating its directory.
+func saveStore(path string, store *graphit.Store) error {
+	data, err := store.Encode()
+	if err != nil {
+		return err
+	}
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return fmt.Errorf("creating schedule store directory: %w", err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		return fmt.Errorf("writing schedule store: %w", err)
+	}
+	return nil
+}
+
 // tuneSchedules runs the autotuner for every (input, kernel) pair not already
 // covered by the store — stored entries are keyed by the graph's content
 // epoch, so a store tuned against different graph bytes misses cleanly and
-// gets re-tuned — then persists the store.
-func tuneSchedules(store *tune.Store, inputs []*core.Input, kernels []core.Kernel, trials, workers int) error {
+// gets re-tuned. It returns how many schedules it tuned and how many it found.
+func tuneSchedules(store *graphit.Store, inputs []*core.Input, kernels []core.Kernel, trials, workers int) (tuned, reused int) {
 	if len(kernels) == 0 {
 		kernels = core.Kernels
 	}
 	mode := kernel.Optimized.String()
-	tuned, reused := 0, 0
 	for _, in := range inputs {
 		for _, k := range kernels {
 			if !tunableKernels[k] {
@@ -271,13 +307,9 @@ func tuneSchedules(store *tune.Store, inputs []*core.Input, kernels []core.Kerne
 				src = in.Sources[0]
 			}
 			best, trace := graphit.Autotune(in.Graph, kname, src, trials, workers)
-			store.Put(kname, in.Graph.Epoch(), mode, best, tune.BestSeconds(trace, best))
+			store.Put(kname, in.Graph.Epoch(), mode, best, graphit.BestSeconds(trace, best))
 			tuned++
 		}
 	}
-	if err := store.Save(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "tune: tuned %d schedules, reused %d from %s\n", tuned, reused, store.Path())
-	return nil
+	return tuned, reused
 }

@@ -126,7 +126,7 @@ func run(listenAddr, graphsCSV string, scale int, graphDir, graphFiles, fwCSV st
 		Grace:         grace,
 		Admission:     serve.AdmissionConfig{Rate: rate, Burst: burst, MaxQueue: maxQueue},
 		Breaker:       serve.BreakerConfig{Threshold: breakerN, Cooldown: breakerCooldown},
-		Retry:         serve.RetryConfig{Policy: &core.RetryPolicy{MaxRetries: retries, RetryOn: func(s core.Status) bool { return s == core.Panicked }}},
+		Retry:         serve.RetryConfig{MaxRetries: retries},
 		JournalPath:   journal,
 		Seed:          seed,
 		Logf:          logf,

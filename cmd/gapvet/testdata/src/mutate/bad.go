@@ -56,10 +56,3 @@ func CopyAndSort(g *graph.Graph, u graph.NodeID) []graph.NodeID {
 	sort.Slice(own, func(i, j int) bool { return own[i] < own[j] })
 	return own
 }
-
-// StompArena stores through the raw arena block every CSR view is carved
-// from — the Arena.Bytes seed must make it visible to the lattice.
-func StompArena(g *graph.Graph) {
-	b := g.Arena().Bytes()
-	b[0] = 0xFF
-}

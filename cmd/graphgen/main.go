@@ -60,7 +60,7 @@ func run(out string, scale int, seed uint64, oneGraph, layoutName string) error 
 			return err
 		}
 		if lay == graph.LayoutDegree {
-			rg, _ := graph.DegreeRelabel(g)
+			rg, _ := graph.DegreeRelabel(nil, g)
 			if err := g.Close(); err != nil {
 				return err
 			}

@@ -73,21 +73,6 @@ func (c *cache) Fill(g *graph.Graph) {
 			},
 		},
 		{
-			name: "arena bytes are graph-derived too",
-			path: "gapbench/internal/gap",
-			files: map[string]string{"bad.go": `package gap
-
-import "gapbench/internal/graph"
-
-func RawByte(g *graph.Graph) byte {
-	b := g.Arena().Bytes()
-	g.Close()
-	return b[0]
-}
-`},
-			want: []string{`"b" is a graph-derived view used after Graph.Close in RawByte`},
-		},
-		{
 			name: "copy before close is clean",
 			path: "gapbench/internal/gap",
 			files: map[string]string{"good.go": `package gap

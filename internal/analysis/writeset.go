@@ -62,9 +62,6 @@ var graphAccessorSeeds = map[string]bool{
 	"RawIn":         true,
 	"RawOutWeights": true,
 	"RawInWeights":  true,
-	// Arena.Bytes exposes the raw storage block every CSR view is carved
-	// from; a write (or a retained alias) through it bypasses all of them.
-	"Bytes": true,
 }
 
 // StoreSite is one store through tracked (graph- or parameter-derived)
@@ -512,13 +509,13 @@ func (w *wsWalker) callOrigin(call *ast.CallExpr, result int) origin {
 }
 
 // isGraphAccessorCall reports whether call invokes one of the registered
-// accessor methods on the graph substrate's Graph or Arena types.
+// accessor methods on the graph substrate's Graph type.
 func isGraphAccessorCall(pkg *Package, call *ast.CallExpr) bool {
 	return isGraphMethodCall(pkg, call, graphAccessorSeeds)
 }
 
 // isGraphMethodCall reports whether call invokes a method from names on the
-// graph package's Graph or Arena type.
+// graph package's Graph type.
 func isGraphMethodCall(pkg *Package, call *ast.CallExpr, names map[string]bool) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
@@ -540,10 +537,7 @@ func isGraphMethodCall(pkg *Package, call *ast.CallExpr, names map[string]bool) 
 	if !ok || named.Obj().Pkg() == nil {
 		return false
 	}
-	if name := named.Obj().Name(); name != "Graph" && name != "Arena" {
-		return false
-	}
-	return lastSegment(named.Obj().Pkg().Path()) == "graph"
+	return named.Obj().Name() == "Graph" && lastSegment(named.Obj().Pkg().Path()) == "graph"
 }
 
 // argForParam maps callee parameter index i (receiver first for methods)

@@ -8,6 +8,7 @@ import (
 	"gapbench/internal/generate"
 	"gapbench/internal/graph"
 	"gapbench/internal/kernel"
+	"gapbench/internal/par"
 )
 
 type (
@@ -122,6 +123,36 @@ func TestRunCellVerifiesAndTimes(t *testing.T) {
 		if res.Trials != 2 {
 			t.Errorf("%s: trials = %d", k, res.Trials)
 		}
+	}
+}
+
+// TestTimedRelabelCountsInTheCell: GAP relabels a skewed graph inside every
+// Baseline TC trial, and those regions must land in the cell's SyncStats —
+// one launch for the ordered count plus exactly the relabel's own.
+func TestTimedRelabelCountsInTheCell(t *testing.T) {
+	in, err := core.LoadInput(core.GraphSpec{Name: "Kron", Scale: 8, Seed: 1, Delta: 16, SourceSeed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !graph.SkewedDegrees(in.Undirected) {
+		t.Fatal("Kron-8 no longer passes the relabel heuristic; the test needs a skewed input")
+	}
+	r := &core.Runner{Trials: 2, BaselineWorkers: 2, OptimizedWorkers: 4}
+	defer r.Close()
+	res := r.RunCell(core.FrameworkByName("GAP"), core.TC, in, kernel.Baseline)
+	if res.Status != core.OK {
+		t.Fatalf("TC cell: %s: %s", res.Status, res.Err)
+	}
+	m := par.NewMachine(2)
+	defer m.Close()
+	graph.DegreeRelabel(m, in.Undirected)
+	relabel := m.Stats().Regions
+	if relabel == 0 {
+		t.Fatal("the relabel launched no region")
+	}
+	if want := 2 * (1 + relabel); res.Sync.Regions != want {
+		t.Fatalf("TC cell counted %d regions over 2 trials, want %d (1 count + %d relabel launches a trial)",
+			res.Sync.Regions, want, relabel)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"gapbench/internal/graph"
 	"gapbench/internal/kernel"
 	"gapbench/internal/par"
-	"gapbench/internal/tune"
 	"gapbench/internal/verify"
 )
 
@@ -134,9 +133,11 @@ func DefaultRetryPolicy() *RetryPolicy {
 	}
 }
 
-// retries reports whether a trial that ended in s after the given number of
-// retries gets another attempt.
-func (p *RetryPolicy) retries(s Status, attempt int) bool {
+// Retries reports whether an attempt that ended in s, after the given number
+// of earlier attempts, is followed by another — the one retry decision, for
+// the runner's trials and the daemon's queries alike. A nil policy is
+// DefaultRetryPolicy.
+func (p *RetryPolicy) Retries(s Status, attempt int) bool {
 	if s == OK {
 		return false
 	}
@@ -180,12 +181,6 @@ type Runner struct {
 	// replayed instead of re-run.
 	JournalPath string
 	Resume      bool
-
-	// Schedules is the persistent autotuned schedule store (written by
-	// gapbench -tune, keyed by kernel, graph epoch, and mode). When set,
-	// Optimized-mode cells get it through kernel.Options so schedule-aware
-	// frameworks skip their in-run heuristics; Baseline cells never see it.
-	Schedules *tune.Store
 
 	// machines holds one persistent worker pool per mode, built lazily at
 	// the mode's worker count (the Baseline 8-analogue vs the Optimized
@@ -291,7 +286,6 @@ func (r *Runner) options(in *Input, mode kernel.Mode) kernel.Options {
 		opt.GraphName = in.Spec.Name
 		opt.Workers = r.OptimizedWorkers
 		opt.RelabeledView = in.Relabeled
-		opt.Schedules = r.Schedules
 	}
 	return opt
 }
@@ -453,7 +447,7 @@ func (r *Runner) RunCell(f kernel.Framework, k Kernel, in *Input, mode kernel.Mo
 				Status: out.Status, Seconds: out.Seconds,
 				Err: out.Err, Stack: out.Stack,
 			})
-			if !r.Retry.retries(out.Status, attempt) {
+			if !r.Retry.Retries(out.Status, attempt) {
 				break
 			}
 			res.Retries++

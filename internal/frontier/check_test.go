@@ -66,8 +66,10 @@ func TestCorruptedSparseCount(t *testing.T) {
 // bits.
 func TestCorruptedBitmapCount(t *testing.T) {
 	b := NewSet(32, Bitmap)
-	b.Add(1)
-	b.Add(3)
+	b.bits.SetAtomic(1)
+	b.count++
+	b.bits.SetAtomic(3)
+	b.count++
 	b.count = 3 // corrupt: one phantom member
 	mustPanic(t, func() { b.ToList(par.Default(), 1) },
 		"ToList", "conversion-count")
@@ -86,8 +88,10 @@ func TestDuplicateHidingDetected(t *testing.T) {
 // pairs that the conversion code paths cannot produce.
 func TestCheckConversionDirect(t *testing.T) {
 	bitmap := NewSet(32, Bitmap)
-	bitmap.Add(1)
-	bitmap.Add(3)
+	bitmap.bits.SetAtomic(1)
+	bitmap.count++
+	bitmap.bits.SetAtomic(3)
+	bitmap.count++
 
 	t.Run("membership", func(t *testing.T) {
 		out := FromList(32, []graph.NodeID{1, 4}) // 4 is not in the bitmap

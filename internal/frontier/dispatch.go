@@ -71,9 +71,3 @@ func (d *Dispatcher) DisableAccounting() {
 	d.scout = 0
 	d.edgesToCheck = d.edges
 }
-
-// Scout returns the current frontier out-degree sum (observability/tests).
-func (d *Dispatcher) Scout() int64 { return d.scout }
-
-// EdgesToCheck returns the remaining unexplored-edge budget.
-func (d *Dispatcher) EdgesToCheck() int64 { return d.edgesToCheck }

@@ -66,29 +66,9 @@ func FromList(n int64, list []graph.NodeID) *Set {
 // Size returns the number of active vertices.
 func (s *Set) Size() int64 { return s.count }
 
-// Layout returns the current representation.
-func (s *Set) Layout() Layout { return s.layout }
-
 // List returns the backing index list of a sparse set (nil for bitmaps —
 // convert with ToList first).
 func (s *Set) List() []graph.NodeID { return s.list }
-
-// Bits returns the backing bitmap of a bitmap set (nil for sparse lists —
-// convert with ToBitmap first).
-func (s *Set) Bits() *graph.Bitmap { return s.bits }
-
-// Add inserts a vertex. The bitmap layout is safe for concurrent adders; the
-// sparse-list layout is a single-threaded setup path.
-func (s *Set) Add(v graph.NodeID) {
-	if s.layout == Bitmap {
-		if s.bits.SetAtomic(int64(v)) {
-			atomic.AddInt64(&s.count, 1)
-		}
-		return
-	}
-	s.list = append(s.list, v)
-	s.count++
-}
 
 // Contains reports membership. The bitmap layout answers in O(1); the
 // sparse-list layout scans (callers that test membership in a loop should

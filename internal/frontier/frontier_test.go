@@ -11,12 +11,12 @@ import (
 
 func TestConversionRoundTripSmall(t *testing.T) {
 	s := FromList(16, []graph.NodeID{5, 1, 3})
-	if s.Size() != 3 || s.Layout() != SparseList {
-		t.Fatalf("FromList: size=%d layout=%v", s.Size(), s.Layout())
+	if s.Size() != 3 || s.layout != SparseList {
+		t.Fatalf("FromList: size=%d layout=%v", s.Size(), s.layout)
 	}
 	b := s.ToBitmap(par.Default(), 2)
-	if b.Size() != 3 || b.Layout() != Bitmap {
-		t.Fatalf("ToBitmap: size=%d layout=%v", b.Size(), b.Layout())
+	if b.Size() != 3 || b.layout != Bitmap {
+		t.Fatalf("ToBitmap: size=%d layout=%v", b.Size(), b.layout)
 	}
 	for _, v := range []graph.NodeID{1, 3, 5} {
 		if !b.Contains(v) {
@@ -52,7 +52,8 @@ func TestConversionParallelPaths(t *testing.T) {
 	b := NewSet(n, Bitmap)
 	var want []graph.NodeID
 	for v := int64(0); v < n; v += 7 {
-		b.Add(graph.NodeID(v))
+		b.bits.SetAtomic(v)
+		b.count++
 		want = append(want, graph.NodeID(v))
 	}
 	if int64(len(want)) <= convertTileList {
@@ -129,12 +130,12 @@ func TestDispatcherBeamerAccounting(t *testing.T) {
 		t.Fatal("scout 10 <= 1000/15: must start pushing")
 	}
 	d.BeginPush()
-	if d.EdgesToCheck() != 990 {
-		t.Fatalf("edgesToCheck = %d after BeginPush, want 990", d.EdgesToCheck())
+	if d.edgesToCheck != 990 {
+		t.Fatalf("edgesToCheck = %d after BeginPush, want 990", d.edgesToCheck)
 	}
 	d.EndPush(200)
-	if d.Scout() != 200 {
-		t.Fatalf("scout = %d after EndPush, want 200", d.Scout())
+	if d.scout != 200 {
+		t.Fatalf("scout = %d after EndPush, want 200", d.scout)
 	}
 	if !d.UsePull() {
 		t.Fatal("scout 200 > 990/15: must switch to pull")
@@ -153,15 +154,15 @@ func TestDispatcherBeamerAccounting(t *testing.T) {
 		t.Fatal("empty frontier must stop pulling")
 	}
 	d.EndPull()
-	if d.Scout() != 1 {
-		t.Fatalf("scout = %d after EndPull, want the pessimistic 1", d.Scout())
+	if d.scout != 1 {
+		t.Fatalf("scout = %d after EndPull, want the pessimistic 1", d.scout)
 	}
 	if d.UsePull() {
 		t.Fatal("scout 1 must resume pushing")
 	}
 	d.DisableAccounting()
-	if d.Scout() != 0 || d.EdgesToCheck() != 1000 {
-		t.Fatalf("DisableAccounting left scout=%d edgesToCheck=%d", d.Scout(), d.EdgesToCheck())
+	if d.scout != 0 || d.edgesToCheck != 1000 {
+		t.Fatalf("DisableAccounting left scout=%d edgesToCheck=%d", d.scout, d.edgesToCheck)
 	}
 	if d.UsePull() {
 		t.Fatal("push-only dispatcher must never pull")
@@ -191,7 +192,8 @@ func TestConversionCancelledTerminates(t *testing.T) {
 	b := NewSet(n, Bitmap)
 	list := make([]graph.NodeID, 0, n/3)
 	for v := int64(0); v < n; v += 3 {
-		b.Add(graph.NodeID(v))
+		b.bits.SetAtomic(v)
+		b.count++
 		list = append(list, graph.NodeID(v))
 	}
 	if out := b.ToList(m, 4); out == nil {

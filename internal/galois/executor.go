@@ -10,158 +10,6 @@ import (
 	"gapbench/internal/par"
 )
 
-// Ctx is the operator's handle for generating new work (the Galois
-// UserContext). Pushes go to a worker-local chunk and spill through the
-// executor's sink (the worker's deque, or the next round's bag) when full.
-type Ctx struct {
-	local   *chunk
-	spill   func(*chunk)
-	pending *atomic.Int64
-}
-
-// Push schedules v for (re-)processing.
-func (c *Ctx) Push(v graph.NodeID) {
-	c.pending.Add(1)
-	if c.local.n == chunkSize {
-		c.spill(c.local)
-		c.local = chunkPool.Get().(*chunk)
-		c.local.n = 0
-	}
-	c.local.items[c.local.n] = v
-	c.local.n++
-}
-
-// ForEachAsync runs op over the initial work items and everything they push,
-// with no round structure: each worker owns a Chase-Lev deque (LIFO for
-// itself, stolen FIFO by idle workers) and drains until global quiescence.
-// This is Galois' asynchronous data-driven executor — the mechanism §VI
-// credits for converging "sooner because they can update information faster
-// without waiting at the bulk synchronous ... iteration boundaries".
-//
-// The operator may be applied to the same vertex many times and must be a
-// monotone relaxation (idempotent at fixed point), which all the kernels
-// here are.
-//
-// The worker loops run as one region on the given machine (one slot per
-// worker id): Galois' persistent-thread executor mapped onto our persistent
-// pool, so a whole asynchronous traversal costs one launch. When the machine
-// has fewer participants than workers the slots run in sequence, which stays
-// correct — any single slot can drain the whole computation to quiescence by
-// stealing.
-func ForEachAsync(exec *par.Machine, workers int, initial []graph.NodeID, op func(ctx *Ctx, v graph.NodeID)) {
-	if workers < 1 {
-		workers = 1
-	}
-	deques := make([]*wsDeque, workers)
-	for w := range deques {
-		deques[w] = newWSDeque()
-	}
-	// Distribute the seed work round-robin across the deques.
-	for at, w := 0, 0; at < len(initial); w = (w + 1) % workers {
-		c := chunkPool.Get().(*chunk)
-		c.n = copy(c.items[:], initial[at:])
-		at += c.n
-		deques[w].pushBottom(c)
-	}
-	var pending atomic.Int64
-	pending.Store(int64(len(initial)))
-
-	// Cooperative cancellation: every worker checks the machine's token at
-	// its chunk-claim boundary. One worker bailing early leaves pending > 0
-	// forever, so the token is the *only* way the others exit — each one
-	// observes it either at the loop top or in the idle branch.
-	tok := exec.CancelToken()
-	exec.ForWorker(workers, workers, func(w, _, _ int) {
-		own := deques[w]
-		ctx := &Ctx{local: chunkPool.Get().(*chunk), pending: &pending}
-		ctx.local.n = 0
-		//gapvet:ignore alloc-in-timed-region -- one spill closure per worker goroutine: per-worker setup, not per-element churn
-		ctx.spill = func(c *chunk) { own.pushBottom(c) }
-		rng := uint64(w)*0x9e3779b97f4a7c15 + 0x853c49e6748fea9b
-		idle := 0
-		for {
-			if tok.Cancelled() {
-				break // cancelled: abandon remaining work, results are discarded
-			}
-			// Own partial chunk first (locality), then own deque, then
-			// steal from a random victim.
-			c := ctx.local
-			if c.n == 0 {
-				c = own.popBottom()
-				for attempts := 0; c == nil && attempts < 2*workers; attempts++ {
-					rng = rng*6364136223846793005 + 1442695040888963407
-					victim := int((rng >> 33) % uint64(workers))
-					if victim != w {
-						c = deques[victim].steal()
-					}
-				}
-				if c == nil {
-					if pending.Load() == 0 {
-						break
-					}
-					idle++
-					if idle > 16 {
-						time.Sleep(time.Duration(min(idle, 200)) * time.Microsecond)
-					} else {
-						runtime.Gosched()
-					}
-					continue
-				}
-				idle = 0
-			} else {
-				ctx.local = chunkPool.Get().(*chunk)
-				ctx.local.n = 0
-			}
-			n := c.n
-			for i := 0; i < n; i++ {
-				op(ctx, c.items[i])
-			}
-			pending.Add(-int64(n))
-			c.n = 0
-			chunkPool.Put(c)
-		}
-		chunkPool.Put(ctx.local)
-	})
-}
-
-// ForEachRounds runs op over work in bulk-synchronous rounds: the operator's
-// pushes form the next round's frontier, with a barrier between rounds (the
-// level-synchronous executor).
-func ForEachRounds(exec *par.Machine, workers int, initial []graph.NodeID, op func(ctx *Ctx, v graph.NodeID)) {
-	if workers < 1 {
-		workers = 1
-	}
-	tok := exec.CancelToken()
-	frontier := fillBag(initial)
-	for !frontier.empty() && !tok.Cancelled() {
-		next := &bag{}
-		var pending atomic.Int64 // unused for termination here, but Ctx needs it
-		exec.ForWorker(workers, workers, func(_, _, _ int) {
-			//gapvet:ignore escape-in-kernel -- one context per worker per round: region setup, amortized over the frontier's chunks
-			ctx := &Ctx{local: chunkPool.Get().(*chunk), pending: &pending}
-			ctx.local.n = 0
-			//gapvet:ignore alloc-in-timed-region,escape-in-kernel -- one spill closure per worker slot: per-worker setup, not per-element churn
-			ctx.spill = func(c *chunk) { next.put(c) }
-			for {
-				if tok.Cancelled() {
-					break
-				}
-				c := frontier.get()
-				if c == nil {
-					break
-				}
-				for i := 0; i < c.n; i++ {
-					op(ctx, c.items[i])
-				}
-				c.n = 0
-				chunkPool.Put(c)
-			}
-			next.put(ctx.local)
-		})
-		frontier = next
-	}
-}
-
 // PCtx is the push context for the ordered executor; pushes carry a priority
 // (lower runs earlier, best-effort).
 type PCtx struct {
@@ -277,8 +125,10 @@ func ForEachOrdered(exec *par.Machine, workers int, initial []graph.NodeID, init
 	}
 	seedCtx.flushAll()
 
-	// Same cancellation contract as ForEachAsync: the token is the only exit
-	// once any worker abandons work with pending > 0.
+	// Cooperative cancellation: every worker checks the machine's token at
+	// its chunk-claim boundary. One worker bailing early leaves pending > 0
+	// forever, so the token is the *only* way the others exit — each one
+	// observes it either at the loop top or in the idle branch.
 	tok := exec.CancelToken()
 	exec.ForWorker(workers, workers, func(_, _, _ int) {
 		ctx := &PCtx{exec: o, local: map[int]*chunk{}}

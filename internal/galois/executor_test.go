@@ -1,7 +1,6 @@
 package galois
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -9,103 +8,6 @@ import (
 	"gapbench/internal/par"
 	"gapbench/internal/testutil"
 )
-
-func TestForEachAsyncProcessesAllInitialWork(t *testing.T) {
-	defer testutil.CheckGoroutines(t)()
-	const n = 10_000
-	initial := make([]graph.NodeID, n)
-	for i := range initial {
-		initial[i] = graph.NodeID(i)
-	}
-	var count atomic.Int64
-	for _, workers := range []int{1, 4} {
-		count.Store(0)
-		ForEachAsync(par.Default(), workers, initial, func(_ *Ctx, v graph.NodeID) {
-			count.Add(1)
-		})
-		if count.Load() != n {
-			t.Fatalf("workers=%d processed %d, want %d", workers, count.Load(), n)
-		}
-	}
-}
-
-func TestForEachAsyncProcessesPushes(t *testing.T) {
-	defer testutil.CheckGoroutines(t)()
-	// Operator pushes a chain: 0 pushes 1, 1 pushes 2, ... up to limit.
-	const limit = 5000
-	var seen sync.Map
-	var count atomic.Int64
-	ForEachAsync(par.Default(), 4, []graph.NodeID{0}, func(ctx *Ctx, v graph.NodeID) {
-		if _, dup := seen.LoadOrStore(v, true); dup {
-			return
-		}
-		count.Add(1)
-		if v+1 < limit {
-			ctx.Push(v + 1)
-		}
-	})
-	if count.Load() != limit {
-		t.Fatalf("processed %d distinct items, want %d", count.Load(), limit)
-	}
-}
-
-func TestForEachAsyncFanOut(t *testing.T) {
-	defer testutil.CheckGoroutines(t)()
-	// Each item pushes two children to depth 12: 2^13-1 total ops.
-	const depth = 12
-	var count atomic.Int64
-	ForEachAsync(par.Default(), 4, []graph.NodeID{1}, func(ctx *Ctx, v graph.NodeID) {
-		count.Add(1)
-		if v < 1<<depth {
-			ctx.Push(2 * v)
-			ctx.Push(2*v + 1)
-		}
-	})
-	want := int64(1<<(depth+1)) - 1
-	if count.Load() != want {
-		t.Fatalf("processed %d, want %d", count.Load(), want)
-	}
-}
-
-func TestForEachRoundsBarrierOrder(t *testing.T) {
-	defer testutil.CheckGoroutines(t)()
-	// A chain where each round holds exactly one item: the barrier between
-	// rounds forces strictly sequential observation order, regardless of
-	// worker count.
-	var mu sync.Mutex
-	var order []graph.NodeID
-	ForEachRounds(par.Default(), 4, []graph.NodeID{0}, func(ctx *Ctx, v graph.NodeID) {
-		mu.Lock()
-		order = append(order, v)
-		mu.Unlock()
-		if v+1 < 50 {
-			ctx.Push(v + 1)
-		}
-	})
-	if len(order) != 50 {
-		t.Fatalf("processed %d, want 50", len(order))
-	}
-	for i, v := range order {
-		if v != graph.NodeID(i) {
-			t.Fatalf("order[%d] = %d: barrier violated", i, v)
-		}
-	}
-}
-
-func TestForEachRoundsChainLength(t *testing.T) {
-	defer testutil.CheckGoroutines(t)()
-	var count atomic.Int64
-	const chain = 257 // crosses several chunk boundaries
-	ForEachRounds(par.Default(), 3, []graph.NodeID{0}, func(ctx *Ctx, v graph.NodeID) {
-		count.Add(1)
-		if v+1 < chain {
-			ctx.Push(v + 1)
-		}
-	})
-	if count.Load() != chain {
-		t.Fatalf("processed %d, want %d", count.Load(), chain)
-	}
-}
 
 func TestForEachOrderedQuiescence(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
@@ -179,25 +81,6 @@ func TestBagPutGet(t *testing.T) {
 	b.put(e)
 	if !b.empty() {
 		t.Fatal("empty chunk stored")
-	}
-}
-
-func TestFillBagRoundTrip(t *testing.T) {
-	items := make([]graph.NodeID, 1000)
-	for i := range items {
-		items[i] = graph.NodeID(i)
-	}
-	b := fillBag(items)
-	got := drainBag(b, nil)
-	if len(got) != len(items) {
-		t.Fatalf("drained %d, want %d", len(got), len(items))
-	}
-	seen := map[graph.NodeID]bool{}
-	for _, v := range got {
-		if seen[v] {
-			t.Fatalf("duplicate %d", v)
-		}
-		seen[v] = true
 	}
 }
 

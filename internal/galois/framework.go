@@ -118,7 +118,7 @@ func (*Framework) TC(g *graph.Graph, opt kernel.Options) int64 {
 	if opt.Mode == kernel.Optimized && opt.RelabeledView != nil {
 		u = opt.RelabeledView
 	} else if graph.SkewedDegrees(u) {
-		u, _ = graph.DegreeRelabel(u)
+		u, _ = graph.DegreeRelabel(opt.Exec(), u)
 	}
 	return triangleCount(opt.Exec(), u, opt.EffectiveWorkers())
 }

@@ -1,10 +1,12 @@
 // Package galois reproduces the Galois framework the paper evaluates: the
 // operator formulation of graph algorithms over concurrent chunked
-// worklists, with bulk-synchronous and asynchronous executors and an
-// OBIM-style ordered (priority) scheduler. §III-B and §VI credit exactly
-// these mechanisms — sparse worklists, asynchronous data-driven execution,
-// Gauss-Seidel in-place updates — for Galois' wins on high-diameter graphs,
-// and this package implements them rather than imitating their timings.
+// worklists. The asynchronous kernels (BFS, SSSP, BC on high-diameter
+// graphs) run on one executor, the OBIM-style ordered (priority) scheduler
+// ForEachOrdered; the bulk-synchronous ones write their rounds out over a
+// bag of chunks. §III-B and §VI credit exactly these mechanisms — sparse
+// worklists, asynchronous data-driven execution, Gauss-Seidel in-place
+// updates — for Galois' wins on high-diameter graphs, and this package
+// implements them rather than imitating their timings.
 package galois
 
 import (
@@ -59,17 +61,4 @@ func (b *bag) empty() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return len(b.chunks) == 0
-}
-
-// fillBag distributes a slice of initial work into a bag in chunks.
-func fillBag(items []graph.NodeID) *bag {
-	b := &bag{}
-	//gapvet:ignore cancel-liveness -- bounded: items shrinks by a full chunk every iteration, so the trip count is len(items)/chunkSize
-	for len(items) > 0 {
-		c := chunkPool.Get().(*chunk)
-		c.n = copy(c.items[:], items)
-		items = items[c.n:]
-		b.put(c)
-	}
-	return b
 }

@@ -21,7 +21,7 @@ func TriangleCount(g *graph.Graph, opt kernel.Options) int64 {
 	if opt.Mode == kernel.Optimized && opt.RelabeledView != nil {
 		u = opt.RelabeledView
 	} else if WorthRelabeling(u) {
-		u, _ = graph.DegreeRelabel(u)
+		u, _ = graph.DegreeRelabel(opt.Exec(), u)
 	}
 	return orderedCount(opt.Exec(), u, opt.EffectiveWorkers())
 }

@@ -105,7 +105,7 @@ func (*Framework) TC(g *graph.Graph, opt kernel.Options) int64 {
 		u = opt.RelabeledView
 	} else if graph.SkewedDegrees(u) {
 		// §V-F: "GKC sorts vertices depending on degree skewness".
-		u, _ = graph.DegreeRelabel(u)
+		u, _ = graph.DegreeRelabel(opt.Exec(), u)
 	}
 	return leeLowTC(opt.Exec(), u, opt.EffectiveWorkers())
 }

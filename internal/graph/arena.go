@@ -130,12 +130,6 @@ func (a *Arena) Size() int64 {
 	return a.lay.total
 }
 
-// Bytes exposes the raw arena block (all six sections plus alignment
-// padding). Like the Graph accessors, the returned slice aliases graph
-// storage and must not be modified; it is registered as a graph-mutation
-// seed in gapvet's write-set lattice.
-func (a *Arena) Bytes() []byte { return a.data }
-
 // int64s carves the typed view of an 8-byte-element section; nil when the
 // section is absent.
 func (a *Arena) int64s(sec int) []int64 {

@@ -52,18 +52,12 @@ func (b *Bitmap) SetAtomic(i int64) bool {
 	}
 }
 
-// Get reports bit i without synchronization. Callers racing with SetAtomic
-// writers must use GetAtomic; the kernels call Get only on bitmaps that are
-// read-only for the duration of the phase (pull-phase frontiers).
+// Get reports bit i without synchronization: the kernels call it only on
+// bitmaps that are read-only for the duration of the phase (pull-phase
+// frontiers), never while SetAtomic writers are running.
 func (b *Bitmap) Get(i int64) bool {
-	//gapvet:ignore atomic-plain-mix -- plain read path is documented phase-separated; racing readers use GetAtomic
+	//gapvet:ignore atomic-plain-mix -- plain read path is documented phase-separated: no reader runs while SetAtomic writers do
 	return b.words[i>>6]&(1<<uint(i&63)) != 0
-}
-
-// GetAtomic reports bit i using an atomic load, for readers racing with
-// SetAtomic writers.
-func (b *Bitmap) GetAtomic(i int64) bool {
-	return atomic.LoadUint64(&b.words[i>>6])&(1<<uint(i&63)) != 0
 }
 
 // Words exposes the backing word array, least-significant bit first, for

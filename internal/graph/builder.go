@@ -87,7 +87,7 @@ func build(edges []WEdge, opt BuildOptions, weighted bool) (*Graph, error) {
 	kept, newIndex := dedupRows(n, index, neigh, weight, opt.Workers)
 	g := assembleCSRGraph(n, opt.Directed, weighted, LayoutPlain, index, newIndex, kept, neigh, weight, opt.Workers)
 	if opt.Layout == LayoutDegree {
-		rg, _ := DegreeRelabel(g)
+		rg, _ := DegreeRelabel(nil, g)
 		if err := g.Close(); err != nil {
 			return nil, err
 		}
@@ -419,37 +419,6 @@ func (g *Graph) Undirected() *Graph {
 	})
 	kept, newIndex := dedupRows(n, uIndex, uNeigh, uWeight, 0)
 	return assembleCSRGraph(n, false, hasW, g.layout, uIndex, newIndex, kept, uNeigh, uWeight, 0)
-}
-
-// FromCSR adopts pre-built CSR arrays after validating their structure:
-// index arrays must be monotone and consistent with the neighbor arrays,
-// and every neighbor id must be in range. Relabeling and deserialization
-// both funnel through here, so corrupt or hostile inputs are rejected
-// instead of panicking later inside a kernel.
-func FromCSR(n int32, directed bool, outIndex []int64, outNeigh []NodeID, inIndex []int64, inNeigh []NodeID, outWeight, inWeight []Weight) (*Graph, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("graph: negative vertex count %d", n)
-	}
-	if err := validateCSR(n, "out", outIndex, outNeigh, outWeight); err != nil {
-		return nil, err
-	}
-	g := &Graph{
-		n: n, directed: directed,
-		outIndex: outIndex, outNeigh: outNeigh,
-		outWeight: outWeight,
-	}
-	if directed {
-		if err := validateCSR(n, "in", inIndex, inNeigh, inWeight); err != nil {
-			return nil, err
-		}
-		g.inIndex, g.inNeigh, g.inWeight = inIndex, inNeigh, inWeight
-	} else {
-		g.inIndex, g.inNeigh, g.inWeight = outIndex, outNeigh, outWeight
-	}
-	// Copy the adopted slices into an arena so every validated graph has
-	// uniform storage ownership (Close semantics, epoch identity).
-	g.materializeArena()
-	return g, nil
 }
 
 // validateCSR checks one CSR side for structural consistency.

@@ -329,7 +329,7 @@ func TestDegreeRelabelMatchesStableSortReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, perm := graph.DegreeRelabel(g)
+		_, perm := graph.DegreeRelabel(nil, g)
 
 		// Reference permutation via a stable comparison sort.
 		order := make([]graph.NodeID, n)

@@ -81,28 +81,3 @@ func LoadEdgeList(path string, opt BuildOptions) (*Graph, error) {
 	}
 	return g, nil
 }
-
-// WriteEdgeList emits the graph as a text edge list ("u v" or "u v w" when
-// weighted). Undirected graphs emit each edge once (u <= v order).
-func (g *Graph) WriteEdgeList(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	for u := int32(0); u < g.n; u++ {
-		neigh := g.OutNeighbors(u)
-		ws := g.OutWeights(u)
-		for i, v := range neigh {
-			if !g.directed && v < u {
-				continue // undirected: emit each pair once
-			}
-			var err error
-			if ws != nil {
-				_, err = fmt.Fprintf(bw, "%d %d %d\n", u, v, ws[i])
-			} else {
-				_, err = fmt.Fprintf(bw, "%d %d\n", u, v)
-			}
-			if err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}

@@ -82,10 +82,9 @@ type Graph struct {
 	// when unsealed or when the graphguard build tag is off.
 	seal *[6]uint64
 
-	// arena is the storage block the six views above point into; nil only
-	// for graphs assembled from caller-owned slices (FromCSR fast path is
-	// gone — builders and loaders always populate it, but the zero Graph
-	// stays valid for tests poking fields directly).
+	// arena is the storage block the six views above point into. Builders
+	// and loaders always populate it; it is nil only in a zero Graph, which
+	// stays valid for tests poking fields directly.
 	arena  *Arena
 	layout Layout
 

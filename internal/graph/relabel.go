@@ -14,11 +14,16 @@ import "gapbench/internal/par"
 // instead of the comparison sort's O(n log n). The scatter's stability is the
 // determinism guarantee the old stable sort provided: vertices are walked in
 // id order, so equal-degree vertices keep ascending ids.
-func DegreeRelabel(g *Graph) (*Graph, []NodeID) {
+//
+// The two parallel regions run on exec, sized to it: a kernel that relabels
+// inside its timed trial passes the trial's machine, so the regions land in
+// the cell's SyncStats and see its cancel token. A nil exec is the
+// process-default machine, for the untimed load-phase callers.
+func DegreeRelabel(exec *par.Machine, g *Graph) (*Graph, []NodeID) {
 	n := g.NumNodes()
 	perm := make([]NodeID, n)
 	if n > 0 {
-		maxDeg := par.ReduceMaxInt64(int(n), 0, func(lo, hi int) int64 {
+		maxDeg := exec.ReduceMaxInt64(int(n), 0, func(lo, hi int) int64 {
 			var mx int64
 			for u := lo; u < hi; u++ {
 				if d := g.OutDegree(NodeID(u)); d > mx {
@@ -29,18 +34,22 @@ func DegreeRelabel(g *Graph) (*Graph, []NodeID) {
 		})
 		// Bin b holds degree maxDeg-b, so ascending bins are descending
 		// degrees and the scatter position is directly the new vertex id.
-		h := par.ShardedHistogram(int(n), int(maxDeg)+1, 0, func(i int) int {
+		h := exec.ShardedHistogram(int(n), int(maxDeg)+1, 0, func(i int) int {
 			return int(maxDeg - g.OutDegree(NodeID(i)))
 		})
+		// A fired cancel token makes the machine skip region bodies, so the
+		// counts — and the perm a scatter would write from them — are
+		// partial. The harness discards a cancelled trial's result; hand the
+		// input back rather than rebuild a CSR from a non-permutation.
+		if exec.Interrupted() {
+			return g, perm
+		}
 		h.Scatter(func(i int, pos int64) { perm[i] = NodeID(pos) })
+		if exec.Interrupted() {
+			return g, perm
+		}
 	}
 	return applyPermutation(g, perm, LayoutDegree), perm
-}
-
-// ApplyPermutation renumbers g's vertices: vertex old becomes perm[old]. The
-// permutation must be a bijection on [0, n).
-func ApplyPermutation(g *Graph, perm []NodeID) *Graph {
-	return applyPermutation(g, perm, g.layout)
 }
 
 // applyPermutation rebuilds both CSR sides under the permutation into a

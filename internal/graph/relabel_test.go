@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"gapbench/internal/graph"
+	"gapbench/internal/par"
 )
 
 // assertSameCSR requires the two graphs' six CSR arrays to be identical, by
@@ -59,6 +60,9 @@ func assertCanonicalCSR(t *testing.T, label string, g *graph.Graph) {
 	}
 }
 
+// TestApplyPermutationMatchesRenamedBuild drives applyPermutation the only
+// way the package does, through DegreeRelabel: the relabelled graph must equal
+// the build of the edge list renamed by the permutation it returns.
 func TestApplyPermutationMatchesRenamedBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x17c5))
 	kinds := []struct {
@@ -73,14 +77,6 @@ func TestApplyPermutationMatchesRenamedBuild(t *testing.T) {
 		kind := kinds[trial%len(kinds)]
 		n := int32(1 + rng.Int31n(120))
 		edges := randomEdges(rng, n, rng.Intn(8*int(n)))
-		perm := make([]graph.NodeID, n)
-		for i, p := range rng.Perm(int(n)) {
-			perm[i] = graph.NodeID(p)
-		}
-		renamed := make([]graph.WEdge, len(edges))
-		for i, e := range edges {
-			renamed[i] = graph.WEdge{U: perm[e.U], V: perm[e.V], W: e.W}
-		}
 		opt := graph.BuildOptions{NumNodes: n, Directed: kind.directed, KeepSelfLoops: trial%2 == 0}
 		build := func(edges []graph.WEdge) *graph.Graph {
 			t.Helper()
@@ -95,9 +91,13 @@ func TestApplyPermutationMatchesRenamedBuild(t *testing.T) {
 		}
 		src := build(edges)
 		src.Seal() // armed under -tags=graphguard: the permute only reads its source
-		got := graph.ApplyPermutation(src, perm)
+		got, perm := graph.DegreeRelabel(nil, src)
 		if err := src.CheckSeal(); err != nil {
 			t.Fatalf("%s: %v", kind.name, err)
+		}
+		renamed := make([]graph.WEdge, len(edges))
+		for i, e := range edges {
+			renamed[i] = graph.WEdge{U: perm[e.U], V: perm[e.V], W: e.W}
 		}
 		assertSameCSR(t, kind.name, got, build(renamed))
 		assertCanonicalCSR(t, kind.name, got)
@@ -112,8 +112,8 @@ func TestDegreeRelabelOfDegreeOrderedGraphIsIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ordered, _ := graph.DegreeRelabel(g)
-		again, perm := graph.DegreeRelabel(ordered)
+		ordered, _ := graph.DegreeRelabel(nil, g)
+		again, perm := graph.DegreeRelabel(nil, ordered)
 		for old, nw := range perm {
 			if nw != graph.NodeID(old) {
 				t.Fatalf("directed=%v: vertex %d of a degree-ordered graph moved to %d", directed, old, nw)
@@ -130,7 +130,7 @@ func TestRelabelDegenerateGraphs(t *testing.T) {
 		if empty.NumNodes() != 0 {
 			t.Fatalf("empty build has %d vertices", empty.NumNodes())
 		}
-		rg, perm := graph.DegreeRelabel(empty)
+		rg, perm := graph.DegreeRelabel(nil, empty)
 		if len(perm) != 0 {
 			t.Fatalf("n=0: perm = %v", perm)
 		}
@@ -142,12 +142,58 @@ func TestRelabelDegenerateGraphs(t *testing.T) {
 				edges = []graph.Edge{{U: 0, V: 0}}
 			}
 			one := mustBuild(t, edges, graph.BuildOptions{NumNodes: 1, Directed: directed, KeepSelfLoops: true})
-			rg, perm := graph.DegreeRelabel(one)
+			rg, perm := graph.DegreeRelabel(nil, one)
 			if !slices.Equal(perm, []graph.NodeID{0}) {
 				t.Fatalf("n=1: perm = %v", perm)
 			}
 			assertSameCSR(t, "n=1", rg, one)
-			assertSameCSR(t, "n=1 ApplyPermutation", graph.ApplyPermutation(one, perm), one)
 		}
+	}
+}
+
+// skewedGraph is an undirected graph with a hub (vertex 0 touches everyone)
+// over a sparse random remainder, so the degree histogram is wide.
+func skewedGraph(t *testing.T, n int32) *graph.Graph {
+	t.Helper()
+	edges := edgesOnly(randomEdges(rand.New(rand.NewSource(0x5cede)), n, 3*int(n)))
+	for v := graph.NodeID(1); v < n; v++ {
+		edges = append(edges, graph.Edge{U: 0, V: v})
+	}
+	return mustBuild(t, edges, graph.BuildOptions{NumNodes: n})
+}
+
+// TestDegreeRelabelRunsOnItsMachine: the relabel's parallel regions belong
+// to the executor it is handed — the trial's machine when a kernel relabels
+// inside its timed region — and not to the process default.
+func TestDegreeRelabelRunsOnItsMachine(t *testing.T) {
+	g := skewedGraph(t, 600)
+	m := par.NewMachine(4)
+	defer m.Close()
+	before := par.Default().Stats()
+	rg, _ := graph.DegreeRelabel(m, g)
+	if got := m.Stats().Regions; got == 0 {
+		t.Fatal("no region ran on the machine the relabel was given")
+	}
+	if after := par.Default().Stats(); after != before {
+		t.Fatalf("the relabel moved the default machine's stats: %+v -> %+v", before, after)
+	}
+	want, _ := graph.DegreeRelabel(nil, g)
+	assertSameCSR(t, "private machine vs default", rg, want)
+}
+
+// TestDegreeRelabelOnCancelledMachine: a fired token makes the machine skip
+// region bodies; the relabel must hand back its input (the trial's result is
+// discarded) instead of permuting by half-written counts.
+func TestDegreeRelabelOnCancelledMachine(t *testing.T) {
+	g := skewedGraph(t, 600)
+	for _, width := range []int{1, 4} {
+		m := par.NewMachine(width)
+		tok := par.NewCancelToken()
+		tok.Cancel()
+		m.SetCancel(tok)
+		if rg, _ := graph.DegreeRelabel(m, g); rg != g {
+			t.Errorf("width %d: a cancelled relabel rebuilt the graph", width)
+		}
+		m.Close()
 	}
 }

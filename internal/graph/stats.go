@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"cmp"
 	"math"
 	"slices"
 )
@@ -177,21 +176,6 @@ func bfsEccentricity(g *Graph, src NodeID, depth []int32) (NodeID, int64) {
 		}
 	}
 	return last, lastDepth
-}
-
-// DegreeHistogram returns (degree, count) pairs sorted by degree, for
-// plotting or distribution tests.
-func DegreeHistogram(g *Graph) [][2]int64 {
-	counts := map[int64]int64{}
-	for u := int32(0); u < g.NumNodes(); u++ {
-		counts[g.OutDegree(u)]++
-	}
-	out := make([][2]int64, 0, len(counts))
-	for d, c := range counts {
-		out = append(out, [2]int64{d, c})
-	}
-	slices.SortFunc(out, func(a, b [2]int64) int { return cmp.Compare(a[0], b[0]) })
-	return out
 }
 
 // SkewedDegrees is a sampling heuristic shared by the triangle-counting

@@ -92,15 +92,6 @@ func TestComputeStats(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	g := mustBuild(t, []graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}}, graph.BuildOptions{Directed: true})
-	h := graph.DegreeHistogram(g)
-	// Degrees: v0=2, v1=0, v2=0 -> histogram [(0,2),(2,1)].
-	if len(h) != 2 || h[0] != [2]int64{0, 2} || h[1] != [2]int64{2, 1} {
-		t.Fatalf("histogram = %v", h)
-	}
-}
-
 func TestSkewedDegrees(t *testing.T) {
 	// Uniformly dense graph: not skewed.
 	var edges []graph.Edge

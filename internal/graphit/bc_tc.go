@@ -41,7 +41,7 @@ func bc(exec *par.Machine, g *graph.Graph, sources []graph.NodeID, sched Schedul
 		// Forward: rounds of edgeset-apply keeping one vertex set per level.
 		var levels []*frontier.Set
 		front := frontier.FromList(int64(n), []graph.NodeID{src})
-		if sched.Frontier == Bitvector {
+		if sched.Frontier == frontier.Bitmap {
 			front = front.ToBitmap(exec, workers)
 		}
 		levels = append(levels, front)
@@ -123,7 +123,7 @@ func tc(exec *par.Machine, g *graph.Graph, opt kernel.Options, workers int) int6
 	if opt.Mode == kernel.Optimized && opt.RelabeledView != nil {
 		u = opt.RelabeledView
 	} else if graph.SkewedDegrees(u) {
-		ur, _ := graph.DegreeRelabel(u)
+		ur, _ := graph.DegreeRelabel(exec, u)
 		u = ur
 	}
 	naive := opt.Mode == kernel.Optimized && u.NumNodes() < 1<<17

@@ -6,7 +6,13 @@ import (
 )
 
 // Framework is the GraphIt reproduction.
-type Framework struct{}
+type Framework struct {
+	// Schedules is the persistent tuned-schedule store written by `gapbench
+	// -tune` (nil when none is attached). Optimized-mode kernels consult it,
+	// keyed by (kernel, graph Epoch, mode) — the cross-process form of the
+	// paper's Optimized-rule-set tuning; Baseline runs never read it.
+	Schedules *Store
+}
 
 // New returns the GraphIt framework.
 func New() *Framework { return &Framework{} }
@@ -43,32 +49,32 @@ var (
 )
 
 // BFS implements kernel.Framework.
-func (*Framework) BFS(g *graph.Graph, src graph.NodeID, opt kernel.Options) []graph.NodeID {
-	return bfs(opt.Exec(), g, src, scheduleFor("bfs", g, opt), opt.EffectiveWorkers())
+func (f *Framework) BFS(g *graph.Graph, src graph.NodeID, opt kernel.Options) []graph.NodeID {
+	return bfs(opt.Exec(), g, src, f.scheduleFor("bfs", g, opt), opt.EffectiveWorkers())
 }
 
 // SSSP implements kernel.Framework.
-func (*Framework) SSSP(g *graph.Graph, src graph.NodeID, opt kernel.Options) []kernel.Dist {
+func (f *Framework) SSSP(g *graph.Graph, src graph.NodeID, opt kernel.Options) []kernel.Dist {
 	delta := opt.Delta
 	if delta <= 0 {
 		delta = 16
 	}
-	return sssp(opt.Exec(), g, src, delta, scheduleFor("sssp", g, opt), opt.EffectiveWorkers())
+	return sssp(opt.Exec(), g, src, delta, f.scheduleFor("sssp", g, opt), opt.EffectiveWorkers())
 }
 
 // PR implements kernel.Framework.
-func (*Framework) PR(g *graph.Graph, opt kernel.Options) []float64 {
-	return pr(opt.Exec(), g, scheduleFor("pr", g, opt), opt.EffectiveWorkers())
+func (f *Framework) PR(g *graph.Graph, opt kernel.Options) []float64 {
+	return pr(opt.Exec(), g, f.scheduleFor("pr", g, opt), opt.EffectiveWorkers())
 }
 
 // CC implements kernel.Framework.
-func (*Framework) CC(g *graph.Graph, opt kernel.Options) []graph.NodeID {
-	return cc(opt.Exec(), g, scheduleFor("cc", g, opt), opt.EffectiveWorkers())
+func (f *Framework) CC(g *graph.Graph, opt kernel.Options) []graph.NodeID {
+	return cc(opt.Exec(), g, f.scheduleFor("cc", g, opt), opt.EffectiveWorkers())
 }
 
 // BC implements kernel.Framework.
-func (*Framework) BC(g *graph.Graph, sources []graph.NodeID, opt kernel.Options) []float64 {
-	return bc(opt.Exec(), g, sources, scheduleFor("bc", g, opt), opt.EffectiveWorkers())
+func (f *Framework) BC(g *graph.Graph, sources []graph.NodeID, opt kernel.Options) []float64 {
+	return bc(opt.Exec(), g, sources, f.scheduleFor("bc", g, opt), opt.EffectiveWorkers())
 }
 
 // TC implements kernel.Framework.

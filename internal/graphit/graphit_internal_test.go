@@ -11,8 +11,8 @@ import (
 	"gapbench/internal/testutil"
 )
 
-// The vertex-set tests below drive the shared frontier library through the
-// names GraphIt's schedules use for its layouts (SparseList, Bitvector).
+// The vertex-set tests below drive the shared frontier library with the two
+// layouts GraphIt's schedules choose between.
 
 func TestVertexSetConversions(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
@@ -37,18 +37,6 @@ func TestVertexSetConversions(t *testing.T) {
 			t.Fatalf("round trip lost %d", v)
 		}
 	}
-	// Add on both layouts.
-	sp := frontier.NewSet(10, SparseList)
-	sp.Add(4)
-	if sp.Size() != 1 {
-		t.Fatal("sparse Add wrong")
-	}
-	bb := frontier.NewSet(10, Bitvector)
-	bb.Add(4)
-	bb.Add(4) // duplicate must not double-count
-	if bb.Size() != 1 {
-		t.Fatalf("bitvector Add counted duplicates: %d", bb.Size())
-	}
 }
 
 func TestEdgesetApplyPush(t *testing.T) {
@@ -60,7 +48,7 @@ func TestEdgesetApplyPush(t *testing.T) {
 	front := frontier.FromList(3, []graph.NodeID{0})
 	visited := make([]bool, 3)
 	visited[0] = true
-	for _, layout := range []FrontierLayout{SparseList, Bitvector} {
+	for _, layout := range []frontier.Layout{frontier.SparseList, frontier.Bitmap} {
 		v2 := append([]bool(nil), visited...)
 		next := frontier.Push(par.Default(), g, front, layout, 2, func(u, v graph.NodeID) bool {
 			if !v2[v] {
@@ -106,7 +94,7 @@ func TestAutotuneSchedules(t *testing.T) {
 	if s := autotune("pr", small); s.CacheTiling {
 		t.Error("small graph should not tile")
 	}
-	if s := autotune("bc", small); s.Frontier != Bitvector {
+	if s := autotune("bc", small); s.Frontier != frontier.Bitmap {
 		t.Error("bc autotune should use a bitvector frontier")
 	}
 }
@@ -115,22 +103,22 @@ func TestSpecializeSchedules(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	g, _ := generate.Road(10, 1)
 	opt := kernel.Options{Mode: kernel.Optimized, GraphName: "Road"}
-	if s := scheduleFor("bfs", g, opt); s.Direction != PushOnly {
+	if s := New().scheduleFor("bfs", g, opt); s.Direction != PushOnly {
 		t.Error("optimized Road BFS should be push-only (§V-A)")
 	}
-	if s := scheduleFor("cc", g, opt); !s.ShortCircuit {
+	if s := New().scheduleFor("cc", g, opt); !s.ShortCircuit {
 		t.Error("optimized Road CC should short-circuit (§V-C)")
 	}
-	if s := scheduleFor("bc", g, opt); s.Frontier != SparseList {
+	if s := New().scheduleFor("bc", g, opt); s.Frontier != frontier.SparseList {
 		t.Error("optimized Road BC should drop the bitvector (§V-E)")
 	}
 	web := kernel.Options{Mode: kernel.Optimized, GraphName: "Web"}
-	if s := scheduleFor("pr", g, web); s.CacheTiling {
+	if s := New().scheduleFor("pr", g, web); s.CacheTiling {
 		t.Error("optimized Web PR should not tile (§V-D: Web has good locality)")
 	}
 	// Baseline never consults the graph name.
 	base := kernel.Options{Mode: kernel.Baseline, GraphName: ""}
-	if s := scheduleFor("bfs", g, base); s.Direction != DirOpt {
+	if s := New().scheduleFor("bfs", g, base); s.Direction != DirOpt {
 		t.Error("baseline BFS must stay direction-optimizing")
 	}
 }

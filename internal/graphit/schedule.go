@@ -8,63 +8,117 @@
 // Optimized mode, exactly the split §III-D describes and §V exploits ("it
 // used schedules/optimizations specialized for the size and structure of the
 // graphs for the Optimized case. This was not allowed for the Baseline").
+//
+// The tuning layer lives here too, GraphIt being its one consumer: the
+// exhaustive per-kernel schedule space (scheduleSpace), a timed explorer
+// (Autotune) and a Store keyed by (kernel, graph Epoch, mode) that encodes to
+// the file `gapbench -tunefile` keeps, so that `gapbench -tune` can write
+// tuned schedules in one process and later runs can load them — the paper's Optimized rule set ("They were not
+// required to include the time for such tuning efforts") made self-driving
+// across processes via the graph's build identity.
 package graphit
 
 import (
 	"gapbench/internal/frontier"
 	"gapbench/internal/graph"
 	"gapbench/internal/kernel"
-	"gapbench/internal/tune"
 )
 
-// Direction is an edge-traversal direction choice (shared with the tuner).
-type Direction = tune.Direction
+// Direction is an edge-traversal direction choice.
+type Direction int
 
 // Traversal directions the scheduling language exposes.
 const (
-	// DirOpt switches between push and pull per round via the Beamer
-	// degree-sum dispatcher.
-	DirOpt = tune.DirOpt
+	// DirOpt switches between push and pull per round using the Beamer
+	// degree-sum dispatcher (frontier.Dispatcher).
+	DirOpt Direction = iota
 	// PushOnly always traverses from the frontier outward (no per-round
 	// accounting — the Optimized-mode Road BFS trick from §V-A).
-	PushOnly = tune.PushOnly
+	PushOnly
 	// PullOnly always traverses into unvisited vertices.
-	PullOnly = tune.PullOnly
+	PullOnly
 )
 
-// FrontierLayout selects the vertexset representation.
-type FrontierLayout = frontier.Layout
+// Schedule is one point in the optimization space. It is a comparable value
+// type (no slices/maps) so the explorer and the store can use == directly.
+// Frontier is frontier.SparseList (an index list) or frontier.Bitmap —
+// GraphIt's bitvector, "advantageous when there are many active elements"
+// (§V-E).
+type Schedule struct {
+	Direction    Direction
+	Frontier     frontier.Layout
+	BucketFusion bool // SSSP: process same-priority buckets without a barrier
+	CacheTiling  bool // PR/CC: segment in-edges into cache-sized tiles
+	ShortCircuit bool // CC label propagation: pointer-jump chains
+	NumSegments  int  // tile count when CacheTiling is set
+}
 
-// Frontier layouts.
-const (
-	// SparseList stores frontier vertices as an index list.
-	SparseList = frontier.SparseList
-	// Bitvector stores the frontier as a bitmap — "advantageous when there
-	// are many active elements" (§V-E).
-	Bitvector = frontier.Bitmap
-)
+// segmentsFor sizes cache tiles for an n-vertex graph so each segment's
+// source-vertex range fits roughly in a per-core cache slice.
+func segmentsFor(n int64) int {
+	const targetVerticesPerSegment = 1 << 15
+	segs := int((n + targetVerticesPerSegment - 1) / targetVerticesPerSegment)
+	if segs < 1 {
+		segs = 1
+	}
+	return segs
+}
 
-// Schedule is one point in GraphIt's optimization space (the shared tuner's
-// schedule type, so tuned entries round-trip through the store unchanged).
-type Schedule = tune.Schedule
+// scheduleSpace enumerates the meaningful schedule points for a kernel on an
+// n-vertex graph. The enumeration is deterministic: the same (kernel, n)
+// always yields the same candidates in the same order, which is what makes
+// stored tuning results comparable across runs.
+func scheduleSpace(kernelName string, n int64) []Schedule {
+	segs := segmentsFor(n)
+	switch kernelName {
+	case "bfs":
+		return []Schedule{
+			{Direction: DirOpt, Frontier: frontier.SparseList},
+			{Direction: DirOpt, Frontier: frontier.Bitmap},
+			{Direction: PushOnly, Frontier: frontier.SparseList},
+		}
+	case "sssp":
+		return []Schedule{
+			{Direction: PushOnly, BucketFusion: true},
+			{Direction: PushOnly, BucketFusion: false},
+		}
+	case "pr":
+		return []Schedule{
+			{CacheTiling: false},
+			{CacheTiling: true, NumSegments: segs},
+			{CacheTiling: true, NumSegments: 2 * segs},
+		}
+	case "cc":
+		return []Schedule{
+			{ShortCircuit: false},
+			{ShortCircuit: true},
+		}
+	default: // bc
+		return []Schedule{
+			{Direction: DirOpt, Frontier: frontier.Bitmap},
+			{Direction: DirOpt, Frontier: frontier.SparseList},
+		}
+	}
+}
 
 // autotune returns the Baseline-mode schedule for a kernel: run-time
 // heuristics only, no knowledge of which benchmark graph this is (the paper
 // allowed "existing internal auto-tuners and heuristics").
 func autotune(kernelName string, g *graph.Graph) Schedule {
+	n := int64(g.NumNodes())
 	switch kernelName {
 	case "bfs":
-		return Schedule{Direction: DirOpt, Frontier: SparseList}
+		return Schedule{Direction: DirOpt, Frontier: frontier.SparseList}
 	case "sssp":
-		return Schedule{Direction: PushOnly, Frontier: SparseList, BucketFusion: true}
+		return Schedule{Direction: PushOnly, Frontier: frontier.SparseList, BucketFusion: true}
 	case "pr":
 		// Tile when the graph is large enough that the rank vector falls
 		// out of cache.
-		return Schedule{CacheTiling: g.NumNodes() > 1<<15, NumSegments: segmentsFor(g)}
+		return Schedule{CacheTiling: n > 1<<15, NumSegments: segmentsFor(n)}
 	case "cc":
-		return Schedule{Direction: DirOpt, Frontier: SparseList, CacheTiling: g.NumNodes() > 1<<15, NumSegments: segmentsFor(g)}
+		return Schedule{Direction: DirOpt, Frontier: frontier.SparseList, CacheTiling: n > 1<<15, NumSegments: segmentsFor(n)}
 	case "bc":
-		return Schedule{Direction: DirOpt, Frontier: Bitvector}
+		return Schedule{Direction: DirOpt, Frontier: frontier.Bitmap}
 	default: // tc
 		return Schedule{}
 	}
@@ -98,21 +152,22 @@ func specialize(kernelName string, g *graph.Graph, opt kernel.Options) Schedule 
 		if opt.GraphName == "Road" {
 			// §V-E: "reduces overhead by not using a bitvector for the
 			// frontier on Road".
-			s.Frontier = SparseList
+			s.Frontier = frontier.SparseList
 		}
 	}
 	return s
 }
 
 // scheduleFor picks the schedule under the active rule set. Optimized runs
-// consult the persistent tuned-schedule store first (written by `gapbench
+// consult the framework's tuned-schedule store first (written by `gapbench
 // -tune`, keyed by the graph's build epoch — a cached field, so the lookup
 // costs one map probe on the timed path), then fall back to the per-graph
-// specialization tables; Baseline runs use run-time heuristics only.
-func scheduleFor(kernelName string, g *graph.Graph, opt kernel.Options) Schedule {
+// specialization tables; Baseline runs use run-time heuristics only and must
+// ignore the store, like every other per-graph knowledge channel.
+func (f *Framework) scheduleFor(kernelName string, g *graph.Graph, opt kernel.Options) Schedule {
 	if opt.Mode == kernel.Optimized {
-		if opt.Schedules != nil {
-			if s, ok := opt.Schedules.Lookup(kernelName, g.Epoch(), opt.Mode.String()); ok {
+		if f.Schedules != nil {
+			if s, ok := f.Schedules.Lookup(kernelName, g.Epoch(), opt.Mode.String()); ok {
 				return s
 			}
 		}
@@ -121,10 +176,4 @@ func scheduleFor(kernelName string, g *graph.Graph, opt kernel.Options) Schedule
 		}
 	}
 	return autotune(kernelName, g)
-}
-
-// segmentsFor sizes PR's cache tiles so each segment's source-vertex range
-// fits roughly in a per-core cache slice.
-func segmentsFor(g *graph.Graph) int {
-	return tune.SegmentsFor(int64(g.NumNodes()))
 }

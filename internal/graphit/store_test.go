@@ -1,20 +1,20 @@
-package tune
+package graphit
 
 import (
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
 	"gapbench/internal/frontier"
+	"gapbench/internal/generate"
+	"gapbench/internal/kernel"
 )
 
 // TestSpaceDeterministic: the schedule space is a pure function of (kernel,
 // n) — the property that makes stored schedules meaningful across runs.
 func TestSpaceDeterministic(t *testing.T) {
 	for _, k := range []string{"bfs", "sssp", "pr", "cc", "bc"} {
-		a := Space(k, 1<<16)
-		b := Space(k, 1<<16)
+		a := scheduleSpace(k, 1<<16)
+		b := scheduleSpace(k, 1<<16)
 		if len(a) == 0 {
 			t.Fatalf("%s: empty schedule space", k)
 		}
@@ -25,19 +25,19 @@ func TestSpaceDeterministic(t *testing.T) {
 }
 
 func TestSegmentsForScalesWithN(t *testing.T) {
-	if s := SegmentsFor(100); s < 1 {
-		t.Fatalf("SegmentsFor(100) = %d, want >= 1", s)
+	if s := segmentsFor(100); s < 1 {
+		t.Fatalf("segmentsFor(100) = %d, want >= 1", s)
 	}
-	small, large := SegmentsFor(1<<16), SegmentsFor(1<<22)
+	small, large := segmentsFor(1<<16), segmentsFor(1<<22)
 	if large <= small {
 		t.Fatalf("segments must grow with n: %d (2^16) vs %d (2^22)", small, large)
 	}
 }
 
 func TestExploreReturnsTriedSchedule(t *testing.T) {
-	cands := Space("bfs", 1<<12)
+	cands := scheduleSpace("bfs", 1<<12)
 	var ran []Schedule
-	best, trace := Explore(cands, 2, func(s Schedule) { ran = append(ran, s) })
+	best, trace := explore(cands, 2, func(s Schedule) { ran = append(ran, s) })
 	if len(trace) != len(cands) {
 		t.Fatalf("trace covers %d candidates, want %d", len(trace), len(cands))
 	}
@@ -62,41 +62,34 @@ func TestExploreReturnsTriedSchedule(t *testing.T) {
 }
 
 func TestStoreRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sub", "schedules.json")
-	st := NewStore(path)
+	st := NewStore()
 	sched := Schedule{Direction: PushOnly, Frontier: frontier.SparseList, BucketFusion: true, NumSegments: 4}
 	st.Put("bfs", 42, "Optimized", sched, 0.125)
 	st.Put("pr", 42, "Optimized", Schedule{CacheTiling: true, NumSegments: 8}, 2.5)
-	if err := st.Save(); err != nil {
+	first, err := st.Encode()
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	ld, err := LoadStore(path)
+	ld, err := ParseStore(first)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ld.Len() != 2 {
-		t.Fatalf("loaded %d entries, want 2", ld.Len())
+		t.Fatalf("parsed %d entries, want 2", ld.Len())
 	}
 	got, ok := ld.Lookup("bfs", 42, "Optimized")
 	if !ok || got != sched {
 		t.Fatalf("Lookup = %+v, %v; want %+v, true", got, ok, sched)
 	}
 
-	// Save is deterministic: byte-identical on re-save.
-	first, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ld.Save(); err != nil {
-		t.Fatal(err)
-	}
-	second, err := os.ReadFile(path)
+	// Encode is deterministic: byte-identical on re-encode.
+	second, err := ld.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(first) != string(second) {
-		t.Fatal("Save is not deterministic")
+		t.Fatal("Encode is not deterministic")
 	}
 }
 
@@ -104,7 +97,7 @@ func TestStoreRoundTrip(t *testing.T) {
 // against different graph bytes misses cleanly instead of serving a schedule
 // tuned for another graph.
 func TestStaleEpochInvalidates(t *testing.T) {
-	st := NewStore(filepath.Join(t.TempDir(), "s.json"))
+	st := NewStore()
 	st.Put("bfs", 42, "Optimized", Schedule{Direction: PushOnly}, 1)
 	if _, ok := st.Lookup("bfs", 43, "Optimized"); ok {
 		t.Fatal("stale epoch must miss")
@@ -118,24 +111,41 @@ func TestStaleEpochInvalidates(t *testing.T) {
 	if _, ok := st.Lookup("bfs", 42, "Optimized"); !ok {
 		t.Fatal("exact key must hit")
 	}
+	// Lookup sits on the Optimized timed path.
+	if n := testing.AllocsPerRun(100, func() { st.Lookup("bfs", 42, "Optimized") }); n != 0 {
+		t.Fatalf("Lookup allocates %v times per call, want 0", n)
+	}
 }
 
-func TestLoadStoreMissingFileIsEmpty(t *testing.T) {
-	st, err := LoadStore(filepath.Join(t.TempDir(), "nope.json"))
+// TestFrameworkConsultsStoreInOptimizedOnly: a stored schedule overrides the
+// specialization tables for Optimized cells of the graph it was tuned on, and
+// Baseline cells never see it.
+func TestFrameworkConsultsStoreInOptimizedOnly(t *testing.T) {
+	g, err := generate.Road(8, 1)
 	if err != nil {
-		t.Fatalf("missing store file must load empty, got %v", err)
-	}
-	if st.Len() != 0 {
-		t.Fatalf("missing store has %d entries", st.Len())
-	}
-}
-
-func TestLoadStoreRejectsGarbage(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadStore(path); err == nil {
-		t.Fatal("garbage store file must fail to load")
+	tuned := Schedule{Direction: PullOnly, Frontier: frontier.Bitmap}
+	st := NewStore()
+	st.Put("bfs", g.Epoch(), kernel.Optimized.String(), tuned, 1)
+	f := &Framework{Schedules: st}
+	opt := kernel.Options{Mode: kernel.Optimized, GraphName: "Road"}
+	if s := f.scheduleFor("bfs", g, opt); s != tuned {
+		t.Fatalf("Optimized BFS schedule = %+v, want the stored %+v", s, tuned)
+	}
+	if s := f.scheduleFor("cc", g, opt); !s.ShortCircuit {
+		t.Fatal("a kernel the store does not cover must fall back to the specialization table")
+	}
+	if s := f.scheduleFor("bfs", g, kernel.Options{Mode: kernel.Baseline}); s == tuned {
+		t.Fatal("Baseline consulted the tuned-schedule store")
+	}
+}
+
+func TestParseStoreRejectsGarbage(t *testing.T) {
+	if _, err := ParseStore([]byte("{not json")); err == nil {
+		t.Fatal("garbage store contents must fail to parse")
+	}
+	if _, err := ParseStore([]byte(`{"version": 2, "entries": []}`)); err == nil {
+		t.Fatal("a store of another version must be refused, not misread")
 	}
 }

@@ -178,17 +178,3 @@ func checkLengths(op string, nIdx, nVal int) {
 			fmt.Sprintf("%d indices but %d values", nIdx, nVal))
 	}
 }
-
-// checkSameSize asserts two vectors in one element-wise operation agree on
-// length:
-//
-//	vector-size-agreement  both operands have the same size
-func checkSameSize[T Number](op string, a, b *Vector[T]) {
-	if !grbcheckEnabled {
-		return
-	}
-	if a.n != b.n {
-		checkFail(op, "vector-size-agreement",
-			fmt.Sprintf("operands have sizes %d and %d", a.n, b.n))
-	}
-}

@@ -36,7 +36,8 @@ func mustPanic(t *testing.T, fn func(), want ...string) {
 
 func testMatrix(t *testing.T) *Matrix {
 	t.Helper()
-	return FromGraphStructuralForTest(t)
+	a, _ := pushPullMatrices(t)
+	return a
 }
 
 // TestGrbcheckEnabled guards the build wiring: this file only compiles under
@@ -51,17 +52,14 @@ func TestGrbcheckEnabled(t *testing.T) {
 // operands: the sanitizer must stay silent on well-formed inputs.
 func TestGrbcheckCleanOpsPass(t *testing.T) {
 	a := testMatrix(t)
-	q := NewSparse[int64](a.NCols())
+	q := NewSparse[int64](a.ncols)
 	q.SetElement(2, 1)
 	q.SetElement(0, 1)
 	VxM(par.Default(), q, a, MinFirst(), nil, 2)
 	MxV(par.Default(), a, q, MinFirst(), nil, 2)
-	MxVFull(par.Default(), a, NewFull[int64](a.NCols(), 1), MinFirst(), 2)
-	EWiseAdd(q, q, func(x, y int64) int64 { return x + y })
-	EWiseMult(q, q, func(x, y int64) int64 { return x * y })
-	a.Transpose()
-	ScatterMin(NewFull[int64](a.NCols(), 9), []int64{0, 1}, []int64{3, 4})
-	SelectRange(NewFull[int64](a.NCols(), 1), 0, 2)
+	MxVFullInto(par.Default(), a, NewFull[int64](a.ncols, 1), MinFirst(), NewFull[int64](a.nrows, 0), 2)
+	ScatterMin(NewFull[int64](a.ncols, 9), []int64{0, 1}, []int64{3, 4})
+	SelectRange(NewFull[int64](a.ncols, 1), 0, 2)
 }
 
 // TestGrbcheckCorruptedVector seeds each vector corruption and asserts the
@@ -70,7 +68,7 @@ func TestGrbcheckCorruptedVector(t *testing.T) {
 	a := testMatrix(t)
 
 	t.Run("unsorted sparse indices", func(t *testing.T) {
-		q := NewSparse[int64](a.NCols())
+		q := NewSparse[int64](a.ncols)
 		q.SetElement(0, 1)
 		q.SetElement(2, 1)
 		q.ind[0], q.ind[1] = q.ind[1], q.ind[0] // corrupt: 2 before 0
@@ -79,7 +77,7 @@ func TestGrbcheckCorruptedVector(t *testing.T) {
 	})
 
 	t.Run("duplicate sparse index", func(t *testing.T) {
-		q := NewSparse[int64](a.NCols())
+		q := NewSparse[int64](a.ncols)
 		q.SetElement(1, 1)
 		q.ind = append(q.ind, 1) // corrupt: 1 stored twice
 		q.val = append(q.val, 5)
@@ -88,7 +86,7 @@ func TestGrbcheckCorruptedVector(t *testing.T) {
 	})
 
 	t.Run("index value length mismatch", func(t *testing.T) {
-		q := NewSparse[int64](a.NCols())
+		q := NewSparse[int64](a.ncols)
 		q.SetElement(1, 1)
 		q.ind = append(q.ind, 3) // corrupt: index without a value
 		mustPanic(t, func() { MxV(par.Default(), a, q, MinFirst(), nil, 1) },
@@ -96,32 +94,25 @@ func TestGrbcheckCorruptedVector(t *testing.T) {
 	})
 
 	t.Run("sparse index out of range", func(t *testing.T) {
-		q := NewSparse[int64](a.NCols())
+		q := NewSparse[int64](a.ncols)
 		q.SetElement(1, 1)
-		q.ind[0] = a.NCols() + 7 // corrupt: beyond the vector
+		q.ind[0] = a.ncols + 7 // corrupt: beyond the vector
 		mustPanic(t, func() { MxV(par.Default(), a, q, MinFirst(), nil, 1) },
 			"MxV input q", "index-in-range")
 	})
 
 	t.Run("truncated dense backing", func(t *testing.T) {
-		q := NewFull[int64](a.NCols(), 1)
+		q := NewFull[int64](a.ncols, 1)
 		q.dense = q.dense[:len(q.dense)-1] // corrupt: short array
-		mustPanic(t, func() { MxVFull(par.Default(), a, q, MinFirst(), 1) },
+		mustPanic(t, func() { MxVFullInto(par.Default(), a, q, MinFirst(), NewFull[int64](a.nrows, 0), 1) },
 			"MxVFullInto input q", "dense-length")
 	})
 
 	t.Run("bitmap presence bitset wrong length", func(t *testing.T) {
-		q := NewFull[int64](a.NCols(), 1).ToBitmap()
-		q.present = NewBitset(a.NCols() - 1) // corrupt: short bitset
-		mustPanic(t, func() { EWiseAdd(q, q, func(x, y int64) int64 { return x + y }) },
-			"EWiseAdd input a", "bitmap-present-length")
-	})
-
-	t.Run("element-wise size mismatch", func(t *testing.T) {
-		x := NewSparse[int64](4)
-		y := NewSparse[int64](5)
-		mustPanic(t, func() { EWiseMult(x, y, func(x, y int64) int64 { return x * y }) },
-			"EWiseMult", "vector-size-agreement")
+		q := NewFull[int64](a.ncols, 1).ToBitmap()
+		q.present = NewBitset(a.ncols - 1) // corrupt: short bitset
+		mustPanic(t, func() { SelectRange(q, 0, 2) },
+			"SelectRange input", "bitmap-present-length")
 	})
 
 	t.Run("scatter operand mismatch", func(t *testing.T) {
@@ -145,7 +136,7 @@ func TestGrbcheckCorruptedMatrix(t *testing.T) {
 
 	t.Run("column index out of range", func(t *testing.T) {
 		a := testMatrix(t)
-		a.colInd[0] = a.NCols() + 3 // corrupt
+		a.colInd[0] = a.ncols + 3 // corrupt
 		mustPanic(t, func() { MxMPlusPairReduce(par.Default(), a, a, 1) },
 			"MxMPlusPairReduce input L", "colind-in-range")
 	})
@@ -153,8 +144,8 @@ func TestGrbcheckCorruptedMatrix(t *testing.T) {
 	t.Run("rowPtr length wrong", func(t *testing.T) {
 		a := testMatrix(t)
 		a.rowPtr = a.rowPtr[:len(a.rowPtr)-1] // corrupt
-		mustPanic(t, func() { a.Transpose() },
-			"Transpose input", "rowptr-length")
+		mustPanic(t, func() { VxM(par.Default(), q, a, MinFirst(), nil, 1) },
+			"VxM input A", "rowptr-length")
 	})
 
 	t.Run("weights not parallel to entries", func(t *testing.T) {
@@ -168,9 +159,8 @@ func TestGrbcheckCorruptedMatrix(t *testing.T) {
 // TestGrbcheckCorruptedDenseMatrix seeds each dense-operand corruption at the
 // batched product's boundary, on the input and on the recycled output.
 func TestGrbcheckCorruptedDenseMatrix(t *testing.T) {
-	a := testMatrix(t)
-	at := a.Transpose()
-	n := a.NCols()
+	a, at := pushPullMatrices(t)
+	n := a.ncols
 	noMask := func(int) *Mask { return nil }
 	product := func(out, f *DenseMatrix) func() {
 		return func() { DenseMxM(par.Default(), out, f, a, at, noMask, nil, 1) }
@@ -209,9 +199,9 @@ func TestGrbcheckCorruptedDenseMatrix(t *testing.T) {
 // TestGrbcheckCorruptedMask seeds a mask that does not span the output.
 func TestGrbcheckCorruptedMask(t *testing.T) {
 	a := testMatrix(t)
-	q := NewSparse[int64](a.NCols())
+	q := NewSparse[int64](a.ncols)
 	q.SetElement(0, 1)
-	short := NewMask(NewBitset(a.NCols()-2), false)
+	short := NewMask(NewBitset(a.ncols-2), false)
 	mustPanic(t, func() { VxM(par.Default(), q, a, MinFirst(), short, 1) },
 		"VxM mask", "mask-length")
 }

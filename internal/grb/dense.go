@@ -36,12 +36,6 @@ func NewDenseMatrix(k int, n Index) *DenseMatrix {
 	return d
 }
 
-// Rows returns k.
-func (d *DenseMatrix) Rows() int { return d.rows }
-
-// Cols returns n.
-func (d *DenseMatrix) Cols() Index { return d.n }
-
 // Set stores value at (r, c) and marks it present.
 func (d *DenseMatrix) Set(r int, c Index, v float64) {
 	d.val[r][c] = v
@@ -60,18 +54,6 @@ func (d *DenseMatrix) Clear() {
 	for _, p := range d.pres {
 		p.Reset()
 	}
-}
-
-// RowNVals returns the number of present entries in row r.
-func (d *DenseMatrix) RowNVals(r int) Index { return d.pres[r].Count() }
-
-// NVals returns the total number of present entries.
-func (d *DenseMatrix) NVals() Index {
-	var total Index
-	for r := 0; r < d.rows; r++ {
-		total += d.pres[r].Count()
-	}
-	return total
 }
 
 // RowStructure exposes row r's presence bitset (for masks).

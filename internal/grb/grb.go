@@ -94,13 +94,6 @@ func (b *Bitset) Reset() {
 	}
 }
 
-// Clone returns a copy of the bitset.
-func (b *Bitset) Clone() *Bitset {
-	c := &Bitset{words: make([]uint64, len(b.words)), n: b.n}
-	copy(c.words, b.words)
-	return c
-}
-
 // Mask is a structural mask for an operation's output, like the C API's
 // GrB_Descriptor mask settings: writes to position i are allowed iff
 // Allow(i). A nil *Mask allows every position.

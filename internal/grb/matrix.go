@@ -17,9 +17,6 @@ type Matrix struct {
 // NRows returns the number of rows.
 func (m *Matrix) NRows() Index { return m.nrows }
 
-// NCols returns the number of columns.
-func (m *Matrix) NCols() Index { return m.ncols }
-
 // NVals returns the number of stored entries.
 func (m *Matrix) NVals() Index { return Index(len(m.colInd)) }
 
@@ -100,16 +97,4 @@ func (m *Matrix) selectCols(keep func(row, col Index) bool) *Matrix {
 		out.weight = nil
 	}
 	return out
-}
-
-// FromGraphStructuralForTest builds the package's canonical 4-vertex test
-// matrix without weights; exported for the test suite only.
-func FromGraphStructuralForTest(t interface{ Fatal(...any) }) *Matrix {
-	g, err := graph.BuildWeighted([]graph.WEdge{
-		{U: 0, V: 1, W: 5}, {U: 1, V: 2, W: 3}, {U: 2, V: 0, W: 1}, {U: 2, V: 3, W: 9},
-	}, graph.BuildOptions{Directed: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return FromGraph(g, false, false)
 }

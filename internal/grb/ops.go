@@ -249,19 +249,12 @@ func MxV[T Number](exec *par.Machine, a *Matrix, q *Vector[T], s Semiring[T], ma
 	return out
 }
 
-// MxVFull computes w = A * q where q is a full vector and every output is
+// MxVFullInto computes w = A * q where q is a full vector and every output is
 // produced (no mask, no sparsity): the SpMV at the heart of PageRank and
-// FastSV. Built-in semirings run specialized loops.
-func MxVFull[T Number](exec *par.Machine, a *Matrix, q *Vector[T], s Semiring[T], workers int) *Vector[T] {
-	out := NewFull[T](a.nrows, s.Monoid.Identity)
-	MxVFullInto(exec, a, q, s, out, workers)
-	return out
-}
-
-// MxVFullInto is MxVFull writing into the caller's full vector out (length
-// a.nrows): every output position is overwritten, so round loops can reuse
-// one scratch vector per run instead of materializing a fresh result each
-// iteration — the PR/CC per-round allocation hoist.
+// FastSV. Built-in semirings run specialized loops. It writes into the
+// caller's full vector out (length a.nrows): every output position is
+// overwritten, so round loops reuse one scratch vector per run instead of
+// materializing a fresh result each iteration.
 func MxVFullInto[T Number](exec *par.Machine, a *Matrix, q *Vector[T], s Semiring[T], out *Vector[T], workers int) {
 	checkVector("MxVFullInto input q", q)
 	checkMatrix("MxVFullInto input A", a)

@@ -38,8 +38,7 @@ func TestGrbcheckCorruptedDispatch(t *testing.T) {
 	})
 
 	t.Run("clean dispatch passes", func(t *testing.T) {
-		a := testMatrix(t)
-		at := a.Transpose()
+		a, at := pushPullMatrices(t)
 		q := NewSparse[int64](a.NRows())
 		q.SetElement(0, 7)
 		for _, policy := range []DirPolicy{DirPush, DirPull, DirAuto} {

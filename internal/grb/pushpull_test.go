@@ -207,8 +207,8 @@ func denseStates(a *Matrix, policies ...DirPolicy) []*PushPullState {
 
 func sameDense(t *testing.T, label string, want, got *DenseMatrix) {
 	t.Helper()
-	for r := 0; r < want.Rows(); r++ {
-		for c := Index(0); c < want.Cols(); c++ {
+	for r := 0; r < want.rows; r++ {
+		for c := Index(0); c < want.n; c++ {
 			wv, wok := want.Get(r, c)
 			gv, gok := got.Get(r, c)
 			if wok != gok || (wok && wv != gv) {
@@ -252,7 +252,7 @@ func TestDenseMxMDirectionsAgree(t *testing.T) {
 			rowMask := func(r int) *Mask { return NewMask(visited[r], true) }
 			want := NewDenseMatrix(2, n)
 			DenseMxM(par.Default(), want, f, g.a, g.at, rowMask, denseStates(g.a, DirPush, DirPush), 2)
-			if want.NVals() == 0 {
+			if want.pres[0].Count()+want.pres[1].Count() == 0 {
 				t.Fatal("reference product is empty")
 			}
 			for _, tc := range []struct {
@@ -297,8 +297,9 @@ func TestDenseMxMRecycledOutputHidesStaleValues(t *testing.T) {
 		}
 		DenseMxM(par.Default(), got, f, a, at, noMask, denseStates(a, policy, policy), 2)
 		sameDense(t, "recycled", want, got)
-		if got.NVals() != want.NVals() || want.NVals() != 4 {
-			t.Fatalf("policy %v: recycled product has %d entries, fresh %d, want 4", policy, got.NVals(), want.NVals())
+		gotN, wantN := got.pres[0].Count()+got.pres[1].Count(), want.pres[0].Count()+want.pres[1].Count()
+		if gotN != wantN || wantN != 4 {
+			t.Fatalf("policy %v: recycled product has %d entries, fresh %d, want 4", policy, gotN, wantN)
 		}
 	}
 }

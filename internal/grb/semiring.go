@@ -96,17 +96,6 @@ func PlusFirst() Semiring[float64] {
 	}
 }
 
-// PlusPair returns the plus_pair semiring over int64: every structural
-// match contributes exactly 1, so a masked matrix multiply counts set
-// intersections — the triangle-counting semiring from §III-A.
-func PlusPair() Semiring[int64] {
-	return Semiring[int64]{
-		Kind:   KindPlusPair,
-		Monoid: Monoid[int64]{Identity: 0, Op: func(x, y int64) int64 { return x + y }},
-		Mult:   func(_ int64, _ int32, _ Index) int64 { return 1 },
-	}
-}
-
 // MinFirst returns the min_first semiring over int64: the minimum of the
 // vector operand's values across present matrix entries. Under this
 // package's orientation it is the hooking semiring FastSV uses
@@ -122,24 +111,4 @@ func MinFirst() Semiring[int64] {
 		}},
 		Mult: func(qval int64, _ int32, _ Index) int64 { return qval },
 	}
-}
-
-// PlusMonoidF64 is the float64 plus monoid for reductions.
-func PlusMonoidF64() Monoid[float64] {
-	return Monoid[float64]{Identity: 0, Op: func(x, y float64) float64 { return x + y }}
-}
-
-// PlusMonoidI64 is the int64 plus monoid for reductions (TC's final sum).
-func PlusMonoidI64() Monoid[int64] {
-	return Monoid[int64]{Identity: 0, Op: func(x, y int64) int64 { return x + y }}
-}
-
-// MinMonoidI32 is the int32 min monoid.
-func MinMonoidI32() Monoid[int32] {
-	return Monoid[int32]{Identity: math.MaxInt32, Op: func(x, y int32) int32 {
-		if x < y {
-			return x
-		}
-		return y
-	}}
 }

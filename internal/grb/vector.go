@@ -56,9 +56,6 @@ func NewFull[T Number](n Index, fill T) *Vector[T] {
 // Size returns the vector length.
 func (v *Vector[T]) Size() Index { return v.n }
 
-// Format returns the current representation.
-func (v *Vector[T]) Fmt() Format { return v.format }
-
 // NVals returns the number of stored entries.
 func (v *Vector[T]) NVals() Index {
 	switch v.format {
@@ -233,25 +230,6 @@ func (v *Vector[T]) Dense() []T {
 	return v.dense
 }
 
-// Clone returns a deep copy.
-func (v *Vector[T]) Clone() *Vector[T] {
-	out := &Vector[T]{n: v.n, format: v.format}
-	out.ind = append([]Index(nil), v.ind...)
-	out.val = append([]T(nil), v.val...)
-	out.dense = append([]T(nil), v.dense...)
-	if v.present != nil {
-		out.present = v.present.Clone()
-	}
-	return out
-}
-
-// ReduceVec folds all stored entries with the monoid.
-func ReduceVec[T Number](v *Vector[T], m Monoid[T]) T {
-	acc := m.Identity
-	v.Iterate(func(_ Index, x T) { acc = m.Op(acc, x) })
-	return acc
-}
-
 // AssignMasked copies src's stored entries into dst where the mask allows
 // (the C API's GrB_assign with a mask: pi<q> = q in the paper's BFS).
 func AssignMasked[T Number](dst, src *Vector[T], mask *Mask) {
@@ -281,22 +259,6 @@ func AssignMasked[T Number](dst, src *Vector[T], mask *Mask) {
 			dst.SetElement(i, x)
 		}
 	})
-}
-
-// EWiseApply rewrites each stored entry of v through fn in place.
-func EWiseApply[T Number](v *Vector[T], fn func(i Index, x T) T) {
-	switch v.format {
-	case Sparse:
-		for k, i := range v.ind {
-			v.val[k] = fn(i, v.val[k])
-		}
-	case Bitmap:
-		v.present.Each(func(i Index) { v.dense[i] = fn(i, v.dense[i]) })
-	default:
-		for i := Index(0); i < v.n; i++ {
-			v.dense[i] = fn(i, v.dense[i])
-		}
-	}
 }
 
 // SelectRange extracts the entries of a Full vector whose value lies in

@@ -23,7 +23,6 @@ import (
 
 	"gapbench/internal/graph"
 	"gapbench/internal/par"
-	"gapbench/internal/tune"
 )
 
 // Dist is an SSSP path distance (sum of up-to-255 weights).
@@ -112,14 +111,6 @@ type Options struct {
 	// ignores the token past the runner's grace period gets its machine
 	// abandoned (DESIGN.md §9), so polling is also self-interest.
 	Cancel *par.CancelToken
-
-	// Schedules is the persistent tuned-schedule store written by `gapbench
-	// -tune` (nil when no store is attached). Frameworks with a schedule
-	// language consult it in Optimized mode, keyed by (kernel, graph Epoch,
-	// mode) — the cross-process form of the paper's Optimized-rule-set
-	// tuning. Baseline runs must ignore it, like every other per-graph
-	// knowledge channel.
-	Schedules *tune.Store
 
 	// UndirectedView is the symmetrized form of the input, prebuilt by the
 	// harness. The GAP rules let implementations store multiple forms of the

@@ -358,51 +358,3 @@ func triangleCount(exec *par.Machine, und *grb.Matrix, workers int) int64 {
 	u := und.Triu(1)
 	return grb.MxMPlusPairReduce(exec, l, u, workers)
 }
-
-// LocalClustering is an extension algorithm in the LAGraph spirit ("a
-// community effort to collect graph algorithms built on top of the
-// GraphBLAS"): per-vertex local clustering coefficients computed with the
-// same masked L*U' plus_pair machinery as the triangle count. For vertex v,
-// triangles through v are recovered from the per-edge intersection counts of
-// C<L> = L*U': each triangle {a<b<c} contributes its count on edge (c,b) of
-// L, and every triangle touches its three corners once.
-func LocalClustering(exec *par.Machine, und *grb.Matrix, workers int) []float64 {
-	n := und.NRows()
-	l := und.Tril(-1)
-	u := und.Triu(1)
-	_ = workers // the corner attribution below is a serial reduction
-	// Per-vertex triangle counts from the structure of C<L> = L*U': the
-	// intersection of L's row c with U's row b enumerates the triangles
-	// {w, b, c} with w < b < c, and each match credits all three corners.
-	tri := make([]float64, n)
-	for c := grb.Index(0); c < n; c++ {
-		lc, _ := l.Row(c)
-		for _, b := range lc {
-			ub, _ := u.Row(b)
-			i, j := 0, 0
-			for i < len(lc) && j < len(ub) {
-				switch {
-				case lc[i] < ub[j]:
-					i++
-				case lc[i] > ub[j]:
-					j++
-				default:
-					w := lc[i]
-					tri[c]++
-					tri[b]++
-					tri[w]++
-					i++
-					j++
-				}
-			}
-		}
-	}
-	out := make([]float64, n)
-	for v := grb.Index(0); v < n; v++ {
-		d := float64(und.RowDegree(v))
-		if d >= 2 {
-			out[v] = 2 * tri[v] / (d * (d - 1))
-		}
-	}
-	return out
-}

@@ -173,7 +173,7 @@ func (f *Framework) TC(g *graph.Graph, opt kernel.Options) int64 {
 	if opt.Mode == kernel.Optimized && opt.RelabeledView != nil {
 		und = grb.FromGraph(opt.RelabeledView, false, false)
 	} else if ug := opt.Undirected(g); graph.SkewedDegrees(ug) {
-		rg, _ := graph.DegreeRelabel(ug)
+		rg, _ := graph.DegreeRelabel(opt.Exec(), ug)
 		und = grb.FromGraph(rg, false, false)
 	}
 	return triangleCount(opt.Exec(), und, opt.EffectiveWorkers())

@@ -8,7 +8,6 @@ import (
 	"gapbench/internal/graph"
 	"gapbench/internal/grb"
 	"gapbench/internal/kernel"
-	"gapbench/internal/ldbc"
 	"gapbench/internal/par"
 	"gapbench/internal/verify"
 )
@@ -145,17 +144,6 @@ func TestPageRankSumsToOne(t *testing.T) {
 	r := f.PR(g, kernel.Options{Workers: 2})
 	if err := verify.CheckPR(g, r); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestLocalClusteringMatchesLDBC(t *testing.T) {
-	_, g, m := prepared(t, "Kron", 7)
-	got := LocalClustering(par.Default(), m.und, 2)
-	want := ldbc.LCC(g, 2)
-	for v := range got {
-		if diff := got[v] - want[v]; diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("lcc[%d] = %v, want %v", v, got[v], want[v])
-		}
 	}
 }
 

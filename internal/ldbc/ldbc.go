@@ -105,21 +105,6 @@ func LCC(g *graph.Graph, workers int) []float64 {
 // LCCSerial is the oracle implementation.
 func LCCSerial(g *graph.Graph) []float64 { return LCC(g, 1) }
 
-// GlobalClustering summarizes LCC into the average local clustering
-// coefficient (the statistic the Web graph generator's locality shows up
-// in).
-func GlobalClustering(g *graph.Graph, workers int) float64 {
-	scores := LCC(g, workers)
-	if len(scores) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, s := range scores {
-		sum += s
-	}
-	return sum / float64(len(scores))
-}
-
 // CommunitySizes returns the community sizes of a labeling, descending.
 func CommunitySizes(labels []graph.NodeID) []int {
 	counts := map[graph.NodeID]int{}

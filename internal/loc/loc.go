@@ -24,9 +24,6 @@ type Count struct {
 	Blank    int
 }
 
-// Total returns all lines.
-func (c Count) Total() int { return c.Code + c.Comments + c.Blank }
-
 // CountDir tallies the Go source files (excluding _test.go) directly inside
 // dir.
 func CountDir(name, dir string) (Count, error) {

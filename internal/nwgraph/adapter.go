@@ -26,9 +26,6 @@ func (c *CSR) Neighbors(u Vertex, yield func(v Vertex) bool) {
 	}
 }
 
-// InDegree implements BidirectionalAdjacency.
-func (c *CSR) InDegree(u Vertex) int { return int(c.g.InDegree(u)) }
-
 // InNeighbors implements BidirectionalAdjacency.
 func (c *CSR) InNeighbors(u Vertex, yield func(v Vertex) bool) {
 	for _, v := range c.g.InNeighbors(u) {

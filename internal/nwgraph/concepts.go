@@ -27,7 +27,6 @@ type AdjacencyList interface {
 // kernels (PR's gather, BFS's bottom-up step).
 type BidirectionalAdjacency interface {
 	AdjacencyList
-	InDegree(u Vertex) int
 	InNeighbors(u Vertex, yield func(v Vertex) bool)
 }
 

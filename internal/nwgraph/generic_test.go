@@ -55,9 +55,8 @@ func newMapAdjacency(g *graph.Graph) *mapAdjacency {
 	return m
 }
 
-func (m *mapAdjacency) NumVertices() int              { return m.n }
-func (m *mapAdjacency) Degree(u nwgraph.Vertex) int   { return len(m.out[u]) }
-func (m *mapAdjacency) InDegree(u nwgraph.Vertex) int { return len(m.in[u]) }
+func (m *mapAdjacency) NumVertices() int            { return m.n }
+func (m *mapAdjacency) Degree(u nwgraph.Vertex) int { return len(m.out[u]) }
 func (m *mapAdjacency) Neighbors(u nwgraph.Vertex, yield func(nwgraph.Vertex) bool) {
 	for _, e := range m.out[u] {
 		if !yield(e.to) {

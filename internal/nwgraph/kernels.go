@@ -546,7 +546,7 @@ func relabelIfSkewed(g *graph.Graph, opt kernel.Options) *graph.Graph {
 		return opt.RelabeledView
 	}
 	if graph.SkewedDegrees(u) {
-		ru, _ := graph.DegreeRelabel(u)
+		ru, _ := graph.DegreeRelabel(opt.Exec(), u)
 		return ru
 	}
 	return u

@@ -133,86 +133,171 @@ func TableIII(frameworks []kernel.Framework) string {
 	return "TABLE III: ALGORITHMS USED BY EACH FRAMEWORK\n" + t.String()
 }
 
+// tableCell is one computed Table IV or V cell: a time with its winner, or a
+// speedup ratio; ok is false where no verified time exists.
+type tableCell struct {
+	val float64
+	who string
+	ok  bool
+}
+
+// tableRow is one computed row: its leading labels and one cell per graph.
+type tableRow struct {
+	labels []string
+	cells  []tableCell
+}
+
+// filled reports whether any cell of the row holds a value.
+func (r tableRow) filled() bool {
+	for _, c := range r.cells {
+		if c.ok {
+			return true
+		}
+	}
+	return false
+}
+
+// render returns the row's labels followed by its cells, a held value
+// through show and an empty cell as missing.
+func (r tableRow) render(show func(tableCell) string, missing string) []string {
+	out := append([]string(nil), r.labels...)
+	for _, c := range r.cells {
+		if c.ok {
+			out = append(out, show(c))
+		} else {
+			out = append(out, missing)
+		}
+	}
+	return out
+}
+
+// tableIVRows computes Table IV for one mode: a row per kernel, and per graph
+// the minimum time over all frameworks with the framework that achieved it.
+func tableIVRows(results []core.Result, graphs []string, mode kernel.Mode) []tableRow {
+	var rows []tableRow
+	for _, k := range core.Kernels {
+		row := tableRow{labels: []string{string(k)}}
+		for _, gname := range graphs {
+			var best tableCell
+			for _, r := range results {
+				// Non-OK cells (crashed, timed out, failed verification)
+				// have no time; they can't win or even place.
+				if r.Kernel != k || r.Graph != gname || r.Mode != mode || r.Status != core.OK || !r.Verified || r.Seconds < 0 {
+					continue
+				}
+				if !best.ok || r.Seconds < best.val {
+					best = tableCell{val: r.Seconds, who: r.Framework, ok: true}
+				}
+			}
+			row.cells = append(row.cells, best)
+		}
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+// tableVRows computes Table V for one mode: a row per (framework, kernel)
+// with at least one comparable cell, and per graph the ratio of the GAP
+// reference time to the framework's time.
+func tableVRows(results []core.Result, graphs []string, mode kernel.Mode) []tableRow {
+	speedups := core.SpeedupVsReference(results)
+	var rows []tableRow
+	seen := map[string]bool{}
+	for _, r := range results {
+		fw := r.Framework
+		if fw == core.ReferenceName || seen[fw] {
+			continue
+		}
+		seen[fw] = true
+		for _, k := range core.Kernels {
+			row := tableRow{labels: []string{fw, string(k)}}
+			for _, gname := range graphs {
+				ratio, ok := speedups[fw+"|"+string(k)+"|"+gname+"|"+mode.String()]
+				row.cells = append(row.cells, tableCell{val: ratio, ok: ok})
+			}
+			if row.filled() {
+				rows = append(rows, row)
+			}
+		}
+	}
+	return rows
+}
+
+// modes is the order the per-mode tables are printed in.
+var modes = []kernel.Mode{kernel.Baseline, kernel.Optimized}
+
+// textTables renders one text table per mode that has a filled row; title
+// is a format taking the mode.
+func textTables(title string, header []string, rowsFor func(kernel.Mode) []tableRow, show func(tableCell) string, missing string) string {
+	var b strings.Builder
+	for _, mode := range modes {
+		t := &table{header: header}
+		any := false
+		for _, r := range rowsFor(mode) {
+			any = any || r.filled()
+			t.addRow(r.render(show, missing)...)
+		}
+		if any {
+			fmt.Fprintf(&b, "%s\n%s\n", fmt.Sprintf(title, mode), t)
+		}
+	}
+	return b.String()
+}
+
+// markdownTables renders one GitHub-flavored Markdown table per mode, filled
+// rows only, for posting results in issues and PRs the way CONTRIBUTING.md
+// asks contributors to; title is a format taking the mode.
+func markdownTables(title string, header []string, rowsFor func(kernel.Mode) []tableRow, show func(tableCell) string) string {
+	var b strings.Builder
+	for _, mode := range modes {
+		var lines []string
+		for _, r := range rowsFor(mode) {
+			if r.filled() {
+				lines = append(lines, "| "+strings.Join(r.render(show, "—"), " | ")+" |\n")
+			}
+		}
+		if len(lines) == 0 {
+			continue
+		}
+		fmt.Fprintf(&b, "### %s\n\n", fmt.Sprintf(title, mode))
+		b.WriteString("| " + strings.Join(header, " | ") + " |\n")
+		b.WriteString("|" + strings.Repeat("---|", len(header)) + "\n")
+		b.WriteString(strings.Join(lines, ""))
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+func showRatio(c tableCell) string { return fmt.Sprintf("%.2f%%", 100*c.val) }
+
 // TableIV renders the fastest-time table: per kernel x graph x mode, the
 // minimum time over all frameworks and which framework achieved it (the
 // paper encodes the winner as the cell color; text gets the name).
 func TableIV(results []core.Result, graphs []string) string {
-	var b strings.Builder
-	for _, mode := range []kernel.Mode{kernel.Baseline, kernel.Optimized} {
-		t := &table{header: append([]string{"Kernel"}, graphs...)}
-		any := false
-		for _, k := range core.Kernels {
-			row := []string{string(k)}
-			for _, gname := range graphs {
-				bestSec := -1.0
-				winner := ""
-				for _, r := range results {
-					// Non-OK cells (crashed, timed out, failed verification)
-					// have no time; they can't win or even place.
-					if r.Kernel != k || r.Graph != gname || r.Mode != mode || r.Status != core.OK || !r.Verified || r.Seconds < 0 {
-						continue
-					}
-					if bestSec < 0 || r.Seconds < bestSec {
-						bestSec, winner = r.Seconds, r.Framework
-					}
-				}
-				if bestSec < 0 {
-					row = append(row, "—")
-				} else {
-					any = true
-					row = append(row, fmt.Sprintf("%.4fs [%s]", bestSec, winner))
-				}
-			}
-			t.addRow(row...)
-		}
-		if any {
-			fmt.Fprintf(&b, "TABLE IV (%s): FASTEST TIMES (winner in brackets)\n%s\n", mode, t)
-		}
-	}
-	return b.String()
+	return textTables("TABLE IV (%s): FASTEST TIMES (winner in brackets)", append([]string{"Kernel"}, graphs...),
+		func(m kernel.Mode) []tableRow { return tableIVRows(results, graphs, m) },
+		func(c tableCell) string { return fmt.Sprintf("%.4fs [%s]", c.val, c.who) }, "—")
 }
 
 // TableV renders the speedup heat map: per framework, kernel and graph, the
 // ratio of the GAP reference time to the framework's time as a percentage
 // (100% = parity, >100% faster than GAP), for each mode present.
 func TableV(results []core.Result, graphs []string) string {
-	speedups := core.SpeedupVsReference(results)
-	frameworkOrder := []string{}
-	seen := map[string]bool{}
-	for _, r := range results {
-		if r.Framework != core.ReferenceName && !seen[r.Framework] {
-			seen[r.Framework] = true
-			frameworkOrder = append(frameworkOrder, r.Framework)
-		}
-	}
-	var b strings.Builder
-	for _, mode := range []kernel.Mode{kernel.Baseline, kernel.Optimized} {
-		t := &table{header: append([]string{"Framework", "Kernel"}, graphs...)}
-		any := false
-		for _, fw := range frameworkOrder {
-			for _, k := range core.Kernels {
-				row := []string{fw, string(k)}
-				found := false
-				for _, gname := range graphs {
-					key := fw + "|" + string(k) + "|" + gname + "|" + mode.String()
-					if ratio, ok := speedups[key]; ok {
-						row = append(row, fmt.Sprintf("%.2f%%", 100*ratio))
-						found = true
-					} else {
-						row = append(row, "-")
-					}
-				}
-				if found {
-					t.addRow(row...)
-					any = true
-				}
-			}
-		}
-		if any {
-			fmt.Fprintf(&b, "TABLE V (%s): SPEEDUP OVER GAP REFERENCE (100%% = parity)\n%s\n", mode, t)
-		}
-	}
-	return b.String()
+	return textTables("TABLE V (%s): SPEEDUP OVER GAP REFERENCE (100%% = parity)", append([]string{"Framework", "Kernel"}, graphs...),
+		func(m kernel.Mode) []tableRow { return tableVRows(results, graphs, m) }, showRatio, "-")
+}
+
+// MarkdownTableIV renders the fastest-time table as Markdown.
+func MarkdownTableIV(results []core.Result, graphs []string) string {
+	return markdownTables("Table IV (%s): fastest times", append([]string{"Kernel"}, graphs...),
+		func(m kernel.Mode) []tableRow { return tableIVRows(results, graphs, m) },
+		func(c tableCell) string { return fmt.Sprintf("%.4fs (**%s**)", c.val, c.who) })
+}
+
+// MarkdownTableV renders the speedup heat map as Markdown.
+func MarkdownTableV(results []core.Result, graphs []string) string {
+	return markdownTables("Table V (%s): speedup over the GAP reference", append([]string{"Framework", "Kernel"}, graphs...),
+		func(m kernel.Mode) []tableRow { return tableVRows(results, graphs, m) }, showRatio)
 }
 
 // CSV renders all results as comma-separated values, the complete-data
@@ -261,96 +346,4 @@ func names(frameworks []kernel.Framework) []string {
 		out[i] = f.Name()
 	}
 	return out
-}
-
-// MarkdownTableV renders the speedup heat map as a GitHub-flavored Markdown
-// table (one table per mode), for posting results in issues and PRs the way
-// CONTRIBUTING.md asks contributors to.
-func MarkdownTableV(results []core.Result, graphs []string) string {
-	speedups := core.SpeedupVsReference(results)
-	frameworkOrder := []string{}
-	seen := map[string]bool{}
-	for _, r := range results {
-		if r.Framework != core.ReferenceName && !seen[r.Framework] {
-			seen[r.Framework] = true
-			frameworkOrder = append(frameworkOrder, r.Framework)
-		}
-	}
-	var b strings.Builder
-	for _, mode := range []kernel.Mode{kernel.Baseline, kernel.Optimized} {
-		var rows []string
-		for _, fw := range frameworkOrder {
-			for _, k := range core.Kernels {
-				cells := []string{fw, string(k)}
-				found := false
-				for _, gname := range graphs {
-					key := fw + "|" + string(k) + "|" + gname + "|" + mode.String()
-					if ratio, ok := speedups[key]; ok {
-						cells = append(cells, fmt.Sprintf("%.2f%%", 100*ratio))
-						found = true
-					} else {
-						cells = append(cells, "—")
-					}
-				}
-				if found {
-					rows = append(rows, "| "+strings.Join(cells, " | ")+" |")
-				}
-			}
-		}
-		if len(rows) == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "### Table V (%s): speedup over the GAP reference\n\n", mode)
-		b.WriteString("| Framework | Kernel | " + strings.Join(graphs, " | ") + " |\n")
-		b.WriteString("|---|---|" + strings.Repeat("---|", len(graphs)) + "\n")
-		for _, row := range rows {
-			b.WriteString(row + "\n")
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// MarkdownTableIV renders the fastest-time table as Markdown.
-func MarkdownTableIV(results []core.Result, graphs []string) string {
-	var b strings.Builder
-	for _, mode := range []kernel.Mode{kernel.Baseline, kernel.Optimized} {
-		var rows []string
-		for _, k := range core.Kernels {
-			cells := []string{string(k)}
-			found := false
-			for _, gname := range graphs {
-				bestSec := -1.0
-				winner := ""
-				for _, r := range results {
-					if r.Kernel != k || r.Graph != gname || r.Mode != mode || r.Status != core.OK || !r.Verified || r.Seconds < 0 {
-						continue
-					}
-					if bestSec < 0 || r.Seconds < bestSec {
-						bestSec, winner = r.Seconds, r.Framework
-					}
-				}
-				if bestSec < 0 {
-					cells = append(cells, "—")
-				} else {
-					cells = append(cells, fmt.Sprintf("%.4fs (**%s**)", bestSec, winner))
-					found = true
-				}
-			}
-			if found {
-				rows = append(rows, "| "+strings.Join(cells, " | ")+" |")
-			}
-		}
-		if len(rows) == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "### Table IV (%s): fastest times\n\n", mode)
-		b.WriteString("| Kernel | " + strings.Join(graphs, " | ") + " |\n")
-		b.WriteString("|---|" + strings.Repeat("---|", len(graphs)) + "\n")
-		for _, row := range rows {
-			b.WriteString(row + "\n")
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

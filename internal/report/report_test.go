@@ -1,6 +1,7 @@
 package report_test
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -126,5 +127,42 @@ func TestMarkdownRenderers(t *testing.T) {
 	// Unverified Optimized GKC excluded: GAP must win that cell.
 	if !strings.Contains(md4, "0.1500s (**GAP**)") {
 		t.Errorf("markdown Table IV kept unverified result:\n%s", md4)
+	}
+}
+
+// goldenResults is a fixed sweep with every shape the Table IV/V writers
+// branch on: two graphs, both modes, a kernel nobody ran, a graph one
+// framework skipped, a failed-verification cell faster than the winner, a
+// timed-out cell, and a framework with no reference time to compare against.
+func goldenResults() []core.Result {
+	ok := func(fw string, k core.Kernel, g string, m kernel.Mode, sec float64) core.Result {
+		return core.Result{Framework: fw, Kernel: k, Graph: g, Mode: m, Seconds: sec, AvgSeconds: sec, Trials: 1, Verified: true}
+	}
+	return append(sampleResults(),
+		ok("GAP", core.BFS, "Road", kernel.Baseline, 0.5),
+		ok("Galois", core.BFS, "Road", kernel.Baseline, 0.125),
+		ok("GAP", core.TC, "Kron", kernel.Baseline, 2),
+		ok("GKC", core.TC, "Kron", kernel.Baseline, 0.75),
+		ok("GraphIt", core.TC, "Kron", kernel.Baseline, 3),
+		ok("Galois", core.SSSP, "Road", kernel.Baseline, 0.25), // no GAP SSSP: wins Table IV, absent from Table V
+		ok("GAP", core.PR, "Road", kernel.Optimized, 1),
+		ok("LAGraph", core.PR, "Road", kernel.Optimized, 4),
+		core.Result{Framework: "NWGraph", Kernel: core.PR, Graph: "Road", Mode: kernel.Optimized, Seconds: -1, Trials: 1, Status: core.Panicked, Err: "boom"},
+	)
+}
+
+// TestTablesIVAndVGolden pins both renderings of both tables byte for byte.
+func TestTablesIVAndVGolden(t *testing.T) {
+	res, graphs := goldenResults(), []string{"Kron", "Road"}
+	got := "== TableIV\n" + report.TableIV(res, graphs) +
+		"== TableV\n" + report.TableV(res, graphs) +
+		"== MarkdownTableIV\n" + report.MarkdownTableIV(res, graphs) +
+		"== MarkdownTableV\n" + report.MarkdownTableV(res, graphs)
+	want, err := os.ReadFile("testdata/tables_iv_v.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("Tables IV/V changed; got:\n%s\nwant:\n%s", got, want)
 	}
 }

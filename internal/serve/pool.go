@@ -39,11 +39,10 @@ const acquirePollInterval = 500 * time.Microsecond
 // Pool is a bounded set of persistent par.Machines leased to queries one at
 // a time. All methods are safe for concurrent use.
 type Pool struct {
-	size    int
 	workers int
-	// idle holds machines not currently leased. Capacity == size: every
-	// live machine is either idle (in the channel) or leased (counted by
-	// outstanding), so drain can account for all of them.
+	// idle holds machines not currently leased. Its capacity is the pool's
+	// size: every live machine is either idle (in the channel) or leased
+	// (counted by outstanding), so drain can account for all of them.
 	idle chan *par.Machine
 
 	outstanding atomic.Int64 // leases currently held
@@ -62,15 +61,14 @@ func NewPool(size, workersPer int) *Pool {
 	if size < 1 {
 		size = 1
 	}
-	p := &Pool{size: size, workers: workersPer, idle: make(chan *par.Machine, size)}
+	p := &Pool{workers: workersPer, idle: make(chan *par.Machine, size)}
 	for i := 0; i < size; i++ {
 		p.idle <- par.NewMachine(workersPer)
 	}
 	return p
 }
 
-// Size returns the pool's machine count; Workers the per-machine width.
-func (p *Pool) Size() int    { return p.size }
+// Workers returns the per-machine width.
 func (p *Pool) Workers() int { return p.workers }
 
 // Outstanding reports the leases currently held.

@@ -87,14 +87,6 @@ const (
 	CodeInternal Code = "INTERNAL"
 )
 
-// Shed reports whether the code is a deliberate load-shedding refusal
-// (admission or quarantine/drain fail-fast) rather than a query failure. The
-// check.sh smoke tier's "zero non-OK non-shed responses" gate is exactly
-// !ok && !shed.
-func (c Code) Shed() bool {
-	return c == CodeResourceExhausted || c == CodeUnavailable
-}
-
 // Response is one server response line.
 type Response struct {
 	ID   string `json:"id,omitempty"`

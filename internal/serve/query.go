@@ -246,7 +246,7 @@ func (s *Server) run(p *queryPlan, qTok *par.CancelToken, deadline time.Time, pr
 		if !out.Abandoned {
 			s.breakers.OnFailure(p.fwName, string(p.k), probe)
 		}
-		if attempt >= policy.MaxRetries || policy.RetryOn == nil || !policy.RetryOn(out.Status) {
+		if !policy.Retries(out.Status, attempt) {
 			break
 		}
 		// Backoff before the retry, bounded by the remaining budget; a fired

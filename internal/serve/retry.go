@@ -1,12 +1,12 @@
 package serve
 
 // retry.go is the serving-layer retry policy, reusing the suite runner's
-// Status taxonomy and core.RetryPolicy shape (internal/core): a query attempt
-// ends in exactly one Status, and the policy decides which statuses are worth
-// another attempt inside the same deadline budget. The serving default
-// retries Panicked only — a panic can be a transient race, but TimedOut means
-// the query's budget is already spent (the budget token IS the attempt
-// deadline), so re-running could only time out again.
+// Status taxonomy and core.RetryPolicy (internal/core): a query attempt ends
+// in exactly one Status, and the policy decides which statuses are worth
+// another attempt inside the same deadline budget. Serving retries Panicked
+// only — a panic can be a transient race, but TimedOut means the query's
+// budget is already spent (the budget token IS the attempt deadline), so
+// re-running could only time out again.
 //
 // Between attempts the query backs off exponentially with deterministic
 // jitter: base*2^attempt capped at BackoffCap, then jittered into
@@ -21,12 +21,12 @@ import (
 	"gapbench/internal/core"
 )
 
-// RetryConfig tunes attempt retries. The zero value uses the serving
-// defaults described on the fields.
+// RetryConfig tunes attempt retries. The zero value never retries; the
+// backoff fields default as described on them.
 type RetryConfig struct {
-	// Policy decides which attempt statuses are retried and how many times.
-	// Nil means the serving default: one retry, Panicked only.
-	Policy *core.RetryPolicy
+	// MaxRetries is the number of extra attempts a query gets when an
+	// attempt panics (gapd -retries, default 1).
+	MaxRetries int
 	// BackoffBase is the pre-jitter delay before the first retry; each
 	// further retry doubles it. Default 10ms.
 	BackoffBase time.Duration
@@ -34,21 +34,13 @@ type RetryConfig struct {
 	BackoffCap time.Duration
 }
 
-// serveRetryPolicy is the default Policy: Panicked is possibly transient and
-// worth one more attempt; everything else is deterministic or budget-bound.
-func serveRetryPolicy() *core.RetryPolicy {
-	return &core.RetryPolicy{
-		MaxRetries: 1,
-		RetryOn:    func(s core.Status) bool { return s == core.Panicked },
-	}
+// policy is the serving rule: Panicked is possibly transient and worth
+// another attempt; everything else is deterministic or budget-bound.
+func (c RetryConfig) policy() *core.RetryPolicy {
+	return &core.RetryPolicy{MaxRetries: c.MaxRetries, RetryOn: retryPanicked}
 }
 
-func (c RetryConfig) policy() *core.RetryPolicy {
-	if c.Policy != nil {
-		return c.Policy
-	}
-	return serveRetryPolicy()
-}
+func retryPanicked(s core.Status) bool { return s == core.Panicked }
 
 func (c RetryConfig) base() time.Duration {
 	if c.BackoffBase > 0 {

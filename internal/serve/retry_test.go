@@ -39,17 +39,20 @@ func TestBackoffDeterministic(t *testing.T) {
 }
 
 func TestServeRetryPolicyDefaults(t *testing.T) {
-	p := RetryConfig{}.policy()
-	if p.MaxRetries != 1 {
-		t.Errorf("default MaxRetries = %d, want 1", p.MaxRetries)
+	p := RetryConfig{MaxRetries: 1}.policy()
+	if !p.Retries(core.Panicked, 0) {
+		t.Error("a first panicked attempt is not retried")
 	}
-	if !p.RetryOn(core.Panicked) {
-		t.Error("default policy does not retry Panicked")
+	if p.Retries(core.Panicked, 1) {
+		t.Error("MaxRetries: 1 allowed a second retry")
 	}
-	for _, s := range []core.Status{core.TimedOut, core.VerifyFailed, core.Skipped} {
-		if p.RetryOn(s) {
-			t.Errorf("default policy retries %v; the budget token makes that pointless", s)
+	for _, s := range []core.Status{core.OK, core.TimedOut, core.VerifyFailed, core.Skipped} {
+		if p.Retries(s, 0) {
+			t.Errorf("the serving policy retries %v; the budget token makes that pointless", s)
 		}
+	}
+	if (RetryConfig{}).policy().Retries(core.Panicked, 0) {
+		t.Error("the zero RetryConfig retried")
 	}
 }
 

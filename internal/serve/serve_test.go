@@ -132,6 +132,7 @@ func smallInput(t *testing.T) *core.Input {
 func startServer(t *testing.T, cfg Config, in *core.Input, fws ...kernel.Framework) (*Server, string) {
 	t.Helper()
 	cfg.Logf = t.Logf
+	cfg.Retry.MaxRetries = 1 // gapd's -retries default
 	srv, err := NewServer(cfg, []*core.Input{in}, fws)
 	if err != nil {
 		t.Fatal(err)

@@ -59,6 +59,7 @@ func (wrongPR) PR(g *graph.Graph, opt kernel.Options) []float64 {
 func newTestServer(t *testing.T, cfg Config, in *core.Input, fws ...kernel.Framework) *Server {
 	t.Helper()
 	cfg.Logf = t.Logf
+	cfg.Retry.MaxRetries = 1 // gapd's -retries default
 	srv, err := NewServer(cfg, []*core.Input{in}, fws)
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,6 @@
 package testutil
 
 import (
-	"fmt"
 	"testing"
 
 	"gapbench/internal/generate"
@@ -211,7 +210,7 @@ func checkAllKernels(t *testing.T, f kernel.Framework, g *graph.Graph, mode kern
 	opt := kernel.Options{Mode: mode, UndirectedView: g.Undirected()}
 	if mode == kernel.Optimized {
 		opt.GraphName = name
-		relabeled, _ := graph.DegreeRelabel(opt.UndirectedView)
+		relabeled, _ := graph.DegreeRelabel(nil, opt.UndirectedView)
 		opt.RelabeledView = relabeled
 	}
 
@@ -286,9 +285,4 @@ func Describe(t *testing.T, f kernel.Framework) {
 	if len(d.Attributes()) == 0 {
 		t.Errorf("%s: empty Table II attributes", f.Name())
 	}
-}
-
-// GraphSummary formats a short graph description for test names.
-func GraphSummary(g *graph.Graph) string {
-	return fmt.Sprintf("n=%d m=%d", g.NumNodes(), g.NumEdgesUndirected())
 }

@@ -38,32 +38,6 @@ func BFSDepths(g *graph.Graph, src graph.NodeID) []int32 {
 	return depth
 }
 
-// BFSParents runs a serial BFS and returns a parent array under the shared
-// result convention (parent[src] = src; -1 unreachable).
-func BFSParents(g *graph.Graph, src graph.NodeID) []graph.NodeID {
-	n := g.NumNodes()
-	parent := make([]graph.NodeID, n)
-	for i := range parent {
-		parent[i] = -1
-	}
-	if n == 0 {
-		return parent
-	}
-	parent[src] = src
-	queue := []graph.NodeID{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range g.OutNeighbors(u) {
-			if parent[v] < 0 {
-				parent[v] = u
-				queue = append(queue, v)
-			}
-		}
-	}
-	return parent
-}
-
 // distHeap is a binary heap for Dijkstra.
 type distHeap struct {
 	node []graph.NodeID

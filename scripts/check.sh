@@ -81,7 +81,7 @@
 #      tier 5 runs.
 #  14. go test -bench=. -benchtime=1x the benchmark bit-rot guard: every
 #      benchmark (suite cells, ablations, and the ingest-pipeline
-#      Build/Transpose groups — the cells EXPERIMENTS.md "Reproducing" lists
+#      Build group — the cells EXPERIMENTS.md "Reproducing" lists
 #      as `go test -run '^$' -bench ... -count=4 .` lines) runs exactly one
 #      iteration at the test scale, so a signature drift or a panic on a
 #      bench-only path fails the gate instead of surfacing months later in a
