@@ -39,7 +39,7 @@ func startChaosServer(t *testing.T, cfg Config, in *core.Input, faults ...*chaos
 func TestChaosServePanicRetryRecovers(t *testing.T) {
 	requireChaos(t)
 	defer testutil.CheckGoroutines(t)()
-	in := smallInput(t)
+	in := asymmetricInput(t)
 	srv, sock := startChaosServer(t, Config{PoolSize: 1, Workers: 1}, in,
 		&chaos.Fault{Kernel: "BFS", Mode: chaos.Panic, Once: true})
 	c := dial(t, sock)
@@ -56,7 +56,7 @@ func TestChaosServePanicRetryRecovers(t *testing.T) {
 func TestChaosServeDeterministicPanicKeepsServing(t *testing.T) {
 	requireChaos(t)
 	defer testutil.CheckGoroutines(t)()
-	in := smallInput(t)
+	in := asymmetricInput(t)
 	srv, sock := startChaosServer(t, Config{PoolSize: 1, Workers: 1}, in,
 		&chaos.Fault{Kernel: "PR", Mode: chaos.Panic})
 	c := dial(t, sock)
@@ -86,7 +86,7 @@ func TestChaosServeDeterministicPanicKeepsServing(t *testing.T) {
 func TestChaosServeStallTimesOutMachineKept(t *testing.T) {
 	requireChaos(t)
 	defer testutil.CheckGoroutines(t)()
-	in := smallInput(t)
+	in := asymmetricInput(t)
 	srv, sock := startChaosServer(t, Config{PoolSize: 1, Workers: 1, Grace: 100 * time.Millisecond}, in,
 		&chaos.Fault{Kernel: "BFS", Mode: chaos.Stall})
 	c := dial(t, sock)
@@ -109,7 +109,7 @@ func TestChaosServeStallTimesOutMachineKept(t *testing.T) {
 func TestChaosServeHangAbandonsHealsAndDrainsClean(t *testing.T) {
 	requireChaos(t)
 	defer testutil.CheckGoroutines(t)()
-	in := smallInput(t)
+	in := asymmetricInput(t)
 	srv, sock := startChaosServer(t, Config{PoolSize: 1, Workers: 1, Grace: 40 * time.Millisecond}, in,
 		&chaos.Fault{Kernel: "BFS", Mode: chaos.Hang, HangExtra: chaosHang})
 	c := dial(t, sock)
@@ -138,7 +138,7 @@ func TestChaosServeHangAbandonsHealsAndDrainsClean(t *testing.T) {
 func TestChaosServeBreakerOpensAndProbeCloses(t *testing.T) {
 	requireChaos(t)
 	defer testutil.CheckGoroutines(t)()
-	in := smallInput(t)
+	in := asymmetricInput(t)
 	// Three one-shot Hang faults: exactly three consecutive abandonments,
 	// then the framework is healthy again — the breaker must open at the
 	// third and close on the post-cooldown probe.
@@ -194,12 +194,9 @@ func TestChaosServeCorruptGraphTrippedByGraphguard(t *testing.T) {
 		t.Skip("needs -tags=chaos,graphguard (seal checks are no-ops otherwise)")
 	}
 	// Dedicated input: the injected corruption permanently poisons the
-	// shared CSR, so this graph must not be reused by other tests.
-	in, err := core.LoadInput(core.GraphSpec{Name: "Urand", Scale: 6, Seed: 3, Delta: 16, SourceSeed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = in.Close() })
+	// shared CSR, so this graph must not be reused by other tests. It is
+	// asymmetric so that the BFS below runs its kernel.
+	in := asymmetricInput(t)
 	srv, sock := startChaosServer(t, Config{PoolSize: 1, Workers: 1}, in,
 		&chaos.Fault{Kernel: "CC", Mode: chaos.CorruptGraph, Once: true})
 	c := dial(t, sock)
@@ -225,7 +222,7 @@ func TestChaosServeCorruptGraphTrippedByGraphguard(t *testing.T) {
 func TestChaosServeSnapshotPanicOnceRetriesAndPublishes(t *testing.T) {
 	requireChaos(t)
 	defer testutil.CheckGoroutines(t)()
-	in := smallInput(t)
+	in := asymmetricInput(t)
 	srv, sock := startChaosServer(t, Config{PoolSize: 1, Workers: 1}, in,
 		&chaos.Fault{Kernel: "PR", Mode: chaos.Panic, Once: true},
 		&chaos.Fault{Kernel: "BFS", Mode: chaos.Stall})
@@ -320,5 +317,60 @@ func TestChaosServeSnapshotHangAbandonsHealsAndDrainsClean(t *testing.T) {
 	}
 	if got := srv.Pool().Outstanding(); got != 0 {
 		t.Errorf("outstanding leases after drain = %d", got)
+	}
+}
+
+// TestChaosServeReachBuildPanicChargesCC: a BFS on a symmetric graph that
+// leads a CC build whose kernel panics (attempt and retry) answers INTERNAL,
+// charges the (framework, CC) breaker — here as its half-open probe, which
+// reopens it — and never the (framework, BFS) one, and leaves the slot empty:
+// the next query re-leads the build.
+func TestChaosServeReachBuildPanicChargesCC(t *testing.T) {
+	requireChaos(t)
+	defer testutil.CheckGoroutines(t)()
+	in := smallInput(t)
+	if !symmetric(in.Graph) {
+		t.Fatal("Kron-6 is not symmetric: its BFS would run the kernel")
+	}
+	const cooldown = 20 * time.Millisecond
+	srv, sock := startChaosServer(t, Config{PoolSize: 1, Workers: 1,
+		Breaker: BreakerConfig{Threshold: 1, Cooldown: cooldown}}, in,
+		&chaos.Fault{Kernel: "CC", Mode: chaos.Panic, Once: true},
+		&chaos.Fault{Kernel: "CC", Mode: chaos.Panic, Once: true})
+	c := dial(t, sock)
+	fw := srv.defaultFW
+	srv.breakers.OnAbandon(fw, "CC", false) // open, so the BFS below is CC's probe
+	time.Sleep(cooldown + 5*time.Millisecond)
+
+	before := time.Now()
+	resp := c.do(Request{Kernel: "BFS", Source: 1})
+	if resp.Code != CodeInternal || resp.Kernel != "BFS" || !strings.Contains(resp.Error, "chaos: injected panic") || resp.Retries != 1 {
+		t.Fatalf("BFS leading a panicking CC build: %+v", resp)
+	}
+	if b := srv.breakers.pair(fw, "CC"); b.state != breakerOpen || !b.openedAt.After(before) {
+		t.Errorf("CC breaker state %d opened at %v, want reopened by the failed probe", b.state, b.openedAt)
+	}
+	if _, touched := srv.breakers.pairs[fw+"|BFS"]; touched {
+		t.Error("the BFS breaker was consulted or charged for a CC build")
+	}
+	if srv.snaps.slots[snapKey{"Kron", fw, core.CC}].snap.Load() != nil {
+		t.Error("a failed build published a snapshot")
+	}
+
+	// The faults are spent: after the cooldown the next query is the probe,
+	// re-leads the build and answers what the oracle says.
+	time.Sleep(cooldown + 5*time.Millisecond)
+	resp = c.do(Request{Kernel: "SSSP", Source: 1})
+	if resp.Code != CodeOK || resp.KernelMicros == 0 || resp.Result.Reached != bfsReached(in.Graph, 1) {
+		t.Fatalf("SSSP re-leading the build: %+v, want reached %d", resp, bfsReached(in.Graph, 1))
+	}
+	if st := srv.StatsSnapshot(); st.SnapshotBuilds != 2 || st.SnapshotFailed != 1 || st.Panics != 1 {
+		t.Errorf("builds=%d failed=%d panics=%d, want 2/1/1", st.SnapshotBuilds, st.SnapshotFailed, st.Panics)
+	}
+	if ok, probe := srv.breakers.Allow(fw, "CC"); !ok || probe {
+		t.Errorf("after the successful rebuild: ok=%v probe=%v, want a closed CC circuit", ok, probe)
+	}
+	if err := srv.Shutdown(5 * time.Second); err != nil {
+		t.Fatalf("shutdown: %v", err)
 	}
 }

@@ -10,9 +10,15 @@ package serve
 // PR 23 retired gapvet's per-function lease-return rule, which guarded one
 // call site: this covers functions, retries, and fault paths alike.
 // Armed, it also panics when a snapshot (snapshot.go) is about to answer for
-// a graph epoch other than the one it was computed on.
+// a graph epoch other than the one it was computed on, and when a sampled
+// reach answer read off a CC snapshot disagrees with a traversal.
 
-import "fmt"
+import (
+	"fmt"
+
+	"gapbench/internal/graph"
+	"gapbench/internal/verify"
+)
 
 // checkEnabled is armed by the init in check_servecheck.go under
 // -tags=servecheck.
@@ -39,4 +45,33 @@ func snapshotEpochCheck(snapEpoch, graphEpoch uint64) {
 	if checkEnabled && snapEpoch != graphEpoch {
 		panic(fmt.Sprintf("servecheck: snapshot built at graph epoch %#x served at epoch %#x — a snapshot must never outlive its epoch", snapEpoch, graphEpoch))
 	}
+}
+
+// reachCheckEvery is the sampling period, in query ids, of reachAnswerCheck.
+const reachCheckEvery = 64
+
+// reachAnswerCheck asserts that a reach answer read off a CC snapshot is what
+// a traversal from src reaches, panicking under -tags=servecheck. One answer
+// in reachCheckEvery, chosen by query id so a run is reproducible, is
+// recomputed with verify.BFSDepths. A mismatch means the snapshot's labels or
+// sizes are wrong, or the graph was taken for symmetric when it is not.
+func reachAnswerCheck(id uint64, g *graph.Graph, src graph.NodeID, reached int64) {
+	if !checkEnabled || id%reachCheckEvery != 0 {
+		return
+	}
+	if want := bfsReached(g, src); reached != want {
+		panic(fmt.Sprintf("servecheck: reachAnswerCheck: query %d from vertex %d answered reached=%d off the CC snapshot, a BFS reaches %d", id, src, reached, want))
+	}
+}
+
+// bfsReached is the number of vertices the serial oracle's BFS from src
+// reaches, src included.
+func bfsReached(g *graph.Graph, src graph.NodeID) int64 {
+	n := int64(0)
+	for _, d := range verify.BFSDepths(g, src) {
+		if d >= 0 {
+			n++
+		}
+	}
+	return n
 }

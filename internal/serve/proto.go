@@ -46,7 +46,8 @@ type Request struct {
 
 	// Source is the BFS/SSSP source vertex.
 	Source int64 `json:"source,omitempty"`
-	// Target, when set, asks SSSP for the distance to one vertex.
+	// Target, when set, asks SSSP for the distance to one vertex. It is
+	// SSSP-only: a BFS request carrying one is INVALID_ARGUMENT.
 	Target *int64 `json:"target,omitempty"`
 	// Vertex is the CC component-of vertex.
 	Vertex int64 `json:"vertex,omitempty"`
@@ -102,9 +103,10 @@ type Response struct {
 
 	// Micros is the end-to-end service time in microseconds: admission to
 	// response, queue wait and retries included. KernelMicros is the final
-	// attempt's kernel execution alone. A PR or CC query answered from a
-	// snapshot ran no kernel and carries no KernelMicros; the one query that
-	// built the snapshot carries the build's kernel time.
+	// attempt's kernel execution alone. A query answered from a snapshot (PR,
+	// CC, and BFS/SSSP without a target on a symmetric graph) ran no kernel
+	// and carries no KernelMicros; the one query that built the snapshot
+	// carries the build's kernel time.
 	Micros       int64 `json:"micros,omitempty"`
 	KernelMicros int64 `json:"kernel_micros,omitempty"`
 	// Retries counts extra attempts spent on transient faults.
@@ -121,7 +123,8 @@ type Response struct {
 // QueryResult is the kernel-specific result payload. Only the fields of the
 // queried kernel are set.
 type QueryResult struct {
-	// Reached is the number of vertices reached (BFS, SSSP).
+	// Reached is the number of vertices reached from Source, Source included
+	// (BFS, SSSP).
 	Reached int64 `json:"reached,omitempty"`
 	// Dist is the SSSP distance to Target (-1 when unreachable); nil when
 	// no target was asked for.
@@ -172,7 +175,8 @@ type Stats struct {
 	// SnapshotBuilds counts PR/CC snapshot builds started (at most graphs ×
 	// frameworks × 2 on a healthy daemon — none is ever rebuilt);
 	// SnapshotFailed those that ended without publishing (the next query
-	// rebuilds); SnapshotHits queries answered from a published snapshot.
+	// rebuilds); SnapshotHits queries answered from a published snapshot,
+	// BFS/SSSP reach answers off a CC snapshot included.
 	SnapshotBuilds int64 `json:"snapshot_builds"`
 	SnapshotHits   int64 `json:"snapshot_hits"`
 	SnapshotFailed int64 `json:"snapshot_failed"`

@@ -7,7 +7,9 @@ package serve
 // taxonomy — to the client as a Code, to the breaker as a health event, and
 // (optionally) to the suite journal as a core.Result. The whole-graph kernels
 // (PR, CC) take this path once per snapshot build and are otherwise answered
-// from the snapshot (snapshot.go).
+// from the snapshot (snapshot.go). So is a target-less BFS or SSSP on a
+// symmetric graph: its whole answer, the reached count, is the size of the
+// source's component, which plan routes to the CC snapshot.
 
 import (
 	"fmt"
@@ -26,15 +28,20 @@ type queryPlan struct {
 	in     *core.Input
 	f      kernel.Framework
 	fwName string
+	// k is the kernel that runs: the asked one, or CC for a reach query (a
+	// BFS or SSSP answered from the CC snapshot). Breakers, the sandbox and
+	// build journal lines name k; the response echoes asked.
 	k      core.Kernel
+	asked  core.Kernel
+	id     uint64 // per-server query number
 	src    graph.NodeID
 	target graph.NodeID
 	vertex graph.NodeID
 	topk   int
 	budget time.Duration
 	seed   uint64 // per-query jitter stream
-	// slot is the snapshot slot a PR or CC query is answered from; nil for the
-	// source-parameterised kernels, which run per query.
+	// slot is the snapshot slot a PR, CC or reach query is answered from; nil
+	// for the BFS and SSSP queries that run their kernel per query.
 	slot *snapSlot
 }
 
@@ -80,8 +87,7 @@ func (s *Server) plan(req Request) (*queryPlan, *Response) {
 		return fail(CodeNotFound, "framework %q not served", req.Framework)
 	}
 
-	p := &queryPlan{req: req, in: in, f: f, fwName: fwName, k: k,
-		slot: s.snaps.slots[snapKey{graphName, fwName, k}]}
+	p := &queryPlan{req: req, in: in, f: f, fwName: fwName, k: k, asked: k}
 	n := int64(in.Graph.NumNodes())
 	switch k {
 	case core.BFS, core.SSSP:
@@ -91,10 +97,18 @@ func (s *Server) plan(req Request) (*queryPlan, *Response) {
 		p.src = graph.NodeID(req.Source)
 		p.target = -1
 		if req.Target != nil {
+			if k == core.BFS {
+				return fail(CodeInvalidArgument, "target is SSSP-only")
+			}
 			if *req.Target < 0 || *req.Target >= n {
 				return fail(CodeInvalidArgument, "target %d out of range [0,%d)", *req.Target, n)
 			}
 			p.target = graph.NodeID(*req.Target)
+		}
+		// Stop when answered: without a target the answer is the reached
+		// count, and on a symmetric graph that is the source's component size.
+		if p.target < 0 && s.symmetric[graphName] {
+			p.k = core.CC
 		}
 	case core.PR:
 		p.topk = req.K
@@ -113,6 +127,7 @@ func (s *Server) plan(req Request) (*queryPlan, *Response) {
 		}
 		p.vertex = graph.NodeID(req.Vertex)
 	}
+	p.slot = s.snaps.slots[snapKey{graphName, fwName, p.k}]
 
 	p.budget = s.cfg.defaultBudget()
 	if req.BudgetMS > 0 {
@@ -132,14 +147,15 @@ func (s *Server) query(req Request, connTok *par.CancelToken) Response {
 		errResp.Micros = time.Since(start).Microseconds()
 		return *errResp
 	}
-	p.seed = splitmix64(s.cfg.Seed ^ s.queryID.Add(1))
+	p.id = s.queryID.Add(1)
+	p.seed = splitmix64(s.cfg.Seed ^ p.id)
 
 	// Shed gates, cheapest first. Each refusal costs microseconds and no
 	// pool time — the whole point of shedding over queuing.
 	if s.draining.Load() {
 		s.c.drainShed.Add(1)
 		return Response{ID: req.ID, Code: CodeUnavailable, Error: "server draining",
-			Kernel: string(p.k), Graph: p.in.Spec.Name, Framework: p.fwName,
+			Kernel: string(p.asked), Graph: p.in.Spec.Name, Framework: p.fwName,
 			Micros: time.Since(start).Microseconds()}
 	}
 	allowed, probe := s.breakers.Allow(p.fwName, string(p.k))
@@ -147,7 +163,7 @@ func (s *Server) query(req Request, connTok *par.CancelToken) Response {
 		s.c.breakerShed.Add(1)
 		return Response{ID: req.ID, Code: CodeUnavailable,
 			Error:  fmt.Sprintf("%s %s quarantined (circuit open; retry after cooldown)", p.fwName, p.k),
-			Kernel: string(p.k), Graph: p.in.Spec.Name, Framework: p.fwName,
+			Kernel: string(p.asked), Graph: p.in.Spec.Name, Framework: p.fwName,
 			Micros: time.Since(start).Microseconds()}
 	}
 	if verdict := s.adm.Admit(); verdict != admitOK {
@@ -164,7 +180,7 @@ func (s *Server) query(req Request, connTok *par.CancelToken) Response {
 			s.c.shedRate.Add(1)
 		}
 		return Response{ID: req.ID, Code: CodeResourceExhausted, Error: msg,
-			Kernel: string(p.k), Graph: p.in.Spec.Name, Framework: p.fwName,
+			Kernel: string(p.asked), Graph: p.in.Spec.Name, Framework: p.fwName,
 			Micros: time.Since(start).Microseconds()}
 	}
 	defer s.adm.Done()
@@ -173,7 +189,7 @@ func (s *Server) query(req Request, connTok *par.CancelToken) Response {
 
 	resp := s.execute(p, connTok, probe)
 	resp.ID = req.ID
-	resp.Kernel = string(p.k)
+	resp.Kernel = string(p.asked)
 	resp.Graph = p.in.Spec.Name
 	resp.Framework = p.fwName
 	resp.Micros = time.Since(start).Microseconds()
@@ -330,13 +346,13 @@ func runAttempt[T any](s *Server, p *queryPlan, tok *par.CancelToken, deadline t
 	return val, out, nil
 }
 
-// runKernel is the timed part of a BFS or SSSP query (the whole-graph kernels
-// are buildSnapshot's): it runs the kernel and reduces its full output to the
-// query's answer, which the returned finish only hands over. The reduction
-// runs inside the sandbox on purpose: reducing garbage output (a corrupted
-// kernel result) may panic, and that is the kernel's fault to report, not the
-// daemon's to crash on. g is passed in (not read off p.in) so the sandbox
-// holds no Input-field reads.
+// runKernel is the timed part of a BFS or SSSP query that plan did not route
+// to a snapshot (the whole-graph kernels are buildSnapshot's): it runs the
+// kernel and reduces its full output to the query's answer, which the returned
+// finish only hands over. The reduction runs inside the sandbox on purpose:
+// reducing garbage output (a corrupted kernel result) may panic, and that is
+// the kernel's fault to report, not the daemon's to crash on. g is passed in
+// (not read off p.in) so the sandbox holds no Input-field reads.
 func runKernel(p *queryPlan, g *graph.Graph, opt kernel.Options) func() (*QueryResult, error) {
 	res := &QueryResult{}
 	if p.k == core.BFS {
@@ -345,7 +361,7 @@ func runKernel(p *queryPlan, g *graph.Graph, opt kernel.Options) func() (*QueryR
 				res.Reached++
 			}
 		}
-	} else { // core.SSSP — plan sends PR and CC to their snapshot slot
+	} else { // core.SSSP — plan sends PR, CC and reach queries to a snapshot slot
 		dist := p.f.SSSP(g, p.src, opt)
 		for _, d := range dist {
 			if d != kernel.Inf {
@@ -365,17 +381,23 @@ func runKernel(p *queryPlan, g *graph.Graph, opt kernel.Options) func() (*QueryR
 
 // journalQuery appends the query outcome to the suite journal (when
 // configured) as a core.Result — one "cell" with one trial, CellID-keyed like
-// any batch result, its attempts as TrialRecords. A query that ran nothing (a
+// any batch result, its attempts as TrialRecords, named by the kernel that
+// ran (a reach query's build is a CC cell). A query that ran nothing (a
 // snapshot hit, a wait that outlasted its budget) has no trial and no
-// records. Journal write failures are logged, never surfaced to the client:
-// losing a ledger line must not fail a query that already ran.
+// records, and is named by the kernel it asked for. Journal write failures are
+// logged, never surfaced to the client: losing a ledger line must not fail a
+// query that already ran.
 func (s *Server) journalQuery(p *queryPlan, records []core.TrialRecord, status core.Status, retries int, errMsg string) {
 	if s.cfg.JournalPath == "" {
 		return
 	}
+	k := p.asked
+	if len(records) > 0 {
+		k = p.k
+	}
 	res := core.Result{
 		Framework: p.fwName,
-		Kernel:    p.k,
+		Kernel:    k,
 		Graph:     p.in.Spec.Name,
 		Mode:      kernel.Baseline,
 		Status:    status,

@@ -18,7 +18,9 @@ package serve
 //   - the machine-lease pool (pool.go) self-heals: an abandoned machine is
 //     replaced immediately and reaped in the background;
 //   - the whole-graph kernels (PR, CC) are computed and oracle-checked once
-//     per (graph, framework) and answered from that snapshot (snapshot.go);
+//     per (graph, framework) and answered from that snapshot (snapshot.go),
+//     and so are BFS/SSSP reach counts on graphs whose every arc has its
+//     reverse (a source reaches exactly its component);
 //   - SIGTERM drains gracefully under a hard deadline, and the drain proves
 //     no machine lease leaked (servecheck).
 
@@ -29,6 +31,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -36,6 +39,7 @@ import (
 	"time"
 
 	"gapbench/internal/core"
+	"gapbench/internal/graph"
 	"gapbench/internal/kernel"
 	"gapbench/internal/par"
 )
@@ -126,6 +130,9 @@ type Server struct {
 
 	graphs     map[string]*core.Input
 	graphOrder []string
+	// symmetric names the graphs whose target-less BFS/SSSP queries are
+	// answered from the CC snapshot (see symmetric).
+	symmetric  map[string]bool
 	frameworks map[string]kernel.Framework
 	defaultFW  string
 
@@ -157,6 +164,7 @@ func NewServer(cfg Config, inputs []*core.Input, frameworks []kernel.Framework) 
 		pool:       NewPool(cfg.poolSize(), cfg.workers()),
 		breakers:   newBreakerSet(cfg.Breaker),
 		graphs:     make(map[string]*core.Input, len(inputs)),
+		symmetric:  make(map[string]bool, len(inputs)),
 		frameworks: make(map[string]kernel.Framework, len(frameworks)),
 		defaultFW:  frameworks[0].Name(),
 		listeners:  make(map[net.Listener]struct{}),
@@ -170,6 +178,7 @@ func NewServer(cfg Config, inputs []*core.Input, frameworks []kernel.Framework) 
 		}
 		s.graphs[name] = in
 		s.graphOrder = append(s.graphOrder, name)
+		s.symmetric[name] = symmetric(in.Graph)
 	}
 	for _, f := range frameworks {
 		if _, dup := s.frameworks[f.Name()]; dup {
@@ -179,6 +188,20 @@ func NewServer(cfg Config, inputs []*core.Input, frameworks []kernel.Framework) 
 	}
 	s.snaps = newSnapshotStore(s.graphOrder, s.frameworks)
 	return s, nil
+}
+
+// symmetric reports whether every arc of g has its reverse, so that a
+// traversal from any source reaches exactly the source's connected
+// component: g is undirected, or its out-CSR and in-CSR are equal (rows are
+// sorted and deduplicated, so equal arrays are equal arc sets). Weights do
+// not count; reachability ignores them. O(m), once per graph at NewServer.
+func symmetric(g *graph.Graph) bool {
+	if !g.Directed() {
+		return true
+	}
+	outIdx, outNeigh := g.RawOut()
+	inIdx, inNeigh := g.RawIn()
+	return slices.Equal(outIdx, inIdx) && slices.Equal(outNeigh, inNeigh)
 }
 
 func (s *Server) logf(format string, args ...any) {

@@ -21,7 +21,9 @@ import (
 // ---- stub frameworks -------------------------------------------------------
 // The serving fault paths are driven by stubs that misbehave in BFS only, so
 // a CC query against the same server proves the daemon keeps serving around
-// the fault (same idiom as internal/core's fault tests).
+// the fault (same idiom as internal/core's fault tests). A BFS kernel runs
+// only where the graph is not symmetric (elsewhere the CC snapshot answers),
+// so those tests serve asymmetricInput.
 
 type stubFramework struct{ name string }
 
@@ -115,7 +117,24 @@ func (f recoveringBFS) BFS(g *graph.Graph, src graph.NodeID, opt kernel.Options)
 
 func smallInput(t *testing.T) *core.Input {
 	t.Helper()
-	in, err := core.LoadInput(core.GraphSpec{Name: "Kron", Scale: 6, Seed: 1, Delta: 16, SourceSeed: 5})
+	return loadInput(t, core.GraphSpec{Name: "Kron", Scale: 6, Seed: 1, Delta: 16, SourceSeed: 5})
+}
+
+// asymmetricInput is the tiny input of the tests that need a BFS or SSSP
+// kernel to run: Twitter has arcs without their reverse, so plan does not
+// route its queries to the CC snapshot.
+func asymmetricInput(t *testing.T) *core.Input {
+	t.Helper()
+	in := loadInput(t, core.GraphSpec{Name: "Twitter", Scale: 6, Seed: 1, Delta: 16, SourceSeed: 5})
+	if symmetric(in.Graph) {
+		t.Fatal("Twitter-6 is symmetric: its BFS queries would be answered from the CC snapshot")
+	}
+	return in
+}
+
+func loadInput(t *testing.T, spec core.GraphSpec) *core.Input {
+	t.Helper()
+	in, err := core.LoadInput(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,9 +258,16 @@ func TestServeEndToEndRealFramework(t *testing.T) {
 	if cc.Code != CodeOK || cc.Result == nil || cc.Result.Size < 1 {
 		t.Fatalf("CC: %+v", cc)
 	}
+	// Kron is undirected, so the target-less BFS was answered from the CC
+	// snapshot it built (the SSSP, having a target, ran its kernel), and the
+	// CC query was a hit on that snapshot.
+	if bfs.Kernel != "BFS" || bfs.KernelMicros == 0 || bfs.Result.Reached != cc.Result.Size {
+		t.Errorf("BFS reached %d (kernel %q, kernel_micros %d), CC of the source has size %d",
+			bfs.Result.Reached, bfs.Kernel, bfs.KernelMicros, cc.Result.Size)
+	}
 
-	// The snapshot cap (check.sh tier 13 names this test for it): the PR and
-	// the CC above each built a snapshot, so repeats of either, over two
+	// The snapshot cap (check.sh tier 13 names this test for it): the BFS and
+	// the PR above each built a snapshot, so repeats of PR and CC, over two
 	// connections, are all hits — never a whole-graph recompute.
 	const repeats = 20 // of each kernel
 	conns := []*testClient{c, dial(t, sock)}
@@ -260,9 +286,9 @@ func TestServeEndToEndRealFramework(t *testing.T) {
 	if st.Stats == nil || st.Stats.OK != 4+2*repeats || st.Stats.Accepted != 4+2*repeats {
 		t.Fatalf("stats: %+v", st.Stats)
 	}
-	if st.Stats.SnapshotBuilds != 2 || st.Stats.SnapshotHits != 2*repeats || st.Stats.SnapshotFailed != 0 {
+	if st.Stats.SnapshotBuilds != 2 || st.Stats.SnapshotHits != 1+2*repeats || st.Stats.SnapshotFailed != 0 {
 		t.Errorf("snapshot builds %d hits %d failed %d, want 2 builds, %d hits, 0 failed",
-			st.Stats.SnapshotBuilds, st.Stats.SnapshotHits, st.Stats.SnapshotFailed, 2*repeats)
+			st.Stats.SnapshotBuilds, st.Stats.SnapshotHits, st.Stats.SnapshotFailed, 1+2*repeats)
 	}
 	if err := srv.Shutdown(5 * time.Second); err != nil {
 		t.Fatalf("shutdown: %v", err)
@@ -277,6 +303,7 @@ func TestServeRejectsBadRequests(t *testing.T) {
 	_, sock := startServer(t, Config{PoolSize: 1, Workers: 1}, in, stubFramework{"Stub"})
 	c := dial(t, sock)
 	n := int64(in.Graph.NumNodes())
+	one := int64(1)
 
 	cases := []struct {
 		name string
@@ -287,6 +314,8 @@ func TestServeRejectsBadRequests(t *testing.T) {
 		{"unknown graph", Request{Kernel: "BFS", Graph: "Nope"}, CodeNotFound},
 		{"unknown framework", Request{Kernel: "BFS", Graph: "Kron", Framework: "Nope"}, CodeNotFound},
 		{"source out of range", Request{Kernel: "BFS", Graph: "Kron", Source: n}, CodeInvalidArgument},
+		{"target on BFS", Request{Kernel: "BFS", Graph: "Kron", Source: 1, Target: &one}, CodeInvalidArgument},
+		{"target out of range", Request{Kernel: "SSSP", Graph: "Kron", Source: 1, Target: &n}, CodeInvalidArgument},
 		{"negative vertex", Request{Kernel: "CC", Graph: "Kron", Vertex: -1}, CodeInvalidArgument},
 		{"unknown op", Request{Op: "frobnicate"}, CodeInvalidArgument},
 	}
@@ -294,6 +323,10 @@ func TestServeRejectsBadRequests(t *testing.T) {
 		if resp := c.do(tc.req); resp.Code != tc.code {
 			t.Errorf("%s: code = %s (%s), want %s", tc.name, resp.Code, resp.Error, tc.code)
 		}
+	}
+	// BFS has no per-target answer: a target is refused, not ignored.
+	if resp := c.do(Request{Kernel: "BFS", Source: 1, Target: &one}); !strings.Contains(resp.Error, "target is SSSP-only") {
+		t.Errorf("BFS with a target: %+v, want \"target is SSSP-only\"", resp)
 	}
 	// A malformed line answers INVALID_ARGUMENT instead of killing the
 	// connection.
@@ -316,7 +349,7 @@ func TestServeRejectsBadRequests(t *testing.T) {
 
 func TestServeBudgetStallCooperative(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
-	in := smallInput(t)
+	in := asymmetricInput(t)
 	srv, sock := startServer(t, Config{PoolSize: 1, Workers: 1, Grace: 200 * time.Millisecond}, in, stallBFS{stubFramework{"Stub"}})
 	c := dial(t, sock)
 
@@ -343,7 +376,7 @@ func TestServeBudgetStallCooperative(t *testing.T) {
 
 func TestServeHangAbandonsAndSelfHeals(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
-	in := smallInput(t)
+	in := asymmetricInput(t)
 	srv, sock := startServer(t, Config{PoolSize: 1, Workers: 1, Grace: 40 * time.Millisecond}, in, hangBFS{stubFramework{"Stub"}})
 	c := dial(t, sock)
 
@@ -371,7 +404,7 @@ func TestServeHangAbandonsAndSelfHeals(t *testing.T) {
 
 func TestServeRetriesTransientPanic(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
-	in := smallInput(t)
+	in := asymmetricInput(t)
 	srv, sock := startServer(t, Config{PoolSize: 1, Workers: 1}, in, flakyBFS{stubFramework{"Stub"}, &atomic.Int32{}})
 	c := dial(t, sock)
 
@@ -389,7 +422,7 @@ func TestServeRetriesTransientPanic(t *testing.T) {
 
 func TestServeDeterministicPanicIsInternal(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
-	in := smallInput(t)
+	in := asymmetricInput(t)
 	srv, sock := startServer(t, Config{PoolSize: 1, Workers: 1}, in, panicBFS{stubFramework{"Stub"}})
 	c := dial(t, sock)
 
@@ -411,7 +444,7 @@ func TestServeDeterministicPanicIsInternal(t *testing.T) {
 
 func TestServeQueueWatermarkSheds(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
-	in := smallInput(t)
+	in := asymmetricInput(t)
 	srv, sock := startServer(t, Config{
 		PoolSize: 1, Workers: 1,
 		Admission: AdmissionConfig{MaxQueue: -1}, // no queue: inflight capped at 1
@@ -466,7 +499,7 @@ func TestServeRateSheds(t *testing.T) {
 
 func TestServeBreakerQuarantineProbeClose(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
-	in := smallInput(t)
+	in := asymmetricInput(t)
 	srv, sock := startServer(t, Config{
 		PoolSize: 2, Workers: 1,
 		Grace:   30 * time.Millisecond,
@@ -514,7 +547,7 @@ func TestServeBreakerQuarantineProbeClose(t *testing.T) {
 
 func TestServeGracefulDrainUnderLoad(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
-	in := smallInput(t)
+	in := asymmetricInput(t)
 	srv, sock := startServer(t, Config{PoolSize: 2, Workers: 1, Grace: 50 * time.Millisecond}, in, stallBFS{stubFramework{"Stub"}})
 	// Two stalled queries (one per connection — a connection serves its
 	// requests in order) hold both machines, then SIGTERM-equivalent.
@@ -547,7 +580,7 @@ func TestServeGracefulDrainUnderLoad(t *testing.T) {
 }
 
 func TestServeJournalsQueryOutcomes(t *testing.T) {
-	in := smallInput(t)
+	in := asymmetricInput(t)
 	journal := filepath.Join(t.TempDir(), "served.jsonl")
 	srv, sock := startServer(t, Config{PoolSize: 1, Workers: 1, JournalPath: journal},
 		in, stubFramework{"Stub"}, panicBFS{stubFramework{"Boom"}})
@@ -571,7 +604,7 @@ func TestServeJournalsQueryOutcomes(t *testing.T) {
 		t.Fatalf("journal has %d lines, want 2", len(results))
 	}
 	okRes, boomRes := results[0], results[1]
-	if okRes.CellID() != "Stub|BFS|Kron|Baseline" {
+	if okRes.CellID() != "Stub|BFS|Twitter|Baseline" {
 		t.Errorf("ok CellID = %q", okRes.CellID())
 	}
 	// No oracle runs on a BFS answer, and the journal says so (the verified
@@ -582,7 +615,7 @@ func TestServeJournalsQueryOutcomes(t *testing.T) {
 	if okRes.GraphEpoch != in.Graph.Epoch() {
 		t.Errorf("journal epoch %#x, graph epoch %#x", okRes.GraphEpoch, in.Graph.Epoch())
 	}
-	if boomRes.CellID() != "Boom|BFS|Kron|Baseline" {
+	if boomRes.CellID() != "Boom|BFS|Twitter|Baseline" {
 		t.Errorf("panic CellID = %q", boomRes.CellID())
 	}
 	if boomRes.Status != core.Panicked || boomRes.Verified {

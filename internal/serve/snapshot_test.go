@@ -179,7 +179,7 @@ func TestSnapshotSingleFlightBuildsOnce(t *testing.T) {
 // kernel_micros.
 func TestSnapshotHitHoldsNoLease(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
-	in := smallInput(t)
+	in := asymmetricInput(t)
 	srv := newTestServer(t, Config{PoolSize: 1, Workers: 1}, in, stallBFS{stubFramework{"Stub"}})
 	tok := par.NewCancelToken()
 
@@ -342,6 +342,128 @@ func TestSnapshotWaitingProbeTimeoutResetsProbe(t *testing.T) {
 	}
 }
 
+// ---- reach answers ---------------------------------------------------------
+
+// TestSnapshotReachMatchesTraversal: on every suite graph, with every
+// framework, the served BFS and SSSP Reached equals the count over
+// runKernel's full output and the oracle's. On the symmetric graphs (Kron,
+// Urand, Road) the answers come from the CC snapshot, one build per
+// framework; on Twitter and Web the kernel runs and no snapshot is touched.
+func TestSnapshotReachMatchesTraversal(t *testing.T) {
+	const sources = 16
+	for _, spec := range core.DefaultSuite(8) {
+		spec.Scale = 8
+		t.Run(spec.Name, func(t *testing.T) {
+			in := loadInput(t, spec)
+			fws := core.Frameworks()
+			core.PrepareViews(fws, []*core.Input{in})
+			srv := newTestServer(t, Config{PoolSize: 1, Workers: 2}, in, fws...)
+			sym := spec.Name != "Twitter" && spec.Name != "Web"
+			if got := symmetric(in.Graph); got != sym {
+				t.Fatalf("symmetric(%s) = %v, want %v", spec.Name, got, sym)
+			}
+			n := int64(in.Graph.NumNodes())
+			opt := kernel.Options{Workers: 2, Mode: kernel.Baseline, Delta: spec.Delta, UndirectedView: in.Undirected}
+			for _, f := range fws {
+				for i := int64(0); i < sources; i++ {
+					src := graph.NodeID(i * n / sources)
+					want := bfsReached(in.Graph, src)
+					for _, k := range []core.Kernel{core.BFS, core.SSSP} {
+						full, _ := runKernel(&queryPlan{f: f, k: k, asked: k, src: src, target: -1}, in.Graph, opt)()
+						r := srv.query(Request{Kernel: string(k), Framework: f.Name(), Source: int64(src)}, par.NewCancelToken())
+						if r.Code != CodeOK || r.Kernel != string(k) || r.Result.Reached != full.Reached || full.Reached != want {
+							t.Fatalf("%s %s from %d: served %+v (%+v), runKernel reached %d, oracle %d",
+								f.Name(), k, src, r, r.Result, full.Reached, want)
+						}
+					}
+				}
+			}
+			st := srv.StatsSnapshot()
+			wantBuilds, wantHits := int64(0), int64(0)
+			if sym {
+				wantBuilds, wantHits = int64(len(fws)), int64(len(fws)*(2*sources-1))
+			}
+			if st.SnapshotBuilds != wantBuilds || st.SnapshotHits != wantHits || st.SnapshotFailed != 0 {
+				t.Errorf("builds=%d hits=%d failed=%d, want %d/%d/0", st.SnapshotBuilds, st.SnapshotHits, st.SnapshotFailed, wantBuilds, wantHits)
+			}
+		})
+	}
+}
+
+// TestSnapshotReachSymmetryDetector: symmetric holds exactly when every arc's
+// reverse is present — undirected graphs and Road's two-way streets, not
+// Twitter or Web, and not Road with one reverse arc dropped.
+func TestSnapshotReachSymmetryDetector(t *testing.T) {
+	road := loadInput(t, core.GraphSpec{Name: "Road", Scale: 6, Seed: 1, Delta: 64, SourceSeed: 5})
+	if !road.Graph.Directed() {
+		t.Fatal("Road is stored undirected; the CSR comparison would go untested")
+	}
+	var arcs []graph.Edge
+	dropped := false
+	index, neigh := road.Graph.RawOut()
+	for u := 0; u+1 < len(index); u++ {
+		for _, v := range neigh[index[u]:index[u+1]] {
+			if !dropped && graph.NodeID(u) > v {
+				dropped = true // the reverse of v->u
+				continue
+			}
+			arcs = append(arcs, graph.Edge{U: graph.NodeID(u), V: v})
+		}
+	}
+	oneWay, err := graph.Build(arcs, graph.BuildOptions{NumNodes: road.Graph.NumNodes(), Directed: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = oneWay.Close() })
+
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		want bool
+	}{
+		{"undirected Kron", smallInput(t).Graph, true},
+		{"Road", road.Graph, true},
+		{"Twitter", loadInput(t, core.GraphSpec{Name: "Twitter", Scale: 6, Seed: 1, Delta: 16, SourceSeed: 5}).Graph, false},
+		{"Web", loadInput(t, core.GraphSpec{Name: "Web", Scale: 6, Seed: 1, Delta: 16, SourceSeed: 5}).Graph, false},
+		{"Road minus one reverse arc", oneWay, false},
+	} {
+		if got := symmetric(tc.g); got != tc.want {
+			t.Errorf("symmetric(%s) = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestSnapshotReachJournalsAskedKernelVerified: the reach query that leads the
+// build journals the CC cell it ran; a reach hit journals the kernel it
+// asked for, verified, with no trial behind it.
+func TestSnapshotReachJournalsAskedKernelVerified(t *testing.T) {
+	in := smallInput(t)
+	journal := filepath.Join(t.TempDir(), "served.jsonl")
+	srv := newTestServer(t, Config{PoolSize: 1, Workers: 1, JournalPath: journal}, in, stubFramework{"Stub"})
+	for _, req := range []Request{{Kernel: "BFS", Source: 1}, {Kernel: "BFS", Source: 2}, {Kernel: "SSSP", Source: 3}} {
+		if r := srv.query(req, par.NewCancelToken()); r.Code != CodeOK || r.Kernel != req.Kernel {
+			t.Fatalf("%s from %d: %+v", req.Kernel, req.Source, r)
+		}
+	}
+	results, err := core.ReadJournal(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 3 {
+		t.Fatalf("journal has %d lines, want 3", len(results))
+	}
+	build := results[0]
+	if build.CellID() != "Stub|CC|Kron|Baseline" || build.Status != core.OK || !build.Verified || len(build.TrialRecords) != 1 {
+		t.Errorf("build journal line: %+v", build)
+	}
+	for i, want := range []string{"Stub|BFS|Kron|Baseline", "Stub|SSSP|Kron|Baseline"} {
+		hit := results[1+i]
+		if hit.CellID() != want || hit.Status != core.OK || !hit.Verified || hit.Trials != 0 || len(hit.TrialRecords) != 0 {
+			t.Errorf("hit journal line %d: %+v, want %s verified without trials", i, hit, want)
+		}
+	}
+}
+
 // ---- journal ---------------------------------------------------------------
 
 // TestSnapshotJournalsBuildOnceAndHitsWithoutTrials: the build journals as the
@@ -400,4 +522,36 @@ func TestSnapshotEpochMismatchPanicsUnderServecheck(t *testing.T) {
 		}
 	}()
 	srv.query(Request{Kernel: "PR"}, par.NewCancelToken())
+}
+
+// TestSnapshotReachCheckPanicsUnderServecheck: a reach answer read off a
+// corrupted CC snapshot trips the sampled servecheck recomputation within
+// reachCheckEvery queries.
+func TestSnapshotReachCheckPanicsUnderServecheck(t *testing.T) {
+	if !CheckEnabled() {
+		t.Skip("needs -tags=servecheck")
+	}
+	in := smallInput(t)
+	srv := newTestServer(t, Config{PoolSize: 1, Workers: 1}, in, stubFramework{"Stub"})
+	if r := srv.query(Request{Kernel: "CC", Vertex: 1}, par.NewCancelToken()); r.Code != CodeOK {
+		t.Fatalf("build: %+v", r)
+	}
+	// Swap the published snapshot for one whose every component is one
+	// vertex too large.
+	slot := srv.snaps.slots[snapKey{"Kron", "Stub", core.CC}]
+	bad := *slot.snap.Load()
+	bad.sizes = map[graph.NodeID]int64{}
+	for l, n := range slot.snap.Load().sizes {
+		bad.sizes[l] = n + 1
+	}
+	slot.snap.Store(&bad)
+
+	defer func() {
+		if pv := recover(); pv == nil || !strings.Contains(pv.(string), "servecheck: reachAnswerCheck") {
+			t.Errorf("corrupted reach answers served; recovered %v", pv)
+		}
+	}()
+	for i := 0; i < reachCheckEvery; i++ {
+		srv.query(Request{Kernel: "BFS", Source: int64(i) % int64(in.Graph.NumNodes())}, par.NewCancelToken())
+	}
 }
