@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	"gapbench/internal/graph"
+	"gapbench/internal/par"
 	"gapbench/internal/verify"
 )
 
@@ -251,7 +252,7 @@ func BenchmarkDegreeRelabel(b *testing.B) {
 		}
 		b.Run(sh.name, func(b *testing.B) {
 			for b.Loop() {
-				graph.DegreeRelabel(nil, g)
+				graph.DegreeRelabel(par.Default(), g)
 			}
 			b.ReportMetric(float64(g.NumEdges()), "edges/op")
 		})

@@ -15,9 +15,9 @@ import (
 func CrossImport() any { return gap.New() }
 
 // RacySum accumulates into a captured variable from a par closure.
-func RacySum(xs []int64) int64 {
+func RacySum(exec *par.Machine, xs []int64) int64 {
 	var total int64
-	par.For(len(xs), 0, func(i int) {
+	exec.For(len(xs), 0, func(i int) {
 		total += xs[i]
 	})
 	return total
@@ -25,9 +25,9 @@ func RacySum(xs []int64) int64 {
 
 // JustifiedSum shows the suppression form; this finding must NOT appear in
 // the golden output.
-func JustifiedSum(xs []int64) int64 {
+func JustifiedSum(exec *par.Machine, xs []int64) int64 {
 	var total int64
-	par.For(len(xs), 1, func(i int) {
+	exec.For(len(xs), 1, func(i int) {
 		total += xs[i] //gapvet:ignore par-closure-race -- fixture: single worker, sequential by construction
 	})
 	return total

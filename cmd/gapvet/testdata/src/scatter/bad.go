@@ -15,8 +15,8 @@ import "gapbench/internal/par"
 // writes are through index expressions (`off[k] = ...`, `out[pos] = ...`)
 // on captured slices at worker-owned positions, which the race rule must
 // leave alone.
-func Scatter(keys []int, offsets [][]int64, out []int64) {
-	par.ForWorker(len(keys), len(offsets), func(w, lo, hi int) {
+func Scatter(exec *par.Machine, keys []int, offsets [][]int64, out []int64) {
+	exec.ForWorker(len(keys), len(offsets), func(w, lo, hi int) {
 		off := offsets[w]
 		for i := lo; i < hi; i++ {
 			k := keys[i]
@@ -30,9 +30,9 @@ func Scatter(keys []int, offsets [][]int64, out []int64) {
 // BrokenScatter shares one cursor between all workers with a plain
 // read-modify-write: the exact race the per-worker offset slices exist to
 // avoid, and the one finding this fixture adds to the golden output.
-func BrokenScatter(keys []int, out []int64) {
+func BrokenScatter(exec *par.Machine, keys []int, out []int64) {
 	var cursor int64
-	par.ForWorker(len(keys), 0, func(w, lo, hi int) {
+	exec.ForWorker(len(keys), 0, func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[cursor] = int64(keys[i])
 			cursor++

@@ -19,6 +19,7 @@ import (
 	"gapbench/internal/core"
 	"gapbench/internal/generate"
 	"gapbench/internal/graph"
+	"gapbench/internal/par"
 )
 
 func main() {
@@ -60,7 +61,7 @@ func run(out string, scale int, seed uint64, oneGraph, layoutName string) error 
 			return err
 		}
 		if lay == graph.LayoutDegree {
-			rg, _ := graph.DegreeRelabel(nil, g)
+			rg, _ := graph.DegreeRelabel(par.Default(), g)
 			if err := g.Close(); err != nil {
 				return err
 			}

@@ -15,12 +15,10 @@
 package gapbench
 
 import (
-	"gapbench/internal/charact"
 	"gapbench/internal/core"
 	"gapbench/internal/generate"
 	"gapbench/internal/graph"
 	"gapbench/internal/kernel"
-	"gapbench/internal/ldbc"
 	"gapbench/internal/report"
 	"gapbench/internal/verify"
 )
@@ -32,8 +30,6 @@ type (
 	Graph = graph.Graph
 	// NodeID is a 32-bit vertex identifier.
 	NodeID = graph.NodeID
-	// Edge is one endpoint pair for graph construction.
-	Edge = graph.Edge
 	// WEdge is a weighted edge for graph construction.
 	WEdge = graph.WEdge
 	// BuildOptions configures graph construction.
@@ -100,17 +96,8 @@ const (
 	StatusSkipped      = core.Skipped
 )
 
-// ReadJournal loads the cells of a JSONL run journal (see
-// Runner.JournalPath); a missing file is an empty journal.
-func ReadJournal(path string) ([]Result, error) { return core.ReadJournal(path) }
-
 // GraphNames lists the five benchmark graphs in Table I order.
 var GraphNames = generate.Names
-
-// BuildGraph constructs a CSR graph from an edge list.
-func BuildGraph(edges []Edge, opt BuildOptions) (*Graph, error) {
-	return graph.Build(edges, opt)
-}
 
 // BuildWeightedGraph constructs a weighted CSR graph from an edge list.
 func BuildWeightedGraph(edges []WEdge, opt BuildOptions) (*Graph, error) {
@@ -123,10 +110,6 @@ func BuildWeightedGraph(edges []WEdge, opt BuildOptions) (*Graph, error) {
 func GenerateGraph(name string, scale int, seed uint64) (*Graph, error) {
 	return generate.ByName(name, scale, seed)
 }
-
-// LoadGraph mmap-loads a serialized graph written by (*Graph).SaveSG; release
-// it with Close.
-func LoadGraph(path string) (*Graph, error) { return graph.Load(path) }
 
 // ComputeStats derives Table I-style properties of a graph.
 func ComputeStats(g *Graph) Stats { return graph.ComputeStats(g) }
@@ -165,61 +148,8 @@ func VerifyPR(g *Graph, ranks []float64) error { return verify.CheckPR(g, ranks)
 // VerifyCC checks component labels against connectivity.
 func VerifyCC(g *Graph, labels []NodeID) error { return verify.CheckCC(g, labels) }
 
-// VerifyBC checks betweenness scores against a serial Brandes oracle.
-func VerifyBC(g *Graph, sources []NodeID, scores []float64) error {
-	return verify.CheckBC(g, sources, scores)
-}
-
 // VerifyTC checks a triangle count against the exact oracle.
 func VerifyTC(g *Graph, count int64) error { return verify.CheckTC(g, count) }
 
-// TableI renders the graph-property table for the given named graphs.
-func TableI(names []string, stats []Stats) string { return report.TableI(names, stats) }
-
-// TableII renders the framework-attribute table.
-func TableII(frameworks []Framework) string { return report.TableII(frameworks) }
-
-// TableIII renders the per-kernel algorithm table.
-func TableIII(frameworks []Framework) string { return report.TableIII(frameworks) }
-
-// TableIV renders the fastest-time table from suite results.
-func TableIV(results []Result, graphs []string) string { return report.TableIV(results, graphs) }
-
 // TableV renders the speedup heat map from suite results.
 func TableV(results []Result, graphs []string) string { return report.TableV(results, graphs) }
-
-// ResultsCSV renders results as CSV.
-func ResultsCSV(results []Result) string { return report.CSV(results) }
-
-// CDLP runs LDBC Graphalytics community detection by label propagation for
-// maxRounds synchronous rounds (an extension kernel beyond the six GAP
-// kernels; see internal/ldbc).
-func CDLP(g *Graph, maxRounds, workers int) []NodeID {
-	return ldbc.CDLP(g, maxRounds, workers)
-}
-
-// LCC computes per-vertex local clustering coefficients (LDBC Graphalytics
-// extension kernel).
-func LCC(g *Graph, workers int) []float64 { return ldbc.LCC(g, workers) }
-
-// CommunitySizes summarizes a CDLP labeling into descending community sizes.
-func CommunitySizes(labels []NodeID) []int { return ldbc.CommunitySizes(labels) }
-
-// Profile is a workload-characterization record (rounds, edge traffic,
-// frontier sizes) from an instrumented kernel run.
-type Profile = charact.Profile
-
-// CharacterizeBFS profiles a direction-optimizing BFS run from src.
-func CharacterizeBFS(g *Graph, src NodeID) Profile { return charact.BFS(g, src) }
-
-// CharacterizeSSSP profiles a delta-stepping run from src.
-func CharacterizeSSSP(g *Graph, src NodeID, delta Dist) Profile {
-	return charact.SSSP(g, src, delta)
-}
-
-// CharacterizePR profiles a Jacobi PageRank run.
-func CharacterizePR(g *Graph) Profile { return charact.PR(g) }
-
-// CharacterizationReport renders profiles as the workload table + frontier
-// sparklines of cmd/workload.
-func CharacterizationReport(profiles []Profile) string { return charact.Report(profiles) }

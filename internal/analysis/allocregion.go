@@ -10,8 +10,9 @@ import (
 
 // AllocInTimedRegion flags heap allocation on the *parallel hot path* of
 // timed kernel packages: a make/new/append call or closure creation that
-// executes inside a goroutine-spawned region (a par.For/ForDynamic/...
-// closure, a `go` statement, or any function the call graph can reach from
+// executes inside a goroutine-spawned region (a closure handed to a
+// *par.Machine schedule such as exec.For or exec.ForDynamic, a `go`
+// statement, or any function the call graph can reach from
 // one). The harness times f.BFS(...) wall-clock, so a per-edge or
 // per-vertex allocation inside a parallel loop is pure measured overhead —
 // and allocator contention under 64 workers distorts exactly the
@@ -23,11 +24,11 @@ import (
 //     result arrays, frontiers, bitmaps before/between parallel phases) is
 //     never flagged — GAP deliberately times those, and every framework
 //     pays them alike;
-//   - closures handed to par.ForWorker run once per worker, so their
+//   - closures handed to exec.ForWorker run once per worker, so their
 //     allocations are per-worker setup (GKC local buffers, Galois chunk
 //     seeds) and are exempt;
 //   - func literals directly passed to a call or invoked in place
-//     (par.For(n, func...), go func(){}()) are created once per phase or
+//     (exec.For(n, w, func...), go func(){}()) are created once per phase or
 //     spawn, not per element — only *stored* closures can churn on a hot
 //     path;
 //   - append is amortized growth: the make that created the buffer is the
@@ -116,13 +117,11 @@ func runAllocInTimedRegion(pass *Pass) {
 }
 
 // innermostIsForWorker reports whether the nearest enclosing spawner is
-// par.ForWorker — either the package-level shim or the *par.Machine method
-// (whose closure runs once per worker: setup, not hot path).
+// (*par.Machine).ForWorker, whose closure runs once per worker: setup, not
+// hot path.
 func innermostIsForWorker(ctx spawnCtx) bool {
 	if len(ctx.spawners) == 0 {
 		return false
 	}
-	inner := string(ctx.spawners[len(ctx.spawners)-1])
-	return strings.HasSuffix(inner, "/par.ForWorker") || strings.HasSuffix(inner, ".par.ForWorker") ||
-		strings.HasSuffix(inner, "par.Machine).ForWorker")
+	return strings.HasSuffix(string(ctx.spawners[len(ctx.spawners)-1]), "par.Machine).ForWorker")
 }

@@ -18,7 +18,7 @@ func TestAllocInTimedRegion(t *testing.T) {
 import "gapbench/internal/par"
 
 func Kernel(out [][]int32) {
-	par.ForDynamic(len(out), 64, 0, func(lo, hi int) {
+	par.Default().ForDynamic(len(out), 64, 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = make([]int32, 8)
 		}
@@ -35,7 +35,7 @@ func Kernel(out [][]int32) {
 import "gapbench/internal/par"
 
 func Kernel(xs []int64) {
-	par.ForBlocked(len(xs), 0, func(lo, hi int) {
+	par.Default().ForBlocked(len(xs), 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			f := func() int64 { return xs[i] }
 			xs[i] = f()
@@ -54,7 +54,7 @@ import "gapbench/internal/par"
 
 func Kernel(n int) []int64 {
 	out := make([]int64, n)
-	par.For(n, 0, func(i int) {
+	par.Default().For(n, 0, func(i int) {
 		out[i] = int64(i)
 	})
 	return out
@@ -70,7 +70,7 @@ func Kernel(n int) []int64 {
 import "gapbench/internal/par"
 
 func Kernel(xs []int64) {
-	par.ForWorker(len(xs), 0, func(w, lo, hi int) {
+	par.Default().ForWorker(len(xs), 0, func(w, lo, hi int) {
 		buf := make([]int64, 0, 64)
 		for i := lo; i < hi; i++ {
 			buf = append(buf, xs[i])
@@ -89,14 +89,14 @@ func Kernel(xs []int64) {
 import "gapbench/internal/par"
 
 func Kernel(xs []int64, sink [][]int64) {
-	par.ForBlocked(len(xs), 0, func(lo, hi int) {
+	par.Default().ForBlocked(len(xs), 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			sink[i] = append(sink[i], xs[i])
 		}
 	})
 	done := make(chan struct{})
 	go func() {
-		par.For(len(xs), 0, func(i int) { xs[i]++ })
+		par.Default().For(len(xs), 0, func(i int) { xs[i]++ })
 		close(done)
 	}()
 	<-done
@@ -112,7 +112,7 @@ func Kernel(xs []int64, sink [][]int64) {
 import "gapbench/internal/par"
 
 func Render(out [][]int32) {
-	par.For(len(out), 0, func(i int) {
+	par.Default().For(len(out), 0, func(i int) {
 		out[i] = make([]int32, 8)
 	})
 }
@@ -136,7 +136,7 @@ func scratch(n int) []int32 {
 }
 
 func Kernel(out [][]int32) {
-	par.For(len(out), 0, func(i int) {
+	par.Default().For(len(out), 0, func(i int) {
 		out[i] = scratch(8)
 	})
 }
@@ -164,7 +164,7 @@ import (
 )
 
 func Kernel(n int64, sink []*graph.Bitmap) {
-	par.For(len(sink), 0, func(i int) {
+	par.Default().For(len(sink), 0, func(i int) {
 		sink[i] = graph.NewBitmap(n)
 	})
 }

@@ -13,17 +13,17 @@ import "gapbench/internal/par"
 
 func Sums(xs []int64) (int64, int64, int64, int64) {
 	var a, b, c, d int64
-	par.For(len(xs), 0, func(i int) {
+	par.Default().For(len(xs), 0, func(i int) {
 		a += xs[i] //gapvet:ignore par-closure-race -- demo of a justified suppression
 	})
-	par.For(len(xs), 0, func(i int) {
+	par.Default().For(len(xs), 0, func(i int) {
 		//gapvet:ignore par-closure-race
 		b += xs[i]
 	})
-	par.For(len(xs), 0, func(i int) {
+	par.Default().For(len(xs), 0, func(i int) {
 		c += xs[i] //gapvet:ignore
 	})
-	par.For(len(xs), 0, func(i int) {
+	par.Default().For(len(xs), 0, func(i int) {
 		d += xs[i] //gapvet:ignore framework-isolation,index-width
 	})
 	return a, b, c, d
@@ -48,7 +48,7 @@ func Sum(xs []int64) int64 {
 	var total int64
 	//gapvet:ignore par-closure-race
 
-	par.For(len(xs), 0, func(i int) {
+	par.Default().For(len(xs), 0, func(i int) {
 		total += xs[i]
 	})
 	return total

@@ -21,13 +21,13 @@ import (
 )
 
 func Claim(dist []int32) {
-	par.For(len(dist), 0, func(i int) {
+	par.Default().For(len(dist), 0, func(i int) {
 		atomic.CompareAndSwapInt32(&dist[i], -1, 1)
 	})
 }
 
 func Stomp(dist []int32) {
-	par.For(len(dist), 0, func(i int) {
+	par.Default().For(len(dist), 0, func(i int) {
 		dist[i] = 7
 	})
 }
@@ -49,7 +49,7 @@ func Run(dist []int32) {
 	for i := range dist {
 		dist[i] = -1
 	}
-	par.For(len(dist), 0, func(i int) {
+	par.Default().For(len(dist), 0, func(i int) {
 		atomic.CompareAndSwapInt32(&dist[i], -1, 1)
 	})
 	var total int32
@@ -69,7 +69,7 @@ func Run(dist []int32) {
 import "gapbench/internal/par"
 
 func Fill(dist []int32) {
-	par.For(len(dist), 0, func(i int) {
+	par.Default().For(len(dist), 0, func(i int) {
 		dist[i] = 1
 	})
 }
@@ -92,13 +92,13 @@ type Counter struct {
 }
 
 func (c *Counter) Add(n int) {
-	par.For(n, 0, func(i int) {
+	par.Default().For(n, 0, func(i int) {
 		atomic.AddInt64(&c.hits, 1)
 	})
 }
 
 func (c *Counter) Drain(n int) {
-	par.For(n, 0, func(i int) {
+	par.Default().For(n, 0, func(i int) {
 		c.hits = 0
 	})
 }
@@ -126,7 +126,7 @@ func bump(dist []int32, i int) {
 }
 
 func Relax(dist []int32) {
-	par.For(len(dist), 0, func(i int) {
+	par.Default().For(len(dist), 0, func(i int) {
 		if atomic.LoadInt32(&dist[i]) > 0 {
 			bump(dist, i)
 		}

@@ -77,7 +77,7 @@ import "gapbench/internal/par"
 func DrainParallel(work []int) {
 	for len(work) > 0 {
 		next := make([]int, 0, len(work))
-		par.ForBlocked(len(work), 2, func(lo, hi int) {
+		par.Default().ForBlocked(len(work), 2, func(lo, hi int) {
 			_ = work[lo:hi]
 		})
 		work = next

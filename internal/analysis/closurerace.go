@@ -22,7 +22,7 @@ import (
 //     method/function calls, not assignments.
 var ParClosureRace = &Analyzer{
 	Name: "par-closure-race",
-	Doc:  "no unsynchronized writes to captured variables inside par.For / par.ForDynamic / ... closures",
+	Doc:  "no unsynchronized writes to captured variables inside closures handed to par schedules (exec.For, exec.ForDynamic, ...)",
 	Run:  runParClosureRace,
 }
 
@@ -31,9 +31,8 @@ func runParClosureRace(pass *Pass) {
 	for _, f := range pkg.Files {
 		walkStack(f.AST, func(n ast.Node, stack []ast.Node) bool {
 			// A literal handed to anything internal/par declares — a
-			// package-level shim (par.For, par.ForDynamic, ...) or a method
-			// (exec.ForDynamic, opt.Exec().ReduceInt64, h.Scatter): it runs
-			// on the machine's pool goroutines either way. The rule stays
+			// schedule method (exec.ForDynamic, opt.Exec().ReduceInt64) or
+			// h.Scatter — runs on the machine's pool goroutines. The rule stays
 			// type-based rather than asking the Program which callees spawn,
 			// so it works on packages loaded without internal/par.
 			if fl, ok := n.(*ast.FuncLit); ok {

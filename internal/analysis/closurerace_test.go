@@ -13,7 +13,7 @@ import "gapbench/internal/par"
 
 func Sum(xs []int64) int64 {
 	var total int64
-	par.For(len(xs), 0, func(i int) {
+	par.Default().For(len(xs), 0, func(i int) {
 		total += xs[i]
 	})
 	return total
@@ -31,7 +31,7 @@ import "gapbench/internal/par"
 func Scan(n int) (bool, int) {
 	changed := false
 	count := 0
-	par.ForDynamic(n, 64, 0, func(lo, hi int) {
+	par.Default().ForDynamic(n, 64, 0, func(lo, hi int) {
 		changed = true
 		count++
 	})
@@ -51,7 +51,7 @@ func Scan(n int) (bool, int) {
 import "gapbench/internal/par"
 
 func Fill(dst []int64) {
-	par.For(len(dst), 0, func(i int) {
+	par.Default().For(len(dst), 0, func(i int) {
 		local := int64(i) * 2
 		local++
 		dst[i] = local
@@ -68,7 +68,7 @@ func Fill(dst []int64) {
 import "gapbench/internal/par"
 
 func Sum(xs []int64) int64 {
-	return par.ReduceInt64(len(xs), 0, func(lo, hi int) int64 {
+	return par.Default().ReduceInt64(len(xs), 0, func(lo, hi int) int64 {
 		var partial int64
 		for i := lo; i < hi; i++ {
 			partial += xs[i]
@@ -91,7 +91,7 @@ import "gapbench/internal/par"
 // index expressions on captured slices (disjoint ranges by construction),
 // which must not be flagged.
 func Scatter(keys []int, offsets [][]int64, out []int64) {
-	par.ForWorker(len(keys), len(offsets), func(w, lo, hi int) {
+	par.Default().ForWorker(len(keys), len(offsets), func(w, lo, hi int) {
 		off := offsets[w]
 		for i := lo; i < hi; i++ {
 			k := keys[i]
@@ -113,7 +113,7 @@ import "gapbench/internal/par"
 
 func BrokenScatter(keys []int, out []int64) {
 	var cursor int64
-	par.ForWorker(len(keys), 0, func(w, lo, hi int) {
+	par.Default().ForWorker(len(keys), 0, func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[cursor] = int64(keys[i])
 			cursor++
@@ -137,7 +137,7 @@ import (
 func Sum(xs []int64) int64 {
 	var mu sync.Mutex
 	var total int64
-	par.For(len(xs), 0, func(i int) {
+	par.Default().For(len(xs), 0, func(i int) {
 		mu.Lock()
 		total += xs[i]
 		mu.Unlock()
@@ -156,7 +156,7 @@ import "gapbench/internal/par"
 
 func Walk(n int, visit func(func())) {
 	done := 0
-	par.For(n, 0, func(i int) {
+	par.Default().For(n, 0, func(i int) {
 		visit(func() {
 			done = i
 		})
@@ -209,12 +209,13 @@ func Scan(n int) bool {
 
 type fake struct{}
 
+func (f fake) Default() fake             { return f }
 func (fake) For(n, w int, fn func(int)) { fn(0) }
 
 func Use() {
 	par := fake{}
 	total := 0
-	par.For(1, 1, func(i int) { total += i })
+	par.Default().For(1, 1, func(i int) { total += i })
 	_ = total
 }
 `},

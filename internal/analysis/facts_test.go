@@ -7,9 +7,8 @@ import (
 
 // TestFieldSpawnPropagationRealMachine pins the field-based spawn fixpoint
 // against the real internal/par: Machine.dispatch never writes a `go`
-// statement and never reaches one through the call graph (it is the exported
-// schedule methods that touch Default/NewMachine via orDefault) — the body
-// closure reaches pool goroutines purely through data. dispatch parks it in
+// statement and never reaches one through the call graph (only NewMachine
+// does) — the body closure reaches pool goroutines purely through data. dispatch parks it in
 // region.body, workers spawned once in NewMachine receive the region off the
 // wake channel, and runSlot invokes the field. Without propagateFieldSpawns,
 // SpawnsGo(dispatch) is false and every rule downstream of the concurrency

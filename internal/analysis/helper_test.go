@@ -65,7 +65,7 @@ func loadFixture(t *testing.T, importPath string, files map[string]string) *Pack
 }
 
 // parOnce caches the real internal/par package: the dataflow rules learn
-// "par.For spawns goroutines" from its summaries, so spawn-aware fixtures
+// "the Machine schedules spawn goroutines" from its summaries, so spawn-aware fixtures
 // must be analyzed alongside it.
 var (
 	parOnce sync.Once

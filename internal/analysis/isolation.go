@@ -8,7 +8,7 @@ import (
 // isolationAllowed is the substrate a framework package may build on:
 // the shared graph representation, the parallel-for substrate, the kernel
 // interface/option types, the GraphBLAS layer (for lagraph), the shared
-// frontier library and schedule tuner, and core.
+// frontier library, and core.
 var isolationAllowed = map[string]bool{
 	"graph":    true,
 	"par":      true,
@@ -16,7 +16,6 @@ var isolationAllowed = map[string]bool{
 	"grb":      true,
 	"core":     true,
 	"frontier": true,
-	"tune":     true,
 }
 
 // isolationAllowedTest extends the allowance for test files, which drive the
@@ -25,7 +24,6 @@ var isolationAllowedTest = map[string]bool{
 	"generate": true,
 	"verify":   true,
 	"testutil": true,
-	"ldbc":     true,
 }
 
 // FrameworkIsolation enforces the paper's validity argument at the import

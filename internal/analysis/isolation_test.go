@@ -26,7 +26,7 @@ import (
 	"gapbench/internal/par"
 )
 
-func use(g *graph.Graph, o kernel.Options) { par.For(0, 1, func(int) {}) }
+func use(g *graph.Graph, o kernel.Options) { par.Default().For(0, 1, func(int) {}) }
 `},
 			want: nil,
 		},

@@ -47,7 +47,7 @@ var hold *box
 func keep(b *box) { hold = b }
 
 func HotEscape(xs []int64) {
-	par.For(len(xs), 0, func(i int) {
+	par.Default().For(len(xs), 0, func(i int) {
 		for j := 0; j < 4; j++ {
 			b := &box{v: 1}
 			keep(b)
@@ -63,14 +63,14 @@ func ColdEscape(xs []int64) {
 }
 
 func NoLoopEscape(xs []int64) {
-	par.For(len(xs), 0, func(k int) {
+	par.Default().For(len(xs), 0, func(k int) {
 		b := &box{v: 3}
 		keep(b)
 	})
 }
 
 func Justified(xs []int64) {
-	par.For(len(xs), 0, func(m int) {
+	par.Default().For(len(xs), 0, func(m int) {
 		for j := 0; j < 4; j++ {
 			//gapvet:ignore escape-in-kernel -- fixture: amortized pool growth
 			b := &box{v: 4}
@@ -81,7 +81,7 @@ func Justified(xs []int64) {
 
 func Rounds(xs []int64) {
 	for r := 0; r < 4; r++ {
-		par.For(len(xs), 0, func(q int) {
+		par.Default().For(len(xs), 0, func(q int) {
 			_ = xs[q]
 		})
 	}
@@ -139,7 +139,7 @@ import "gapbench/internal/par"
 
 func Round(xs []int64) int64 {
 	var total int64
-	par.For(len(xs), 0, func(i int) {
+	par.Default().For(len(xs), 0, func(i int) {
 		total += xs[i]
 	})
 	return total
@@ -155,7 +155,7 @@ func Drive(xs []int64) int64 {
 
 func ColdRound(xs []int64) int64 {
 	var acc int64
-	par.For(len(xs), 0, func(k int) {
+	par.Default().For(len(xs), 0, func(k int) {
 		acc += xs[k]
 	})
 	return acc
@@ -203,7 +203,7 @@ import "gapbench/internal/par"
 type state struct{ dist []int32 }
 
 func (s *state) RelaxAll(xs []int64) {
-	par.For(len(xs), 0, func(w int) {
+	par.Default().For(len(xs), 0, func(w int) {
 		for i := 0; i < len(s.dist); i++ {
 			s.dist[i]++
 		}
@@ -211,7 +211,7 @@ func (s *state) RelaxAll(xs []int64) {
 }
 
 func (s *state) Sweep(xs []int64) {
-	par.For(len(xs), 0, func(w int) {
+	par.Default().For(len(xs), 0, func(w int) {
 		d := int32(1)
 		for i := range s.dist {
 			s.dist[i] += d
@@ -220,7 +220,7 @@ func (s *state) Sweep(xs []int64) {
 }
 
 func (s *state) Unproven(xs []int64, idx []int32) {
-	par.For(len(xs), 0, func(w int) {
+	par.Default().For(len(xs), 0, func(w int) {
 		for i := 0; i < len(idx); i++ {
 			s.dist[idx[i]]++
 		}
@@ -228,7 +228,7 @@ func (s *state) Unproven(xs []int64, idx []int32) {
 }
 
 func (s *state) Nested(xs []int64) {
-	par.For(len(xs), 0, func(w int) {
+	par.Default().For(len(xs), 0, func(w int) {
 		for i := 0; i < len(s.dist); i++ {
 			s.dist[i]--
 			for k := 0; k < 2; k++ {
@@ -284,7 +284,7 @@ func defers(u, v int, d []int32) {
 }
 
 func Kernel(d []int32, xs []int64) {
-	par.For(len(xs), 0, func(i int) {
+	par.Default().For(len(xs), 0, func(i int) {
 		for j := 0; j < len(d); j++ {
 			costly(i, j, d)
 			huge(i, j, d)

@@ -12,6 +12,7 @@ import (
 	"gapbench/internal/generate"
 	"gapbench/internal/graph"
 	"gapbench/internal/kernel"
+	"gapbench/internal/par"
 )
 
 // Kernel names the six GAP benchmark kernels.
@@ -128,7 +129,7 @@ func LoadInput(spec GraphSpec) (*Input, error) {
 func PrepareInput(spec GraphSpec, g *graph.Graph) *Input {
 	in := &Input{Spec: spec, Graph: g}
 	in.Undirected = g.Undirected()
-	in.Relabeled, _ = graph.DegreeRelabel(nil, in.Undirected)
+	in.Relabeled, _ = graph.DegreeRelabel(par.Default(), in.Undirected)
 	// graphguard (no-op otherwise): checksum the CSR arrays of every view a
 	// kernel can reach, so the runner can prove them untouched after each
 	// trial.

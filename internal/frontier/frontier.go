@@ -4,7 +4,7 @@
 // layouts with explicit (timed) conversions, machine-parallel push and pull
 // edge sweeps, and the Beamer alpha/beta direction dispatcher — so that any
 // framework reproduction can opt into the same infrastructure instead of
-// hand-rolling its own. GraphIt consumes it through thin shims; GKC's BFS
+// hand-rolling its own. GraphIt's kernels call it directly; GKC's BFS
 // uses the dispatcher; NWGraph's bottom-up phase uses the bitmap layout.
 //
 // Membership/count invariants of the layout conversions are asserted under

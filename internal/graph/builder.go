@@ -43,13 +43,14 @@ type BuildOptions struct {
 // come out sorted and deduplicated. It returns an error if any endpoint is
 // negative or (when NumNodes is set) out of range.
 func Build(edges []Edge, opt BuildOptions) (*Graph, error) {
+	exec := par.Default()
 	we := make([]WEdge, len(edges))
-	par.ForBlocked(len(edges), opt.Workers, func(lo, hi int) {
+	exec.ForBlocked(len(edges), opt.Workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			we[i] = WEdge{U: edges[i].U, V: edges[i].V}
 		}
 	})
-	return build(we, opt, false)
+	return build(exec, we, opt, false)
 }
 
 // BuildWeighted constructs a weighted CSR graph from a weighted edge list.
@@ -60,34 +61,35 @@ func Build(edges []Edge, opt BuildOptions) (*Graph, error) {
 // Construction is the GAP reference's parallel two-pass counting sort, not a
 // comparison sort: a sharded per-source histogram, an exclusive scan into the
 // CSR index, a stable per-worker-offset scatter, then per-vertex segment
-// sorts with in-place min-weight deduplication (see par.ShardedHistogram and
-// DESIGN.md "The ingest pipeline"). The directed in-CSR is a second
-// histogram/scan/scatter over the deduplicated out-CSR — transposing a
-// row-sorted CSR with a stable scatter yields row-sorted output directly.
+// sorts with in-place min-weight deduplication (see Machine.ShardedHistogram
+// in internal/par and DESIGN.md "The ingest pipeline"). The directed in-CSR
+// is a second histogram/scan/scatter over the deduplicated out-CSR —
+// transposing a row-sorted CSR with a stable scatter yields row-sorted
+// output directly.
 func BuildWeighted(edges []WEdge, opt BuildOptions) (*Graph, error) {
-	return build(edges, opt, true)
+	return build(par.Default(), edges, opt, true)
 }
 
 // build is the shared construction core. The counting-sort passes run over
 // scratch arrays (the scatter output is dead weight once rows are
 // deduplicated), and only the final compaction writes into the graph's
 // storage arena — so the arena is exactly final-sized and holds no
-// construction garbage.
-func build(edges []WEdge, opt BuildOptions, weighted bool) (*Graph, error) {
-	n, err := checkEdges(edges, opt)
+// construction garbage. Every region runs on exec.
+func build(exec *par.Machine, edges []WEdge, opt BuildOptions, weighted bool) (*Graph, error) {
+	n, err := checkEdges(exec, edges, opt)
 	if err != nil {
 		return nil, err
 	}
 
 	// Materialize the full directed edge multiset: as-given for directed
 	// graphs, both directions for undirected ones.
-	work := expandEdges(edges, opt)
+	work := expandEdges(exec, edges, opt)
 
-	index, neigh, weight := scatterCSR(n, work, weighted, opt.Workers)
-	kept, newIndex := dedupRows(n, index, neigh, weight, opt.Workers)
-	g := assembleCSRGraph(n, opt.Directed, weighted, LayoutPlain, index, newIndex, kept, neigh, weight, opt.Workers)
+	index, neigh, weight := scatterCSR(exec, n, work, weighted, opt.Workers)
+	kept, newIndex := dedupRows(exec, n, index, neigh, weight, opt.Workers)
+	g := assembleCSRGraph(exec, n, opt.Directed, weighted, LayoutPlain, index, newIndex, kept, neigh, weight, opt.Workers)
 	if opt.Layout == LayoutDegree {
-		rg, _ := DegreeRelabel(nil, g)
+		rg, _ := DegreeRelabel(exec, g)
 		if err := g.Close(); err != nil {
 			return nil, err
 		}
@@ -101,7 +103,7 @@ func build(edges []WEdge, opt BuildOptions, weighted bool) (*Graph, error) {
 // endpoint); only when a violation is detected does a serial pass rerun to
 // report the first offending edge in input order, exactly as the historical
 // serial loop did.
-func checkEdges(edges []WEdge, opt BuildOptions) (int32, error) {
+func checkEdges(exec *par.Machine, edges []WEdge, opt BuildOptions) (int32, error) {
 	m := len(edges)
 	n := opt.NumNodes
 	if m == 0 {
@@ -110,7 +112,7 @@ func checkEdges(edges []WEdge, opt BuildOptions) (int32, error) {
 		}
 		return n, nil
 	}
-	maxEnd := par.ReduceMaxInt64(m, opt.Workers, func(lo, hi int) int64 {
+	maxEnd := exec.ReduceMaxInt64(m, opt.Workers, func(lo, hi int) int64 {
 		mx := int64(math.MinInt64)
 		for i := lo; i < hi; i++ {
 			if v := int64(edges[i].U); v > mx {
@@ -122,7 +124,7 @@ func checkEdges(edges []WEdge, opt BuildOptions) (int32, error) {
 		}
 		return mx
 	})
-	minEnd := -par.ReduceMaxInt64(m, opt.Workers, func(lo, hi int) int64 {
+	minEnd := -exec.ReduceMaxInt64(m, opt.Workers, func(lo, hi int) int64 {
 		mx := int64(math.MinInt64)
 		for i := lo; i < hi; i++ {
 			if v := -int64(edges[i].U); v > mx {
@@ -162,15 +164,16 @@ func checkEdges(edges []WEdge, opt BuildOptions) (int32, error) {
 // append — a parallel filter over static per-worker ranges writes each
 // worker's survivors contiguously at its scanned offset, so global input
 // order is preserved and downstream stability arguments still hold.
-func expandEdges(edges []WEdge, opt BuildOptions) []WEdge {
+func expandEdges(exec *par.Machine, edges []WEdge, opt BuildOptions) []WEdge {
+	// Workers < 1 means exec's width, which is what ForWorker runs.
 	slots := opt.Workers
 	if slots < 1 {
-		slots = par.DefaultWorkers()
+		slots = exec.Size()
 	}
 	// counts is indexed by ForWorker slot id; both passes use the identical
 	// (n, workers) partition, so per-slot ranges line up.
 	counts := make([]int64, slots)
-	par.ForWorker(len(edges), opt.Workers, func(w, lo, hi int) {
+	exec.ForWorker(len(edges), opt.Workers, func(w, lo, hi int) {
 		var c int64
 		for i := lo; i < hi; i++ {
 			e := edges[i]
@@ -193,7 +196,7 @@ func expandEdges(edges []WEdge, opt BuildOptions) []WEdge {
 		total += c
 	}
 	work := make([]WEdge, total)
-	par.ForWorker(len(edges), opt.Workers, func(w, lo, hi int) {
+	exec.ForWorker(len(edges), opt.Workers, func(w, lo, hi int) {
 		pos := counts[w]
 		for i := lo; i < hi; i++ {
 			e := edges[i]
@@ -219,8 +222,8 @@ func expandEdges(edges []WEdge, opt BuildOptions) []WEdge {
 // weight arrays via the counting-sort pipeline: per-source histogram,
 // exclusive scan, stable scatter. No comparison sort ever sees the full
 // edge list; rows are sorted and deduplicated afterwards by dedupRows.
-func scatterCSR(n int32, edges []WEdge, weighted bool, workers int) ([]int64, []NodeID, []Weight) {
-	h := par.ShardedHistogram(len(edges), int(n), workers, func(i int) int { return int(edges[i].U) })
+func scatterCSR(exec *par.Machine, n int32, edges []WEdge, weighted bool, workers int) ([]int64, []NodeID, []Weight) {
+	h := exec.ShardedHistogram(len(edges), int(n), workers, func(i int) int { return int(edges[i].U) })
 	index := h.Index()
 	neigh := make([]NodeID, len(edges))
 	var weight []Weight
@@ -242,9 +245,9 @@ func scatterCSR(n int32, edges []WEdge, weighted bool, workers int) ([]int64, []
 // the compact CSR index. Rows are processed under a dynamic schedule because
 // segment lengths are the degree distribution itself: power-law inputs put
 // hub rows many orders of magnitude above the mean.
-func dedupRows(n int32, index []int64, neigh []NodeID, weight []Weight, workers int) (kept, newIndex []int64) {
+func dedupRows(exec *par.Machine, n int32, index []int64, neigh []NodeID, weight []Weight, workers int) (kept, newIndex []int64) {
 	kept = make([]int64, n)
-	par.ForDynamic(int(n), 128, workers, func(lo, hi int) {
+	exec.ForDynamic(int(n), 128, workers, func(lo, hi int) {
 		for u := lo; u < hi; u++ {
 			s, e := index[u], index[u+1]
 			vs := neigh[s:e]
@@ -268,7 +271,7 @@ func dedupRows(n int32, index []int64, neigh []NodeID, weight []Weight, workers 
 			kept[u] = int64(k)
 		}
 	})
-	newIndex = par.PrefixSum(kept, workers)
+	newIndex = exec.PrefixSum(kept, workers)
 	return kept, newIndex
 }
 
@@ -277,7 +280,7 @@ func dedupRows(n int32, index []int64, neigh []NodeID, weight []Weight, workers 
 // per-row survivor counts) compact into the out-sections, and for directed
 // graphs the transpose scatters straight into the in-sections. This is the
 // single point where builder output becomes graph-owned memory.
-func assembleCSRGraph(n int32, directed, weighted bool, layout Layout, index, newIndex, kept []int64, neigh []NodeID, weight []Weight, workers int) *Graph {
+func assembleCSRGraph(exec *par.Machine, n int32, directed, weighted bool, layout Layout, index, newIndex, kept []int64, neigh []NodeID, weight []Weight, workers int) *Graph {
 	mOut := newIndex[n]
 	mIn := int64(0)
 	if directed {
@@ -288,7 +291,7 @@ func assembleCSRGraph(n int32, directed, weighted bool, layout Layout, index, ne
 	copy(outIndex, newIndex)
 	outNeigh := a.int32s(secOutNeigh)
 	outWeight := a.int32s(secOutWeight)
-	par.ForDynamic(int(n), 128, workers, func(lo, hi int) {
+	exec.ForDynamic(int(n), 128, workers, func(lo, hi int) {
 		for u := lo; u < hi; u++ {
 			s, d, c := index[u], newIndex[u], kept[u]
 			copy(outNeigh[d:d+c], neigh[s:s+c])
@@ -298,7 +301,7 @@ func assembleCSRGraph(n int32, directed, weighted bool, layout Layout, index, ne
 		}
 	})
 	if directed {
-		transposeInto(a, n, outIndex, outNeigh, outWeight, workers)
+		transposeInto(exec, a, n, outIndex, outNeigh, outWeight, workers)
 	}
 	return graphFromArena(a, layout)
 }
@@ -306,9 +309,9 @@ func assembleCSRGraph(n int32, directed, weighted bool, layout Layout, index, ne
 // expandRowIDs inverts a CSR index: rows[i] is the row owning position i.
 // The scatter passes of transposition and symmetrization need the source
 // endpoint of every stored edge without a per-item search.
-func expandRowIDs(n int32, index []int64, workers int) []NodeID {
+func expandRowIDs(exec *par.Machine, n int32, index []int64, workers int) []NodeID {
 	rows := make([]NodeID, index[n])
-	par.ForDynamic(int(n), 256, workers, func(lo, hi int) {
+	exec.ForDynamic(int(n), 256, workers, func(lo, hi int) {
 		for u := lo; u < hi; u++ {
 			for i := index[u]; i < index[u+1]; i++ {
 				rows[i] = NodeID(u)
@@ -324,9 +327,9 @@ func expandRowIDs(n int32, index []int64, workers int) []NodeID {
 // row-major order, so within each output row the (source) values arrive in
 // increasing order, and dedup is moot because the input rows were already
 // duplicate-free.
-func transposeInto(a *Arena, n int32, index []int64, neigh []NodeID, weight []Weight, workers int) {
-	rows := expandRowIDs(n, index, workers)
-	h := par.ShardedHistogram(len(neigh), int(n), workers, func(i int) int { return int(neigh[i]) })
+func transposeInto(exec *par.Machine, a *Arena, n int32, index []int64, neigh []NodeID, weight []Weight, workers int) {
+	rows := expandRowIDs(exec, n, index, workers)
+	h := exec.ShardedHistogram(len(neigh), int(n), workers, func(i int) int { return int(neigh[i]) })
 	copy(a.int64s(secInIndex), h.Index())
 	tNeigh := a.int32s(secInNeigh)
 	tWeight := a.int32s(secInWeight)
@@ -352,13 +355,14 @@ func (g *Graph) Undirected() *Graph {
 	if !g.directed {
 		return g
 	}
+	exec := par.Default()
 	n := g.n
 	hasW := g.Weighted()
-	src := expandRowIDs(n, g.outIndex, 0)
+	src := expandRowIDs(exec, n, g.outIndex, 0)
 	dst := g.outNeigh
 	ws := g.outWeight
 	m := len(dst)
-	loops := par.ReduceInt64(m, 0, func(lo, hi int) int64 {
+	loops := exec.ReduceInt64(m, 0, func(lo, hi int) int64 {
 		var c int64
 		for i := lo; i < hi; i++ {
 			if src[i] == dst[i] {
@@ -392,7 +396,7 @@ func (g *Graph) Undirected() *Graph {
 	// 2m logical items: item i < m is the stored orientation src[i]→dst[i],
 	// item m+i the reverse. Stability keeps per-row entries in a
 	// deterministic order before the segment sort canonicalizes them.
-	h := par.ShardedHistogram(2*m, int(n), 0, func(i int) int {
+	h := exec.ShardedHistogram(2*m, int(n), 0, func(i int) int {
 		if i < m {
 			return int(src[i])
 		}
@@ -417,8 +421,8 @@ func (g *Graph) Undirected() *Graph {
 			}
 		}
 	})
-	kept, newIndex := dedupRows(n, uIndex, uNeigh, uWeight, 0)
-	return assembleCSRGraph(n, false, hasW, g.layout, uIndex, newIndex, kept, uNeigh, uWeight, 0)
+	kept, newIndex := dedupRows(exec, n, uIndex, uNeigh, uWeight, 0)
+	return assembleCSRGraph(exec, n, false, hasW, g.layout, uIndex, newIndex, kept, uNeigh, uWeight, 0)
 }
 
 // validateCSR checks one CSR side for structural consistency.

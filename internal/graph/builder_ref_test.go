@@ -10,11 +10,13 @@ package graph_test
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
 
 	"gapbench/internal/graph"
+	"gapbench/internal/par"
 )
 
 // refGraph is the reference builder's output: plain CSR arrays.
@@ -257,6 +259,24 @@ func TestBuildErrorAgreementWithReference(t *testing.T) {
 	}
 }
 
+// TestBuildAfterGOMAXPROCSShrinks: Workers < 1 means the width of the
+// machine the build runs on, which par.Default() fixed when it was first
+// built. Per-slot scratch sized by the current GOMAXPROCS instead overflowed
+// once GOMAXPROCS dropped below that width (`go test -cpu 4,1`).
+func TestBuildAfterGOMAXPROCSShrinks(t *testing.T) {
+	if par.Default().Size() == 1 {
+		t.Skip("the default machine has one worker; GOMAXPROCS cannot drop below it")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	edges := randomEdges(rand.New(rand.NewSource(7)), 64, 700)
+	g, err := graph.BuildWeighted(edges, graph.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rg, _ := refBuildWeighted(t, edges, graph.BuildOptions{})
+	assertCSREqual(t, "GOMAXPROCS=1", g, rg, true)
+}
+
 // TestUndirectedMatchesReference pins the direct CSR symmetrization against
 // the old path: materialize every stored arc of the directed graph as an
 // edge list and rebuild undirected.
@@ -329,7 +349,7 @@ func TestDegreeRelabelMatchesStableSortReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, perm := graph.DegreeRelabel(nil, g)
+		_, perm := graph.DegreeRelabel(par.Default(), g)
 
 		// Reference permutation via a stable comparison sort.
 		order := make([]graph.NodeID, n)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gapbench/internal/graph"
+	"gapbench/internal/par"
 )
 
 func mustBuild(t *testing.T, edges []graph.Edge, opt graph.BuildOptions) *graph.Graph {
@@ -143,7 +144,7 @@ func TestDegreeRelabel(t *testing.T) {
 	// Star: vertex 3 is the hub and must become vertex 0.
 	g := mustBuild(t, []graph.Edge{{U: 3, V: 0}, {U: 3, V: 1}, {U: 3, V: 2}, {U: 0, V: 1}},
 		graph.BuildOptions{Directed: false})
-	rg, perm := graph.DegreeRelabel(nil, g)
+	rg, perm := graph.DegreeRelabel(par.Default(), g)
 	if perm[3] != 0 {
 		t.Fatalf("hub mapped to %d, want 0", perm[3])
 	}

@@ -17,8 +17,8 @@ import "gapbench/internal/par"
 //
 // The two parallel regions run on exec, sized to it: a kernel that relabels
 // inside its timed trial passes the trial's machine, so the regions land in
-// the cell's SyncStats and see its cancel token. A nil exec is the
-// process-default machine, for the untimed load-phase callers.
+// the cell's SyncStats and see its cancel token; the untimed load-phase
+// callers pass par.Default().
 func DegreeRelabel(exec *par.Machine, g *Graph) (*Graph, []NodeID) {
 	n := g.NumNodes()
 	perm := make([]NodeID, n)

@@ -91,7 +91,7 @@ func TestApplyPermutationMatchesRenamedBuild(t *testing.T) {
 		}
 		src := build(edges)
 		src.Seal() // armed under -tags=graphguard: the permute only reads its source
-		got, perm := graph.DegreeRelabel(nil, src)
+		got, perm := graph.DegreeRelabel(par.Default(), src)
 		if err := src.CheckSeal(); err != nil {
 			t.Fatalf("%s: %v", kind.name, err)
 		}
@@ -112,8 +112,8 @@ func TestDegreeRelabelOfDegreeOrderedGraphIsIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ordered, _ := graph.DegreeRelabel(nil, g)
-		again, perm := graph.DegreeRelabel(nil, ordered)
+		ordered, _ := graph.DegreeRelabel(par.Default(), g)
+		again, perm := graph.DegreeRelabel(par.Default(), ordered)
 		for old, nw := range perm {
 			if nw != graph.NodeID(old) {
 				t.Fatalf("directed=%v: vertex %d of a degree-ordered graph moved to %d", directed, old, nw)
@@ -130,7 +130,7 @@ func TestRelabelDegenerateGraphs(t *testing.T) {
 		if empty.NumNodes() != 0 {
 			t.Fatalf("empty build has %d vertices", empty.NumNodes())
 		}
-		rg, perm := graph.DegreeRelabel(nil, empty)
+		rg, perm := graph.DegreeRelabel(par.Default(), empty)
 		if len(perm) != 0 {
 			t.Fatalf("n=0: perm = %v", perm)
 		}
@@ -142,7 +142,7 @@ func TestRelabelDegenerateGraphs(t *testing.T) {
 				edges = []graph.Edge{{U: 0, V: 0}}
 			}
 			one := mustBuild(t, edges, graph.BuildOptions{NumNodes: 1, Directed: directed, KeepSelfLoops: true})
-			rg, perm := graph.DegreeRelabel(nil, one)
+			rg, perm := graph.DegreeRelabel(par.Default(), one)
 			if !slices.Equal(perm, []graph.NodeID{0}) {
 				t.Fatalf("n=1: perm = %v", perm)
 			}
@@ -177,7 +177,7 @@ func TestDegreeRelabelRunsOnItsMachine(t *testing.T) {
 	if after := par.Default().Stats(); after != before {
 		t.Fatalf("the relabel moved the default machine's stats: %+v -> %+v", before, after)
 	}
-	want, _ := graph.DegreeRelabel(nil, g)
+	want, _ := graph.DegreeRelabel(par.Default(), g)
 	assertSameCSR(t, "private machine vs default", rg, want)
 }
 

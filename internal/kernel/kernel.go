@@ -136,10 +136,9 @@ func (o Options) Undirected(g *graph.Graph) *graph.Graph {
 
 // Exec returns the machine the kernel's parallel regions must run on,
 // defaulting to the process-wide machine when the harness did not attach one.
-// Framework code should call methods on the returned machine (opt.Exec().For,
-// …) rather than the package-level par shims, so per-cell launch and barrier
-// counts reflect the framework's real structure instead of vanishing into the
-// shared default pool.
+// Framework code runs every region on the returned machine (opt.Exec().For,
+// …), so per-cell launch and barrier counts reflect the framework's real
+// structure instead of vanishing into the shared default pool.
 func (o Options) Exec() *par.Machine {
 	if o.Machine != nil {
 		return o.Machine

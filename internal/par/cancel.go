@@ -127,10 +127,8 @@ func (m *Machine) SetCancel(t *CancelToken) {
 }
 
 // CancelToken returns the currently installed token (nil when none).
-// Nil-safe: a nil machine resolves to the process default, like every
-// schedule does.
 func (m *Machine) CancelToken() *CancelToken {
-	return m.orDefault().cancel.Load()
+	return m.cancel.Load()
 }
 
 // Interrupted reports whether the machine's installed cancel token has
@@ -143,8 +141,7 @@ func (m *Machine) CancelToken() *CancelToken {
 //		...
 //	}
 //
-// Nil-safe on both the machine and the token; without a token it is one
-// atomic pointer load per round.
+// Without a token it is one atomic pointer load per round.
 func (m *Machine) Interrupted() bool {
-	return m.orDefault().cancel.Load().Cancelled()
+	return m.cancel.Load().Cancelled()
 }

@@ -35,8 +35,8 @@ const histogramCellBudget = 4
 
 // Histogram is an in-flight sharded counting-sort: per-worker count shards
 // over a fixed item partition, finalized by Index into per-worker placement
-// offsets consumed by Scatter. Build one with Machine.ShardedHistogram (or
-// the package-level shim); the zero value is not usable.
+// offsets consumed by Scatter. Build one with Machine.ShardedHistogram; the
+// zero value is not usable.
 type Histogram struct {
 	m      *Machine
 	items  int
@@ -58,7 +58,6 @@ type Histogram struct {
 // is additionally capped so shard scratch stays within a small multiple of
 // the item count (see histogramCellBudget).
 func (m *Machine) ShardedHistogram(items, bins, workers int, key func(i int) int) *Histogram {
-	m = m.orDefault()
 	active := m.clamp(workers, items)
 	if bins > 0 {
 		if budget := (histogramCellBudget*items + 4096) / bins; active > budget {
@@ -184,7 +183,6 @@ const prefixSumSerialMin = 1 << 12
 func (m *Machine) PrefixSum(counts []int64, workers int) []int64 {
 	n := len(counts)
 	out := make([]int64, n+1)
-	m = m.orDefault()
 	active := m.clamp(workers, n)
 	if n < prefixSumSerialMin || active == 1 {
 		var run int64
@@ -228,7 +226,6 @@ func (m *Machine) ReduceMaxInt64(n, workers int, fn func(lo, hi int) int64) int6
 	if n <= 0 {
 		return math.MinInt64
 	}
-	m = m.orDefault()
 	active := m.clamp(workers, n)
 	if active == 1 {
 		m.serial()
@@ -245,22 +242,4 @@ func (m *Machine) ReduceMaxInt64(n, workers int, fn func(lo, hi int) int64) int6
 		}
 	}
 	return max
-}
-
-// ShardedHistogram builds a sharded counting-sort histogram on the
-// process-default machine. See Machine.ShardedHistogram.
-func ShardedHistogram(items, bins, workers int, key func(i int) int) *Histogram {
-	return Default().ShardedHistogram(items, bins, workers, key)
-}
-
-// PrefixSum computes an exclusive prefix sum (CSR index shape) on the
-// process-default machine. See Machine.PrefixSum.
-func PrefixSum(counts []int64, workers int) []int64 {
-	return Default().PrefixSum(counts, workers)
-}
-
-// ReduceMaxInt64 computes the maximum of fn over statically partitioned
-// ranges on the process-default machine. See Machine.ReduceMaxInt64.
-func ReduceMaxInt64(n, workers int, fn func(lo, hi int) int64) int64 {
-	return Default().ReduceMaxInt64(n, workers, fn)
 }

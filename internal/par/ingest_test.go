@@ -69,6 +69,8 @@ func TestShardedHistogramMatchesSerialCountingSort(t *testing.T) {
 
 func TestHistogramScatterPlacesSortedStable(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
+	m := par.NewMachine(4)
+	defer m.Close()
 	// Sort (key, seq) records by key via the scatter and check the output is
 	// key-sorted with per-key sequence order preserved.
 	const items, bins = 20000, 101
@@ -77,7 +79,7 @@ func TestHistogramScatterPlacesSortedStable(t *testing.T) {
 	for i := range keys {
 		keys[i] = rng.Intn(bins)
 	}
-	h := par.ShardedHistogram(items, bins, 0, func(i int) int { return keys[i] })
+	h := m.ShardedHistogram(items, bins, 0, func(i int) int { return keys[i] })
 	index := h.Index()
 	outKey := make([]int, items)
 	outSeq := make([]int, items)
@@ -99,7 +101,9 @@ func TestHistogramScatterPlacesSortedStable(t *testing.T) {
 
 func TestHistogramScatterTwicePanics(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
-	h := par.ShardedHistogram(4, 2, 0, func(i int) int { return i % 2 })
+	m := par.NewMachine(4)
+	defer m.Close()
+	h := m.ShardedHistogram(4, 2, 0, func(i int) int { return i % 2 })
 	h.Scatter(func(i int, pos int64) {})
 	defer func() {
 		if recover() == nil {
@@ -140,9 +144,11 @@ func TestPrefixSumMatchesSerial(t *testing.T) {
 
 func TestReduceMaxInt64(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
+	m := par.NewMachine(4)
+	defer m.Close()
 	xs := []int64{3, -9, 12, 0, 12, -40, 7}
 	for _, workers := range []int{0, 1, 2, 7, 19} {
-		got := par.ReduceMaxInt64(len(xs), workers, func(lo, hi int) int64 {
+		got := m.ReduceMaxInt64(len(xs), workers, func(lo, hi int) int64 {
 			mx := int64(math.MinInt64)
 			for i := lo; i < hi; i++ {
 				if xs[i] > mx {
@@ -155,10 +161,10 @@ func TestReduceMaxInt64(t *testing.T) {
 			t.Fatalf("workers=%d: max = %d, want 12", workers, got)
 		}
 	}
-	if got := par.ReduceMaxInt64(0, 0, func(lo, hi int) int64 { return 99 }); got != math.MinInt64 {
+	if got := m.ReduceMaxInt64(0, 0, func(lo, hi int) int64 { return 99 }); got != math.MinInt64 {
 		t.Fatalf("empty max = %d, want MinInt64", got)
 	}
-	if got := par.ReduceMaxInt64(-5, 3, func(lo, hi int) int64 { return 99 }); got != math.MinInt64 {
+	if got := m.ReduceMaxInt64(-5, 3, func(lo, hi int) int64 { return 99 }); got != math.MinInt64 {
 		t.Fatalf("negative-n max = %d, want MinInt64", got)
 	}
 }

@@ -250,15 +250,6 @@ func (r *region) rethrow() {
 	}
 }
 
-// orDefault lets a nil *Machine mean "the process-default machine", so a
-// zero-valued kernel.Options still executes.
-func (m *Machine) orDefault() *Machine {
-	if m == nil {
-		return Default()
-	}
-	return m
-}
-
 // clamp normalizes a requested region width exactly like the historical
 // clampWorkers: < 1 means the machine's size, and a region never uses more
 // slots than it has iterations. The result may exceed the pool size —
@@ -318,8 +309,7 @@ func (m *Machine) serial() {
 }
 
 // ---------------------------------------------------------------------------
-// Schedules. Signatures mirror the package-level free functions, which are
-// now thin shims over the process-default machine (par.go).
+// Schedules. workers < 1 means the machine's size (see clamp).
 
 // For runs fn(i) for every i in [0, n) using statically partitioned
 // contiguous blocks, one per slot. With a cancel token installed the loop
@@ -329,7 +319,6 @@ func (m *Machine) For(n, workers int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
-	m = m.orDefault()
 	tok := m.cancel.Load()
 	active := m.clamp(workers, n)
 	if active == 1 {
@@ -360,7 +349,6 @@ func (m *Machine) ForBlocked(n, workers int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	m = m.orDefault()
 	active := m.clamp(workers, n)
 	if active == 1 {
 		m.serial()
@@ -384,7 +372,6 @@ func (m *Machine) ForDynamic(n, chunk, workers int, fn func(lo, hi int)) {
 	if chunk < 1 {
 		chunk = 1
 	}
-	m = m.orDefault()
 	tok := m.cancel.Load()
 	active := m.clamp(workers, (n+chunk-1)/chunk)
 	if active == 1 {
@@ -431,7 +418,6 @@ func (m *Machine) ForCyclic(n, workers int, fn func(worker, i int)) {
 	if n <= 0 {
 		return
 	}
-	m = m.orDefault()
 	tok := m.cancel.Load()
 	active := m.clamp(workers, n)
 	if active == 1 {
@@ -460,7 +446,6 @@ func (m *Machine) ForWorker(n, workers int, fn func(worker, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	m = m.orDefault()
 	active := m.clamp(workers, n)
 	if active == 1 {
 		m.serial()
@@ -481,7 +466,6 @@ func (m *Machine) ReduceInt64(n, workers int, fn func(lo, hi int) int64) int64 {
 	if n <= 0 {
 		return 0
 	}
-	m = m.orDefault()
 	active := m.clamp(workers, n)
 	if active == 1 {
 		m.serial()
@@ -506,7 +490,6 @@ func (m *Machine) ReduceFloat64(n, workers int, fn func(lo, hi int) float64) flo
 	if n <= 0 {
 		return 0
 	}
-	m = m.orDefault()
 	active := m.clamp(workers, n)
 	if active == 1 {
 		m.serial()
@@ -534,7 +517,6 @@ func (m *Machine) ReduceDynamicInt64(n, chunk, workers int, fn func(lo, hi int) 
 	if chunk < 1 {
 		chunk = 1
 	}
-	m = m.orDefault()
 	tok := m.cancel.Load()
 	active := m.clamp(workers, (n+chunk-1)/chunk)
 	if active == 1 {

@@ -1,7 +1,6 @@
 package par_test
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -318,8 +317,8 @@ func TestStaticPartitionProperty(t *testing.T) {
 	}
 }
 
-// TestDefaultMachineSingleton: the free functions share one lazily built
-// machine sized to DefaultWorkers.
+// TestDefaultMachineSingleton: Default() is one lazily built machine sized to
+// DefaultWorkers.
 func TestDefaultMachineSingleton(t *testing.T) {
 	m1 := par.Default()
 	m2 := par.Default()
@@ -328,48 +327,5 @@ func TestDefaultMachineSingleton(t *testing.T) {
 	}
 	if m1.Size() != par.DefaultWorkers() {
 		t.Fatalf("default machine size = %d, want DefaultWorkers = %d", m1.Size(), par.DefaultWorkers())
-	}
-}
-
-// TestNilMachineUsesDefault: schedule methods on a nil *Machine run on the
-// process default, so a zero kernel.Options still executes.
-func TestNilMachineUsesDefault(t *testing.T) {
-	defer testutil.CheckGoroutines(t)()
-	var m *par.Machine
-	got := m.ReduceInt64(100, 4, func(lo, hi int) int64 { return int64(hi - lo) })
-	if got != 100 {
-		t.Fatalf("nil machine reduce = %d, want 100", got)
-	}
-}
-
-// TestMachineSchedulesMatchFreeFunctions cross-checks every schedule method
-// against its shim for a handful of shapes.
-func TestMachineSchedulesMatchFreeFunctions(t *testing.T) {
-	defer testutil.CheckGoroutines(t)()
-	m := par.NewMachine(3)
-	defer m.Close()
-	for _, n := range []int{0, 1, 17, 256} {
-		for _, w := range []int{0, 1, 3, 7} {
-			name := fmt.Sprintf("n=%d w=%d", n, w)
-			sum := func(lo, hi int) int64 {
-				var s int64
-				for i := lo; i < hi; i++ {
-					s += int64(3*i + 1)
-				}
-				return s
-			}
-			if got, want := m.ReduceInt64(n, w, sum), par.ReduceInt64(n, w, sum); got != want {
-				t.Fatalf("%s: ReduceInt64 machine=%d shim=%d", name, got, want)
-			}
-			if got, want := m.ReduceDynamicInt64(n, 5, w, sum), par.ReduceDynamicInt64(n, 5, w, sum); got != want {
-				t.Fatalf("%s: ReduceDynamicInt64 machine=%d shim=%d", name, got, want)
-			}
-			var a, b atomic.Int64
-			m.For(n, w, func(i int) { a.Add(int64(i)) })
-			par.For(n, w, func(i int) { b.Add(int64(i)) })
-			if a.Load() != b.Load() {
-				t.Fatalf("%s: For machine=%d shim=%d", name, a.Load(), b.Load())
-			}
-		}
 	}
 }

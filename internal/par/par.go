@@ -10,11 +10,9 @@
 // ("NUMA-blocked") and dynamically load-balanced ("work-stealing") parallel
 // iteration.
 //
-// The package-level functions below are thin shims over the lazily built
-// process-default machine, so historical call sites keep working unchanged.
-// Code that wants observable synchronization structure (per-cell region and
-// barrier counts) should hold its own *Machine — kernel.Options carries one —
-// and call the identically named methods on it.
+// Every schedule is a method on a *Machine. Code that wants observable
+// synchronization structure (per-cell region and barrier counts) holds its
+// own — kernel.Options carries one — and untimed setup code calls Default().
 package par
 
 import (
@@ -43,63 +41,4 @@ func Default() *Machine {
 		defaultMachine = NewMachine(DefaultWorkers())
 	})
 	return defaultMachine
-}
-
-// For runs fn(i) for every i in [0, n) using statically partitioned chunks,
-// one contiguous block per worker, on the process-default machine.
-func For(n, workers int, fn func(i int)) {
-	Default().For(n, workers, fn)
-}
-
-// ForBlocked runs fn(lo, hi) over statically partitioned contiguous ranges,
-// one per worker, on the process-default machine. It is For with the
-// per-index closure cost amortized away; inner loops that need peak
-// throughput use this form.
-func ForBlocked(n, workers int, fn func(lo, hi int)) {
-	Default().ForBlocked(n, workers, fn)
-}
-
-// ForDynamic runs fn(lo, hi) over chunks of the given size handed out from a
-// shared atomic counter, on the process-default machine. This is the
-// dynamically load-balanced ("guided" / work-stealing) schedule that the
-// paper credits for Galois' and NWGraph's good behaviour on skew-degree
-// graphs.
-func ForDynamic(n, chunk, workers int, fn func(lo, hi int)) {
-	Default().ForDynamic(n, chunk, workers, fn)
-}
-
-// ForCyclic runs fn(i) with rows distributed cyclically across workers:
-// worker w handles i = w, w+workers, w+2*workers, ... The paper calls out
-// NWGraph's cyclic distribution of rows as the reason its triangle counting
-// load-balances well on skewed graphs. Runs on the process-default machine.
-func ForCyclic(n, workers int, fn func(worker, i int)) {
-	Default().ForCyclic(n, workers, fn)
-}
-
-// ForWorker runs fn once per worker with that worker's id and statically
-// assigned range, on the process-default machine. It is the building block
-// for kernels that keep per-thread local state (GKC's local buffers, Galois'
-// per-thread worklist chunks).
-func ForWorker(n, workers int, fn func(worker, lo, hi int)) {
-	Default().ForWorker(n, workers, fn)
-}
-
-// ReduceInt64 computes the sum of fn(lo, hi) over statically partitioned
-// ranges on the process-default machine. Each worker produces one partial;
-// partials are combined serially, so fn need not synchronize its
-// accumulation.
-func ReduceInt64(n, workers int, fn func(lo, hi int) int64) int64 {
-	return Default().ReduceInt64(n, workers, fn)
-}
-
-// ReduceFloat64 is ReduceInt64 for float64 partials (used by PageRank error
-// norms and BC accumulation checks).
-func ReduceFloat64(n, workers int, fn func(lo, hi int) float64) float64 {
-	return Default().ReduceFloat64(n, workers, fn)
-}
-
-// ReduceDynamicInt64 is ReduceInt64 with dynamically scheduled chunks, for
-// reductions over skew-cost iteration spaces (triangle counting).
-func ReduceDynamicInt64(n, chunk, workers int, fn func(lo, hi int) int64) int64 {
-	return Default().ReduceDynamicInt64(n, chunk, workers, fn)
 }

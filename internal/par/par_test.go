@@ -11,10 +11,12 @@ import (
 
 func TestForCoversEveryIndexOnce(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
+	m := par.NewMachine(4)
+	defer m.Close()
 	for _, workers := range []int{0, 1, 3, 16} {
 		for _, n := range []int{0, 1, 7, 1000} {
 			counts := make([]int32, n)
-			par.For(n, workers, func(i int) { atomic.AddInt32(&counts[i], 1) })
+			m.For(n, workers, func(i int) { atomic.AddInt32(&counts[i], 1) })
 			for i, c := range counts {
 				if c != 1 {
 					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, c)
@@ -26,10 +28,12 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 
 func TestForBlockedPartitions(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
+	m := par.NewMachine(4)
+	defer m.Close()
 	for _, workers := range []int{1, 4, 9} {
 		n := 103
 		covered := make([]int32, n)
-		par.ForBlocked(n, workers, func(lo, hi int) {
+		m.ForBlocked(n, workers, func(lo, hi int) {
 			if lo >= hi {
 				t.Errorf("empty range [%d,%d)", lo, hi)
 			}
@@ -47,9 +51,11 @@ func TestForBlockedPartitions(t *testing.T) {
 
 func TestForDynamicCoversAllChunks(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
+	m := par.NewMachine(4)
+	defer m.Close()
 	n := 1001
 	covered := make([]int32, n)
-	par.ForDynamic(n, 13, 5, func(lo, hi int) {
+	m.ForDynamic(n, 13, 5, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			atomic.AddInt32(&covered[i], 1)
 		}
@@ -61,7 +67,7 @@ func TestForDynamicCoversAllChunks(t *testing.T) {
 	}
 	// Degenerate chunk sizes.
 	total := int32(0)
-	par.ForDynamic(10, 0, 3, func(lo, hi int) { atomic.AddInt32(&total, int32(hi-lo)) })
+	m.ForDynamic(10, 0, 3, func(lo, hi int) { atomic.AddInt32(&total, int32(hi-lo)) })
 	if total != 10 {
 		t.Fatalf("chunk=0 covered %d, want 10", total)
 	}
@@ -69,9 +75,11 @@ func TestForDynamicCoversAllChunks(t *testing.T) {
 
 func TestForCyclicAssignsRoundRobin(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
+	m := par.NewMachine(4)
+	defer m.Close()
 	const n, workers = 20, 4
 	owner := make([]int32, n)
-	par.ForCyclic(n, workers, func(w, i int) { owner[i] = int32(w) })
+	m.ForCyclic(n, workers, func(w, i int) { owner[i] = int32(w) })
 	for i := 0; i < n; i++ {
 		if owner[i] != int32(i%workers) {
 			t.Fatalf("index %d owned by %d, want %d", i, owner[i], i%workers)
@@ -81,10 +89,12 @@ func TestForCyclicAssignsRoundRobin(t *testing.T) {
 
 func TestForWorkerRangesDisjointAndComplete(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
+	m := par.NewMachine(4)
+	defer m.Close()
 	const n, workers = 57, 5
 	covered := make([]int32, n)
 	seen := make([]int32, workers)
-	par.ForWorker(n, workers, func(w, lo, hi int) {
+	m.ForWorker(n, workers, func(w, lo, hi int) {
 		atomic.AddInt32(&seen[w], 1)
 		for i := lo; i < hi; i++ {
 			atomic.AddInt32(&covered[i], 1)
@@ -104,8 +114,10 @@ func TestForWorkerRangesDisjointAndComplete(t *testing.T) {
 
 func TestReduceInt64(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
+	m := par.NewMachine(4)
+	defer m.Close()
 	for _, workers := range []int{1, 4} {
-		got := par.ReduceInt64(100, workers, func(lo, hi int) int64 {
+		got := m.ReduceInt64(100, workers, func(lo, hi int) int64 {
 			var s int64
 			for i := lo; i < hi; i++ {
 				s += int64(i)
@@ -116,14 +128,16 @@ func TestReduceInt64(t *testing.T) {
 			t.Fatalf("workers=%d: sum = %d, want 4950", workers, got)
 		}
 	}
-	if par.ReduceInt64(0, 4, func(int, int) int64 { return 99 }) != 0 {
+	if m.ReduceInt64(0, 4, func(int, int) int64 { return 99 }) != 0 {
 		t.Fatal("empty reduce nonzero")
 	}
 }
 
 func TestReduceFloat64(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
-	got := par.ReduceFloat64(10, 3, func(lo, hi int) float64 { return float64(hi - lo) })
+	m := par.NewMachine(4)
+	defer m.Close()
+	got := m.ReduceFloat64(10, 3, func(lo, hi int) float64 { return float64(hi - lo) })
 	if got != 10 {
 		t.Fatalf("sum = %v, want 10", got)
 	}
@@ -131,7 +145,9 @@ func TestReduceFloat64(t *testing.T) {
 
 func TestReduceDynamicInt64(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
-	got := par.ReduceDynamicInt64(1000, 7, 4, func(lo, hi int) int64 {
+	m := par.NewMachine(4)
+	defer m.Close()
+	got := m.ReduceDynamicInt64(1000, 7, 4, func(lo, hi int) int64 {
 		var s int64
 		for i := lo; i < hi; i++ {
 			s++
@@ -147,6 +163,8 @@ func TestReduceDynamicInt64(t *testing.T) {
 // worker counts.
 func TestReduceProperty(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
+	m := par.NewMachine(4)
+	defer m.Close()
 	f := func(n uint16, workers uint8) bool {
 		nn := int(n % 2048)
 		w := int(workers%8) + 1
@@ -158,8 +176,8 @@ func TestReduceProperty(t *testing.T) {
 			return s
 		}
 		want := sum(0, nn)
-		return par.ReduceInt64(nn, w, sum) == want &&
-			par.ReduceDynamicInt64(nn, 9, w, sum) == want
+		return m.ReduceInt64(nn, w, sum) == want &&
+			m.ReduceDynamicInt64(nn, 9, w, sum) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

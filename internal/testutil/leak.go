@@ -27,8 +27,8 @@ func CheckGoroutines(tb testing.TB) func() {
 // checkGoroutines is CheckGoroutines with an injectable retry deadline.
 func checkGoroutines(tb testing.TB, patience time.Duration) func() {
 	tb.Helper()
-	// The package-level par helpers lazily build the process-default
-	// machine, whose pool goroutines live for the process lifetime. Warm it
+	// par.Default() lazily builds the process-default machine, whose pool
+	// goroutines live for the process lifetime. Warm it
 	// before snapshotting so its workers are part of the baseline rather
 	// than being reported as a leak by whichever test touches par first.
 	par.Default()

@@ -11,6 +11,7 @@ import (
 	"gapbench/internal/generate"
 	"gapbench/internal/graph"
 	"gapbench/internal/kernel"
+	"gapbench/internal/par"
 	"gapbench/internal/verify"
 )
 
@@ -210,7 +211,7 @@ func checkAllKernels(t *testing.T, f kernel.Framework, g *graph.Graph, mode kern
 	opt := kernel.Options{Mode: mode, UndirectedView: g.Undirected()}
 	if mode == kernel.Optimized {
 		opt.GraphName = name
-		relabeled, _ := graph.DegreeRelabel(nil, opt.UndirectedView)
+		relabeled, _ := graph.DegreeRelabel(par.Default(), opt.UndirectedView)
 		opt.RelabeledView = relabeled
 	}
 

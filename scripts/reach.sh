@@ -1,9 +1,11 @@
 #!/usr/bin/env sh
 # reach.sh — the reachability audit (DESIGN.md §7 "What may exist unlinked"):
 # prints every function of an untagged non-test file of the root module that
-# none of the 14 mains links and the DESIGN.md exemption table does not name
-# (testutil and chaos, test infrastructure, aside). Nothing on a clean tree.
-# Run by hand before a PR (CONTRIBUTING.md); not a check.sh tier.
+# none of the 13 mains links and the DESIGN.md exemption table does not name
+# (testutil and chaos, test infrastructure, aside), and every exemption row
+# that names no declared function (a `…*` row: none with that prefix).
+# Nothing on a clean tree. Run by hand before a PR (CONTRIBUTING.md); not a
+# check.sh tier.
 
 set -eu
 cd "$(dirname "$0")/.."
@@ -35,8 +37,13 @@ awk -F'\t' -v linked="$tmp/linked" -v exempt="$tmp/exempt" '
 	BEGIN {
 		while ((getline s < linked) > 0) have[s] = 1
 		while ((getline s < exempt) > 0)
-			if (s ~ /\*$/) prefix[substr(s, 1, length(s) - 1)] = 1; else have[s] = 1
+			if (s ~ /\*$/) prefix[substr(s, 1, length(s) - 1)] = 1; else have[s] = row[s] = 1
 	}
+	{ declared[$1] = 1; for (p in prefix) if (index($1, p) == 1) used[p] = 1 }
 	$1 in have { next }
 	{ for (p in prefix) if (index($1, p) == 1) next; print }
+	END {
+		for (s in row) if (!(s in declared)) print "stale exemption row: " s
+		for (p in prefix) if (!(p in used)) print "stale exemption row: " p "*"
+	}
 ' "$tmp/declared"
