@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"gapbench/internal/core"
+	"gapbench/internal/invariant"
 	"gapbench/internal/serve"
 )
 
@@ -142,8 +143,8 @@ func run(listenAddr, graphsCSV string, scale int, graphDir, graphFiles, fwCSV st
 	}
 	logf("serving %d graph(s), %d framework(s) on %s (pool=%d workers=%d budget=%v)",
 		len(inputs), len(frameworks), listenAddr, cfg.PoolSize, cfg.Workers, budget)
-	if serve.CheckEnabled() {
-		logf("servecheck armed: a leaked machine lease panics at drain")
+	if invariant.Armed() {
+		logf("invariant checks armed: a violated invariant, a leaked machine lease included, panics")
 	}
 
 	sigCh := make(chan os.Signal, 1)

@@ -20,7 +20,7 @@ package analysis
 // What it deliberately does not track mirrors writeset.go: views retained in
 // one function and closed in another, and flows through interfaces. Those are
 // graphguard's job — the unmap itself poisons the views, so the escapees
-// crash loudly in tests built with -tags=graphguard.
+// crash loudly in tests built with -tags=check.
 
 import (
 	"go/ast"

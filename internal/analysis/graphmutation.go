@@ -19,7 +19,7 @@ import (
 //
 // Package graph is whitelisted by package: its builder, relabel, and
 // symmetrize code owns the arrays it writes. The graphguard runtime
-// sanitizer (build tag graphguard) covers what the lattice cannot see —
+// sanitizer (armed by build tag check) covers what the lattice cannot see —
 // aliases escaping through struct fields or interfaces.
 var GraphMutation = &Analyzer{
 	Name:       "graph-mutation",

@@ -33,7 +33,7 @@ var isolationAllowedTest = map[string]bool{
 // only build on the shared substrate packages.
 var FrameworkIsolation = &Analyzer{
 	Name: "framework-isolation",
-	Doc:  "framework packages must not import each other; only the shared substrate (graph, par, kernel, grb, frontier, tune, core) is allowed",
+	Doc:  "framework packages must not import each other; only the shared substrate (graph, par, kernel, grb, frontier, core) is allowed",
 	Run:  runFrameworkIsolation,
 }
 
@@ -62,7 +62,7 @@ func runFrameworkIsolation(pass *Pass) {
 			case f.Test && isolationAllowedTest[seg]:
 				// Conformance-suite plumbing, fine in tests.
 			default:
-				pass.Reportf(imp.Pos(), "framework package %s imports %s, which is not part of the shared substrate (graph, par, kernel, grb, frontier, tune, core)", own, path)
+				pass.Reportf(imp.Pos(), "framework package %s imports %s, which is not part of the shared substrate (graph, par, kernel, grb, frontier, core)", own, path)
 			}
 		}
 	}

@@ -21,8 +21,8 @@ package analysis
 // What the lattice deliberately does not track: aliases parked in struct
 // fields (a graph slice stored into a field and mutated through another
 // method later) and flows through interface calls. Those escapes are what
-// the graphguard runtime sanitizer exists for (internal/graph, build tag
-// graphguard): the static rule proves the common paths, the trial-boundary
+// the graphguard runtime sanitizer exists for (internal/graph, armed by build
+// tag check): the static rule proves the common paths, the trial-boundary
 // checksum catches the rest.
 
 import (

@@ -6,7 +6,7 @@
 // VerifyFailed) — the chaos e2e tests in internal/core assert exactly that.
 //
 // Injection is compiled in always but armed only under the chaos build tag
-// (go test -tags=chaos), mirroring internal/grb's grbcheck sanitizer: the
+// (go test -tags=chaos), gated the way the invariant assertions are: the
 // package parses identically with and without the tag, so gapvet's
 // tag-unaware loader sees one consistent view, and a production binary built
 // without the tag carries the wrapper type but never fires a fault.
@@ -48,9 +48,9 @@ const (
 	// CorruptGraph mutates one CSR adjacency entry in place before running
 	// the real kernel — the fault the graphguard sanitizer exists for. The
 	// oracle cannot catch it (it verifies against the same corrupted graph),
-	// so without -tags=graphguard the trial silently passes with a wrong
+	// so without -tags=check the trial silently passes with a wrong
 	// answer; with it, the runner's seal check panics naming the array.
-	// Classified Panicked under graphguard.
+	// Classified Panicked in an armed build.
 	CorruptGraph
 )
 

@@ -14,7 +14,7 @@ import (
 
 	"gapbench/internal/chaos"
 	"gapbench/internal/core"
-	"gapbench/internal/graph"
+	"gapbench/internal/invariant"
 	"gapbench/internal/kernel"
 	"gapbench/internal/testutil"
 )
@@ -231,11 +231,11 @@ func TestChaosJournalResumeSkipsCompletedCells(t *testing.T) {
 // memory that the oracle cannot notice (it verifies against the same
 // corrupted graph), so only the runner's seal check can convict it — as a
 // Panicked record naming the array, not a VerifyFailed. Needs both tags:
-// go test -tags='chaos graphguard'.
+// go test -tags='check chaos'.
 func TestChaosCorruptGraphCaughtByGraphguard(t *testing.T) {
 	requireChaos(t)
-	if !graph.GuardEnabled() {
-		t.Skip("needs -tags='chaos graphguard'")
+	if !invariant.Armed() {
+		t.Skip("needs -tags='check chaos'")
 	}
 	defer testutil.CheckGoroutines(t)()
 	in := loadSmallInput(t)

@@ -4,22 +4,22 @@ package core_test
 // surface as a Panicked cell naming the corrupted array — caught by the
 // runner's seal check at the trial boundary, not by the oracle (which would
 // happily verify against the same corrupted graph). Armed by
-// `go test -tags=graphguard`; without the tag the tests skip.
+// `go test -tags=check`; without the tag the tests skip.
 
 import (
 	"strings"
 	"testing"
 
 	"gapbench/internal/core"
-	"gapbench/internal/graph"
+	"gapbench/internal/invariant"
 	"gapbench/internal/kernel"
 	"gapbench/internal/testutil"
 )
 
 func requireGraphguard(t *testing.T) {
 	t.Helper()
-	if !graph.GuardEnabled() {
-		t.Skip("needs -tags=graphguard")
+	if !invariant.Armed() {
+		t.Skip("needs -tags=check")
 	}
 }
 

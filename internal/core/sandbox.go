@@ -34,7 +34,7 @@ type Sandbox struct {
 	// token before the attempt is abandoned.
 	Grace time.Duration
 	// Seals are the shared graph views that must come out of the kernel
-	// byte-identical (checked only under -tags=graphguard; nil entries skip).
+	// byte-identical (checked only under -tags=check; nil entries skip).
 	Seals [3]*graph.Graph
 }
 

@@ -127,7 +127,7 @@ func TestRunSandboxedAbandons(t *testing.T) {
 	<-woke
 }
 
-// TestRunSandboxedBrokenSeal: under -tags=graphguard a kernel that wrote
+// TestRunSandboxedBrokenSeal: under -tags=check a kernel that wrote
 // through a sealed view is Panicked, naming the array, whatever it returned.
 func TestRunSandboxedBrokenSeal(t *testing.T) {
 	requireGraphguard(t)

@@ -130,9 +130,9 @@ func PrepareInput(spec GraphSpec, g *graph.Graph) *Input {
 	in := &Input{Spec: spec, Graph: g}
 	in.Undirected = g.Undirected()
 	in.Relabeled, _ = graph.DegreeRelabel(par.Default(), in.Undirected)
-	// graphguard (no-op otherwise): checksum the CSR arrays of every view a
-	// kernel can reach, so the runner can prove them untouched after each
-	// trial.
+	// Armed builds only (a no-op otherwise): checksum the CSR arrays of
+	// every view a kernel can reach, so the runner can prove them untouched
+	// after each trial.
 	in.Graph.Seal()
 	in.Undirected.Seal()
 	in.Relabeled.Seal()

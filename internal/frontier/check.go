@@ -1,6 +1,11 @@
 package frontier
 
-import "fmt"
+import (
+	"fmt"
+
+	"gapbench/internal/invariant"
+	"gapbench/internal/par"
+)
 
 // The frontier sanitizer: layout conversions must preserve the set — same
 // cardinality, same members. A conversion that drops or invents vertices
@@ -8,20 +13,14 @@ import "fmt"
 // convergence), not crashes, which is why the invariant gets runtime
 // assertions rather than trust.
 //
-// Like grb's sanitizer, the checks are compiled unconditionally but gated on
-// frontierCheckEnabled, which is false unless the `grbcheck` build tag flips
-// it (check_grbcheck.go) — a var rather than twin build-tagged
-// implementations so tooling that parses the package without tag filtering
-// (gapvet's loader) never sees duplicate symbols. Run the sanitizer tier
-// with:
-//
-//	go test -tags=grbcheck -short ./internal/frontier/ ./internal/grb/ ./internal/lagraph/
-var frontierCheckEnabled = false
+// Like grb's sanitizer, the checks are compiled unconditionally and armed by
+// invariant.Armed (build with -tags=check); the panic text keeps grb's
+// "grbcheck" family name.
 
 // checkFail reports a violated invariant. The invariant name is the stable,
 // grep-able identifier tests assert on.
-func checkFail(op, invariant, detail string) {
-	panic(fmt.Sprintf("frontier: grbcheck: %s: invariant %q violated: %s", op, invariant, detail))
+func checkFail(op, name, detail string) {
+	panic(fmt.Sprintf("frontier: grbcheck: %s: invariant %q violated: %s", op, name, detail))
 }
 
 // checkConversion asserts that a layout conversion preserved the set:
@@ -32,8 +31,11 @@ func checkFail(op, invariant, detail string) {
 //	                       duplicates hiding a dropped member; input lists may
 //	                       arrive unsorted from a push gather)
 //	conversion-membership  every member on one side is present on the other
-func checkConversion(op string, in, out *Set) {
-	if !frontierCheckEnabled {
+//
+// A conversion the machine's token cut short is partial and will be
+// discarded, not wrong, so an interrupted exec skips the assertion.
+func checkConversion(exec *par.Machine, op string, in, out *Set) {
+	if !invariant.Armed() || exec.Interrupted() {
 		return
 	}
 	if in.count != out.count {

@@ -1,5 +1,3 @@
-//go:build grbcheck
-
 package frontier
 
 import (
@@ -7,8 +5,17 @@ import (
 	"testing"
 
 	"gapbench/internal/graph"
+	"gapbench/internal/invariant"
 	"gapbench/internal/par"
 )
+
+// requireArmed skips a sanitizer test in an unarmed build (no -tags=check).
+func requireArmed(t *testing.T) {
+	t.Helper()
+	if !invariant.Armed() {
+		t.Skip("needs -tags=check")
+	}
+}
 
 // mustPanic runs fn and asserts it panics with a frontier sanitizer message
 // containing every want substring (the op name and the invariant identifier).
@@ -35,17 +42,10 @@ func mustPanic(t *testing.T, fn func(), want ...string) {
 	fn()
 }
 
-// TestFrontierCheckEnabled guards the build wiring: this file only compiles
-// under the grbcheck tag, and the tag must have flipped the gate on.
-func TestFrontierCheckEnabled(t *testing.T) {
-	if !frontierCheckEnabled {
-		t.Fatal("built with -tags=grbcheck but the sanitizer gate is off")
-	}
-}
-
 // TestCleanConversionsPass exercises both conversion directions with healthy
 // sets: the sanitizer must stay silent.
 func TestCleanConversionsPass(t *testing.T) {
+	requireArmed(t)
 	s := FromList(64, []graph.NodeID{9, 0, 33})
 	b := s.ToBitmap(par.Default(), 2)
 	b.ToList(par.Default(), 2)
@@ -56,6 +56,7 @@ func TestCleanConversionsPass(t *testing.T) {
 // TestCorruptedSparseCount seeds a sparse set whose count disagrees with its
 // list and asserts the conversion reports it.
 func TestCorruptedSparseCount(t *testing.T) {
+	requireArmed(t)
 	s := FromList(32, []graph.NodeID{1, 2, 3})
 	s.count = 5 // corrupt: claims members it does not store
 	mustPanic(t, func() { s.ToBitmap(par.Default(), 1) },
@@ -65,6 +66,7 @@ func TestCorruptedSparseCount(t *testing.T) {
 // TestCorruptedBitmapCount seeds a bitmap whose count disagrees with its set
 // bits.
 func TestCorruptedBitmapCount(t *testing.T) {
+	requireArmed(t)
 	b := NewSet(32, Bitmap)
 	b.bits.SetAtomic(1)
 	b.count++
@@ -79,6 +81,7 @@ func TestCorruptedBitmapCount(t *testing.T) {
 // a duplicated list entry makes the bitmap one member short, which must not
 // silently pass as equal-count conversion.
 func TestDuplicateHidingDetected(t *testing.T) {
+	requireArmed(t)
 	s := FromList(32, []graph.NodeID{2, 2}) // push gathers may be unsorted, but never duplicated
 	mustPanic(t, func() { s.ToBitmap(par.Default(), 1) },
 		"ToBitmap", "conversion-count")
@@ -87,6 +90,7 @@ func TestDuplicateHidingDetected(t *testing.T) {
 // TestCheckConversionDirect unit-tests the checker itself on hand-corrupted
 // pairs that the conversion code paths cannot produce.
 func TestCheckConversionDirect(t *testing.T) {
+	requireArmed(t)
 	bitmap := NewSet(32, Bitmap)
 	bitmap.bits.SetAtomic(1)
 	bitmap.count++
@@ -95,15 +99,15 @@ func TestCheckConversionDirect(t *testing.T) {
 
 	t.Run("membership", func(t *testing.T) {
 		out := FromList(32, []graph.NodeID{1, 4}) // 4 is not in the bitmap
-		mustPanic(t, func() { checkConversion("ToList", bitmap, out) },
+		mustPanic(t, func() { checkConversion(par.Default(), "ToList", bitmap, out) },
 			"ToList", "conversion-membership")
 	})
 	t.Run("produced list unsorted", func(t *testing.T) {
 		out := FromList(32, []graph.NodeID{3, 1}) // ToList output must be sorted
-		mustPanic(t, func() { checkConversion("ToList", bitmap, out) },
+		mustPanic(t, func() { checkConversion(par.Default(), "ToList", bitmap, out) },
 			"ToList", "conversion-sorted")
 	})
 	t.Run("clean pair passes", func(t *testing.T) {
-		checkConversion("ToList", bitmap, FromList(32, []graph.NodeID{1, 3}))
+		checkConversion(par.Default(), "ToList", bitmap, FromList(32, []graph.NodeID{1, 3}))
 	})
 }

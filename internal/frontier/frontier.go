@@ -7,8 +7,8 @@
 // hand-rolling its own. GraphIt's kernels call it directly; GKC's BFS
 // uses the dispatcher; NWGraph's bottom-up phase uses the bitmap layout.
 //
-// Membership/count invariants of the layout conversions are asserted under
-// the `grbcheck` build tag (check.go), mirroring the grb sanitizer.
+// Membership/count invariants of the layout conversions are asserted in a
+// -tags=check build (check.go), mirroring the grb sanitizer.
 package frontier
 
 import (
@@ -114,7 +114,7 @@ func (s *Set) ToBitmap(exec *par.Machine, workers int) *Set {
 		})
 	}
 	out.count = s.count
-	checkConversion("ToBitmap", s, out)
+	checkConversion(exec, "ToBitmap", s, out)
 	return out
 }
 
@@ -139,7 +139,7 @@ func (s *Set) ToList(exec *par.Machine, workers int) *Set {
 		}
 		out.list = list
 		out.count = int64(len(list))
-		checkConversion("ToList", s, out)
+		checkConversion(exec, "ToList", s, out)
 		return out
 	}
 	tiles := (len(words) + convertTileWords - 1) / convertTileWords
@@ -173,7 +173,7 @@ func (s *Set) ToList(exec *par.Machine, workers int) *Set {
 	})
 	out.list = list
 	out.count = int64(len(list))
-	checkConversion("ToList", s, out)
+	checkConversion(exec, "ToList", s, out)
 	return out
 }
 

@@ -178,9 +178,6 @@ func TestDispatcherBeamerAccounting(t *testing.T) {
 // machine whose token already fired must still return from the parallel
 // conversion paths promptly (with a partial result the harness discards).
 func TestConversionCancelledTerminates(t *testing.T) {
-	if frontierCheckEnabled {
-		t.Skip("partial cancelled conversions legitimately violate the sanitizer's count invariant")
-	}
 	const n = int64(serialWordsCutoff*64 + 777)
 	m := par.NewMachine(4)
 	defer m.Close()

@@ -79,7 +79,7 @@ type Graph struct {
 	inWeight  []Weight
 
 	// seal holds the graphguard checksums recorded by Seal (guard.go); nil
-	// when unsealed or when the graphguard build tag is off.
+	// when unsealed or when the build is unarmed (no -tags=check).
 	seal *[6]uint64
 
 	// arena is the storage block the six views above point into. Builders

@@ -1,34 +1,30 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+
+	"gapbench/internal/invariant"
+)
 
 // graphguard is the runtime complement to gapvet's graph-mutation rule: the
 // static write-set lattice (internal/analysis/writeset.go) proves the absence
 // of stores through accessor-derived slices, but cannot see aliases that
 // escape through struct fields, interfaces, or unsafe code. Building with
-// -tags=graphguard closes that gap dynamically — Seal records a checksum of
+// -tags=check closes that gap dynamically — Seal records a checksum of
 // every CSR array, and core.Runner re-verifies the seal after each trial, so
 // any mutation of shared graph memory (a kernel bug, or chaos's deliberate
 // CorruptGraph fault) is caught at the trial boundary and named.
 //
-// The pattern mirrors the grbcheck and chaos sanitizers: a plain var toggled
-// by an init function behind a build tag, so the default build carries no
-// checksum cost and no behavioural difference.
-
-// graphguardEnabled is set by the init in guard_graphguard.go when the
-// graphguard build tag is present.
-var graphguardEnabled = false
-
-// GuardEnabled reports whether the binary was built with -tags=graphguard.
-func GuardEnabled() bool { return graphguardEnabled }
+// The gate is the tree's one, invariant.Armed, so the default build carries
+// no checksum cost and no behavioural difference.
 
 // sealNames names the checksummed arrays, in seal-slot order. CheckSeal
 // reports the first mismatching name so a failure identifies which array a
 // rogue store hit.
 var sealNames = [...]string{"outIndex", "outNeigh", "inIndex", "inNeigh", "outWeight", "inWeight"}
 
-// Seal records a checksum of each CSR array. A no-op unless the graphguard
-// build tag is on. Safe to call more than once; the last seal wins, so a
+// Seal records a checksum of each CSR array. A no-op unless the build is
+// armed (-tags=check). Safe to call more than once; the last seal wins, so a
 // legitimate in-package rebuild (relabel, symmetrize) just re-seals.
 //
 // Graphs that carry format-v2 header checksums — mmap-loaded ones above all
@@ -37,7 +33,7 @@ var sealNames = [...]string{"outIndex", "outNeigh", "inIndex", "inNeigh", "outWe
 // just to seal it. The header sums were computed with the same checksum
 // functions at save time, so CheckSeal compares like with like.
 func (g *Graph) Seal() {
-	if !graphguardEnabled || g == nil {
+	if !invariant.Armed() || g == nil {
 		return
 	}
 	if s := g.hdrSums; s != nil {
@@ -65,10 +61,10 @@ func (g *Graph) Seal() {
 }
 
 // CheckSeal re-computes the checksums and returns an error naming the first
-// array that no longer matches its seal. Returns nil when the guard is off,
+// array that no longer matches its seal. Returns nil when the build is unarmed,
 // the graph is nil or unsealed, or all arrays verify.
 func (g *Graph) CheckSeal() error {
-	if !graphguardEnabled || g == nil || g.seal == nil {
+	if !invariant.Armed() || g == nil || g.seal == nil {
 		return nil
 	}
 	now := [len(sealNames)]uint64{

@@ -3,6 +3,8 @@ package graph
 import (
 	"strings"
 	"testing"
+
+	"gapbench/internal/invariant"
 )
 
 // guardGraph builds a small directed weighted graph, so all six CSR arrays
@@ -19,8 +21,8 @@ func guardGraph(t *testing.T) *Graph {
 	return g
 }
 
-// The checksums are always compiled (only Seal's arming is tag-gated), so
-// their properties are testable without the graphguard tag.
+// The checksums are always compiled (only Seal's arming is gated), so their
+// properties are testable in an unarmed build.
 
 func TestGuardChecksumIsOrderSensitive(t *testing.T) {
 	a := checksum32([]int32{1, 2, 3})
@@ -58,8 +60,8 @@ func TestGuardNilAndUnsealedAreNoOps(t *testing.T) {
 }
 
 func TestGuardDisabledSealIsInert(t *testing.T) {
-	if GuardEnabled() {
-		t.Skip("needs a build without -tags=graphguard")
+	if invariant.Armed() {
+		t.Skip("needs a build without -tags=check")
 	}
 	g := guardGraph(t)
 	g.Seal()
@@ -72,8 +74,8 @@ func TestGuardDisabledSealIsInert(t *testing.T) {
 // and requires CheckSeal to name exactly that array, then restores it and
 // requires the seal to verify again.
 func TestGuardDetectsEachArray(t *testing.T) {
-	if !GuardEnabled() {
-		t.Skip("needs -tags=graphguard")
+	if !invariant.Armed() {
+		t.Skip("needs -tags=check")
 	}
 	g := guardGraph(t)
 	g.Seal()
@@ -107,8 +109,8 @@ func TestGuardDetectsEachArray(t *testing.T) {
 }
 
 func TestGuardResealAcceptsRebuild(t *testing.T) {
-	if !GuardEnabled() {
-		t.Skip("needs -tags=graphguard")
+	if !invariant.Armed() {
+		t.Skip("needs -tags=check")
 	}
 	g := guardGraph(t)
 	g.Seal()
@@ -120,8 +122,8 @@ func TestGuardResealAcceptsRebuild(t *testing.T) {
 }
 
 func TestGuardMustCheckSealPanics(t *testing.T) {
-	if !GuardEnabled() {
-		t.Skip("needs -tags=graphguard")
+	if !invariant.Armed() {
+		t.Skip("needs -tags=check")
 	}
 	g := guardGraph(t)
 	g.Seal()
@@ -154,8 +156,8 @@ func fmtPanic(p any) string {
 // (all six slots distinct) and undirected (in-views alias out-views, header
 // in-sections absent) cases.
 func TestGuardSealFromHeaderSums(t *testing.T) {
-	if !GuardEnabled() {
-		t.Skip("needs -tags=graphguard")
+	if !invariant.Armed() {
+		t.Skip("needs -tags=check")
 	}
 	dg := guardGraph(t)
 	ug, err := BuildWeighted([]WEdge{{U: 0, V: 1, W: 4}, {U: 1, V: 2, W: 6}}, BuildOptions{})

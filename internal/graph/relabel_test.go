@@ -90,7 +90,7 @@ func TestApplyPermutationMatchesRenamedBuild(t *testing.T) {
 			return mustBuild(t, edgesOnly(edges), opt)
 		}
 		src := build(edges)
-		src.Seal() // armed under -tags=graphguard: the permute only reads its source
+		src.Seal() // armed under -tags=check: the permute only reads its source
 		got, perm := graph.DegreeRelabel(par.Default(), src)
 		if err := src.CheckSeal(); err != nil {
 			t.Fatalf("%s: %v", kind.name, err)

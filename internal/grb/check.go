@@ -3,6 +3,8 @@ package grb
 import (
 	"fmt"
 	"math/bits"
+
+	"gapbench/internal/invariant"
 )
 
 // grbcheck is the package's runtime sanitizer: structural invariants of the
@@ -14,19 +16,14 @@ import (
 // speed, exactly like LAGraph's pack/unpack does) and a silently unsorted
 // sparse list degrades into wrong answers, not crashes.
 //
-// The checks are compiled unconditionally but gated on grbcheckEnabled,
-// which is false unless the `grbcheck` build tag flips it (check_grbcheck.go)
-// — a var rather than twin build-tagged implementations so that tooling
-// which parses the package without tag filtering (gapvet's loader) never
-// sees duplicate symbols. Run the sanitizer tier with:
-//
-//	go test -tags=grbcheck -short ./internal/grb/ ./internal/lagraph/
-var grbcheckEnabled = false
+// The checks are compiled unconditionally and armed by the tree's one gate,
+// invariant.Armed (build with -tags=check). The panic text keeps the
+// "grbcheck" family name so a report says which sanitizer fired.
 
 // checkFail reports a violated invariant. The invariant name is the stable,
 // grep-able identifier tests assert on.
-func checkFail(op, invariant, detail string) {
-	panic(fmt.Sprintf("grb: grbcheck: %s: invariant %q violated: %s", op, invariant, detail))
+func checkFail(op, name, detail string) {
+	panic(fmt.Sprintf("grb: grbcheck: %s: invariant %q violated: %s", op, name, detail))
 }
 
 // checkVector asserts the representation invariants of v for its current
@@ -38,7 +35,7 @@ func checkFail(op, invariant, detail string) {
 //	dense-length             bitmap/full backing array spans all n entries
 //	bitmap-present-length    bitmap presence bitset spans all n entries
 func checkVector[T Number](op string, v *Vector[T]) {
-	if !grbcheckEnabled || v == nil {
+	if !invariant.Armed() || v == nil {
 		return
 	}
 	switch v.format {
@@ -85,7 +82,7 @@ func checkVector[T Number](op string, v *Vector[T]) {
 //	colind-in-range  every column index is in [0, ncols)
 //	weight-length    weight is nil or parallel to colInd
 func checkMatrix(op string, m *Matrix) {
-	if !grbcheckEnabled || m == nil {
+	if !invariant.Armed() || m == nil {
 		return
 	}
 	if Index(len(m.rowPtr)) != m.nrows+1 || m.rowPtr[0] != 0 {
@@ -122,7 +119,7 @@ func checkMatrix(op string, m *Matrix) {
 //	dense-presence-length  every presence bitset spans exactly n columns
 //	dense-presence-tail    no presence bit is set at or past column n
 func checkDenseMatrix(op string, d *DenseMatrix, n Index) {
-	if !grbcheckEnabled || d == nil {
+	if !invariant.Armed() || d == nil {
 		return
 	}
 	if len(d.val) != d.rows || len(d.pres) != d.rows {
@@ -157,7 +154,7 @@ func checkDenseMatrix(op string, d *DenseMatrix, n Index) {
 //
 //	mask-length  mask presence bitset spans all n output positions
 func checkMask(op string, mask *Mask, n Index) {
-	if !grbcheckEnabled || mask == nil {
+	if !invariant.Armed() || mask == nil {
 		return
 	}
 	if mask.present.Len() != n {
@@ -170,7 +167,7 @@ func checkMask(op string, mask *Mask, n Index) {
 //
 //	operand-length-agreement  index and value operands are parallel
 func checkLengths(op string, nIdx, nVal int) {
-	if !grbcheckEnabled {
+	if !invariant.Armed() {
 		return
 	}
 	if nIdx != nVal {

@@ -1,13 +1,20 @@
-//go:build grbcheck
-
 package grb
 
 import (
-	"gapbench/internal/par"
-
 	"strings"
 	"testing"
+
+	"gapbench/internal/invariant"
+	"gapbench/internal/par"
 )
+
+// requireArmed skips a sanitizer test in an unarmed build (no -tags=check).
+func requireArmed(t *testing.T) {
+	t.Helper()
+	if !invariant.Armed() {
+		t.Skip("needs -tags=check")
+	}
+}
 
 // mustPanic runs fn and asserts it panics with a grbcheck message containing
 // every want substring (the op name and the invariant identifier).
@@ -40,17 +47,10 @@ func testMatrix(t *testing.T) *Matrix {
 	return a
 }
 
-// TestGrbcheckEnabled guards the build wiring: this file only compiles under
-// the grbcheck tag, and the tag must have flipped the gate on.
-func TestGrbcheckEnabled(t *testing.T) {
-	if !grbcheckEnabled {
-		t.Fatal("built with -tags=grbcheck but the sanitizer gate is off")
-	}
-}
-
 // TestGrbcheckCleanOpsPass exercises each checked operation with healthy
 // operands: the sanitizer must stay silent on well-formed inputs.
 func TestGrbcheckCleanOpsPass(t *testing.T) {
+	requireArmed(t)
 	a := testMatrix(t)
 	q := NewSparse[int64](a.ncols)
 	q.SetElement(2, 1)
@@ -65,6 +65,7 @@ func TestGrbcheckCleanOpsPass(t *testing.T) {
 // TestGrbcheckCorruptedVector seeds each vector corruption and asserts the
 // panic names the violated invariant.
 func TestGrbcheckCorruptedVector(t *testing.T) {
+	requireArmed(t)
 	a := testMatrix(t)
 
 	t.Run("unsorted sparse indices", func(t *testing.T) {
@@ -124,6 +125,7 @@ func TestGrbcheckCorruptedVector(t *testing.T) {
 
 // TestGrbcheckCorruptedMatrix seeds CSR corruptions.
 func TestGrbcheckCorruptedMatrix(t *testing.T) {
+	requireArmed(t)
 	q := NewSparse[int64](4)
 	q.SetElement(0, 1)
 
@@ -159,6 +161,7 @@ func TestGrbcheckCorruptedMatrix(t *testing.T) {
 // TestGrbcheckCorruptedDenseMatrix seeds each dense-operand corruption at the
 // batched product's boundary, on the input and on the recycled output.
 func TestGrbcheckCorruptedDenseMatrix(t *testing.T) {
+	requireArmed(t)
 	a, at := pushPullMatrices(t)
 	n := a.ncols
 	noMask := func(int) *Mask { return nil }
@@ -198,6 +201,7 @@ func TestGrbcheckCorruptedDenseMatrix(t *testing.T) {
 
 // TestGrbcheckCorruptedMask seeds a mask that does not span the output.
 func TestGrbcheckCorruptedMask(t *testing.T) {
+	requireArmed(t)
 	a := testMatrix(t)
 	q := NewSparse[int64](a.ncols)
 	q.SetElement(0, 1)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"gapbench/internal/invariant"
 	"gapbench/internal/par"
 )
 
@@ -159,8 +160,8 @@ func frontierScout[T Number](exec *par.Machine, a *Matrix, q *Vector[T], workers
 // PushPullVxM computes w<mask> = q' * A, choosing the direction per call:
 // push runs VxM over a, pull runs the sparse-aware gather over at (the
 // transpose of a) restricted to the mask's surviving rows. Both directions
-// produce the same bitmap-format product (asserted under grbcheck for small
-// operands — see checkDirectionEquivalence), so callers treat this as a
+// produce the same bitmap-format product (asserted in a -tags=check build for
+// small operands — see checkDirectionEquivalence), so callers treat this as a
 // drop-in masked SpMV with Beamer dispatch.
 func PushPullVxM[T Number](exec *par.Machine, q *Vector[T], a, at *Matrix, s Semiring[T], mask *Mask, st *PushPullState, workers int) *Vector[T] {
 	if st == nil {
@@ -185,16 +186,20 @@ func PushPullVxM[T Number](exec *par.Machine, q *Vector[T], a, at *Matrix, s Sem
 			vxmInto(exec, q, a, s, mask, out, workers)
 		}
 	}
-	if grbcheckEnabled && a.nrows <= directionCheckMaxN {
+	if invariant.Armed() && a.nrows <= directionCheckMaxN {
 		// The recheck passes a nil state so its product never aliases the
 		// primary result through the recycling ring.
-		var other *Vector[T]
+		push, pulled := out, out
 		if pull {
-			other = VxM(exec, q, a, s, mask, workers)
-			checkDirectionEquivalence("PushPullVxM", s, other, out)
+			push = VxM(exec, q, a, s, mask, workers)
 		} else {
-			other = vxmPull(exec, at, q, s, mask, nil, workers)
-			checkDirectionEquivalence("PushPullVxM", s, out, other)
+			pulled = vxmPull(exec, at, q, s, mask, nil, workers)
+		}
+		// A product the machine's token cut short is partial and will be
+		// discarded, not wrong. The token never un-fires, so a test after
+		// both products covers both.
+		if !exec.Interrupted() {
+			checkDirectionEquivalence("PushPullVxM", s, push, pulled)
 		}
 	}
 	return out
@@ -570,9 +575,6 @@ const directionCheckMaxN = 1 << 12
 //	                                 whichever witness arrived first — push's
 //	                                 CAS winner vs pull's row-order hit)
 func checkDirectionEquivalence[T Number](op string, s Semiring[T], push, pull *Vector[T]) {
-	if !grbcheckEnabled {
-		return
-	}
 	if push.n != pull.n {
 		checkFail(op, "direction-structure-equivalence",
 			fmt.Sprintf("push product has size %d, pull product %d", push.n, pull.n))

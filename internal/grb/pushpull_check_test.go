@@ -1,5 +1,3 @@
-//go:build grbcheck
-
 package grb
 
 import (
@@ -12,6 +10,7 @@ import (
 // direction dispatcher: a dispatch whose two directions compute different
 // products must be reported, not silently returned.
 func TestGrbcheckCorruptedDispatch(t *testing.T) {
+	requireArmed(t)
 	t.Run("wrong transpose changes structure", func(t *testing.T) {
 		a := testMatrix(t)
 		// Corrupt dispatch: pass A itself as "A transpose". The graph is
@@ -51,6 +50,7 @@ func TestGrbcheckCorruptedDispatch(t *testing.T) {
 // TestDirectionEquivalenceChecker unit-tests the checker on hand-corrupted
 // product pairs the dispatch code cannot produce.
 func TestDirectionEquivalenceChecker(t *testing.T) {
+	requireArmed(t)
 	mk := func(entries map[Index]int64) *Vector[int64] {
 		v := NewSparse[int64](8)
 		for i, x := range entries {

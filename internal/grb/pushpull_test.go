@@ -354,9 +354,6 @@ func TestDenseMxMFloorKeepsWebShapedRowPushing(t *testing.T) {
 // gather and its survivor scan poll the machine token at chunk boundaries, so
 // an already-cancelled machine returns promptly.
 func TestPushPullCancelTerminates(t *testing.T) {
-	if grbcheckEnabled {
-		t.Skip("partial cancelled products legitimately fail the sanitizer's equivalence recheck")
-	}
 	a, at := pushPullMatrices(t)
 	m := par.NewMachine(2)
 	defer m.Close()

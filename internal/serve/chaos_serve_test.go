@@ -14,7 +14,7 @@ import (
 
 	"gapbench/internal/chaos"
 	"gapbench/internal/core"
-	"gapbench/internal/graph"
+	"gapbench/internal/invariant"
 	"gapbench/internal/testutil"
 	"gapbench/internal/verify"
 )
@@ -126,7 +126,7 @@ func TestChaosServeHangAbandonsHealsAndDrainsClean(t *testing.T) {
 		t.Fatalf("CC after hang: %+v", r)
 	}
 	// The drain must reap the abandoned machine and prove zero leases leaked
-	// (panics under -tags=servecheck, errors otherwise — nil means clean).
+	// (panics under -tags=check, errors otherwise — nil means clean).
 	if err := srv.Shutdown(5 * time.Second); err != nil {
 		t.Fatalf("shutdown after hang: %v", err)
 	}
@@ -190,8 +190,8 @@ func TestChaosServeBreakerOpensAndProbeCloses(t *testing.T) {
 
 func TestChaosServeCorruptGraphTrippedByGraphguard(t *testing.T) {
 	requireChaos(t)
-	if !graph.GuardEnabled() {
-		t.Skip("needs -tags=chaos,graphguard (seal checks are no-ops otherwise)")
+	if !invariant.Armed() {
+		t.Skip("needs -tags='check chaos' (seal checks are no-ops otherwise)")
 	}
 	// Dedicated input: the injected corruption permanently poisons the
 	// shared CSR, so this graph must not be reused by other tests. It is
@@ -311,7 +311,7 @@ func TestChaosServeSnapshotHangAbandonsHealsAndDrainsClean(t *testing.T) {
 		t.Errorf("builds=%d failed=%d, want 2/1", st.SnapshotBuilds, st.SnapshotFailed)
 	}
 	// The drain reaps the abandoned machine and proves zero leases leaked
-	// (panics under -tags=servecheck, errors otherwise — nil means clean).
+	// (panics under -tags=check, errors otherwise — nil means clean).
 	if err := srv.Shutdown(5 * time.Second); err != nil {
 		t.Fatalf("shutdown after hang: %v", err)
 	}

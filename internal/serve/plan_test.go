@@ -1,0 +1,99 @@
+package serve
+
+import (
+	"encoding/json"
+	"math"
+	"testing"
+	"time"
+
+	"gapbench/internal/core"
+	"gapbench/internal/graph"
+	"gapbench/internal/kernel"
+)
+
+// planServer is a server over two scale-6 graphs, Kron (symmetric) and
+// Twitter (not), for tests that only plan requests.
+func planServer(tb testing.TB) *Server {
+	tb.Helper()
+	kron := loadInput(tb, core.GraphSpec{Name: "Kron", Scale: 6, Seed: 1, Delta: 16, SourceSeed: 5})
+	twitter := loadInput(tb, core.GraphSpec{Name: "Twitter", Scale: 6, Seed: 1, Delta: 16, SourceSeed: 5})
+	srv, err := NewServer(Config{PoolSize: 1, Workers: 1}, []*core.Input{kron, twitter}, []kernel.Framework{stubFramework{"Stub"}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if !srv.symmetric["Kron"] || srv.symmetric["Twitter"] {
+		tb.Fatalf("symmetric = %v, want Kron only", srv.symmetric)
+	}
+	tb.Cleanup(func() { _ = srv.Shutdown(5 * time.Second) })
+	return srv
+}
+
+// TestPlanClampsHugeBudget: a budget_ms so large that it overflows a
+// time.Duration is still a request above the cap, and gets the cap — not the
+// wrapped, already-spent budget.
+func TestPlanClampsHugeBudget(t *testing.T) {
+	srv := planServer(t)
+	for _, ms := range []int64{math.MaxInt64, 9223372036854776} {
+		p, resp := srv.plan(Request{Kernel: "BFS", Graph: "Twitter", Source: 1, BudgetMS: ms})
+		if resp != nil {
+			t.Fatalf("budget_ms %d: refused: %+v", ms, resp)
+		}
+		if want := srv.cfg.maxBudget(); p.budget != want {
+			t.Errorf("budget_ms %d: budget = %v, want the cap %v", ms, p.budget, want)
+		}
+	}
+}
+
+// FuzzRequest drives arbitrary request lines through the daemon's decode and
+// plan path. Whatever the bytes, plan must not panic, and an accepted plan
+// must be safe to execute: a live budget within the cap, vertex ids in
+// range, a PR top-k within the snapshot, and CC run exactly when CC was
+// asked or a reach query was routed to the CC snapshot.
+func FuzzRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{"kernel":"BFS","graph":"Twitter","source":1,"budget_ms":9223372036854775807}`,
+		`{"kernel":"SSSP","graph":"Kron","source":2,"budget_ms":9223372036854776}`,
+		`{"kernel":"BFS","graph":"Kron","source":-1}`,
+		`{"kernel":"CC","graph":"Twitter","vertex":-7}`,
+		`{"kernel":"SSSP","graph":"Kron","source":0,"target":-3}`,
+		`{"op":"reboot"}`,
+		`{"kernel":"TC","graph":"Kron"}`,
+		`{"kernel":"BFS","graph":"Kron","source":0,"target":3}`,
+		`{"kernel":"SSSP","graph":"Twitter","source":4,"target":9,"budget_ms":50}`,
+		`{"kernel":" pr ","graph":"Twitter","k":100000}`,
+		`{"kernel":"PR","graph":"Kron","k":-4}`,
+		`{"op":"query","kernel":"CC","graph":"Kron","vertex":63,"framework":"Stub"}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	srv := planServer(f)
+	maxB := srv.cfg.maxBudget()
+	f.Fuzz(func(t *testing.T, line []byte) {
+		var req Request
+		if json.Unmarshal(line, &req) != nil {
+			return
+		}
+		if op, err := normalizeOp(req.Op); err != nil || op != OpQuery {
+			return
+		}
+		p, resp := srv.plan(req)
+		if resp != nil {
+			return
+		}
+		n := int64(p.in.Graph.NumNodes())
+		if p.budget <= 0 || p.budget > maxB {
+			t.Errorf("budget %v outside (0, %v]", p.budget, maxB)
+		}
+		inRange := func(v graph.NodeID) bool { return v >= 0 && int64(v) < n }
+		if !inRange(p.src) || !inRange(p.vertex) || (req.Target != nil && !inRange(p.target)) {
+			t.Errorf("source %d, target %d or vertex %d outside [0, %d)", p.src, p.target, p.vertex, n)
+		}
+		if p.asked == core.PR && (p.topk < 1 || p.topk > min(snapshotTopK, int(n))) {
+			t.Errorf("topk %d outside [1, min(%d, %d)]", p.topk, snapshotTopK, n)
+		}
+		reach := (p.asked == core.BFS || p.asked == core.SSSP) && req.Target == nil && srv.symmetric[p.in.Spec.Name]
+		if wantCC := p.asked == core.CC || reach; (p.k == core.CC) != wantCC {
+			t.Errorf("%s on %s (target %v) runs %s", p.asked, p.in.Spec.Name, req.Target, p.k)
+		}
+	})
+}

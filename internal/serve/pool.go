@@ -8,8 +8,8 @@ package serve
 // replacement when a lease is abandoned. The invariant — every Acquire must
 // reach Release or Abandon on all paths, including panic paths — is enforced
 // at runtime by the servecheck drain assertion (outstanding leases must be
-// zero when the pool drains, see check.go), which replaced the gapvet
-// lease-return rule in PR 23 (DESIGN.md §8, "The audit").
+// zero when the pool drains, see check.go), which replaced a gapvet
+// lease-return rule (DESIGN.md §8, "The audit").
 
 import (
 	"errors"
@@ -170,8 +170,8 @@ func (l *Lease) Abandon() {
 // Drain shuts the pool down: no new leases are granted, machines are closed
 // as they come back, and Drain blocks until every lease is settled and every
 // abandoned-machine reaper has joined its workers — or the timeout passes.
-// On success the outstanding-lease counter is provably zero; under the
-// servecheck build tag a leak panics (that assertion is what enforces the
+// On success the outstanding-lease counter is provably zero; in an armed
+// build (-tags=check) a leak panics (that assertion is what enforces the
 // invariant), otherwise it is returned as an error for the caller to report.
 func (p *Pool) Drain(timeout time.Duration) error {
 	p.draining.Store(true)

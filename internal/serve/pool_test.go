@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"gapbench/internal/invariant"
 	"gapbench/internal/par"
 	"gapbench/internal/testutil"
 )
@@ -142,8 +143,8 @@ func TestPoolDrainRefusesNewLeases(t *testing.T) {
 }
 
 func TestPoolDrainReportsLeakedLease(t *testing.T) {
-	if CheckEnabled() {
-		t.Skip("servecheck armed: a leaked lease panics instead of erroring")
+	if invariant.Armed() {
+		t.Skip("armed build: a leaked lease panics instead of erroring")
 	}
 	p := NewPool(1, 1)
 	l, err := p.Acquire(nil)
@@ -160,8 +161,8 @@ func TestPoolDrainReportsLeakedLease(t *testing.T) {
 }
 
 func TestServecheckPanicsOnLeakedLease(t *testing.T) {
-	if !CheckEnabled() {
-		t.Skip("needs -tags=servecheck")
+	if !invariant.Armed() {
+		t.Skip("needs -tags=check")
 	}
 	p := NewPool(1, 1)
 	l, err := p.Acquire(nil)
@@ -171,7 +172,7 @@ func TestServecheckPanicsOnLeakedLease(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("armed servecheck did not panic on a leaked lease at drain")
+				t.Error("armed build did not panic on a leaked lease at drain")
 			}
 		}()
 		_ = p.Drain(50 * time.Millisecond)

@@ -129,12 +129,17 @@ func (s *Server) plan(req Request) (*queryPlan, *Response) {
 	}
 	p.slot = s.snaps.slots[snapKey{graphName, fwName, p.k}]
 
-	p.budget = s.cfg.defaultBudget()
-	if req.BudgetMS > 0 {
-		p.budget = time.Duration(req.BudgetMS) * time.Millisecond
-	}
-	if maxB := s.cfg.maxBudget(); p.budget > maxB {
+	// The cap is compared in milliseconds before multiplying: a huge
+	// budget_ms would overflow the Duration and slip under the cap as an
+	// already-spent budget.
+	maxB := s.cfg.maxBudget()
+	switch {
+	case req.BudgetMS > maxB.Milliseconds():
 		p.budget = maxB
+	case req.BudgetMS > 0:
+		p.budget = time.Duration(req.BudgetMS) * time.Millisecond
+	default:
+		p.budget = min(s.cfg.defaultBudget(), maxB)
 	}
 	return p, nil
 }
@@ -328,7 +333,7 @@ func runAttempt[T any](s *Server, p *queryPlan, tok *par.CancelToken, deadline t
 	// The graph views are captured before the sandbox starts: an abandoned
 	// sandbox may wake long after this query (and even the Input) is gone,
 	// and must not re-read Input fields concurrently with a Close. The seal
-	// checks (armed under -tags=graphguard) keep one corrupting kernel from
+	// checks (armed under -tags=check) keep one corrupting kernel from
 	// poisoning answers for every later client.
 	g := p.in.Graph
 	val, out := core.RunSandboxed(core.Sandbox{

@@ -382,7 +382,7 @@ func (s *Server) StatsSnapshot() Stats {
 //     own budgets;
 //  3. hard phase: every connection token is cancelled, so stragglers drain
 //     cooperatively at their next poll;
-//  4. the machine pool drains — proving, under -tags=servecheck, that no
+//  4. the machine pool drains — proving, under -tags=check, that no
 //     machine lease leaked — and connections are closed.
 //
 // The error reports an incomplete drain (leaked leases, stuck kernels);

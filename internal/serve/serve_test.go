@@ -132,7 +132,7 @@ func asymmetricInput(t *testing.T) *core.Input {
 	return in
 }
 
-func loadInput(t *testing.T, spec core.GraphSpec) *core.Input {
+func loadInput(t testing.TB, spec core.GraphSpec) *core.Input {
 	t.Helper()
 	in, err := core.LoadInput(spec)
 	if err != nil {
@@ -266,7 +266,7 @@ func TestServeEndToEndRealFramework(t *testing.T) {
 			bfs.Result.Reached, bfs.Kernel, bfs.KernelMicros, cc.Result.Size)
 	}
 
-	// The snapshot cap (check.sh tier 13 names this test for it): the BFS and
+	// The snapshot cap (check.sh tier 11 names this test for it): the BFS and
 	// the PR above each built a snapshot, so repeats of PR and CC, over two
 	// connections, are all hits — never a whole-graph recompute.
 	const repeats = 20 // of each kernel

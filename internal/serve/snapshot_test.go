@@ -12,6 +12,7 @@ import (
 
 	"gapbench/internal/core"
 	"gapbench/internal/graph"
+	"gapbench/internal/invariant"
 	"gapbench/internal/kernel"
 	"gapbench/internal/par"
 	"gapbench/internal/testutil"
@@ -501,8 +502,8 @@ func TestSnapshotJournalsBuildOnceAndHitsWithoutTrials(t *testing.T) {
 // TestSnapshotEpochMismatchPanicsUnderServecheck: serving a snapshot for a
 // graph epoch it was not built on trips the sanitizer.
 func TestSnapshotEpochMismatchPanicsUnderServecheck(t *testing.T) {
-	if !CheckEnabled() {
-		t.Skip("needs -tags=servecheck")
+	if !invariant.Armed() {
+		t.Skip("needs -tags=check")
 	}
 	in := smallInput(t)
 	srv := newTestServer(t, Config{PoolSize: 1, Workers: 1}, in, stubFramework{"Stub"})
@@ -528,8 +529,8 @@ func TestSnapshotEpochMismatchPanicsUnderServecheck(t *testing.T) {
 // corrupted CC snapshot trips the sampled servecheck recomputation within
 // reachCheckEvery queries.
 func TestSnapshotReachCheckPanicsUnderServecheck(t *testing.T) {
-	if !CheckEnabled() {
-		t.Skip("needs -tags=servecheck")
+	if !invariant.Armed() {
+		t.Skip("needs -tags=check")
 	}
 	in := smallInput(t)
 	srv := newTestServer(t, Config{PoolSize: 1, Workers: 1}, in, stubFramework{"Stub"})
