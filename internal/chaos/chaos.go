@@ -5,28 +5,19 @@
 // one correctly (Panicked / TimedOut / TimedOut-with-abandonment /
 // VerifyFailed) — the chaos e2e tests in internal/core assert exactly that.
 //
-// Injection is compiled in always but armed only under the chaos build tag
-// (go test -tags=chaos), gated the way the invariant assertions are: the
-// package parses identically with and without the tag, so gapvet's
-// tag-unaware loader sees one consistent view, and a production binary built
-// without the tag carries the wrapper type but never fires a fault.
+// Only tests import the package: no binary links an Injector, so injection
+// needs no build tag to keep it out of production paths. A wrapped framework
+// fires its faults in every build.
 package chaos
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"gapbench/internal/graph"
 	"gapbench/internal/kernel"
 )
-
-// enabled is armed by the init in enabled_chaos.go under -tags=chaos.
-var enabled = false
-
-// Enabled reports whether the binary was built with the chaos tag. Tests
-// that need armed faults skip themselves when it is false, instead of
-// hiding behind a build tag of their own.
-func Enabled() bool { return enabled }
 
 // Mode selects what a fault does to its cell.
 type Mode int
@@ -79,8 +70,9 @@ type Fault struct {
 	Mode   Mode
 	// Once arms the fault for a single firing: the first matching trial
 	// attempt fails, the retry succeeds — the transient-failure path of the
-	// runner's retry policy. Zero-valued faults fire on every attempt
-	// (deterministic failures).
+	// runner's retry policy. Concurrent matches (a gapd burst, an abandoned
+	// attempt still running) elect exactly one firing. Zero-valued faults
+	// fire on every attempt (deterministic failures).
 	Once bool
 	// HangExtra bounds how long a Hang keeps ignoring the cancellation
 	// token (so tests can reap the abandoned machine instead of leaking its
@@ -88,23 +80,24 @@ type Fault struct {
 	HangExtra time.Duration
 }
 
-// Injector wraps a framework, firing configured faults on matching cells.
-// With the chaos tag absent (Enabled() == false) every call passes straight
-// through. The Injector is handed to the runner like any other framework;
-// its Name is the inner framework's, so results and journals stay keyed to
-// the real framework.
+// Injector wraps a framework, firing configured faults on matching cells;
+// every other call passes straight through. The Injector is handed to the
+// runner like any other framework; its Name is the inner framework's, so
+// results and journals stay keyed to the real framework.
 type Injector struct {
 	inner  kernel.Framework
 	faults []*Fault
+	// spent[i] is set by the one match that claims Once-fault faults[i].
+	spent []atomic.Bool
 	// Seed drives output corruption deterministically.
 	seed uint64
 }
 
 // Wrap builds an Injector around f with the given faults and corruption
-// seed. The *Fault pointers are retained: Once-faults record their firing by
-// mutating the caller's value.
+// seed. The faults are read, never written: a Once-fault's firing is
+// recorded on the Injector.
 func Wrap(f kernel.Framework, seed uint64, faults ...*Fault) *Injector {
-	return &Injector{inner: f, faults: faults, seed: seed}
+	return &Injector{inner: f, faults: faults, spent: make([]atomic.Bool, len(faults)), seed: seed}
 }
 
 // Name returns the wrapped framework's name.
@@ -133,12 +126,10 @@ func (i *Injector) Algorithms() kernel.Algorithms {
 	return kernel.Algorithms{}
 }
 
-// match returns the armed fault for (kernelName, opt), consuming Once-faults.
+// match returns the armed fault for (kernelName, opt), consuming Once-faults
+// with one compare-and-swap so concurrent matches fire each at most once.
 func (i *Injector) match(kernelName string, opt kernel.Options) *Fault {
-	if !enabled {
-		return nil
-	}
-	for _, f := range i.faults {
+	for k, f := range i.faults {
 		if f == nil || f.Kernel != kernelName {
 			continue
 		}
@@ -147,9 +138,8 @@ func (i *Injector) match(kernelName string, opt kernel.Options) *Fault {
 			// fires when the runner identifies the graph (Optimized mode).
 			continue
 		}
-		if f.Once {
-			f.Once = false
-			f.Kernel = "" // disarmed
+		if f.Once && !i.spent[k].CompareAndSwap(false, true) {
+			continue // already fired
 		}
 		return f
 	}

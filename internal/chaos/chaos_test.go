@@ -1,6 +1,8 @@
 package chaos
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"gapbench/internal/generate"
@@ -45,9 +47,9 @@ func testGraph(t *testing.T) *graph.Graph {
 	return g
 }
 
-func TestPassthroughWhenUnmatchedOrDisarmed(t *testing.T) {
+func TestPassthroughWhenUnmatched(t *testing.T) {
 	g := testGraph(t)
-	// A fault for a different kernel never fires regardless of the tag.
+	// A fault for a different kernel never fires.
 	inj := Wrap(fixed{}, 7, &Fault{Kernel: "PR", Mode: Panic})
 	if got := inj.TC(g, kernel.Options{}); got != 42 {
 		t.Fatalf("TC = %d, want passthrough 42", got)
@@ -55,19 +57,9 @@ func TestPassthroughWhenUnmatchedOrDisarmed(t *testing.T) {
 	if inj.Name() != "Fixed" {
 		t.Fatalf("Name = %q", inj.Name())
 	}
-	if !Enabled() {
-		// Disarmed build: even a matching fault is inert.
-		inj = Wrap(fixed{}, 7, &Fault{Kernel: "TC", Mode: Corrupt})
-		if got := inj.TC(g, kernel.Options{}); got != 42 {
-			t.Fatalf("disarmed TC = %d, want 42", got)
-		}
-	}
 }
 
 func TestCorruptIsDeterministicAndOnceDisarms(t *testing.T) {
-	if !Enabled() {
-		t.Skip("needs -tags=chaos")
-	}
 	g := testGraph(t)
 	a := Wrap(fixed{}, 7, &Fault{Kernel: "SSSP", Mode: Corrupt}).SSSP(g, 0, kernel.Options{})
 	b := Wrap(fixed{}, 7, &Fault{Kernel: "SSSP", Mode: Corrupt}).SSSP(g, 0, kernel.Options{})
@@ -105,10 +97,32 @@ func TestCorruptIsDeterministicAndOnceDisarms(t *testing.T) {
 	}
 }
 
-func TestGraphScopedFaultNeedsGraphName(t *testing.T) {
-	if !Enabled() {
-		t.Skip("needs -tags=chaos")
+// TestOnceFiresOnceUnderConcurrentMatches: eight goroutines match one Once
+// fault at the same time; exactly one of them may fire it.
+func TestOnceFiresOnceUnderConcurrentMatches(t *testing.T) {
+	g := testGraph(t)
+	inj := Wrap(fixed{}, 7, &Fault{Kernel: "TC", Mode: Corrupt, Once: true})
+	var fired atomic.Int32
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if inj.TC(g, kernel.Options{}) != 42 {
+				fired.Add(1)
+			}
+		}()
 	}
+	close(start)
+	wg.Wait()
+	if got := fired.Load(); got != 1 {
+		t.Fatalf("Once fault fired %d times across 8 concurrent matches, want 1", got)
+	}
+}
+
+func TestGraphScopedFaultNeedsGraphName(t *testing.T) {
 	g := testGraph(t)
 	inj := Wrap(fixed{}, 7, &Fault{Kernel: "TC", Graph: "Kron", Mode: Corrupt})
 	if got := inj.TC(g, kernel.Options{GraphName: "Urand"}); got != 42 {

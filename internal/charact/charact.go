@@ -52,9 +52,10 @@ func (p Profile) EdgesPerRound() float64 {
 }
 
 // BFS runs a serial instrumented direction-optimizing BFS and returns its
-// profile. The direction heuristic matches the GAP reference (alpha=15,
-// beta=18), so the push/pull round counts are the ones the benchmark's BFS
-// actually executes.
+// profile. The direction heuristic is the GAP reference's (alpha=15,
+// beta=18): push until the scout count passes edgesToCheck/alpha, then pull
+// while the frontier grows or stays above n/beta. So the push/pull round
+// counts are the ones the benchmark's BFS actually executes.
 func BFS(g *graph.Graph, src graph.NodeID) Profile {
 	p := Profile{Kernel: "BFS"}
 	n := g.NumNodes()
@@ -71,11 +72,12 @@ func BFS(g *graph.Graph, src graph.NodeID) Profile {
 	edgesToCheck := g.NumEdges()
 	scout := g.OutDegree(src)
 	const alpha, beta = 15, 18
+	pulling := false // GAP's bottom-up loop is still running
 
 	for len(frontier) > 0 {
 		p.Rounds++
 		p.FrontierSizes = append(p.FrontierSizes, int64(len(frontier)))
-		if scout > edgesToCheck/alpha {
+		if pulling || scout > edgesToCheck/alpha {
 			// Pull round.
 			p.PullRounds++
 			for i := range inFrontier {
@@ -98,6 +100,8 @@ func BFS(g *graph.Graph, src graph.NodeID) Profile {
 					}
 				}
 			}
+			// Stay bottom-up while the frontier grows or stays large.
+			pulling = len(next) >= len(frontier) || int64(len(next)) > int64(n)/beta
 			frontier = next
 			scout = 1
 		} else {

@@ -70,6 +70,68 @@ func TestBFSProfileCountsAreConsistent(t *testing.T) {
 	}
 }
 
+// TestBFSFollowsGAPDirectionRule replays GAP's DOBFS direction rule over the
+// BFS levels (verify.BFSDepths and out-degrees): push while the scout count
+// stays at or below edgesToCheck/15, then pull while the next level is at
+// least as large as this one or larger than n/18. Each level is one round in
+// either direction, so charact's push/pull counts and frontier sizes must
+// match the replay exactly on every suite graph.
+func TestBFSFollowsGAPDirectionRule(t *testing.T) {
+	for _, name := range generate.Names {
+		t.Run(name, func(t *testing.T) {
+			g, err := generate.ByName(name, 10, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := pickSource(g)
+			var size, degrees []int64 // per level: vertices, out-degree sum
+			for v, d := range verify.BFSDepths(g, src) {
+				if d < 0 {
+					continue
+				}
+				for int(d) >= len(size) {
+					size, degrees = append(size, 0), append(degrees, 0)
+				}
+				size[d]++
+				degrees[d] += g.OutDegree(graph.NodeID(v))
+			}
+
+			var push, pull int
+			edgesToCheck, scout, pulling := g.NumEdges(), degrees[0], false
+			for d := range size {
+				next := int64(0)
+				if d+1 < len(size) {
+					next = size[d+1]
+				}
+				if pulling || scout > edgesToCheck/15 {
+					pull++
+					pulling = next >= size[d] || next > int64(g.NumNodes())/18
+					scout = 1
+				} else {
+					push++
+					edgesToCheck -= scout
+					if d+1 < len(size) {
+						scout = degrees[d+1]
+					}
+				}
+			}
+
+			p := charact.BFS(g, src)
+			if p.PushRounds != push || p.PullRounds != pull {
+				t.Errorf("push/pull rounds %d/%d, GAP's rule gives %d/%d", p.PushRounds, p.PullRounds, push, pull)
+			}
+			if len(p.FrontierSizes) != len(size) {
+				t.Fatalf("%d rounds, BFS has %d levels", len(p.FrontierSizes), len(size))
+			}
+			for d, f := range p.FrontierSizes {
+				if f != size[d] {
+					t.Fatalf("round %d frontier %d, level %d holds %d vertices", d, f, d, size[d])
+				}
+			}
+		})
+	}
+}
+
 func TestSSSPProfileDeltaControlsRounds(t *testing.T) {
 	g, err := generate.Road(10, 3)
 	if err != nil {

@@ -3,8 +3,6 @@ package core_test
 // End-to-end fault injection: chaos-wrapped frameworks run through the real
 // Runner/RunSuite pipeline and every injected failure must surface as
 // exactly the right per-cell status while the suite itself keeps going.
-// These tests are armed by `go test -tags=chaos`; without the tag the
-// injector is inert and the tests skip.
 
 import (
 	"path/filepath"
@@ -19,13 +17,6 @@ import (
 	"gapbench/internal/testutil"
 )
 
-func requireChaos(t *testing.T) {
-	t.Helper()
-	if !chaos.Enabled() {
-		t.Skip("needs -tags=chaos")
-	}
-}
-
 // chaosRunner is the shared shape for the e2e tests: short trials, a real
 // deadline, no retries unless the test is about retries.
 func chaosRunner() *core.Runner {
@@ -37,7 +28,6 @@ func chaosRunner() *core.Runner {
 }
 
 func TestChaosSuiteSurvivesMixedFaults(t *testing.T) {
-	requireChaos(t)
 	defer testutil.CheckGoroutines(t)()
 	in := loadSmallInput(t)
 	r := chaosRunner()
@@ -91,7 +81,6 @@ func TestChaosSuiteSurvivesMixedFaults(t *testing.T) {
 }
 
 func TestChaosCorruptionIsDeterministic(t *testing.T) {
-	requireChaos(t)
 	defer testutil.CheckGoroutines(t)()
 	in := loadSmallInput(t)
 	run := func() core.Result {
@@ -113,7 +102,6 @@ func TestChaosCorruptionIsDeterministic(t *testing.T) {
 }
 
 func TestChaosOnceFaultIsRetriedToOK(t *testing.T) {
-	requireChaos(t)
 	defer testutil.CheckGoroutines(t)()
 	in := loadSmallInput(t)
 	r := chaosRunner()
@@ -134,7 +122,6 @@ func TestChaosOnceFaultIsRetriedToOK(t *testing.T) {
 }
 
 func TestChaosHangAbandonsMachineAndSuiteContinues(t *testing.T) {
-	requireChaos(t)
 	defer testutil.CheckGoroutines(t)()
 	in := loadSmallInput(t)
 	r := chaosRunner()
@@ -166,7 +153,6 @@ func TestChaosHangAbandonsMachineAndSuiteContinues(t *testing.T) {
 }
 
 func TestChaosJournalResumeSkipsCompletedCells(t *testing.T) {
-	requireChaos(t)
 	defer testutil.CheckGoroutines(t)()
 	in := loadSmallInput(t)
 	path := filepath.Join(t.TempDir(), "chaos.jsonl")
@@ -230,12 +216,11 @@ func TestChaosJournalResumeSkipsCompletedCells(t *testing.T) {
 // fault model and the graphguard sanitizer: a CorruptGraph fault flips CSR
 // memory that the oracle cannot notice (it verifies against the same
 // corrupted graph), so only the runner's seal check can convict it — as a
-// Panicked record naming the array, not a VerifyFailed. Needs both tags:
-// go test -tags='check chaos'.
+// Panicked record naming the array, not a VerifyFailed. Needs an armed
+// build: go test -tags=check.
 func TestChaosCorruptGraphCaughtByGraphguard(t *testing.T) {
-	requireChaos(t)
 	if !invariant.Armed() {
-		t.Skip("needs -tags='check chaos'")
+		t.Skip("needs -tags=check")
 	}
 	defer testutil.CheckGoroutines(t)()
 	in := loadSmallInput(t)

@@ -1,6 +1,9 @@
 package graph
 
-import "sync/atomic"
+import (
+	"math/bits"
+	"sync/atomic"
+)
 
 // Bitmap is a fixed-size bit set over vertex ids with both plain and atomic
 // update paths. The GAP reference uses bitmaps for the dense ("pull") side of
@@ -29,27 +32,26 @@ func (b *Bitmap) Reset() {
 	}
 }
 
-// Set sets bit i without synchronization.
+// Set sets bit i without synchronization: the kernels call it in serial
+// phases (filling a pull frontier), never while SetAtomic writers are
+// running.
 func (b *Bitmap) Set(i int64) {
+	//gapvet:ignore atomic-plain-mix -- plain write path is documented phase-separated, like Get's plain read
 	b.words[i>>6] |= 1 << uint(i&63)
 }
 
-// SetAtomic sets bit i with a compare-and-swap loop, safe for concurrent
-// writers. It reports whether this call changed the bit (i.e. the caller won
-// the race), which the frontier-building loops use to claim vertices.
+// SetAtomic sets bit i with one atomic OR, safe for concurrent writers whose
+// bits share a word. It reports whether this call changed the bit (i.e. the
+// caller won the race), which the frontier-building loops use to claim
+// vertices.
 func (b *Bitmap) SetAtomic(i int64) bool {
-	//gapvet:ignore atomic-plain-mix -- address taken once for the CAS loop; every access through w below is atomic
-	w := &b.words[i>>6]
 	mask := uint64(1) << uint(i&63)
-	for {
-		old := atomic.LoadUint64(w)
-		if old&mask != 0 {
-			return false
-		}
-		if atomic.CompareAndSwapUint64(w, old, old|mask) {
-			return true
-		}
-	}
+	return atomic.OrUint64(&b.words[i>>6], mask)&mask == 0
+}
+
+// Clear clears bit i without synchronization.
+func (b *Bitmap) Clear(i int64) {
+	b.words[i>>6] &^= 1 << uint(i&63)
 }
 
 // Get reports bit i without synchronization: the kernels call it only on
@@ -62,16 +64,29 @@ func (b *Bitmap) Get(i int64) bool {
 
 // Words exposes the backing word array, least-significant bit first, for
 // word-granular scans (popcount prefix sums, trailing-zero extraction in the
-// frontier conversions). Callers must treat it as read-only.
+// frontier conversions). A caller that writes through it owns the bitmap for
+// the duration, as a caller of Set does.
 func (b *Bitmap) Words() []uint64 { return b.words }
 
 // Count returns the number of set bits.
 func (b *Bitmap) Count() int64 {
 	var total int64
 	for _, w := range b.words {
-		total += int64(popcount(w))
+		total += int64(bits.OnesCount64(w))
 	}
 	return total
+}
+
+// Each calls fn for every set bit in ascending order, scanning the words with
+// trailing-zero extraction: an empty word costs one load, so a nearly-empty
+// bitmap costs O(n/64 + set bits), not n probes.
+func (b *Bitmap) Each(fn func(i int64)) {
+	for wi, w := range b.words {
+		base := int64(wi) << 6
+		for ; w != 0; w &= w - 1 {
+			fn(base + int64(bits.TrailingZeros64(w)))
+		}
+	}
 }
 
 // Swap exchanges the contents of b and o, which must have identical capacity.
@@ -79,13 +94,4 @@ func (b *Bitmap) Count() int64 {
 func (b *Bitmap) Swap(o *Bitmap) {
 	b.words, o.words = o.words, b.words
 	b.n, o.n = o.n, b.n
-}
-
-func popcount(x uint64) int {
-	// Hacker's Delight bit-twiddling population count; kept branch-free to
-	// mirror the SIMD-ish inner loops the hand-tuned frameworks rely on.
-	x -= (x >> 1) & 0x5555555555555555
-	x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333)
-	x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0f
-	return int((x * 0x0101010101010101) >> 56)
 }

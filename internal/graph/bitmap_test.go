@@ -31,6 +31,22 @@ func TestBitmapBasics(t *testing.T) {
 	}
 }
 
+func TestBitmapClearAndEach(t *testing.T) {
+	b := graph.NewBitmap(70)
+	b.Set(0)
+	b.Set(64)
+	b.Set(69)
+	b.Clear(0)
+	if b.Get(0) || b.Count() != 2 {
+		t.Fatal("Clear wrong")
+	}
+	var got []int64
+	b.Each(func(i int64) { got = append(got, i) })
+	if len(got) != 2 || got[0] != 64 || got[1] != 69 {
+		t.Fatalf("Each visited %v, want [64 69] in order", got)
+	}
+}
+
 func TestBitmapSetAtomicClaims(t *testing.T) {
 	b := graph.NewBitmap(1)
 	if !b.SetAtomic(0) {

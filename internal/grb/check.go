@@ -112,36 +112,31 @@ func checkMatrix(op string, m *Matrix) {
 }
 
 // checkDenseMatrix asserts the representation invariants of a k-by-n dense
-// matrix at a batched product's boundary:
+// matrix at a batched product's boundary, each row being a bitmap vector:
 //
-//	dense-row-count        one value row and one presence row per matrix row
-//	dense-row-length       every value row spans all n columns
-//	dense-presence-length  every presence bitset spans exactly n columns
+//	dense-row-length       every row's values span all n columns
+//	dense-presence-length  every row's presence bitmap spans exactly n columns
 //	dense-presence-tail    no presence bit is set at or past column n
 func checkDenseMatrix(op string, d *DenseMatrix, n Index) {
 	if !invariant.Armed() || d == nil {
 		return
 	}
-	if len(d.val) != d.rows || len(d.pres) != d.rows {
-		checkFail(op, "dense-row-count",
-			fmt.Sprintf("%d value rows and %d presence rows for %d matrix rows", len(d.val), len(d.pres), d.rows))
-	}
-	for r := 0; r < d.rows; r++ {
-		if Index(len(d.val[r])) != n {
+	for r, v := range d.row {
+		if v.n != n || Index(len(v.dense)) != n {
 			checkFail(op, "dense-row-length",
-				fmt.Sprintf("row %d has %d values, operand has %d columns", r, len(d.val[r]), n))
+				fmt.Sprintf("row %d has size %d and %d values, operand has %d columns", r, v.n, len(v.dense), n))
 		}
-		p := d.pres[r]
-		if p == nil || p.n != n || Index(len(p.words)) != (n+63)/64 {
+		if v.present == nil || v.present.Len() != n || Index(len(v.present.Words())) != (n+63)/64 {
 			got := Index(-1)
-			if p != nil {
-				got = p.n
+			if v.present != nil {
+				got = v.present.Len()
 			}
 			checkFail(op, "dense-presence-length",
 				fmt.Sprintf("row %d presence spans %d entries, operand has %d columns", r, got, n))
 		}
 		if tail := uint(n & 63); tail != 0 {
-			if stray := p.words[len(p.words)-1] >> tail; stray != 0 {
+			words := v.present.Words()
+			if stray := words[len(words)-1] >> tail; stray != 0 {
 				checkFail(op, "dense-presence-tail",
 					fmt.Sprintf("row %d marks column %d present, past the last column %d",
 						r, n+Index(bits.TrailingZeros64(stray)), n-1))

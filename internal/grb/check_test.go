@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"gapbench/internal/graph"
 	"gapbench/internal/invariant"
 	"gapbench/internal/par"
 )
@@ -111,7 +112,7 @@ func TestGrbcheckCorruptedVector(t *testing.T) {
 
 	t.Run("bitmap presence bitset wrong length", func(t *testing.T) {
 		q := NewFull[int64](a.ncols, 1).ToBitmap()
-		q.present = NewBitset(a.ncols - 1) // corrupt: short bitset
+		q.present = graph.NewBitmap(a.ncols - 1) // corrupt: short bitset
 		mustPanic(t, func() { SelectRange(q, 0, 2) },
 			"SelectRange input", "bitmap-present-length")
 	})
@@ -174,24 +175,24 @@ func TestGrbcheckCorruptedDenseMatrix(t *testing.T) {
 		return f
 	}
 
-	t.Run("missing presence row", func(t *testing.T) {
-		f := frontier()
-		f.pres = f.pres[:1] // corrupt: two rows, one presence bitset
-		mustPanic(t, product(NewDenseMatrix(2, n), f), "DenseMxM input F", "dense-row-count")
-	})
 	t.Run("truncated value row", func(t *testing.T) {
 		f := frontier()
-		f.val[1] = f.val[1][:n-1] // corrupt: short row
+		f.row[1].dense = f.row[1].dense[:n-1] // corrupt: short row
+		mustPanic(t, product(NewDenseMatrix(2, n), f), "DenseMxM input F", "dense-row-length")
+	})
+	t.Run("row of another width", func(t *testing.T) {
+		f := frontier()
+		f.row[1] = newBitmap[float64](n + 1) // corrupt: a row from a wider operand
 		mustPanic(t, product(NewDenseMatrix(2, n), f), "DenseMxM input F", "dense-row-length")
 	})
 	t.Run("output presence wrong length", func(t *testing.T) {
 		out := NewDenseMatrix(2, n)
-		out.pres[0] = NewBitset(n + 64) // corrupt: recycled from a wider product
+		out.row[0].present = graph.NewBitmap(n + 64) // corrupt: recycled from a wider product
 		mustPanic(t, product(out, frontier()), "DenseMxM output", "dense-presence-length")
 	})
 	t.Run("presence bit past the last column", func(t *testing.T) {
 		f := frontier()
-		f.pres[1].words[0] |= 1 << uint(n) // corrupt: column n of n
+		f.row[1].present.Words()[0] |= 1 << uint(n) // corrupt: column n of n
 		mustPanic(t, product(NewDenseMatrix(2, n), f), "DenseMxM input F", "dense-presence-tail")
 	})
 	t.Run("clean operands pass", func(t *testing.T) {
@@ -205,7 +206,7 @@ func TestGrbcheckCorruptedMask(t *testing.T) {
 	a := testMatrix(t)
 	q := NewSparse[int64](a.ncols)
 	q.SetElement(0, 1)
-	short := NewMask(NewBitset(a.ncols-2), false)
+	short := NewMask(graph.NewBitmap(a.ncols-2), false)
 	mustPanic(t, func() { VxM(par.Default(), q, a, MinFirst(), short, 1) },
 		"VxM mask", "mask-length")
 }

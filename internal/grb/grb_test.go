@@ -21,28 +21,8 @@ func testMatrix(t *testing.T) *grb.Matrix {
 	return grb.FromGraph(g, false, true)
 }
 
-func TestBitsetBasics(t *testing.T) {
-	b := grb.NewBitset(70)
-	b.Set(0)
-	b.Set(69)
-	if !b.Get(0) || !b.Get(69) || b.Get(1) {
-		t.Fatal("Set/Get wrong")
-	}
-	if b.Count() != 2 {
-		t.Fatalf("Count = %d", b.Count())
-	}
-	b.Clear(0)
-	if b.Get(0) || b.Count() != 1 {
-		t.Fatal("Clear wrong")
-	}
-	b.Reset()
-	if b.Count() != 0 {
-		t.Fatal("Reset wrong")
-	}
-}
-
 func TestMaskSemantics(t *testing.T) {
-	present := grb.NewBitset(4)
+	present := graph.NewBitmap(4)
 	present.Set(1)
 	m := grb.NewMask(present, false)
 	if m.Allow(0) || !m.Allow(1) {
@@ -170,7 +150,7 @@ func TestVxMMasked(t *testing.T) {
 	a := testMatrix(t)
 	q := grb.NewSparse[int64](4)
 	q.SetElement(2, 2)
-	visited := grb.NewBitset(4)
+	visited := graph.NewBitmap(4)
 	visited.Set(0) // 0 already visited: masked out
 	out := grb.VxM(par.Default(), q, a, grb.AnySecondi(), grb.NewMask(visited, true), 2)
 	if _, ok := out.Extract(0); ok {
@@ -395,7 +375,7 @@ func TestAssignMasked(t *testing.T) {
 	src := grb.NewSparse[int64](6)
 	src.SetElement(1, 11)
 	src.SetElement(2, 22)
-	allow := grb.NewBitset(6)
+	allow := graph.NewBitmap(6)
 	allow.Set(1)
 	grb.AssignMasked(dst, src, grb.NewMask(allow, false))
 	d := dst.Dense()
@@ -411,6 +391,11 @@ func TestMonoidConstructors(t *testing.T) {
 	}
 }
 
+// denseAt reads entry (r, c) of d and whether it is present.
+func denseAt(d *grb.DenseMatrix, r int, c grb.Index) (float64, bool) {
+	return d.RowValues(r)[c], d.RowStructure(r).Get(c)
+}
+
 func TestDenseMatrixBasics(t *testing.T) {
 	d := grb.NewDenseMatrix(2, 5)
 	if d.RowStructure(0).Count() != 0 || d.RowStructure(1).Count() != 0 {
@@ -418,10 +403,10 @@ func TestDenseMatrixBasics(t *testing.T) {
 	}
 	d.Set(0, 3, 1.5)
 	d.Set(1, 0, 2.5)
-	if v, ok := d.Get(0, 3); !ok || v != 1.5 {
+	if v, ok := denseAt(d, 0, 3); !ok || v != 1.5 {
 		t.Fatalf("Get = %v,%v", v, ok)
 	}
-	if _, ok := d.Get(0, 0); ok {
+	if _, ok := denseAt(d, 0, 0); ok {
 		t.Fatal("absent entry present")
 	}
 	if d.RowStructure(0).Count() != 1 || d.RowStructure(1).Count() != 1 {
@@ -440,12 +425,12 @@ func TestDenseMxMMatchesVectorProduct(t *testing.T) {
 	out := grb.NewDenseMatrix(2, 4)
 	grb.DenseMxM(par.Default(), out, f, a, at, noMask, nil, 2)
 	// Row 0: vertex 0 -> 1 with value 1.
-	if v, ok := out.Get(0, 1); !ok || v != 1 {
+	if v, ok := denseAt(out, 0, 1); !ok || v != 1 {
 		t.Fatalf("out[0][1] = %v,%v", v, ok)
 	}
 	// Row 1: vertex 2 -> {0, 3} each with value 3.
 	for _, c := range []grb.Index{0, 3} {
-		if v, ok := out.Get(1, c); !ok || v != 3 {
+		if v, ok := denseAt(out, 1, c); !ok || v != 3 {
 			t.Fatalf("out[1][%d] = %v,%v", c, v, ok)
 		}
 	}
@@ -453,7 +438,7 @@ func TestDenseMxMMatchesVectorProduct(t *testing.T) {
 		t.Fatal("row counts wrong")
 	}
 	// Masked: forbid column 3 in row 1.
-	allow := grb.NewBitset(4)
+	allow := graph.NewBitmap(4)
 	allow.Set(3)
 	masked := grb.NewDenseMatrix(2, 4)
 	grb.DenseMxM(par.Default(), masked, f, a, at, func(r int) *grb.Mask {
@@ -462,10 +447,10 @@ func TestDenseMxMMatchesVectorProduct(t *testing.T) {
 		}
 		return nil
 	}, nil, 2)
-	if _, ok := masked.Get(1, 3); ok {
+	if _, ok := denseAt(masked, 1, 3); ok {
 		t.Fatal("masked column written")
 	}
-	if _, ok := masked.Get(1, 0); !ok {
+	if _, ok := denseAt(masked, 1, 0); !ok {
 		t.Fatal("allowed column missing")
 	}
 }
@@ -483,7 +468,7 @@ func TestDenseMxMAccumulatesSharedTargets(t *testing.T) {
 	f.Set(0, 1, 5)
 	out := grb.NewDenseMatrix(1, 3)
 	grb.DenseMxM(par.Default(), out, f, a, grb.FromGraph(g, true, false), func(int) *grb.Mask { return nil }, nil, 2)
-	if v, ok := out.Get(0, 2); !ok || v != 7 {
+	if v, ok := denseAt(out, 0, 2); !ok || v != 7 {
 		t.Fatalf("accumulated = %v,%v want 7", v, ok)
 	}
 }

@@ -6,6 +6,24 @@ import (
 	"gapbench/internal/par"
 )
 
+// The masked products below are written once per direction. push scatters
+// the stored entries of q along A's rows (SpMSpV, cost O(edges leaving q));
+// pull gathers each output row that the mask allows against q (SpMV, cost
+// O(rows probed)). VxM, VxMInto, PushPullVxM and DenseMxM all reach push, and
+// MxV, PushPullVxM and DenseMxM all reach pull, so the per-operation overhead
+// §V-A and §V-E blame on GraphBLAS is paid in exactly one place per direction.
+// Built-in semirings take specialized arms (SuiteSparse's pre-generated
+// kernels); anything else runs the generic operator-pointer arm.
+
+// pushSerialCutoff is the scatter size (in edges) at or below which push runs
+// in the calling goroutine: one region launch on an oversubscribed machine
+// costs more than scattering this many entries.
+const pushSerialCutoff = 16384
+
+// pullSerialRows is the row count at or below which pull runs in the calling
+// goroutine: one machine dispatch costs more than the whole gather.
+const pullSerialRows = 2048
+
 // entry is one scattered (index, value) contribution in a push product.
 type entry[T Number] struct {
 	j Index
@@ -17,16 +35,10 @@ type entry[T Number] struct {
 //
 //	w[j] = ⊕_{k : q[k] present, A[k][j] present}  Mult(q[k], A[k][j], k)
 //
-// The input is converted to sparse format first (timed, per the SuiteSparse
-// behaviour the paper describes) and the result is returned in bitmap
-// format. Workers scatter into private buffers that are merged serially —
-// the bulk-synchronous structure that gives GraphBLAS its per-operation
-// overhead on tiny frontiers. Built-in semirings take specialized loops
-// (SuiteSparse's pre-generated kernels); anything else runs the generic
-// operator-pointer path.
+// The result is returned in bitmap format.
 func VxM[T Number](exec *par.Machine, q *Vector[T], a *Matrix, s Semiring[T], mask *Mask, workers int) *Vector[T] {
-	out := &Vector[T]{n: q.n, format: Bitmap, dense: make([]T, q.n), present: NewBitset(q.n)}
-	vxmInto(exec, q, a, s, mask, out, workers)
+	out := newBitmap[T](a.ncols)
+	VxMInto(exec, q, a, s, mask, out, workers)
 	return out
 }
 
@@ -38,47 +50,92 @@ func VxMInto[T Number](exec *par.Machine, q *Vector[T], a *Matrix, s Semiring[T]
 	if out.format != Bitmap || out.n != a.ncols {
 		panic(fmt.Sprintf("grb: VxMInto output must be a bitmap vector of size %d", a.ncols))
 	}
-	checkVector("VxMInto output", out)
-	out.present.Reset()
-	vxmInto(exec, q, a, s, mask, out, workers)
-}
-
-// vxmInto is VxM writing into a caller-provided bitmap-format output whose
-// presence bitset is clear (the dense backing may hold stale values — every
-// write below marks presence first-write-wins, so stale slots stay hidden).
-func vxmInto[T Number](exec *par.Machine, q *Vector[T], a *Matrix, s Semiring[T], mask *Mask, out *Vector[T], workers int) {
 	checkVector("VxM input q", q)
 	checkMatrix("VxM input A", a)
 	checkMask("VxM mask", mask, a.ncols)
+	checkVector("VxM output", out)
+	out.present.Reset()
+	push(exec, q, a, s, mask, frontierScout(exec, a, q, workers), out, &out.partial, workers)
+}
+
+// push is the one scatter: out<mask> = q' * A into a bitmap-format out whose
+// presence is clear. Its values may be stale (a recycled output), which is
+// sound because every write below is presence-first. scout is the degree sum
+// of q's stored entries, the edges the scatter walks. At or below
+// pushSerialCutoff it merges straight into out, walking q in its own format;
+// above it, workers scatter a static partition of q's entries into
+// per-worker partials that merge in worker order. The partials are recycled
+// through *scratch, which the caller keeps beside its recycled output. Both
+// orders visit q ascending, so ANY keeps the lowest-index witness and PLUS
+// adds a column's contributions in the same order either way.
+func push[T Number](exec *par.Machine, q *Vector[T], a *Matrix, s Semiring[T], mask *Mask, scout Index, out *Vector[T], scratch *[][]entry[T], workers int) {
+	if scout <= pushSerialCutoff {
+		q.Iterate(func(k Index, qv T) {
+			cols, ws := a.Row(k)
+			switch s.Kind {
+			case KindAnySecondi:
+				vk := T(k)
+				for _, j := range cols {
+					if mask.Allow(j) && !out.present.Get(j) {
+						out.dense[j] = vk
+						out.present.Set(j)
+					}
+				}
+			case KindPlusFirst:
+				for _, j := range cols {
+					if !mask.Allow(j) {
+						continue
+					}
+					if out.present.Get(j) {
+						out.dense[j] += qv
+					} else {
+						out.dense[j] = qv
+						out.present.Set(j)
+					}
+				}
+			case KindMinFirst:
+				for _, j := range cols {
+					if mask.Allow(j) {
+						mergeMin(out, j, qv)
+					}
+				}
+			case KindMinPlus:
+				for c, j := range cols {
+					if mask.Allow(j) {
+						mergeMin(out, j, qv+T(ws[c]))
+					}
+				}
+			default:
+				for c, j := range cols {
+					if !mask.Allow(j) {
+						continue
+					}
+					x := s.Mult(qv, weightAt(ws, c), k)
+					if out.present.Get(j) {
+						out.dense[j] = s.Monoid.Op(out.dense[j], x)
+					} else {
+						out.dense[j] = x
+						out.present.Set(j)
+					}
+				}
+			}
+		})
+		return
+	}
+
 	qs := q.ToSparse()
-	checkVector("VxM sparse-converted q", qs)
-	nq := len(qs.ind)
-	if workers < 1 {
-		workers = 1
+	workers = max(workers, 1)
+	if len(*scratch) < workers {
+		*scratch = make([][]entry[T], workers)
 	}
-	// Per-slot scatter buffers merged serially below: one machine slot per
-	// worker over a static partition of the stored q entries (the same
-	// bulk-synchronous structure as the old hand-rolled fork-join, minus the
-	// per-operation goroutine spawn GraphBLAS pays for on tiny frontiers).
-	// Frontiers whose scatter is smaller than a region launch skip the
-	// machine entirely and run the same body in the calling goroutine.
-	serial := false
-	if nq <= 64 {
-		var scout Index
-		for _, k := range qs.ind {
-			scout += a.RowDegree(k)
-		}
-		serial = scout <= 2048
+	partial := (*scratch)[:workers]
+	for w := range partial {
+		partial[w] = partial[w][:0] // a slot the region skips must merge nothing
 	}
-	if serial {
-		workers = 1
-	}
-	partial := make([][]entry[T], workers)
-	scatter := func(w, lo, hi int) {
-		var local []entry[T]
+	exec.ForWorker(len(qs.ind), workers, func(w, lo, hi int) {
+		local := partial[w]
 		for t := lo; t < hi; t++ {
-			k := qs.ind[t]
-			qv := qs.val[t]
+			k, qv := qs.ind[t], qs.val[t]
 			cols, ws := a.Row(k)
 			switch s.Kind {
 			case KindAnySecondi:
@@ -95,33 +152,23 @@ func vxmInto[T Number](exec *par.Machine, q *Vector[T], a *Matrix, s Semiring[T]
 					}
 				}
 			case KindMinPlus:
-				for i, j := range cols {
+				for c, j := range cols {
 					if mask.Allow(j) {
-						local = append(local, entry[T]{j, qv + T(ws[i])})
+						local = append(local, entry[T]{j, qv + T(ws[c])})
 					}
 				}
 			default:
-				for i, j := range cols {
-					if !mask.Allow(j) {
-						continue
+				for c, j := range cols {
+					if mask.Allow(j) {
+						local = append(local, entry[T]{j, s.Mult(qv, weightAt(ws, c), k)})
 					}
-					wt := int32(0)
-					if ws != nil {
-						wt = ws[i]
-					}
-					local = append(local, entry[T]{j, s.Mult(qv, wt, k)})
 				}
 			}
 		}
 		partial[w] = local
-	}
-	if serial {
-		scatter(0, 0, nq)
-	} else {
-		exec.ForWorker(nq, workers, scatter)
-	}
+	})
 
-	merge := func(combine func(old, new T) T) {
+	merge := func(combine func(old, x T) T) {
 		for _, local := range partial {
 			for _, e := range local {
 				if out.present.Get(e.j) {
@@ -137,18 +184,30 @@ func vxmInto[T Number](exec *par.Machine, q *Vector[T], a *Matrix, s Semiring[T]
 	case KindAnySecondi:
 		merge(func(old, _ T) T { return old }) // ANY: first write wins
 	case KindMinPlus, KindMinFirst:
-		merge(func(old, x T) T {
-			if x < old {
-				return x
-			}
-			return old
-		})
-	case KindPlusFirst, KindPlusPair:
+		merge(func(old, x T) T { return min(old, x) })
+	case KindPlusFirst:
 		merge(func(old, x T) T { return old + x })
 	default:
 		merge(s.Monoid.Op)
 	}
-	checkVector("VxM output", out)
+}
+
+// mergeMin folds x into position j of out under the MIN monoid.
+func mergeMin[T Number](out *Vector[T], j Index, x T) {
+	if !out.present.Get(j) {
+		out.dense[j] = x
+		out.present.Set(j)
+	} else if x < out.dense[j] {
+		out.dense[j] = x
+	}
+}
+
+// weightAt returns entry c's weight, or 0 in a structural (unweighted) row.
+func weightAt(ws []int32, c int) int32 {
+	if ws == nil {
+		return 0
+	}
+	return ws[c]
 }
 
 // MxV computes w<mask> = A * q over the semiring: a pull-style product that
@@ -156,97 +215,102 @@ func vxmInto[T Number](exec *par.Machine, q *Vector[T], a *Matrix, s Semiring[T]
 //
 //	w[i] = ⊕_{k : A[i][k] present, q[k] present}  Mult(q[k], A[i][k], k)
 //
-// q is converted to bitmap format first (timed). ANY monoids exit a row on
-// the first contribution, which is what makes the pull direction profitable
-// for BFS. The result is returned in bitmap format.
+// The result is returned in bitmap format.
 func MxV[T Number](exec *par.Machine, a *Matrix, q *Vector[T], s Semiring[T], mask *Mask, workers int) *Vector[T] {
 	checkVector("MxV input q", q)
 	checkMatrix("MxV input A", a)
 	checkMask("MxV mask", mask, a.nrows)
+	out := newBitmap[T](a.nrows)
+	pull(exec, a, q, s, mask, out, nil, workers)
+	return out
+}
+
+// pull is the one gather: out<mask> = A * q into a bitmap-format out whose
+// presence is clear. q is converted to bitmap format first (timed, as §V-A
+// describes). It visits only the rows the mask allows — the complement-mask
+// survivors that shrink every BFS round, where a full row loop would rescan
+// all n — or every row without a mask. buf, when non-nil, recycles the
+// survivor list across calls. At or below pullSerialRows rows it runs in the
+// calling goroutine; above it, rows go to the machine in dynamic chunks, so
+// the cancel token is polled at chunk boundaries. Both forms run one row
+// body, pullRows.
+func pull[T Number](exec *par.Machine, a *Matrix, q *Vector[T], s Semiring[T], mask *Mask, out *Vector[T], buf *[]Index, workers int) {
 	qb := q.ToBitmap()
-	checkVector("MxV bitmap-converted q", qb)
-	out := &Vector[T]{n: a.nrows, format: Bitmap, dense: make([]T, a.nrows), present: NewBitset(a.nrows)}
-	switch s.Kind {
-	case KindAnySecondi:
-		// Specialized kernel: take the first frontier in-neighbor and stop.
-		exec.ForBlocked(int(a.nrows), workers, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if !mask.Allow(Index(i)) {
-					continue
-				}
-				cols, _ := a.Row(Index(i))
-				for _, k := range cols {
-					if qb.present.Get(k) {
-						out.dense[i] = T(k)
-						out.present.SetAtomic(Index(i))
-						break
-					}
-				}
-			}
-		})
-		return out
-	case KindPlusFirst:
-		// Specialized kernel: sum the present q values along the row.
-		exec.ForBlocked(int(a.nrows), workers, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if !mask.Allow(Index(i)) {
-					continue
-				}
-				cols, _ := a.Row(Index(i))
-				var acc T
-				hit := false
-				for _, k := range cols {
-					if qb.present.Get(k) {
-						acc += qb.dense[k]
-						hit = true
-					}
-				}
-				if hit {
-					out.dense[i] = acc
-					out.present.SetAtomic(Index(i))
-				}
-			}
-		})
-		return out
+	var scratch []Index
+	if buf != nil {
+		scratch = *buf
 	}
-	// Generic operator-pointer path.
-	exec.ForBlocked(int(a.nrows), workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if !mask.Allow(Index(i)) {
-				continue
+	rows, masked := maskSurvivorRows(exec, mask, a.nrows, scratch, workers)
+	count := len(rows)
+	if !masked {
+		count = int(a.nrows)
+	} else if buf != nil {
+		*buf = rows[:0]
+	}
+	if count <= pullSerialRows {
+		pullRows(a, qb, s, rows, 0, count, out, false)
+		return
+	}
+	exec.ForDynamic(count, 64, workers, func(lo, hi int) {
+		pullRows(a, qb, s, rows, lo, hi, out, true)
+	})
+}
+
+// pullRows gathers output rows rows[lo:hi] (rows lo..hi-1 when rows is nil):
+// each is the ⊕ of Mult(q[k], A[i][k], k) over the present q entries along
+// A's row i. ANY monoids stop at the first contribution, which is what makes
+// the pull direction profitable for BFS. concurrent marks presence
+// atomically, because parallel chunks share presence words at their edges.
+func pullRows[T Number](a *Matrix, qb *Vector[T], s Semiring[T], rows []Index, lo, hi int, out *Vector[T], concurrent bool) {
+	for t := lo; t < hi; t++ {
+		i := Index(t)
+		if rows != nil {
+			i = rows[t]
+		}
+		cols, ws := a.Row(i)
+		var acc T
+		hit := false
+		switch s.Kind {
+		case KindAnySecondi:
+			for _, k := range cols {
+				if qb.present.Get(k) {
+					acc, hit = T(k), true
+					break
+				}
 			}
-			cols, ws := a.Row(Index(i))
-			acc := s.Monoid.Identity
-			hit := false
-			for t, k := range cols {
+		case KindPlusFirst:
+			for _, k := range cols {
+				if qb.present.Get(k) {
+					acc += qb.dense[k]
+					hit = true
+				}
+			}
+		default:
+			for c, k := range cols {
 				if !qb.present.Get(k) {
 					continue
 				}
-				wt := int32(0)
-				if ws != nil {
-					wt = ws[t]
-				}
-				x := s.Mult(qb.dense[k], wt, k)
+				x := s.Mult(qb.dense[k], weightAt(ws, c), k)
 				if hit {
 					acc = s.Monoid.Op(acc, x)
 				} else {
-					acc = x
-					hit = true
+					acc, hit = x, true
 				}
-				if s.Monoid.Any {
+				if s.Monoid.Any || (s.Monoid.Terminal != nil && acc == *s.Monoid.Terminal) {
 					break
 				}
-				if s.Monoid.Terminal != nil && acc == *s.Monoid.Terminal {
-					break
-				}
-			}
-			if hit {
-				out.dense[i] = acc
-				out.present.SetAtomic(Index(i))
 			}
 		}
-	})
-	return out
+		if !hit {
+			continue
+		}
+		out.dense[i] = acc
+		if concurrent {
+			out.present.SetAtomic(i)
+		} else {
+			out.present.Set(i)
+		}
+	}
 }
 
 // MxVFullInto computes w = A * q where q is a full vector and every output is
@@ -296,11 +360,7 @@ func MxVFullInto[T Number](exec *par.Machine, a *Matrix, q *Vector[T], s Semirin
 			cols, ws := a.Row(Index(i))
 			acc := s.Monoid.Identity
 			for t, k := range cols {
-				wt := int32(0)
-				if ws != nil {
-					wt = ws[t]
-				}
-				acc = s.Monoid.Op(acc, s.Mult(dense[k], wt, k))
+				acc = s.Monoid.Op(acc, s.Mult(dense[k], weightAt(ws, t), k))
 			}
 			res[i] = acc
 		}

@@ -8,17 +8,14 @@ import (
 	"gapbench/internal/par"
 )
 
-// Direction-aware masked SpMV. VxM (push) scatters the stored frontier
-// entries and costs O(edges leaving the frontier); MxV (pull) gathers but
-// iterates every output row, so a tiny frontier under a nearly-full
-// complement mask still pays O(n) per round — the structural overhead §V-A
-// attributes to GraphBLAS on high-diameter graphs. PushPullVxM closes that
-// gap: it estimates the push cost as the *degree sum* of the stored frontier
-// entries (Beamer's scout count — one hub can carry more work than thousands
-// of road vertices, so vertex counts under-price push on skewed graphs),
-// compares it against the remaining unexplored-edge budget, and on the pull
-// side iterates only the rows the mask still allows (the complement-mask
-// survivors) instead of all n.
+// Direction-aware masked SpMV. push (VxM) scatters the stored frontier
+// entries and costs O(edges leaving the frontier); pull (MxV) gathers over
+// every row the mask allows, so late in a search it probes only the
+// complement-mask survivors. PushPullVxM picks between them per call: it
+// estimates the push cost as the *degree sum* of the stored frontier entries
+// (Beamer's scout count — one hub can carry more work than thousands of road
+// vertices, so vertex counts under-price push on skewed graphs) and compares
+// it against the remaining unexplored-edge budget.
 
 // DirPolicy forces or frees PushPullVxM's direction choice.
 type DirPolicy int
@@ -135,7 +132,7 @@ func frontierScout[T Number](exec *par.Machine, a *Matrix, q *Vector[T], workers
 			return s
 		}))
 	case Bitmap:
-		words := q.present.words
+		words := q.present.Words()
 		if len(words) <= 512 {
 			var s Index
 			q.present.Each(func(k Index) { s += a.RowDegree(k) })
@@ -158,61 +155,55 @@ func frontierScout[T Number](exec *par.Machine, a *Matrix, q *Vector[T], workers
 }
 
 // PushPullVxM computes w<mask> = q' * A, choosing the direction per call:
-// push runs VxM over a, pull runs the sparse-aware gather over at (the
-// transpose of a) restricted to the mask's surviving rows. Both directions
-// produce the same bitmap-format product (asserted in a -tags=check build for
-// small operands — see checkDirectionEquivalence), so callers treat this as a
-// drop-in masked SpMV with Beamer dispatch.
+// push scatters along a, pull gathers over at (the transpose of a)
+// restricted to the mask's surviving rows. Both directions produce the same
+// bitmap-format product (asserted in a -tags=check build for small operands —
+// see checkDirectionEquivalence), so callers treat this as a drop-in masked
+// SpMV with Beamer dispatch.
 func PushPullVxM[T Number](exec *par.Machine, q *Vector[T], a, at *Matrix, s Semiring[T], mask *Mask, st *PushPullState, workers int) *Vector[T] {
 	if st == nil {
 		st = NewPushPullState(a, DirAuto)
 	}
+	checkVector("PushPullVxM input q", q)
+	checkMatrix("PushPullVxM input A", a)
+	checkMatrix("PushPullVxM input A'", at)
+	checkMask("PushPullVxM mask", mask, a.ncols)
 	scout := frontierScout(exec, a, q, workers)
-	pull := st.choosePull(scout, mask, a.nrows)
-	var out *Vector[T]
-	if pull {
-		out = vxmPull(exec, at, q, s, mask, st, workers)
+	out := recycledOut(st, q, a.ncols)
+	pulled := st.choosePull(scout, mask, a.nrows)
+	if pulled {
+		pull(exec, at, q, s, mask, out, &st.rowsBuf, workers)
 	} else {
-		out = recycledOut(st, q, a.ncols)
-		// A scatter smaller than a region launch runs serial in q's native
-		// format: no sparse conversion, no per-worker partials, one pass.
-		if scout <= pushSerialCutoff {
-			checkVector("PushPullVxM push input q", q)
-			checkMatrix("PushPullVxM push input A", a)
-			checkMask("PushPullVxM push mask", mask, a.ncols)
-			vxmPushSerial(a, q, s, mask, out)
-			checkVector("PushPullVxM push output", out)
-		} else {
-			vxmInto(exec, q, a, s, mask, out, workers)
-		}
+		push(exec, q, a, s, mask, scout, out, &out.partial, workers)
 	}
+	checkVector("PushPullVxM output", out)
 	if invariant.Armed() && a.nrows <= directionCheckMaxN {
-		// The recheck passes a nil state so its product never aliases the
+		// The recheck allocates its own output so it never aliases the
 		// primary result through the recycling ring.
-		push, pulled := out, out
-		if pull {
-			push = VxM(exec, q, a, s, mask, workers)
+		pushed, gathered := out, out
+		if pulled {
+			pushed = VxM(exec, q, a, s, mask, workers)
 		} else {
-			pulled = vxmPull(exec, at, q, s, mask, nil, workers)
+			gathered = MxV(exec, at, q, s, mask, workers)
 		}
 		// A product the machine's token cut short is partial and will be
 		// discarded, not wrong. The token never un-fires, so a test after
 		// both products covers both.
 		if !exec.Interrupted() {
-			checkDirectionEquivalence("PushPullVxM", s, push, pulled)
+			checkDirectionEquivalence("PushPullVxM", s, pushed, gathered)
 		}
 	}
 	return out
 }
 
-// recycledOut hands back a bitmap-format output vector for a dispatch round:
-// a fresh allocation normally, or — when st.Recycle is on — a slot from the
-// state's two-vector ring that is not the live frontier q. Recycled vectors
-// only reset their presence bitset; the dense backing keeps stale values,
-// which is sound because every reader checks presence first.
+// recycledOut hands back an empty bitmap-format output vector for a dispatch
+// round: a fresh allocation normally, or — when st.Recycle is on — a slot
+// from the state's two-vector ring that is not the live frontier q. Recycled
+// vectors only reset their presence bitset; the dense backing keeps stale
+// values, which is sound because every reader checks presence first.
 func recycledOut[T Number](st *PushPullState, q *Vector[T], n Index) *Vector[T] {
-	if st == nil || !st.Recycle {
-		return &Vector[T]{n: n, format: Bitmap, dense: make([]T, n), present: NewBitset(n)}
+	if !st.Recycle {
+		return newBitmap[T](n)
 	}
 	for i := range st.ring {
 		if v, ok := st.ring[i].(*Vector[T]); ok && v != q && v.n == n {
@@ -220,7 +211,7 @@ func recycledOut[T Number](st *PushPullState, q *Vector[T], n Index) *Vector[T] 
 			return v
 		}
 	}
-	out := &Vector[T]{n: n, format: Bitmap, dense: make([]T, n), present: NewBitset(n)}
+	out := newBitmap[T](n)
 	for i := range st.ring {
 		if v, ok := st.ring[i].(*Vector[T]); !ok || v != q {
 			st.ring[i] = out
@@ -239,7 +230,7 @@ func maskSurvivorRows(exec *par.Machine, mask *Mask, n Index, buf []Index, worke
 	if mask == nil {
 		return nil, false
 	}
-	words := mask.present.words
+	words := mask.present.Words()
 	// maskWord returns the survivor bits of word wi, honoring complement and
 	// clearing the tail bits past n so ^w cannot invent rows.
 	maskWord := func(wi int) uint64 {
@@ -307,260 +298,6 @@ func maskSurvivorRows(exec *par.Machine, mask *Mask, n Index, buf []Index, worke
 	return rows, true
 }
 
-// vxmPull is the sparse-aware pull: w<mask> = A' * q computed by gathering
-// over at's rows, but only the rows the mask allows — the complement-mask
-// survivor set that shrinks every BFS round, where MxV would rescan all n.
-// Rows are handed to the machine in dynamic chunks, so the cancel token is
-// polled at chunk boundaries like every other par schedule.
-func vxmPull[T Number](exec *par.Machine, at *Matrix, q *Vector[T], s Semiring[T], mask *Mask, st *PushPullState, workers int) *Vector[T] {
-	checkVector("PushPullVxM pull input q", q)
-	checkMatrix("PushPullVxM pull input A'", at)
-	checkMask("PushPullVxM pull mask", mask, at.nrows)
-	var buf []Index
-	if st != nil {
-		buf = st.rowsBuf
-	}
-	rows, ok := maskSurvivorRows(exec, mask, at.nrows, buf, workers)
-	if st != nil && rows != nil {
-		st.rowsBuf = rows[:0]
-	}
-	if !ok {
-		// No mask: every row is live, which is exactly MxV's dense row loop.
-		return MxV(exec, at, q, s, nil, workers)
-	}
-	qb := q.ToBitmap()
-	checkVector("PushPullVxM pull bitmap-converted q", qb)
-	out := recycledOut(st, q, at.nrows)
-	// Tiny survivor sets run serial with plain (non-atomic) bit sets.
-	if len(rows) <= pullSerialRows {
-		vxmPullSerial(at, qb, s, rows, out)
-		checkVector("PushPullVxM pull output", out)
-		return out
-	}
-	switch s.Kind {
-	case KindAnySecondi:
-		// Specialized kernel: take the first frontier in-neighbor and stop.
-		exec.ForDynamic(len(rows), 64, workers, func(lo, hi int) {
-			for t := lo; t < hi; t++ {
-				i := rows[t]
-				cols, _ := at.Row(i)
-				for _, k := range cols {
-					if qb.present.Get(k) {
-						out.dense[i] = T(k)
-						out.present.SetAtomic(i)
-						break
-					}
-				}
-			}
-		})
-	case KindPlusFirst:
-		// Specialized kernel: sum the present q values along the row.
-		exec.ForDynamic(len(rows), 64, workers, func(lo, hi int) {
-			for t := lo; t < hi; t++ {
-				i := rows[t]
-				cols, _ := at.Row(i)
-				var acc T
-				hit := false
-				for _, k := range cols {
-					if qb.present.Get(k) {
-						acc += qb.dense[k]
-						hit = true
-					}
-				}
-				if hit {
-					out.dense[i] = acc
-					out.present.SetAtomic(i)
-				}
-			}
-		})
-	default:
-		// Generic operator-pointer path.
-		exec.ForDynamic(len(rows), 64, workers, func(lo, hi int) {
-			for t := lo; t < hi; t++ {
-				i := rows[t]
-				cols, ws := at.Row(i)
-				acc := s.Monoid.Identity
-				hit := false
-				for c, k := range cols {
-					if !qb.present.Get(k) {
-						continue
-					}
-					wt := int32(0)
-					if ws != nil {
-						wt = ws[c]
-					}
-					x := s.Mult(qb.dense[k], wt, k)
-					if hit {
-						acc = s.Monoid.Op(acc, x)
-					} else {
-						acc = x
-						hit = true
-					}
-					if s.Monoid.Any {
-						break
-					}
-					if s.Monoid.Terminal != nil && acc == *s.Monoid.Terminal {
-						break
-					}
-				}
-				if hit {
-					out.dense[i] = acc
-					out.present.SetAtomic(i)
-				}
-			}
-		})
-	}
-	checkVector("PushPullVxM pull output", out)
-	return out
-}
-
-// pushSerialCutoff is the scatter size (in edges) below which a push round
-// runs in the calling goroutine: one region launch on an oversubscribed
-// machine costs more than scattering this many entries.
-const pushSerialCutoff = 16384
-
-// pullSerialRows is the survivor count below which a pull gather runs in the
-// calling goroutine: one machine dispatch costs more than the whole gather.
-const pullSerialRows = 2048
-
-// vxmPushSerial is the single-threaded push: scatter each stored q entry
-// along its matrix row, merging into out directly (no per-worker partials).
-// Iteration order is ascending, so ANY monoids keep the lowest-index witness.
-func vxmPushSerial[T Number](a *Matrix, q *Vector[T], s Semiring[T], mask *Mask, out *Vector[T]) {
-	q.Iterate(func(k Index, qv T) {
-		cols, ws := a.Row(k)
-		switch s.Kind {
-		case KindAnySecondi:
-			vk := T(k)
-			for _, j := range cols {
-				if mask.Allow(j) && !out.present.Get(j) {
-					out.dense[j] = vk
-					out.present.Set(j)
-				}
-			}
-		case KindPlusFirst:
-			for _, j := range cols {
-				if !mask.Allow(j) {
-					continue
-				}
-				if out.present.Get(j) {
-					out.dense[j] += qv
-				} else {
-					out.dense[j] = qv
-					out.present.Set(j)
-				}
-			}
-		case KindMinFirst:
-			for _, j := range cols {
-				if !mask.Allow(j) {
-					continue
-				}
-				if !out.present.Get(j) {
-					out.dense[j] = qv
-					out.present.Set(j)
-				} else if qv < out.dense[j] {
-					out.dense[j] = qv
-				}
-			}
-		case KindMinPlus:
-			for c, j := range cols {
-				if !mask.Allow(j) {
-					continue
-				}
-				x := qv + T(ws[c])
-				if !out.present.Get(j) {
-					out.dense[j] = x
-					out.present.Set(j)
-				} else if x < out.dense[j] {
-					out.dense[j] = x
-				}
-			}
-		default:
-			for c, j := range cols {
-				if !mask.Allow(j) {
-					continue
-				}
-				wt := int32(0)
-				if ws != nil {
-					wt = ws[c]
-				}
-				x := s.Mult(qv, wt, k)
-				if out.present.Get(j) {
-					out.dense[j] = s.Monoid.Op(out.dense[j], x)
-				} else {
-					out.dense[j] = x
-					out.present.Set(j)
-				}
-			}
-		}
-	})
-}
-
-// vxmPullSerial is the single-threaded gather over a small survivor set.
-func vxmPullSerial[T Number](at *Matrix, qb *Vector[T], s Semiring[T], rows []Index, out *Vector[T]) {
-	switch s.Kind {
-	case KindAnySecondi:
-		for _, i := range rows {
-			cols, _ := at.Row(i)
-			for _, k := range cols {
-				if qb.present.Get(k) {
-					out.dense[i] = T(k)
-					out.present.Set(i)
-					break
-				}
-			}
-		}
-	case KindPlusFirst:
-		for _, i := range rows {
-			cols, _ := at.Row(i)
-			var acc T
-			hit := false
-			for _, k := range cols {
-				if qb.present.Get(k) {
-					acc += qb.dense[k]
-					hit = true
-				}
-			}
-			if hit {
-				out.dense[i] = acc
-				out.present.Set(i)
-			}
-		}
-	default:
-		for _, i := range rows {
-			cols, ws := at.Row(i)
-			acc := s.Monoid.Identity
-			hit := false
-			for c, k := range cols {
-				if !qb.present.Get(k) {
-					continue
-				}
-				wt := int32(0)
-				if ws != nil {
-					wt = ws[c]
-				}
-				x := s.Mult(qb.dense[k], wt, k)
-				if hit {
-					acc = s.Monoid.Op(acc, x)
-				} else {
-					acc = x
-					hit = true
-				}
-				if s.Monoid.Any {
-					break
-				}
-				if s.Monoid.Terminal != nil && acc == *s.Monoid.Terminal {
-					break
-				}
-			}
-			if hit {
-				out.dense[i] = acc
-				out.present.Set(i)
-			}
-		}
-	}
-}
-
 // directionCheckMaxN gates the O(n + edges) recomputation behind the
 // direction-equivalence assertion to small operands, so the sanitizer tier
 // stays fast while still exercising every dispatch site.
@@ -579,7 +316,7 @@ func checkDirectionEquivalence[T Number](op string, s Semiring[T], push, pull *V
 		checkFail(op, "direction-structure-equivalence",
 			fmt.Sprintf("push product has size %d, pull product %d", push.n, pull.n))
 	}
-	pw, lw := push.present.words, pull.present.words
+	pw, lw := push.present.Words(), pull.present.Words()
 	for wi := range pw {
 		if pw[wi] != lw[wi] {
 			diff := pw[wi] ^ lw[wi]

@@ -42,7 +42,7 @@ func sameVector(t *testing.T, label string, a, b *Vector[int64]) {
 func TestPushPullVxMDirectionsAgree(t *testing.T) {
 	a, at := pushPullMatrices(t)
 	s := MinFirst()
-	visited := NewBitset(a.NRows())
+	visited := graph.NewBitmap(a.NRows())
 	visited.Set(0)
 	mask := NewMask(visited, true) // complement: row 0 already settled
 
@@ -130,7 +130,7 @@ func TestFrontierScoutCountsDegrees(t *testing.T) {
 
 func TestMaskSurvivorRows(t *testing.T) {
 	const n = Index(70) // spills one word: tail bits past n must not survive ^w
-	set := NewBitset(n)
+	set := graph.NewBitmap(n)
 	for _, i := range []Index{0, 1, 64, 69} {
 		set.Set(i)
 	}
@@ -175,7 +175,7 @@ func TestMaskSurvivorRows(t *testing.T) {
 // semantics.
 func TestMaskSurvivorRowsParallelGather(t *testing.T) {
 	const n = Index(4097*64 + 13)
-	set := NewBitset(n)
+	set := graph.NewBitmap(n)
 	for i := Index(0); i < n; i += 2 {
 		set.Set(i)
 	}
@@ -207,10 +207,10 @@ func denseStates(a *Matrix, policies ...DirPolicy) []*PushPullState {
 
 func sameDense(t *testing.T, label string, want, got *DenseMatrix) {
 	t.Helper()
-	for r := 0; r < want.rows; r++ {
-		for c := Index(0); c < want.n; c++ {
-			wv, wok := want.Get(r, c)
-			gv, gok := got.Get(r, c)
+	for r, row := range want.row {
+		for c := Index(0); c < row.n; c++ {
+			wv, wok := row.Extract(c)
+			gv, gok := got.row[r].Extract(c)
 			if wok != gok || (wok && wv != gv) {
 				t.Fatalf("%s: row %d col %d: (%v,%v) vs (%v,%v)", label, r, c, wv, wok, gv, gok)
 			}
@@ -242,7 +242,7 @@ func TestDenseMxMDirectionsAgree(t *testing.T) {
 		t.Run(g.name, func(t *testing.T) {
 			n := g.a.NRows()
 			f := NewDenseMatrix(2, n)
-			visited := []*Bitset{NewBitset(n), NewBitset(n)}
+			visited := []*graph.Bitmap{graph.NewBitmap(n), graph.NewBitmap(n)}
 			for c := Index(0); c < n; c++ {
 				f.Set(int(c&1), c, 0.1*float64(c+1)) // inexact floats: order of addition shows
 				if c%5 == 0 {
@@ -252,7 +252,7 @@ func TestDenseMxMDirectionsAgree(t *testing.T) {
 			rowMask := func(r int) *Mask { return NewMask(visited[r], true) }
 			want := NewDenseMatrix(2, n)
 			DenseMxM(par.Default(), want, f, g.a, g.at, rowMask, denseStates(g.a, DirPush, DirPush), 2)
-			if want.pres[0].Count()+want.pres[1].Count() == 0 {
+			if want.row[0].NVals()+want.row[1].NVals() == 0 {
 				t.Fatal("reference product is empty")
 			}
 			for _, tc := range []struct {
@@ -297,7 +297,7 @@ func TestDenseMxMRecycledOutputHidesStaleValues(t *testing.T) {
 		}
 		DenseMxM(par.Default(), got, f, a, at, noMask, denseStates(a, policy, policy), 2)
 		sameDense(t, "recycled", want, got)
-		gotN, wantN := got.pres[0].Count()+got.pres[1].Count(), want.pres[0].Count()+want.pres[1].Count()
+		gotN, wantN := got.row[0].NVals()+got.row[1].NVals(), want.row[0].NVals()+want.row[1].NVals()
 		if gotN != wantN || wantN != 4 {
 			t.Fatalf("policy %v: recycled product has %d entries, fresh %d, want 4", policy, gotN, wantN)
 		}
@@ -325,7 +325,7 @@ func TestDenseMxMFloorKeepsWebShapedRowPushing(t *testing.T) {
 	a, at := FromGraph(g, false, false), FromGraph(g, true, false)
 	f := NewDenseMatrix(1, n)
 	f.Set(0, 0, 1)
-	visited := NewBitset(n)
+	visited := graph.NewBitmap(n)
 	visited.Set(0)
 	rowMask := func(int) *Mask { return NewMask(visited, true) }
 

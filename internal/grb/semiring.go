@@ -30,7 +30,6 @@ const (
 	KindAnySecondi
 	KindMinPlus
 	KindPlusFirst
-	KindPlusPair
 	KindMinFirst
 )
 

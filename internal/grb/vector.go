@@ -3,6 +3,8 @@ package grb
 import (
 	"fmt"
 	"math/bits"
+
+	"gapbench/internal/graph"
 )
 
 // Format is a vector's internal representation. SuiteSparse keeps vectors in
@@ -36,7 +38,16 @@ type Vector[T Number] struct {
 
 	// Bitmap/Full representation: dense values, presence bitset for Bitmap.
 	dense   []T
-	present *Bitset
+	present *graph.Bitmap
+
+	// partial is the parallel push's per-worker scratch, kept on the output
+	// it was merged into so a recycled output brings its buffers along.
+	partial [][]entry[T]
+}
+
+// newBitmap returns an empty bitmap-format vector of length n.
+func newBitmap[T Number](n Index) *Vector[T] {
+	return &Vector[T]{n: n, format: Bitmap, dense: make([]T, n), present: graph.NewBitmap(n)}
 }
 
 // NewSparse returns an empty sparse vector of length n.
@@ -166,13 +177,9 @@ func (v *Vector[T]) ToBitmap() *Vector[T] {
 	case Bitmap:
 		return v
 	case Full:
-		present := NewBitset(v.n)
-		for i := Index(0); i < v.n; i++ {
-			present.Set(i)
-		}
-		return &Vector[T]{n: v.n, format: Bitmap, dense: v.dense, present: present}
+		return &Vector[T]{n: v.n, format: Bitmap, dense: v.dense, present: v.Structure()}
 	default:
-		out := &Vector[T]{n: v.n, format: Bitmap, dense: make([]T, v.n), present: NewBitset(v.n)}
+		out := newBitmap[T](v.n)
 		for k, i := range v.ind {
 			out.dense[i] = v.val[k]
 			out.present.Set(i)
@@ -183,18 +190,18 @@ func (v *Vector[T]) ToBitmap() *Vector[T] {
 
 // Structure returns the presence bitset of the vector (building one for
 // sparse/full vectors), for use as a mask.
-func (v *Vector[T]) Structure() *Bitset {
+func (v *Vector[T]) Structure() *graph.Bitmap {
 	switch v.format {
 	case Bitmap:
 		return v.present
 	case Full:
-		b := NewBitset(v.n)
+		b := graph.NewBitmap(v.n)
 		for i := Index(0); i < v.n; i++ {
 			b.Set(i)
 		}
 		return b
 	default:
-		b := NewBitset(v.n)
+		b := graph.NewBitmap(v.n)
 		for _, i := range v.ind {
 			b.Set(i)
 		}
@@ -240,7 +247,7 @@ func AssignMasked[T Number](dst, src *Vector[T], mask *Mask) {
 	// word-level bitset union plus value copies — no per-entry format switch.
 	if dst.format == Bitmap && src.format == Bitmap &&
 		mask != nil && !mask.complement && mask.present == src.present {
-		dw, sw := dst.present.words, src.present.words
+		dw, sw := dst.present.Words(), src.present.Words()
 		for wi, w := range sw {
 			if w == 0 {
 				continue

@@ -8,9 +8,9 @@
 // The gate is a var flipped by an init in armed_check.go rather than twin
 // build-tagged implementations, so every package parses identically with and
 // without the tag and gapvet's tag-unaware loader sees one view. Unarmed,
-// each assertion returns at its first branch, a test of a false bool. The
-// fault injector (internal/chaos) keeps a tag of its own: it changes
-// behaviour, these only assert.
+// each assertion returns at its first branch, a test of a false bool. It is
+// the tree's one build tag: the fault injector (internal/chaos) needs none,
+// because only tests link it.
 package invariant
 
 // armed is set by the init in armed_check.go under -tags=check.

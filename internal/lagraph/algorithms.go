@@ -3,6 +3,7 @@ package lagraph
 import (
 	"math"
 
+	"gapbench/internal/graph"
 	"gapbench/internal/grb"
 	"gapbench/internal/kernel"
 	"gapbench/internal/par"
@@ -291,11 +292,11 @@ func betweenness(exec *par.Machine, m *matrices, sources []grb.Index, workers in
 	// level-(d-1) parents. w is loaded and parents[r] — the row mask — set
 	// from the two levels' ranges, and both are emptied from them afterwards.
 	delta := make([][]float64, k)
-	parents := make([]*grb.Bitset, k)
+	parents := make([]*graph.Bitmap, k)
 	bwdMasks := make([]*grb.Mask, k)
 	for r := range delta {
 		delta[r] = make([]float64, n)
-		parents[r] = grb.NewBitset(n)
+		parents[r] = graph.NewBitmap(n)
 		bwdMasks[r] = grb.NewMask(parents[r], false)
 	}
 	bwdMask := func(r int) *grb.Mask { return bwdMasks[r] }

@@ -3,8 +3,6 @@ package serve
 // Chaos-wired e2e: the daemon serves a real framework wrapped in the chaos
 // injector (internal/chaos) and must survive the full fault matrix — shed,
 // retry, quarantine, keep serving, never crash, never leak a machine lease.
-// Faults arm only under `go test -tags=chaos`; without the tag every test
-// here skips (same convention as internal/core's chaos e2e).
 
 import (
 	"reflect"
@@ -23,13 +21,6 @@ import (
 // drains can reap the abandoned machines within test deadlines.
 const chaosHang = 200 * time.Millisecond
 
-func requireChaos(t *testing.T) {
-	t.Helper()
-	if !chaos.Enabled() {
-		t.Skip("needs -tags=chaos")
-	}
-}
-
 func startChaosServer(t *testing.T, cfg Config, in *core.Input, faults ...*chaos.Fault) (*Server, string) {
 	t.Helper()
 	inj := chaos.Wrap(core.FrameworkByName("GAP"), 1, faults...)
@@ -37,7 +28,6 @@ func startChaosServer(t *testing.T, cfg Config, in *core.Input, faults ...*chaos
 }
 
 func TestChaosServePanicRetryRecovers(t *testing.T) {
-	requireChaos(t)
 	defer testutil.CheckGoroutines(t)()
 	in := asymmetricInput(t)
 	srv, sock := startChaosServer(t, Config{PoolSize: 1, Workers: 1}, in,
@@ -54,7 +44,6 @@ func TestChaosServePanicRetryRecovers(t *testing.T) {
 }
 
 func TestChaosServeDeterministicPanicKeepsServing(t *testing.T) {
-	requireChaos(t)
 	defer testutil.CheckGoroutines(t)()
 	in := asymmetricInput(t)
 	srv, sock := startChaosServer(t, Config{PoolSize: 1, Workers: 1}, in,
@@ -84,7 +73,6 @@ func TestChaosServeDeterministicPanicKeepsServing(t *testing.T) {
 }
 
 func TestChaosServeStallTimesOutMachineKept(t *testing.T) {
-	requireChaos(t)
 	defer testutil.CheckGoroutines(t)()
 	in := asymmetricInput(t)
 	srv, sock := startChaosServer(t, Config{PoolSize: 1, Workers: 1, Grace: 100 * time.Millisecond}, in,
@@ -107,7 +95,6 @@ func TestChaosServeStallTimesOutMachineKept(t *testing.T) {
 }
 
 func TestChaosServeHangAbandonsHealsAndDrainsClean(t *testing.T) {
-	requireChaos(t)
 	defer testutil.CheckGoroutines(t)()
 	in := asymmetricInput(t)
 	srv, sock := startChaosServer(t, Config{PoolSize: 1, Workers: 1, Grace: 40 * time.Millisecond}, in,
@@ -136,7 +123,6 @@ func TestChaosServeHangAbandonsHealsAndDrainsClean(t *testing.T) {
 }
 
 func TestChaosServeBreakerOpensAndProbeCloses(t *testing.T) {
-	requireChaos(t)
 	defer testutil.CheckGoroutines(t)()
 	in := asymmetricInput(t)
 	// Three one-shot Hang faults: exactly three consecutive abandonments,
@@ -189,9 +175,8 @@ func TestChaosServeBreakerOpensAndProbeCloses(t *testing.T) {
 }
 
 func TestChaosServeCorruptGraphTrippedByGraphguard(t *testing.T) {
-	requireChaos(t)
 	if !invariant.Armed() {
-		t.Skip("needs -tags='check chaos' (seal checks are no-ops otherwise)")
+		t.Skip("needs -tags=check (seal checks are no-ops otherwise)")
 	}
 	// Dedicated input: the injected corruption permanently poisons the
 	// shared CSR, so this graph must not be reused by other tests. It is
@@ -220,7 +205,6 @@ func TestChaosServeCorruptGraphTrippedByGraphguard(t *testing.T) {
 // ---- snapshot builds under faults ------------------------------------------
 
 func TestChaosServeSnapshotPanicOnceRetriesAndPublishes(t *testing.T) {
-	requireChaos(t)
 	defer testutil.CheckGoroutines(t)()
 	in := asymmetricInput(t)
 	srv, sock := startChaosServer(t, Config{PoolSize: 1, Workers: 1}, in,
@@ -253,7 +237,6 @@ func TestChaosServeSnapshotPanicOnceRetriesAndPublishes(t *testing.T) {
 }
 
 func TestChaosServeSnapshotCorruptRejectedByBuildOracle(t *testing.T) {
-	requireChaos(t)
 	defer testutil.CheckGoroutines(t)()
 	in := smallInput(t)
 	srv, sock := startChaosServer(t, Config{PoolSize: 1, Workers: 1}, in,
@@ -288,7 +271,6 @@ func TestChaosServeSnapshotCorruptRejectedByBuildOracle(t *testing.T) {
 }
 
 func TestChaosServeSnapshotHangAbandonsHealsAndDrainsClean(t *testing.T) {
-	requireChaos(t)
 	defer testutil.CheckGoroutines(t)()
 	in := smallInput(t)
 	srv, sock := startChaosServer(t, Config{PoolSize: 1, Workers: 1, Grace: 40 * time.Millisecond}, in,
@@ -326,7 +308,6 @@ func TestChaosServeSnapshotHangAbandonsHealsAndDrainsClean(t *testing.T) {
 // reopens it — and never the (framework, BFS) one, and leaves the slot empty:
 // the next query re-leads the build.
 func TestChaosServeReachBuildPanicChargesCC(t *testing.T) {
-	requireChaos(t)
 	defer testutil.CheckGoroutines(t)()
 	in := smallInput(t)
 	if !symmetric(in.Graph) {

@@ -266,7 +266,7 @@ func TestServeEndToEndRealFramework(t *testing.T) {
 			bfs.Result.Reached, bfs.Kernel, bfs.KernelMicros, cc.Result.Size)
 	}
 
-	// The snapshot cap (check.sh tier 11 names this test for it): the BFS and
+	// The snapshot cap (check.sh tier 10 names this test for it): the BFS and
 	// the PR above each built a snapshot, so repeats of PR and CC, over two
 	// connections, are all hits — never a whole-graph recompute.
 	const repeats = 20 // of each kernel

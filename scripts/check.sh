@@ -18,10 +18,11 @@
 #   5. go test ./...                  the full tier-1 suite
 #   6. go test -race -short <tier>    the race-detector smoke tier: the
 #      parallel substrate (par), the most race-prone executor (galois), the
-#      harness that drives every framework (core, the one trial sandbox
-#      included) and the most concurrent package in the tree, the daemon
-#      (serve: pool, admission, breaker, snapshots, drain), on tiny graphs
-#      so the whole sweep finishes in seconds (≈ 30 s with a cold race
+#      harness that drives every framework (core, the one trial sandbox and
+#      the chaos fault matrix included), the fault injector itself (chaos)
+#      and the most concurrent package in the tree, the daemon (serve: pool,
+#      admission, breaker, snapshots, drain, and its chaos tests), on tiny
+#      graphs so the whole sweep finishes in seconds (≈ 30 s with a cold race
 #      build). Then go test -race -count=10 -run Snapshot <serve>: the
 #      snapshot single-flight (one build per burst, waiters re-leading,
 #      breaker accounting) under the race detector, ten times over.
@@ -35,28 +36,25 @@
 #      a kernel that writes shared graph memory or a leaked machine lease
 #      panics at the boundary that received it, naming the invariant.
 #      invariant's TestArmed fails here if the tag no longer arms the gate,
-#      instead of every armed test skipping.
-#   8. go test -tags='check chaos' -short <core chaos serve> the armed
-#      fault-injection tier: the chaos injector armed on top of the armed
-#      build, over the end-to-end fault matrix (DESIGN.md §9) and a live
-#      server (§11). Injected panics, stalls, hangs and output corruption
-#      must surface as exactly the right per-cell status (shed, retry,
-#      quarantine, drain clean for the daemon) while the suite, its journal
-#      and its resume path keep working; the CorruptGraph fault must be
-#      caught by the seal check as Panicked.
-#   9. graphgen + gapbench graph-store e2e tier: generate the five suite
+#      instead of every armed test skipping. The chaos fault matrix
+#      (DESIGN.md §9) runs here armed, as it runs unarmed in tier 5: injected
+#      panics, stalls, hangs and output corruption must surface as exactly
+#      the right per-cell status (shed, retry, quarantine, drain clean for
+#      the daemon), and only an armed build catches the CorruptGraph fault
+#      at the seal check as Panicked.
+#   8. graphgen + gapbench graph-store e2e tier: generate the five suite
 #      graphs once as format-v2 .sg files, then run a gapbench smoke over
 #      them via -graphfile, so the whole serialize -> mmap-load -> provenance
 #      -> kernel-verify chain is exercised exactly the way a measurement run
 #      uses it (see DESIGN.md §3 "The storage arena").
-#  10. gapbench -tune twice-through tier: runs the autotuner against a tiny
+#   9. gapbench -tune twice-through tier: runs the autotuner against a tiny
 #      Kron build with a fresh schedule store, then runs it again on the same
 #      store. The first pass must report tuning (writing the store), the
 #      second must report reusing the stored schedule — the persistence
 #      contract `-tune` exists for (see DESIGN.md "Schedule persistence").
-#  Tiers 11 and 13 use the tree's one gapd load driver, gapmark's
-#  (benchmark/drive); tier 12 starts no daemon.
-#  11. gapd serving smoke tier: gapmark's TestSmoke against an armed gapd
+#  Tiers 10 and 12 use the tree's one gapd load driver, gapmark's
+#  (benchmark/drive); tier 11 starts no daemon.
+#  10. gapd serving smoke tier: gapmark's TestSmoke against an armed gapd
 #      (GOFLAGS=-tags=check reaches the test's own `go build
 #      gapbench/cmd/gapd`, into the test's temp directory — nothing is taken
 #      from .bench_build/). gapmark's driver starts that daemon, offers both
@@ -69,14 +67,14 @@
 #      every other such query a hit: no per-query whole-graph recompute) is
 #      asserted in-process by TestServeEndToEndRealFramework in
 #      internal/serve, which tier 5 runs.
-#  12. go test -bench=. -benchtime=1x the benchmark bit-rot guard: every
+#  11. go test -bench=. -benchtime=1x the benchmark bit-rot guard: every
 #      benchmark (suite cells, ablations, and the ingest-pipeline
 #      Build group — the cells EXPERIMENTS.md "Reproducing" lists
 #      as `go test -run '^$' -bench ... -count=4 .` lines) runs exactly one
 #      iteration at the test scale, so a signature drift or a panic on a
 #      bench-only path fails the gate instead of surfacing months later in a
 #      measurement run.
-#  13. (cd benchmark && go vet ./... && go test -skip '^TestSmoke$' ./...)
+#  12. (cd benchmark && go vet ./... && go test -skip '^TestSmoke$' ./...)
 #      the benchmark-module tier: gapmark is a Go module of its own below the
 #      root module, so `./...` above never enters it. It imports this
 #      module's packages (verify.Triangles, core.LoadCachedInput/
@@ -85,7 +83,7 @@
 #      breaks a symbol the benchmark uses learns it here rather than when the
 #      pipeline's benchmark run dies. TestSmoke — both workloads end to end,
 #      failing on any failed operation or missing metric — already ran in
-#      tier 11, armed; the driver's own tests (benchmark/drive: the
+#      tier 10, armed; the driver's own tests (benchmark/drive: the
 #      schedule, due-instant latency, the SLO staircase; benchmark/measure:
 #      the percentile's minimum-sample rule) run here.
 #
@@ -141,14 +139,11 @@ say "go test ./..."
 go test ./...
 
 say "race smoke tier (go test -race -short; Snapshot tests -count=10)"
-go test -race -short ./internal/par/... ./internal/galois/... ./internal/core/... ./internal/serve/...
+go test -race -short ./internal/par/... ./internal/galois/... ./internal/core/... ./internal/chaos/... ./internal/serve/...
 go test -race -count=10 -run Snapshot ./internal/serve/
 
 say "armed tier (go test -tags=check -short ./...)"
 go test -tags=check -short ./...
-
-say "armed fault-injection tier (go test -tags='check chaos' -short)"
-go test -tags='check chaos' -short ./internal/core/ ./internal/chaos/ ./internal/serve/
 
 say "graph-store e2e tier (graphgen once, gapbench mmap smoke)"
 GDIR="$(mktemp -d)"
