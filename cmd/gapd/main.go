@@ -9,7 +9,10 @@
 // immediate RESOURCE_EXHAUSTED), per-query deadline budgets, retry with
 // exponential backoff + jitter, a circuit breaker quarantining a
 // (framework, kernel) pair that keeps losing machines, and graceful
-// SIGTERM/SIGINT drain under a hard deadline.
+// SIGTERM/SIGINT drain under a hard deadline. PR and CC are answered from
+// once-built, oracle-checked snapshots, and BFS/SSSP without a target from a
+// reach index each graph gets at start (its strongly connected components,
+// proven before serving; the start log prints one line per graph).
 //
 // Usage examples:
 //
@@ -157,11 +160,11 @@ func run(listenAddr, graphsCSV string, scale int, graphDir, graphFiles, fwCSV st
 		logf("%v: draining (hard deadline %v)", sig, drain)
 		derr := srv.Shutdown(drain)
 		st := srv.StatsSnapshot()
-		logf("drained: accepted=%d ok=%d shed=%d (rate=%d queue=%d breaker=%d drain=%d) panics=%d timeouts=%d retries=%d abandoned=%d breaker_opens=%d snapshot_builds=%d snapshot_hits=%d snapshot_failed=%d",
+		logf("drained: accepted=%d ok=%d shed=%d (rate=%d queue=%d breaker=%d drain=%d) panics=%d timeouts=%d retries=%d abandoned=%d breaker_opens=%d snapshot_builds=%d snapshot_hits=%d snapshot_failed=%d reach_hits=%d",
 			st.Accepted, st.OK, st.ShedRate+st.ShedQueue+st.BreakerShed+st.DrainShed,
 			st.ShedRate, st.ShedQueue, st.BreakerShed, st.DrainShed,
 			st.Panics, st.Timeouts, st.Retries, st.Abandoned, st.BreakerOpens,
-			st.SnapshotBuilds, st.SnapshotHits, st.SnapshotFailed)
+			st.SnapshotBuilds, st.SnapshotHits, st.SnapshotFailed, st.ReachHits)
 		return derr
 	case err := <-errCh:
 		return err

@@ -29,12 +29,12 @@ func startChaosServer(t *testing.T, cfg Config, in *core.Input, faults ...*chaos
 
 func TestChaosServePanicRetryRecovers(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
-	in := asymmetricInput(t)
+	in := smallInput(t)
 	srv, sock := startChaosServer(t, Config{PoolSize: 1, Workers: 1}, in,
-		&chaos.Fault{Kernel: "BFS", Mode: chaos.Panic, Once: true})
+		&chaos.Fault{Kernel: "SSSP", Mode: chaos.Panic, Once: true})
 	c := dial(t, sock)
 
-	resp := c.do(Request{Kernel: "BFS", Source: 1})
+	resp := c.do(kernelQuery(t, srv, Request{Source: 1}))
 	if resp.Code != CodeOK || resp.Retries != 1 {
 		t.Fatalf("once-panic query: code=%s retries=%d err=%q, want OK after 1 retry", resp.Code, resp.Retries, resp.Error)
 	}
@@ -45,7 +45,7 @@ func TestChaosServePanicRetryRecovers(t *testing.T) {
 
 func TestChaosServeDeterministicPanicKeepsServing(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
-	in := asymmetricInput(t)
+	in := smallInput(t)
 	srv, sock := startChaosServer(t, Config{PoolSize: 1, Workers: 1}, in,
 		&chaos.Fault{Kernel: "PR", Mode: chaos.Panic})
 	c := dial(t, sock)
@@ -62,7 +62,7 @@ func TestChaosServeDeterministicPanicKeepsServing(t *testing.T) {
 		t.Errorf("builds=%d failed=%d hits=%d after two panicking PR queries, want 2/2/0", st.SnapshotBuilds, st.SnapshotFailed, st.SnapshotHits)
 	}
 	// The daemon survives and the untargeted kernels keep serving.
-	for _, req := range []Request{{Kernel: "BFS", Source: 1}, {Kernel: "CC", Vertex: 1}} {
+	for _, req := range []Request{kernelQuery(t, srv, Request{Source: 1}), {Kernel: "BFS", Source: 1}, {Kernel: "CC", Vertex: 1}} {
 		if r := c.do(req); r.Code != CodeOK {
 			t.Fatalf("%s after panic: %+v", req.Kernel, r)
 		}
@@ -74,12 +74,12 @@ func TestChaosServeDeterministicPanicKeepsServing(t *testing.T) {
 
 func TestChaosServeStallTimesOutMachineKept(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
-	in := asymmetricInput(t)
+	in := smallInput(t)
 	srv, sock := startChaosServer(t, Config{PoolSize: 1, Workers: 1, Grace: 100 * time.Millisecond}, in,
-		&chaos.Fault{Kernel: "BFS", Mode: chaos.Stall})
+		&chaos.Fault{Kernel: "SSSP", Mode: chaos.Stall})
 	c := dial(t, sock)
 
-	resp := c.do(Request{Kernel: "BFS", Source: 1, BudgetMS: 50})
+	resp := c.do(kernelQuery(t, srv, Request{Source: 1, BudgetMS: 50}))
 	if resp.Code != CodeDeadlineExceeded {
 		t.Fatalf("stalled query: %+v", resp)
 	}
@@ -96,12 +96,12 @@ func TestChaosServeStallTimesOutMachineKept(t *testing.T) {
 
 func TestChaosServeHangAbandonsHealsAndDrainsClean(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
-	in := asymmetricInput(t)
+	in := smallInput(t)
 	srv, sock := startChaosServer(t, Config{PoolSize: 1, Workers: 1, Grace: 40 * time.Millisecond}, in,
-		&chaos.Fault{Kernel: "BFS", Mode: chaos.Hang, HangExtra: chaosHang})
+		&chaos.Fault{Kernel: "SSSP", Mode: chaos.Hang, HangExtra: chaosHang})
 	c := dial(t, sock)
 
-	resp := c.do(Request{Kernel: "BFS", Source: 1, BudgetMS: 40})
+	resp := c.do(kernelQuery(t, srv, Request{Source: 1, BudgetMS: 40}))
 	if resp.Code != CodeDeadlineExceeded || !strings.Contains(resp.Error, "abandoned") {
 		t.Fatalf("hung query: %+v", resp)
 	}
@@ -124,7 +124,7 @@ func TestChaosServeHangAbandonsHealsAndDrainsClean(t *testing.T) {
 
 func TestChaosServeBreakerOpensAndProbeCloses(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
-	in := asymmetricInput(t)
+	in := smallInput(t)
 	// Three one-shot Hang faults: exactly three consecutive abandonments,
 	// then the framework is healthy again — the breaker must open at the
 	// third and close on the post-cooldown probe.
@@ -133,14 +133,14 @@ func TestChaosServeBreakerOpensAndProbeCloses(t *testing.T) {
 		Grace:   30 * time.Millisecond,
 		Breaker: BreakerConfig{Threshold: 3, Cooldown: 150 * time.Millisecond},
 	}, in,
-		&chaos.Fault{Kernel: "BFS", Mode: chaos.Hang, Once: true, HangExtra: chaosHang},
-		&chaos.Fault{Kernel: "BFS", Mode: chaos.Hang, Once: true, HangExtra: chaosHang},
-		&chaos.Fault{Kernel: "BFS", Mode: chaos.Hang, Once: true, HangExtra: chaosHang},
+		&chaos.Fault{Kernel: "SSSP", Mode: chaos.Hang, Once: true, HangExtra: chaosHang},
+		&chaos.Fault{Kernel: "SSSP", Mode: chaos.Hang, Once: true, HangExtra: chaosHang},
+		&chaos.Fault{Kernel: "SSSP", Mode: chaos.Hang, Once: true, HangExtra: chaosHang},
 	)
 	c := dial(t, sock)
 
 	for i := 0; i < 3; i++ {
-		resp := c.do(Request{Kernel: "BFS", Source: 1, BudgetMS: 40})
+		resp := c.do(kernelQuery(t, srv, Request{Source: 1, BudgetMS: 40}))
 		if resp.Code != CodeDeadlineExceeded {
 			t.Fatalf("hang %d: %+v", i, resp)
 		}
@@ -148,7 +148,7 @@ func TestChaosServeBreakerOpensAndProbeCloses(t *testing.T) {
 	waitFor(t, func() bool { return srv.StatsSnapshot().BreakerOpens == 1 })
 
 	// Open: fail-fast, no machine spent.
-	resp := c.do(Request{Kernel: "BFS", Source: 1})
+	resp := c.do(kernelQuery(t, srv, Request{Source: 1}))
 	if resp.Code != CodeUnavailable || !strings.Contains(resp.Error, "quarantined") {
 		t.Fatalf("quarantined query: %+v", resp)
 	}
@@ -156,10 +156,10 @@ func TestChaosServeBreakerOpensAndProbeCloses(t *testing.T) {
 
 	// Cooldown, then the probe (faults exhausted → clean run) closes it.
 	time.Sleep(180 * time.Millisecond)
-	if r := c.do(Request{Kernel: "BFS", Source: 1, BudgetMS: 2000}); r.Code != CodeOK {
+	if r := c.do(kernelQuery(t, srv, Request{Source: 1, BudgetMS: 2000})); r.Code != CodeOK {
 		t.Fatalf("probe query: %+v", r)
 	}
-	if r := c.do(Request{Kernel: "BFS", Source: 2, BudgetMS: 2000}); r.Code != CodeOK {
+	if r := c.do(kernelQuery(t, srv, Request{Source: 2, BudgetMS: 2000})); r.Code != CodeOK {
 		t.Fatalf("query after close: %+v", r)
 	}
 	st := srv.StatsSnapshot()
@@ -179,9 +179,8 @@ func TestChaosServeCorruptGraphTrippedByGraphguard(t *testing.T) {
 		t.Skip("needs -tags=check (seal checks are no-ops otherwise)")
 	}
 	// Dedicated input: the injected corruption permanently poisons the
-	// shared CSR, so this graph must not be reused by other tests. It is
-	// asymmetric so that the BFS below runs its kernel.
-	in := asymmetricInput(t)
+	// shared CSR, so this graph must not be reused by other tests.
+	in := smallInput(t)
 	srv, sock := startChaosServer(t, Config{PoolSize: 1, Workers: 1}, in,
 		&chaos.Fault{Kernel: "CC", Mode: chaos.CorruptGraph, Once: true})
 	c := dial(t, sock)
@@ -194,8 +193,8 @@ func TestChaosServeCorruptGraphTrippedByGraphguard(t *testing.T) {
 	}
 	// The daemon survives; the corrupted graph keeps tripping the seal (the
 	// guard refuses to serve poisoned data), which is the correct behavior.
-	if r := c.do(Request{Kernel: "BFS", Source: 1}); r.Code != CodeInternal {
-		t.Fatalf("BFS on corrupted graph: %+v, want INTERNAL (seal still broken)", r)
+	if r := c.do(kernelQuery(t, srv, Request{Source: 1})); r.Code != CodeInternal {
+		t.Fatalf("SSSP on corrupted graph: %+v, want INTERNAL (seal still broken)", r)
 	}
 	if err := srv.Shutdown(5 * time.Second); err != nil {
 		t.Fatalf("shutdown: %v", err)
@@ -206,10 +205,10 @@ func TestChaosServeCorruptGraphTrippedByGraphguard(t *testing.T) {
 
 func TestChaosServeSnapshotPanicOnceRetriesAndPublishes(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
-	in := asymmetricInput(t)
+	in := smallInput(t)
 	srv, sock := startChaosServer(t, Config{PoolSize: 1, Workers: 1}, in,
 		&chaos.Fault{Kernel: "PR", Mode: chaos.Panic, Once: true},
-		&chaos.Fault{Kernel: "BFS", Mode: chaos.Stall})
+		&chaos.Fault{Kernel: "SSSP", Mode: chaos.Stall})
 	c := dial(t, sock)
 
 	build := c.do(Request{Kernel: "PR"})
@@ -217,16 +216,16 @@ func TestChaosServeSnapshotPanicOnceRetriesAndPublishes(t *testing.T) {
 		t.Fatalf("once-panic PR build: %+v, want OK after 1 retry", build)
 	}
 	// The next PR query takes no lease: the pool's only machine is held by a
-	// stalled BFS on another connection, and the answer still comes.
+	// stalled SSSP on another connection, and the answer still comes.
 	busy := dial(t, sock)
-	busy.send(Request{Kernel: "BFS", Source: 1, BudgetMS: 300})
+	busy.send(kernelQuery(t, srv, Request{Source: 1, BudgetMS: 300}))
 	waitFor(t, func() bool { return srv.Pool().Outstanding() == 1 })
 	hit := c.do(Request{Kernel: "PR"})
 	if hit.Code != CodeOK || hit.KernelMicros != 0 || !reflect.DeepEqual(hit.Result, build.Result) {
 		t.Fatalf("PR hit behind a busy pool: %+v, build answered %+v", hit, build.Result)
 	}
 	if r := busy.recv(); r.Code != CodeDeadlineExceeded {
-		t.Errorf("stalled BFS: %+v", r)
+		t.Errorf("stalled SSSP: %+v", r)
 	}
 	if st := srv.StatsSnapshot(); st.SnapshotBuilds != 1 || st.SnapshotFailed != 0 || st.SnapshotHits != 1 {
 		t.Errorf("builds=%d failed=%d hits=%d, want 1/0/1", st.SnapshotBuilds, st.SnapshotFailed, st.SnapshotHits)
@@ -299,59 +298,5 @@ func TestChaosServeSnapshotHangAbandonsHealsAndDrainsClean(t *testing.T) {
 	}
 	if got := srv.Pool().Outstanding(); got != 0 {
 		t.Errorf("outstanding leases after drain = %d", got)
-	}
-}
-
-// TestChaosServeReachBuildPanicChargesCC: a BFS on a symmetric graph that
-// leads a CC build whose kernel panics (attempt and retry) answers INTERNAL,
-// charges the (framework, CC) breaker — here as its half-open probe, which
-// reopens it — and never the (framework, BFS) one, and leaves the slot empty:
-// the next query re-leads the build.
-func TestChaosServeReachBuildPanicChargesCC(t *testing.T) {
-	defer testutil.CheckGoroutines(t)()
-	in := smallInput(t)
-	if !symmetric(in.Graph) {
-		t.Fatal("Kron-6 is not symmetric: its BFS would run the kernel")
-	}
-	const cooldown = 20 * time.Millisecond
-	srv, sock := startChaosServer(t, Config{PoolSize: 1, Workers: 1,
-		Breaker: BreakerConfig{Threshold: 1, Cooldown: cooldown}}, in,
-		&chaos.Fault{Kernel: "CC", Mode: chaos.Panic, Once: true},
-		&chaos.Fault{Kernel: "CC", Mode: chaos.Panic, Once: true})
-	c := dial(t, sock)
-	fw := srv.defaultFW
-	srv.breakers.OnAbandon(fw, "CC", false) // open, so the BFS below is CC's probe
-	time.Sleep(cooldown + 5*time.Millisecond)
-
-	before := time.Now()
-	resp := c.do(Request{Kernel: "BFS", Source: 1})
-	if resp.Code != CodeInternal || resp.Kernel != "BFS" || !strings.Contains(resp.Error, "chaos: injected panic") || resp.Retries != 1 {
-		t.Fatalf("BFS leading a panicking CC build: %+v", resp)
-	}
-	if b := srv.breakers.pair(fw, "CC"); b.state != breakerOpen || !b.openedAt.After(before) {
-		t.Errorf("CC breaker state %d opened at %v, want reopened by the failed probe", b.state, b.openedAt)
-	}
-	if _, touched := srv.breakers.pairs[fw+"|BFS"]; touched {
-		t.Error("the BFS breaker was consulted or charged for a CC build")
-	}
-	if srv.snaps.slots[snapKey{"Kron", fw, core.CC}].snap.Load() != nil {
-		t.Error("a failed build published a snapshot")
-	}
-
-	// The faults are spent: after the cooldown the next query is the probe,
-	// re-leads the build and answers what the oracle says.
-	time.Sleep(cooldown + 5*time.Millisecond)
-	resp = c.do(Request{Kernel: "SSSP", Source: 1})
-	if resp.Code != CodeOK || resp.KernelMicros == 0 || resp.Result.Reached != bfsReached(in.Graph, 1) {
-		t.Fatalf("SSSP re-leading the build: %+v, want reached %d", resp, bfsReached(in.Graph, 1))
-	}
-	if st := srv.StatsSnapshot(); st.SnapshotBuilds != 2 || st.SnapshotFailed != 1 || st.Panics != 1 {
-		t.Errorf("builds=%d failed=%d panics=%d, want 2/1/1", st.SnapshotBuilds, st.SnapshotFailed, st.Panics)
-	}
-	if ok, probe := srv.breakers.Allow(fw, "CC"); !ok || probe {
-		t.Errorf("after the successful rebuild: ok=%v probe=%v, want a closed CC circuit", ok, probe)
-	}
-	if err := srv.Shutdown(5 * time.Second); err != nil {
-		t.Fatalf("shutdown: %v", err)
 	}
 }

@@ -8,9 +8,9 @@ package serve
 // goroutine. It is the invariant's only enforcement, and unlike a static
 // per-function rule it covers functions, retries, and fault paths alike.
 // Armed, it also panics
-// when a snapshot (snapshot.go) is about to answer for a graph epoch other
-// than the one it was computed on, and when a sampled reach answer read off a
-// CC snapshot disagrees with a traversal.
+// when a snapshot (snapshot.go) or a reach index (reach.go) is about to answer
+// for a graph epoch other than the one it was computed on, and when a sampled
+// reach answer read off the reach index disagrees with a traversal.
 
 import (
 	"fmt"
@@ -29,8 +29,8 @@ func leaseLeakCheck(outstanding int64) {
 	}
 }
 
-// snapshotEpochCheck asserts a snapshot is served only for the graph epoch it
-// was built on, panicking in an armed build. Served graphs are immutable
+// snapshotEpochCheck asserts a snapshot or a reach index is served only for
+// the graph epoch it was built on, panicking in an armed build. Served graphs are immutable
 // today, so the two can differ only through a bug — or through the streaming
 // updates this assertion is the gate for.
 func snapshotEpochCheck(snapEpoch, graphEpoch uint64) {
@@ -42,17 +42,17 @@ func snapshotEpochCheck(snapEpoch, graphEpoch uint64) {
 // reachCheckEvery is the sampling period, in query ids, of reachAnswerCheck.
 const reachCheckEvery = 64
 
-// reachAnswerCheck asserts that a reach answer read off a CC snapshot is what
-// a traversal from src reaches, panicking in an armed build. One answer
+// reachAnswerCheck asserts that a reach answer read off the reach index is
+// what a traversal from src reaches, panicking in an armed build. One answer
 // in reachCheckEvery, chosen by query id so a run is reproducible, is
-// recomputed with verify.BFSDepths. A mismatch means the snapshot's labels or
-// sizes are wrong, or the graph was taken for symmetric when it is not.
+// recomputed with verify.BFSDepths. A mismatch means the index's components
+// or counts are wrong.
 func reachAnswerCheck(id uint64, g *graph.Graph, src graph.NodeID, reached int64) {
 	if !invariant.Armed() || id%reachCheckEvery != 0 {
 		return
 	}
 	if want := bfsReached(g, src); reached != want {
-		panic(fmt.Sprintf("servecheck: reachAnswerCheck: query %d from vertex %d answered reached=%d off the CC snapshot, a BFS reaches %d", id, src, reached, want))
+		panic(fmt.Sprintf("servecheck: reachAnswerCheck: query %d from vertex %d answered reached=%d off the reach index, a BFS reaches %d", id, src, reached, want))
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 	"gapbench/internal/kernel"
 )
 
-// planServer is a server over two scale-6 graphs, Kron (symmetric) and
-// Twitter (not), for tests that only plan requests.
+// planServer is a server over two scale-6 graphs, Kron (undirected) and
+// Twitter (directed), both reach-indexed, for tests that only plan requests.
 func planServer(tb testing.TB) *Server {
 	tb.Helper()
 	kron := loadInput(tb, core.GraphSpec{Name: "Kron", Scale: 6, Seed: 1, Delta: 16, SourceSeed: 5})
@@ -21,8 +21,8 @@ func planServer(tb testing.TB) *Server {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if !srv.symmetric["Kron"] || srv.symmetric["Twitter"] {
-		tb.Fatalf("symmetric = %v, want Kron only", srv.symmetric)
+	if srv.reach["Kron"] == nil || srv.reach["Twitter"] == nil {
+		tb.Fatalf("reach indexes = %v, want both graphs indexed", srv.reach)
 	}
 	tb.Cleanup(func() { _ = srv.Shutdown(5 * time.Second) })
 	return srv
@@ -47,8 +47,9 @@ func TestPlanClampsHugeBudget(t *testing.T) {
 // FuzzRequest drives arbitrary request lines through the daemon's decode and
 // plan path. Whatever the bytes, plan must not panic, and an accepted plan
 // must be safe to execute: a live budget within the cap, vertex ids in
-// range, a PR top-k within the snapshot, and CC run exactly when CC was
-// asked or a reach query was routed to the CC snapshot.
+// range, a PR top-k within the snapshot, a snapshot slot exactly for PR and
+// CC, the reach index (and no slot, no kernel run) for every target-less BFS
+// or SSSP on an indexed graph, and a kernel run for every SSSP to a target.
 func FuzzRequest(f *testing.F) {
 	for _, seed := range []string{
 		`{"kernel":"BFS","graph":"Twitter","source":1,"budget_ms":9223372036854775807}`,
@@ -63,6 +64,8 @@ func FuzzRequest(f *testing.F) {
 		`{"kernel":" pr ","graph":"Twitter","k":100000}`,
 		`{"kernel":"PR","graph":"Kron","k":-4}`,
 		`{"op":"query","kernel":"CC","graph":"Kron","vertex":63,"framework":"Stub"}`,
+		`{"kernel":"BFS","graph":"Twitter","source":5}`,
+		`{"kernel":"SSSP","graph":"Twitter","source":7,"target":0}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -88,12 +91,27 @@ func FuzzRequest(f *testing.F) {
 		if !inRange(p.src) || !inRange(p.vertex) || (req.Target != nil && !inRange(p.target)) {
 			t.Errorf("source %d, target %d or vertex %d outside [0, %d)", p.src, p.target, p.vertex, n)
 		}
-		if p.asked == core.PR && (p.topk < 1 || p.topk > min(snapshotTopK, int(n))) {
+		if p.k == core.PR && (p.topk < 1 || p.topk > min(snapshotTopK, int(n))) {
 			t.Errorf("topk %d outside [1, min(%d, %d)]", p.topk, snapshotTopK, n)
 		}
-		reach := (p.asked == core.BFS || p.asked == core.SSSP) && req.Target == nil && srv.symmetric[p.in.Spec.Name]
-		if wantCC := p.asked == core.CC || reach; (p.k == core.CC) != wantCC {
-			t.Errorf("%s on %s (target %v) runs %s", p.asked, p.in.Spec.Name, req.Target, p.k)
+		whole := p.k == core.PR || p.k == core.CC
+		if (p.slot != nil) != whole {
+			t.Errorf("%s on %s has snapshot slot %v", p.k, p.in.Spec.Name, p.slot)
+		}
+		indexed := srv.reach[p.in.Spec.Name] != nil
+		switch {
+		case whole:
+			if p.reach != nil {
+				t.Errorf("%s on %s is answered from the reach index", p.k, p.in.Spec.Name)
+			}
+		case req.Target == nil:
+			if indexed && (p.reach == nil || p.slot != nil) {
+				t.Errorf("target-less %s on indexed %s is not a reach-index read (reach %v, slot %v)", p.k, p.in.Spec.Name, p.reach, p.slot)
+			}
+		default: // an SSSP to a target; plan refuses a BFS target
+			if p.k != core.SSSP || p.reach != nil || p.slot != nil {
+				t.Errorf("%s to target %d on %s is not a kernel run", p.k, p.target, p.in.Spec.Name)
+			}
 		}
 	})
 }

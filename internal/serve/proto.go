@@ -104,9 +104,9 @@ type Response struct {
 	// Micros is the end-to-end service time in microseconds: admission to
 	// response, queue wait and retries included. KernelMicros is the final
 	// attempt's kernel execution alone. A query answered from a snapshot (PR,
-	// CC, and BFS/SSSP without a target on a symmetric graph) ran no kernel
-	// and carries no KernelMicros; the one query that built the snapshot
-	// carries the build's kernel time.
+	// CC) or a reach index (BFS/SSSP without a target) ran no kernel and
+	// carries no KernelMicros; the one query that built a snapshot carries
+	// the build's kernel time.
 	Micros       int64 `json:"micros,omitempty"`
 	KernelMicros int64 `json:"kernel_micros,omitempty"`
 	// Retries counts extra attempts spent on transient faults.
@@ -175,11 +175,12 @@ type Stats struct {
 	// SnapshotBuilds counts PR/CC snapshot builds started (at most graphs ×
 	// frameworks × 2 on a healthy daemon — none is ever rebuilt);
 	// SnapshotFailed those that ended without publishing (the next query
-	// rebuilds); SnapshotHits queries answered from a published snapshot,
-	// BFS/SSSP reach answers off a CC snapshot included.
+	// rebuilds); SnapshotHits queries answered from a published snapshot.
 	SnapshotBuilds int64 `json:"snapshot_builds"`
 	SnapshotHits   int64 `json:"snapshot_hits"`
 	SnapshotFailed int64 `json:"snapshot_failed"`
+	// ReachHits counts BFS/SSSP answers read off a graph's reach index.
+	ReachHits int64 `json:"reach_hits"`
 	// Inflight is the number of admitted, unfinished queries right now;
 	// OutstandingLeases the machine leases currently held.
 	Inflight          int64 `json:"inflight"`

@@ -7,9 +7,9 @@ package serve
 // taxonomy — to the client as a Code, to the breaker as a health event, and
 // (optionally) to the suite journal as a core.Result. The whole-graph kernels
 // (PR, CC) take this path once per snapshot build and are otherwise answered
-// from the snapshot (snapshot.go). So is a target-less BFS or SSSP on a
-// symmetric graph: its whole answer, the reached count, is the size of the
-// source's component, which plan routes to the CC snapshot.
+// from the snapshot (snapshot.go). A BFS or SSSP without a target takes it
+// only on a graph too large for a reach index (reach.go); elsewhere its whole
+// answer, the reached count, is read off the index.
 
 import (
 	"fmt"
@@ -28,11 +28,7 @@ type queryPlan struct {
 	in     *core.Input
 	f      kernel.Framework
 	fwName string
-	// k is the kernel that runs: the asked one, or CC for a reach query (a
-	// BFS or SSSP answered from the CC snapshot). Breakers, the sandbox and
-	// build journal lines name k; the response echoes asked.
 	k      core.Kernel
-	asked  core.Kernel
 	id     uint64 // per-server query number
 	src    graph.NodeID
 	target graph.NodeID
@@ -40,9 +36,12 @@ type queryPlan struct {
 	topk   int
 	budget time.Duration
 	seed   uint64 // per-query jitter stream
-	// slot is the snapshot slot a PR, CC or reach query is answered from; nil
-	// for the BFS and SSSP queries that run their kernel per query.
-	slot *snapSlot
+	// slot is the snapshot slot a PR or CC query is answered from, and reach
+	// the index a target-less BFS or SSSP is answered from. A query with
+	// neither runs its kernel: an SSSP with a target, or a reach query on a
+	// graph without an index.
+	slot  *snapSlot
+	reach *reachIndex
 }
 
 // servedKernels are the query kernels gapd exposes: the point-query shapes
@@ -87,7 +86,7 @@ func (s *Server) plan(req Request) (*queryPlan, *Response) {
 		return fail(CodeNotFound, "framework %q not served", req.Framework)
 	}
 
-	p := &queryPlan{req: req, in: in, f: f, fwName: fwName, k: k, asked: k}
+	p := &queryPlan{req: req, in: in, f: f, fwName: fwName, k: k}
 	n := int64(in.Graph.NumNodes())
 	switch k {
 	case core.BFS, core.SSSP:
@@ -106,9 +105,9 @@ func (s *Server) plan(req Request) (*queryPlan, *Response) {
 			p.target = graph.NodeID(*req.Target)
 		}
 		// Stop when answered: without a target the answer is the reached
-		// count, and on a symmetric graph that is the source's component size.
-		if p.target < 0 && s.symmetric[graphName] {
-			p.k = core.CC
+		// count, which the graph's reach index holds.
+		if p.target < 0 {
+			p.reach = s.reach[graphName]
 		}
 	case core.PR:
 		p.topk = req.K
@@ -127,7 +126,7 @@ func (s *Server) plan(req Request) (*queryPlan, *Response) {
 		}
 		p.vertex = graph.NodeID(req.Vertex)
 	}
-	p.slot = s.snaps.slots[snapKey{graphName, fwName, p.k}]
+	p.slot = s.snaps.slots[snapKey{graphName, fwName, k}]
 
 	// The cap is compared in milliseconds before multiplying: a huge
 	// budget_ms would overflow the Duration and slip under the cap as an
@@ -160,7 +159,7 @@ func (s *Server) query(req Request, connTok *par.CancelToken) Response {
 	if s.draining.Load() {
 		s.c.drainShed.Add(1)
 		return Response{ID: req.ID, Code: CodeUnavailable, Error: "server draining",
-			Kernel: string(p.asked), Graph: p.in.Spec.Name, Framework: p.fwName,
+			Kernel: string(p.k), Graph: p.in.Spec.Name, Framework: p.fwName,
 			Micros: time.Since(start).Microseconds()}
 	}
 	allowed, probe := s.breakers.Allow(p.fwName, string(p.k))
@@ -168,7 +167,7 @@ func (s *Server) query(req Request, connTok *par.CancelToken) Response {
 		s.c.breakerShed.Add(1)
 		return Response{ID: req.ID, Code: CodeUnavailable,
 			Error:  fmt.Sprintf("%s %s quarantined (circuit open; retry after cooldown)", p.fwName, p.k),
-			Kernel: string(p.asked), Graph: p.in.Spec.Name, Framework: p.fwName,
+			Kernel: string(p.k), Graph: p.in.Spec.Name, Framework: p.fwName,
 			Micros: time.Since(start).Microseconds()}
 	}
 	if verdict := s.adm.Admit(); verdict != admitOK {
@@ -185,7 +184,7 @@ func (s *Server) query(req Request, connTok *par.CancelToken) Response {
 			s.c.shedRate.Add(1)
 		}
 		return Response{ID: req.ID, Code: CodeResourceExhausted, Error: msg,
-			Kernel: string(p.asked), Graph: p.in.Spec.Name, Framework: p.fwName,
+			Kernel: string(p.k), Graph: p.in.Spec.Name, Framework: p.fwName,
 			Micros: time.Since(start).Microseconds()}
 	}
 	defer s.adm.Done()
@@ -194,7 +193,7 @@ func (s *Server) query(req Request, connTok *par.CancelToken) Response {
 
 	resp := s.execute(p, connTok, probe)
 	resp.ID = req.ID
-	resp.Kernel = string(p.asked)
+	resp.Kernel = string(p.k)
 	resp.Graph = p.in.Spec.Name
 	resp.Framework = p.fwName
 	resp.Micros = time.Since(start).Microseconds()
@@ -205,6 +204,9 @@ func (s *Server) query(req Request, connTok *par.CancelToken) Response {
 // as the breaker's half-open probe — its outcome decides whether the circuit
 // closes.
 func (s *Server) execute(p *queryPlan, connTok *par.CancelToken, probe bool) Response {
+	if p.reach != nil {
+		return s.serveReach(p, probe)
+	}
 	// The budget token is the composition satellite in action: the machine
 	// polls ONE token that fires on either the per-query deadline or the
 	// client connection going away (par.Chain). It spans the whole query —
@@ -352,7 +354,7 @@ func runAttempt[T any](s *Server, p *queryPlan, tok *par.CancelToken, deadline t
 }
 
 // runKernel is the timed part of a BFS or SSSP query that plan did not route
-// to a snapshot (the whole-graph kernels are buildSnapshot's): it runs the
+// to a reach index (the whole-graph kernels are buildSnapshot's): it runs the
 // kernel and reduces its full output to the query's answer, which the returned
 // finish only hands over. The reduction runs inside the sandbox on purpose:
 // reducing garbage output (a corrupted kernel result) may panic, and that is
@@ -366,7 +368,7 @@ func runKernel(p *queryPlan, g *graph.Graph, opt kernel.Options) func() (*QueryR
 				res.Reached++
 			}
 		}
-	} else { // core.SSSP — plan sends PR, CC and reach queries to a snapshot slot
+	} else { // core.SSSP — plan sends PR and CC queries to a snapshot slot
 		dist := p.f.SSSP(g, p.src, opt)
 		for _, d := range dist {
 			if d != kernel.Inf {
@@ -386,31 +388,26 @@ func runKernel(p *queryPlan, g *graph.Graph, opt kernel.Options) func() (*QueryR
 
 // journalQuery appends the query outcome to the suite journal (when
 // configured) as a core.Result — one "cell" with one trial, CellID-keyed like
-// any batch result, its attempts as TrialRecords, named by the kernel that
-// ran (a reach query's build is a CC cell). A query that ran nothing (a
-// snapshot hit, a wait that outlasted its budget) has no trial and no
-// records, and is named by the kernel it asked for. Journal write failures are
-// logged, never surfaced to the client: losing a ledger line must not fail a
-// query that already ran.
+// any batch result, its attempts as TrialRecords. A query that ran nothing (a
+// snapshot hit, a reach answer, a wait that outlasted its budget) has no trial
+// and no records. Journal write failures are logged, never surfaced to the
+// client: losing a ledger line must not fail a query that already ran.
 func (s *Server) journalQuery(p *queryPlan, records []core.TrialRecord, status core.Status, retries int, errMsg string) {
 	if s.cfg.JournalPath == "" {
 		return
 	}
-	k := p.asked
-	if len(records) > 0 {
-		k = p.k
-	}
 	res := core.Result{
 		Framework: p.fwName,
-		Kernel:    k,
+		Kernel:    p.k,
 		Graph:     p.in.Spec.Name,
 		Mode:      kernel.Baseline,
 		Status:    status,
 		Seconds:   -1,
 		Retries:   retries,
-		// Only a snapshot's result has been through an oracle: its build
-		// checks it, and every hit serves that checked result.
-		Verified:  status == core.OK && p.slot != nil,
+		// Only snapshot and reach answers are checked: a snapshot's build
+		// checks its result against the oracle and every hit serves it, and
+		// a reach index is proven and sampled before it is served.
+		Verified:  status == core.OK && (p.slot != nil || p.reach != nil),
 		GraphFile: p.in.File,
 	}
 	if p.in.Graph != nil {

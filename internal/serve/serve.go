@@ -18,9 +18,9 @@ package serve
 //   - the machine-lease pool (pool.go) self-heals: an abandoned machine is
 //     replaced immediately and reaped in the background;
 //   - the whole-graph kernels (PR, CC) are computed and oracle-checked once
-//     per (graph, framework) and answered from that snapshot (snapshot.go),
-//     and so are BFS/SSSP reach counts on graphs whose every arc has its
-//     reverse (a source reaches exactly its component);
+//     per (graph, framework) and answered from that snapshot (snapshot.go);
+//   - a BFS or SSSP without a target is answered from the graph's reach
+//     index (reach.go), built and checked once at NewServer;
 //   - SIGTERM drains gracefully under a hard deadline, and the drain proves
 //     no machine lease leaked (servecheck).
 
@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -39,7 +38,6 @@ import (
 	"time"
 
 	"gapbench/internal/core"
-	"gapbench/internal/graph"
 	"gapbench/internal/kernel"
 	"gapbench/internal/par"
 )
@@ -117,6 +115,7 @@ type counters struct {
 	accepted, completed, ok                     atomic.Int64
 	shedRate, shedQueue, breakerShed, drainShed atomic.Int64
 	panics, timeouts, retries                   atomic.Int64
+	reachHits                                   atomic.Int64
 }
 
 // Server is the daemon core. Build with NewServer, feed it listeners via
@@ -130,9 +129,9 @@ type Server struct {
 
 	graphs     map[string]*core.Input
 	graphOrder []string
-	// symmetric names the graphs whose target-less BFS/SSSP queries are
-	// answered from the CC snapshot (see symmetric).
-	symmetric  map[string]bool
+	// reach is each graph's reach index (reach.go); nil for a graph over
+	// the index's memory bound.
+	reach      map[string]*reachIndex
 	frameworks map[string]kernel.Framework
 	defaultFW  string
 
@@ -152,6 +151,8 @@ type Server struct {
 // The first framework is the default for requests that name none. Inputs and
 // frameworks must be non-empty; frameworks should already be Prepared against
 // the inputs (core.PrepareViews) so no conversion cost lands on first query.
+// Each graph's reach index is built and checked here; a failed check is an
+// error.
 func NewServer(cfg Config, inputs []*core.Input, frameworks []kernel.Framework) (*Server, error) {
 	if len(inputs) == 0 {
 		return nil, fmt.Errorf("serve: no graphs to serve")
@@ -161,24 +162,26 @@ func NewServer(cfg Config, inputs []*core.Input, frameworks []kernel.Framework) 
 	}
 	s := &Server{
 		cfg:        cfg,
-		pool:       NewPool(cfg.poolSize(), cfg.workers()),
 		breakers:   newBreakerSet(cfg.Breaker),
 		graphs:     make(map[string]*core.Input, len(inputs)),
-		symmetric:  make(map[string]bool, len(inputs)),
+		reach:      make(map[string]*reachIndex, len(inputs)),
 		frameworks: make(map[string]kernel.Framework, len(frameworks)),
 		defaultFW:  frameworks[0].Name(),
 		listeners:  make(map[net.Listener]struct{}),
 		conns:      make(map[net.Conn]*par.CancelToken),
 	}
-	s.adm = newAdmission(cfg.Admission, cfg.poolSize())
 	for _, in := range inputs {
 		name := in.Spec.Name
 		if _, dup := s.graphs[name]; dup {
 			return nil, fmt.Errorf("serve: duplicate graph %q", name)
 		}
+		ix, err := indexReach(name, in.Graph, s.logf)
+		if err != nil {
+			return nil, err
+		}
 		s.graphs[name] = in
 		s.graphOrder = append(s.graphOrder, name)
-		s.symmetric[name] = symmetric(in.Graph)
+		s.reach[name] = ix
 	}
 	for _, f := range frameworks {
 		if _, dup := s.frameworks[f.Name()]; dup {
@@ -186,22 +189,12 @@ func NewServer(cfg Config, inputs []*core.Input, frameworks []kernel.Framework) 
 		}
 		s.frameworks[f.Name()] = f
 	}
+	// The pool starts its machines' workers, so it comes last: a refused
+	// Server leaves nothing running.
+	s.pool = NewPool(cfg.poolSize(), cfg.workers())
+	s.adm = newAdmission(cfg.Admission, cfg.poolSize())
 	s.snaps = newSnapshotStore(s.graphOrder, s.frameworks)
 	return s, nil
-}
-
-// symmetric reports whether every arc of g has its reverse, so that a
-// traversal from any source reaches exactly the source's connected
-// component: g is undirected, or its out-CSR and in-CSR are equal (rows are
-// sorted and deduplicated, so equal arrays are equal arc sets). Weights do
-// not count; reachability ignores them. O(m), once per graph at NewServer.
-func symmetric(g *graph.Graph) bool {
-	if !g.Directed() {
-		return true
-	}
-	outIdx, outNeigh := g.RawOut()
-	inIdx, inNeigh := g.RawIn()
-	return slices.Equal(outIdx, inIdx) && slices.Equal(outNeigh, inNeigh)
 }
 
 func (s *Server) logf(format string, args ...any) {
@@ -370,6 +363,7 @@ func (s *Server) StatsSnapshot() Stats {
 		SnapshotBuilds:    s.snaps.builds.Load(),
 		SnapshotHits:      s.snaps.hits.Load(),
 		SnapshotFailed:    s.snaps.failed.Load(),
+		ReachHits:         s.c.reachHits.Load(),
 		Inflight:          s.adm.Inflight(),
 		OutstandingLeases: s.pool.Outstanding(),
 	}

@@ -19,11 +19,11 @@ import (
 )
 
 // ---- stub frameworks -------------------------------------------------------
-// The serving fault paths are driven by stubs that misbehave in BFS only, so
+// The serving fault paths are driven by stubs that misbehave in SSSP only, so
 // a CC query against the same server proves the daemon keeps serving around
-// the fault (same idiom as internal/core's fault tests). A BFS kernel runs
-// only where the graph is not symmetric (elsewhere the CC snapshot answers),
-// so those tests serve asymmetricInput.
+// the fault (same idiom as internal/core's fault tests). An SSSP with a
+// target is the query that runs its kernel per query (a target-less BFS or
+// SSSP is a reach-index read), so those tests send kernelQuery.
 
 type stubFramework struct{ name string }
 
@@ -53,64 +53,64 @@ func (stubFramework) BC(g *graph.Graph, sources []graph.NodeID, opt kernel.Optio
 }
 func (stubFramework) TC(g *graph.Graph, opt kernel.Options) int64 { return 0 }
 
-// panicBFS panics on every BFS call.
-type panicBFS struct{ stubFramework }
+// panicSSSP panics on every SSSP call.
+type panicSSSP struct{ stubFramework }
 
-func (f panicBFS) BFS(g *graph.Graph, src graph.NodeID, opt kernel.Options) []graph.NodeID {
-	panic("stub: BFS exploded")
+func (f panicSSSP) SSSP(g *graph.Graph, src graph.NodeID, opt kernel.Options) []kernel.Dist {
+	panic("stub: SSSP exploded")
 }
 
-// flakyBFS panics on the first BFS call only — the transient fault the retry
-// policy exists for.
-type flakyBFS struct {
+// flakySSSP panics on the first SSSP call only — the transient fault the
+// retry policy exists for.
+type flakySSSP struct {
 	stubFramework
 	calls *atomic.Int32
 }
 
-func (f flakyBFS) BFS(g *graph.Graph, src graph.NodeID, opt kernel.Options) []graph.NodeID {
+func (f flakySSSP) SSSP(g *graph.Graph, src graph.NodeID, opt kernel.Options) []kernel.Dist {
 	if f.calls.Add(1) == 1 {
 		panic("stub: transient wobble")
 	}
-	return f.stubFramework.BFS(g, src, opt)
+	return f.stubFramework.SSSP(g, src, opt)
 }
 
-// stallBFS blocks cooperatively until the query token fires — the
+// stallSSSP blocks cooperatively until the query token fires — the
 // well-behaved slow kernel (TimedOut, machine kept).
-type stallBFS struct{ stubFramework }
+type stallSSSP struct{ stubFramework }
 
-func (f stallBFS) BFS(g *graph.Graph, src graph.NodeID, opt kernel.Options) []graph.NodeID {
+func (f stallSSSP) SSSP(g *graph.Graph, src graph.NodeID, opt kernel.Options) []kernel.Dist {
 	for !opt.Cancelled() {
 		time.Sleep(100 * time.Microsecond)
 	}
-	return f.stubFramework.BFS(g, src, opt)
+	return f.stubFramework.SSSP(g, src, opt)
 }
 
 // hangFor bounds how long the misbehaving stubs ignore cancellation, so the
 // abandoned machines can be reaped before the tests' drain deadlines.
 const hangFor = 300 * time.Millisecond
 
-// hangBFS ignores the token entirely for hangFor — the misbehaving kernel
+// hangSSSP ignores the token entirely for hangFor — the misbehaving kernel
 // whose machine is abandoned.
-type hangBFS struct{ stubFramework }
+type hangSSSP struct{ stubFramework }
 
-func (f hangBFS) BFS(g *graph.Graph, src graph.NodeID, opt kernel.Options) []graph.NodeID {
+func (f hangSSSP) SSSP(g *graph.Graph, src graph.NodeID, opt kernel.Options) []kernel.Dist {
 	time.Sleep(hangFor)
-	return f.stubFramework.BFS(g, src, opt)
+	return f.stubFramework.SSSP(g, src, opt)
 }
 
-// recoveringBFS hangs for its first N calls, then behaves — the quarantine-
+// recoveringSSSP hangs for its first N calls, then behaves — the quarantine-
 // then-probe-then-close path of the circuit breaker.
-type recoveringBFS struct {
+type recoveringSSSP struct {
 	stubFramework
 	calls *atomic.Int32
 	bad   int32
 }
 
-func (f recoveringBFS) BFS(g *graph.Graph, src graph.NodeID, opt kernel.Options) []graph.NodeID {
+func (f recoveringSSSP) SSSP(g *graph.Graph, src graph.NodeID, opt kernel.Options) []kernel.Dist {
 	if f.calls.Add(1) <= f.bad {
 		time.Sleep(hangFor)
 	}
-	return f.stubFramework.BFS(g, src, opt)
+	return f.stubFramework.SSSP(g, src, opt)
 }
 
 // ---- harness ---------------------------------------------------------------
@@ -120,16 +120,18 @@ func smallInput(t *testing.T) *core.Input {
 	return loadInput(t, core.GraphSpec{Name: "Kron", Scale: 6, Seed: 1, Delta: 16, SourceSeed: 5})
 }
 
-// asymmetricInput is the tiny input of the tests that need a BFS or SSSP
-// kernel to run: Twitter has arcs without their reverse, so plan does not
-// route its queries to the CC snapshot.
-func asymmetricInput(t *testing.T) *core.Input {
+// kernelQuery turns req into an SSSP with a target, the query that runs its
+// kernel per query on every graph, and fails the test unless srv plans it as
+// a kernel run (no reach index, no snapshot slot). A routing change therefore
+// cannot quietly turn a fault test into a lookup.
+func kernelQuery(t *testing.T, srv *Server, req Request) Request {
 	t.Helper()
-	in := loadInput(t, core.GraphSpec{Name: "Twitter", Scale: 6, Seed: 1, Delta: 16, SourceSeed: 5})
-	if symmetric(in.Graph) {
-		t.Fatal("Twitter-6 is symmetric: its BFS queries would be answered from the CC snapshot")
+	target := int64(0)
+	req.Kernel, req.Target = "SSSP", &target
+	if p, refused := srv.plan(req); refused != nil || p.reach != nil || p.slot != nil {
+		t.Fatalf("%+v is not planned as a kernel run (refused: %+v)", req, refused)
 	}
-	return in
+	return req
 }
 
 func loadInput(t testing.TB, spec core.GraphSpec) *core.Input {
@@ -258,16 +260,19 @@ func TestServeEndToEndRealFramework(t *testing.T) {
 	if cc.Code != CodeOK || cc.Result == nil || cc.Result.Size < 1 {
 		t.Fatalf("CC: %+v", cc)
 	}
-	// Kron is undirected, so the target-less BFS was answered from the CC
-	// snapshot it built (the SSSP, having a target, ran its kernel), and the
-	// CC query was a hit on that snapshot.
-	if bfs.Kernel != "BFS" || bfs.KernelMicros == 0 || bfs.Result.Reached != cc.Result.Size {
+	// Kron is undirected, so the target-less BFS, read off the reach index
+	// with no kernel run, reached exactly the source's component; the SSSP,
+	// having a target, ran its kernel.
+	if bfs.Kernel != "BFS" || bfs.KernelMicros != 0 || bfs.Result.Reached != cc.Result.Size {
 		t.Errorf("BFS reached %d (kernel %q, kernel_micros %d), CC of the source has size %d",
 			bfs.Result.Reached, bfs.Kernel, bfs.KernelMicros, cc.Result.Size)
 	}
+	if sssp.KernelMicros == 0 {
+		t.Errorf("SSSP to a target carries no kernel_micros: %+v", sssp)
+	}
 
-	// The snapshot cap (check.sh tier 10 names this test for it): the BFS and
-	// the PR above each built a snapshot, so repeats of PR and CC, over two
+	// The snapshot cap (check.sh tier 10 names this test for it): the PR and
+	// CC above each built a snapshot, so repeats of PR and CC, over two
 	// connections, are all hits — never a whole-graph recompute.
 	const repeats = 20 // of each kernel
 	conns := []*testClient{c, dial(t, sock)}
@@ -286,9 +291,9 @@ func TestServeEndToEndRealFramework(t *testing.T) {
 	if st.Stats == nil || st.Stats.OK != 4+2*repeats || st.Stats.Accepted != 4+2*repeats {
 		t.Fatalf("stats: %+v", st.Stats)
 	}
-	if st.Stats.SnapshotBuilds != 2 || st.Stats.SnapshotHits != 1+2*repeats || st.Stats.SnapshotFailed != 0 {
-		t.Errorf("snapshot builds %d hits %d failed %d, want 2 builds, %d hits, 0 failed",
-			st.Stats.SnapshotBuilds, st.Stats.SnapshotHits, st.Stats.SnapshotFailed, 1+2*repeats)
+	if st.Stats.SnapshotBuilds != 2 || st.Stats.SnapshotHits != 2*repeats || st.Stats.SnapshotFailed != 0 || st.Stats.ReachHits != 1 {
+		t.Errorf("snapshot builds %d hits %d failed %d, reach hits %d, want 2 builds, %d hits, 0 failed, 1 reach hit",
+			st.Stats.SnapshotBuilds, st.Stats.SnapshotHits, st.Stats.SnapshotFailed, st.Stats.ReachHits, 2*repeats)
 	}
 	if err := srv.Shutdown(5 * time.Second); err != nil {
 		t.Fatalf("shutdown: %v", err)
@@ -349,12 +354,12 @@ func TestServeRejectsBadRequests(t *testing.T) {
 
 func TestServeBudgetStallCooperative(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
-	in := asymmetricInput(t)
-	srv, sock := startServer(t, Config{PoolSize: 1, Workers: 1, Grace: 200 * time.Millisecond}, in, stallBFS{stubFramework{"Stub"}})
+	in := smallInput(t)
+	srv, sock := startServer(t, Config{PoolSize: 1, Workers: 1, Grace: 200 * time.Millisecond}, in, stallSSSP{stubFramework{"Stub"}})
 	c := dial(t, sock)
 
 	start := time.Now()
-	resp := c.do(Request{Kernel: "BFS", Source: 1, BudgetMS: 60})
+	resp := c.do(kernelQuery(t, srv, Request{Source: 1, BudgetMS: 60}))
 	if resp.Code != CodeDeadlineExceeded {
 		t.Fatalf("stalled query: %+v", resp)
 	}
@@ -376,11 +381,11 @@ func TestServeBudgetStallCooperative(t *testing.T) {
 
 func TestServeHangAbandonsAndSelfHeals(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
-	in := asymmetricInput(t)
-	srv, sock := startServer(t, Config{PoolSize: 1, Workers: 1, Grace: 40 * time.Millisecond}, in, hangBFS{stubFramework{"Stub"}})
+	in := smallInput(t)
+	srv, sock := startServer(t, Config{PoolSize: 1, Workers: 1, Grace: 40 * time.Millisecond}, in, hangSSSP{stubFramework{"Stub"}})
 	c := dial(t, sock)
 
-	resp := c.do(Request{Kernel: "BFS", Source: 1, BudgetMS: 40})
+	resp := c.do(kernelQuery(t, srv, Request{Source: 1, BudgetMS: 40}))
 	if resp.Code != CodeDeadlineExceeded || !strings.Contains(resp.Error, "abandoned") {
 		t.Fatalf("hung query: %+v", resp)
 	}
@@ -404,11 +409,11 @@ func TestServeHangAbandonsAndSelfHeals(t *testing.T) {
 
 func TestServeRetriesTransientPanic(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
-	in := asymmetricInput(t)
-	srv, sock := startServer(t, Config{PoolSize: 1, Workers: 1}, in, flakyBFS{stubFramework{"Stub"}, &atomic.Int32{}})
+	in := smallInput(t)
+	srv, sock := startServer(t, Config{PoolSize: 1, Workers: 1}, in, flakySSSP{stubFramework{"Stub"}, &atomic.Int32{}})
 	c := dial(t, sock)
 
-	resp := c.do(Request{Kernel: "BFS", Source: 1})
+	resp := c.do(kernelQuery(t, srv, Request{Source: 1}))
 	if resp.Code != CodeOK || resp.Retries != 1 {
 		t.Fatalf("flaky query: code=%s retries=%d err=%q, want OK with 1 retry", resp.Code, resp.Retries, resp.Error)
 	}
@@ -422,12 +427,12 @@ func TestServeRetriesTransientPanic(t *testing.T) {
 
 func TestServeDeterministicPanicIsInternal(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
-	in := asymmetricInput(t)
-	srv, sock := startServer(t, Config{PoolSize: 1, Workers: 1}, in, panicBFS{stubFramework{"Stub"}})
+	in := smallInput(t)
+	srv, sock := startServer(t, Config{PoolSize: 1, Workers: 1}, in, panicSSSP{stubFramework{"Stub"}})
 	c := dial(t, sock)
 
-	resp := c.do(Request{Kernel: "BFS", Source: 1})
-	if resp.Code != CodeInternal || !strings.Contains(resp.Error, "BFS exploded") {
+	resp := c.do(kernelQuery(t, srv, Request{Source: 1}))
+	if resp.Code != CodeInternal || !strings.Contains(resp.Error, "SSSP exploded") {
 		t.Fatalf("panicking query: %+v", resp)
 	}
 	if resp.Retries != 1 {
@@ -444,19 +449,19 @@ func TestServeDeterministicPanicIsInternal(t *testing.T) {
 
 func TestServeQueueWatermarkSheds(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
-	in := asymmetricInput(t)
+	in := smallInput(t)
 	srv, sock := startServer(t, Config{
 		PoolSize: 1, Workers: 1,
 		Admission: AdmissionConfig{MaxQueue: -1}, // no queue: inflight capped at 1
-	}, in, stallBFS{stubFramework{"Stub"}})
+	}, in, stallSSSP{stubFramework{"Stub"}})
 	cA, cB := dial(t, sock), dial(t, sock)
 
 	// Fill the one slot with a stalled query, then overflow from a second
 	// connection.
-	cA.send(Request{Kernel: "BFS", Source: 1, BudgetMS: 400})
+	cA.send(kernelQuery(t, srv, Request{Source: 1, BudgetMS: 400}))
 	waitFor(t, func() bool { return srv.adm.Inflight() == 1 })
 	start := time.Now()
-	resp := cB.do(Request{Kernel: "BFS", Source: 2})
+	resp := cB.do(kernelQuery(t, srv, Request{Source: 2}))
 	if resp.Code != CodeResourceExhausted {
 		t.Fatalf("overflow query: %+v", resp)
 	}
@@ -499,17 +504,17 @@ func TestServeRateSheds(t *testing.T) {
 
 func TestServeBreakerQuarantineProbeClose(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
-	in := asymmetricInput(t)
+	in := smallInput(t)
 	srv, sock := startServer(t, Config{
 		PoolSize: 2, Workers: 1,
 		Grace:   30 * time.Millisecond,
 		Breaker: BreakerConfig{Threshold: 2, Cooldown: 150 * time.Millisecond},
-	}, in, recoveringBFS{stubFramework{"Stub"}, &atomic.Int32{}, 2})
+	}, in, recoveringSSSP{stubFramework{"Stub"}, &atomic.Int32{}, 2})
 	c := dial(t, sock)
 
 	// Two hanging queries lose two machines: the breaker opens.
 	for i := 0; i < 2; i++ {
-		resp := c.do(Request{Kernel: "BFS", Source: 1, BudgetMS: 40})
+		resp := c.do(kernelQuery(t, srv, Request{Source: 1, BudgetMS: 40}))
 		if resp.Code != CodeDeadlineExceeded {
 			t.Fatalf("hang %d: %+v", i, resp)
 		}
@@ -517,7 +522,7 @@ func TestServeBreakerQuarantineProbeClose(t *testing.T) {
 	waitFor(t, func() bool { return srv.StatsSnapshot().BreakerOpens == 1 })
 
 	// Quarantined: fail-fast UNAVAILABLE, no pool time, other kernels fine.
-	resp := c.do(Request{Kernel: "BFS", Source: 1})
+	resp := c.do(kernelQuery(t, srv, Request{Source: 1}))
 	if resp.Code != CodeUnavailable || !strings.Contains(resp.Error, "quarantined") {
 		t.Fatalf("quarantined query: %+v", resp)
 	}
@@ -531,10 +536,10 @@ func TestServeBreakerQuarantineProbeClose(t *testing.T) {
 	// After the cooldown one probe goes through; the stub has recovered, so
 	// the probe closes the circuit and traffic flows again.
 	time.Sleep(180 * time.Millisecond)
-	if resp := c.do(Request{Kernel: "BFS", Source: 1, BudgetMS: 400}); resp.Code != CodeOK {
+	if resp := c.do(kernelQuery(t, srv, Request{Source: 1, BudgetMS: 400})); resp.Code != CodeOK {
 		t.Fatalf("probe query: %+v", resp)
 	}
-	if resp := c.do(Request{Kernel: "BFS", Source: 2, BudgetMS: 400}); resp.Code != CodeOK {
+	if resp := c.do(kernelQuery(t, srv, Request{Source: 2, BudgetMS: 400})); resp.Code != CodeOK {
 		t.Fatalf("query after circuit closed: %+v", resp)
 	}
 	if st := srv.StatsSnapshot(); st.BreakerOpens != 1 {
@@ -547,13 +552,13 @@ func TestServeBreakerQuarantineProbeClose(t *testing.T) {
 
 func TestServeGracefulDrainUnderLoad(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
-	in := asymmetricInput(t)
-	srv, sock := startServer(t, Config{PoolSize: 2, Workers: 1, Grace: 50 * time.Millisecond}, in, stallBFS{stubFramework{"Stub"}})
+	in := smallInput(t)
+	srv, sock := startServer(t, Config{PoolSize: 2, Workers: 1, Grace: 50 * time.Millisecond}, in, stallSSSP{stubFramework{"Stub"}})
 	// Two stalled queries (one per connection — a connection serves its
 	// requests in order) hold both machines, then SIGTERM-equivalent.
 	cA, cB := dial(t, sock), dial(t, sock)
-	cA.send(Request{Kernel: "BFS", Source: 1, ID: "a", BudgetMS: 5000})
-	cB.send(Request{Kernel: "BFS", Source: 2, ID: "b", BudgetMS: 5000})
+	cA.send(kernelQuery(t, srv, Request{Source: 1, ID: "a", BudgetMS: 5000}))
+	cB.send(kernelQuery(t, srv, Request{Source: 2, ID: "b", BudgetMS: 5000}))
 	waitFor(t, func() bool { return srv.adm.Inflight() == 2 })
 
 	start := time.Now()
@@ -580,16 +585,16 @@ func TestServeGracefulDrainUnderLoad(t *testing.T) {
 }
 
 func TestServeJournalsQueryOutcomes(t *testing.T) {
-	in := asymmetricInput(t)
+	in := smallInput(t)
 	journal := filepath.Join(t.TempDir(), "served.jsonl")
 	srv, sock := startServer(t, Config{PoolSize: 1, Workers: 1, JournalPath: journal},
-		in, stubFramework{"Stub"}, panicBFS{stubFramework{"Boom"}})
+		in, stubFramework{"Stub"}, panicSSSP{stubFramework{"Boom"}})
 	c := dial(t, sock)
 
-	if resp := c.do(Request{Kernel: "BFS", Source: 1}); resp.Code != CodeOK {
+	if resp := c.do(kernelQuery(t, srv, Request{Source: 1})); resp.Code != CodeOK {
 		t.Fatalf("ok query: %+v", resp)
 	}
-	if resp := c.do(Request{Kernel: "BFS", Source: 1, Framework: "Boom"}); resp.Code != CodeInternal {
+	if resp := c.do(kernelQuery(t, srv, Request{Source: 1, Framework: "Boom"})); resp.Code != CodeInternal {
 		t.Fatalf("panic query: %+v", resp)
 	}
 	if err := srv.Shutdown(5 * time.Second); err != nil {
@@ -604,18 +609,19 @@ func TestServeJournalsQueryOutcomes(t *testing.T) {
 		t.Fatalf("journal has %d lines, want 2", len(results))
 	}
 	okRes, boomRes := results[0], results[1]
-	if okRes.CellID() != "Stub|BFS|Twitter|Baseline" {
+	if okRes.CellID() != "Stub|SSSP|Kron|Baseline" {
 		t.Errorf("ok CellID = %q", okRes.CellID())
 	}
-	// No oracle runs on a BFS answer, and the journal says so (the verified
-	// rows are the snapshot-served kernels': see snapshot_test.go).
+	// No oracle runs on a per-query kernel answer, and the journal says so
+	// (the verified rows are the snapshot and reach-index answers: see
+	// snapshot_test.go).
 	if okRes.Status != core.OK || okRes.Verified || okRes.Trials != 1 || okRes.Seconds < 0 {
 		t.Errorf("ok journal line: %+v", okRes)
 	}
 	if okRes.GraphEpoch != in.Graph.Epoch() {
 		t.Errorf("journal epoch %#x, graph epoch %#x", okRes.GraphEpoch, in.Graph.Epoch())
 	}
-	if boomRes.CellID() != "Boom|BFS|Twitter|Baseline" {
+	if boomRes.CellID() != "Boom|SSSP|Kron|Baseline" {
 		t.Errorf("panic CellID = %q", boomRes.CellID())
 	}
 	if boomRes.Status != core.Panicked || boomRes.Verified {

@@ -5,12 +5,7 @@ package serve
 // labels are properties of the graph, not of the question (that is why the
 // GAP protocol runs them source-free), and a served graph is immutable within
 // an Epoch(), so re-running an O(iterations·m) kernel per query only repeats
-// the same answer. The CC snapshot also answers reach queries: a target-less
-// BFS or SSSP on a symmetric graph (every arc's reverse present; see
-// symmetric in serve.go) reaches exactly its source's component, so its
-// answer is that component's size, and plan sends it to the CC slot. Such a
-// query is a CC query to everything but the client: it leads or waits on the
-// CC build, and consults and charges the (framework, CC) breaker.
+// the same answer.
 //
 // Per (graph, framework, kernel) the first query leads a single-flight build
 // through the ordinary execution path (lease, sandbox, retry, seal checks —
@@ -166,23 +161,17 @@ func topK(scores []float64, k int) []RankEntry {
 
 // answer reads the planned query's result off the snapshot: the first k
 // entries for PR (capacity clipped, so a caller's append cannot reach the
-// shared array), label and table lookup for CC, and the source's component
-// size for a reach query.
+// shared array), label and table lookup for CC.
 func (sn *snapshot) answer(p *queryPlan) *QueryResult {
 	snapshotEpochCheck(sn.epoch, p.in.Graph.Epoch())
-	switch p.asked {
-	case core.PR:
+	if p.k == core.PR {
 		return &QueryResult{TopK: sn.top[:p.topk:p.topk]}
-	case core.CC:
-		label := sn.labels[p.vertex]
-		return &QueryResult{Component: int64(label), Size: sn.sizes[label]}
 	}
-	reached := sn.sizes[sn.labels[p.src]]
-	reachAnswerCheck(p.id, p.in.Graph, p.src, reached)
-	return &QueryResult{Reached: reached}
+	label := sn.labels[p.vertex]
+	return &QueryResult{Component: int64(label), Size: sn.sizes[label]}
 }
 
-// serveSnapshot answers a PR, CC or reach query: from the slot's snapshot when
+// serveSnapshot answers a PR or CC query: from the slot's snapshot when
 // one is published, otherwise by leading its build or by waiting for the
 // leader.
 func (s *Server) serveSnapshot(p *queryPlan, qTok *par.CancelToken, deadline time.Time, probe bool) Response {

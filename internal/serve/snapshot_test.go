@@ -176,12 +176,12 @@ func TestSnapshotSingleFlightBuildsOnce(t *testing.T) {
 }
 
 // TestSnapshotHitHoldsNoLease: with the pool's only machine held by a stalled
-// BFS, PR and CC hits are still answered — and only the builds carry
+// SSSP, PR and CC hits are still answered — and only the builds carry
 // kernel_micros.
 func TestSnapshotHitHoldsNoLease(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
-	in := asymmetricInput(t)
-	srv := newTestServer(t, Config{PoolSize: 1, Workers: 1}, in, stallBFS{stubFramework{"Stub"}})
+	in := smallInput(t)
+	srv := newTestServer(t, Config{PoolSize: 1, Workers: 1}, in, stallSSSP{stubFramework{"Stub"}})
 	tok := par.NewCancelToken()
 
 	for _, req := range []Request{{Kernel: "PR"}, {Kernel: "CC", Vertex: 1}} {
@@ -189,8 +189,9 @@ func TestSnapshotHitHoldsNoLease(t *testing.T) {
 			t.Fatalf("%s build: %+v", req.Kernel, r)
 		}
 	}
-	bfsDone := make(chan Response, 1)
-	go func() { bfsDone <- srv.query(Request{Kernel: "BFS", Source: 1, BudgetMS: 2000}, tok) }()
+	ssspDone := make(chan Response, 1)
+	stalled := kernelQuery(t, srv, Request{Source: 1, BudgetMS: 2000})
+	go func() { ssspDone <- srv.query(stalled, tok) }()
 	waitFor(t, func() bool { return srv.Pool().Outstanding() == 1 })
 
 	pr := srv.query(Request{Kernel: "PR", K: 3}, tok)
@@ -202,11 +203,11 @@ func TestSnapshotHitHoldsNoLease(t *testing.T) {
 		t.Errorf("CC hit behind a busy pool: %+v", cc)
 	}
 	if got := srv.Pool().Outstanding(); got != 1 {
-		t.Errorf("outstanding leases = %d, want 1 (the BFS's)", got)
+		t.Errorf("outstanding leases = %d, want 1 (the SSSP's)", got)
 	}
 	tok.Cancel()
-	if r := <-bfsDone; r.Code != CodeDeadlineExceeded {
-		t.Errorf("cancelled BFS: %+v", r)
+	if r := <-ssspDone; r.Code != CodeDeadlineExceeded {
+		t.Errorf("cancelled SSSP: %+v", r)
 	}
 }
 
@@ -345,98 +346,9 @@ func TestSnapshotWaitingProbeTimeoutResetsProbe(t *testing.T) {
 
 // ---- reach answers ---------------------------------------------------------
 
-// TestSnapshotReachMatchesTraversal: on every suite graph, with every
-// framework, the served BFS and SSSP Reached equals the count over
-// runKernel's full output and the oracle's. On the symmetric graphs (Kron,
-// Urand, Road) the answers come from the CC snapshot, one build per
-// framework; on Twitter and Web the kernel runs and no snapshot is touched.
-func TestSnapshotReachMatchesTraversal(t *testing.T) {
-	const sources = 16
-	for _, spec := range core.DefaultSuite(8) {
-		spec.Scale = 8
-		t.Run(spec.Name, func(t *testing.T) {
-			in := loadInput(t, spec)
-			fws := core.Frameworks()
-			core.PrepareViews(fws, []*core.Input{in})
-			srv := newTestServer(t, Config{PoolSize: 1, Workers: 2}, in, fws...)
-			sym := spec.Name != "Twitter" && spec.Name != "Web"
-			if got := symmetric(in.Graph); got != sym {
-				t.Fatalf("symmetric(%s) = %v, want %v", spec.Name, got, sym)
-			}
-			n := int64(in.Graph.NumNodes())
-			opt := kernel.Options{Workers: 2, Mode: kernel.Baseline, Delta: spec.Delta, UndirectedView: in.Undirected}
-			for _, f := range fws {
-				for i := int64(0); i < sources; i++ {
-					src := graph.NodeID(i * n / sources)
-					want := bfsReached(in.Graph, src)
-					for _, k := range []core.Kernel{core.BFS, core.SSSP} {
-						full, _ := runKernel(&queryPlan{f: f, k: k, asked: k, src: src, target: -1}, in.Graph, opt)()
-						r := srv.query(Request{Kernel: string(k), Framework: f.Name(), Source: int64(src)}, par.NewCancelToken())
-						if r.Code != CodeOK || r.Kernel != string(k) || r.Result.Reached != full.Reached || full.Reached != want {
-							t.Fatalf("%s %s from %d: served %+v (%+v), runKernel reached %d, oracle %d",
-								f.Name(), k, src, r, r.Result, full.Reached, want)
-						}
-					}
-				}
-			}
-			st := srv.StatsSnapshot()
-			wantBuilds, wantHits := int64(0), int64(0)
-			if sym {
-				wantBuilds, wantHits = int64(len(fws)), int64(len(fws)*(2*sources-1))
-			}
-			if st.SnapshotBuilds != wantBuilds || st.SnapshotHits != wantHits || st.SnapshotFailed != 0 {
-				t.Errorf("builds=%d hits=%d failed=%d, want %d/%d/0", st.SnapshotBuilds, st.SnapshotHits, st.SnapshotFailed, wantBuilds, wantHits)
-			}
-		})
-	}
-}
-
-// TestSnapshotReachSymmetryDetector: symmetric holds exactly when every arc's
-// reverse is present — undirected graphs and Road's two-way streets, not
-// Twitter or Web, and not Road with one reverse arc dropped.
-func TestSnapshotReachSymmetryDetector(t *testing.T) {
-	road := loadInput(t, core.GraphSpec{Name: "Road", Scale: 6, Seed: 1, Delta: 64, SourceSeed: 5})
-	if !road.Graph.Directed() {
-		t.Fatal("Road is stored undirected; the CSR comparison would go untested")
-	}
-	var arcs []graph.Edge
-	dropped := false
-	index, neigh := road.Graph.RawOut()
-	for u := 0; u+1 < len(index); u++ {
-		for _, v := range neigh[index[u]:index[u+1]] {
-			if !dropped && graph.NodeID(u) > v {
-				dropped = true // the reverse of v->u
-				continue
-			}
-			arcs = append(arcs, graph.Edge{U: graph.NodeID(u), V: v})
-		}
-	}
-	oneWay, err := graph.Build(arcs, graph.BuildOptions{NumNodes: road.Graph.NumNodes(), Directed: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = oneWay.Close() })
-
-	for _, tc := range []struct {
-		name string
-		g    *graph.Graph
-		want bool
-	}{
-		{"undirected Kron", smallInput(t).Graph, true},
-		{"Road", road.Graph, true},
-		{"Twitter", loadInput(t, core.GraphSpec{Name: "Twitter", Scale: 6, Seed: 1, Delta: 16, SourceSeed: 5}).Graph, false},
-		{"Web", loadInput(t, core.GraphSpec{Name: "Web", Scale: 6, Seed: 1, Delta: 16, SourceSeed: 5}).Graph, false},
-		{"Road minus one reverse arc", oneWay, false},
-	} {
-		if got := symmetric(tc.g); got != tc.want {
-			t.Errorf("symmetric(%s) = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}
-
-// TestSnapshotReachJournalsAskedKernelVerified: the reach query that leads the
-// build journals the CC cell it ran; a reach hit journals the kernel it
-// asked for, verified, with no trial behind it.
+// TestSnapshotReachJournalsAskedKernelVerified: a reach answer journals the
+// kernel it asked for, verified, with no trial behind it, and builds no
+// snapshot.
 func TestSnapshotReachJournalsAskedKernelVerified(t *testing.T) {
 	in := smallInput(t)
 	journal := filepath.Join(t.TempDir(), "served.jsonl")
@@ -453,15 +365,14 @@ func TestSnapshotReachJournalsAskedKernelVerified(t *testing.T) {
 	if len(results) != 3 {
 		t.Fatalf("journal has %d lines, want 3", len(results))
 	}
-	build := results[0]
-	if build.CellID() != "Stub|CC|Kron|Baseline" || build.Status != core.OK || !build.Verified || len(build.TrialRecords) != 1 {
-		t.Errorf("build journal line: %+v", build)
-	}
-	for i, want := range []string{"Stub|BFS|Kron|Baseline", "Stub|SSSP|Kron|Baseline"} {
-		hit := results[1+i]
+	for i, want := range []string{"Stub|BFS|Kron|Baseline", "Stub|BFS|Kron|Baseline", "Stub|SSSP|Kron|Baseline"} {
+		hit := results[i]
 		if hit.CellID() != want || hit.Status != core.OK || !hit.Verified || hit.Trials != 0 || len(hit.TrialRecords) != 0 {
-			t.Errorf("hit journal line %d: %+v, want %s verified without trials", i, hit, want)
+			t.Errorf("reach journal line %d: %+v, want %s verified without trials", i, hit, want)
 		}
+	}
+	if st := srv.StatsSnapshot(); st.ReachHits != 3 || st.SnapshotBuilds != 0 || st.SnapshotHits != 0 {
+		t.Errorf("reach hits %d, snapshot builds %d hits %d, want 3/0/0", st.ReachHits, st.SnapshotBuilds, st.SnapshotHits)
 	}
 }
 
@@ -523,36 +434,4 @@ func TestSnapshotEpochMismatchPanicsUnderServecheck(t *testing.T) {
 		}
 	}()
 	srv.query(Request{Kernel: "PR"}, par.NewCancelToken())
-}
-
-// TestSnapshotReachCheckPanicsUnderServecheck: a reach answer read off a
-// corrupted CC snapshot trips the sampled servecheck recomputation within
-// reachCheckEvery queries.
-func TestSnapshotReachCheckPanicsUnderServecheck(t *testing.T) {
-	if !invariant.Armed() {
-		t.Skip("needs -tags=check")
-	}
-	in := smallInput(t)
-	srv := newTestServer(t, Config{PoolSize: 1, Workers: 1}, in, stubFramework{"Stub"})
-	if r := srv.query(Request{Kernel: "CC", Vertex: 1}, par.NewCancelToken()); r.Code != CodeOK {
-		t.Fatalf("build: %+v", r)
-	}
-	// Swap the published snapshot for one whose every component is one
-	// vertex too large.
-	slot := srv.snaps.slots[snapKey{"Kron", "Stub", core.CC}]
-	bad := *slot.snap.Load()
-	bad.sizes = map[graph.NodeID]int64{}
-	for l, n := range slot.snap.Load().sizes {
-		bad.sizes[l] = n + 1
-	}
-	slot.snap.Store(&bad)
-
-	defer func() {
-		if pv := recover(); pv == nil || !strings.Contains(pv.(string), "servecheck: reachAnswerCheck") {
-			t.Errorf("corrupted reach answers served; recovered %v", pv)
-		}
-	}()
-	for i := 0; i < reachCheckEvery; i++ {
-		srv.query(Request{Kernel: "BFS", Source: int64(i) % int64(in.Graph.NumNodes())}, par.NewCancelToken())
-	}
 }

@@ -2,6 +2,7 @@ package testutil
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -42,7 +43,24 @@ func TestCheckGoroutinesToleratesSlowUnwind(t *testing.T) {
 	<-done
 }
 
+// settle waits until the goroutine count has held still for 10 ms, so that
+// goroutines of earlier tests (or earlier -count runs) that were still
+// unwinding are gone before a count-based baseline is taken: one that exits
+// after the baseline would cancel out the leak the test plants.
+func settle() {
+	n := runtime.NumGoroutine()
+	for still := 0; still < 10; {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, still = m, 0
+		} else {
+			still++
+		}
+	}
+}
+
 func TestCheckGoroutinesReportsLeak(t *testing.T) {
+	settle()
 	rec := &recordingTB{}
 	check := checkGoroutines(rec, 50*time.Millisecond)
 	block := make(chan struct{})

@@ -99,6 +99,86 @@ func CheckCC(g *graph.Graph, labels []graph.NodeID) error {
 	return nil
 }
 
+// CheckSCC validates a strongly-connected-component partition numbered sinks
+// first: comp[v] is v's component id, in [0, n). Ids need not be dense or in
+// any one topological order. Two conditions, each O(n+m), prove the partition
+// is exactly the SCCs without trusting the algorithm that produced it:
+//
+//   - no arc climbs: every arc stays inside its component or points to a
+//     lower id, so no cycle crosses two components (no SCC is split);
+//   - every component is strongly connected: a forward and a backward
+//     traversal from its first member, restricted to the component, each
+//     cover it (no two SCCs are merged).
+func CheckSCC(g *graph.Graph, comp []int32) error {
+	n := int(g.NumNodes())
+	if len(comp) != n {
+		return fmt.Errorf("scc: result length %d != n %d", len(comp), n)
+	}
+	first := make([]graph.NodeID, n) // first member of each id, -1 if unused
+	size := make([]int32, n)
+	for i := range first {
+		first[i] = -1
+	}
+	for v, x := range comp {
+		if x < 0 || int(x) >= n {
+			return fmt.Errorf("scc: vertex %d has component id %d outside [0,%d)", v, x, n)
+		}
+		if first[x] < 0 {
+			first[x] = graph.NodeID(v)
+		}
+		size[x]++
+	}
+	for u := 0; u < n; u++ {
+		for _, v := range g.OutNeighbors(graph.NodeID(u)) {
+			if comp[v] > comp[u] {
+				return fmt.Errorf("scc: arc %d->%d climbs from component %d to %d", u, v, comp[u], comp[v])
+			}
+		}
+	}
+	// Each vertex is visited once per direction, in its own component's
+	// traversal, so one mark array per direction serves every component. An
+	// undirected graph's in-arcs are its out-arcs: one direction is both.
+	outIndex, outNeigh := g.RawOut()
+	inIndex, inNeigh := g.RawIn()
+	dirs := []struct {
+		index []int64
+		neigh []graph.NodeID
+		way   string
+	}{{outIndex, outNeigh, "reaches"}, {inIndex, inNeigh, "is reached by"}}
+	if !g.Directed() {
+		dirs = dirs[:1]
+	}
+	mark := make([]bool, n)
+	var queue []graph.NodeID
+	for _, d := range dirs {
+		clear(mark)
+		for x, r := range first {
+			if r < 0 {
+				continue
+			}
+			mark[r] = true
+			queue = append(queue[:0], r)
+			covered := int32(0)
+			for len(queue) > 0 {
+				u := queue[len(queue)-1]
+				queue = queue[:len(queue)-1]
+				covered++
+				for _, v := range d.neigh[d.index[u]:d.index[u+1]] {
+					if !mark[v] && int(comp[v]) == x {
+						mark[v] = true
+						queue = append(queue, v)
+					}
+				}
+			}
+			if covered != size[x] {
+				return fmt.Errorf("scc: component %d is not strongly connected: its vertex %d %s %d of its %d members",
+					x, r, d.way, covered, size[x])
+			}
+		}
+	}
+	return nil
+}
+
 // CheckPR validates PageRank scores: they must sum to ~1 and applying one
 // more Jacobi iteration must move them by less than the convergence budget —
 // the same style of fixed-point residual check the GAP verifier performs.

@@ -2,6 +2,8 @@ package verify_test
 
 import (
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -357,5 +359,187 @@ func TestTrianglesMatchesBruteForce(t *testing.T) {
 		if got, want := verify.Triangles(g), bruteTriangles(g); got != want {
 			t.Fatalf("trial %d (n=%d m=%d %+v): triangles = %d, brute force %d", trial, n, m, opt, got, want)
 		}
+	}
+}
+
+// sccGraph has four SCCs: the cycle {0,1,2} feeds the two-cycle {3,4}, which
+// feeds the sink {5}; the two-cycle {6,7} feeds {5} too.
+func sccGraph(t *testing.T) *graph.Graph {
+	t.Helper()
+	g, err := graph.Build([]graph.Edge{
+		{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}, {U: 2, V: 3},
+		{U: 3, V: 4}, {U: 4, V: 3}, {U: 4, V: 5},
+		{U: 6, V: 7}, {U: 7, V: 6}, {U: 7, V: 5},
+	}, graph.BuildOptions{NumNodes: 8, Directed: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// The planted-bug catalogue: plausible wrong partitions derived from the
+// right one, each of which CheckSCC must reject, and a correct one with
+// other ids, which it must accept.
+func TestCheckSCCPlantedBugs(t *testing.T) {
+	g := sccGraph(t)
+	right := []int32{2, 2, 2, 1, 1, 0, 3, 3}
+	if err := verify.CheckSCC(g, right); err != nil {
+		t.Fatalf("the right partition: %v", err)
+	}
+	cases := []struct {
+		name string
+		comp []int32
+		want string // "" = accept; otherwise a substring of the error
+	}{
+		{"non-canonical ids: sparse, other topological order", []int32{5, 5, 5, 3, 3, 0, 7, 7}, ""},
+		{"two SCCs merged ({3,4} with the sink {5})", []int32{2, 2, 2, 1, 1, 1, 3, 3}, "not strongly connected"},
+		{"one SCC split in two ({0} apart from {1,2})", []int32{4, 2, 2, 1, 1, 0, 3, 3}, "climbs"},
+		{"sink-first order broken: the cross arc 2->3 points up", []int32{1, 1, 1, 2, 2, 0, 3, 3}, "climbs"},
+		{"length mismatch", right[:7], "length"},
+		{"id outside [0,n)", []int32{2, 2, 2, 1, 1, -1, 3, 3}, "outside"},
+	}
+	for _, tc := range cases {
+		err := verify.CheckSCC(g, tc.comp)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: got %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// bruteSCC is the executable definition: u and v share a component iff each
+// reaches the other in the boolean transitive closure. Components are
+// numbered by how many vertices they reach, fewest first (ties by first
+// member), which is sink-first: a component reaches strictly more than any
+// component it points to.
+func bruteSCC(g *graph.Graph) (reach [][]bool, comp []int32) {
+	n := int(g.NumNodes())
+	reach = make([][]bool, n)
+	for u := range reach {
+		reach[u] = make([]bool, n)
+		reach[u][u] = true
+		for _, v := range g.OutNeighbors(graph.NodeID(u)) {
+			reach[u][v] = true
+		}
+	}
+	for k := 0; k < n; k++ {
+		for i := 0; i < n; i++ {
+			if reach[i][k] {
+				for j := 0; j < n; j++ {
+					reach[i][j] = reach[i][j] || reach[k][j]
+				}
+			}
+		}
+	}
+	count := func(u int) (c int) {
+		for _, r := range reach[u] {
+			if r {
+				c++
+			}
+		}
+		return c
+	}
+	var firsts []int // first member of each component
+	comp = make([]int32, n)
+	for v := range comp {
+		comp[v] = -1
+	}
+	for u := 0; u < n; u++ {
+		if comp[u] >= 0 {
+			continue
+		}
+		firsts = append(firsts, u)
+		for v := u; v < n; v++ {
+			if reach[u][v] && reach[v][u] {
+				comp[v] = int32(u) // provisional: the first member
+			}
+		}
+	}
+	slices.SortStableFunc(firsts, func(a, b int) int { return count(a) - count(b) })
+	id := make([]int32, n)
+	for i, f := range firsts {
+		id[f] = int32(i)
+	}
+	for v := range comp {
+		comp[v] = id[comp[v]]
+	}
+	return reach, comp
+}
+
+// Differential: CheckSCC's verdict on the brute-force partition and on
+// mutations of it (two components merged, a component split, two ids
+// swapped) equals the definition's — the partition is mutual reachability
+// and no arc climbs — on seeded random digraphs with n ≤ 48.
+func TestCheckSCCMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x5cc))
+	rejected := 0
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(48)
+		m := rng.Intn(n*[]int{1, 2, 4}[trial%3] + 1)
+		edges := make([]graph.Edge, m)
+		for i := range edges {
+			edges[i] = graph.Edge{U: rng.Int31n(int32(n)), V: rng.Int31n(int32(n))}
+		}
+		g, err := graph.Build(edges, graph.BuildOptions{NumNodes: int32(n), Directed: trial%5 != 0, KeepSelfLoops: trial%2 == 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reach, right := bruteSCC(g)
+		valid := func(comp []int32) bool {
+			for u := 0; u < n; u++ {
+				for v := 0; v < n; v++ {
+					if (comp[u] == comp[v]) != (reach[u][v] && reach[v][u]) {
+						return false
+					}
+				}
+				for _, v := range g.OutNeighbors(graph.NodeID(u)) {
+					if comp[v] > comp[u] {
+						return false
+					}
+				}
+			}
+			return true
+		}
+		cand := slices.Clone(right)
+		a, b := int32(rng.Intn(n)), int32(rng.Intn(n))
+		switch trial % 4 {
+		case 1: // merge b's component into a's
+			ca, cb := cand[a], cand[b]
+			for v := range cand {
+				if cand[v] == cb {
+					cand[v] = ca
+				}
+			}
+		case 2: // split vertex a off into a fresh id
+			cand[a] = int32(n - 1)
+			if right[a] == int32(n-1) {
+				cand[a] = 0
+			}
+		case 3: // swap the ids of a's and b's components
+			ca, cb := cand[a], cand[b]
+			for v := range cand {
+				switch cand[v] {
+				case ca:
+					cand[v] = cb
+				case cb:
+					cand[v] = ca
+				}
+			}
+		}
+		want := valid(cand)
+		if trial%4 == 0 && !want {
+			t.Fatalf("trial %d: the brute-force partition is not valid by its own definition", trial)
+		}
+		if err := verify.CheckSCC(g, cand); (err == nil) != want {
+			t.Fatalf("trial %d (n=%d m=%d): CheckSCC(%v) = %v, definition says valid=%v", trial, n, m, cand, err, want)
+		}
+		if !want {
+			rejected++
+		}
+	}
+	if rejected < 60 {
+		t.Errorf("only %d of 300 candidates were wrong; the mutations are too gentle", rejected)
 	}
 }

@@ -23,9 +23,11 @@
 #      and the most concurrent package in the tree, the daemon (serve: pool,
 #      admission, breaker, snapshots, drain, and its chaos tests), on tiny
 #      graphs so the whole sweep finishes in seconds (≈ 30 s with a cold race
-#      build). Then go test -race -count=10 -run Snapshot <serve>: the
-#      snapshot single-flight (one build per burst, waiters re-leading,
-#      breaker accounting) under the race detector, ten times over.
+#      build). Then go test -race -short -count=10 -run 'Snapshot|Reach'
+#      <serve>: the snapshot single-flight (one build per burst, waiters
+#      re-leading, breaker accounting) and the reach index (build, check,
+#      answers against every framework's traversal, at scale 8 from 16
+#      sources under -short) under the race detector, ten times over.
 #   7. go test -tags=check -short ./...  the armed tier: the whole tree
 #      rebuilt with every invariant assertion armed (DESIGN.md §8 "Runtime
 #      sanitizer"; one tag, one gate, internal/invariant): grb's operand,
@@ -138,9 +140,9 @@ echo "gapvet -perf clean in ${perf_elapsed}s"
 say "go test ./..."
 go test ./...
 
-say "race smoke tier (go test -race -short; Snapshot tests -count=10)"
+say "race smoke tier (go test -race -short; Snapshot and Reach tests -count=10)"
 go test -race -short ./internal/par/... ./internal/galois/... ./internal/core/... ./internal/chaos/... ./internal/serve/...
-go test -race -count=10 -run Snapshot ./internal/serve/
+go test -race -short -count=10 -run 'Snapshot|Reach' ./internal/serve/
 
 say "armed tier (go test -tags=check -short ./...)"
 go test -tags=check -short ./...
