@@ -19,6 +19,7 @@ import (
 	"sort"
 	"testing"
 
+	"gapbench/internal/generate"
 	"gapbench/internal/graph"
 	"gapbench/internal/par"
 	"gapbench/internal/verify"
@@ -230,6 +231,27 @@ func BenchmarkBuild(b *testing.B) {
 				})
 			}
 		}
+	}
+}
+
+// BenchmarkGenerate times each suite generator end to end, the draw and the
+// CSR build together, at buildBenchScale with a fixed seed; edges/s counts
+// the stored arcs of the graph it returns. Beside BenchmarkBuild, which times
+// the build alone on comparable lists, it splits a graph's set-up into draw
+// and build.
+func BenchmarkGenerate(b *testing.B) {
+	for _, name := range generate.Names {
+		b.Run(name, func(b *testing.B) {
+			var arcs int64
+			for b.Loop() {
+				g, err := generate.ByName(name, buildBenchScale, 42)
+				if err != nil {
+					b.Fatal(err)
+				}
+				arcs += g.NumEdges()
+			}
+			b.ReportMetric(float64(arcs)/b.Elapsed().Seconds(), "edges/s")
+		})
 	}
 }
 

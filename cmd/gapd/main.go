@@ -115,7 +115,7 @@ func run(listenAddr, graphsCSV string, scale int, graphDir, graphFiles, fwCSV st
 		}
 	}()
 	for _, in := range inputs {
-		logf("mounted %s (%d nodes, %d edges, file %q)", in.Spec.Name, in.Graph.NumNodes(), in.Graph.NumEdges(), in.File)
+		logf("mounted %s (%d nodes, %d edges, file %q) in %.3fs", in.Spec.Name, in.Graph.NumNodes(), in.Graph.NumEdges(), in.File, in.Mount.Seconds())
 	}
 
 	// Untimed load-phase conversion, same rule as the batch suite: no

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"time"
 
 	"gapbench/internal/generate"
 	"gapbench/internal/graph"
@@ -76,6 +77,7 @@ func MountInputs(graphFiles string, specs []GraphSpec, dir string) ([]*Input, er
 	}
 	inputs := make([]*Input, 0, n)
 	for i := 0; i < n; i++ {
+		start := time.Now()
 		in, err := load(i)
 		if err != nil {
 			for _, prev := range inputs {
@@ -83,6 +85,7 @@ func MountInputs(graphFiles string, specs []GraphSpec, dir string) ([]*Input, er
 			}
 			return nil, err
 		}
+		in.Mount = time.Since(start)
 		inputs = append(inputs, in)
 	}
 	return inputs, nil

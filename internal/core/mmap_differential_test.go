@@ -189,3 +189,25 @@ func TestResumeRefusesMismatchedInput(t *testing.T) {
 		t.Fatalf("matching resume did not replay the journaled cell: %+v", res)
 	}
 }
+
+// TestMountInputsTimesEachInput mounts one spec twice through a cache
+// directory, generating it the first time and mmap-loading it the second;
+// both times the input carries how long its mount took.
+func TestMountInputsTimesEachInput(t *testing.T) {
+	dir := t.TempDir()
+	specs := core.DefaultSuite(6)[3:4] // Kron
+	for _, pass := range []string{"generate", "mmap"} {
+		inputs, err := core.MountInputs("", specs, dir)
+		if err != nil {
+			t.Fatalf("%s: %v", pass, err)
+		}
+		for _, in := range inputs {
+			if in.Mount <= 0 || in.File == "" {
+				t.Errorf("%s: %s mounted in %v from %q, want a positive time and a file", pass, in.Spec.Name, in.Mount, in.File)
+			}
+			if err := in.Close(); err != nil {
+				t.Errorf("%s: close: %v", pass, err)
+			}
+		}
+	}
+}

@@ -8,6 +8,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"gapbench/internal/generate"
 	"gapbench/internal/graph"
@@ -75,6 +76,9 @@ type Input struct {
 	// for generated inputs. Journals record it (with the graph's epoch) so
 	// resumed runs can refuse a mismatched input.
 	File string
+	// Mount is how long MountInputs took to generate or load this input,
+	// its views and sources included; zero for an input made another way.
+	Mount time.Duration
 }
 
 // Close releases the storage of every distinct graph view this input holds

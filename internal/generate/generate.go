@@ -81,13 +81,13 @@ func Road(scale int, seed uint64) (*graph.Graph, error) {
 	}
 	// Sprinkle extra vertical segments so the average out-degree lands near
 	// Table I's 2.4 instead of the serpentine's 2.0.
-	const extraProb = 0.2
+	extra := cut(0.2)
 	for y := int64(0); y+1 < side; y++ {
 		for x := int64(0); x < side; x++ {
 			if y%2 == 0 && x == side-1 || y%2 == 1 && x == 0 {
 				continue // already part of the serpentine
 			}
-			if r.float64v() < extraProb {
+			if r.chance(extra) {
 				addSegment(id(x, y), id(x, y+1))
 			}
 		}
@@ -106,12 +106,12 @@ func Twitter(scale int, seed uint64) (*graph.Graph, error) {
 	}
 	n := int64(1) << scale
 	const edgeFactor = 24
-	const a, b, c = 0.52, 0.19, 0.19
+	q := newQuadrants(0.52, 0.19, 0.19)
 	r := newRNG(seed ^ 0x77171)
 	m := n * edgeFactor
 	edges := make([]graph.WEdge, 0, m)
 	for i := int64(0); i < m; i++ {
-		u, v := rmatPair(r, scale, a, b, c)
+		u, v := rmatPair(r, scale, q)
 		if u == v {
 			continue
 		}
@@ -120,24 +120,16 @@ func Twitter(scale int, seed uint64) (*graph.Graph, error) {
 	return graph.BuildWeighted(edges, graph.BuildOptions{NumNodes: int32(n), Directed: true})
 }
 
-// rmatPair draws one RMAT edge endpoint pair by recursive quadrant descent.
-func rmatPair(r *rng, scale int, a, b, c float64) (int64, int64) {
-	var u, v int64
+// rmatPair draws one RMAT edge endpoint pair by recursive quadrant descent:
+// one draw per bit, its quadrant picked by integer cuts without a branch.
+func rmatPair(r *rng, scale int, q quadrants) (int64, int64) {
+	var u, v uint64
 	for bit := 0; bit < scale; bit++ {
-		p := r.float64v()
-		switch {
-		case p < a:
-			// quadrant (0,0)
-		case p < a+b:
-			v |= 1 << bit
-		case p < a+b+c:
-			u |= 1 << bit
-		default:
-			u |= 1 << bit
-			v |= 1 << bit
-		}
+		row, col := q.bits(r.draw53())
+		u |= row << bit
+		v |= col << bit
 	}
-	return u, v
+	return int64(u), int64(v)
 }
 
 // Web builds a directed web-crawl stand-in: vertices are grouped into hosts
@@ -153,8 +145,10 @@ func Web(scale int, seed uint64) (*graph.Graph, error) {
 	n := int64(1) << scale
 	const avgOut = 38
 	r := newRNG(seed ^ 0x3eb2)
+	intra, front, entry := cut(0.80), cut(0.3), cut(0.5)
 
-	// Carve [0,n) into hosts with power-law sizes in [8, n/32].
+	// Carve [0,n) into hosts with power-law sizes in [8, 8+n/16); the last
+	// host takes whatever remains.
 	type host struct{ start, size int64 }
 	var hosts []host
 	for at := int64(0); at < n; {
@@ -182,11 +176,11 @@ func Web(scale int, seed uint64) (*graph.Graph, error) {
 		h := hosts[hostOf[u]]
 		for k := int64(0); k < deg; k++ {
 			var v int64
-			if p := r.float64v(); p < 0.80 && h.size > 1 {
+			if r.chance(intra) && h.size > 1 {
 				// Intra-host link. Targets are Zipf-skewed toward the front
 				// of the host (index pages), with an extra bias to the front
 				// page itself — the source of the power-law in-degrees.
-				if r.float64v() < 0.3 {
+				if r.chance(front) {
 					v = h.start
 				} else {
 					f := r.float64v()
@@ -206,7 +200,7 @@ func Web(scale int, seed uint64) (*graph.Graph, error) {
 					th = nh - 1
 				}
 				t := hosts[th]
-				if r.float64v() < 0.5 {
+				if r.chance(entry) {
 					v = t.start
 				} else {
 					f := r.float64v()
@@ -231,12 +225,12 @@ func Kron(scale int, seed uint64) (*graph.Graph, error) {
 	}
 	n := int64(1) << scale
 	const edgeFactor = 16
-	const a, b, c = 0.57, 0.19, 0.19
+	q := newQuadrants(0.57, 0.19, 0.19)
 	r := newRNG(seed ^ 0x6163)
 	m := n * edgeFactor
 	edges := make([]graph.WEdge, 0, m)
 	for i := int64(0); i < m; i++ {
-		u, v := rmatPair(r, scale, a, b, c)
+		u, v := rmatPair(r, scale, q)
 		if u == v {
 			continue
 		}
