@@ -5,9 +5,12 @@
 // bounded), directed and undirected, weighted and unweighted — with a
 // retained copy of the pre-pipeline sort-based builder (SortRef) as the
 // baseline every Counting cell is measured against. Build time is *untimed*
-// under the GAP rules (EXPERIMENTS.md records the accounting), but it
-// dominates wall-clock for short benchmark runs, which is why the pipeline
-// exists.
+// under the GAP rules (EXPERIMENTS.md records the accounting), but it recurs
+// on every harness start, which is why the pipeline exists.
+//
+// BenchmarkGenerate times the five suite generators end to end, draw and
+// build together, so a graph's set-up splits into draw and build beside
+// BenchmarkBuild.
 //
 // BenchmarkDegreeRelabel and BenchmarkTrianglesOracle time the two pieces of
 // a verified TC trial that are not the kernel: the relabel the Baseline rules
@@ -234,11 +237,8 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkGenerate times each suite generator end to end, the draw and the
-// CSR build together, at buildBenchScale with a fixed seed; edges/s counts
-// the stored arcs of the graph it returns. Beside BenchmarkBuild, which times
-// the build alone on comparable lists, it splits a graph's set-up into draw
-// and build.
+// BenchmarkGenerate times each suite generator at buildBenchScale with a
+// fixed seed; edges/s counts the stored arcs of the graph it returns.
 func BenchmarkGenerate(b *testing.B) {
 	for _, name := range generate.Names {
 		b.Run(name, func(b *testing.B) {

@@ -64,9 +64,9 @@ func (r *rng) chance(c uint64) bool { return r.draw53() < c }
 // difference k−c has its top bit set exactly when k < c.
 func atLeast(k, c uint64) uint64 { return 1 ^ (k-c)>>63 }
 
-// quadrants holds the RMAT descent's three cuts, a, a+b and a+b+c, taken
-// from the same rounded float64 sums the float compares p < a, p < a+b and
-// p < a+b+c used, so each integer compare decides exactly as the float one.
+// quadrants holds the RMAT descent's three cuts: of a, of the float64 sum
+// a+b and of the float64 sum (a+b)+c, so each integer compare decides
+// exactly as float64v() < that value.
 type quadrants struct{ a, ab, abc uint64 }
 
 func newQuadrants(a, b, c float64) quadrants {
