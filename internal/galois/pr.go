@@ -45,18 +45,11 @@ func pagerankGS(exec *par.Machine, g *graph.Graph, workers int) []float64 {
 		if exec.Interrupted() {
 			return ranks // partial scores; the harness discards cancelled trials
 		}
-		// Dangling mass from the current scores; staleness within a sweep
-		// vanishes at the fixed point.
-		dangling := exec.ReduceFloat64(n, workers, func(lo, hi int) float64 {
-			var d float64
-			for u := lo; u < hi; u++ {
-				if invDeg[u] == 0 {
-					d += ranks[u]
-				}
-			}
-			return d
-		})
-		share := kernel.PRDamping * dangling / float64(n)
+		// Scores are stored scaled by mass; see kernel.PRMass.
+		mass, dangling := kernel.PRMass(exec, ranks, invDeg, workers)
+		c := 1 / mass
+		share := kernel.PRDamping * c * dangling / float64(n)
+		dc := kernel.PRDamping * c
 
 		delta := exec.ReduceFloat64(n, workers, func(lo, hi int) float64 {
 			var d float64
@@ -66,12 +59,13 @@ func pagerankGS(exec *par.Machine, g *graph.Graph, workers int) []float64 {
 				for _, u := range g.InNeighbors(v) {
 					sum += math.Float64frombits(atomic.LoadUint64(&contrib[u]))
 				}
-				next := base + share + kernel.PRDamping*sum
-				d += math.Abs(next - ranks[v])
-				ranks[v] = next // ranks[v] is owner-written only
+				next := base + share + dc*sum
+				d += math.Abs(next - c*ranks[v])
+				s := next * mass
+				ranks[v] = s // ranks[v] is owner-written only
 				if invDeg[v] != 0 {
 					// In place: successors see it within this same sweep.
-					atomic.StoreUint64(&contrib[v], math.Float64bits(next*invDeg[v]))
+					atomic.StoreUint64(&contrib[v], math.Float64bits(s*invDeg[v]))
 				}
 			}
 			return d
@@ -80,5 +74,5 @@ func pagerankGS(exec *par.Machine, g *graph.Graph, workers int) []float64 {
 			break
 		}
 	}
-	return ranks
+	return kernel.PRUnitMass(ranks)
 }

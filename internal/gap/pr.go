@@ -99,16 +99,11 @@ func PageRankGS(g *graph.Graph, opt kernel.Options) []float64 {
 		if opt.Cancelled() {
 			return ranks
 		}
-		dangling := exec.ReduceFloat64(n, workers, func(lo, hi int) float64 {
-			var d float64
-			for u := lo; u < hi; u++ {
-				if invDeg[u] == 0 {
-					d += ranks[u]
-				}
-			}
-			return d
-		})
-		share := kernel.PRDamping * dangling / float64(n)
+		// Scores are stored scaled by mass; see kernel.PRMass.
+		mass, dangling := kernel.PRMass(exec, ranks, invDeg, workers)
+		c := 1 / mass
+		share := kernel.PRDamping * c * dangling / float64(n)
+		dc := kernel.PRDamping * c
 		delta := exec.ReduceFloat64(n, workers, func(lo, hi int) float64 {
 			var d float64
 			for vi := lo; vi < hi; vi++ {
@@ -117,11 +112,12 @@ func PageRankGS(g *graph.Graph, opt kernel.Options) []float64 {
 				for _, u := range g.InNeighbors(v) {
 					sum += math.Float64frombits(atomic.LoadUint64(&contrib[u]))
 				}
-				next := base + share + kernel.PRDamping*sum
-				d += math.Abs(next - ranks[v])
-				ranks[v] = next
+				next := base + share + dc*sum
+				d += math.Abs(next - c*ranks[v])
+				s := next * mass
+				ranks[v] = s
 				if invDeg[v] != 0 {
-					atomic.StoreUint64(&contrib[v], math.Float64bits(next*invDeg[v]))
+					atomic.StoreUint64(&contrib[v], math.Float64bits(s*invDeg[v]))
 				}
 			}
 			return d
@@ -130,5 +126,5 @@ func PageRankGS(g *graph.Graph, opt kernel.Options) []float64 {
 			break
 		}
 	}
-	return ranks
+	return kernel.PRUnitMass(ranks)
 }

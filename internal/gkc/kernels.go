@@ -32,16 +32,11 @@ func pagerank(exec *par.Machine, g *graph.Graph, workers int) []float64 {
 		if exec.Interrupted() {
 			return ranks // partial; the harness discards cancelled trials
 		}
-		dangling := exec.ReduceFloat64(n, workers, func(lo, hi int) float64 {
-			var d float64
-			for u := lo; u < hi; u++ {
-				if invDeg[u] == 0 {
-					d += ranks[u]
-				}
-			}
-			return d
-		})
-		danglingShare := kernel.PRDamping * dangling / float64(n)
+		// Scores are stored scaled by mass; see kernel.PRMass.
+		mass, dangling := kernel.PRMass(exec, ranks, invDeg, workers)
+		c := 1 / mass
+		danglingShare := kernel.PRDamping * c * dangling / float64(n)
+		dc := kernel.PRDamping * c
 		delta := exec.ReduceFloat64(n, workers, func(lo, hi int) float64 {
 			var d float64
 			for vi := lo; vi < hi; vi++ {
@@ -65,11 +60,12 @@ func pagerank(exec *par.Machine, g *graph.Graph, workers int) []float64 {
 				for _, w := range neigh[k:] {
 					sum += math.Float64frombits(atomic.LoadUint64(&contrib[w]))
 				}
-				next := base + danglingShare + kernel.PRDamping*sum
-				d += math.Abs(next - ranks[v])
-				ranks[v] = next
+				next := base + danglingShare + dc*sum
+				d += math.Abs(next - c*ranks[v])
+				s := next * mass
+				ranks[v] = s
 				if invDeg[v] != 0 {
-					atomic.StoreUint64(&contrib[v], math.Float64bits(next*invDeg[v]))
+					atomic.StoreUint64(&contrib[v], math.Float64bits(s*invDeg[v]))
 				}
 			}
 			return d
@@ -78,7 +74,7 @@ func pagerank(exec *par.Machine, g *graph.Graph, workers int) []float64 {
 			break
 		}
 	}
-	return ranks
+	return kernel.PRUnitMass(ranks)
 }
 
 // hybridSV is GKC's hybrid Shiloach-Vishkin connected components: flat,

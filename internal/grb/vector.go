@@ -268,18 +268,73 @@ func AssignMasked[T Number](dst, src *Vector[T], mask *Mask) {
 	})
 }
 
-// SelectRange extracts the entries of a Full vector whose value lies in
-// [lo, hi) as a sparse vector — the GxB_select analogue delta-stepping uses
-// to build each bucket. The scan over all n entries per call is the
-// per-bucket overhead §V-B blames for GraphBLAS' Road SSSP times.
+// SelectRange extracts the entries of a vector whose value lies in [lo, hi)
+// as a sparse vector, in index order — the GxB_select analogue
+// delta-stepping uses to build each bucket from the Full distance vector.
+// The scan over all n entries per call is the per-bucket overhead §V-B blames
+// for GraphBLAS' Road SSSP times, so the Full arm keeps the scan and makes it
+// run at memory speed: a direct loop, and for integer T a block of eight
+// entries rejected at once by its unsigned minimum (selectIntegers). float64
+// keeps the two compares. Sparse and Bitmap inputs go through Iterate.
 func SelectRange[T Number](v *Vector[T], lo, hi T) *Vector[T] {
 	checkVector("SelectRange input", v)
 	out := NewSparse[T](v.n)
-	v.Iterate(func(i Index, x T) {
-		if x >= lo && x < hi {
-			out.ind = append(out.ind, i)
+	switch {
+	case v.format != Full:
+		v.Iterate(func(i Index, x T) {
+			if x >= lo && x < hi {
+				out.ind = append(out.ind, i)
+				out.val = append(out.val, x)
+			}
+		})
+	case !(lo < hi):
+		// An empty range selects nothing (and would wrap selectIntegers' width).
+	case T(1)/T(2) != 0:
+		// float64: no integer cut exists, and NaN must fail both compares.
+		for i, x := range v.dense {
+			if x >= lo && x < hi {
+				out.ind = append(out.ind, Index(i))
+				out.val = append(out.val, x)
+			}
+		}
+	default:
+		selectIntegers(out, v.dense, lo, hi)
+	}
+	return out
+}
+
+// selectIntegers is SelectRange's Full arm for integer T, lo < hi. With the
+// difference taken in int64 (exact for int32, wrapped for int64), x lies in
+// [lo, hi) exactly when uint64(x−lo) < uint64(hi−lo): below lo the
+// difference wraps above every in-range one. A block of eight holds a
+// selected entry only if the minimum of its eight unsigned differences is
+// below the width, so the common block — all settled or all unreached —
+// costs eight subtractions and a branch-free min, not eight mispredicted
+// compares.
+func selectIntegers[T Number](out *Vector[T], dense []T, lo, hi T) {
+	base := int64(lo)
+	width := uint64(int64(hi) - base)
+	i := 0
+	for ; i+8 <= len(dense); i += 8 {
+		b := dense[i : i+8 : i+8]
+		m := min(uint64(int64(b[0])-base), uint64(int64(b[1])-base),
+			uint64(int64(b[2])-base), uint64(int64(b[3])-base),
+			uint64(int64(b[4])-base), uint64(int64(b[5])-base),
+			uint64(int64(b[6])-base), uint64(int64(b[7])-base))
+		if m >= width {
+			continue
+		}
+		for k, x := range b {
+			if uint64(int64(x)-base) < width {
+				out.ind = append(out.ind, Index(i+k))
+				out.val = append(out.val, x)
+			}
+		}
+	}
+	for ; i < len(dense); i++ {
+		if x := dense[i]; uint64(int64(x)-base) < width {
+			out.ind = append(out.ind, Index(i))
 			out.val = append(out.val, x)
 		}
-	})
-	return out
+	}
 }

@@ -185,16 +185,11 @@ func PR[G BidirectionalAdjacency](exec *par.Machine, g G, workers int) []float64
 		if exec.Interrupted() {
 			return ranks
 		}
-		dangling := exec.ReduceFloat64(n, workers, func(lo, hi int) float64 {
-			var d float64
-			for u := lo; u < hi; u++ {
-				if invDeg[u] == 0 {
-					d += ranks[u]
-				}
-			}
-			return d
-		})
-		danglingShare := kernel.PRDamping * dangling / float64(n)
+		// Scores are stored scaled by mass; see kernel.PRMass.
+		mass, dangling := kernel.PRMass(exec, ranks, invDeg, workers)
+		c := 1 / mass
+		danglingShare := kernel.PRDamping * c * dangling / float64(n)
+		dc := kernel.PRDamping * c
 		// Specialize on contiguous in-neighbor ranges when the graph type
 		// offers them, like a template instantiation would; otherwise gather
 		// through the generic internal iterator.
@@ -215,11 +210,12 @@ func PR[G BidirectionalAdjacency](exec *par.Machine, g G, workers int) []float64
 						return true
 					})
 				}
-				next := base + danglingShare + kernel.PRDamping*sum
-				d += math.Abs(next - ranks[v])
-				ranks[v] = next
+				next := base + danglingShare + dc*sum
+				d += math.Abs(next - c*ranks[v])
+				s := next * mass
+				ranks[v] = s
 				if invDeg[v] != 0 {
-					atomic.StoreUint64(&contrib[v], math.Float64bits(next*invDeg[v]))
+					atomic.StoreUint64(&contrib[v], math.Float64bits(s*invDeg[v]))
 				}
 			}
 			return d
@@ -228,7 +224,7 @@ func PR[G BidirectionalAdjacency](exec *par.Machine, g G, workers int) []float64
 			break
 		}
 	}
-	return ranks
+	return kernel.PRUnitMass(ranks)
 }
 
 // CC is Afforest over the concepts (Table III: NWGraph uses Afforest), with
