@@ -14,9 +14,9 @@ import (
 // vertices within a sweep already see this sweep's earlier updates. §V-D:
 // "Galois is faster than GAP because its Gauss-Seidel-style algorithm
 // converges faster and performs fewer operations", with the advantage
-// growing with graph diameter — a shape this reproduction recovers on the
-// high-diameter graphs; see EXPERIMENTS.md for the scale-dependent
-// exception on the small synthetic expanders.
+// growing with graph diameter — a shape this reproduction recovers on every
+// graph, by most on the high-diameter ones, because each sweep starts from
+// scores rescaled to unit mass (kernel.PRMass).
 //
 // Parallel Gauss-Seidel is chaotic relaxation: workers read whatever
 // contribution a neighbor currently has. The contribution array is accessed

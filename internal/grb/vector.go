@@ -290,7 +290,8 @@ func SelectRange[T Number](v *Vector[T], lo, hi T) *Vector[T] {
 	case !(lo < hi):
 		// An empty range selects nothing (and would wrap selectIntegers' width).
 	case T(1)/T(2) != 0:
-		// float64: no integer cut exists, and NaN must fail both compares.
+		// T is float64 (integer division would truncate to 0): there is no
+		// integer cut, and NaN must fail both compares.
 		for i, x := range v.dense {
 			if x >= lo && x < hi {
 				out.ind = append(out.ind, Index(i))
