@@ -31,11 +31,9 @@ import (
 // false). A region the machine's token cut short is partial, not wrong, so an
 // interrupted machine skips the assertion.
 func PRMass(exec *par.Machine, ranks, invDeg []float64, workers int) (mass, dangling float64) {
-	slots := workers
-	if slots < 1 {
-		slots = exec.Size()
-	}
-	partial := make([][2]float64, slots)
+	// ForWorker runs at most max(workers, exec.Size()) slots (workers < 1
+	// means the machine's size).
+	partial := make([][2]float64, max(workers, exec.Size()))
 	exec.ForWorker(len(ranks), workers, func(w, lo, hi int) {
 		var m, d float64
 		for u := lo; u < hi; u++ {
