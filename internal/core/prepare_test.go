@@ -86,3 +86,35 @@ func (s *optionsSpy) TC(g *gGraph, opt kernel.Options) int64 {
 	s.last = opt
 	return 0
 }
+
+// TestRunCellPreparesRelabeledViewForOptimized checks that a RelabelPreparer
+// gets the relabeled view before an Optimized cell's trials, and never
+// before a Baseline cell's.
+func TestRunCellPreparesRelabeledViewForOptimized(t *testing.T) {
+	in, err := core.LoadInput(core.GraphSpec{Name: "Kron", Scale: 6, Seed: 2, Delta: 16, SourceSeed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spy := &relabelSpy{zeroFramework: zeroFramework{"RelabelSpy"}}
+	r := &core.Runner{Trials: 1, BaselineWorkers: 1, OptimizedWorkers: 1}
+	defer r.Close()
+	r.RunCell(spy, core.TC, in, kernel.Baseline)
+	if len(spy.relabeled) != 0 {
+		t.Fatalf("Baseline cell prepared %d relabeled views, want none", len(spy.relabeled))
+	}
+	r.RunCell(spy, core.TC, in, kernel.Optimized)
+	if len(spy.relabeled) != 1 || spy.relabeled[0] != in.Relabeled {
+		t.Fatalf("Optimized cell prepared %v, want the input's relabeled view once", spy.relabeled)
+	}
+}
+
+// relabelSpy records the relabeled views it is asked to prepare.
+type relabelSpy struct {
+	zeroFramework
+	relabeled []*gGraph
+}
+
+func (*relabelSpy) Prepare(g *gGraph, undirected *gGraph) {}
+func (s *relabelSpy) PrepareRelabeled(relabeled *gGraph) {
+	s.relabeled = append(s.relabeled, relabeled)
+}

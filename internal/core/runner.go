@@ -368,8 +368,9 @@ func (r *Runner) runAttempt(f kernel.Framework, k Kernel, in *Input, mode kernel
 }
 
 // prepare runs a framework's untimed load-time conversion under recover, so
-// a panicking Prepare fails its cell instead of the suite.
-func prepare(f kernel.Framework, in *Input) (out Outcome) {
+// a panicking Prepare fails its cell instead of the suite. An Optimized cell
+// also gets the relabeled view converted, when the framework asks for it.
+func prepare(f kernel.Framework, in *Input, mode kernel.Mode) (out Outcome) {
 	p, ok := f.(kernel.Preparer)
 	if !ok {
 		return out
@@ -382,6 +383,9 @@ func prepare(f kernel.Framework, in *Input) (out Outcome) {
 		}
 	}()
 	p.Prepare(in.Graph, in.Undirected)
+	if rp, ok := f.(kernel.RelabelPreparer); ok && mode == kernel.Optimized && in.Relabeled != nil {
+		rp.PrepareRelabeled(in.Relabeled)
+	}
 	return out
 }
 
@@ -407,7 +411,7 @@ func (r *Runner) RunCell(f kernel.Framework, k Kernel, in *Input, mode kernel.Mo
 		return res
 	}
 
-	if out := prepare(f, in); out.Status != OK {
+	if out := prepare(f, in, mode); out.Status != OK {
 		res.Status = out.Status
 		res.Verified = false
 		res.Err = out.Err

@@ -111,6 +111,25 @@ func checkMatrix(op string, m *Matrix) {
 	}
 }
 
+// checkRowsSorted asserts the row order that binary searches and sorted
+// merges over m's rows rely on (checkMatrix leaves order alone, so a matrix
+// that only feeds row scans may hold duplicates):
+//
+//	row-sorted-unique  column indices strictly increase within each row
+func checkRowsSorted(op string, m *Matrix) {
+	if !invariant.Armed() || m == nil {
+		return
+	}
+	for r := Index(0); r < m.nrows; r++ {
+		for t := m.rowPtr[r] + 1; t < m.rowPtr[r+1]; t++ {
+			if m.colInd[t-1] >= m.colInd[t] {
+				checkFail(op, "row-sorted-unique",
+					fmt.Sprintf("row %d: colInd[%d] = %d does not follow colInd[%d] = %d", r, t, m.colInd[t], t-1, m.colInd[t-1]))
+			}
+		}
+	}
+}
+
 // checkDenseMatrix asserts the representation invariants of a k-by-n dense
 // matrix at a batched product's boundary, each row being a bitmap vector:
 //

@@ -61,6 +61,7 @@ func TestGrbcheckCleanOpsPass(t *testing.T) {
 	MxVFullInto(par.Default(), a, NewFull[int64](a.ncols, 1), MinFirst(), NewFull[int64](a.nrows, 0), 2)
 	ScatterMin(NewFull[int64](a.ncols, 9), []int64{0, 1}, []int64{3, 4})
 	SelectRange(NewFull[int64](a.ncols, 1), 0, 2)
+	MxMPlusPairReduce(par.Default(), a.Tril(par.Default(), -1, 2), a.Triu(par.Default(), 1, 2), 2)
 }
 
 // TestGrbcheckCorruptedVector seeds each vector corruption and asserts the
@@ -149,6 +150,21 @@ func TestGrbcheckCorruptedMatrix(t *testing.T) {
 		a.rowPtr = a.rowPtr[:len(a.rowPtr)-1] // corrupt
 		mustPanic(t, func() { VxM(par.Default(), q, a, MinFirst(), nil, 1) },
 			"VxM input A", "rowptr-length")
+	})
+
+	t.Run("row out of order", func(t *testing.T) {
+		// Row 0 holds {2, 1}: a binary search for its band, or a sorted
+		// merge against it, would silently miss entries.
+		a := &Matrix{nrows: 3, ncols: 3, rowPtr: []Index{0, 2, 2, 3}, colInd: []Index{2, 1, 0}}
+		mustPanic(t, func() { a.Tril(par.Default(), -1, 2) }, "Tril input", "row-sorted-unique")
+		mustPanic(t, func() { a.Triu(par.Default(), 1, 2) }, "Triu input", "row-sorted-unique")
+		mustPanic(t, func() { MxMPlusPairReduce(par.Default(), a, a, 1) },
+			"MxMPlusPairReduce input L", "row-sorted-unique")
+	})
+
+	t.Run("duplicate entry in a row", func(t *testing.T) {
+		a := &Matrix{nrows: 3, ncols: 3, rowPtr: []Index{0, 0, 1, 3}, colInd: []Index{0, 1, 1}}
+		mustPanic(t, func() { a.Triu(par.Default(), 1, 1) }, "Triu input", "row-sorted-unique")
 	})
 
 	t.Run("weights not parallel to entries", func(t *testing.T) {

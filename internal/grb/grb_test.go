@@ -112,8 +112,8 @@ func TestTrilTriu(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := grb.FromGraph(g, false, false)
-	l := a.Tril(-1)
-	u := a.Triu(1)
+	l := a.Tril(par.Default(), -1, 2)
+	u := a.Triu(par.Default(), 1, 2)
 	if l.NVals() != 3 || u.NVals() != 3 {
 		t.Fatalf("L nvals=%d U nvals=%d, want 3 each", l.NVals(), u.NVals())
 	}
@@ -224,7 +224,7 @@ func TestMxMPlusPairReduceTriangle(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := grb.FromGraph(g, false, false)
-	if got := grb.MxMPlusPairReduce(par.Default(), a.Tril(-1), a.Triu(1), 2); got != 1 {
+	if got := grb.MxMPlusPairReduce(par.Default(), a.Tril(par.Default(), -1, 2), a.Triu(par.Default(), 1, 2), 2); got != 1 {
 		t.Fatalf("triangles = %d, want 1", got)
 	}
 }

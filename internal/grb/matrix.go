@@ -1,7 +1,10 @@
 package grb
 
 import (
+	"slices"
+
 	"gapbench/internal/graph"
+	"gapbench/internal/par"
 )
 
 // Matrix is a sparse matrix in CSR format with 64-bit indices and optional
@@ -67,34 +70,76 @@ func FromGraph(g *graph.Graph, transpose, withWeights bool) *Matrix {
 	return m
 }
 
-// Tril returns the strictly-lower-triangular part of m (entries with
-// col < row + k, GxB_select with GxB_TRIL; k = -1 gives L = tril(A,-1)).
-func (m *Matrix) Tril(k Index) *Matrix {
-	return m.selectCols(func(row, col Index) bool { return col <= row+k })
+// Tril returns the lower band of m: the entries with col <= row + k
+// (GxB_select with GxB_TRIL; k = -1 gives the strictly lower L = tril(A,-1)).
+// Rows are sorted, so each row's band is a prefix found by binary search.
+// Like GxB_select, it runs in parallel: see selectBand.
+func (m *Matrix) Tril(exec *par.Machine, k Index, workers int) *Matrix {
+	return m.selectBand(exec, "Tril", k, true, workers)
 }
 
-// Triu returns the upper-triangular part of m (entries with col >= row + k;
-// k = 1 gives U = triu(A,1)).
-func (m *Matrix) Triu(k Index) *Matrix {
-	return m.selectCols(func(row, col Index) bool { return col >= row+k })
+// Triu returns the upper band of m: the entries with col >= row + k
+// (GxB_select with GxB_TRIU; k = 1 gives U = triu(A,1)), each row's band
+// being a suffix found by binary search.
+func (m *Matrix) Triu(exec *par.Machine, k Index, workers int) *Matrix {
+	return m.selectBand(exec, "Triu", k, false, workers)
 }
 
-func (m *Matrix) selectCols(keep func(row, col Index) bool) *Matrix {
-	out := &Matrix{nrows: m.nrows, ncols: m.ncols, rowPtr: make([]Index, m.nrows+1)}
-	for r := Index(0); r < m.nrows; r++ {
-		cols, ws := m.Row(r)
-		for i, c := range cols {
-			if keep(r, c) {
-				out.colInd = append(out.colInd, c)
-				if ws != nil {
-					out.weight = append(out.weight, ws[i])
-				}
+// selectBand copies each row's band — the prefix with col <= row+k when
+// lower, else the suffix with col >= row+k — in two ForWorker regions over
+// the same static row blocks. The first stores each row's band width in the
+// output's rowPtr[r+1] and each block's total; after a serial scan over the
+// block totals, the second turns its block's widths into row offsets and
+// copies the bands. A region the machine's token cut short leaves the result
+// partial; the caller checks exec.Interrupted() before using it.
+func (m *Matrix) selectBand(exec *par.Machine, op string, k Index, lower bool, workers int) *Matrix {
+	checkMatrix(op+" input", m)
+	checkRowsSorted(op+" input", m)
+	n := int(m.nrows)
+	out := &Matrix{nrows: m.nrows, ncols: m.ncols, rowPtr: make([]Index, n+1)}
+	// ForWorker runs at most max(workers, exec.Size()) slots (workers < 1
+	// means the machine's size).
+	offset := make([]Index, max(workers, exec.Size()))
+	exec.ForWorker(n, workers, func(w, lo, hi int) {
+		var total Index
+		for r := lo; r < hi; r++ {
+			cols := m.colInd[m.rowPtr[r]:m.rowPtr[r+1]]
+			var width int
+			if lower {
+				width, _ = slices.BinarySearch(cols, Index(r)+k+1)
+			} else {
+				start, _ := slices.BinarySearch(cols, Index(r)+k)
+				width = len(cols) - start
 			}
+			out.rowPtr[r+1] = Index(width)
+			total += Index(width)
 		}
-		out.rowPtr[r+1] = Index(len(out.colInd))
+		offset[w] = total
+	})
+	var nvals Index
+	for w, t := range offset {
+		offset[w] = nvals
+		nvals += t
 	}
-	if m.weight == nil {
-		out.weight = nil
+	out.colInd = make([]Index, nvals)
+	if m.weight != nil {
+		out.weight = make([]int32, nvals)
 	}
+	exec.ForWorker(n, workers, func(w, lo, hi int) {
+		at := offset[w]
+		for r := lo; r < hi; r++ {
+			width := out.rowPtr[r+1]
+			src := m.rowPtr[r]
+			if !lower {
+				src = m.rowPtr[r+1] - width
+			}
+			copy(out.colInd[at:at+width], m.colInd[src:src+width])
+			if m.weight != nil {
+				copy(out.weight[at:at+width], m.weight[src:src+width])
+			}
+			at += width
+			out.rowPtr[r+1] = at
+		}
+	})
 	return out
 }

@@ -392,6 +392,8 @@ func ScatterMin(dst *Vector[int64], idx, val []int64) {
 func MxMPlusPairReduce(exec *par.Machine, l, u *Matrix, workers int) int64 {
 	checkMatrix("MxMPlusPairReduce input L", l)
 	checkMatrix("MxMPlusPairReduce input U", u)
+	checkRowsSorted("MxMPlusPairReduce input L", l)
+	checkRowsSorted("MxMPlusPairReduce input U", u)
 	// Materialize C's values row by row (structure equals L's).
 	values := make([]int64, l.NVals())
 	exec.ForDynamic(int(l.nrows), 64, workers, func(lo, hi int) {

@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"gapbench/internal/graph"
 	"gapbench/internal/grb"
+	"gapbench/internal/par"
 )
 
 // selectRanges are the [lo, hi) windows TestSelectRangeFullMatchesIterate
@@ -80,4 +82,89 @@ func entries[T grb.Number](v *grb.Vector[T]) []selected[T] {
 	var out []selected[T]
 	v.Iterate(func(i grb.Index, x T) { out = append(out, selected[T]{i, x}) })
 	return out
+}
+
+// TestTrilTriuMatchesFilter compares Tril and Triu entry for entry against a
+// brute-force filter of every stored entry, on seeded random matrices with
+// empty rows, self loops (the diagonal k = 0 keeps or drops), weighted and
+// unweighted, for k from −2 to 2 at 1 and 4 workers.
+func TestTrilTriuMatchesFilter(t *testing.T) {
+	exec := par.Default()
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := []int{1, 2, 9, 64, 300, 5000}[seed-1]
+		weighted := seed%2 == 0
+		// About a third of the rows stay empty; the rest get up to 8 entries.
+		var edges []graph.WEdge
+		for u := 0; u < n; u++ {
+			if rng.Intn(3) == 0 {
+				continue
+			}
+			for e := rng.Intn(9); e > 0; e-- {
+				edges = append(edges, graph.WEdge{U: graph.NodeID(u), V: graph.NodeID(rng.Intn(n)), W: graph.Weight(1 + rng.Intn(50))})
+			}
+		}
+		opt := graph.BuildOptions{NumNodes: int32(n), Directed: true, KeepSelfLoops: true}
+		var g *graph.Graph
+		var err error
+		if weighted {
+			g, err = graph.BuildWeighted(edges, opt)
+		} else {
+			plain := make([]graph.Edge, len(edges))
+			for i, e := range edges {
+				plain[i] = graph.Edge{U: e.U, V: e.V}
+			}
+			g, err = graph.Build(plain, opt)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := grb.FromGraph(g, false, weighted)
+		for k := grb.Index(-2); k <= 2; k++ {
+			for _, workers := range []int{1, 4} {
+				name := fmt.Sprintf("n=%d weighted=%v k=%d workers=%d", n, weighted, k, workers)
+				requireBand(t, name+" tril", a, a.Tril(exec, k, workers), func(r, c grb.Index) bool { return c <= r+k })
+				requireBand(t, name+" triu", a, a.Triu(exec, k, workers), func(r, c grb.Index) bool { return c >= r+k })
+			}
+		}
+	}
+}
+
+// requireBand checks that got holds exactly the entries of a that keep
+// accepts, row by row, in order, with their weights.
+func requireBand(t *testing.T, name string, a, got *grb.Matrix, keep func(r, c grb.Index) bool) {
+	t.Helper()
+	if got.NRows() != a.NRows() {
+		t.Fatalf("%s: %d rows, want %d", name, got.NRows(), a.NRows())
+	}
+	var nvals grb.Index
+	for r := grb.Index(0); r < a.NRows(); r++ {
+		cols, ws := a.Row(r)
+		var wantCols []grb.Index
+		var wantWs []int32
+		for i, c := range cols {
+			if keep(r, c) {
+				wantCols = append(wantCols, c)
+				if ws != nil {
+					wantWs = append(wantWs, ws[i])
+				}
+			}
+		}
+		gotCols, gotWs := got.Row(r)
+		if len(gotCols) != len(wantCols) {
+			t.Fatalf("%s: row %d holds %v, want %v", name, r, gotCols, wantCols)
+		}
+		if (ws == nil) != (gotWs == nil) {
+			t.Fatalf("%s: row %d weights %v, input weights %v", name, r, gotWs, ws)
+		}
+		for i := range wantCols {
+			if gotCols[i] != wantCols[i] || (ws != nil && gotWs[i] != wantWs[i]) {
+				t.Fatalf("%s: row %d holds %v %v, want %v %v", name, r, gotCols, gotWs, wantCols, wantWs)
+			}
+		}
+		nvals += grb.Index(len(wantCols))
+	}
+	if got.NVals() != nvals {
+		t.Fatalf("%s: %d entries, want %d", name, got.NVals(), nvals)
+	}
 }

@@ -195,6 +195,14 @@ type Preparer interface {
 	Prepare(g *graph.Graph, undirected *graph.Graph)
 }
 
+// RelabelPreparer is implemented by Preparers whose Optimized kernels also
+// convert Options.RelabeledView. The harness calls PrepareRelabeled before
+// every Optimized cell, untimed, so like Prepare it must cache: the Optimized
+// rule set excludes relabeling time, and so converting the relabeled view.
+type RelabelPreparer interface {
+	PrepareRelabeled(relabeled *graph.Graph)
+}
+
 // Describer is implemented by frameworks that report their Table II/III
 // metadata.
 type Describer interface {

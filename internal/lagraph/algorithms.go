@@ -355,7 +355,10 @@ func betweenness(exec *par.Machine, m *matrices, sources []grb.Index, workers in
 // C<L> = L*U' over plus_pair, then reduce C to a scalar. The value matrix is
 // materialized and then discarded, the unfused cost §V-F quantifies at ~2x.
 func triangleCount(exec *par.Machine, und *grb.Matrix, workers int) int64 {
-	l := und.Tril(-1)
-	u := und.Triu(1)
+	l := und.Tril(exec, -1, workers)
+	u := und.Triu(exec, 1, workers)
+	if exec.Interrupted() {
+		return 0 // a cut-short select is partial; the harness discards the trial
+	}
 	return grb.MxMPlusPairReduce(exec, l, u, workers)
 }

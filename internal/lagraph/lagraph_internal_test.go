@@ -239,3 +239,46 @@ func TestBetweennessAllocationIsDepthIndependent(t *testing.T) {
 			n-1, got, perEntry*k*n, perEntry)
 	}
 }
+
+// TestOptimizedTCConvertsRelabeledViewOnce requires Optimized TC to convert
+// the relabeled view at most once per framework: a first call on a framework
+// that was not handed the view builds its matrix, while a second call, or a
+// first call after PrepareRelabeled, allocates at least that matrix's column
+// array less.
+func TestOptimizedTCConvertsRelabeledViewOnce(t *testing.T) {
+	g, err := generate.ByName("Kron", 9, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := g.Undirected()
+	rel, _ := graph.DegreeRelabel(par.Default(), u)
+	opt := kernel.Options{Mode: kernel.Optimized, Workers: 2, UndirectedView: u, RelabeledView: rel}
+	want := verify.Triangles(u)
+	allocated := func(f *Framework) uint64 {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got := f.TC(g, opt)
+		runtime.ReadMemStats(&after)
+		if got != want {
+			t.Fatalf("Optimized TC = %d, want %d", got, want)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	_, neigh := rel.RawOut()
+	colBytes := uint64(8 * len(neigh))
+
+	f := New()
+	f.Prepare(g, u)
+	first := allocated(f)
+	second := allocated(f)
+	if second+colBytes > first {
+		t.Errorf("second call allocated %d B, first %d B: the %d B column array was rebuilt", second, first, colBytes)
+	}
+	pf := New()
+	pf.Prepare(g, u)
+	pf.PrepareRelabeled(rel)
+	if p := allocated(pf); p+colBytes > first {
+		t.Errorf("call after PrepareRelabeled allocated %d B, unprepared first call %d B: the %d B column array was rebuilt", p, first, colBytes)
+	}
+}

@@ -56,19 +56,13 @@ func (c *CSR) NeighborSlice(u Vertex) []Vertex { return c.g.OutNeighbors(u) }
 // range specialization a C++ template instantiation performs for free).
 func (c *CSR) InNeighborSlice(u Vertex) []Vertex { return c.g.InNeighbors(u) }
 
-// sortedNeighbors returns u's neighbors as a sorted slice for any
-// AdjacencyList, using the zero-copy fast path when the type offers one.
-// The second return value is the (possibly grown) scratch buffer to pass
-// back on the next call; the first return value must not be retained across
-// calls that share the buffer.
-func sortedNeighbors(g AdjacencyList, u Vertex, buf []Vertex) ([]Vertex, []Vertex) {
-	if fast, ok := g.(interface{ NeighborSlice(Vertex) []Vertex }); ok {
-		return fast.NeighborSlice(u), buf
-	}
-	buf = buf[:0]
+// appendNeighbors appends u's neighbors to buf through the generic iterator
+// and returns the grown buffer; it is TC's row copy for graph types that
+// offer no NeighborSlice.
+func appendNeighbors(g AdjacencyList, u Vertex, buf []Vertex) []Vertex {
 	g.Neighbors(u, func(v Vertex) bool {
 		buf = append(buf, v)
 		return true
 	})
-	return buf, buf
+	return buf
 }

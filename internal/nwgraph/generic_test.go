@@ -117,7 +117,7 @@ func TestGenericKernelsOnMapAdjacency(t *testing.T) {
 }
 
 // TestCSRAndMapAgree cross-validates the two adjacency types against each
-// other directly.
+// other directly (TestTCAcrossAdjacencies does so for TC).
 func TestCSRAndMapAgree(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	g, err := generate.Urand(7, 21)
@@ -126,14 +126,35 @@ func TestCSRAndMapAgree(t *testing.T) {
 	}
 	csr := nwgraph.NewCSR(g)
 	m := newMapAdjacency(g)
-	if got, want := nwgraph.TC(par.Default(), m, 2), nwgraph.TC(par.Default(), csr, 2); got != want {
-		t.Fatalf("TC disagrees: map %d vs csr %d", got, want)
-	}
 	dm := nwgraph.SSSP(par.Default(), m, 0, 16, 2)
 	dc := nwgraph.SSSP(par.Default(), csr, 0, 16, 2)
 	for v := range dm {
 		if dm[v] != dc[v] {
 			t.Fatalf("SSSP disagrees at %d: %d vs %d", v, dm[v], dc[v])
+		}
+	}
+}
+
+// TestTCAcrossAdjacencies runs TC on the CSR adapter (the contiguous-row
+// path) and on the map adjacency (the generic copy path) over every suite
+// generator, at 1, 3 and 8 workers, against the triangle oracle.
+func TestTCAcrossAdjacencies(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	for _, name := range generate.Names {
+		g, err := generate.ByName(name, 8, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u := g.Undirected()
+		want := verify.Triangles(u)
+		csr, m := nwgraph.NewCSR(u), newMapAdjacency(u)
+		for _, workers := range []int{1, 3, 8} {
+			if got := nwgraph.TC(par.Default(), csr, workers); got != want {
+				t.Errorf("%s, %d workers: CSR counts %d triangles, oracle %d", name, workers, got, want)
+			}
+			if got := nwgraph.TC(par.Default(), m, workers); got != want {
+				t.Errorf("%s, %d workers: map adjacency counts %d triangles, oracle %d", name, workers, got, want)
+			}
 		}
 	}
 }

@@ -396,45 +396,79 @@ func BC[G BidirectionalAdjacency](exec *par.Machine, g G, sources []Vertex, work
 
 // TC counts triangles with a cyclic distribution of rows across workers —
 // §V-F: "NWGraph's cyclic distribution of rows across threads led to near
-// optimal load balancing" on skew-degree graphs.
+// optimal load balancing" on skew-degree graphs. Like PR's gather, it
+// resolves the row accessor once: a graph type with contiguous rows hands
+// them out as they are, and any other type copies each row through the
+// generic iterator into per-worker buffers.
 func TC[G AdjacencyList](exec *par.Machine, g G, workers int) int64 {
 	n := g.NumVertices()
 	if workers < 1 {
 		workers = 1
 	}
-	partial := make([]int64, workers)
-	bufsA := make([][]Vertex, workers)
-	bufsB := make([][]Vertex, workers)
-	exec.ForCyclic(n, workers, func(w, a int) {
-		var na []Vertex
-		na, bufsA[w] = sortedNeighbors(g, Vertex(a), bufsA[w])
-		var count int64
-		for _, b := range na {
-			if b > Vertex(a) {
-				break
-			}
-			var nb []Vertex
-			nb, bufsB[w] = sortedNeighbors(g, b, bufsB[w])
-			it := 0
-			for _, x := range nb {
-				if x > b {
+	// Every row adds to its worker's count, so each count gets a cache line
+	// of its own: unpadded, neighbouring workers' counts would share a line
+	// and the cores would trade it once per row.
+	partial := make([]paddedCount, workers)
+	if fast, ok := any(g).(interface{ NeighborSlice(Vertex) []Vertex }); ok {
+		exec.ForCyclic(n, workers, func(w, a int) {
+			na := fast.NeighborSlice(Vertex(a))
+			var count int64
+			for _, b := range na {
+				if b > Vertex(a) {
 					break
 				}
-				for na[it] < x {
-					it++
-				}
-				if na[it] == x {
-					count++
-				}
+				count += orderedCommon(na, fast.NeighborSlice(b), b)
 			}
-		}
-		partial[w] += count
-	})
+			partial[w].n += count
+		})
+	} else {
+		bufs := make([]struct{ a, b []Vertex }, workers)
+		exec.ForCyclic(n, workers, func(w, a int) {
+			buf := &bufs[w]
+			buf.a = appendNeighbors(g, Vertex(a), buf.a[:0])
+			var count int64
+			for _, b := range buf.a {
+				if b > Vertex(a) {
+					break
+				}
+				buf.b = appendNeighbors(g, b, buf.b[:0])
+				count += orderedCommon(buf.a, buf.b, b)
+			}
+			partial[w].n += count
+		})
+	}
 	var total int64
 	for _, p := range partial {
-		total += p
+		total += p.n
 	}
 	return total
+}
+
+// paddedCount is one worker's count on a cache line of its own (64 bytes,
+// like par's barrier shards).
+type paddedCount struct {
+	n int64
+	_ [56]byte
+}
+
+// orderedCommon counts the neighbours x <= b that the sorted rows na and nb
+// share — one step of the ordered count, for the edge (a, b) with b <= a.
+// na holds b itself, so the cursor into na stops at b at the latest.
+func orderedCommon(na, nb []Vertex, b Vertex) int64 {
+	var count int64
+	it := 0
+	for _, x := range nb {
+		if x > b {
+			break
+		}
+		for na[it] < x {
+			it++
+		}
+		if na[it] == x {
+			count++
+		}
+	}
+	return count
 }
 
 // nextCollect merges per-chunk frontier fragments.
