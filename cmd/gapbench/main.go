@@ -12,7 +12,6 @@
 //	gapbench -graphs Road,Kron -kernels BFS,SSSP -frameworks GAP,Galois
 //	gapbench -graphfile g/kron-s13-seed42.sg,g/road-s14-seed42.sg  # mmap saved graphs
 //	gapbench -savegraphs ./graphs          # save every input as format-v2 .sg
-//	gapbench -tune -tunefile sched.json    # autotune GraphIt schedules, persist them
 package main
 
 import (
@@ -26,7 +25,6 @@ import (
 
 	"gapbench/internal/core"
 	"gapbench/internal/graph"
-	"gapbench/internal/graphit"
 	"gapbench/internal/kernel"
 	"gapbench/internal/report"
 )
@@ -50,8 +48,6 @@ func main() {
 		timeout    = flag.Duration("timeout", 0, "per-trial deadline (0 = none); overruns mark the cell TimedOut instead of hanging the run")
 		journal    = flag.String("journal", "", "append each completed cell to this JSONL journal")
 		resume     = flag.Bool("resume", false, "replay cells already in -journal instead of re-running them")
-		doTune     = flag.Bool("tune", false, "autotune GraphIt schedules for the selected inputs and kernels before benchmarking, persisting them to -tunefile")
-		tuneFile   = flag.String("tunefile", "", "persistent schedule store (JSON): -tune writes it; any run with it set loads stored schedules for Optimized-mode cells")
 	)
 	flag.Parse()
 
@@ -59,17 +55,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gapbench: -resume requires -journal")
 		os.Exit(1)
 	}
-	if *doTune && *tuneFile == "" {
-		fmt.Fprintln(os.Stderr, "gapbench: -tune requires -tunefile")
-		os.Exit(1)
-	}
-	if err := run(*tableFlag, *scale, *trials, *graphsFlag, *kernsFlag, *fwFlag, *modeFlag, *csvPath, *mdPath, *graphDir, *graphFiles, *saveGraphs, !*noVerify, *quiet, *timeout, *journal, *resume, *doTune, *tuneFile); err != nil {
+	if err := run(*tableFlag, *scale, *trials, *graphsFlag, *kernsFlag, *fwFlag, *modeFlag, *csvPath, *mdPath, *graphDir, *graphFiles, *saveGraphs, !*noVerify, *quiet, *timeout, *journal, *resume); err != nil {
 		fmt.Fprintln(os.Stderr, "gapbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(tableSel string, scale, trials int, graphsCSV, kernelsCSV, fwCSV, modeSel, csvPath, mdPath, graphDir, graphFiles, saveGraphs string, doVerify, quiet bool, timeout time.Duration, journal string, resume, doTune bool, tuneFile string) error {
+// tables are the values -table accepts, matched case-insensitively.
+var tables = []string{"I", "II", "III", "IV", "V", "all"}
+
+func run(tableSel string, scale, trials int, graphsCSV, kernelsCSV, fwCSV, modeSel, csvPath, mdPath, graphDir, graphFiles, saveGraphs string, doVerify, quiet bool, timeout time.Duration, journal string, resume bool) error {
 	frameworks, err := core.FrameworksFromCSV(fwCSV)
 	if err != nil {
 		return err
@@ -78,8 +73,11 @@ func run(tableSel string, scale, trials int, graphsCSV, kernelsCSV, fwCSV, modeS
 		frameworks = core.Frameworks()
 	}
 
+	if !slices.ContainsFunc(tables, func(t string) bool { return strings.EqualFold(t, tableSel) }) {
+		return fmt.Errorf("unknown table %q (want one of %s)", tableSel, strings.Join(tables, ", "))
+	}
 	// Static tables need no benchmark runs.
-	wantTable := func(name string) bool { return tableSel == "all" || strings.EqualFold(tableSel, name) }
+	wantTable := func(name string) bool { return strings.EqualFold(tableSel, "all") || strings.EqualFold(tableSel, name) }
 	if wantTable("II") {
 		fmt.Println(report.TableII(frameworks))
 	}
@@ -179,25 +177,6 @@ func run(tableSel string, scale, trials int, graphsCSV, kernelsCSV, fwCSV, modeS
 	defer runner.Close()                  // park the per-mode machines
 	core.PrepareViews(frameworks, inputs) // untimed load-phase conversions
 
-	if tuneFile != "" {
-		store, err := loadStore(tuneFile)
-		if err != nil {
-			return err
-		}
-		if doTune {
-			tuned, reused := tuneSchedules(store, inputs, kernels, trials, runner.OptimizedWorkers)
-			if err := saveStore(tuneFile, store); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "tune: tuned %d schedules, reused %d from %s\n", tuned, reused, tuneFile)
-		}
-		for _, f := range frameworks {
-			if g, ok := f.(*graphit.Framework); ok {
-				g.Schedules = store
-			}
-		}
-	}
-
 	progress := func(r core.Result) {
 		if quiet {
 			return
@@ -245,71 +224,4 @@ func run(tableSel string, scale, trials int, graphsCSV, kernelsCSV, fwCSV, modeS
 		}
 	}
 	return nil
-}
-
-// tunableKernels is the subset of the suite the GraphIt scheduling language
-// covers (TC has no schedule space).
-var tunableKernels = map[core.Kernel]bool{"BFS": true, "SSSP": true, "PR": true, "CC": true, "BC": true}
-
-// loadStore reads the schedule store at path. A missing file yields an empty
-// store (first tuning run); a malformed or wrong-version file is an error.
-func loadStore(path string) (*graphit.Store, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return graphit.NewStore(), nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("reading schedule store: %w", err)
-	}
-	store, err := graphit.ParseStore(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return store, nil
-}
-
-// saveStore writes the schedule store to path, creating its directory.
-func saveStore(path string, store *graphit.Store) error {
-	data, err := store.Encode()
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("creating schedule store directory: %w", err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("writing schedule store: %w", err)
-	}
-	return nil
-}
-
-// tuneSchedules runs the autotuner for every (input, kernel) pair not already
-// covered by the store — stored entries are keyed by the graph's content
-// epoch, so a store tuned against different graph bytes misses cleanly and
-// gets re-tuned. It returns how many schedules it tuned and how many it found.
-func tuneSchedules(store *graphit.Store, inputs []*core.Input, kernels []core.Kernel, trials, workers int) (tuned, reused int) {
-	if len(kernels) == 0 {
-		kernels = core.Kernels
-	}
-	mode := kernel.Optimized.String()
-	for _, in := range inputs {
-		for _, k := range kernels {
-			if !tunableKernels[k] {
-				continue
-			}
-			kname := strings.ToLower(string(k))
-			if _, ok := store.Lookup(kname, in.Graph.Epoch(), mode); ok {
-				reused++
-				continue
-			}
-			src := graph.NodeID(0)
-			if len(in.Sources) > 0 {
-				src = in.Sources[0]
-			}
-			best, trace := graphit.Autotune(in.Graph, kname, src, trials, workers)
-			store.Put(kname, in.Graph.Epoch(), mode, best, graphit.BestSeconds(trace, best))
-			tuned++
-		}
-	}
-	return tuned, reused
 }

@@ -1,40 +1,30 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
+	"strings"
 	"testing"
-
-	"gapbench/internal/graphit"
 )
 
-// TestStoreFile: -tunefile's file layer. A missing file is an empty store
-// (the first tuning run), a saved one loads back, garbage is an error.
-func TestStoreFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sub", "schedules.json")
-	st, err := loadStore(path)
-	if err != nil {
-		t.Fatalf("missing store file must load empty, got %v", err)
+// TestTableFlag: -table takes I, II, III, IV, V or all in any case, and
+// anything else is an error naming the valid values before any work is done
+// (it used to exit 0 having produced nothing).
+func TestTableFlag(t *testing.T) {
+	runTable := func(sel string) error {
+		return run(sel, 6, 1, "Kron", "BFS", "GAP", "baseline", "", "", "", "", "", true, true, 0, "", false)
 	}
-	if st.Len() != 0 {
-		t.Fatalf("missing store has %d entries", st.Len())
+	for _, bad := range []string{"VI", "", "iv,v", "4", "table"} {
+		err := runTable(bad)
+		if err == nil {
+			t.Fatalf("-table %q: accepted", bad)
+		}
+		if !strings.Contains(err.Error(), "I, II, III, IV, V, all") {
+			t.Fatalf("-table %q: error %q does not list the valid values", bad, err)
+		}
 	}
-	sched := graphit.Schedule{Direction: graphit.PushOnly, BucketFusion: true}
-	st.Put("sssp", 7, "Optimized", sched, 0.5)
-	if err := saveStore(path, st); err != nil {
-		t.Fatal(err)
-	}
-	back, err := loadStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := back.Lookup("sssp", 7, "Optimized"); !ok || got != sched {
-		t.Fatalf("Lookup after reload = %+v, %v; want %+v, true", got, ok, sched)
-	}
-	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadStore(path); err == nil {
-		t.Fatal("garbage store file must fail to load")
+	// Static tables run nothing, so these exercise validation alone.
+	for _, good := range []string{"ii", "III"} {
+		if err := runTable(good); err != nil {
+			t.Fatalf("-table %q: %v", good, err)
+		}
 	}
 }

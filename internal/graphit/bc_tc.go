@@ -15,7 +15,7 @@ import (
 // Road schedule), and the backward pass walks the transposed graph (§V-E:
 // "GraphIt transposes the graph for the backward pass"): dependencies are
 // pushed from each successor to its parents over in-edges.
-func bc(exec *par.Machine, g *graph.Graph, sources []graph.NodeID, sched Schedule, workers int) []float64 {
+func bc(exec *par.Machine, g *graph.Graph, sources []graph.NodeID, sched schedule, workers int) []float64 {
 	n := int(g.NumNodes())
 	scores := make([]float64, n)
 	if n == 0 {

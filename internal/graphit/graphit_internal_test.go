@@ -1,6 +1,7 @@
 package graphit
 
 import (
+	"math"
 	"testing"
 
 	"gapbench/internal/frontier"
@@ -9,6 +10,7 @@ import (
 	"gapbench/internal/kernel"
 	"gapbench/internal/par"
 	"gapbench/internal/testutil"
+	"gapbench/internal/verify"
 )
 
 // The vertex-set tests below drive the shared frontier library with the two
@@ -82,44 +84,91 @@ func TestEdgesetApplyPull(t *testing.T) {
 	}
 }
 
-func TestAutotuneSchedules(t *testing.T) {
+// TestScheduleTable pins the whole schedule table: the value scheduleFor
+// returns for every (graph, kernel, rule set) at one n below the tiling
+// threshold (2^12) and one above it (2^16, gapmark's Road-16). Baseline rows
+// are graph-independent: the graph name is passed and must be ignored. SSSP
+// has no schedule (always bucket-fused, Table III), and CC reads only
+// ShortCircuit. Each Optimized row names the section of the paper, or the
+// measurement, it comes from.
+func TestScheduleTable(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
-	small, _ := generate.Kron(8, 1)
-	if s := autotune("bfs", small); s.Direction != DirOpt {
-		t.Error("bfs autotune should direction-optimize")
+	type pair struct{ small, large schedule }
+	same := func(s schedule) pair { return pair{s, s} }
+	sparse := schedule{Direction: dirOpt, Frontier: frontier.SparseList}
+	push := schedule{Direction: pushOnly, Frontier: frontier.SparseList}
+	bitmap := schedule{Direction: dirOpt, Frontier: frontier.Bitmap}
+	tiled := pair{schedule{CacheTiling: true, NumSegments: 1}, schedule{CacheTiling: true, NumSegments: 2}}
+	untiled := pair{schedule{NumSegments: 1}, schedule{NumSegments: 2}}
+	baseline := map[string]pair{
+		"bfs":  same(sparse),
+		"sssp": same(schedule{}),
+		"pr":   {schedule{NumSegments: 1}, schedule{CacheTiling: true, NumSegments: 2}},
+		"cc":   same(schedule{}),
+		"bc":   same(bitmap),
 	}
-	if s := autotune("sssp", small); !s.BucketFusion {
-		t.Error("sssp autotune should enable bucket fusion")
+	optimized := []struct {
+		graph, kernel string
+		want          pair
+		why           string
+	}{
+		{"Road", "bfs", same(push), "§V-A: always push on Road"},
+		{"Road", "sssp", same(schedule{}), "Table III: delta-stepping is always bucket-fused"},
+		{"Road", "pr", untiled, "measured: untiled beat tiled at Road-16 (EXPERIMENTS.md, GraphIt's schedule table)"},
+		{"Road", "cc", same(schedule{ShortCircuit: true}), "§V-C: short-circuit label chains on Road"},
+		{"Road", "bc", same(sparse), "§V-E: no bitvector frontier on Road"},
+		{"Twitter", "bfs", same(sparse), "§V-A: direction optimization off Road"},
+		{"Twitter", "sssp", same(schedule{}), "Table III: delta-stepping is always bucket-fused"},
+		{"Twitter", "pr", tiled, "§V-D: tiling pays off Web"},
+		{"Twitter", "cc", same(schedule{}), "§V-C: short-circuit only on Road"},
+		{"Twitter", "bc", same(bitmap), "§V-E: bitvector frontier off Road"},
+		{"Web", "bfs", same(push), "measured: push-only beat direction optimization at Web-14 (EXPERIMENTS.md, GraphIt's schedule table)"},
+		{"Web", "sssp", same(schedule{}), "Table III: delta-stepping is always bucket-fused"},
+		{"Web", "pr", untiled, "§V-D: Web had good locality"},
+		{"Web", "cc", same(schedule{}), "§V-C: short-circuit only on Road"},
+		{"Web", "bc", same(bitmap), "§V-E: bitvector frontier off Road"},
+		{"Kron", "bfs", same(sparse), "§V-A: direction optimization off Road"},
+		{"Kron", "sssp", same(schedule{}), "Table III: delta-stepping is always bucket-fused"},
+		{"Kron", "pr", tiled, "§V-D: tiling pays off Web"},
+		{"Kron", "cc", same(schedule{}), "§V-C: short-circuit only on Road"},
+		{"Kron", "bc", same(bitmap), "§V-E: bitvector frontier off Road"},
+		{"Urand", "bfs", same(sparse), "§V-A: direction optimization off Road"},
+		{"Urand", "sssp", same(schedule{}), "Table III: delta-stepping is always bucket-fused"},
+		{"Urand", "pr", tiled, "§V-D: tiling pays off Web"},
+		{"Urand", "cc", same(schedule{}), "§V-C: short-circuit only on Road"},
+		{"Urand", "bc", same(bitmap), "§V-E: bitvector frontier off Road"},
 	}
-	if s := autotune("pr", small); s.CacheTiling {
-		t.Error("small graph should not tile")
+	// scheduleFor reads only the vertex count; one edge fixes it.
+	withN := func(n graph.NodeID) *graph.Graph {
+		g, err := graph.Build([]graph.Edge{{U: 0, V: n - 1}}, graph.BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
 	}
-	if s := autotune("bc", small); s.Frontier != frontier.Bitmap {
-		t.Error("bc autotune should use a bitvector frontier")
+	small, large := withN(1<<12), withN(1<<16)
+	check := func(g *graph.Graph, kernelName string, opt kernel.Options, want schedule, why string) {
+		t.Helper()
+		if got := scheduleFor(kernelName, g, opt); got != want {
+			t.Errorf("%s %s %s n=%d: schedule %+v, want %+v (%s)",
+				opt.Mode, opt.GraphName, kernelName, g.NumNodes(), got, want, why)
+		}
 	}
-}
-
-func TestSpecializeSchedules(t *testing.T) {
-	defer testutil.CheckGoroutines(t)()
-	g, _ := generate.Road(10, 1)
-	opt := kernel.Options{Mode: kernel.Optimized, GraphName: "Road"}
-	if s := New().scheduleFor("bfs", g, opt); s.Direction != PushOnly {
-		t.Error("optimized Road BFS should be push-only (§V-A)")
+	for _, row := range optimized {
+		opt := kernel.Options{Mode: kernel.Optimized, GraphName: row.graph}
+		check(small, row.kernel, opt, row.want.small, row.why)
+		check(large, row.kernel, opt, row.want.large, row.why)
+		base := baseline[row.kernel]
+		opt.Mode = kernel.Baseline
+		check(small, row.kernel, opt, base.small, "Baseline: run-time heuristics only")
+		check(large, row.kernel, opt, base.large, "Baseline: run-time heuristics only")
 	}
-	if s := New().scheduleFor("cc", g, opt); !s.ShortCircuit {
-		t.Error("optimized Road CC should short-circuit (§V-C)")
+	if len(optimized) != 5*len(baseline) {
+		t.Fatalf("table has %d Optimized rows, want 5 graphs x %d kernels", len(optimized), len(baseline))
 	}
-	if s := New().scheduleFor("bc", g, opt); s.Frontier != frontier.SparseList {
-		t.Error("optimized Road BC should drop the bitvector (§V-E)")
-	}
-	web := kernel.Options{Mode: kernel.Optimized, GraphName: "Web"}
-	if s := New().scheduleFor("pr", g, web); s.CacheTiling {
-		t.Error("optimized Web PR should not tile (§V-D: Web has good locality)")
-	}
-	// Baseline never consults the graph name.
-	base := kernel.Options{Mode: kernel.Baseline, GraphName: ""}
-	if s := New().scheduleFor("bfs", g, base); s.Direction != DirOpt {
-		t.Error("baseline BFS must stay direction-optimizing")
+	// An unnamed input gets the Baseline heuristics even in Optimized mode.
+	for k, base := range baseline {
+		check(large, k, kernel.Options{Mode: kernel.Optimized}, base.large, "Optimized, unnamed input")
 	}
 }
 
@@ -163,6 +212,52 @@ func TestSegmentsPartitionInEdges(t *testing.T) {
 	}
 }
 
+func TestSegmentsForScalesWithN(t *testing.T) {
+	if s := segmentsFor(100); s < 1 {
+		t.Fatalf("segmentsFor(100) = %d, want >= 1", s)
+	}
+	small, large := segmentsFor(1<<16), segmentsFor(1<<22)
+	if large <= small {
+		t.Fatalf("segments must grow with n: %d (2^16) vs %d (2^22)", small, large)
+	}
+}
+
+// TestTiledPageRankMatchesUntiled runs the segmented sweep — which Road-16
+// takes in gapmark under Baseline and Twitter, Kron and Urand take at scale
+// in Optimized mode — against the untiled one and the PageRank fixed-point
+// check, on one skewed and one high-diameter graph, serial and parallel.
+func TestTiledPageRankMatchesUntiled(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	kron, err := generate.Kron(9, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	road, err := generate.Road(10, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 3} {
+		m := par.NewMachine(workers)
+		for name, g := range map[string]*graph.Graph{"Kron-9": kron, "Road-10": road} {
+			want := pr(m, g, schedule{}, workers)
+			for _, segs := range []int{2, 3, 7} {
+				got := pr(m, g, schedule{CacheTiling: true, NumSegments: segs}, workers)
+				if err := verify.CheckPR(g, got); err != nil {
+					t.Errorf("%s, %d workers, %d segments: %v", name, workers, segs, err)
+				}
+				for v := range want {
+					if d := math.Abs(got[v] - want[v]); d > 1e-12 {
+						t.Errorf("%s, %d workers, %d segments: rank[%d] = %g, untiled %g",
+							name, workers, segs, v, got[v], want[v])
+						break
+					}
+				}
+			}
+		}
+		m.Close()
+	}
+}
+
 func TestMergeVariantsAgree(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	x := []graph.NodeID{1, 3, 5, 7, 9, 11}
@@ -184,8 +279,8 @@ func TestLabelPropShortCircuitEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := cc(par.Default(), g, Schedule{}, 2)
-	short := cc(par.Default(), g, Schedule{ShortCircuit: true}, 2)
+	plain := cc(par.Default(), g, schedule{}, 2)
+	short := cc(par.Default(), g, schedule{ShortCircuit: true}, 2)
 	// Label values may differ; partition must not.
 	canon := func(labels []graph.NodeID) map[graph.NodeID]graph.NodeID {
 		m := map[graph.NodeID]graph.NodeID{}
@@ -200,40 +295,6 @@ func TestLabelPropShortCircuitEquivalence(t *testing.T) {
 	for v := range plain {
 		if cp[plain[v]] != cs[short[v]] {
 			t.Fatalf("partitions differ at vertex %d", v)
-		}
-	}
-}
-
-func TestAutotuneExploresAndPicksBest(t *testing.T) {
-	defer testutil.CheckGoroutines(t)()
-	g, err := generate.Kron(8, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var src graph.NodeID
-	for g.OutDegree(src) == 0 {
-		src++
-	}
-	for _, k := range []string{"bfs", "sssp", "pr", "cc", "bc"} {
-		best, trace := Autotune(g, k, src, 1, 2)
-		if len(trace) < 2 {
-			t.Fatalf("%s: explored %d points, want >= 2", k, len(trace))
-		}
-		bestSec := -1.0
-		for _, r := range trace {
-			if r.Seconds <= 0 {
-				t.Fatalf("%s: non-positive trial time", k)
-			}
-			if bestSec < 0 || r.Seconds < bestSec {
-				bestSec = r.Seconds
-			}
-			if r.Schedule == best && r.Seconds != bestSec {
-				// best must correspond to the minimum-time trace entry
-				// (ties broken by order; just check it's not worse).
-				if r.Seconds > bestSec {
-					t.Fatalf("%s: returned schedule is not the fastest", k)
-				}
-			}
 		}
 	}
 }

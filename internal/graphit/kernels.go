@@ -11,10 +11,10 @@ import (
 )
 
 // bfs is the GraphIt BFS: edgeset-apply rounds with the traversal direction
-// chosen by the schedule (DirOpt per-round via the shared Beamer dispatcher,
-// or PushOnly for the Optimized Road schedule that skips the active-vertex
-// counting overhead, §V-A).
-func bfs(exec *par.Machine, g *graph.Graph, src graph.NodeID, sched Schedule, workers int) []graph.NodeID {
+// chosen by the schedule (dirOpt per-round via the shared Beamer dispatcher,
+// or pushOnly for the Optimized Road and Web schedules that skip the
+// active-vertex counting overhead, §V-A).
+func bfs(exec *par.Machine, g *graph.Graph, src graph.NodeID, sched schedule, workers int) []graph.NodeID {
 	n := int64(g.NumNodes())
 	parent := make([]graph.NodeID, n)
 	for i := range parent {
@@ -34,9 +34,7 @@ func bfs(exec *par.Machine, g *graph.Graph, src graph.NodeID, sched Schedule, wo
 		if exec.Interrupted() {
 			return parent // partial; the harness discards cancelled trials
 		}
-		usePull := sched.Direction == PullOnly ||
-			(sched.Direction == DirOpt && disp.UsePull())
-		if usePull {
+		if sched.Direction == dirOpt && disp.UsePull() {
 			awake := front.Size()
 			cur := front.ToBitmap(exec, workers)
 			for {
@@ -68,7 +66,7 @@ func bfs(exec *par.Machine, g *graph.Graph, src graph.NodeID, sched Schedule, wo
 				return false
 			})
 			disp.EndPush(newScout.Load())
-			if sched.Direction == PushOnly {
+			if sched.Direction == pushOnly {
 				// No active-vertex accounting in push-only schedules.
 				disp.DisableAccounting()
 			}
@@ -80,7 +78,7 @@ func bfs(exec *par.Machine, g *graph.Graph, src graph.NodeID, sched Schedule, wo
 // sssp is GraphIt's delta-stepping with the bucket-fusion optimization it
 // originated (§VI): a thread whose next bucket has the same priority keeps
 // processing without synchronizing, cutting rounds ~10x on Road.
-func sssp(exec *par.Machine, g *graph.Graph, src graph.NodeID, delta kernel.Dist, sched Schedule, workers int) []kernel.Dist {
+func sssp(exec *par.Machine, g *graph.Graph, src graph.NodeID, delta kernel.Dist, workers int) []kernel.Dist {
 	n := int(g.NumNodes())
 	dist := make([]kernel.Dist, n)
 	for i := range dist {
@@ -140,18 +138,16 @@ func sssp(exec *par.Machine, g *graph.Graph, src graph.NodeID, delta kernel.Dist
 			for i := lo2; i < hi2; i++ {
 				relax(fr[i])
 			}
-			if sched.BucketFusion {
-				// Bucket fusion: keep draining our own current-priority bin
-				// while it stays small.
-				for b0 < len(w.bins) {
-					batch := w.bins[b0]
-					if len(batch) == 0 || len(batch) > fusionThreshold {
-						break
-					}
-					w.bins[b0] = nil
-					for _, u := range batch {
-						relax(u)
-					}
+			// Bucket fusion: keep draining our own current-priority bin
+			// while it stays small.
+			for b0 < len(w.bins) {
+				batch := w.bins[b0]
+				if len(batch) == 0 || len(batch) > fusionThreshold {
+					break
+				}
+				w.bins[b0] = nil
+				for _, u := range batch {
+					relax(u)
 				}
 			}
 		})
@@ -198,7 +194,7 @@ func propagateMin(comp []graph.NodeID, cu int32, v graph.NodeID, local []graph.N
 // algorithms" (§V-C) — the largest deliberate performance gap in the paper's
 // tables. The short-circuit schedule pointer-jumps label chains between
 // rounds, the Optimized Road variant worth ~3x (still far behind).
-func cc(exec *par.Machine, g *graph.Graph, sched Schedule, workers int) []graph.NodeID {
+func cc(exec *par.Machine, g *graph.Graph, sched schedule, workers int) []graph.NodeID {
 	n := int(g.NumNodes())
 	comp := make([]graph.NodeID, n)
 	for i := range comp {
@@ -263,7 +259,7 @@ func cc(exec *par.Machine, g *graph.Graph, sched Schedule, workers int) []graph.
 // in-edge array is split into source-range segments so the random reads of
 // contributions stay within a cache-sized window. Building the segmented
 // representation is timed and "amortized within 2-5 iterations".
-func pr(exec *par.Machine, g *graph.Graph, sched Schedule, workers int) []float64 {
+func pr(exec *par.Machine, g *graph.Graph, sched schedule, workers int) []float64 {
 	n := int(g.NumNodes())
 	if n == 0 {
 		return nil

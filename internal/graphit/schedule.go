@@ -1,21 +1,14 @@
 // Package graphit reproduces the GraphIt DSL the paper evaluates. GraphIt
 // separates what an algorithm computes from how it is executed; here the
 // "what" is written against the shared frontier library (internal/frontier)
-// and the "how" is a Schedule value —
-// direction choice, frontier layout, bucket fusion, cache tiling — selected
-// per kernel by a heuristic autotuner in Baseline mode and by per-graph
-// specialization tables (or a persisted `gapbench -tune` result) in
-// Optimized mode, exactly the split §III-D describes and §V exploits ("it
-// used schedules/optimizations specialized for the size and structure of the
-// graphs for the Optimized case. This was not allowed for the Baseline").
-//
-// The tuning layer lives here too, GraphIt being its one consumer: the
-// exhaustive per-kernel schedule space (scheduleSpace), a timed explorer
-// (Autotune) and a Store keyed by (kernel, graph Epoch, mode) that encodes to
-// the file `gapbench -tunefile` keeps, so that `gapbench -tune` can write
-// tuned schedules in one process and later runs can load them — the paper's Optimized rule set ("They were not
-// required to include the time for such tuning efforts") made self-driving
-// across processes via the graph's build identity.
+// and the "how" is a schedule value —
+// direction choice, frontier layout, cache tiling, short-circuiting —
+// selected per kernel by a heuristic autotuner in Baseline mode and by one
+// per-graph specialization table in Optimized mode, exactly the split §III-D
+// describes and §V exploits ("it used schedules/optimizations specialized for
+// the size and structure of the graphs for the Optimized case. This was not
+// allowed for the Baseline"). SSSP has no schedule: GraphIt's delta-stepping
+// is always bucket-fused (Table III).
 package graphit
 
 import (
@@ -24,33 +17,30 @@ import (
 	"gapbench/internal/kernel"
 )
 
-// Direction is an edge-traversal direction choice.
-type Direction int
+// direction is an edge-traversal direction choice.
+type direction int
 
 // Traversal directions the scheduling language exposes.
 const (
-	// DirOpt switches between push and pull per round using the Beamer
+	// dirOpt switches between push and pull per round using the Beamer
 	// degree-sum dispatcher (frontier.Dispatcher).
-	DirOpt Direction = iota
-	// PushOnly always traverses from the frontier outward (no per-round
-	// accounting — the Optimized-mode Road BFS trick from §V-A).
-	PushOnly
-	// PullOnly always traverses into unvisited vertices.
-	PullOnly
+	dirOpt direction = iota
+	// pushOnly always traverses from the frontier outward (no per-round
+	// accounting — the Optimized-mode Road BFS trick from §V-A, and Web
+	// by measurement).
+	pushOnly
 )
 
-// Schedule is one point in the optimization space. It is a comparable value
-// type (no slices/maps) so the explorer and the store can use == directly.
+// schedule is one point in the optimization space, a comparable value.
 // Frontier is frontier.SparseList (an index list) or frontier.Bitmap —
 // GraphIt's bitvector, "advantageous when there are many active elements"
 // (§V-E).
-type Schedule struct {
-	Direction    Direction
-	Frontier     frontier.Layout
-	BucketFusion bool // SSSP: process same-priority buckets without a barrier
-	CacheTiling  bool // PR/CC: segment in-edges into cache-sized tiles
-	ShortCircuit bool // CC label propagation: pointer-jump chains
-	NumSegments  int  // tile count when CacheTiling is set
+type schedule struct {
+	Direction    direction       // BFS
+	Frontier     frontier.Layout // BFS, BC
+	CacheTiling  bool            // PR: segment in-edges into cache-sized tiles
+	ShortCircuit bool            // CC label propagation: pointer-jump chains
+	NumSegments  int             // PR: tile count when CacheTiling is set
 }
 
 // segmentsFor sizes cache tiles for an n-vertex graph so each segment's
@@ -64,77 +54,44 @@ func segmentsFor(n int64) int {
 	return segs
 }
 
-// scheduleSpace enumerates the meaningful schedule points for a kernel on an
-// n-vertex graph. The enumeration is deterministic: the same (kernel, n)
-// always yields the same candidates in the same order, which is what makes
-// stored tuning results comparable across runs.
-func scheduleSpace(kernelName string, n int64) []Schedule {
-	segs := segmentsFor(n)
-	switch kernelName {
-	case "bfs":
-		return []Schedule{
-			{Direction: DirOpt, Frontier: frontier.SparseList},
-			{Direction: DirOpt, Frontier: frontier.Bitmap},
-			{Direction: PushOnly, Frontier: frontier.SparseList},
-		}
-	case "sssp":
-		return []Schedule{
-			{Direction: PushOnly, BucketFusion: true},
-			{Direction: PushOnly, BucketFusion: false},
-		}
-	case "pr":
-		return []Schedule{
-			{CacheTiling: false},
-			{CacheTiling: true, NumSegments: segs},
-			{CacheTiling: true, NumSegments: 2 * segs},
-		}
-	case "cc":
-		return []Schedule{
-			{ShortCircuit: false},
-			{ShortCircuit: true},
-		}
-	default: // bc
-		return []Schedule{
-			{Direction: DirOpt, Frontier: frontier.Bitmap},
-			{Direction: DirOpt, Frontier: frontier.SparseList},
-		}
-	}
-}
-
 // autotune returns the Baseline-mode schedule for a kernel: run-time
 // heuristics only, no knowledge of which benchmark graph this is (the paper
 // allowed "existing internal auto-tuners and heuristics").
-func autotune(kernelName string, g *graph.Graph) Schedule {
+func autotune(kernelName string, g *graph.Graph) schedule {
 	n := int64(g.NumNodes())
 	switch kernelName {
 	case "bfs":
-		return Schedule{Direction: DirOpt, Frontier: frontier.SparseList}
-	case "sssp":
-		return Schedule{Direction: PushOnly, Frontier: frontier.SparseList, BucketFusion: true}
+		return schedule{Direction: dirOpt, Frontier: frontier.SparseList}
 	case "pr":
 		// Tile when the graph is large enough that the rank vector falls
 		// out of cache.
-		return Schedule{CacheTiling: n > 1<<15, NumSegments: segmentsFor(n)}
-	case "cc":
-		return Schedule{Direction: DirOpt, Frontier: frontier.SparseList, CacheTiling: n > 1<<15, NumSegments: segmentsFor(n)}
+		return schedule{CacheTiling: n > 1<<15, NumSegments: segmentsFor(n)}
 	case "bc":
-		return Schedule{Direction: DirOpt, Frontier: frontier.Bitmap}
-	default: // tc
-		return Schedule{}
+		return schedule{Direction: dirOpt, Frontier: frontier.Bitmap}
+	default: // cc: plain label propagation
+		return schedule{}
 	}
 }
 
 // specialize returns the Optimized-mode schedule: per-graph tables, the way
 // each GraphIt benchmark shipped a tuned schedule per input.
-func specialize(kernelName string, g *graph.Graph, opt kernel.Options) Schedule {
+func specialize(kernelName string, g *graph.Graph, opt kernel.Options) schedule {
 	s := autotune(kernelName, g)
 	switch kernelName {
 	case "bfs":
-		if opt.GraphName == "Road" {
+		switch opt.GraphName {
+		case "Road":
 			// §V-A: "it does not use direction optimization (always push).
 			// This eliminates the runtime overhead of checking the number
 			// of active vertices."
-			s.Direction = PushOnly
+			s.Direction = pushOnly
+		case "Web":
+			// Measured (EXPERIMENTS.md, "GraphIt's schedule table"): at
+			// Web-14 Beamer's test turns to pull about four times per
+			// search and the pull phases lose; push-only was faster in 19
+			// of 20 alternating pairs (best-of-15 median 2.70 vs 3.38 ms,
+			// 2-core host).
+			s.Direction = pushOnly
 		}
 	case "cc":
 		if opt.GraphName == "Road" {
@@ -143,11 +100,16 @@ func specialize(kernelName string, g *graph.Graph, opt kernel.Options) Schedule 
 			// high-diameter graphs", ~3x but still far behind Afforest.
 			s.ShortCircuit = true
 		}
-		s.CacheTiling = opt.GraphName == "Twitter" || opt.GraphName == "Kron" || opt.GraphName == "Urand"
 	case "pr":
 		// §V-D: cache optimization from tiling pays on everything except
 		// Web, which "had good locality and did not benefit as much".
-		s.CacheTiling = opt.GraphName != "Web"
+		// Road runs untiled too, by measurement (EXPERIMENTS.md, "GraphIt's
+		// schedule table"): at Road-16 (n = 65 536) the contribution vector
+		// is 512 KB and fits the 2 MiB L2, so tiling buys no locality, and
+		// its timed serial buildSegments plus three extra regions per sweep
+		// made the cell 1.56x slower (12 of 12 alternating pairs, 2-core
+		// host).
+		s.CacheTiling = opt.GraphName != "Web" && opt.GraphName != "Road"
 	case "bc":
 		if opt.GraphName == "Road" {
 			// §V-E: "reduces overhead by not using a bitvector for the
@@ -158,22 +120,12 @@ func specialize(kernelName string, g *graph.Graph, opt kernel.Options) Schedule 
 	return s
 }
 
-// scheduleFor picks the schedule under the active rule set. Optimized runs
-// consult the framework's tuned-schedule store first (written by `gapbench
-// -tune`, keyed by the graph's build epoch — a cached field, so the lookup
-// costs one map probe on the timed path), then fall back to the per-graph
-// specialization tables; Baseline runs use run-time heuristics only and must
-// ignore the store, like every other per-graph knowledge channel.
-func (f *Framework) scheduleFor(kernelName string, g *graph.Graph, opt kernel.Options) Schedule {
-	if opt.Mode == kernel.Optimized {
-		if f.Schedules != nil {
-			if s, ok := f.Schedules.Lookup(kernelName, g.Epoch(), opt.Mode.String()); ok {
-				return s
-			}
-		}
-		if opt.GraphName != "" {
-			return specialize(kernelName, g, opt)
-		}
+// scheduleFor picks the schedule under the active rule set: the per-graph
+// specialization table in Optimized mode when the input is named, run-time
+// heuristics otherwise. Baseline runs never read the graph's name.
+func scheduleFor(kernelName string, g *graph.Graph, opt kernel.Options) schedule {
+	if opt.Mode == kernel.Optimized && opt.GraphName != "" {
+		return specialize(kernelName, g, opt)
 	}
 	return autotune(kernelName, g)
 }

@@ -48,17 +48,15 @@
 #      at the seal check as Panicked.
 #   8. graphgen + gapbench graph-store e2e tier: generate the five suite
 #      graphs once as format-v2 .sg files, then run a gapbench smoke over
-#      them via -graphfile, so the whole serialize -> mmap-load -> provenance
-#      -> kernel-verify chain is exercised exactly the way a measurement run
-#      uses it (see DESIGN.md §3 "The storage arena").
-#   9. gapbench -tune twice-through tier: runs the autotuner against a tiny
-#      Kron build with a fresh schedule store, then runs it again on the same
-#      store. The first pass must report tuning (writing the store), the
-#      second must report reusing the stored schedule — the persistence
-#      contract `-tune` exists for (see DESIGN.md "Schedule persistence").
-#  Tiers 10 and 12 use the tree's one gapd load driver, gapmark's
-#  (benchmark/drive); tier 11 starts no daemon.
-#  10. gapd serving smoke tier: gapmark's TestSmoke against an armed gapd
+#      them via -graphfile, GAP and GraphIt in both rule sets, so the whole
+#      serialize -> mmap-load -> provenance -> kernel-verify chain is
+#      exercised exactly the way a measurement run uses it (see DESIGN.md §3
+#      "The storage arena"), and an Optimized GraphIt cell runs through
+#      gapbench with its per-graph schedule table keyed by the file's graph
+#      name.
+#  Tiers 9 and 11 use the tree's one gapd load driver, gapmark's
+#  (benchmark/drive); tier 10 starts no daemon.
+#   9. gapd serving smoke tier: gapmark's TestSmoke against an ar gapmark's TestSmoke against an armed gapd
 #      (GOFLAGS=-tags=check reaches the test's own `go build
 #      gapbench/cmd/gapd`, into the test's temp directory — nothing is taken
 #      from .bench_build/). gapmark's driver starts that daemon, offers both
@@ -71,14 +69,14 @@
 #      every other such query a hit: no per-query whole-graph recompute) is
 #      asserted in-process by TestServeEndToEndRealFramework in
 #      internal/serve, which tier 5 runs.
-#  11. go test -bench=. -benchtime=1x the benchmark bit-rot guard: every
+#  10. go test -bench=. -benchtime=1x the benchmark bit-rot guard: every
 #      benchmark (suite cells, ablations, and the ingest-pipeline
 #      Build group — the cells EXPERIMENTS.md "Reproducing" lists
 #      as `go test -run '^$' -bench ... -count=4 .` lines) runs exactly one
 #      iteration at the test scale, so a signature drift or a panic on a
 #      bench-only path fails the gate instead of surfacing months later in a
 #      measurement run.
-#  12. (cd benchmark && go vet ./... && go test -skip '^TestSmoke$' ./...)
+#  11. (cd benchmark && go vet ./... && go test -skip '^TestSmoke$' ./...)
 #      the benchmark-module tier: gapmark is a Go module of its own below the
 #      root module, so `./...` above never enters it. It imports this
 #      module's packages (verify.Triangles, core.LoadCachedInput/
@@ -87,7 +85,7 @@
 #      breaks a symbol the benchmark uses learns it here rather than when the
 #      pipeline's benchmark run dies. TestSmoke — both workloads end to end,
 #      failing on any failed operation or missing metric — already ran in
-#      tier 10, armed; the driver's own tests (benchmark/drive: the
+#      tier 9, armed; the driver's own tests (benchmark/drive: the
 #      schedule, due-instant latency, the SLO staircase; benchmark/measure:
 #      the percentile's minimum-sample rule) run here.
 #
@@ -149,30 +147,13 @@ go test -race -short -count=10 -run 'Snapshot|Reach' ./internal/serve/
 say "armed tier (go test -tags=check -short ./...)"
 go test -tags=check -short ./...
 
-say "graph-store e2e tier (graphgen once, gapbench mmap smoke)"
+say "graph-store e2e tier (graphgen once, gapbench mmap smoke: GAP and GraphIt, both rule sets)"
 GDIR="$(mktemp -d)"
-TDIR="$(mktemp -d)"
-trap 'rm -rf "$GDIR" "$TDIR"' EXIT
+trap 'rm -rf "$GDIR"' EXIT
 go run ./cmd/graphgen -out "$GDIR" -scale 6 >/dev/null
 SGFILES="$(ls "$GDIR"/*.sg | tr '\n' ',' | sed 's/,$//')"
-go run ./cmd/gapbench -table IV -graphfile "$SGFILES" -kernels BFS,TC -frameworks GAP -mode baseline -trials 1 -q >/dev/null
-echo "graph-store e2e ok (5 graphs saved, mmap-loaded, verified)"
-
-say "schedule-store persistence tier (gapbench -tune twice over one store)"
-TUNE_ARGS="-tune -tunefile $TDIR/schedules.json -graphs Kron -scale 6 -kernels BFS -frameworks GraphIt -mode optimized -trials 1 -q"
-go run ./cmd/gapbench $TUNE_ARGS 2>"$TDIR/first.log" >/dev/null
-grep -q 'tune: tuned 1 schedules, reused 0' "$TDIR/first.log" || {
-    echo "first -tune run did not tune a fresh schedule:" >&2
-    cat "$TDIR/first.log" >&2
-    exit 1
-}
-go run ./cmd/gapbench $TUNE_ARGS 2>"$TDIR/second.log" >/dev/null
-grep -q 'tune: tuned 0 schedules, reused 1' "$TDIR/second.log" || {
-    echo "second -tune run re-tuned instead of loading the stored schedule:" >&2
-    cat "$TDIR/second.log" >&2
-    exit 1
-}
-echo "schedule store persisted and reloaded ok"
+go run ./cmd/gapbench -table IV -graphfile "$SGFILES" -kernels BFS,TC -frameworks GAP,GraphIt -mode both -trials 1 -q >/dev/null
+echo "graph-store e2e ok (5 graphs saved, mmap-loaded, verified in both rule sets)"
 
 say "gapd serving smoke tier (armed gapd under gapmark's driver: both traffic shapes + SIGTERM drain)"
 (cd benchmark && GOFLAGS=-tags=check go test -count=1 -run '^TestSmoke$' ./cmd/gapmark/)
