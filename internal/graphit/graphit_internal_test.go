@@ -84,7 +84,48 @@ func TestEdgesetApplyPull(t *testing.T) {
 	}
 }
 
-// TestScheduleTable pins the whole schedule table: the value scheduleFor
+func TestAutotuneSchedules(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	small, _ := generate.Kron(8, 1)
+	if s := autotune("bfs", small); s.Direction != dirOpt {
+		t.Error("bfs autotune should direction-optimize")
+	}
+	if s := autotune("sssp", small); s != (schedule{}) {
+		t.Errorf("sssp autotune = %+v, want no knobs (always bucket-fused, Table III)", s)
+	}
+	if s := autotune("pr", small); s.CacheTiling {
+		t.Error("small graph should not tile")
+	}
+	if s := autotune("bc", small); s.Frontier != frontier.Bitmap {
+		t.Error("bc autotune should use a bitvector frontier")
+	}
+}
+
+func TestSpecializeSchedules(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	g, _ := generate.Road(10, 1)
+	opt := kernel.Options{Mode: kernel.Optimized, GraphName: "Road"}
+	if s := scheduleFor("bfs", g, opt); s.Direction != pushOnly {
+		t.Error("optimized Road BFS should be push-only (§V-A)")
+	}
+	if s := scheduleFor("cc", g, opt); !s.ShortCircuit {
+		t.Error("optimized Road CC should short-circuit (§V-C)")
+	}
+	if s := scheduleFor("bc", g, opt); s.Frontier != frontier.SparseList {
+		t.Error("optimized Road BC should drop the bitvector (§V-E)")
+	}
+	web := kernel.Options{Mode: kernel.Optimized, GraphName: "Web"}
+	if s := scheduleFor("pr", g, web); s.CacheTiling {
+		t.Error("optimized Web PR should not tile (§V-D: Web has good locality)")
+	}
+	// Baseline never consults the graph name.
+	base := kernel.Options{Mode: kernel.Baseline, GraphName: ""}
+	if s := scheduleFor("bfs", g, base); s.Direction != dirOpt {
+		t.Error("baseline BFS must stay direction-optimizing")
+	}
+}
+
+// TestScheduleTable pins the whole schedule table:the value scheduleFor
 // returns for every (graph, kernel, rule set) at one n below the tiling
 // threshold (2^12) and one above it (2^16, gapmark's Road-16). Baseline rows
 // are graph-independent: the graph name is passed and must be ignored. SSSP
