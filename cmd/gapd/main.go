@@ -9,10 +9,11 @@
 // immediate RESOURCE_EXHAUSTED), per-query deadline budgets, retry with
 // exponential backoff + jitter, a circuit breaker quarantining a
 // (framework, kernel) pair that keeps losing machines, and graceful
-// SIGTERM/SIGINT drain under a hard deadline. PR and CC are answered from
-// once-built, oracle-checked snapshots, and BFS/SSSP without a target from a
-// reach index each graph gets at start (its strongly connected components,
-// proven before serving; the start log prints one line per graph).
+// SIGTERM/SIGINT drain under a hard deadline. PR is answered from once-built,
+// oracle-checked snapshots, and CC and BFS/SSSP without a target from a reach
+// index each graph gets at start (its strongly and weakly connected
+// components, proven before serving; the start log prints one line per graph
+// with both counts).
 //
 // Usage examples:
 //

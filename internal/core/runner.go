@@ -154,13 +154,14 @@ type Runner struct {
 	Trials int
 	// BaselineWorkers and OptimizedWorkers model the paper's thread counts:
 	// the Baseline data set used the 32 physical cores, the Optimized teams
-	// "almost entirely" gained by also using the 32 hyperthreads. The worker
-	// counts are fixed (defaults 8 and 16) rather than derived from the host
-	// CPU count: each framework's synchronization structure — barriers per
-	// round, worklist contention, fork/join fan-out — is then exercised
-	// identically everywhere, and on few-core hosts the goroutine scheduler
-	// still charges every barrier its real cost, which is precisely the
-	// quantity the paper's Road analysis is about.
+	// "almost entirely" gained by also using the 32 hyperthreads. NewRunner
+	// sets Baseline to max(GOMAXPROCS/2, 8) and Optimized to
+	// max(GOMAXPROCS, Baseline), so a host with fewer than 16 hardware
+	// threads runs both at 8 workers, oversubscribed: on a 2-CPU host 8 and
+	// 8. The floor of 8 keeps each framework's synchronization structure —
+	// barriers per round, worklist contention, fork/join fan-out — exercised
+	// at one width on small hosts. Whether that floor or one worker per core
+	// should be the default is open (ROADMAP item 4).
 	BaselineWorkers  int
 	OptimizedWorkers int
 	// Verify enables oracle checking of every trial (untimed).

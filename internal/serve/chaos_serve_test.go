@@ -5,6 +5,7 @@ package serve
 // retry, quarantine, keep serving, never crash, never leak a machine lease.
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"gapbench/internal/chaos"
 	"gapbench/internal/core"
 	"gapbench/internal/invariant"
+	"gapbench/internal/kernel"
 	"gapbench/internal/testutil"
 	"gapbench/internal/verify"
 )
@@ -61,7 +63,8 @@ func TestChaosServeDeterministicPanicKeepsServing(t *testing.T) {
 	if st := srv.StatsSnapshot(); st.SnapshotBuilds != 2 || st.SnapshotFailed != 2 || st.SnapshotHits != 0 {
 		t.Errorf("builds=%d failed=%d hits=%d after two panicking PR queries, want 2/2/0", st.SnapshotBuilds, st.SnapshotFailed, st.SnapshotHits)
 	}
-	// The daemon survives and the untargeted kernels keep serving.
+	// The daemon survives: a kernel run on the pool still answers, and so do
+	// the reach index's BFS and CC answers.
 	for _, req := range []Request{kernelQuery(t, srv, Request{Source: 1}), {Kernel: "BFS", Source: 1}, {Kernel: "CC", Vertex: 1}} {
 		if r := c.do(req); r.Code != CodeOK {
 			t.Fatalf("%s after panic: %+v", req.Kernel, r)
@@ -86,9 +89,7 @@ func TestChaosServeStallTimesOutMachineKept(t *testing.T) {
 	if got := srv.Pool().Abandoned(); got != 0 {
 		t.Errorf("cooperative stall abandoned %d machines", got)
 	}
-	if r := c.do(Request{Kernel: "CC", Vertex: 1}); r.Code != CodeOK {
-		t.Fatalf("CC after stall: %+v", r)
-	}
+	buildPR(t, srv, c, "PR build after stall")
 	if err := srv.Shutdown(5 * time.Second); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
@@ -109,9 +110,7 @@ func TestChaosServeHangAbandonsHealsAndDrainsClean(t *testing.T) {
 		t.Errorf("abandoned = %d, want 1", got)
 	}
 	// Self-healed pool keeps serving while the hung kernel sleeps on.
-	if r := c.do(Request{Kernel: "CC", Vertex: 1}); r.Code != CodeOK {
-		t.Fatalf("CC after hang: %+v", r)
-	}
+	buildPR(t, srv, c, "PR build after hang")
 	// The drain must reap the abandoned machine and prove zero leases leaked
 	// (panics under -tags=check, errors otherwise — nil means clean).
 	if err := srv.Shutdown(5 * time.Second); err != nil {
@@ -182,12 +181,12 @@ func TestChaosServeCorruptGraphTrippedByGraphguard(t *testing.T) {
 	// shared CSR, so this graph must not be reused by other tests.
 	in := smallInput(t)
 	srv, sock := startChaosServer(t, Config{PoolSize: 1, Workers: 1}, in,
-		&chaos.Fault{Kernel: "CC", Mode: chaos.CorruptGraph, Once: true})
+		&chaos.Fault{Kernel: "PR", Mode: chaos.CorruptGraph, Once: true})
 	c := dial(t, sock)
 
 	// The sandboxed seal check catches the mutation as a panic — the client
 	// sees INTERNAL naming the corrupted array, never a silent wrong answer.
-	resp := c.do(Request{Kernel: "CC", Vertex: 1})
+	resp := c.do(Request{Kernel: "PR"})
 	if resp.Code != CodeInternal || !strings.Contains(resp.Error, "graphguard") {
 		t.Fatalf("corrupt-graph query: %+v", resp)
 	}
@@ -239,30 +238,32 @@ func TestChaosServeSnapshotCorruptRejectedByBuildOracle(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	in := smallInput(t)
 	srv, sock := startChaosServer(t, Config{PoolSize: 1, Workers: 1}, in,
-		&chaos.Fault{Kernel: "CC", Mode: chaos.Corrupt, Once: true})
+		&chaos.Fault{Kernel: "PR", Mode: chaos.Corrupt, Once: true})
 	c := dial(t, sock)
 
-	// The build-time oracle catches the flipped label: the client sees
+	// The build-time oracle catches the bumped score: the client sees
 	// INTERNAL and no result, and nothing is cached.
-	bad := c.do(Request{Kernel: "CC", Vertex: 1})
+	bad := c.do(Request{Kernel: "PR"})
 	if bad.Code != CodeInternal || !strings.Contains(bad.Error, "oracle rejected") || bad.Result != nil {
-		t.Fatalf("corrupted CC build: %+v", bad)
+		t.Fatalf("corrupted PR build: %+v", bad)
 	}
 	if st := srv.StatsSnapshot(); st.SnapshotBuilds != 1 || st.SnapshotFailed != 1 {
 		t.Errorf("builds=%d failed=%d after a rejected build, want 1/1", st.SnapshotBuilds, st.SnapshotFailed)
 	}
 	// The fault is spent: the next query rebuilds and answers what the serial
-	// oracle says.
-	want := verify.Components(in.Graph)
-	size := int64(0)
-	for _, l := range want {
-		if l == want[1] {
-			size++
+	// oracle says, best first, each score within the oracle's tolerance.
+	want := verify.PageRank(in.Graph, kernel.PRMaxIters, kernel.PRTolerance)
+	good := c.do(Request{Kernel: "PR"})
+	if good.Code != CodeOK || good.Result == nil || len(good.Result.TopK) != 10 {
+		t.Fatalf("PR after the rejected build: %+v, want 10 entries", good)
+	}
+	for i, e := range good.Result.TopK {
+		if math.Abs(e.Score-want[e.V]) > 4*kernel.PRTolerance || (i > 0 && e.Score > good.Result.TopK[i-1].Score) {
+			t.Fatalf("PR after the rejected build: entry %d is %+v, oracle score %g", i, e, want[e.V])
 		}
 	}
-	good := c.do(Request{Kernel: "CC", Vertex: 1})
-	if good.Code != CodeOK || good.Result == nil || good.Result.Size != size {
-		t.Fatalf("CC after the rejected build: %+v, want size %d", good, size)
+	if st := srv.StatsSnapshot(); st.SnapshotBuilds != 2 || st.SnapshotFailed != 1 {
+		t.Errorf("builds=%d failed=%d after the rebuild, want 2/1", st.SnapshotBuilds, st.SnapshotFailed)
 	}
 	if err := srv.Shutdown(5 * time.Second); err != nil {
 		t.Fatalf("shutdown: %v", err)

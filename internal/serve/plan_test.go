@@ -21,8 +21,8 @@ func planServer(tb testing.TB) *Server {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if srv.reach["Kron"] == nil || srv.reach["Twitter"] == nil {
-		tb.Fatalf("reach indexes = %v, want both graphs indexed", srv.reach)
+	if srv.reach["Kron"].reached == nil || srv.reach["Twitter"].reached == nil {
+		tb.Fatalf("reach indexes = %v, want both graphs with reach counts", srv.reach)
 	}
 	tb.Cleanup(func() { _ = srv.Shutdown(5 * time.Second) })
 	return srv
@@ -47,9 +47,10 @@ func TestPlanClampsHugeBudget(t *testing.T) {
 // FuzzRequest drives arbitrary request lines through the daemon's decode and
 // plan path. Whatever the bytes, plan must not panic, and an accepted plan
 // must be safe to execute: a live budget within the cap, vertex ids in
-// range, a PR top-k within the snapshot, a snapshot slot exactly for PR and
-// CC, the reach index (and no slot, no kernel run) for every target-less BFS
-// or SSSP on an indexed graph, and a kernel run for every SSSP to a target.
+// range, a PR top-k within the snapshot, a snapshot slot exactly for PR, the
+// reach index (and no slot, no kernel run) for every CC query and for every
+// target-less BFS or SSSP on a graph whose index has reach counts, and a
+// kernel run for every SSSP to a target.
 func FuzzRequest(f *testing.F) {
 	for _, seed := range []string{
 		`{"kernel":"BFS","graph":"Twitter","source":1,"budget_ms":9223372036854775807}`,
@@ -94,15 +95,18 @@ func FuzzRequest(f *testing.F) {
 		if p.k == core.PR && (p.topk < 1 || p.topk > min(snapshotTopK, int(n))) {
 			t.Errorf("topk %d outside [1, min(%d, %d)]", p.topk, snapshotTopK, n)
 		}
-		whole := p.k == core.PR || p.k == core.CC
-		if (p.slot != nil) != whole {
+		if (p.slot != nil) != (p.k == core.PR) {
 			t.Errorf("%s on %s has snapshot slot %v", p.k, p.in.Spec.Name, p.slot)
 		}
-		indexed := srv.reach[p.in.Spec.Name] != nil
+		indexed := srv.reach[p.in.Spec.Name].reached != nil
 		switch {
-		case whole:
+		case p.k == core.PR:
 			if p.reach != nil {
-				t.Errorf("%s on %s is answered from the reach index", p.k, p.in.Spec.Name)
+				t.Errorf("PR on %s is answered from the reach index", p.in.Spec.Name)
+			}
+		case p.k == core.CC:
+			if p.reach == nil {
+				t.Errorf("CC on %s is not a reach-index read", p.in.Spec.Name)
 			}
 		case req.Target == nil:
 			if indexed && (p.reach == nil || p.slot != nil) {

@@ -35,8 +35,8 @@ type Request struct {
 	Op string `json:"op,omitempty"`
 
 	// Kernel names the query type: "BFS" (from Source), "SSSP" (from
-	// Source, optionally to Target), "PR" (top-K ranks), "CC" (component of
-	// Vertex).
+	// Source, optionally to Target), "PR" (top-K ranks), "CC" (weak
+	// component of Vertex).
 	Kernel string `json:"kernel,omitempty"`
 	// Graph names the served graph to query.
 	Graph string `json:"graph,omitempty"`
@@ -103,8 +103,8 @@ type Response struct {
 
 	// Micros is the end-to-end service time in microseconds: admission to
 	// response, queue wait and retries included. KernelMicros is the final
-	// attempt's kernel execution alone. A query answered from a snapshot (PR,
-	// CC) or a reach index (BFS/SSSP without a target) ran no kernel and
+	// attempt's kernel execution alone. A query answered from a snapshot (PR)
+	// or a reach index (CC, BFS/SSSP without a target) ran no kernel and
 	// carries no KernelMicros; the one query that built a snapshot carries
 	// the build's kernel time.
 	Micros       int64 `json:"micros,omitempty"`
@@ -131,8 +131,9 @@ type QueryResult struct {
 	Dist *int64 `json:"dist,omitempty"`
 	// TopK are the K highest-ranked vertices (PR), best first.
 	TopK []RankEntry `json:"topk,omitempty"`
-	// Component is the CC label of the queried vertex; Size the number of
-	// vertices sharing it.
+	// Component is the CC label of the queried vertex: the smallest vertex
+	// id in its weak component (arc directions ignored), the same for every
+	// framework. Size is the number of vertices sharing it.
 	Component int64 `json:"component,omitempty"`
 	Size      int64 `json:"size,omitempty"`
 }
@@ -172,14 +173,15 @@ type Stats struct {
 	Abandoned int64 `json:"abandoned"`
 	// BreakerOpens counts circuit-breaker open transitions.
 	BreakerOpens int64 `json:"breaker_opens"`
-	// SnapshotBuilds counts PR/CC snapshot builds started (at most graphs ×
-	// frameworks × 2 on a healthy daemon — none is ever rebuilt);
+	// SnapshotBuilds counts PR snapshot builds started (at most graphs ×
+	// frameworks on a healthy daemon — none is ever rebuilt);
 	// SnapshotFailed those that ended without publishing (the next query
 	// rebuilds); SnapshotHits queries answered from a published snapshot.
 	SnapshotBuilds int64 `json:"snapshot_builds"`
 	SnapshotHits   int64 `json:"snapshot_hits"`
 	SnapshotFailed int64 `json:"snapshot_failed"`
-	// ReachHits counts BFS/SSSP answers read off a graph's reach index.
+	// ReachHits counts answers read off a graph's reach index: CC, and
+	// BFS/SSSP without a target.
 	ReachHits int64 `json:"reach_hits"`
 	// Inflight is the number of admitted, unfinished queries right now;
 	// OutstandingLeases the machine leases currently held.

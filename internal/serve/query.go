@@ -5,11 +5,12 @@ package serve
 // (panic recovery, graphguard seal checks, grace-bounded abandonment), retry
 // transient failures with backoff, and report the outcome in the Status
 // taxonomy — to the client as a Code, to the breaker as a health event, and
-// (optionally) to the suite journal as a core.Result. The whole-graph kernels
-// (PR, CC) take this path once per snapshot build and are otherwise answered
-// from the snapshot (snapshot.go). A BFS or SSSP without a target takes it
-// only on a graph too large for a reach index (reach.go); elsewhere its whole
-// answer, the reached count, is read off the index.
+// (optionally) to the suite journal as a core.Result. PR takes this path once
+// per snapshot build and is otherwise answered from the snapshot
+// (snapshot.go). CC never takes it: its answer is read off the graph's reach
+// index (reach.go). A BFS or SSSP without a target takes it only on a graph
+// whose index has no reach counts (over the bitset bound); elsewhere its
+// whole answer, the reached count, is read off the index.
 
 import (
 	"fmt"
@@ -36,10 +37,10 @@ type queryPlan struct {
 	topk   int
 	budget time.Duration
 	seed   uint64 // per-query jitter stream
-	// slot is the snapshot slot a PR or CC query is answered from, and reach
-	// the index a target-less BFS or SSSP is answered from. A query with
-	// neither runs its kernel: an SSSP with a target, or a reach query on a
-	// graph without an index.
+	// slot is the snapshot slot a PR query is answered from, and reach the
+	// index a CC query, or a target-less BFS or SSSP, is answered from. A
+	// query with neither runs its kernel: an SSSP with a target, or a reach
+	// query on a graph whose index has no reach counts.
 	slot  *snapSlot
 	reach *reachIndex
 }
@@ -105,9 +106,10 @@ func (s *Server) plan(req Request) (*queryPlan, *Response) {
 			p.target = graph.NodeID(*req.Target)
 		}
 		// Stop when answered: without a target the answer is the reached
-		// count, which the graph's reach index holds.
-		if p.target < 0 {
-			p.reach = s.reach[graphName]
+		// count, which the graph's reach index holds unless it is over the
+		// bitset bound.
+		if ix := s.reach[graphName]; p.target < 0 && ix.reached != nil {
+			p.reach = ix
 		}
 	case core.PR:
 		p.topk = req.K
@@ -120,13 +122,14 @@ func (s *Server) plan(req Request) (*queryPlan, *Response) {
 		if int64(p.topk) > n {
 			p.topk = int(n)
 		}
+		p.slot = s.snaps.slots[snapKey{graphName, fwName}]
 	case core.CC:
 		if req.Vertex < 0 || req.Vertex >= n {
 			return fail(CodeInvalidArgument, "vertex %d out of range [0,%d)", req.Vertex, n)
 		}
 		p.vertex = graph.NodeID(req.Vertex)
+		p.reach = s.reach[graphName]
 	}
-	p.slot = s.snaps.slots[snapKey{graphName, fwName, k}]
 
 	// The cap is compared in milliseconds before multiplying: a huge
 	// budget_ms would overflow the Duration and slip under the cap as an
@@ -354,7 +357,7 @@ func runAttempt[T any](s *Server, p *queryPlan, tok *par.CancelToken, deadline t
 }
 
 // runKernel is the timed part of a BFS or SSSP query that plan did not route
-// to a reach index (the whole-graph kernels are buildSnapshot's): it runs the
+// to a reach index (PR's is buildSnapshot): it runs the
 // kernel and reduces its full output to the query's answer, which the returned
 // finish only hands over. The reduction runs inside the sandbox on purpose:
 // reducing garbage output (a corrupted kernel result) may panic, and that is
@@ -368,7 +371,7 @@ func runKernel(p *queryPlan, g *graph.Graph, opt kernel.Options) func() (*QueryR
 				res.Reached++
 			}
 		}
-	} else { // core.SSSP — plan sends PR and CC queries to a snapshot slot
+	} else { // core.SSSP — plan sends PR to a snapshot slot, CC to the index
 		dist := p.f.SSSP(g, p.src, opt)
 		for _, d := range dist {
 			if d != kernel.Inf {
@@ -404,9 +407,9 @@ func (s *Server) journalQuery(p *queryPlan, records []core.TrialRecord, status c
 		Status:    status,
 		Seconds:   -1,
 		Retries:   retries,
-		// Only snapshot and reach answers are checked: a snapshot's build
-		// checks its result against the oracle and every hit serves it, and
-		// a reach index is proven and sampled before it is served.
+		// Only snapshot and reach-index answers are checked: a snapshot's
+		// build checks its result against the oracle and every hit serves
+		// it, and a reach index is proven before it is served.
 		Verified:  status == core.OK && (p.slot != nil || p.reach != nil),
 		GraphFile: p.in.File,
 	}

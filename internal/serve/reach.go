@@ -1,33 +1,44 @@
 package serve
 
-// reach.go answers BFS and SSSP queries that name no target. Such a query asks
-// for one number, how many vertices the source reaches, and that number is a
-// property of the graph, not of the question: it is the same for every source
-// in one strongly connected component (SCC), and a served graph cannot change
-// within an Epoch(). So NewServer builds one reach index per graph and every
-// such query is answered from it in O(1). SSSP's reached set is BFS's: every
-// weight is positive and an unreachable vertex stays at Inf.
+// reach.go holds each served graph's index and answers two query shapes from
+// it in O(1). Both answers are properties of the graph, not of the question,
+// and a served graph cannot change within an Epoch(), so NewServer builds and
+// checks one index per graph and no such query runs a kernel:
+//
+//   - a BFS or SSSP that names no target asks how many vertices the source
+//     reaches. That number is the same for every source in one strongly
+//     connected component (SCC). SSSP's reached set is BFS's: every weight is
+//     positive and an unreachable vertex stays at Inf;
+//   - a CC query asks for the vertex's weak component: its label, the
+//     smallest vertex id in it (verify.Components' canonical labelling), and
+//     its size. The GAP spec's CC treats a directed input as undirected, so
+//     the answer is the same for every framework.
 //
 // The index is the SCC condensation. An iterative Tarjan over out-arcs numbers
 // the components sinks first, so every arc stays inside its component or
 // points to a lower id. A component with no leaving arc reaches exactly
 // itself; every other component (a row) gets a bitset over the components,
 // filled in id order by OR-ing in the row of each component it points to, and
-// its count is the sum of the sizes whose bits are set. On a symmetric graph
-// every component is a connected component with no leaving arc, so the index
-// needs no bitset at all.
+// its count is the sum of the sizes whose bits are set. Every SCC lies inside
+// one weak component: a union-find over the component ids, joined along every
+// arc that leaves its component, gives each SCC its weak component's label and
+// size. On a symmetric graph every component is a connected component with no
+// leaving arc, so the index needs no bitset and no join.
 //
 // The bitsets are bounded by the input, not by a knob: rows × ⌈c/64⌉ words
 // may not exceed the arc count m, i.e. 8 bytes per arc. A graph above the
-// bound has no index, and its reach queries run the kernel per query. Only
-// comp (4n bytes) and the per-component counts (8c bytes) outlive the build.
+// bound has no reach counts, and its reach queries run the kernel per query;
+// its CC queries are still answered from the index. Only comp (4n bytes), the
+// per-component reach counts (8c bytes) and the per-component weak labels and
+// sizes (12c bytes) outlive the build.
 //
 // The index is checked before it is served (a wrong index is a daemon bug,
 // not a framework fault, so NewServer fails): verify.CheckSCC proves the
-// partition is exactly the SCCs in sink-first order, independently of Tarjan,
-// and the counts of the largest component's first vertex and of reachSamples
-// seeded sources must equal a serial BFS. Armed, reachAnswerCheck samples
-// served answers too.
+// partition is exactly the SCCs in sink-first order, independently of Tarjan;
+// the counts of the largest component's first vertex and of reachSamples
+// seeded sources must equal a serial BFS; and every vertex's weak label and
+// size must equal verify.Components and a recount of its labels. Armed,
+// reachAnswerCheck and componentAnswerCheck sample served answers too.
 
 import (
 	"fmt"
@@ -43,51 +54,64 @@ import (
 // serial BFS, on top of the largest component's first vertex.
 const reachSamples = 8
 
-// reachIndex answers reach queries on one graph.
+// reachIndex answers reach and CC queries on one graph.
 type reachIndex struct {
 	// epoch is g.Epoch() of the graph the index was built on.
 	epoch uint64
 	// comp is each vertex's SCC id, sinks first.
 	comp []int32
 	// reached is the number of vertices each component reaches, itself
-	// included.
+	// included; nil on a graph over the bitset bound.
 	reached []int64
+	// label and size are each component's weak component: its smallest
+	// vertex id and its vertex count.
+	label []graph.NodeID
+	size  []int64
 }
 
 // reachStats describes one index build for gapd's start log.
 type reachStats struct {
-	comps, rows int
+	// comps and weak count the strongly and the weakly connected
+	// components, rows the components an arc leaves.
+	comps, weak, rows int
 	// bitsetBytes is what the rows' bitsets take (or would take, over the
 	// bound); bound is 8 bytes per arc.
 	bitsetBytes, bound int64
 }
 
-// reach is the number of vertices src reaches, src included.
+// reach is the number of vertices src reaches, src included. It needs the
+// reach counts: the caller checks reached is non-nil.
 func (ix *reachIndex) reach(src graph.NodeID) int64 {
 	return ix.reached[ix.comp[src]]
 }
 
-// indexReach builds and checks the reach index of one served graph, and logs
-// what it cost. A nil index with a nil error is a graph over the bound.
+// component is v's weak component: its canonical label and vertex count.
+func (ix *reachIndex) component(v graph.NodeID) (graph.NodeID, int64) {
+	x := ix.comp[v]
+	return ix.label[x], ix.size[x]
+}
+
+// indexReach builds and checks the index of one served graph, and logs what
+// it cost.
 func indexReach(name string, g *graph.Graph, logf func(string, ...any)) (*reachIndex, error) {
 	t0 := time.Now()
 	ix, st := newReachIndex(g)
 	t1 := time.Now()
-	if ix == nil {
-		logf("reach index %s: not indexed: %d bitset bytes over the 8-bytes-per-arc bound of %d",
-			name, st.bitsetBytes, st.bound)
-		return nil, nil
-	}
 	if err := checkReachIndex(g, ix); err != nil {
 		return nil, fmt.Errorf("serve: reach index of %s: %w", name, err)
 	}
 	t2 := time.Now()
-	logf("reach index %s: %d components, %d rows, %d bitset bytes; built in %.2f ms, checked in %.2f ms",
-		name, st.comps, st.rows, st.bitsetBytes, t1.Sub(t0).Seconds()*1e3, t2.Sub(t1).Seconds()*1e3)
+	rows := fmt.Sprintf("%d rows, %d bitset bytes", st.rows, st.bitsetBytes)
+	if ix.reached == nil {
+		rows = fmt.Sprintf("reach not indexed: %d bitset bytes over the 8-bytes-per-arc bound of %d",
+			st.bitsetBytes, st.bound)
+	}
+	logf("reach index %s: %d components, %d weak components, %s; built in %.2f ms, checked in %.2f ms",
+		name, st.comps, st.weak, rows, t1.Sub(t0).Seconds()*1e3, t2.Sub(t1).Seconds()*1e3)
 	return ix, nil
 }
 
-// newReachIndex builds g's reach index, or returns nil when the rows'
+// newReachIndex builds g's index. Its reach counts are nil when the rows'
 // bitsets would exceed 8 bytes per arc.
 func newReachIndex(g *graph.Graph) (*reachIndex, reachStats) {
 	comp, c := sccTarjan(g)
@@ -96,33 +120,41 @@ func newReachIndex(g *graph.Graph) (*reachIndex, reachStats) {
 	for _, x := range comp {
 		size[x]++
 	}
-	// row[x] is component x's bitset row, -1 when no arc leaves x. No arc
-	// leaves a component of an undirected graph: its arcs come in pairs.
+	// row[x] is component x's bitset row, -1 when no arc leaves x, and root
+	// the union-find that joins components along the arcs leaving them. No
+	// arc leaves a component of an undirected graph: its arcs come in pairs.
 	row := make([]int32, c)
+	root := make([]int32, c)
 	for x := range row {
-		row[x] = -1
+		row[x], root[x] = -1, int32(x)
 	}
 	rows := int32(0)
-	for u, x := range comp {
-		if row[x] >= 0 || !g.Directed() {
-			continue
-		}
-		for _, v := range neigh[index[u]:index[u+1]] {
-			if comp[v] != x {
-				row[x] = rows
-				rows++
-				break
+	if g.Directed() {
+		for u, x := range comp {
+			for _, v := range neigh[index[u]:index[u+1]] {
+				if y := comp[v]; y != x {
+					if row[x] < 0 {
+						row[x] = rows
+						rows++
+					}
+					if rx, ry := find(root, x), find(root, y); rx != ry {
+						root[rx] = ry
+					}
+				}
 			}
 		}
 	}
+	ix := &reachIndex{epoch: g.Epoch(), comp: comp}
 	words := (c + 63) / 64
 	st := reachStats{comps: c, rows: int(rows),
 		bitsetBytes: 8 * int64(rows) * int64(words), bound: 8 * int64(len(neigh))}
+	ix.label, ix.size, st.weak = weakComponents(comp, root)
 	if st.bitsetBytes > st.bound {
-		return nil, st
+		return ix, st
 	}
 	if rows == 0 { // every component reaches exactly itself
-		return &reachIndex{epoch: g.Epoch(), comp: comp, reached: size}, st
+		ix.reached = size
+		return ix, st
 	}
 
 	// members lists the vertices of each component, component by component.
@@ -176,7 +208,41 @@ func newReachIndex(g *graph.Graph) (*reachIndex, reachStats) {
 		}
 		reached[x] = sum
 	}
-	return &reachIndex{epoch: g.Epoch(), comp: comp, reached: reached}, st
+	ix.reached = reached
+	return ix, st
+}
+
+// find is x's union-find root, halving the path to it.
+func find(root []int32, x int32) int32 {
+	for root[x] != x {
+		root[x] = root[root[x]]
+		x = root[x]
+	}
+	return x
+}
+
+// weakComponents gives each component the label (smallest vertex id) and
+// vertex count of its weak component, the union-find set it is in, and counts
+// the weak components. A root's entries accumulate in vertex order, so its
+// label is its set's first vertex; then every component copies its root's (a
+// root copies itself, so the order of the copies does not matter).
+func weakComponents(comp, root []int32) ([]graph.NodeID, []int64, int) {
+	label := make([]graph.NodeID, len(root))
+	size := make([]int64, len(root))
+	weak := 0
+	for v, x := range comp {
+		r := find(root, x)
+		if size[r] == 0 {
+			label[r] = graph.NodeID(v)
+			weak++
+		}
+		size[r]++
+	}
+	for x := range root {
+		r := find(root, int32(x))
+		label[x], size[x] = label[r], size[r]
+	}
+	return label, size, weak
 }
 
 // sccTarjan numbers g's strongly connected components sinks first — the
@@ -256,17 +322,33 @@ func sccTarjan(g *graph.Graph) ([]int32, int) {
 	return comp, int(c)
 }
 
-// checkReachIndex proves the index's partition with verify.CheckSCC and
-// recomputes the counts of the largest component's first vertex and of
-// reachSamples seeded sources with a serial BFS. Once the partition is proven
-// every member of a component reaches the same set, so a sampled source whose
-// component was already checked is skipped: one BFS per sampled component.
+// checkReachIndex proves the index's partition with verify.CheckSCC, proves
+// its weak labels and sizes against verify.Components and a recount, and,
+// when the index has reach counts, recomputes those of the largest
+// component's first vertex and of reachSamples seeded sources with a serial
+// BFS. Once the partition is proven every member of a component reaches the
+// same set, so a sampled source whose component was already checked is
+// skipped: one BFS per sampled component.
 func checkReachIndex(g *graph.Graph, ix *reachIndex) error {
 	if err := verify.CheckSCC(g, ix.comp); err != nil {
 		return err
 	}
 	n := len(ix.comp)
-	if n == 0 {
+	want := verify.Components(g)
+	count := make([]int64, n) // vertices per canonical label
+	for _, l := range want {
+		count[l]++
+	}
+	for v := range ix.comp {
+		label, size := ix.component(graph.NodeID(v))
+		if label != want[v] {
+			return fmt.Errorf("vertex %d has weak-component label %d by the index, %d by verify.Components", v, label, want[v])
+		}
+		if size != count[label] {
+			return fmt.Errorf("vertex %d's weak component has %d vertices by the index, %d by a recount", v, size, count[label])
+		}
+	}
+	if n == 0 || ix.reached == nil {
 		return nil
 	}
 	size := make([]int64, len(ix.reached))
@@ -296,21 +378,28 @@ func checkReachIndex(g *graph.Graph, ix *reachIndex) error {
 	return nil
 }
 
-// serveReach answers a target-less BFS or SSSP off the graph's reach index.
-// It is served like a snapshot hit: it passed drain, the (framework, kernel)
-// breaker and admission in query; it takes no lease and no goroutine, carries
-// no kernel_micros, resolves a half-open probe as a success (an ordinary
-// answer leaves the abandonment count alone: no kernel ran), and journals as
-// verified with no trial.
+// serveReach answers a target-less BFS or SSSP, or a CC query, off the
+// graph's index. It is served like a snapshot hit: it passed drain, the
+// (framework, kernel) breaker and admission in query; it takes no lease and
+// no goroutine, carries no kernel_micros, resolves a half-open probe as a
+// success (an ordinary answer leaves the abandonment count alone: no kernel
+// ran), and journals as verified with no trial.
 func (s *Server) serveReach(p *queryPlan, probe bool) Response {
-	snapshotEpochCheck(p.reach.epoch, p.in.Graph.Epoch())
-	reached := p.reach.reach(p.src)
-	reachAnswerCheck(p.id, p.in.Graph, p.src, reached)
+	epochCheck("reach index", p.reach.epoch, p.in.Graph.Epoch())
+	res := &QueryResult{}
+	if p.k == core.CC {
+		label, size := p.reach.component(p.vertex)
+		componentAnswerCheck(p.id, p.in.Graph, p.vertex, label, size)
+		res.Component, res.Size = int64(label), size
+	} else {
+		res.Reached = p.reach.reach(p.src)
+		reachAnswerCheck(p.id, p.in.Graph, p.src, res.Reached)
+	}
 	s.c.reachHits.Add(1)
 	if probe {
 		s.breakers.OnSuccess(p.fwName, string(p.k), true)
 	}
 	s.c.ok.Add(1)
 	s.journalQuery(p, nil, core.OK, 0, "")
-	return Response{Code: CodeOK, Result: &QueryResult{Reached: reached}}
+	return Response{Code: CodeOK, Result: res}
 }

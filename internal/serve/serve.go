@@ -17,10 +17,12 @@ package serve
 //     that keeps losing machines, until a probe succeeds;
 //   - the machine-lease pool (pool.go) self-heals: an abandoned machine is
 //     replaced immediately and reaped in the background;
-//   - the whole-graph kernels (PR, CC) are computed and oracle-checked once
-//     per (graph, framework) and answered from that snapshot (snapshot.go);
-//   - a BFS or SSSP without a target is answered from the graph's reach
-//     index (reach.go), built and checked once at NewServer;
+//   - PR is computed and oracle-checked once per (graph, framework) and
+//     answered from that snapshot (snapshot.go);
+//   - a CC query, and a BFS or SSSP without a target, is answered from the
+//     graph's reach index (reach.go), built and checked once at NewServer;
+//     CC's answer is the canonical weak component, the same for every
+//     framework;
 //   - SIGTERM drains gracefully under a hard deadline, and the drain proves
 //     no machine lease leaked (servecheck).
 
@@ -129,8 +131,8 @@ type Server struct {
 
 	graphs     map[string]*core.Input
 	graphOrder []string
-	// reach is each graph's reach index (reach.go); nil for a graph over
-	// the index's memory bound.
+	// reach is each graph's reach index (reach.go). Every graph has one; on
+	// a graph over the bitset bound it has no reach counts.
 	reach      map[string]*reachIndex
 	frameworks map[string]kernel.Framework
 	defaultFW  string
@@ -151,8 +153,8 @@ type Server struct {
 // The first framework is the default for requests that name none. Inputs and
 // frameworks must be non-empty; frameworks should already be Prepared against
 // the inputs (core.PrepareViews) so no conversion cost lands on first query.
-// Each graph's reach index is built and checked here; a failed check is an
-// error.
+// Each graph's reach index (SCCs, reach counts, weak components) is built
+// and checked here; a failed check is an error.
 func NewServer(cfg Config, inputs []*core.Input, frameworks []kernel.Framework) (*Server, error) {
 	if len(inputs) == 0 {
 		return nil, fmt.Errorf("serve: no graphs to serve")

@@ -20,10 +20,11 @@ import (
 
 // ---- stub frameworks -------------------------------------------------------
 // The serving fault paths are driven by stubs that misbehave in SSSP only, so
-// a CC query against the same server proves the daemon keeps serving around
-// the fault (same idiom as internal/core's fault tests). An SSSP with a
-// target is the query that runs its kernel per query (a target-less BFS or
-// SSSP is a reach-index read), so those tests send kernelQuery.
+// a PR snapshot build against the same server (buildPR: a lease and a kernel
+// run) proves the daemon keeps serving around the fault (same idiom as
+// internal/core's fault tests). An SSSP with a target is the query that runs
+// its kernel per query (a CC query or a target-less BFS or SSSP is a
+// reach-index read), so those tests send kernelQuery.
 
 type stubFramework struct{ name string }
 
@@ -40,8 +41,9 @@ func (stubFramework) SSSP(g *graph.Graph, src graph.NodeID, opt kernel.Options) 
 	return make([]kernel.Dist, g.NumNodes())
 }
 
-// PR and CC answer with the serial oracles: a snapshot build checks the whole
-// result, so a stub that serves these kernels has to be right.
+// PR answers with the serial oracle: a snapshot build checks the whole result,
+// so a stub that serves it has to be right. gapd never runs CC (the reach
+// index answers it); the stub's CC is the oracle's too.
 func (stubFramework) PR(g *graph.Graph, opt kernel.Options) []float64 {
 	return verify.PageRank(g, kernel.PRMaxIters, kernel.PRTolerance)
 }
@@ -132,6 +134,17 @@ func kernelQuery(t *testing.T, srv *Server, req Request) Request {
 		t.Fatalf("%+v is not planned as a kernel run (refused: %+v)", req, refused)
 	}
 	return req
+}
+
+// buildPR sends a PR query on c that must lead a snapshot build — a lease and
+// a kernel run — and fails the test, naming what, unless it answered OK and
+// built. A PR query that found a published snapshot fails it too.
+func buildPR(t *testing.T, srv *Server, c *testClient, what string) {
+	t.Helper()
+	before := srv.StatsSnapshot().SnapshotBuilds
+	if resp := c.do(Request{Kernel: "PR"}); resp.Code != CodeOK || srv.StatsSnapshot().SnapshotBuilds != before+1 {
+		t.Fatalf("%s: %+v, want OK from a snapshot build", what, resp)
+	}
 }
 
 func loadInput(t testing.TB, spec core.GraphSpec) *core.Input {
@@ -257,8 +270,9 @@ func TestServeEndToEndRealFramework(t *testing.T) {
 		}
 	}
 	cc := c.do(Request{Kernel: "CC", Graph: "Kron", Vertex: src})
-	if cc.Code != CodeOK || cc.Result == nil || cc.Result.Size < 1 {
-		t.Fatalf("CC: %+v", cc)
+	labels := verify.Components(in.Graph)
+	if cc.Code != CodeOK || cc.Result == nil || cc.Result.Component != int64(labels[src]) || cc.KernelMicros != 0 {
+		t.Fatalf("CC: %+v, want the canonical label %d off the reach index", cc, labels[src])
 	}
 	// Kron is undirected, so the target-less BFS, read off the reach index
 	// with no kernel run, reached exactly the source's component; the SSSP,
@@ -271,9 +285,9 @@ func TestServeEndToEndRealFramework(t *testing.T) {
 		t.Errorf("SSSP to a target carries no kernel_micros: %+v", sssp)
 	}
 
-	// The snapshot cap (check.sh tier 10 names this test for it): the PR and
-	// CC above each built a snapshot, so repeats of PR and CC, over two
-	// connections, are all hits — never a whole-graph recompute.
+	// The snapshot cap (check.sh's header names this test for it): the PR
+	// above built the one snapshot, so repeats of PR, over two connections,
+	// are all hits, and CC never builds one — never a whole-graph recompute.
 	const repeats = 20 // of each kernel
 	conns := []*testClient{c, dial(t, sock)}
 	for i := 0; i < repeats; i++ {
@@ -291,9 +305,9 @@ func TestServeEndToEndRealFramework(t *testing.T) {
 	if st.Stats == nil || st.Stats.OK != 4+2*repeats || st.Stats.Accepted != 4+2*repeats {
 		t.Fatalf("stats: %+v", st.Stats)
 	}
-	if st.Stats.SnapshotBuilds != 2 || st.Stats.SnapshotHits != 2*repeats || st.Stats.SnapshotFailed != 0 || st.Stats.ReachHits != 1 {
-		t.Errorf("snapshot builds %d hits %d failed %d, reach hits %d, want 2 builds, %d hits, 0 failed, 1 reach hit",
-			st.Stats.SnapshotBuilds, st.Stats.SnapshotHits, st.Stats.SnapshotFailed, st.Stats.ReachHits, 2*repeats)
+	if st.Stats.SnapshotBuilds != 1 || st.Stats.SnapshotHits != repeats || st.Stats.SnapshotFailed != 0 || st.Stats.ReachHits != 2+repeats {
+		t.Errorf("snapshot builds %d hits %d failed %d, reach hits %d, want 1 build, %d hits, 0 failed, %d reach hits",
+			st.Stats.SnapshotBuilds, st.Stats.SnapshotHits, st.Stats.SnapshotFailed, st.Stats.ReachHits, repeats, 2+repeats)
 	}
 	if err := srv.Shutdown(5 * time.Second); err != nil {
 		t.Fatalf("shutdown: %v", err)
@@ -370,10 +384,8 @@ func TestServeBudgetStallCooperative(t *testing.T) {
 	if got := srv.Pool().Abandoned(); got != 0 {
 		t.Errorf("abandoned = %d after a cooperative stall", got)
 	}
-	// The same pool serves the next query.
-	if resp := c.do(Request{Kernel: "CC", Vertex: 1}); resp.Code != CodeOK {
-		t.Fatalf("query after stall: %+v", resp)
-	}
+	// The same pool serves the next kernel run.
+	buildPR(t, srv, c, "PR build after stall")
 	if err := srv.Shutdown(5 * time.Second); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
@@ -395,9 +407,7 @@ func TestServeHangAbandonsAndSelfHeals(t *testing.T) {
 	// Self-healing: the replacement machine serves immediately, long before
 	// the hung kernel (hangFor) returns.
 	start := time.Now()
-	if resp := c.do(Request{Kernel: "CC", Vertex: 1}); resp.Code != CodeOK {
-		t.Fatalf("query after abandonment: %+v", resp)
-	}
+	buildPR(t, srv, c, "PR build after abandonment")
 	if elapsed := time.Since(start); elapsed > hangFor {
 		t.Errorf("replacement machine took %v — waited for the hung kernel?", elapsed)
 	}
@@ -438,10 +448,8 @@ func TestServeDeterministicPanicIsInternal(t *testing.T) {
 	if resp.Retries != 1 {
 		t.Errorf("retries = %d, want 1 (retried, panicked again)", resp.Retries)
 	}
-	// The daemon survives its kernels: the next query is served.
-	if resp := c.do(Request{Kernel: "CC", Vertex: 1}); resp.Code != CodeOK {
-		t.Fatalf("query after panic: %+v", resp)
-	}
+	// The daemon survives its kernels: the next kernel run is served.
+	buildPR(t, srv, c, "PR build after panic")
 	if err := srv.Shutdown(5 * time.Second); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
@@ -488,10 +496,10 @@ func TestServeRateSheds(t *testing.T) {
 	}, in, stubFramework{"Stub"})
 	c := dial(t, sock)
 
-	if resp := c.do(Request{Kernel: "CC", Vertex: 1}); resp.Code != CodeOK {
+	if resp := c.do(kernelQuery(t, srv, Request{Source: 1})); resp.Code != CodeOK {
 		t.Fatalf("first query: %+v", resp)
 	}
-	if resp := c.do(Request{Kernel: "CC", Vertex: 1}); resp.Code != CodeResourceExhausted {
+	if resp := c.do(kernelQuery(t, srv, Request{Source: 1})); resp.Code != CodeResourceExhausted {
 		t.Fatalf("second query inside the rate window: %+v", resp)
 	}
 	if st := srv.StatsSnapshot(); st.ShedRate != 1 {
@@ -526,9 +534,7 @@ func TestServeBreakerQuarantineProbeClose(t *testing.T) {
 	if resp.Code != CodeUnavailable || !strings.Contains(resp.Error, "quarantined") {
 		t.Fatalf("quarantined query: %+v", resp)
 	}
-	if resp := c.do(Request{Kernel: "CC", Vertex: 1}); resp.Code != CodeOK {
-		t.Fatalf("unrelated kernel during quarantine: %+v", resp)
-	}
+	buildPR(t, srv, c, "unrelated kernel during quarantine")
 	if st := srv.StatsSnapshot(); st.BreakerShed != 1 {
 		t.Errorf("breaker_shed = %d, want 1", st.BreakerShed)
 	}

@@ -1,13 +1,14 @@
 package serve
 
-// snapshot.go answers the two whole-graph query kernels — PR top-k and CC
-// component-of — from a result computed once. PageRank scores and component
-// labels are properties of the graph, not of the question (that is why the
-// GAP protocol runs them source-free), and a served graph is immutable within
-// an Epoch(), so re-running an O(iterations·m) kernel per query only repeats
-// the same answer.
+// snapshot.go answers PR top-k queries from a result computed once. PageRank
+// scores are a property of the graph, not of the question (that is why the
+// GAP protocol runs PR source-free), and a served graph is immutable within an
+// Epoch(), so re-running an O(iterations·m) kernel per query only repeats the
+// same answer. The other whole-graph query kernel, CC, needs no snapshot: its
+// canonical answer is the same for every framework and comes from the graph's
+// reach index (reach.go).
 //
-// Per (graph, framework, kernel) the first query leads a single-flight build
+// Per (graph, framework) the first PR query leads a single-flight build
 // through the ordinary execution path (lease, sandbox, retry, seal checks —
 // run/runAttempt in query.go); the sandbox checks the full result against the
 // SPEC.md oracle once, reduces it to what queries read, and the leader
@@ -22,9 +23,8 @@ package serve
 // budget, never inheriting the leader's deadline or its client's disconnect.
 //
 // There is no eviction, TTL or size budget: the key space is fixed at
-// NewServer (graphs × frameworks × 2) and a snapshot owns its data — 1.6 KB
-// for PR's top-100, 4n bytes of labels plus one table entry per component for
-// CC — holding no reference into the mmap'd CSR.
+// NewServer (graphs × frameworks) and a snapshot owns its data — 1.6 KB for
+// PR's top-100 — holding no reference into the mmap'd CSR.
 
 import (
 	"fmt"
@@ -46,21 +46,16 @@ const snapshotTopK = 100
 // snapKey names one snapshot slot.
 type snapKey struct {
 	graph, framework string
-	k                core.Kernel
 }
 
 // snapshot is one oracle-checked whole-graph result, reduced to what queries
 // read. It is immutable once published.
 type snapshot struct {
 	// epoch is g.Epoch() of the graph the result was computed on; a snapshot
-	// answers only for that graph (snapshotEpochCheck).
+	// answers only for that graph (epochCheck).
 	epoch uint64
 	// top is PR's snapshotTopK best entries, best first, ties by vertex id.
 	top []RankEntry
-	// labels and sizes are CC's per-vertex component label and the vertex
-	// count of each label.
-	labels []graph.NodeID
-	sizes  map[graph.NodeID]int64
 }
 
 // snapSlot holds one key's published snapshot and, while one is being built,
@@ -83,53 +78,29 @@ type snapshotStore struct {
 }
 
 func newSnapshotStore(graphs []string, frameworks map[string]kernel.Framework) *snapshotStore {
-	st := &snapshotStore{slots: make(map[snapKey]*snapSlot, 2*len(graphs)*len(frameworks))}
+	st := &snapshotStore{slots: make(map[snapKey]*snapSlot, len(graphs)*len(frameworks))}
 	for _, g := range graphs {
 		for fw := range frameworks {
-			for _, k := range []core.Kernel{core.PR, core.CC} {
-				st.slots[snapKey{g, fw, k}] = &snapSlot{}
-			}
+			st.slots[snapKey{g, fw}] = &snapSlot{}
 		}
 	}
 	return st
 }
 
-// buildSnapshot is the timed part of a snapshot build: it runs the planned
-// whole-graph kernel and returns the finish that checks the full result
-// against the oracle (an error is the oracle's rejection) and reduces it.
+// buildSnapshot is the timed part of a snapshot build: it runs PR and returns
+// the finish that checks the full result against the oracle (an error is the
+// oracle's rejection) and reduces it.
 // Both run inside the attempt sandbox: a kernel that returns garbage may make
 // the oracle or the reduction panic, and that is the kernel's fault to report
 // as Panicked.
 func buildSnapshot(p *queryPlan, g *graph.Graph, opt kernel.Options) func() (*snapshot, error) {
-	reject := func(err error) (*snapshot, error) {
-		return nil, fmt.Errorf("oracle rejected the result: %w", err)
-	}
-	if p.k == core.PR {
-		ranks := p.f.PR(g, opt)
-		return func() (*snapshot, error) {
-			if err := verify.CheckPR(g, ranks); err != nil {
-				return reject(err)
-			}
-			return &snapshot{epoch: g.Epoch(), top: topK(ranks, snapshotTopK)}, nil
-		}
-	}
-	labels := p.f.CC(g, opt)
+	ranks := p.f.PR(g, opt)
 	return func() (*snapshot, error) {
-		if err := verify.CheckCC(g, labels); err != nil {
-			return reject(err)
+		if err := verify.CheckPR(g, ranks); err != nil {
+			return nil, fmt.Errorf("oracle rejected the result: %w", err)
 		}
-		return &snapshot{epoch: g.Epoch(), labels: append([]graph.NodeID(nil), labels...),
-			sizes: componentSizes(labels)}, nil
+		return &snapshot{epoch: g.Epoch(), top: topK(ranks, snapshotTopK)}, nil
 	}
-}
-
-// componentSizes counts the vertices carrying each label.
-func componentSizes(labels []graph.NodeID) map[graph.NodeID]int64 {
-	sizes := make(map[graph.NodeID]int64)
-	for _, l := range labels {
-		sizes[l]++
-	}
-	return sizes
 }
 
 // topK selects the k highest-scoring vertices, best first and ties by vertex
@@ -159,21 +130,16 @@ func topK(scores []float64, k int) []RankEntry {
 	return top
 }
 
-// answer reads the planned query's result off the snapshot: the first k
-// entries for PR (capacity clipped, so a caller's append cannot reach the
-// shared array), label and table lookup for CC.
+// answer reads the planned query's result off the snapshot: its first k
+// entries, capacity clipped, so a caller's append cannot reach the shared
+// array.
 func (sn *snapshot) answer(p *queryPlan) *QueryResult {
-	snapshotEpochCheck(sn.epoch, p.in.Graph.Epoch())
-	if p.k == core.PR {
-		return &QueryResult{TopK: sn.top[:p.topk:p.topk]}
-	}
-	label := sn.labels[p.vertex]
-	return &QueryResult{Component: int64(label), Size: sn.sizes[label]}
+	epochCheck("snapshot", sn.epoch, p.in.Graph.Epoch())
+	return &QueryResult{TopK: sn.top[:p.topk:p.topk]}
 }
 
-// serveSnapshot answers a PR or CC query: from the slot's snapshot when
-// one is published, otherwise by leading its build or by waiting for the
-// leader.
+// serveSnapshot answers a PR query: from the slot's snapshot when one is
+// published, otherwise by leading its build or by waiting for the leader.
 func (s *Server) serveSnapshot(p *queryPlan, qTok *par.CancelToken, deadline time.Time, probe bool) Response {
 	slot := p.slot
 	for {

@@ -72,36 +72,21 @@ func newTestServer(t *testing.T, cfg Config, in *core.Input, fws ...kernel.Frame
 // ---- reductions ------------------------------------------------------------
 
 // TestSnapshotReductionsMatchPerQueryScans: what a snapshot stores answers
-// every query the way the per-query reductions it replaced did — the length-k
-// prefix of the stored top-100 is topK(scores, k), ties included, and the
-// size table is the label scan.
+// every query the way the per-query reduction it replaced did — the length-k
+// prefix of the stored top-100 is topK(scores, k), ties included.
 func TestSnapshotReductionsMatchPerQueryScans(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for round := 0; round < 20; round++ {
 		n := 1 + rng.Intn(400)
 		scores := make([]float64, n)
-		labels := make([]graph.NodeID, n)
 		for i := range scores {
 			scores[i] = float64(rng.Intn(12)) / 12 // few distinct values: many ties
-			labels[i] = graph.NodeID(rng.Intn(1 + n/8))
 		}
 		stored := topK(scores, snapshotTopK)
 		for k := 1; k <= snapshotTopK; k++ {
 			want := topK(scores, k)
 			if got := stored[:min(k, len(stored))]; !reflect.DeepEqual(got, want) {
 				t.Fatalf("n=%d k=%d: prefix of the stored top-%d = %v, topK = %v", n, k, snapshotTopK, got, want)
-			}
-		}
-		sizes := componentSizes(labels)
-		for v := range labels {
-			scan := int64(0)
-			for _, l := range labels {
-				if l == labels[v] {
-					scan++
-				}
-			}
-			if got := sizes[labels[v]]; got != scan {
-				t.Fatalf("n=%d vertex %d: size table says %d, label scan %d", n, v, got, scan)
 			}
 		}
 	}
@@ -176,7 +161,7 @@ func TestSnapshotSingleFlightBuildsOnce(t *testing.T) {
 }
 
 // TestSnapshotHitHoldsNoLease: with the pool's only machine held by a stalled
-// SSSP, PR and CC hits are still answered — and only the builds carry
+// SSSP, a PR hit is still answered — and only the build carries
 // kernel_micros.
 func TestSnapshotHitHoldsNoLease(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
@@ -184,10 +169,8 @@ func TestSnapshotHitHoldsNoLease(t *testing.T) {
 	srv := newTestServer(t, Config{PoolSize: 1, Workers: 1}, in, stallSSSP{stubFramework{"Stub"}})
 	tok := par.NewCancelToken()
 
-	for _, req := range []Request{{Kernel: "PR"}, {Kernel: "CC", Vertex: 1}} {
-		if r := srv.query(req, tok); r.Code != CodeOK {
-			t.Fatalf("%s build: %+v", req.Kernel, r)
-		}
+	if r := srv.query(Request{Kernel: "PR"}, tok); r.Code != CodeOK || r.KernelMicros == 0 {
+		t.Fatalf("PR build: %+v", r)
 	}
 	ssspDone := make(chan Response, 1)
 	stalled := kernelQuery(t, srv, Request{Source: 1, BudgetMS: 2000})
@@ -197,10 +180,6 @@ func TestSnapshotHitHoldsNoLease(t *testing.T) {
 	pr := srv.query(Request{Kernel: "PR", K: 3}, tok)
 	if pr.Code != CodeOK || len(pr.Result.TopK) != 3 || pr.KernelMicros != 0 {
 		t.Errorf("PR hit behind a busy pool: %+v", pr)
-	}
-	cc := srv.query(Request{Kernel: "CC", Vertex: 1}, tok)
-	if cc.Code != CodeOK || cc.Result.Size < 1 || cc.KernelMicros != 0 {
-		t.Errorf("CC hit behind a busy pool: %+v", cc)
 	}
 	if got := srv.Pool().Outstanding(); got != 1 {
 		t.Errorf("outstanding leases = %d, want 1 (the SSSP's)", got)
@@ -249,7 +228,7 @@ func TestSnapshotWaiterReleadsUnderOwnBudget(t *testing.T) {
 func TestSnapshotOracleRejectionIsNeverPublished(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	in := smallInput(t)
-	srv := newTestServer(t, Config{PoolSize: 1, Workers: 1}, in, wrongPR{stubFramework{"Stub"}})
+	srv := newTestServer(t, Config{PoolSize: 1, Workers: 1}, in, wrongPR{stubFramework{"Stub"}}, stubFramework{"Good"})
 
 	for i := 0; i < 2; i++ {
 		r := srv.query(Request{Kernel: "PR"}, par.NewCancelToken())
@@ -261,9 +240,9 @@ func TestSnapshotOracleRejectionIsNeverPublished(t *testing.T) {
 	if st.SnapshotBuilds != 2 || st.SnapshotFailed != 2 || st.SnapshotHits != 0 || st.Panics != 0 {
 		t.Errorf("builds=%d failed=%d hits=%d panics=%d, want 2/2/0/0", st.SnapshotBuilds, st.SnapshotFailed, st.SnapshotHits, st.Panics)
 	}
-	// The healthy kernel next to it keeps its own slot.
-	if r := srv.query(Request{Kernel: "CC", Vertex: 1}, par.NewCancelToken()); r.Code != CodeOK {
-		t.Errorf("CC beside a rejected PR: %+v", r)
+	// The healthy framework next to it keeps its own slot.
+	if r := srv.query(Request{Kernel: "PR", Framework: "Good"}, par.NewCancelToken()); r.Code != CodeOK || r.KernelMicros == 0 {
+		t.Errorf("Good's PR build beside a rejected PR: %+v", r)
 	}
 }
 
@@ -346,14 +325,14 @@ func TestSnapshotWaitingProbeTimeoutResetsProbe(t *testing.T) {
 
 // ---- reach answers ---------------------------------------------------------
 
-// TestSnapshotReachJournalsAskedKernelVerified: a reach answer journals the
-// kernel it asked for, verified, with no trial behind it, and builds no
-// snapshot.
+// TestSnapshotReachJournalsAskedKernelVerified: a reach-index answer — BFS,
+// SSSP or CC — journals the kernel it asked for, verified, with no trial
+// behind it, and builds no snapshot.
 func TestSnapshotReachJournalsAskedKernelVerified(t *testing.T) {
 	in := smallInput(t)
 	journal := filepath.Join(t.TempDir(), "served.jsonl")
 	srv := newTestServer(t, Config{PoolSize: 1, Workers: 1, JournalPath: journal}, in, stubFramework{"Stub"})
-	for _, req := range []Request{{Kernel: "BFS", Source: 1}, {Kernel: "BFS", Source: 2}, {Kernel: "SSSP", Source: 3}} {
+	for _, req := range []Request{{Kernel: "BFS", Source: 1}, {Kernel: "BFS", Source: 2}, {Kernel: "SSSP", Source: 3}, {Kernel: "CC", Vertex: 4}} {
 		if r := srv.query(req, par.NewCancelToken()); r.Code != CodeOK || r.Kernel != req.Kernel {
 			t.Fatalf("%s from %d: %+v", req.Kernel, req.Source, r)
 		}
@@ -362,17 +341,17 @@ func TestSnapshotReachJournalsAskedKernelVerified(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 3 {
-		t.Fatalf("journal has %d lines, want 3", len(results))
+	if len(results) != 4 {
+		t.Fatalf("journal has %d lines, want 4", len(results))
 	}
-	for i, want := range []string{"Stub|BFS|Kron|Baseline", "Stub|BFS|Kron|Baseline", "Stub|SSSP|Kron|Baseline"} {
+	for i, want := range []string{"Stub|BFS|Kron|Baseline", "Stub|BFS|Kron|Baseline", "Stub|SSSP|Kron|Baseline", "Stub|CC|Kron|Baseline"} {
 		hit := results[i]
 		if hit.CellID() != want || hit.Status != core.OK || !hit.Verified || hit.Trials != 0 || len(hit.TrialRecords) != 0 {
 			t.Errorf("reach journal line %d: %+v, want %s verified without trials", i, hit, want)
 		}
 	}
-	if st := srv.StatsSnapshot(); st.ReachHits != 3 || st.SnapshotBuilds != 0 || st.SnapshotHits != 0 {
-		t.Errorf("reach hits %d, snapshot builds %d hits %d, want 3/0/0", st.ReachHits, st.SnapshotBuilds, st.SnapshotHits)
+	if st := srv.StatsSnapshot(); st.ReachHits != 4 || st.SnapshotBuilds != 0 || st.SnapshotHits != 0 {
+		t.Errorf("reach hits %d, snapshot builds %d hits %d, want 4/0/0", st.ReachHits, st.SnapshotBuilds, st.SnapshotHits)
 	}
 }
 
@@ -385,8 +364,8 @@ func TestSnapshotJournalsBuildOnceAndHitsWithoutTrials(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "served.jsonl")
 	srv := newTestServer(t, Config{PoolSize: 1, Workers: 1, JournalPath: journal}, in, stubFramework{"Stub"})
 	for i := 0; i < 2; i++ {
-		if r := srv.query(Request{Kernel: "CC", Vertex: 1}, par.NewCancelToken()); r.Code != CodeOK {
-			t.Fatalf("CC %d: %+v", i, r)
+		if r := srv.query(Request{Kernel: "PR"}, par.NewCancelToken()); r.Code != CodeOK {
+			t.Fatalf("PR %d: %+v", i, r)
 		}
 	}
 	results, err := core.ReadJournal(journal)
@@ -403,7 +382,7 @@ func TestSnapshotJournalsBuildOnceAndHitsWithoutTrials(t *testing.T) {
 	if hit.Status != core.OK || !hit.Verified || hit.Trials != 0 || len(hit.TrialRecords) != 0 {
 		t.Errorf("hit journal line: %+v", hit)
 	}
-	if hit.CellID() != "Stub|CC|Kron|Baseline" || hit.GraphEpoch != in.Graph.Epoch() {
+	if hit.CellID() != "Stub|PR|Kron|Baseline" || hit.GraphEpoch != in.Graph.Epoch() {
 		t.Errorf("hit CellID %q epoch %#x", hit.CellID(), hit.GraphEpoch)
 	}
 }
@@ -423,7 +402,7 @@ func TestSnapshotEpochMismatchPanicsUnderServecheck(t *testing.T) {
 	}
 	// Swap the published snapshot for one stamped with another epoch, as if
 	// the graph had moved on underneath it.
-	slot := srv.snaps.slots[snapKey{"Kron", "Stub", core.PR}]
+	slot := srv.snaps.slots[snapKey{"Kron", "Stub"}]
 	stale := *slot.snap.Load()
 	stale.epoch++
 	slot.snap.Store(&stale)

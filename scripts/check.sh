@@ -28,14 +28,17 @@
 #      whole sweep finishes in seconds (≈ 30 s with a cold race build). Then go test -race -short -count=10 -run 'Snapshot|Reach'
 #      <serve>: the snapshot single-flight (one build per burst, waiters
 #      re-leading, breaker accounting) and the reach index (build, check,
-#      answers against every framework's traversal, at scale 8 from 16
-#      sources under -short) under the race detector, ten times over.
+#      reach and CC answers against every framework's traversal and
+#      verify.Components, at scale 8 from 16 sources under -short; its weak
+#      components against verify.Components on the five generators and on
+#      random digraphs, over-bound ones included: every TestReach* and
+#      TestSnapshot* test) under the race detector, ten times over.
 #   7. go test -tags=check -short ./...  the armed tier: the whole tree
 #      rebuilt with every invariant assertion armed (DESIGN.md §8 "Runtime
 #      sanitizer"; one tag, one gate, internal/invariant): grb's operand,
 #      mask and direction-equivalence checks, frontier's conversion checks,
 #      graph's CSR seal at every trial boundary, and serve's lease-leak,
-#      snapshot-epoch and sampled reach-answer checks. A structurally corrupt
+#      epoch and sampled reach- and CC-answer checks. A structurally corrupt
 #      operand, a direction dispatch whose push and pull products disagree,
 #      a kernel that writes shared graph memory or a leaked machine lease
 #      panics at the boundary that received it, naming the invariant.
@@ -56,17 +59,20 @@
 #      name.
 #  Tiers 9 and 11 use the tree's one gapd load driver, gapmark's
 #  (benchmark/drive); tier 10 starts no daemon.
-#   9. gapd serving smoke tier: gapmark's TestSmoke against an ar gapmark's TestSmoke against an armed gapd
+#   9. gapd serving smoke tier: gapmark's TestSmoke against an armed gapd
 #      (GOFLAGS=-tags=check reaches the test's own `go build
 #      gapbench/cmd/gapd`, into the test's temp directory — nothing is taken
 #      from .bench_build/). gapmark's driver starts that daemon, offers both
-#      traffic shapes at toy size (PR/CC answered from snapshots, leased
-#      BFS/SSSP; closed loop and open loop), and fails on any answer that is
+#      traffic shapes at toy size (PR answered from snapshots, CC and
+#      BFS/SSSP — gapmark sends no target — from the reach index, so the
+#      armed sampled reach- and CC-answer checks run; closed loop and open
+#      loop), and fails on any answer that is
 #      not OK or that the oracle re-check rejects; then SIGTERM, and a
 #      non-zero gapd exit — an armed assertion panics it, on a leaked lease
 #      at drain among others — or a drain over its budget fails the run. The
-#      snapshot cap (one PageRank and one CC build per graph and framework,
-#      every other such query a hit: no per-query whole-graph recompute) is
+#      snapshot cap (one PageRank build per graph and framework, every other
+#      PR query a hit, no CC build at all: no per-query whole-graph
+#      recompute) is
 #      asserted in-process by TestServeEndToEndRealFramework in
 #      internal/serve, which tier 5 runs.
 #  10. go test -bench=. -benchtime=1x the benchmark bit-rot guard: every
