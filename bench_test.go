@@ -66,10 +66,14 @@ func inputByName(name string) *core.Input {
 	panic("unknown benchmark graph " + name)
 }
 
-// benchOptions mirrors core.Runner's rule sets with a fixed worker count so
-// results are comparable across hosts.
-func benchOptions(in *core.Input, mode kernel.Mode) kernel.Options {
-	opt := kernel.Options{Mode: mode, Delta: in.Spec.Delta, Workers: 8, UndirectedView: in.Undirected}
+// benchWidth is the width of every benchmark's machine: fixed, so results
+// are comparable across hosts.
+const benchWidth = 8
+
+// benchOptions mirrors core.Runner's rule sets on m, a machine the calling
+// benchmark builds once at benchWidth and closes.
+func benchOptions(in *core.Input, mode kernel.Mode, m *par.Machine) kernel.Options {
+	opt := kernel.Options{Mode: mode, Delta: in.Spec.Delta, UndirectedView: in.Undirected, Machine: m}
 	if mode == kernel.Optimized {
 		opt.GraphName = in.Spec.Name
 		opt.RelabeledView = in.Relabeled
@@ -98,13 +102,15 @@ func BenchmarkSuite(b *testing.B) {
 	frameworks := core.Frameworks()
 	inputs := loadInputs()
 	core.PrepareViews(frameworks, inputs)
+	m := par.NewMachine(benchWidth)
+	defer m.Close()
 	for _, mode := range []kernel.Mode{kernel.Baseline, kernel.Optimized} {
 		for _, k := range core.Kernels {
 			for _, in := range inputs {
 				for _, fw := range frameworks {
 					name := fmt.Sprintf("%s/%s/%s/%s", mode, k, in.Spec.Name, fw.Name())
 					b.Run(name, func(b *testing.B) {
-						runCellBench(b, fw, k, in, mode)
+						runCellBench(b, fw, k, in, benchOptions(in, mode, m))
 					})
 				}
 			}
@@ -112,8 +118,7 @@ func BenchmarkSuite(b *testing.B) {
 	}
 }
 
-func runCellBench(b *testing.B, fw kernel.Framework, k core.Kernel, in *core.Input, mode kernel.Mode) {
-	opt := benchOptions(in, mode)
+func runCellBench(b *testing.B, fw kernel.Framework, k core.Kernel, in *core.Input, opt kernel.Options) {
 	g := in.Graph
 	b.ReportMetric(float64(g.NumEdges()), "edges")
 	switch k {
@@ -149,6 +154,8 @@ func runCellBench(b *testing.B, fw kernel.Framework, k core.Kernel, in *core.Inp
 // Road graph, where §VI reports it cuts synchronization rounds ~10x.
 func BenchmarkAblationBucketFusion(b *testing.B) {
 	in := inputByName(generate.NameRoad)
+	m := par.NewMachine(benchWidth)
+	defer m.Close()
 	for _, fused := range []bool{true, false} {
 		name := "Unfused"
 		if fused {
@@ -156,7 +163,7 @@ func BenchmarkAblationBucketFusion(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_ = gap.DeltaStep(in.Graph, in.Sources[i%len(in.Sources)], in.Spec.Delta, kernel.Options{Workers: 8}, fused)
+				_ = gap.DeltaStep(in.Graph, in.Sources[i%len(in.Sources)], in.Spec.Delta, kernel.Options{Machine: m}, fused)
 			}
 		})
 	}
@@ -168,15 +175,17 @@ func BenchmarkAblationBucketFusion(b *testing.B) {
 // (heavy re-relaxation risk) setting on Road.
 func BenchmarkAblationLightHeavy(b *testing.B) {
 	in := inputByName(generate.NameRoad)
+	m := par.NewMachine(benchWidth)
+	defer m.Close()
 	for _, delta := range []kernel.Dist{16, 256} {
 		b.Run(fmt.Sprintf("Simplified/delta=%d", delta), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_ = gap.DeltaStep(in.Graph, in.Sources[i%len(in.Sources)], delta, kernel.Options{Workers: 8}, true)
+				_ = gap.DeltaStep(in.Graph, in.Sources[i%len(in.Sources)], delta, kernel.Options{Machine: m}, true)
 			}
 		})
 		b.Run(fmt.Sprintf("LightHeavy/delta=%d", delta), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_ = gap.DeltaStepLightHeavy(in.Graph, in.Sources[i%len(in.Sources)], delta, kernel.Options{Workers: 8})
+				_ = gap.DeltaStepLightHeavy(in.Graph, in.Sources[i%len(in.Sources)], delta, kernel.Options{Machine: m})
 			}
 		})
 	}
@@ -186,16 +195,18 @@ func BenchmarkAblationLightHeavy(b *testing.B) {
 // bulk-synchronous BFS on the high-diameter Road graph and the low-diameter
 // Urand graph — the crossover behind its Baseline Urand collapse (§V-A).
 func BenchmarkAblationAsyncBFS(b *testing.B) {
+	m := par.NewMachine(benchWidth)
+	defer m.Close()
 	for _, gname := range []string{generate.NameRoad, generate.NameUrand} {
 		in := inputByName(gname)
 		b.Run("Async/"+gname, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_ = galois.AsyncBFS(in.Graph, in.Sources[i%len(in.Sources)], 8)
+				_ = galois.AsyncBFS(m, in.Graph, in.Sources[i%len(in.Sources)])
 			}
 		})
 		b.Run("Sync/"+gname, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_ = galois.SyncBFS(in.Graph, in.Sources[i%len(in.Sources)], 8)
+				_ = galois.SyncBFS(m, in.Graph, in.Sources[i%len(in.Sources)])
 			}
 		})
 	}
@@ -215,6 +226,8 @@ func BenchmarkAblationCC(b *testing.B) {
 		{"FastSV", lagraph.New()},
 		{"HybridSV", core.FrameworkByName("GKC")},
 	}
+	m := par.NewMachine(benchWidth)
+	defer m.Close()
 	for _, gname := range []string{generate.NameRoad, generate.NameUrand} {
 		in := inputByName(gname)
 		for _, a := range algos {
@@ -222,7 +235,7 @@ func BenchmarkAblationCC(b *testing.B) {
 				p.Prepare(in.Graph, in.Undirected)
 			}
 			b.Run(a.name+"/"+gname, func(b *testing.B) {
-				opt := benchOptions(in, kernel.Baseline)
+				opt := benchOptions(in, kernel.Baseline, m)
 				for i := 0; i < b.N; i++ {
 					_ = a.fw.CC(in.Graph, opt)
 				}
@@ -248,14 +261,14 @@ func BenchmarkAblationPR(b *testing.B) {
 		{"GaussSeidel", galois.New().PR},
 		{"GAPProposedGS", gap.PageRankGS},
 	}
+	m := par.NewMachine(benchWidth)
+	defer m.Close()
 	for _, gname := range []string{generate.NameRoad, generate.NameKron, generate.NameTwitter} {
 		in := inputByName(gname)
 		for _, arm := range arms {
 			b.Run(arm.name+"/"+gname, func(b *testing.B) {
-				m := par.NewMachine(0)
-				defer m.Close()
-				opt := benchOptions(in, kernel.Baseline)
-				opt.Machine = m
+				m.ResetStats()
+				opt := benchOptions(in, kernel.Baseline, m)
 				for i := 0; i < b.N; i++ {
 					_ = arm.pr(in.Graph, opt)
 				}
@@ -292,8 +305,10 @@ func BenchmarkAblationIndexWidth(b *testing.B) {
 		at := grb.FromGraph(g, true, false)
 		x := grb.NewFull[float64](int64(n), 1)
 		out := grb.NewFull[float64](int64(n), 0)
+		serial := par.NewMachine(1) // one worker, like the 32-bit arm
+		defer serial.Close()
 		for i := 0; i < b.N; i++ {
-			grb.MxVFullInto(par.Default(), at, x, grb.PlusFirst(), out, 1)
+			grb.MxVFullInto(serial, at, x, grb.PlusFirst(), out)
 		}
 	})
 }
@@ -303,21 +318,23 @@ func BenchmarkAblationIndexWidth(b *testing.B) {
 // (Optimized rules), and skipped entirely — the §V-F lever.
 func BenchmarkAblationRelabel(b *testing.B) {
 	in := inputByName(generate.NameTwitter)
+	m := par.NewMachine(benchWidth)
+	defer m.Close()
 	b.Run("RelabelTimed", func(b *testing.B) {
-		opt := benchOptions(in, kernel.Baseline)
+		opt := benchOptions(in, kernel.Baseline, m)
 		for i := 0; i < b.N; i++ {
 			_ = gap.New().TC(in.Graph, opt)
 		}
 	})
 	b.Run("RelabelUntimed", func(b *testing.B) {
-		opt := benchOptions(in, kernel.Optimized)
+		opt := benchOptions(in, kernel.Optimized, m)
 		for i := 0; i < b.N; i++ {
 			_ = gap.New().TC(in.Graph, opt)
 		}
 	})
 	b.Run("NoRelabel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = gap.OrderedCountBench(in.Undirected, 8)
+			_ = gap.OrderedCountBench(m, in.Undirected)
 		}
 	})
 }
@@ -403,16 +420,18 @@ func BenchmarkAblationRegionLaunch(b *testing.B) {
 // schedule with the push-only schedule its Optimized Road BFS uses (§V-A:
 // "it does not use direction optimization (always push)").
 func BenchmarkAblationDirectionOpt(b *testing.B) {
+	m := par.NewMachine(benchWidth)
+	defer m.Close()
 	for _, gname := range []string{generate.NameRoad, generate.NameKron} {
 		in := inputByName(gname)
 		b.Run("DirOpt/"+gname, func(b *testing.B) {
-			opt := benchOptions(in, kernel.Baseline)
+			opt := benchOptions(in, kernel.Baseline, m)
 			for i := 0; i < b.N; i++ {
 				_ = graphit.New().BFS(in.Graph, in.Sources[i%len(in.Sources)], opt)
 			}
 		})
 		b.Run("PushOnly/"+gname, func(b *testing.B) {
-			opt := benchOptions(in, kernel.Optimized)
+			opt := benchOptions(in, kernel.Optimized, m)
 			opt.GraphName = "Road" // forces the push-only schedule
 			for i := 0; i < b.N; i++ {
 				_ = graphit.New().BFS(in.Graph, in.Sources[i%len(in.Sources)], opt)

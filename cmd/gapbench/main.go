@@ -11,14 +11,12 @@
 //	gapbench -table all -csv results.csv   # everything + CSV export
 //	gapbench -graphs Road,Kron -kernels BFS,SSSP -frameworks GAP,Galois
 //	gapbench -graphfile g/kron-s13-seed42.sg,g/road-s14-seed42.sg  # mmap saved graphs
-//	gapbench -savegraphs ./graphs          # save every input as format-v2 .sg
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"slices"
 	"strings"
 	"time"
@@ -42,7 +40,6 @@ func main() {
 		mdPath     = flag.String("md", "", "write Tables IV+V as Markdown to this path")
 		graphDir   = flag.String("graphdir", "", "cache directory for serialized graphs (generate once, reload after)")
 		graphFiles = flag.String("graphfile", "", "comma-separated serialized graph files to benchmark instead of generating the suite (format-v2 files load zero-copy via mmap)")
-		saveGraphs = flag.String("savegraphs", "", "save every input graph to this directory as format-v2 .sg files")
 		noVerify   = flag.Bool("noverify", false, "skip oracle verification of results")
 		quiet      = flag.Bool("q", false, "suppress per-cell progress lines")
 		timeout    = flag.Duration("timeout", 0, "per-trial deadline (0 = none); overruns mark the cell TimedOut instead of hanging the run")
@@ -55,7 +52,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gapbench: -resume requires -journal")
 		os.Exit(1)
 	}
-	if err := run(*tableFlag, *scale, *trials, *graphsFlag, *kernsFlag, *fwFlag, *modeFlag, *csvPath, *mdPath, *graphDir, *graphFiles, *saveGraphs, !*noVerify, *quiet, *timeout, *journal, *resume); err != nil {
+	if err := run(*tableFlag, *scale, *trials, *graphsFlag, *kernsFlag, *fwFlag, *modeFlag, *csvPath, *mdPath, *graphDir, *graphFiles, !*noVerify, *quiet, *timeout, *journal, *resume); err != nil {
 		fmt.Fprintln(os.Stderr, "gapbench:", err)
 		os.Exit(1)
 	}
@@ -64,7 +61,7 @@ func main() {
 // tables are the values -table accepts, matched case-insensitively.
 var tables = []string{"I", "II", "III", "IV", "V", "all"}
 
-func run(tableSel string, scale, trials int, graphsCSV, kernelsCSV, fwCSV, modeSel, csvPath, mdPath, graphDir, graphFiles, saveGraphs string, doVerify, quiet bool, timeout time.Duration, journal string, resume bool) error {
+func run(tableSel string, scale, trials int, graphsCSV, kernelsCSV, fwCSV, modeSel, csvPath, mdPath, graphDir, graphFiles string, doVerify, quiet bool, timeout time.Duration, journal string, resume bool) error {
 	frameworks, err := core.FrameworksFromCSV(fwCSV)
 	if err != nil {
 		return err
@@ -113,24 +110,6 @@ func run(tableSel string, scale, trials int, graphsCSV, kernelsCSV, fwCSV, modeS
 	var names []string
 	for _, in := range inputs {
 		names = append(names, in.Spec.Name)
-	}
-	if saveGraphs != "" {
-		if err := os.MkdirAll(saveGraphs, 0o755); err != nil {
-			return err
-		}
-		for _, in := range inputs {
-			path := filepath.Join(saveGraphs, core.GraphFileName(in.Spec, "sg"))
-			in.Graph.SetProvenance(in.Spec.Name, uint32(in.Spec.Scale), in.Spec.Seed)
-			if err := in.Graph.SaveSG(path); err != nil {
-				return err
-			}
-			if in.File == "" {
-				in.File = path
-			}
-			if !quiet {
-				fmt.Fprintf(os.Stderr, "saved %s\n", path)
-			}
-		}
 	}
 	if wantTable("I") {
 		for _, in := range inputs {

@@ -10,7 +10,7 @@ import (
 // (it used to exit 0 having produced nothing).
 func TestTableFlag(t *testing.T) {
 	runTable := func(sel string) error {
-		return run(sel, 6, 1, "Kron", "BFS", "GAP", "baseline", "", "", "", "", "", true, true, 0, "", false)
+		return run(sel, 6, 1, "Kron", "BFS", "GAP", "baseline", "", "", "", "", true, true, 0, "", false)
 	}
 	for _, bad := range []string{"VI", "", "iv,v", "4", "table"} {
 		err := runTable(bad)

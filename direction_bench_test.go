@@ -13,6 +13,7 @@ import (
 	"gapbench/internal/grb"
 	"gapbench/internal/kernel"
 	"gapbench/internal/lagraph"
+	"gapbench/internal/par"
 )
 
 // BenchmarkDirection: one cell per (graph, policy). Baseline rules keep the
@@ -22,6 +23,8 @@ func BenchmarkDirection(b *testing.B) {
 	fw := lagraph.New()
 	inputs := loadInputs()
 	core.PrepareViews([]kernel.Framework{fw}, inputs)
+	m := par.NewMachine(benchWidth)
+	defer m.Close()
 	policies := []struct {
 		name   string
 		policy grb.DirPolicy
@@ -33,7 +36,7 @@ func BenchmarkDirection(b *testing.B) {
 	for _, in := range inputs {
 		for _, pol := range policies {
 			b.Run(in.Spec.Name+"/"+pol.name, func(b *testing.B) {
-				opt := benchOptions(in, kernel.Baseline)
+				opt := benchOptions(in, kernel.Baseline, m)
 				for i := 0; i < b.N; i++ {
 					src := in.Sources[i%len(in.Sources)]
 					if pi := fw.BFSWithPolicy(in.Graph, src, opt, pol.policy); pi == nil {

@@ -8,6 +8,7 @@ import (
 	"gapbench/internal/core"
 	"gapbench/internal/graph"
 	"gapbench/internal/kernel"
+	"gapbench/internal/par"
 	"gapbench/internal/verify"
 )
 
@@ -18,6 +19,8 @@ import (
 // scores, and the TC scalar.
 func TestCrossValidationProperty(t *testing.T) {
 	frameworks := core.Frameworks()
+	m := par.NewMachine(2)
+	defer m.Close()
 	f := func(raw []uint8, directed bool) bool {
 		edges := make([]graph.WEdge, 0, len(raw)/2)
 		for i := 0; i+1 < len(raw); i += 2 {
@@ -31,7 +34,7 @@ func TestCrossValidationProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		opt := kernel.Options{Workers: 2, UndirectedView: g.Undirected()}
+		opt := kernel.Options{Machine: m, UndirectedView: g.Undirected()}
 		src := graph.NodeID(0)
 
 		var refDist []kernel.Dist
@@ -90,6 +93,8 @@ func TestCrossValidationProperty(t *testing.T) {
 // degree-oriented oracle's, and the oracle must not care which labelling of
 // the graph it is handed.
 func TestTCOracleAgreesWithEveryFramework(t *testing.T) {
+	m := par.NewMachine(2)
+	defer m.Close()
 	for _, name := range []string{"Kron", "Urand", "Road"} {
 		in, err := core.LoadInput(core.GraphSpec{Name: name, Scale: 9, Seed: 3, Delta: 16, SourceSeed: 5})
 		if err != nil {
@@ -99,7 +104,7 @@ func TestTCOracleAgreesWithEveryFramework(t *testing.T) {
 		if got := verify.Triangles(in.Relabeled); got != want {
 			t.Errorf("%s: oracle counts %d on the relabelled view, %d on the graph", name, got, want)
 		}
-		opt := kernel.Options{Workers: 2, UndirectedView: in.Undirected}
+		opt := kernel.Options{Machine: m, UndirectedView: in.Undirected}
 		for _, fw := range core.Frameworks() {
 			if got := fw.TC(in.Graph, opt); got != want {
 				t.Errorf("%s/%s: TC = %d, oracle %d", name, fw.Name(), got, want)

@@ -24,7 +24,7 @@ import (
 func TestGaussSeidelSweepsNoMoreThanJacobi(t *testing.T) {
 	m := par.NewMachine(1)
 	defer m.Close()
-	opt := kernel.Options{Workers: 1, Machine: m}
+	opt := kernel.Options{Machine: m}
 	sweeps := func(pr func(*graph.Graph, kernel.Options) []float64, g *graph.Graph) (int64, []float64) {
 		m.ResetStats()
 		ranks := pr(g, opt)

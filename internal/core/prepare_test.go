@@ -40,8 +40,8 @@ func TestModeOptionPlumbing(t *testing.T) {
 	if spy.last.GraphName != "" || spy.last.RelabeledView != nil {
 		t.Error("Baseline leaked Optimized-only knowledge")
 	}
-	if spy.last.Workers != 3 {
-		t.Errorf("Baseline workers = %d, want 3", spy.last.Workers)
+	if w := spy.last.Exec().Size(); w != 3 {
+		t.Errorf("Baseline machine width = %d, want 3", w)
 	}
 	if spy.last.UndirectedView == nil {
 		t.Error("UndirectedView missing (legal in both modes)")
@@ -50,8 +50,8 @@ func TestModeOptionPlumbing(t *testing.T) {
 	if spy.last.GraphName != "Urand" || spy.last.RelabeledView == nil {
 		t.Error("Optimized missing per-graph knowledge")
 	}
-	if spy.last.Workers != 5 {
-		t.Errorf("Optimized workers = %d, want 5", spy.last.Workers)
+	if w := spy.last.Exec().Size(); w != 5 {
+		t.Errorf("Optimized machine width = %d, want 5", w)
 	}
 	if spy.last.Delta != 16 {
 		t.Errorf("delta = %d, want the spec's 16", spy.last.Delta)

@@ -277,15 +277,14 @@ func (r *Runner) options(in *Input, mode kernel.Mode) kernel.Options {
 	opt := kernel.Options{
 		Mode:           mode,
 		Delta:          in.Spec.Delta,
-		Workers:        r.BaselineWorkers,
 		UndirectedView: in.Undirected,
 		Machine:        r.machine(mode),
 	}
 	if mode == kernel.Optimized {
 		// Optimized rule set: per-graph identity is known, hyperthreads are
-		// allowed, and relabeling time may be excluded.
+		// allowed (the mode's machine is OptimizedWorkers wide), and
+		// relabeling time may be excluded.
 		opt.GraphName = in.Spec.Name
-		opt.Workers = r.OptimizedWorkers
 		opt.RelabeledView = in.Relabeled
 	}
 	return opt

@@ -47,10 +47,10 @@ func mustPanic(t *testing.T, fn func(), want ...string) {
 func TestCleanConversionsPass(t *testing.T) {
 	requireArmed(t)
 	s := FromList(64, []graph.NodeID{9, 0, 33})
-	b := s.ToBitmap(par.Default(), 2)
-	b.ToList(par.Default(), 2)
+	b := s.ToBitmap(par.Default())
+	b.ToList(par.Default())
 	// Unsorted push-gather order is legal input for ToBitmap.
-	FromList(64, []graph.NodeID{40, 7, 21}).ToBitmap(par.Default(), 2)
+	FromList(64, []graph.NodeID{40, 7, 21}).ToBitmap(par.Default())
 }
 
 // TestCorruptedSparseCount seeds a sparse set whose count disagrees with its
@@ -59,7 +59,7 @@ func TestCorruptedSparseCount(t *testing.T) {
 	requireArmed(t)
 	s := FromList(32, []graph.NodeID{1, 2, 3})
 	s.count = 5 // corrupt: claims members it does not store
-	mustPanic(t, func() { s.ToBitmap(par.Default(), 1) },
+	mustPanic(t, func() { s.ToBitmap(par.Default()) },
 		"ToBitmap", "conversion-count")
 }
 
@@ -73,7 +73,7 @@ func TestCorruptedBitmapCount(t *testing.T) {
 	b.bits.SetAtomic(3)
 	b.count++
 	b.count = 3 // corrupt: one phantom member
-	mustPanic(t, func() { b.ToList(par.Default(), 1) },
+	mustPanic(t, func() { b.ToList(par.Default()) },
 		"ToList", "conversion-count")
 }
 
@@ -83,7 +83,7 @@ func TestCorruptedBitmapCount(t *testing.T) {
 func TestDuplicateHidingDetected(t *testing.T) {
 	requireArmed(t)
 	s := FromList(32, []graph.NodeID{2, 2}) // push gathers may be unsorted, but never duplicated
-	mustPanic(t, func() { s.ToBitmap(par.Default(), 1) },
+	mustPanic(t, func() { s.ToBitmap(par.Default()) },
 		"ToBitmap", "conversion-count")
 }
 

@@ -96,7 +96,7 @@ const (
 
 // ToBitmap converts (or returns) the bitmap form. Large conversions scatter
 // on the machine with atomic bit sets; tiny ones stay serial.
-func (s *Set) ToBitmap(exec *par.Machine, workers int) *Set {
+func (s *Set) ToBitmap(exec *par.Machine) *Set {
 	if s.layout == Bitmap {
 		return s
 	}
@@ -107,7 +107,7 @@ func (s *Set) ToBitmap(exec *par.Machine, workers int) *Set {
 		}
 	} else {
 		src := s.list // read-only in the closure: captured by value
-		exec.ForDynamic(len(src), convertTileList, workers, func(lo, hi int) {
+		exec.ForDynamic(len(src), convertTileList, 0, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				out.bits.SetAtomic(int64(src[i]))
 			}
@@ -123,7 +123,7 @@ func (s *Set) ToBitmap(exec *par.Machine, workers int) *Set {
 // large scans run as a two-pass machine-parallel gather: per-tile popcounts,
 // a serial prefix sum, then a parallel fill into the exact-size list — so the
 // result is sorted and the machine polls the cancel token between tiles.
-func (s *Set) ToList(exec *par.Machine, workers int) *Set {
+func (s *Set) ToList(exec *par.Machine) *Set {
 	if s.layout == SparseList {
 		return s
 	}
@@ -144,7 +144,7 @@ func (s *Set) ToList(exec *par.Machine, workers int) *Set {
 	}
 	tiles := (len(words) + convertTileWords - 1) / convertTileWords
 	offsets := make([]int64, tiles+1)
-	exec.ForDynamic(tiles, 1, workers, func(lo, hi int) {
+	exec.ForDynamic(tiles, 1, 0, func(lo, hi int) {
 		for t := lo; t < hi; t++ {
 			var cnt int64
 			for _, w := range words[t*convertTileWords : min((t+1)*convertTileWords, len(words))] {
@@ -157,7 +157,7 @@ func (s *Set) ToList(exec *par.Machine, workers int) *Set {
 		offsets[t+1] += offsets[t]
 	}
 	list := make([]graph.NodeID, offsets[tiles])
-	exec.ForDynamic(tiles, 1, workers, func(lo, hi int) {
+	exec.ForDynamic(tiles, 1, 0, func(lo, hi int) {
 		for t := lo; t < hi; t++ {
 			pos := offsets[t]
 			wlo := t * convertTileWords
@@ -180,11 +180,11 @@ func (s *Set) ToList(exec *par.Machine, workers int) *Set {
 // Push traverses out-edges of the frontier, calling apply(u,v) for each;
 // apply returns true when v newly enters the next frontier. The output layout
 // follows the schedule.
-func Push(exec *par.Machine, g *graph.Graph, cur *Set, layout Layout, workers int, apply func(u, v graph.NodeID) bool) *Set {
-	src := cur.ToList(exec, workers)
+func Push(exec *par.Machine, g *graph.Graph, cur *Set, layout Layout, apply func(u, v graph.NodeID) bool) *Set {
+	src := cur.ToList(exec)
 	out := NewSet(cur.n, layout)
 	if layout == Bitmap {
-		exec.ForDynamic(len(src.list), 64, workers, func(lo, hi int) {
+		exec.ForDynamic(len(src.list), 64, 0, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				u := src.list[i]
 				for _, v := range g.OutNeighbors(u) {
@@ -201,7 +201,7 @@ func Push(exec *par.Machine, g *graph.Graph, cur *Set, layout Layout, workers in
 	// The collector lives inside the result set, which is heap-bound anyway:
 	// the closure captures only the out pointer, so a sweep allocates no
 	// extra cell for it.
-	exec.ForDynamic(len(src.list), 64, workers, func(lo, hi int) {
+	exec.ForDynamic(len(src.list), 64, 0, func(lo, hi int) {
 		var local []graph.NodeID
 		for i := lo; i < hi; i++ {
 			u := src.list[i]
@@ -221,12 +221,12 @@ func Push(exec *par.Machine, g *graph.Graph, cur *Set, layout Layout, workers in
 // Pull scans vertices where cond holds, pulling over in-edges from frontier
 // members until applyTo accepts one; accepted vertices form the next frontier
 // (bitmap layout).
-func Pull(exec *par.Machine, g *graph.Graph, cur *Set, workers int, cond func(v graph.NodeID) bool, applyTo func(u, v graph.NodeID) bool) *Set {
-	fb := cur.ToBitmap(exec, workers)
+func Pull(exec *par.Machine, g *graph.Graph, cur *Set, cond func(v graph.NodeID) bool, applyTo func(u, v graph.NodeID) bool) *Set {
+	fb := cur.ToBitmap(exec)
 	out := NewSet(cur.n, Bitmap)
 	// ReduceInt64 carries the per-chunk counts through the scheduler's own
 	// reduction, so the sweep captures no accumulator cell of its own.
-	out.count = exec.ReduceInt64(int(cur.n), workers, func(lo, hi int) int64 {
+	out.count = exec.ReduceInt64(int(cur.n), 0, func(lo, hi int) int64 {
 		var local int64
 		for vi := lo; vi < hi; vi++ {
 			v := graph.NodeID(vi)

@@ -14,7 +14,7 @@ func TestConversionRoundTripSmall(t *testing.T) {
 	if s.Size() != 3 || s.layout != SparseList {
 		t.Fatalf("FromList: size=%d layout=%v", s.Size(), s.layout)
 	}
-	b := s.ToBitmap(par.Default(), 2)
+	b := s.ToBitmap(par.Default())
 	if b.Size() != 3 || b.layout != Bitmap {
 		t.Fatalf("ToBitmap: size=%d layout=%v", b.Size(), b.layout)
 	}
@@ -26,7 +26,7 @@ func TestConversionRoundTripSmall(t *testing.T) {
 	if b.Contains(0) || b.Contains(2) || b.Contains(15) {
 		t.Fatal("bitmap contains a vertex that was never added")
 	}
-	l := b.ToList(par.Default(), 2)
+	l := b.ToList(par.Default())
 	want := []graph.NodeID{1, 3, 5}
 	if len(l.List()) != len(want) {
 		t.Fatalf("ToList length %d, want %d", len(l.List()), len(want))
@@ -37,7 +37,7 @@ func TestConversionRoundTripSmall(t *testing.T) {
 		}
 	}
 	// Converting an already-converted layout is the identity.
-	if b.ToBitmap(par.Default(), 2) != b || l.ToList(par.Default(), 2) != l {
+	if b.ToBitmap(par.Default()) != b || l.ToList(par.Default()) != l {
 		t.Fatal("same-layout conversion is not the identity")
 	}
 }
@@ -59,7 +59,7 @@ func TestConversionParallelPaths(t *testing.T) {
 	if int64(len(want)) <= convertTileList {
 		t.Fatalf("test setup: %d members does not reach the parallel ToBitmap path", len(want))
 	}
-	l := b.ToList(m, 4)
+	l := b.ToList(m)
 	if int64(len(l.List())) != b.Size() || l.Size() != b.Size() {
 		t.Fatalf("ToList produced %d members, want %d", len(l.List()), b.Size())
 	}
@@ -68,7 +68,7 @@ func TestConversionParallelPaths(t *testing.T) {
 			t.Fatalf("parallel ToList[%d] = %d, want %d", i, v, want[i])
 		}
 	}
-	b2 := l.ToBitmap(m, 4)
+	b2 := l.ToBitmap(m)
 	if b2.Size() != b.Size() {
 		t.Fatalf("round-trip bitmap has %d members, want %d", b2.Size(), b.Size())
 	}
@@ -100,7 +100,7 @@ func TestPushPullAgree(t *testing.T) {
 		parentPush[i] = -1
 	}
 	parentPush[src] = int32(src)
-	nextPush := Push(m, g, cur, Bitmap, 4, func(u, v graph.NodeID) bool {
+	nextPush := Push(m, g, cur, Bitmap, func(u, v graph.NodeID) bool {
 		return atomic.LoadInt32(&parentPush[v]) < 0 &&
 			atomic.CompareAndSwapInt32(&parentPush[v], -1, int32(u))
 	})
@@ -110,7 +110,7 @@ func TestPushPullAgree(t *testing.T) {
 		parentPull[i] = -1
 	}
 	parentPull[src] = int32(src)
-	nextPull := Pull(m, g, cur, 4,
+	nextPull := Pull(m, g, cur,
 		func(v graph.NodeID) bool { return parentPull[v] < 0 },
 		func(u, v graph.NodeID) bool { parentPull[v] = int32(u); return true })
 
@@ -193,10 +193,10 @@ func TestConversionCancelledTerminates(t *testing.T) {
 		b.count++
 		list = append(list, graph.NodeID(v))
 	}
-	if out := b.ToList(m, 4); out == nil {
+	if out := b.ToList(m); out == nil {
 		t.Fatal("cancelled ToList returned nil")
 	}
-	if out := FromList(n, list).ToBitmap(m, 4); out == nil {
+	if out := FromList(n, list).ToBitmap(m); out == nil {
 		t.Fatal("cancelled ToBitmap returned nil")
 	}
 }

@@ -14,7 +14,7 @@ import (
 // accumulation are level-ordered passes in both cases; unlike GAP, no
 // successor bitmap is kept, which is the overhead §V-E cites ("GAP is faster
 // because it saves the list of successors for each vertex using a bitmap").
-func brandes(exec *par.Machine, g *graph.Graph, sources []graph.NodeID, workers int, asyncForward bool) []float64 {
+func brandes(exec *par.Machine, g *graph.Graph, sources []graph.NodeID, asyncForward bool) []float64 {
 	n := int(g.NumNodes())
 	scores := make([]float64, n)
 	if n == 0 {
@@ -25,7 +25,7 @@ func brandes(exec *par.Machine, g *graph.Graph, sources []graph.NodeID, workers 
 	delta := make([]float64, n)
 
 	for _, src := range sources {
-		exec.ForBlocked(n, workers, func(lo, hi int) {
+		exec.ForBlocked(n, 0, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				//gapvet:ignore atomic-plain-mix -- reset phase: barrier-separated from the forward phase's CAS on depth
 				depth[i] = -1
@@ -38,15 +38,15 @@ func brandes(exec *par.Machine, g *graph.Graph, sources []graph.NodeID, workers 
 
 		var levels [][]graph.NodeID
 		if asyncForward {
-			levels = forwardAsync(exec, g, src, depth, workers)
+			levels = forwardAsync(exec, g, src, depth)
 		} else {
-			levels = forwardSync(exec, g, src, depth, workers)
+			levels = forwardSync(exec, g, src, depth)
 		}
 
 		// Path counts per level, pulling from predecessors.
 		for l := 1; l < len(levels); l++ {
 			level := levels[l]
-			exec.ForDynamic(len(level), chunkSize, workers, func(lo, hi int) {
+			exec.ForDynamic(len(level), chunkSize, 0, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					v := level[i]
 					var s float64
@@ -62,7 +62,7 @@ func brandes(exec *par.Machine, g *graph.Graph, sources []graph.NodeID, workers 
 		// Dependencies in reverse level order.
 		for l := len(levels) - 2; l >= 0; l-- {
 			level := levels[l]
-			exec.ForDynamic(len(level), chunkSize, workers, func(lo, hi int) {
+			exec.ForDynamic(len(level), chunkSize, 0, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					u := level[i]
 					var d float64
@@ -87,7 +87,7 @@ func brandes(exec *par.Machine, g *graph.Graph, sources []graph.NodeID, workers 
 		}
 	}
 	if maxScore > 0 {
-		exec.ForBlocked(n, workers, func(lo, hi int) {
+		exec.ForBlocked(n, 0, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				scores[i] /= maxScore
 			}
@@ -98,9 +98,9 @@ func brandes(exec *par.Machine, g *graph.Graph, sources []graph.NodeID, workers 
 
 // forwardAsync assigns BFS depths with the asynchronous ordered executor,
 // then buckets vertices into levels with one scan.
-func forwardAsync(exec *par.Machine, g *graph.Graph, src graph.NodeID, depth []int32, workers int) [][]graph.NodeID {
+func forwardAsync(exec *par.Machine, g *graph.Graph, src graph.NodeID, depth []int32) [][]graph.NodeID {
 	n := int(g.NumNodes())
-	ForEachOrdered(exec, workers, []graph.NodeID{src}, 0, func(ctx *PCtx, u graph.NodeID) {
+	ForEachOrdered(exec, []graph.NodeID{src}, 0, func(ctx *PCtx, u graph.NodeID) {
 		du := atomic.LoadInt32(&depth[u])
 		nd := du + 1
 		for _, v := range g.OutNeighbors(u) {
@@ -131,7 +131,7 @@ func forwardAsync(exec *par.Machine, g *graph.Graph, src graph.NodeID, depth []i
 
 // forwardSync assigns depths with a level-synchronous parallel BFS, keeping
 // each level as it forms.
-func forwardSync(exec *par.Machine, g *graph.Graph, src graph.NodeID, depth []int32, workers int) [][]graph.NodeID {
+func forwardSync(exec *par.Machine, g *graph.Graph, src graph.NodeID, depth []int32) [][]graph.NodeID {
 	levels := [][]graph.NodeID{{src}}
 	current := levels[0]
 	for len(current) > 0 {
@@ -141,7 +141,7 @@ func forwardSync(exec *par.Machine, g *graph.Graph, src graph.NodeID, depth []in
 		d := int32(len(levels))
 		cur := current // read-only in the closure: captured by value
 		collected := &bag{}
-		exec.ForDynamic(len(cur), chunkSize, workers, func(lo, hi int) {
+		exec.ForDynamic(len(cur), chunkSize, 0, func(lo, hi int) {
 			local := chunkPool.Get().(*chunk)
 			local.n = 0
 			for i := lo; i < hi; i++ {

@@ -12,7 +12,7 @@ import (
 // and re-schedules improved vertices at their new depth. There are no
 // rounds, so on a high-diameter graph like Road thousands of barrier waits
 // disappear — the effect behind Galois' 3.6x Baseline win there (§V-A).
-func asyncBFS(exec *par.Machine, g *graph.Graph, src graph.NodeID, workers int) []graph.NodeID {
+func asyncBFS(exec *par.Machine, g *graph.Graph, src graph.NodeID) []graph.NodeID {
 	n := int(g.NumNodes())
 	parent := make([]graph.NodeID, n)
 	for i := range parent {
@@ -30,7 +30,7 @@ func asyncBFS(exec *par.Machine, g *graph.Graph, src graph.NodeID, workers int) 
 	}
 	state[src] = pack(0, src)
 
-	ForEachOrdered(exec, workers, []graph.NodeID{src}, 0, func(ctx *PCtx, u graph.NodeID) {
+	ForEachOrdered(exec, []graph.NodeID{src}, 0, func(ctx *PCtx, u graph.NodeID) {
 		du := depthOf(atomic.LoadUint64(&state[u]))
 		nd := du + 1
 		for _, v := range g.OutNeighbors(u) {
@@ -65,7 +65,7 @@ func parentOf(s uint64) graph.NodeID { return graph.NodeID(uint32(s)) }
 // frontier handled through the chunked-bag machinery (the generic-library
 // overhead §V-A mentions: "the overheads of a generic library such as Galois
 // are significant" when runtimes are small).
-func syncBFS(exec *par.Machine, g *graph.Graph, src graph.NodeID, workers int) []graph.NodeID {
+func syncBFS(exec *par.Machine, g *graph.Graph, src graph.NodeID) []graph.NodeID {
 	n := int64(g.NumNodes())
 	parent := make([]graph.NodeID, n)
 	for i := range parent {
@@ -96,7 +96,7 @@ func syncBFS(exec *par.Machine, g *graph.Graph, src graph.NodeID, workers int) [
 			for {
 				prev := awake
 				next.Reset()
-				awake = exec.ReduceInt64(int(n), workers, func(lo, hi int) int64 {
+				awake = exec.ReduceInt64(int(n), 0, func(lo, hi int) int64 {
 					var count int64
 					for u := lo; u < hi; u++ {
 						//gapvet:ignore atomic-plain-mix -- pull phase: each u writes only parent[u]; barrier-separated from the push phase's CAS
@@ -131,7 +131,7 @@ func syncBFS(exec *par.Machine, g *graph.Graph, src graph.NodeID, workers int) [
 			var newScout atomic.Int64
 			collected := &bag{}
 			cur := frontier
-			exec.ForDynamic(len(cur), chunkSize, workers, func(lo, hi int) {
+			exec.ForDynamic(len(cur), chunkSize, 0, func(lo, hi int) {
 				local := chunkPool.Get().(*chunk)
 				local.n = 0
 				var sc int64
@@ -178,12 +178,12 @@ func drainBag(b *bag, dst []graph.NodeID) []graph.NodeID {
 
 // AsyncBFS exposes the asynchronous BFS variant directly for ablation
 // benchmarks (the Baseline/Optimized dispatch normally chooses it).
-func AsyncBFS(g *graph.Graph, src graph.NodeID, workers int) []graph.NodeID {
-	return asyncBFS(par.Default(), g, src, workers)
+func AsyncBFS(exec *par.Machine, g *graph.Graph, src graph.NodeID) []graph.NodeID {
+	return asyncBFS(exec, g, src)
 }
 
 // SyncBFS exposes the bulk-synchronous direction-optimizing BFS variant
 // directly for ablation benchmarks.
-func SyncBFS(g *graph.Graph, src graph.NodeID, workers int) []graph.NodeID {
-	return syncBFS(par.Default(), g, src, workers)
+func SyncBFS(exec *par.Machine, g *graph.Graph, src graph.NodeID) []graph.NodeID {
+	return syncBFS(exec, g, src)
 }

@@ -15,7 +15,7 @@ import (
 // final phase walks blocks of the edge array instead of per-vertex ranges —
 // the Optimized-mode variant that wins on Web "due to better load balancing"
 // (§V-C).
-func afforest(exec *par.Machine, g *graph.Graph, workers int, edgeBlocked bool) []graph.NodeID {
+func afforest(exec *par.Machine, g *graph.Graph, edgeBlocked bool) []graph.NodeID {
 	n := int(g.NumNodes())
 	comp := make([]graph.NodeID, n)
 	for i := range comp {
@@ -27,7 +27,7 @@ func afforest(exec *par.Machine, g *graph.Graph, workers int, edgeBlocked bool) 
 
 	const neighborRounds = 2
 	for r := 0; r < neighborRounds; r++ {
-		exec.ForDynamic(n, chunkSize, workers, func(lo, hi int) {
+		exec.ForDynamic(n, chunkSize, 0, func(lo, hi int) {
 			for u := lo; u < hi; u++ {
 				neigh := g.OutNeighbors(graph.NodeID(u))
 				if r < len(neigh) {
@@ -36,13 +36,13 @@ func afforest(exec *par.Machine, g *graph.Graph, workers int, edgeBlocked bool) 
 			}
 		})
 	}
-	compressLabels(exec, comp, workers)
+	compressLabels(exec, comp)
 	giant := mostFrequentLabel(comp)
 
 	if edgeBlocked {
-		finishEdgeBlocked(exec, g, comp, giant, workers)
+		finishEdgeBlocked(exec, g, comp, giant)
 	} else {
-		exec.ForDynamic(n, chunkSize, workers, func(lo, hi int) {
+		exec.ForDynamic(n, chunkSize, 0, func(lo, hi int) {
 			for u := lo; u < hi; u++ {
 				if atomic.LoadInt32(&comp[u]) == giant {
 					continue
@@ -59,14 +59,14 @@ func afforest(exec *par.Machine, g *graph.Graph, workers int, edgeBlocked bool) 
 			}
 		})
 	}
-	compressLabels(exec, comp, workers)
+	compressLabels(exec, comp)
 	return comp
 }
 
 // finishEdgeBlocked runs Afforest's final phase over fixed-size blocks of
 // the out-edge (and, for directed graphs, in-edge) arrays so a single
 // high-degree vertex is spread across many work units.
-func finishEdgeBlocked(exec *par.Machine, g *graph.Graph, comp []graph.NodeID, giant graph.NodeID, workers int) {
+func finishEdgeBlocked(exec *par.Machine, g *graph.Graph, comp []graph.NodeID, giant graph.NodeID) {
 	const neighborRounds = 2
 	index, neigh := g.RawOut()
 	n := int32(g.NumNodes())
@@ -87,13 +87,13 @@ func finishEdgeBlocked(exec *par.Machine, g *graph.Graph, comp []graph.NodeID, g
 		}
 	}
 	m := index[n]
-	exec.ForDynamic(int(m), 4096, workers, func(lo, hi int) {
+	exec.ForDynamic(int(m), 4096, 0, func(lo, hi int) {
 		linkBlock(index, neigh, int64(lo), int64(hi), true)
 	})
 	if g.Directed() {
 		inIndex, inNeigh := g.RawIn()
 		mIn := inIndex[n]
-		exec.ForDynamic(int(mIn), 4096, workers, func(lo, hi int) {
+		exec.ForDynamic(int(mIn), 4096, 0, func(lo, hi int) {
 			linkBlock(inIndex, inNeigh, int64(lo), int64(hi), false)
 		})
 	}
@@ -152,8 +152,8 @@ func unionCASSlow(u, v graph.NodeID, comp []graph.NodeID) {
 }
 
 // compressLabels pointer-jumps every label to its root.
-func compressLabels(exec *par.Machine, comp []graph.NodeID, workers int) {
-	exec.ForBlocked(len(comp), workers, func(lo, hi int) {
+func compressLabels(exec *par.Machine, comp []graph.NodeID) {
+	exec.ForBlocked(len(comp), 0, func(lo, hi int) {
 		for u := lo; u < hi; u++ {
 			c := atomic.LoadInt32(&comp[u])
 			for {

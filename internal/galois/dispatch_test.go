@@ -56,8 +56,8 @@ func TestAsyncAndSyncBFSAgree(t *testing.T) {
 		for g.OutDegree(src) == 0 {
 			src++
 		}
-		a := asyncBFS(par.Default(), g, src, 4)
-		s := syncBFS(par.Default(), g, src, 4)
+		a := asyncBFS(par.Default(), g, src)
+		s := syncBFS(par.Default(), g, src)
 		for v := range a {
 			if (a[v] >= 0) != (s[v] >= 0) {
 				t.Fatalf("%s: reachability of %d differs between variants", name, v)
@@ -76,8 +76,8 @@ func TestBulkAndAsyncSSSPAgree(t *testing.T) {
 	for g.OutDegree(src) == 0 {
 		src++
 	}
-	bulk := bulkSSSP(par.Default(), g, src, 16, 4)
-	async := asyncSSSP(par.Default(), g, src, 16, 4)
+	bulk := bulkSSSP(par.Default(), g, src, 16)
+	async := asyncSSSP(par.Default(), g, src, 16)
 	for v := range bulk {
 		if bulk[v] != async[v] {
 			t.Fatalf("dist[%d]: bulk %d != async %d", v, bulk[v], async[v])
@@ -92,8 +92,8 @@ func TestEdgeBlockedAfforestAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := afforest(par.Default(), g, 4, false)
-	blocked := afforest(par.Default(), g, 4, true)
+	plain := afforest(par.Default(), g, false)
+	blocked := afforest(par.Default(), g, true)
 	canon := func(labels []int32) map[int32]int32 {
 		m := map[int32]int32{}
 		for v, l := range labels {

@@ -114,10 +114,7 @@ func (o *obim) next() *chunk {
 // prefers its own lowest-priority partial chunk (no synchronization), then
 // steals from the shared levels; spilled full chunks keep the other workers
 // fed. Quiescence is detected with a global outstanding-work counter.
-func ForEachOrdered(exec *par.Machine, workers int, initial []graph.NodeID, initialPriority int, op func(ctx *PCtx, v graph.NodeID)) {
-	if workers < 1 {
-		workers = 1
-	}
+func ForEachOrdered(exec *par.Machine, initial []graph.NodeID, initialPriority int, op func(ctx *PCtx, v graph.NodeID)) {
 	o := &obim{}
 	seedCtx := &PCtx{exec: o, local: map[int]*chunk{}}
 	for _, v := range initial {
@@ -130,7 +127,7 @@ func ForEachOrdered(exec *par.Machine, workers int, initial []graph.NodeID, init
 	// forever, so the token is the *only* way the others exit — each one
 	// observes it either at the loop top or in the idle branch.
 	tok := exec.CancelToken()
-	exec.ForWorker(workers, workers, func(_, _, _ int) {
+	exec.ForWorker(exec.Size(), 0, func(_, _, _ int) {
 		ctx := &PCtx{exec: o, local: map[int]*chunk{}}
 		idle := 0
 		for {

@@ -21,7 +21,9 @@ func TestForEachOrderedQuiescence(t *testing.T) {
 		return atomic.CompareAndSwapInt32(&claimed[v], 0, 1)
 	}
 	claim(0)
-	ForEachOrdered(par.Default(), 4, []graph.NodeID{0}, 0, func(ctx *PCtx, v graph.NodeID) {
+	m := par.NewMachine(4)
+	defer m.Close()
+	ForEachOrdered(m, []graph.NodeID{0}, 0, func(ctx *PCtx, v graph.NodeID) {
 		if v >= limit {
 			return
 		}
@@ -45,7 +47,9 @@ func TestForEachOrderedApproximatePriority(t *testing.T) {
 	// priorities and confirm the low one runs first.
 	var order []graph.NodeID
 	initial := []graph.NodeID{100} // priority 0 seeds item "100"
-	ForEachOrdered(par.Default(), 1, initial, 5, func(ctx *PCtx, v graph.NodeID) {
+	m := par.NewMachine(1)
+	defer m.Close()
+	ForEachOrdered(m, initial, 5, func(ctx *PCtx, v graph.NodeID) {
 		order = append(order, v)
 		if v == 100 {
 			ctx.Push(1, 1) // lower priority than the seed's 5

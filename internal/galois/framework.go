@@ -70,9 +70,9 @@ func assumeHighDiameter(g *graph.Graph, opt kernel.Options) bool {
 // assumed high-diameter, bulk-synchronous direction-optimizing otherwise.
 func (*Framework) BFS(g *graph.Graph, src graph.NodeID, opt kernel.Options) []graph.NodeID {
 	if assumeHighDiameter(g, opt) {
-		return asyncBFS(opt.Exec(), g, src, opt.EffectiveWorkers())
+		return asyncBFS(opt.Exec(), g, src)
 	}
-	return syncBFS(opt.Exec(), g, src, opt.EffectiveWorkers())
+	return syncBFS(opt.Exec(), g, src)
 }
 
 // SSSP implements kernel.Framework: asynchronous OBIM delta-stepping for
@@ -85,14 +85,14 @@ func (*Framework) SSSP(g *graph.Graph, src graph.NodeID, opt kernel.Options) []k
 		delta = 16
 	}
 	if assumeHighDiameter(g, opt) {
-		return asyncSSSP(opt.Exec(), g, src, delta, opt.EffectiveWorkers())
+		return asyncSSSP(opt.Exec(), g, src, delta)
 	}
-	return bulkSSSP(opt.Exec(), g, src, delta, opt.EffectiveWorkers())
+	return bulkSSSP(opt.Exec(), g, src, delta)
 }
 
 // PR implements kernel.Framework via Gauss-Seidel in-place updates.
 func (*Framework) PR(g *graph.Graph, opt kernel.Options) []float64 {
-	return pagerankGS(opt.Exec(), g, opt.EffectiveWorkers())
+	return pagerankGS(opt.Exec(), g)
 }
 
 // CC implements kernel.Framework via Afforest; the Optimized rule set on Web
@@ -101,13 +101,13 @@ func (*Framework) PR(g *graph.Graph, opt kernel.Options) []float64 {
 // balancing").
 func (*Framework) CC(g *graph.Graph, opt kernel.Options) []graph.NodeID {
 	edgeBlocked := opt.Mode == kernel.Optimized && opt.GraphName == "Web"
-	return afforest(opt.Exec(), g, opt.EffectiveWorkers(), edgeBlocked)
+	return afforest(opt.Exec(), g, edgeBlocked)
 }
 
 // BC implements kernel.Framework: Brandes with an asynchronous forward pass
 // on assumed-high-diameter graphs.
 func (*Framework) BC(g *graph.Graph, sources []graph.NodeID, opt kernel.Options) []float64 {
-	return brandes(opt.Exec(), g, sources, opt.EffectiveWorkers(), assumeHighDiameter(g, opt))
+	return brandes(opt.Exec(), g, sources, assumeHighDiameter(g, opt))
 }
 
 // TC implements kernel.Framework: the GAP order-invariant algorithm with
@@ -120,5 +120,5 @@ func (*Framework) TC(g *graph.Graph, opt kernel.Options) int64 {
 	} else if graph.SkewedDegrees(u) {
 		u, _ = graph.DegreeRelabel(opt.Exec(), u)
 	}
-	return triangleCount(opt.Exec(), u, opt.EffectiveWorkers())
+	return triangleCount(opt.Exec(), u)
 }

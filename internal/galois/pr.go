@@ -24,7 +24,7 @@ import (
 // architectures we run on) to keep the chaos well-defined under the Go
 // memory model. The sweep is a topology-driven loop over statically blocked
 // ranges, the analogue of Galois' NUMA-blocked dense worklist.
-func pagerankGS(exec *par.Machine, g *graph.Graph, workers int) []float64 {
+func pagerankGS(exec *par.Machine, g *graph.Graph) []float64 {
 	n := int(g.NumNodes())
 	if n == 0 {
 		return nil
@@ -46,12 +46,12 @@ func pagerankGS(exec *par.Machine, g *graph.Graph, workers int) []float64 {
 			return ranks // partial scores; the harness discards cancelled trials
 		}
 		// Scores are stored scaled by mass; see kernel.PRMass.
-		mass, dangling := kernel.PRMass(exec, ranks, invDeg, workers)
+		mass, dangling := kernel.PRMass(exec, ranks, invDeg)
 		c := 1 / mass
 		share := kernel.PRDamping * c * dangling / float64(n)
 		dc := kernel.PRDamping * c
 
-		delta := exec.ReduceFloat64(n, workers, func(lo, hi int) float64 {
+		delta := exec.ReduceFloat64(n, 0, func(lo, hi int) float64 {
 			var d float64
 			for vi := lo; vi < hi; vi++ {
 				v := graph.NodeID(vi)

@@ -31,7 +31,7 @@ func relaxEdges(g *graph.Graph, dist []kernel.Dist, u graph.NodeID, push func(v 
 // over the OBIM ordered executor, priority = distance/delta. No per-bucket
 // barriers exist, which is what narrows the gap to GAP on Road (§V-B:
 // "Asynchronous execution in Galois for Road reduces this performance gap").
-func asyncSSSP(exec *par.Machine, g *graph.Graph, src graph.NodeID, delta kernel.Dist, workers int) []kernel.Dist {
+func asyncSSSP(exec *par.Machine, g *graph.Graph, src graph.NodeID, delta kernel.Dist) []kernel.Dist {
 	n := int(g.NumNodes())
 	dist := make([]kernel.Dist, n)
 	for i := range dist {
@@ -41,7 +41,7 @@ func asyncSSSP(exec *par.Machine, g *graph.Graph, src graph.NodeID, delta kernel
 		return dist
 	}
 	dist[src] = 0
-	ForEachOrdered(exec, workers, []graph.NodeID{src}, 0, func(ctx *PCtx, u graph.NodeID) {
+	ForEachOrdered(exec, []graph.NodeID{src}, 0, func(ctx *PCtx, u graph.NodeID) {
 		relaxEdges(g, dist, u, func(v graph.NodeID, nd kernel.Dist) {
 			ctx.Push(v, int(nd/delta))
 		})
@@ -53,7 +53,7 @@ func asyncSSSP(exec *par.Machine, g *graph.Graph, src graph.NodeID, delta kernel
 // machinery: each bucket drains to a fixed point with barriers between
 // passes. Deliberately absent is GAP's bucket fusion; §V-B: "GAP is faster
 // than Galois due to the bucket fusion optimization".
-func bulkSSSP(exec *par.Machine, g *graph.Graph, src graph.NodeID, delta kernel.Dist, workers int) []kernel.Dist {
+func bulkSSSP(exec *par.Machine, g *graph.Graph, src graph.NodeID, delta kernel.Dist) []kernel.Dist {
 	n := int(g.NumNodes())
 	dist := make([]kernel.Dist, n)
 	for i := range dist {
@@ -80,8 +80,9 @@ func bulkSSSP(exec *par.Machine, g *graph.Graph, src graph.NodeID, delta kernel.
 	// Per-worker scratch reused across every bulk pass: the tagged-chunk
 	// collector and the partial-chunk map are allocated once per search, not
 	// once per pass, and drained back to empty at each barrier.
-	results := make([]*priorityChunks, workers)
-	locals := make([]map[int]*chunk, workers)
+	slots := exec.Size()
+	results := make([]*priorityChunks, slots)
+	locals := make([]map[int]*chunk, slots)
 	for w := range results {
 		results[w] = &priorityChunks{tagged: map[int][]*chunk{}}
 		locals[w] = map[int]*chunk{}
@@ -96,7 +97,7 @@ func bulkSSSP(exec *par.Machine, g *graph.Graph, src graph.NodeID, delta kernel.
 			}
 			// One bulk-synchronous pass over the bucket's current chunks.
 			work := drainBag(buckets[b], nil)
-			exec.ForWorker(len(work), workers, func(w, loI, hiI int) {
+			exec.ForWorker(len(work), slots, func(w, loI, hiI int) {
 				out := results[w]
 				local := locals[w]
 				for i := loI; i < hiI; i++ {

@@ -10,11 +10,11 @@ import (
 // the "better work stealing and load balancing" that §V-F says lets Galois
 // beat GAP on the skewed Web graph, at the cost of stealing overhead on
 // uniform-degree graphs like Urand.
-func triangleCount(exec *par.Machine, u *graph.Graph, workers int) int64 {
+func triangleCount(exec *par.Machine, u *graph.Graph) int64 {
 	n := int(u.NumNodes())
 	// Chunk of 8 vertices: much finer than GAP's 64, trading coordination
 	// for balance on skewed rows.
-	return exec.ReduceDynamicInt64(n, 8, workers, func(lo, hi int) int64 {
+	return exec.ReduceDynamicInt64(n, 8, 0, func(lo, hi int) int64 {
 		var count int64
 		for a := lo; a < hi; a++ {
 			na := u.OutNeighbors(graph.NodeID(a))

@@ -18,7 +18,6 @@ import (
 // maximum, matching the reference output.
 func Brandes(g *graph.Graph, sources []graph.NodeID, opt kernel.Options) []float64 {
 	n := int(g.NumNodes())
-	workers := opt.EffectiveWorkers()
 	exec := opt.Exec()
 	scores := make([]float64, n)
 	if n == 0 {
@@ -34,7 +33,7 @@ func Brandes(g *graph.Graph, sources []graph.NodeID, opt kernel.Options) []float
 	var sink chunkAppender
 
 	for _, src := range sources {
-		exec.ForBlocked(n, workers, func(lo, hi int) {
+		exec.ForBlocked(n, 0, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				//gapvet:ignore atomic-plain-mix -- reset phase: barrier-separated from bcForward's CAS on depth
 				depth[i] = -1
@@ -46,13 +45,13 @@ func Brandes(g *graph.Graph, sources []graph.NodeID, opt kernel.Options) []float
 		sigma[src] = 1
 
 		// Forward phase: level-synchronous parallel BFS capturing each level.
-		levels := bcForward(exec, g, src, depth, workers, &sink)
+		levels := bcForward(exec, g, src, depth, &sink)
 
 		// Sigma phase: per level (in order), each vertex pulls path counts
 		// from in-neighbors one level up. Writes are owner-only.
 		for l := 1; l < len(levels); l++ {
 			level := levels[l]
-			exec.ForDynamic(len(level), 128, workers, func(lo, hi int) {
+			exec.ForDynamic(len(level), 128, 0, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					v := level[i]
 					var s float64
@@ -70,7 +69,7 @@ func Brandes(g *graph.Graph, sources []graph.NodeID, opt kernel.Options) []float
 		// successors' dependencies. Again owner-only writes.
 		for l := len(levels) - 2; l >= 0; l-- {
 			level := levels[l]
-			exec.ForDynamic(len(level), 128, workers, func(lo, hi int) {
+			exec.ForDynamic(len(level), 128, 0, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					u := level[i]
 					var d float64
@@ -96,7 +95,7 @@ func Brandes(g *graph.Graph, sources []graph.NodeID, opt kernel.Options) []float
 		}
 	}
 	if maxScore > 0 {
-		exec.ForBlocked(n, workers, func(lo, hi int) {
+		exec.ForBlocked(n, 0, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				scores[i] /= maxScore
 			}
@@ -109,14 +108,14 @@ func Brandes(g *graph.Graph, sources []graph.NodeID, opt kernel.Options) []float
 // returning the vertices of each level (level 0 is [src]). The appender is
 // caller-owned and the per-level frontier is captured by value, so a round
 // allocates nothing beyond its chunk buffers.
-func bcForward(exec *par.Machine, g *graph.Graph, src graph.NodeID, depth []int32, workers int, sink *chunkAppender) [][]graph.NodeID {
+func bcForward(exec *par.Machine, g *graph.Graph, src graph.NodeID, depth []int32, sink *chunkAppender) [][]graph.NodeID {
 	levels := [][]graph.NodeID{{src}}
 	current := levels[0]
 	for len(current) > 0 {
 		d := int32(len(levels))
 		cur := current // read-only in the closure: captured by value
 		sink.reset()
-		exec.ForDynamic(len(cur), 64, workers, func(lo, hi int) {
+		exec.ForDynamic(len(cur), 64, 0, func(lo, hi int) {
 			//gapvet:ignore alloc-in-timed-region -- GAP QueueBuffer idiom: one buffer per 64-vertex chunk, amortized over the chunk's edges
 			local := make([]graph.NodeID, 0, 256)
 			for i := lo; i < hi; i++ {

@@ -19,7 +19,6 @@ const (
 // the parent array under the shared result convention.
 func DOBFS(g *graph.Graph, src graph.NodeID, opt kernel.Options) []graph.NodeID {
 	n := int64(g.NumNodes())
-	workers := opt.EffectiveWorkers()
 	exec := opt.Exec()
 	parent := make([]graph.NodeID, n)
 	for i := range parent {
@@ -62,18 +61,18 @@ func DOBFS(g *graph.Graph, src graph.NodeID, opt kernel.Options) []graph.NodeID 
 				}
 				prevAwake := awake
 				curr.Reset()
-				awake = buStep(exec, g, parent, front, curr, workers)
+				awake = buStep(exec, g, parent, front, curr)
 				front.Swap(curr)
 				if awake == 0 || !(awake >= prevAwake || awake > n/dobfsBeta) {
 					break
 				}
 			}
-			bitmapToQueue(exec, front, queue, workers)
+			bitmapToQueue(exec, front, queue)
 			queue.SlideWindow()
 			scoutCount = 1
 		} else {
 			edgesToCheck -= scoutCount
-			scoutCount = tdStep(exec, g, parent, queue, workers, &scout)
+			scoutCount = tdStep(exec, g, parent, queue, &scout)
 			queue.SlideWindow()
 		}
 	}
@@ -86,10 +85,10 @@ func DOBFS(g *graph.Graph, src graph.NodeID, opt kernel.Options) []graph.NodeID 
 // It returns the total out-degree of the newly visited vertices (the scout
 // count driving the direction heuristic). The accumulator is caller-owned so
 // the chunk closure captures only a pointer, not a per-call heap cell.
-func tdStep(exec *par.Machine, g *graph.Graph, parent []graph.NodeID, queue *graph.SlidingQueue, workers int, scout *atomic.Int64) int64 {
+func tdStep(exec *par.Machine, g *graph.Graph, parent []graph.NodeID, queue *graph.SlidingQueue, scout *atomic.Int64) int64 {
 	frontier := queue.Frontier()
 	scout.Store(0)
-	exec.ForDynamic(len(frontier), 64, workers, func(lo, hi int) {
+	exec.ForDynamic(len(frontier), 64, 0, func(lo, hi int) {
 		//gapvet:ignore alloc-in-timed-region -- GAP QueueBuffer idiom: one buffer per 64-vertex chunk, amortized over the chunk's edges
 		local := make([]graph.NodeID, 0, 256)
 		var localScout int64
@@ -118,9 +117,9 @@ func tdStep(exec *par.Machine, g *graph.Graph, parent []graph.NodeID, queue *gra
 // in-neighbors and adopts the first one found in the frontier bitmap. No
 // atomics are needed because each vertex writes only its own parent slot. It
 // returns the number of vertices awakened into next.
-func buStep(exec *par.Machine, g *graph.Graph, parent []graph.NodeID, front, next *graph.Bitmap, workers int) int64 {
+func buStep(exec *par.Machine, g *graph.Graph, parent []graph.NodeID, front, next *graph.Bitmap) int64 {
 	n := int(g.NumNodes())
-	return exec.ReduceInt64(n, workers, func(lo, hi int) int64 {
+	return exec.ReduceInt64(n, 0, func(lo, hi int) int64 {
 		var awake int64
 		for u := lo; u < hi; u++ {
 			//gapvet:ignore atomic-plain-mix -- pull phase: each u writes only parent[u]; barrier-separated from tdStep's CAS
@@ -142,9 +141,9 @@ func buStep(exec *par.Machine, g *graph.Graph, parent []graph.NodeID, front, nex
 
 // bitmapToQueue converts a frontier bitmap back into the sliding queue after
 // the pull phase ends.
-func bitmapToQueue(exec *par.Machine, front *graph.Bitmap, queue *graph.SlidingQueue, workers int) {
+func bitmapToQueue(exec *par.Machine, front *graph.Bitmap, queue *graph.SlidingQueue) {
 	n := int(front.Len())
-	exec.ForWorker(n, workers, func(_, lo, hi int) {
+	exec.ForWorker(n, 0, func(_, lo, hi int) {
 		local := make([]graph.NodeID, 0, 256)
 		for u := lo; u < hi; u++ {
 			if front.Get(int64(u)) {

@@ -19,7 +19,6 @@ const afforestNeighborRounds = 2
 // the near-O(V) behaviour §V-C contrasts against label propagation.
 func Afforest(g *graph.Graph, opt kernel.Options) []graph.NodeID {
 	n := int(g.NumNodes())
-	workers := opt.EffectiveWorkers()
 	exec := opt.Exec()
 	comp := make([]graph.NodeID, n)
 	for i := range comp {
@@ -32,7 +31,7 @@ func Afforest(g *graph.Graph, opt kernel.Options) []graph.NodeID {
 	// Phase 1: subgraph sampling — link each vertex to its first few
 	// neighbors only.
 	for r := 0; r < afforestNeighborRounds; r++ {
-		exec.ForDynamic(n, 256, workers, func(lo, hi int) {
+		exec.ForDynamic(n, 256, 0, func(lo, hi int) {
 			for u := lo; u < hi; u++ {
 				neigh := g.OutNeighbors(graph.NodeID(u))
 				if r < len(neigh) {
@@ -41,7 +40,7 @@ func Afforest(g *graph.Graph, opt kernel.Options) []graph.NodeID {
 			}
 		})
 	}
-	compress(exec, comp, workers)
+	compress(exec, comp)
 
 	// Phase 2: find the (very likely) giant component by sampling.
 	giant := sampleFrequentComponent(comp)
@@ -49,7 +48,7 @@ func Afforest(g *graph.Graph, opt kernel.Options) []graph.NodeID {
 	// Phase 3: finish everything outside the giant component with the
 	// remaining out-edges (and in-edges for directed graphs, since weak
 	// connectivity ignores direction).
-	exec.ForDynamic(n, 256, workers, func(lo, hi int) {
+	exec.ForDynamic(n, 256, 0, func(lo, hi int) {
 		for u := lo; u < hi; u++ {
 			if atomic.LoadInt32(&comp[u]) == giant {
 				continue
@@ -65,7 +64,7 @@ func Afforest(g *graph.Graph, opt kernel.Options) []graph.NodeID {
 			}
 		}
 	})
-	compress(exec, comp, workers)
+	compress(exec, comp)
 	return comp
 }
 
@@ -108,8 +107,8 @@ func linkSlow(u, v graph.NodeID, comp []graph.NodeID) {
 
 // compress performs full pointer-jumping so every vertex points directly at
 // its component root.
-func compress(exec *par.Machine, comp []graph.NodeID, workers int) {
-	exec.ForBlocked(len(comp), workers, func(lo, hi int) {
+func compress(exec *par.Machine, comp []graph.NodeID) {
+	exec.ForBlocked(len(comp), 0, func(lo, hi int) {
 		for u := lo; u < hi; u++ {
 			// Atomic accesses keep the pointer jumping well-defined under the
 			// Go memory model even when ranges race on shared ancestors.

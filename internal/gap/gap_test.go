@@ -7,6 +7,7 @@ import (
 	"gapbench/internal/generate"
 	"gapbench/internal/graph"
 	"gapbench/internal/kernel"
+	"gapbench/internal/par"
 	"gapbench/internal/testutil"
 	"gapbench/internal/verify"
 )
@@ -143,13 +144,17 @@ func TestPageRankGSVariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranks := gap.PageRankGS(g, kernel.Options{Workers: 2})
+	m := par.NewMachine(2)
+	defer m.Close()
+	ranks := gap.PageRankGS(g, kernel.Options{Machine: m})
 	if err := verify.CheckPR(g, ranks); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestDeltaStepLightHeavy(t *testing.T) {
+	m := par.NewMachine(3)
+	defer m.Close()
 	for _, name := range []string{"Road", "Kron"} {
 		g, err := generate.ByName(name, 8, 6)
 		if err != nil {
@@ -157,7 +162,7 @@ func TestDeltaStepLightHeavy(t *testing.T) {
 		}
 		src := testutil.Sources(g)[0]
 		for _, delta := range []kernel.Dist{8, 64, 512} {
-			dist := gap.DeltaStepLightHeavy(g, src, delta, kernel.Options{Workers: 3})
+			dist := gap.DeltaStepLightHeavy(g, src, delta, kernel.Options{Machine: m})
 			if err := verify.CheckSSSP(g, src, dist); err != nil {
 				t.Fatalf("%s delta=%d: %v", name, delta, err)
 			}

@@ -18,7 +18,6 @@ func PageRank(g *graph.Graph, opt kernel.Options) []float64 {
 	if n == 0 {
 		return nil
 	}
-	workers := opt.EffectiveWorkers()
 	exec := opt.Exec()
 	base := (1 - kernel.PRDamping) / float64(n)
 
@@ -35,7 +34,7 @@ func PageRank(g *graph.Graph, opt kernel.Options) []float64 {
 		}
 		// Scatter phase: precompute each vertex's per-edge contribution and
 		// sum dangling mass.
-		dangling := exec.ReduceFloat64(n, workers, func(lo, hi int) float64 {
+		dangling := exec.ReduceFloat64(n, 0, func(lo, hi int) float64 {
 			var d float64
 			for u := lo; u < hi; u++ {
 				if deg := g.OutDegree(graph.NodeID(u)); deg > 0 {
@@ -51,7 +50,7 @@ func PageRank(g *graph.Graph, opt kernel.Options) []float64 {
 
 		// Gather phase (pull over in-edges): race-free because vertex v only
 		// writes ranks[v], reading the immutable contrib snapshot.
-		delta := exec.ReduceFloat64(n, workers, func(lo, hi int) float64 {
+		delta := exec.ReduceFloat64(n, 0, func(lo, hi int) float64 {
 			var d float64
 			for v := lo; v < hi; v++ {
 				sum := 0.0
@@ -82,7 +81,6 @@ func PageRankGS(g *graph.Graph, opt kernel.Options) []float64 {
 	if n == 0 {
 		return nil
 	}
-	workers := opt.EffectiveWorkers()
 	exec := opt.Exec()
 	base := (1 - kernel.PRDamping) / float64(n)
 	ranks := make([]float64, n)
@@ -100,11 +98,11 @@ func PageRankGS(g *graph.Graph, opt kernel.Options) []float64 {
 			return ranks
 		}
 		// Scores are stored scaled by mass; see kernel.PRMass.
-		mass, dangling := kernel.PRMass(exec, ranks, invDeg, workers)
+		mass, dangling := kernel.PRMass(exec, ranks, invDeg)
 		c := 1 / mass
 		share := kernel.PRDamping * c * dangling / float64(n)
 		dc := kernel.PRDamping * c
-		delta := exec.ReduceFloat64(n, workers, func(lo, hi int) float64 {
+		delta := exec.ReduceFloat64(n, 0, func(lo, hi int) float64 {
 			var d float64
 			for vi := lo; vi < hi; vi++ {
 				v := graph.NodeID(vi)

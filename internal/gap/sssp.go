@@ -20,8 +20,8 @@ const fusionThreshold = 1024
 // without synchronizing, collapsing the round count on high-diameter graphs.
 func DeltaStep(g *graph.Graph, src graph.NodeID, delta kernel.Dist, opt kernel.Options, fusion bool) []kernel.Dist {
 	n := int(g.NumNodes())
-	workers := opt.EffectiveWorkers()
 	exec := opt.Exec()
+	slots := exec.Size()
 	dist := make([]kernel.Dist, n)
 	for i := range dist {
 		dist[i] = kernel.Inf
@@ -37,7 +37,7 @@ func DeltaStep(g *graph.Graph, src graph.NodeID, delta kernel.Dist, opt kernel.O
 	// bins[w][b] holds vertices worker w discovered with tentative distance
 	// in bucket b. Keeping them per worker avoids all synchronization on the
 	// hot relaxation path; the barrier between buckets is where they merge.
-	bins := make([][][]graph.NodeID, workers)
+	bins := make([][][]graph.NodeID, slots)
 	for w := range bins {
 		bins[w] = make([][]graph.NodeID, 8)
 	}
@@ -81,7 +81,7 @@ func DeltaStep(g *graph.Graph, src graph.NodeID, delta kernel.Dist, opt kernel.O
 		// re-spawned every bucket — exactly the per-round launch overhead
 		// the paper's §V-A Road analysis is about.)
 		var cursor atomic.Int64
-		active := workers
+		active := slots
 		if active > len(frontier) {
 			active = len(frontier)
 		}
@@ -133,7 +133,7 @@ func DeltaStep(g *graph.Graph, src graph.NodeID, delta kernel.Dist, opt kernel.O
 		// Barrier: find the next non-empty bucket across all workers and
 		// merge those bins into the shared frontier.
 		next := -1
-		for w := 0; w < workers; w++ {
+		for w := 0; w < slots; w++ {
 			for b := bucket; b < len(bins[w]); b++ {
 				if len(bins[w][b]) > 0 && (next < 0 || b < next) {
 					next = b
@@ -145,7 +145,7 @@ func DeltaStep(g *graph.Graph, src graph.NodeID, delta kernel.Dist, opt kernel.O
 			break
 		}
 		frontier = frontier[:0]
-		for w := 0; w < workers; w++ {
+		for w := 0; w < slots; w++ {
 			if next < len(bins[w]) {
 				frontier = append(frontier, bins[w][next]...)
 				bins[w][next] = nil
@@ -165,8 +165,8 @@ func DeltaStep(g *graph.Graph, src graph.NodeID, delta kernel.Dist, opt kernel.O
 // the simplified all-edges variant in bench_test.go.
 func DeltaStepLightHeavy(g *graph.Graph, src graph.NodeID, delta kernel.Dist, opt kernel.Options) []kernel.Dist {
 	n := int(g.NumNodes())
-	workers := opt.EffectiveWorkers()
 	exec := opt.Exec()
+	slots := exec.Size()
 	dist := make([]kernel.Dist, n)
 	for i := range dist {
 		dist[i] = kernel.Inf
@@ -178,11 +178,8 @@ func DeltaStepLightHeavy(g *graph.Graph, src graph.NodeID, delta kernel.Dist, op
 		delta = 16
 	}
 	dist[src] = 0
-	if workers < 1 {
-		workers = 1
-	}
 
-	bins := make([][][]graph.NodeID, workers)
+	bins := make([][][]graph.NodeID, slots)
 	binPut := func(w, b int, v graph.NodeID) {
 		for b >= len(bins[w]) {
 			bins[w] = append(bins[w], nil)
@@ -225,7 +222,7 @@ func DeltaStepLightHeavy(g *graph.Graph, src graph.NodeID, delta kernel.Dist, op
 			}
 			var mu sync.Mutex
 			work := frontier
-			exec.ForWorker(len(work), workers, func(w, i0, i1 int) {
+			exec.ForWorker(len(work), slots, func(w, i0, i1 int) {
 				var local []graph.NodeID
 				for i := i0; i < i1; i++ {
 					u := work[i]
@@ -253,7 +250,7 @@ func DeltaStepLightHeavy(g *graph.Graph, src graph.NodeID, delta kernel.Dist, op
 		}
 		// Heavy phase: each settled vertex relaxes its heavy edges once.
 		heavy := settled
-		exec.ForWorker(len(heavy), workers, func(w, i0, i1 int) {
+		exec.ForWorker(len(heavy), slots, func(w, i0, i1 int) {
 			for i := i0; i < i1; i++ {
 				u := heavy[i]
 				relax(w, u, atomic.LoadInt32(&dist[u]), false)

@@ -23,7 +23,7 @@ func TriangleCount(g *graph.Graph, opt kernel.Options) int64 {
 	} else if WorthRelabeling(u) {
 		u, _ = graph.DegreeRelabel(opt.Exec(), u)
 	}
-	return orderedCount(opt.Exec(), u, opt.EffectiveWorkers())
+	return orderedCount(opt.Exec(), u)
 }
 
 // orderedCount is the GAP reference's OrderedCount: for each vertex u it
@@ -32,9 +32,9 @@ func TriangleCount(g *graph.Graph, opt kernel.Options) int64 {
 // to test membership. Each triangle w < v < u is found exactly once and
 // only list prefixes are ever scanned. Dynamic chunking load-balances the
 // skewed per-vertex costs.
-func orderedCount(exec *par.Machine, u *graph.Graph, workers int) int64 {
+func orderedCount(exec *par.Machine, u *graph.Graph) int64 {
 	n := int(u.NumNodes())
-	return exec.ReduceDynamicInt64(n, 64, workers, func(lo, hi int) int64 {
+	return exec.ReduceDynamicInt64(n, 64, 0, func(lo, hi int) int64 {
 		var count int64
 		for a := lo; a < hi; a++ {
 			na := u.OutNeighbors(graph.NodeID(a))
@@ -73,6 +73,6 @@ func WorthRelabeling(g *graph.Graph) bool {
 
 // OrderedCountBench exposes the raw ordered count (no relabeling decision)
 // for ablation benchmarks.
-func OrderedCountBench(undirected *graph.Graph, workers int) int64 {
-	return orderedCount(par.Default(), undirected, workers)
+func OrderedCountBench(exec *par.Machine, undirected *graph.Graph) int64 {
+	return orderedCount(exec, undirected)
 }

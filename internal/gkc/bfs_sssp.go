@@ -16,7 +16,7 @@ import (
 // step over the in-CSR. The alpha/beta switch arithmetic comes from the
 // shared frontier.Dispatcher; the frontier containers stay GKC's own
 // (sliding queue plus bitmap ping-pong).
-func bfs(exec *par.Machine, g *graph.Graph, src graph.NodeID, workers int) []graph.NodeID {
+func bfs(exec *par.Machine, g *graph.Graph, src graph.NodeID) []graph.NodeID {
 	n := int64(g.NumNodes())
 	parent := make([]graph.NodeID, n)
 	for i := range parent {
@@ -48,7 +48,7 @@ func bfs(exec *par.Machine, g *graph.Graph, src graph.NodeID, workers int) []gra
 			for {
 				prev := awake
 				curr.Reset()
-				awake = exec.ReduceInt64(int(n), workers, func(lo, hi int) int64 {
+				awake = exec.ReduceInt64(int(n), 0, func(lo, hi int) int64 {
 					var count int64
 					for u := lo; u < hi; u++ {
 						//gapvet:ignore atomic-plain-mix -- pull phase: each u writes only parent[u]; barrier-separated from the push phase's CAS
@@ -101,7 +101,7 @@ func bfs(exec *par.Machine, g *graph.Graph, src graph.NodeID, workers int) []gra
 			var newScout atomic.Int64
 			shared := graph.NewSlidingQueue(n)
 			cur := frontier
-			exec.ForDynamic(len(cur), 64, workers, func(lo, hi int) {
+			exec.ForDynamic(len(cur), 64, 0, func(lo, hi int) {
 				//gapvet:ignore alloc-in-timed-region -- QueueBuffer idiom: one buffer per 64-vertex chunk, amortized over the chunk's edges
 				local := make([]graph.NodeID, 0, localBufferSize)
 				var sc int64
@@ -134,7 +134,7 @@ func bfs(exec *par.Machine, g *graph.Graph, src graph.NodeID, workers int) []gra
 // sssp is GKC's delta-stepping: per-worker bucket bins, a serial fast path
 // for tiny frontiers, and no bucket fusion — the omission behind GKC's weak
 // Road SSSP showing (18% in Table V) despite its strong BFS there.
-func sssp(exec *par.Machine, g *graph.Graph, src graph.NodeID, delta kernel.Dist, workers int) []kernel.Dist {
+func sssp(exec *par.Machine, g *graph.Graph, src graph.NodeID, delta kernel.Dist) []kernel.Dist {
 	n := int(g.NumNodes())
 	dist := make([]kernel.Dist, n)
 	for i := range dist {
@@ -143,11 +143,9 @@ func sssp(exec *par.Machine, g *graph.Graph, src graph.NodeID, delta kernel.Dist
 	if n == 0 {
 		return dist
 	}
-	if workers < 1 {
-		workers = 1
-	}
 	dist[src] = 0
-	bins := make([][][]graph.NodeID, workers)
+	slots := exec.Size()
+	bins := make([][][]graph.NodeID, slots)
 	put := func(w, b int, v graph.NodeID) {
 		for b >= len(bins[w]) {
 			bins[w] = append(bins[w], nil)
@@ -167,7 +165,7 @@ func sssp(exec *par.Machine, g *graph.Graph, src graph.NodeID, delta kernel.Dist
 		// neither a bucket-fusion equivalent nor BFS's serial fast path in
 		// its SSSP, which is why its Road SSSP trails GAP badly in the paper
 		// (Table V: 18%) even though its Road BFS leads.
-		exec.ForWorker(len(frontier), workers, func(w, i0, i1 int) {
+		exec.ForWorker(len(frontier), slots, func(w, i0, i1 int) {
 			for i := i0; i < i1; i++ {
 				u := frontier[i]
 				du := atomic.LoadInt32(&dist[u])

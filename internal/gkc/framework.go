@@ -64,7 +64,7 @@ var (
 
 // BFS implements kernel.Framework.
 func (*Framework) BFS(g *graph.Graph, src graph.NodeID, opt kernel.Options) []graph.NodeID {
-	return bfs(opt.Exec(), g, src, opt.EffectiveWorkers())
+	return bfs(opt.Exec(), g, src)
 }
 
 // SSSP implements kernel.Framework.
@@ -73,22 +73,22 @@ func (*Framework) SSSP(g *graph.Graph, src graph.NodeID, opt kernel.Options) []k
 	if delta <= 0 {
 		delta = 16
 	}
-	return sssp(opt.Exec(), g, src, delta, opt.EffectiveWorkers())
+	return sssp(opt.Exec(), g, src, delta)
 }
 
 // PR implements kernel.Framework.
 func (*Framework) PR(g *graph.Graph, opt kernel.Options) []float64 {
-	return pagerank(opt.Exec(), g, opt.EffectiveWorkers())
+	return pagerank(opt.Exec(), g)
 }
 
 // CC implements kernel.Framework.
 func (*Framework) CC(g *graph.Graph, opt kernel.Options) []graph.NodeID {
-	return hybridSV(opt.Exec(), g, opt.EffectiveWorkers())
+	return hybridSV(opt.Exec(), g)
 }
 
 // BC implements kernel.Framework.
 func (*Framework) BC(g *graph.Graph, sources []graph.NodeID, opt kernel.Options) []float64 {
-	return brandes(opt.Exec(), g, sources, opt.EffectiveWorkers())
+	return brandes(opt.Exec(), g, sources)
 }
 
 // TC implements kernel.Framework.
@@ -107,5 +107,5 @@ func (*Framework) TC(g *graph.Graph, opt kernel.Options) int64 {
 		// §V-F: "GKC sorts vertices depending on degree skewness".
 		u, _ = graph.DegreeRelabel(opt.Exec(), u)
 	}
-	return leeLowTC(opt.Exec(), u, opt.EffectiveWorkers())
+	return leeLowTC(opt.Exec(), u)
 }

@@ -20,7 +20,7 @@ func TestLeeLowMatchesSerialPrefix(t *testing.T) {
 		}
 		u := g.Undirected()
 		want := serialPrefixTC(u)
-		if got := leeLowTC(par.Default(), u, 4); got != want {
+		if got := leeLowTC(par.Default(), u); got != want {
 			t.Fatalf("%s: leeLowTC = %d, serial = %d", name, got, want)
 		}
 		if oracle := verify.Triangles(u); oracle != want {
@@ -44,7 +44,7 @@ func TestLeeLowMarkerPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := int64(k) * (k - 1) * (k - 2) / 6
-	if got := leeLowTC(par.Default(), g, 4); got != want {
+	if got := leeLowTC(par.Default(), g); got != want {
 		t.Fatalf("marker path count = %d, want %d", got, want)
 	}
 }
@@ -71,7 +71,7 @@ func TestHybridSVEquivalentToOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := verify.CheckCC(g, hybridSV(par.Default(), g, 4)); err != nil {
+		if err := verify.CheckCC(g, hybridSV(par.Default(), g)); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
@@ -92,7 +92,7 @@ func TestSerialThresholdBFSBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := verify.CheckBFS(g, 0, bfs(par.Default(), g, 0, 4)); err != nil {
+	if err := verify.CheckBFS(g, 0, bfs(par.Default(), g, 0)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -109,7 +109,7 @@ func TestHybridSVProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return verify.CheckCC(g, hybridSV(par.Default(), g, 3)) == nil
+		return verify.CheckCC(g, hybridSV(par.Default(), g)) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

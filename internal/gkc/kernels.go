@@ -12,7 +12,7 @@ import (
 // pagerank is GKC's Gauss-Seidel PageRank with a 4-way unrolled gather loop
 // standing in for the AVX-256 gathers of the original (§III-E notes GKC
 // found AVX-256 faster than AVX-512 on the test platform).
-func pagerank(exec *par.Machine, g *graph.Graph, workers int) []float64 {
+func pagerank(exec *par.Machine, g *graph.Graph) []float64 {
 	n := int(g.NumNodes())
 	if n == 0 {
 		return nil
@@ -33,11 +33,11 @@ func pagerank(exec *par.Machine, g *graph.Graph, workers int) []float64 {
 			return ranks // partial; the harness discards cancelled trials
 		}
 		// Scores are stored scaled by mass; see kernel.PRMass.
-		mass, dangling := kernel.PRMass(exec, ranks, invDeg, workers)
+		mass, dangling := kernel.PRMass(exec, ranks, invDeg)
 		c := 1 / mass
 		danglingShare := kernel.PRDamping * c * dangling / float64(n)
 		dc := kernel.PRDamping * c
-		delta := exec.ReduceFloat64(n, workers, func(lo, hi int) float64 {
+		delta := exec.ReduceFloat64(n, 0, func(lo, hi int) float64 {
 			var d float64
 			for vi := lo; vi < hi; vi++ {
 				v := graph.NodeID(vi)
@@ -83,7 +83,7 @@ func pagerank(exec *par.Machine, g *graph.Graph, workers int) []float64 {
 // which is exactly why it does not collapse on Urand the way sampling-based
 // Afforest does (§V-C reproduces Sutton et al.'s observation), while paying
 // more passes than Afforest on graphs with an early giant component.
-func hybridSV(exec *par.Machine, g *graph.Graph, workers int) []graph.NodeID {
+func hybridSV(exec *par.Machine, g *graph.Graph) []graph.NodeID {
 	n := int(g.NumNodes())
 	comp := make([]graph.NodeID, n)
 	for i := range comp {
@@ -101,14 +101,14 @@ func hybridSV(exec *par.Machine, g *graph.Graph, workers int) []graph.NodeID {
 		}
 		// Hooking sweep: linear scan of the out-CSR (and in-CSR for directed
 		// graphs) — sequential memory traffic, the "SIMD-friendly" layout.
-		changed := hookSweep(exec, g, comp, workers, false, &sweepChanged)
+		changed := hookSweep(exec, g, comp, false, &sweepChanged)
 		if g.Directed() {
-			if hookSweep(exec, g, comp, workers, true, &sweepChanged) {
+			if hookSweep(exec, g, comp, true, &sweepChanged) {
 				changed = true
 			}
 		}
 		// Shortcut sweep: full pointer jumping.
-		exec.ForBlocked(n, workers, func(lo, hi int) {
+		exec.ForBlocked(n, 0, func(lo, hi int) {
 			for u := lo; u < hi; u++ {
 				c := atomic.LoadInt32(&comp[u])
 				for {
@@ -130,10 +130,10 @@ func hybridSV(exec *par.Machine, g *graph.Graph, workers int) []graph.NodeID {
 // hookSweep hooks every edge's higher root under the lower one, returning
 // whether anything changed. The flag is caller-owned so the chunk closure
 // captures only a pointer, not a per-sweep heap cell.
-func hookSweep(exec *par.Machine, g *graph.Graph, comp []graph.NodeID, workers int, useIn bool, changed *atomic.Bool) bool {
+func hookSweep(exec *par.Machine, g *graph.Graph, comp []graph.NodeID, useIn bool, changed *atomic.Bool) bool {
 	n := int(g.NumNodes())
 	changed.Store(false)
-	exec.ForBlocked(n, workers, func(lo, hi int) {
+	exec.ForBlocked(n, 0, func(lo, hi int) {
 		localChanged := false
 		for u := lo; u < hi; u++ {
 			var neigh []graph.NodeID
@@ -169,7 +169,7 @@ func hookSweep(exec *par.Machine, g *graph.Graph, comp []graph.NodeID, workers i
 // brandes is GKC's Brandes BC: level-synchronous with the same serial
 // small-frontier fast path as BFS, keeping it within a few percent of GAP
 // everywhere (Table V: 97–107%).
-func brandes(exec *par.Machine, g *graph.Graph, sources []graph.NodeID, workers int) []float64 {
+func brandes(exec *par.Machine, g *graph.Graph, sources []graph.NodeID) []float64 {
 	n := int(g.NumNodes())
 	scores := make([]float64, n)
 	if n == 0 {
@@ -180,7 +180,7 @@ func brandes(exec *par.Machine, g *graph.Graph, sources []graph.NodeID, workers 
 	delta := make([]float64, n)
 
 	for _, src := range sources {
-		exec.ForBlocked(n, workers, func(lo, hi int) {
+		exec.ForBlocked(n, 0, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				//gapvet:ignore atomic-plain-mix -- reset phase: barrier-separated from the forward phase's CAS on depth
 				depth[i] = -1
@@ -210,7 +210,7 @@ func brandes(exec *par.Machine, g *graph.Graph, sources []graph.NodeID, workers 
 				}
 			} else {
 				shared := graph.NewSlidingQueue(int64(n))
-				exec.ForDynamic(len(current), 64, workers, func(lo, hi int) {
+				exec.ForDynamic(len(current), 64, 0, func(lo, hi int) {
 					//gapvet:ignore alloc-in-timed-region -- QueueBuffer idiom: one buffer per 64-vertex chunk, amortized over the chunk's edges
 					local := make([]graph.NodeID, 0, 256)
 					for i := lo; i < hi; i++ {
@@ -241,7 +241,7 @@ func brandes(exec *par.Machine, g *graph.Graph, sources []graph.NodeID, workers 
 
 		for l := 1; l < len(levels); l++ {
 			level := levels[l]
-			exec.ForDynamic(len(level), 128, workers, func(lo, hi int) {
+			exec.ForDynamic(len(level), 128, 0, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					v := level[i]
 					var s float64
@@ -256,7 +256,7 @@ func brandes(exec *par.Machine, g *graph.Graph, sources []graph.NodeID, workers 
 		}
 		for l := len(levels) - 2; l >= 0; l-- {
 			level := levels[l]
-			exec.ForDynamic(len(level), 128, workers, func(lo, hi int) {
+			exec.ForDynamic(len(level), 128, 0, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					u := level[i]
 					var dd float64
@@ -295,7 +295,7 @@ func brandes(exec *par.Machine, g *graph.Graph, sources []graph.NodeID, workers 
 // last — the cache-reuse trick §III-E/§V-F describes ("set intersections
 // with vectors that were previously visited, thereby increasing data reuse
 // in caches") — while low-degree rows use a plain cursor merge.
-func leeLowTC(exec *par.Machine, u *graph.Graph, workers int) int64 {
+func leeLowTC(exec *par.Machine, u *graph.Graph) int64 {
 	n := int(u.NumNodes())
 	// Forward adjacency: neighbors strictly greater than the vertex.
 	index := make([]int64, n+1)
@@ -305,7 +305,7 @@ func leeLowTC(exec *par.Machine, u *graph.Graph, workers int) int64 {
 		index[v+1] = index[v] + int64(len(neigh)-k)
 	}
 	fwd := make([]graph.NodeID, index[n])
-	exec.ForBlocked(n, workers, func(lo, hi int) {
+	exec.ForBlocked(n, 0, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
 			neigh := u.OutNeighbors(graph.NodeID(v))
 			k := lowerBound(neigh, graph.NodeID(v)+1)
@@ -315,11 +315,9 @@ func leeLowTC(exec *par.Machine, u *graph.Graph, workers int) int64 {
 	row := func(v graph.NodeID) []graph.NodeID { return fwd[index[v]:index[v+1]] }
 
 	const markerThreshold = 64
-	if workers < 1 {
-		workers = 1
-	}
-	partial := make([]int64, workers)
-	markers := make([][]bool, workers)
+	slots := exec.Size()
+	partial := make([]int64, slots)
+	markers := make([][]bool, slots)
 	for w := range markers {
 		markers[w] = make([]bool, n)
 	}
@@ -329,7 +327,7 @@ func leeLowTC(exec *par.Machine, u *graph.Graph, workers int) int64 {
 	// slots run sequentially. (This was a hand-rolled goroutine fork-join
 	// before the machine existed.)
 	var cursor atomicCursor
-	exec.ForWorker(workers, workers, func(w, _, _ int) {
+	exec.ForWorker(slots, slots, func(w, _, _ int) {
 		mark := markers[w]
 		var count int64
 		for {

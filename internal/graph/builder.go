@@ -30,8 +30,6 @@ type BuildOptions struct {
 	// KeepSelfLoops retains u->u edges. The GAP builder drops them by default
 	// (they are meaningless for every benchmark kernel and break TC).
 	KeepSelfLoops bool
-	// Workers bounds construction parallelism; <1 means the default.
-	Workers int
 	// Layout selects the vertex layout baked into the built graph.
 	// LayoutPlain (the default) keeps input ids; LayoutDegree renumbers by
 	// decreasing out-degree after construction, and is recorded in the
@@ -45,7 +43,7 @@ type BuildOptions struct {
 func Build(edges []Edge, opt BuildOptions) (*Graph, error) {
 	exec := par.Default()
 	we := make([]WEdge, len(edges))
-	exec.ForBlocked(len(edges), opt.Workers, func(lo, hi int) {
+	exec.ForBlocked(len(edges), 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			we[i] = WEdge{U: edges[i].U, V: edges[i].V}
 		}
@@ -85,9 +83,9 @@ func build(exec *par.Machine, edges []WEdge, opt BuildOptions, weighted bool) (*
 	// graphs, both directions for undirected ones.
 	work := expandEdges(exec, edges, opt)
 
-	index, neigh, weight := scatterCSR(exec, n, work, weighted, opt.Workers)
-	kept, newIndex := dedupRows(exec, n, index, neigh, weight, opt.Workers)
-	g := assembleCSRGraph(exec, n, opt.Directed, weighted, LayoutPlain, index, newIndex, kept, neigh, weight, opt.Workers)
+	index, neigh, weight := scatterCSR(exec, n, work, weighted)
+	kept, newIndex := dedupRows(exec, n, index, neigh, weight)
+	g := assembleCSRGraph(exec, n, opt.Directed, weighted, LayoutPlain, index, newIndex, kept, neigh, weight)
 	if opt.Layout == LayoutDegree {
 		rg, _ := DegreeRelabel(exec, g)
 		if err := g.Close(); err != nil {
@@ -112,7 +110,7 @@ func checkEdges(exec *par.Machine, edges []WEdge, opt BuildOptions) (int32, erro
 		}
 		return n, nil
 	}
-	maxEnd := exec.ReduceMaxInt64(m, opt.Workers, func(lo, hi int) int64 {
+	maxEnd := exec.ReduceMaxInt64(m, 0, func(lo, hi int) int64 {
 		mx := int64(math.MinInt64)
 		for i := lo; i < hi; i++ {
 			if v := int64(edges[i].U); v > mx {
@@ -124,7 +122,7 @@ func checkEdges(exec *par.Machine, edges []WEdge, opt BuildOptions) (int32, erro
 		}
 		return mx
 	})
-	minEnd := -exec.ReduceMaxInt64(m, opt.Workers, func(lo, hi int) int64 {
+	minEnd := -exec.ReduceMaxInt64(m, 0, func(lo, hi int) int64 {
 		mx := int64(math.MinInt64)
 		for i := lo; i < hi; i++ {
 			if v := -int64(edges[i].U); v > mx {
@@ -165,15 +163,11 @@ func checkEdges(exec *par.Machine, edges []WEdge, opt BuildOptions) (int32, erro
 // worker's survivors contiguously at its scanned offset, so global input
 // order is preserved and downstream stability arguments still hold.
 func expandEdges(exec *par.Machine, edges []WEdge, opt BuildOptions) []WEdge {
-	// Workers < 1 means exec's width, which is what ForWorker runs.
-	slots := opt.Workers
-	if slots < 1 {
-		slots = exec.Size()
-	}
 	// counts is indexed by ForWorker slot id; both passes use the identical
-	// (n, workers) partition, so per-slot ranges line up.
+	// (n, slots) partition, so per-slot ranges line up.
+	slots := exec.Size()
 	counts := make([]int64, slots)
-	exec.ForWorker(len(edges), opt.Workers, func(w, lo, hi int) {
+	exec.ForWorker(len(edges), slots, func(w, lo, hi int) {
 		var c int64
 		for i := lo; i < hi; i++ {
 			e := edges[i]
@@ -196,7 +190,7 @@ func expandEdges(exec *par.Machine, edges []WEdge, opt BuildOptions) []WEdge {
 		total += c
 	}
 	work := make([]WEdge, total)
-	exec.ForWorker(len(edges), opt.Workers, func(w, lo, hi int) {
+	exec.ForWorker(len(edges), slots, func(w, lo, hi int) {
 		pos := counts[w]
 		for i := lo; i < hi; i++ {
 			e := edges[i]
@@ -222,8 +216,8 @@ func expandEdges(exec *par.Machine, edges []WEdge, opt BuildOptions) []WEdge {
 // weight arrays via the counting-sort pipeline: per-source histogram,
 // exclusive scan, stable scatter. No comparison sort ever sees the full
 // edge list; rows are sorted and deduplicated afterwards by dedupRows.
-func scatterCSR(exec *par.Machine, n int32, edges []WEdge, weighted bool, workers int) ([]int64, []NodeID, []Weight) {
-	h := exec.ShardedHistogram(len(edges), int(n), workers, func(i int) int { return int(edges[i].U) })
+func scatterCSR(exec *par.Machine, n int32, edges []WEdge, weighted bool) ([]int64, []NodeID, []Weight) {
+	h := exec.ShardedHistogram(len(edges), int(n), 0, func(i int) int { return int(edges[i].U) })
 	index := h.Index()
 	neigh := make([]NodeID, len(edges))
 	var weight []Weight
@@ -245,9 +239,9 @@ func scatterCSR(exec *par.Machine, n int32, edges []WEdge, weighted bool, worker
 // the compact CSR index. Rows are processed under a dynamic schedule because
 // segment lengths are the degree distribution itself: power-law inputs put
 // hub rows many orders of magnitude above the mean.
-func dedupRows(exec *par.Machine, n int32, index []int64, neigh []NodeID, weight []Weight, workers int) (kept, newIndex []int64) {
+func dedupRows(exec *par.Machine, n int32, index []int64, neigh []NodeID, weight []Weight) (kept, newIndex []int64) {
 	kept = make([]int64, n)
-	exec.ForDynamic(int(n), 128, workers, func(lo, hi int) {
+	exec.ForDynamic(int(n), 128, 0, func(lo, hi int) {
 		for u := lo; u < hi; u++ {
 			s, e := index[u], index[u+1]
 			vs := neigh[s:e]
@@ -271,7 +265,7 @@ func dedupRows(exec *par.Machine, n int32, index []int64, neigh []NodeID, weight
 			kept[u] = int64(k)
 		}
 	})
-	newIndex = exec.PrefixSum(kept, workers)
+	newIndex = exec.PrefixSum(kept, 0)
 	return kept, newIndex
 }
 
@@ -280,7 +274,7 @@ func dedupRows(exec *par.Machine, n int32, index []int64, neigh []NodeID, weight
 // per-row survivor counts) compact into the out-sections, and for directed
 // graphs the transpose scatters straight into the in-sections. This is the
 // single point where builder output becomes graph-owned memory.
-func assembleCSRGraph(exec *par.Machine, n int32, directed, weighted bool, layout Layout, index, newIndex, kept []int64, neigh []NodeID, weight []Weight, workers int) *Graph {
+func assembleCSRGraph(exec *par.Machine, n int32, directed, weighted bool, layout Layout, index, newIndex, kept []int64, neigh []NodeID, weight []Weight) *Graph {
 	mOut := newIndex[n]
 	mIn := int64(0)
 	if directed {
@@ -291,7 +285,7 @@ func assembleCSRGraph(exec *par.Machine, n int32, directed, weighted bool, layou
 	copy(outIndex, newIndex)
 	outNeigh := a.int32s(secOutNeigh)
 	outWeight := a.int32s(secOutWeight)
-	exec.ForDynamic(int(n), 128, workers, func(lo, hi int) {
+	exec.ForDynamic(int(n), 128, 0, func(lo, hi int) {
 		for u := lo; u < hi; u++ {
 			s, d, c := index[u], newIndex[u], kept[u]
 			copy(outNeigh[d:d+c], neigh[s:s+c])
@@ -301,7 +295,7 @@ func assembleCSRGraph(exec *par.Machine, n int32, directed, weighted bool, layou
 		}
 	})
 	if directed {
-		transposeInto(exec, a, n, outIndex, outNeigh, outWeight, workers)
+		transposeInto(exec, a, n, outIndex, outNeigh, outWeight)
 	}
 	return graphFromArena(a, layout)
 }
@@ -309,9 +303,9 @@ func assembleCSRGraph(exec *par.Machine, n int32, directed, weighted bool, layou
 // expandRowIDs inverts a CSR index: rows[i] is the row owning position i.
 // The scatter passes of transposition and symmetrization need the source
 // endpoint of every stored edge without a per-item search.
-func expandRowIDs(exec *par.Machine, n int32, index []int64, workers int) []NodeID {
+func expandRowIDs(exec *par.Machine, n int32, index []int64) []NodeID {
 	rows := make([]NodeID, index[n])
-	exec.ForDynamic(int(n), 256, workers, func(lo, hi int) {
+	exec.ForDynamic(int(n), 256, 0, func(lo, hi int) {
 		for u := lo; u < hi; u++ {
 			for i := index[u]; i < index[u+1]; i++ {
 				rows[i] = NodeID(u)
@@ -327,9 +321,9 @@ func expandRowIDs(exec *par.Machine, n int32, index []int64, workers int) []Node
 // row-major order, so within each output row the (source) values arrive in
 // increasing order, and dedup is moot because the input rows were already
 // duplicate-free.
-func transposeInto(exec *par.Machine, a *Arena, n int32, index []int64, neigh []NodeID, weight []Weight, workers int) {
-	rows := expandRowIDs(exec, n, index, workers)
-	h := exec.ShardedHistogram(len(neigh), int(n), workers, func(i int) int { return int(neigh[i]) })
+func transposeInto(exec *par.Machine, a *Arena, n int32, index []int64, neigh []NodeID, weight []Weight) {
+	rows := expandRowIDs(exec, n, index)
+	h := exec.ShardedHistogram(len(neigh), int(n), 0, func(i int) int { return int(neigh[i]) })
 	copy(a.int64s(secInIndex), h.Index())
 	tNeigh := a.int32s(secInNeigh)
 	tWeight := a.int32s(secInWeight)
@@ -358,7 +352,7 @@ func (g *Graph) Undirected() *Graph {
 	exec := par.Default()
 	n := g.n
 	hasW := g.Weighted()
-	src := expandRowIDs(exec, n, g.outIndex, 0)
+	src := expandRowIDs(exec, n, g.outIndex)
 	dst := g.outNeigh
 	ws := g.outWeight
 	m := len(dst)
@@ -421,8 +415,8 @@ func (g *Graph) Undirected() *Graph {
 			}
 		}
 	})
-	kept, newIndex := dedupRows(exec, n, uIndex, uNeigh, uWeight, 0)
-	return assembleCSRGraph(exec, n, false, hasW, g.layout, uIndex, newIndex, kept, uNeigh, uWeight, 0)
+	kept, newIndex := dedupRows(exec, n, uIndex, uNeigh, uWeight)
+	return assembleCSRGraph(exec, n, false, hasW, g.layout, uIndex, newIndex, kept, uNeigh, uWeight)
 }
 
 // validateCSR checks one CSR side for structural consistency.

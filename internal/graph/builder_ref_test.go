@@ -259,9 +259,9 @@ func TestBuildErrorAgreementWithReference(t *testing.T) {
 	}
 }
 
-// TestBuildAfterGOMAXPROCSShrinks: Workers < 1 means the width of the
-// machine the build runs on, which par.Default() fixed when it was first
-// built. Per-slot scratch sized by the current GOMAXPROCS instead overflowed
+// TestBuildAfterGOMAXPROCSShrinks: the build runs at the width of its
+// machine, which par.Default() fixed when it was first built. Per-slot
+// scratch sized by the current GOMAXPROCS instead overflowed
 // once GOMAXPROCS dropped below that width (`go test -cpu 4,1`).
 func TestBuildAfterGOMAXPROCSShrinks(t *testing.T) {
 	if par.Default().Size() == 1 {

@@ -15,7 +15,7 @@ import (
 // Road schedule), and the backward pass walks the transposed graph (§V-E:
 // "GraphIt transposes the graph for the backward pass"): dependencies are
 // pushed from each successor to its parents over in-edges.
-func bc(exec *par.Machine, g *graph.Graph, sources []graph.NodeID, sched schedule, workers int) []float64 {
+func bc(exec *par.Machine, g *graph.Graph, sources []graph.NodeID, sched schedule) []float64 {
 	n := int(g.NumNodes())
 	scores := make([]float64, n)
 	if n == 0 {
@@ -27,7 +27,7 @@ func bc(exec *par.Machine, g *graph.Graph, sources []graph.NodeID, sched schedul
 
 	for _, src := range sources {
 		src := src // assigned-once copy: the phase closures capture it by value, not as a heap cell
-		exec.ForBlocked(n, workers, func(lo, hi int) {
+		exec.ForBlocked(n, 0, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				//gapvet:ignore atomic-plain-mix -- reset phase: barrier-separated from the forward phase's CAS on depth
 				depth[i] = -1
@@ -42,12 +42,12 @@ func bc(exec *par.Machine, g *graph.Graph, sources []graph.NodeID, sched schedul
 		var levels []*frontier.Set
 		front := frontier.FromList(int64(n), []graph.NodeID{src})
 		if sched.Frontier == frontier.Bitmap {
-			front = front.ToBitmap(exec, workers)
+			front = front.ToBitmap(exec)
 		}
 		levels = append(levels, front)
 		for front.Size() > 0 {
 			d := int32(len(levels))
-			next := frontier.Push(exec, g, front, sched.Frontier, workers, func(u, v graph.NodeID) bool {
+			next := frontier.Push(exec, g, front, sched.Frontier, func(u, v graph.NodeID) bool {
 				return atomic.LoadInt32(&depth[v]) < 0 &&
 					atomic.CompareAndSwapInt32(&depth[v], -1, d)
 			})
@@ -60,8 +60,8 @@ func bc(exec *par.Machine, g *graph.Graph, sources []graph.NodeID, sched schedul
 
 		// Path counts per level (pull from parents over in-edges).
 		for l := 1; l < len(levels); l++ {
-			level := levels[l].ToList(exec, workers).List()
-			exec.ForDynamic(len(level), 64, workers, func(lo, hi int) {
+			level := levels[l].ToList(exec).List()
+			exec.ForDynamic(len(level), 64, 0, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					v := level[i]
 					var s float64
@@ -78,8 +78,8 @@ func bc(exec *par.Machine, g *graph.Graph, sources []graph.NodeID, sched schedul
 		// Backward over the transpose: each level-d vertex pushes its
 		// dependency share to parents through in-edges; parents gather.
 		for l := len(levels) - 2; l >= 0; l-- {
-			level := levels[l].ToList(exec, workers).List()
-			exec.ForDynamic(len(level), 64, workers, func(lo, hi int) {
+			level := levels[l].ToList(exec).List()
+			exec.ForDynamic(len(level), 64, 0, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					u := level[i]
 					var d float64
@@ -104,7 +104,7 @@ func bc(exec *par.Machine, g *graph.Graph, sources []graph.NodeID, sched schedul
 		}
 	}
 	if maxScore > 0 {
-		exec.ForBlocked(n, workers, func(lo, hi int) {
+		exec.ForBlocked(n, 0, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				scores[i] /= maxScore
 			}
@@ -118,7 +118,7 @@ func bc(exec *par.Machine, g *graph.Graph, sources []graph.NodeID, sched schedul
 // merge is written with branch-light arithmetic stepping. Optimized mode on
 // small graphs switches back to the naive merge ("Changing back to the naive
 // intersection method used in GAP improved performance").
-func tc(exec *par.Machine, g *graph.Graph, opt kernel.Options, workers int) int64 {
+func tc(exec *par.Machine, g *graph.Graph, opt kernel.Options) int64 {
 	u := opt.Undirected(g)
 	if opt.Mode == kernel.Optimized && opt.RelabeledView != nil {
 		u = opt.RelabeledView
@@ -128,7 +128,7 @@ func tc(exec *par.Machine, g *graph.Graph, opt kernel.Options, workers int) int6
 	}
 	naive := opt.Mode == kernel.Optimized && u.NumNodes() < 1<<17
 	n := int(u.NumNodes())
-	return exec.ReduceDynamicInt64(n, 64, workers, func(lo, hi int) int64 {
+	return exec.ReduceDynamicInt64(n, 64, 0, func(lo, hi int) int64 {
 		var count int64
 		for a := lo; a < hi; a++ {
 			na := u.OutNeighbors(graph.NodeID(a))

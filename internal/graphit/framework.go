@@ -44,7 +44,7 @@ var (
 
 // BFS implements kernel.Framework.
 func (*Framework) BFS(g *graph.Graph, src graph.NodeID, opt kernel.Options) []graph.NodeID {
-	return bfs(opt.Exec(), g, src, scheduleFor("bfs", g, opt), opt.EffectiveWorkers())
+	return bfs(opt.Exec(), g, src, scheduleFor("bfs", g, opt))
 }
 
 // SSSP implements kernel.Framework.
@@ -53,25 +53,25 @@ func (*Framework) SSSP(g *graph.Graph, src graph.NodeID, opt kernel.Options) []k
 	if delta <= 0 {
 		delta = 16
 	}
-	return sssp(opt.Exec(), g, src, delta, opt.EffectiveWorkers())
+	return sssp(opt.Exec(), g, src, delta)
 }
 
 // PR implements kernel.Framework.
 func (*Framework) PR(g *graph.Graph, opt kernel.Options) []float64 {
-	return pr(opt.Exec(), g, scheduleFor("pr", g, opt), opt.EffectiveWorkers())
+	return pr(opt.Exec(), g, scheduleFor("pr", g, opt))
 }
 
 // CC implements kernel.Framework.
 func (*Framework) CC(g *graph.Graph, opt kernel.Options) []graph.NodeID {
-	return cc(opt.Exec(), g, scheduleFor("cc", g, opt), opt.EffectiveWorkers())
+	return cc(opt.Exec(), g, scheduleFor("cc", g, opt))
 }
 
 // BC implements kernel.Framework.
 func (*Framework) BC(g *graph.Graph, sources []graph.NodeID, opt kernel.Options) []float64 {
-	return bc(opt.Exec(), g, sources, scheduleFor("bc", g, opt), opt.EffectiveWorkers())
+	return bc(opt.Exec(), g, sources, scheduleFor("bc", g, opt))
 }
 
 // TC implements kernel.Framework.
 func (*Framework) TC(g *graph.Graph, opt kernel.Options) int64 {
-	return tc(opt.Exec(), g, opt, opt.EffectiveWorkers())
+	return tc(opt.Exec(), g, opt)
 }

@@ -22,11 +22,11 @@ func TestVertexSetConversions(t *testing.T) {
 	if vs.Size() != 3 {
 		t.Fatalf("Size = %d", vs.Size())
 	}
-	bv := vs.ToBitmap(par.Default(), 2)
+	bv := vs.ToBitmap(par.Default())
 	if bv.Size() != 3 || !bv.Contains(50) || bv.Contains(4) {
 		t.Fatal("bitvector conversion wrong")
 	}
-	back := bv.ToList(par.Default(), 2)
+	back := bv.ToList(par.Default())
 	if back.Size() != 3 {
 		t.Fatalf("round-trip Size = %d", back.Size())
 	}
@@ -52,7 +52,7 @@ func TestEdgesetApplyPush(t *testing.T) {
 	visited[0] = true
 	for _, layout := range []frontier.Layout{frontier.SparseList, frontier.Bitmap} {
 		v2 := append([]bool(nil), visited...)
-		next := frontier.Push(par.Default(), g, front, layout, 2, func(u, v graph.NodeID) bool {
+		next := frontier.Push(par.Default(), g, front, layout, func(u, v graph.NodeID) bool {
 			if !v2[v] {
 				v2[v] = true
 				return true
@@ -73,7 +73,7 @@ func TestEdgesetApplyPull(t *testing.T) {
 	}
 	front := frontier.FromList(3, []graph.NodeID{0})
 	parent := []graph.NodeID{0, -1, -1}
-	next := frontier.Pull(par.Default(), g, front, 2,
+	next := frontier.Pull(par.Default(), g, front,
 		func(v graph.NodeID) bool { return parent[v] < 0 },
 		func(u, v graph.NodeID) bool { parent[v] = u; return true })
 	if next.Size() != 2 {
@@ -280,9 +280,9 @@ func TestTiledPageRankMatchesUntiled(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		m := par.NewMachine(workers)
 		for name, g := range map[string]*graph.Graph{"Kron-9": kron, "Road-10": road} {
-			want := pr(m, g, schedule{}, workers)
+			want := pr(m, g, schedule{})
 			for _, segs := range []int{2, 3, 7} {
-				got := pr(m, g, schedule{CacheTiling: true, NumSegments: segs}, workers)
+				got := pr(m, g, schedule{CacheTiling: true, NumSegments: segs})
 				if err := verify.CheckPR(g, got); err != nil {
 					t.Errorf("%s, %d workers, %d segments: %v", name, workers, segs, err)
 				}
@@ -320,8 +320,8 @@ func TestLabelPropShortCircuitEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := cc(par.Default(), g, schedule{}, 2)
-	short := cc(par.Default(), g, schedule{ShortCircuit: true}, 2)
+	plain := cc(par.Default(), g, schedule{})
+	short := cc(par.Default(), g, schedule{ShortCircuit: true})
 	// Label values may differ; partition must not.
 	canon := func(labels []graph.NodeID) map[graph.NodeID]graph.NodeID {
 		m := map[graph.NodeID]graph.NodeID{}
@@ -346,7 +346,7 @@ func TestVertexSetContainsBothLayouts(t *testing.T) {
 	if !sp.Contains(7) || sp.Contains(3) {
 		t.Fatal("sparse Contains wrong")
 	}
-	bv := sp.ToBitmap(par.Default(), 2)
+	bv := sp.ToBitmap(par.Default())
 	if !bv.Contains(2) || bv.Contains(0) {
 		t.Fatal("bitvector Contains wrong")
 	}

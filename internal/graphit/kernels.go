@@ -14,7 +14,7 @@ import (
 // chosen by the schedule (dirOpt per-round via the shared Beamer dispatcher,
 // or pushOnly for the Optimized Road and Web schedules that skip the
 // active-vertex counting overhead, §V-A).
-func bfs(exec *par.Machine, g *graph.Graph, src graph.NodeID, sched schedule, workers int) []graph.NodeID {
+func bfs(exec *par.Machine, g *graph.Graph, src graph.NodeID, sched schedule) []graph.NodeID {
 	n := int64(g.NumNodes())
 	parent := make([]graph.NodeID, n)
 	for i := range parent {
@@ -36,13 +36,13 @@ func bfs(exec *par.Machine, g *graph.Graph, src graph.NodeID, sched schedule, wo
 		}
 		if sched.Direction == dirOpt && disp.UsePull() {
 			awake := front.Size()
-			cur := front.ToBitmap(exec, workers)
+			cur := front.ToBitmap(exec)
 			for {
 				if exec.Interrupted() {
 					return parent
 				}
 				prev := awake
-				next := frontier.Pull(exec, g, cur, workers,
+				next := frontier.Pull(exec, g, cur,
 					//gapvet:ignore atomic-plain-mix -- pull phase: each v writes only parent[v]; barrier-separated from the push phase's CAS
 					func(v graph.NodeID) bool { return parent[v] < 0 },
 					func(u, v graph.NodeID) bool { parent[v] = u; return true })
@@ -52,12 +52,12 @@ func bfs(exec *par.Machine, g *graph.Graph, src graph.NodeID, sched schedule, wo
 					break
 				}
 			}
-			front = cur.ToList(exec, workers)
+			front = cur.ToList(exec)
 			disp.EndPull()
 		} else {
 			disp.BeginPush()
 			newScout.Store(0)
-			front = frontier.Push(exec, g, front, sched.Frontier, workers, func(u, v graph.NodeID) bool {
+			front = frontier.Push(exec, g, front, sched.Frontier, func(u, v graph.NodeID) bool {
 				if atomic.LoadInt32(&parent[v]) < 0 &&
 					atomic.CompareAndSwapInt32(&parent[v], -1, u) {
 					newScout.Add(g.OutDegree(v))
@@ -78,7 +78,7 @@ func bfs(exec *par.Machine, g *graph.Graph, src graph.NodeID, sched schedule, wo
 // sssp is GraphIt's delta-stepping with the bucket-fusion optimization it
 // originated (§VI): a thread whose next bucket has the same priority keeps
 // processing without synchronizing, cutting rounds ~10x on Road.
-func sssp(exec *par.Machine, g *graph.Graph, src graph.NodeID, delta kernel.Dist, workers int) []kernel.Dist {
+func sssp(exec *par.Machine, g *graph.Graph, src graph.NodeID, delta kernel.Dist) []kernel.Dist {
 	n := int(g.NumNodes())
 	dist := make([]kernel.Dist, n)
 	for i := range dist {
@@ -92,10 +92,8 @@ func sssp(exec *par.Machine, g *graph.Graph, src graph.NodeID, delta kernel.Dist
 	type workerBins struct {
 		bins [][]graph.NodeID
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	wb := make([]workerBins, workers)
+	slots := exec.Size()
+	wb := make([]workerBins, slots)
 	put := func(w *workerBins, b int, v graph.NodeID) {
 		for b >= len(w.bins) {
 			w.bins = append(w.bins, nil)
@@ -114,7 +112,7 @@ func sssp(exec *par.Machine, g *graph.Graph, src graph.NodeID, delta kernel.Dist
 		lo := kernel.Dist(bucket) * delta
 		hi := lo + delta
 		fr, b0 := frontier, bucket // read-only in the closure: captured by value
-		exec.ForWorker(len(fr), workers, func(wid, lo2, hi2 int) {
+		exec.ForWorker(len(fr), slots, func(wid, lo2, hi2 int) {
 			w := &wb[wid]
 			relax := func(u graph.NodeID) {
 				du := atomic.LoadInt32(&dist[u])
@@ -194,7 +192,7 @@ func propagateMin(comp []graph.NodeID, cu int32, v graph.NodeID, local []graph.N
 // algorithms" (§V-C) — the largest deliberate performance gap in the paper's
 // tables. The short-circuit schedule pointer-jumps label chains between
 // rounds, the Optimized Road variant worth ~3x (still far behind).
-func cc(exec *par.Machine, g *graph.Graph, sched schedule, workers int) []graph.NodeID {
+func cc(exec *par.Machine, g *graph.Graph, sched schedule) []graph.NodeID {
 	n := int(g.NumNodes())
 	comp := make([]graph.NodeID, n)
 	for i := range comp {
@@ -218,7 +216,7 @@ func cc(exec *par.Machine, g *graph.Graph, sched schedule, workers int) []graph.
 		}
 		collect.Reset()
 		fr := front // read-only in the closure: captured by value
-		exec.ForDynamic(len(fr), 128, workers, func(lo, hi int) {
+		exec.ForDynamic(len(fr), 128, 0, func(lo, hi int) {
 			var local []graph.NodeID
 			for i := lo; i < hi; i++ {
 				u := fr[i]
@@ -237,7 +235,7 @@ func cc(exec *par.Machine, g *graph.Graph, sched schedule, workers int) []graph.
 		front = collect.Take()
 		if sched.ShortCircuit {
 			// Pointer-jump chains: comp[v] <- comp[comp[v]] to a fixed point.
-			exec.ForBlocked(n, workers, func(lo, hi int) {
+			exec.ForBlocked(n, 0, func(lo, hi int) {
 				for v := lo; v < hi; v++ {
 					c := atomic.LoadInt32(&comp[v])
 					for {
@@ -259,7 +257,7 @@ func cc(exec *par.Machine, g *graph.Graph, sched schedule, workers int) []graph.
 // in-edge array is split into source-range segments so the random reads of
 // contributions stay within a cache-sized window. Building the segmented
 // representation is timed and "amortized within 2-5 iterations".
-func pr(exec *par.Machine, g *graph.Graph, sched schedule, workers int) []float64 {
+func pr(exec *par.Machine, g *graph.Graph, sched schedule) []float64 {
 	n := int(g.NumNodes())
 	if n == 0 {
 		return nil
@@ -285,7 +283,7 @@ func pr(exec *par.Machine, g *graph.Graph, sched schedule, workers int) []float6
 		// Per-iteration copies: the sweep closures capture the slice headers
 		// by value, so the swapped outer variables never become heap cells.
 		r, nx := ranks, next
-		dangling := exec.ReduceFloat64(n, workers, func(lo, hi int) float64 {
+		dangling := exec.ReduceFloat64(n, 0, func(lo, hi int) float64 {
 			var d float64
 			for u := lo; u < hi; u++ {
 				if deg := g.OutDegree(graph.NodeID(u)); deg > 0 {
@@ -300,13 +298,13 @@ func pr(exec *par.Machine, g *graph.Graph, sched schedule, workers int) []float6
 		danglingShare := kernel.PRDamping * dangling / float64(n)
 
 		if segments != nil {
-			exec.ForBlocked(n, workers, func(lo, hi int) {
+			exec.ForBlocked(n, 0, func(lo, hi int) {
 				for v := lo; v < hi; v++ {
 					nx[v] = 0
 				}
 			})
 			for _, seg := range segments {
-				exec.ForBlocked(n, workers, func(lo, hi int) {
+				exec.ForBlocked(n, 0, func(lo, hi int) {
 					for v := lo; v < hi; v++ {
 						sum := 0.0
 						for _, u := range seg.neigh[seg.index[v]:seg.index[v+1]] {
@@ -316,13 +314,13 @@ func pr(exec *par.Machine, g *graph.Graph, sched schedule, workers int) []float6
 					}
 				})
 			}
-			exec.ForBlocked(n, workers, func(lo, hi int) {
+			exec.ForBlocked(n, 0, func(lo, hi int) {
 				for v := lo; v < hi; v++ {
 					nx[v] = base + danglingShare + kernel.PRDamping*nx[v]
 				}
 			})
 		} else {
-			exec.ForBlocked(n, workers, func(lo, hi int) {
+			exec.ForBlocked(n, 0, func(lo, hi int) {
 				for v := lo; v < hi; v++ {
 					sum := 0.0
 					for _, u := range g.InNeighbors(graph.NodeID(v)) {
@@ -332,7 +330,7 @@ func pr(exec *par.Machine, g *graph.Graph, sched schedule, workers int) []float6
 				}
 			})
 		}
-		delta := exec.ReduceFloat64(n, workers, func(lo, hi int) float64 {
+		delta := exec.ReduceFloat64(n, 0, func(lo, hi int) float64 {
 			var d float64
 			for v := lo; v < hi; v++ {
 				d += math.Abs(nx[v] - r[v])

@@ -56,12 +56,12 @@ func TestGrbcheckCleanOpsPass(t *testing.T) {
 	q := NewSparse[int64](a.ncols)
 	q.SetElement(2, 1)
 	q.SetElement(0, 1)
-	VxM(par.Default(), q, a, MinFirst(), nil, 2)
-	MxV(par.Default(), a, q, MinFirst(), nil, 2)
-	MxVFullInto(par.Default(), a, NewFull[int64](a.ncols, 1), MinFirst(), NewFull[int64](a.nrows, 0), 2)
+	VxM(par.Default(), q, a, MinFirst(), nil)
+	MxV(par.Default(), a, q, MinFirst(), nil)
+	MxVFullInto(par.Default(), a, NewFull[int64](a.ncols, 1), MinFirst(), NewFull[int64](a.nrows, 0))
 	ScatterMin(NewFull[int64](a.ncols, 9), []int64{0, 1}, []int64{3, 4})
 	SelectRange(NewFull[int64](a.ncols, 1), 0, 2)
-	MxMPlusPairReduce(par.Default(), a.Tril(par.Default(), -1, 2), a.Triu(par.Default(), 1, 2), 2)
+	MxMPlusPairReduce(par.Default(), a.Tril(par.Default(), -1), a.Triu(par.Default(), 1))
 }
 
 // TestGrbcheckCorruptedVector seeds each vector corruption and asserts the
@@ -75,7 +75,7 @@ func TestGrbcheckCorruptedVector(t *testing.T) {
 		q.SetElement(0, 1)
 		q.SetElement(2, 1)
 		q.ind[0], q.ind[1] = q.ind[1], q.ind[0] // corrupt: 2 before 0
-		mustPanic(t, func() { VxM(par.Default(), q, a, MinFirst(), nil, 1) },
+		mustPanic(t, func() { VxM(par.Default(), q, a, MinFirst(), nil) },
 			"VxM input q", "sparse-sorted-unique")
 	})
 
@@ -84,7 +84,7 @@ func TestGrbcheckCorruptedVector(t *testing.T) {
 		q.SetElement(1, 1)
 		q.ind = append(q.ind, 1) // corrupt: 1 stored twice
 		q.val = append(q.val, 5)
-		mustPanic(t, func() { VxM(par.Default(), q, a, MinFirst(), nil, 1) },
+		mustPanic(t, func() { VxM(par.Default(), q, a, MinFirst(), nil) },
 			"VxM input q", "sparse-sorted-unique")
 	})
 
@@ -92,7 +92,7 @@ func TestGrbcheckCorruptedVector(t *testing.T) {
 		q := NewSparse[int64](a.ncols)
 		q.SetElement(1, 1)
 		q.ind = append(q.ind, 3) // corrupt: index without a value
-		mustPanic(t, func() { MxV(par.Default(), a, q, MinFirst(), nil, 1) },
+		mustPanic(t, func() { MxV(par.Default(), a, q, MinFirst(), nil) },
 			"MxV input q", "sparse-length-agreement")
 	})
 
@@ -100,14 +100,14 @@ func TestGrbcheckCorruptedVector(t *testing.T) {
 		q := NewSparse[int64](a.ncols)
 		q.SetElement(1, 1)
 		q.ind[0] = a.ncols + 7 // corrupt: beyond the vector
-		mustPanic(t, func() { MxV(par.Default(), a, q, MinFirst(), nil, 1) },
+		mustPanic(t, func() { MxV(par.Default(), a, q, MinFirst(), nil) },
 			"MxV input q", "index-in-range")
 	})
 
 	t.Run("truncated dense backing", func(t *testing.T) {
 		q := NewFull[int64](a.ncols, 1)
 		q.dense = q.dense[:len(q.dense)-1] // corrupt: short array
-		mustPanic(t, func() { MxVFullInto(par.Default(), a, q, MinFirst(), NewFull[int64](a.nrows, 0), 1) },
+		mustPanic(t, func() { MxVFullInto(par.Default(), a, q, MinFirst(), NewFull[int64](a.nrows, 0)) },
 			"MxVFullInto input q", "dense-length")
 	})
 
@@ -134,21 +134,21 @@ func TestGrbcheckCorruptedMatrix(t *testing.T) {
 	t.Run("non-monotone rowPtr", func(t *testing.T) {
 		a := testMatrix(t)
 		a.rowPtr[2], a.rowPtr[1] = a.rowPtr[1], a.rowPtr[2]+2 // corrupt
-		mustPanic(t, func() { VxM(par.Default(), q, a, MinFirst(), nil, 1) },
+		mustPanic(t, func() { VxM(par.Default(), q, a, MinFirst(), nil) },
 			"VxM input A", "rowptr-monotone")
 	})
 
 	t.Run("column index out of range", func(t *testing.T) {
 		a := testMatrix(t)
 		a.colInd[0] = a.ncols + 3 // corrupt
-		mustPanic(t, func() { MxMPlusPairReduce(par.Default(), a, a, 1) },
+		mustPanic(t, func() { MxMPlusPairReduce(par.Default(), a, a) },
 			"MxMPlusPairReduce input L", "colind-in-range")
 	})
 
 	t.Run("rowPtr length wrong", func(t *testing.T) {
 		a := testMatrix(t)
 		a.rowPtr = a.rowPtr[:len(a.rowPtr)-1] // corrupt
-		mustPanic(t, func() { VxM(par.Default(), q, a, MinFirst(), nil, 1) },
+		mustPanic(t, func() { VxM(par.Default(), q, a, MinFirst(), nil) },
 			"VxM input A", "rowptr-length")
 	})
 
@@ -156,21 +156,21 @@ func TestGrbcheckCorruptedMatrix(t *testing.T) {
 		// Row 0 holds {2, 1}: a binary search for its band, or a sorted
 		// merge against it, would silently miss entries.
 		a := &Matrix{nrows: 3, ncols: 3, rowPtr: []Index{0, 2, 2, 3}, colInd: []Index{2, 1, 0}}
-		mustPanic(t, func() { a.Tril(par.Default(), -1, 2) }, "Tril input", "row-sorted-unique")
-		mustPanic(t, func() { a.Triu(par.Default(), 1, 2) }, "Triu input", "row-sorted-unique")
-		mustPanic(t, func() { MxMPlusPairReduce(par.Default(), a, a, 1) },
+		mustPanic(t, func() { a.Tril(par.Default(), -1) }, "Tril input", "row-sorted-unique")
+		mustPanic(t, func() { a.Triu(par.Default(), 1) }, "Triu input", "row-sorted-unique")
+		mustPanic(t, func() { MxMPlusPairReduce(par.Default(), a, a) },
 			"MxMPlusPairReduce input L", "row-sorted-unique")
 	})
 
 	t.Run("duplicate entry in a row", func(t *testing.T) {
 		a := &Matrix{nrows: 3, ncols: 3, rowPtr: []Index{0, 0, 1, 3}, colInd: []Index{0, 1, 1}}
-		mustPanic(t, func() { a.Triu(par.Default(), 1, 1) }, "Triu input", "row-sorted-unique")
+		mustPanic(t, func() { a.Triu(par.Default(), 1) }, "Triu input", "row-sorted-unique")
 	})
 
 	t.Run("weights not parallel to entries", func(t *testing.T) {
 		a := testMatrix(t)
 		a.weight = []int32{1} // corrupt: 1 weight for many entries
-		mustPanic(t, func() { MxV(par.Default(), a, q, MinFirst(), nil, 1) },
+		mustPanic(t, func() { MxV(par.Default(), a, q, MinFirst(), nil) },
 			"MxV input A", "weight-length")
 	})
 }
@@ -183,7 +183,7 @@ func TestGrbcheckCorruptedDenseMatrix(t *testing.T) {
 	n := a.ncols
 	noMask := func(int) *Mask { return nil }
 	product := func(out, f *DenseMatrix) func() {
-		return func() { DenseMxM(par.Default(), out, f, a, at, noMask, nil, 1) }
+		return func() { DenseMxM(par.Default(), out, f, a, at, noMask, nil) }
 	}
 	frontier := func() *DenseMatrix {
 		f := NewDenseMatrix(2, n)
@@ -223,6 +223,6 @@ func TestGrbcheckCorruptedMask(t *testing.T) {
 	q := NewSparse[int64](a.ncols)
 	q.SetElement(0, 1)
 	short := NewMask(graph.NewBitmap(a.ncols-2), false)
-	mustPanic(t, func() { VxM(par.Default(), q, a, MinFirst(), short, 1) },
+	mustPanic(t, func() { VxM(par.Default(), q, a, MinFirst(), short) },
 		"VxM mask", "mask-length")
 }

@@ -59,7 +59,7 @@ func (d *DenseMatrix) RowValues(r int) []float64 { return d.row[r].dense }
 // row's presence, and the row then runs the push or pull kernel directly —
 // no scout region per root per level. Every direction adds a column's
 // contributions in ascending source order, so all produce the same floats.
-func DenseMxM(exec *par.Machine, out, f *DenseMatrix, a, at *Matrix, rowMask func(r int) *Mask, st []*PushPullState, workers int) {
+func DenseMxM(exec *par.Machine, out, f *DenseMatrix, a, at *Matrix, rowMask func(r int) *Mask, st []*PushPullState) {
 	checkMatrix("DenseMxM input A", a)
 	checkMatrix("DenseMxM input A'", at)
 	checkDenseMatrix("DenseMxM input F", f, a.nrows)
@@ -78,9 +78,9 @@ func DenseMxM(exec *par.Machine, out, f *DenseMatrix, a, at *Matrix, rowMask fun
 			continue
 		}
 		if st != nil && st[r] != nil && st[r].choosePull(scout, mask, a.nrows) {
-			pull(exec, at, q, s, mask, out.row[r], &st[r].rowsBuf, workers)
+			pull(exec, at, q, s, mask, out.row[r], &st[r].rowsBuf)
 		} else {
-			push(exec, q, a, s, mask, scout, out.row[r], &out.partial, workers)
+			push(exec, q, a, s, mask, scout, out.row[r], &out.partial)
 		}
 	}
 	checkDenseMatrix("DenseMxM result", out, a.ncols)

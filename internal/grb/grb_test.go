@@ -112,8 +112,8 @@ func TestTrilTriu(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := grb.FromGraph(g, false, false)
-	l := a.Tril(par.Default(), -1, 2)
-	u := a.Triu(par.Default(), 1, 2)
+	l := a.Tril(par.Default(), -1)
+	u := a.Triu(par.Default(), 1)
 	if l.NVals() != 3 || u.NVals() != 3 {
 		t.Fatalf("L nvals=%d U nvals=%d, want 3 each", l.NVals(), u.NVals())
 	}
@@ -137,7 +137,7 @@ func TestVxMMinPlus(t *testing.T) {
 	a := testMatrix(t)
 	q := grb.NewSparse[int32](4)
 	q.SetElement(0, 0) // dist[0] = 0
-	out := grb.VxM(par.Default(), q, a, grb.MinPlus(), nil, 2)
+	out := grb.VxM(par.Default(), q, a, grb.MinPlus(), nil)
 	if x, ok := out.Extract(1); !ok || x != 5 {
 		t.Fatalf("relaxed dist[1] = %v,%v want 5", x, ok)
 	}
@@ -152,7 +152,7 @@ func TestVxMMasked(t *testing.T) {
 	q.SetElement(2, 2)
 	visited := graph.NewBitmap(4)
 	visited.Set(0) // 0 already visited: masked out
-	out := grb.VxM(par.Default(), q, a, grb.AnySecondi(), grb.NewMask(visited, true), 2)
+	out := grb.VxM(par.Default(), q, a, grb.AnySecondi(), grb.NewMask(visited, true))
 	if _, ok := out.Extract(0); ok {
 		t.Fatal("masked-out position written")
 	}
@@ -179,7 +179,7 @@ func TestMxVPull(t *testing.T) {
 	// include 2: rows of AT holding column 2 -> vertices 0 and 3.
 	q := grb.NewSparse[int64](4)
 	q.SetElement(2, 2)
-	out := grb.MxV(par.Default(), at, q, grb.AnySecondi(), nil, 2)
+	out := grb.MxV(par.Default(), at, q, grb.AnySecondi(), nil)
 	if p, ok := out.Extract(0); !ok || p != 2 {
 		t.Fatalf("parent of 0 = %v,%v want 2", p, ok)
 	}
@@ -195,7 +195,7 @@ func TestMxVFullPlusFirst(t *testing.T) {
 	at := testMatrixTranspose(t)
 	q := grb.NewFull[float64](4, 1)
 	out := grb.NewFull[float64](4, 0)
-	grb.MxVFullInto(par.Default(), at, q, grb.PlusFirst(), out, 2)
+	grb.MxVFullInto(par.Default(), at, q, grb.PlusFirst(), out)
 	// In-degrees: v0<-2, v1<-0, v2<-1, v3<-2 -> each sums 1 per in-edge.
 	want := []float64{1, 1, 1, 1}
 	for i, w := range want {
@@ -224,7 +224,7 @@ func TestMxMPlusPairReduceTriangle(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := grb.FromGraph(g, false, false)
-	if got := grb.MxMPlusPairReduce(par.Default(), a.Tril(par.Default(), -1, 2), a.Triu(par.Default(), 1, 2), 2); got != 1 {
+	if got := grb.MxMPlusPairReduce(par.Default(), a.Tril(par.Default(), -1), a.Triu(par.Default(), 1)); got != 1 {
 		t.Fatalf("triangles = %d, want 1", got)
 	}
 }
@@ -309,7 +309,7 @@ func TestGenericSemiringPaths(t *testing.T) {
 	a := testMatrix(t)
 	q := grb.NewSparse[int64](4)
 	q.SetElement(2, 10)
-	push := grb.VxM(par.Default(), q, a, maxSecond, nil, 2)
+	push := grb.VxM(par.Default(), q, a, maxSecond, nil)
 	// Row 2 holds (0,w=1) and (3,w=9): outputs 11 and 19.
 	if x, _ := push.Extract(0); x != 11 {
 		t.Fatalf("push[0] = %d, want 11", x)
@@ -318,12 +318,12 @@ func TestGenericSemiringPaths(t *testing.T) {
 		t.Fatalf("push[3] = %d, want 19", x)
 	}
 	at := testMatrixTranspose(t)
-	pull := grb.MxV(par.Default(), at, q, maxSecond, nil, 2)
+	pull := grb.MxV(par.Default(), at, q, maxSecond, nil)
 	if x, ok := pull.Extract(0); !ok || x != 10 { // AT row 0: in-neighbor 2, structural weight... transpose keeps no weights here
 		t.Fatalf("pull[0] = %d,%v want 10", x, ok)
 	}
 	full := grb.NewFull[int64](4, -1)
-	grb.MxVFullInto(par.Default(), at, grb.NewFull[int64](4, 5), maxSecond, full, 2)
+	grb.MxVFullInto(par.Default(), at, grb.NewFull[int64](4, 5), maxSecond, full)
 	if full.Dense()[0] != 5 {
 		t.Fatalf("full[0] = %d, want 5", full.Dense()[0])
 	}
@@ -344,7 +344,7 @@ func TestGenericSemiringTerminal(t *testing.T) {
 	}
 	at := testMatrixTranspose(t)
 	q := grb.NewFull[int64](4, 99)
-	out := grb.MxV(par.Default(), at, q, clamp, nil, 1)
+	out := grb.MxV(par.Default(), at, q, clamp, nil)
 	if x, ok := out.Extract(0); !ok || x != 99 {
 		t.Fatalf("terminal reduction = %d,%v", x, ok)
 	}
@@ -423,7 +423,7 @@ func TestDenseMxMMatchesVectorProduct(t *testing.T) {
 	at := testMatrixTranspose(t)
 	noMask := func(int) *grb.Mask { return nil }
 	out := grb.NewDenseMatrix(2, 4)
-	grb.DenseMxM(par.Default(), out, f, a, at, noMask, nil, 2)
+	grb.DenseMxM(par.Default(), out, f, a, at, noMask, nil)
 	// Row 0: vertex 0 -> 1 with value 1.
 	if v, ok := denseAt(out, 0, 1); !ok || v != 1 {
 		t.Fatalf("out[0][1] = %v,%v", v, ok)
@@ -446,7 +446,7 @@ func TestDenseMxMMatchesVectorProduct(t *testing.T) {
 			return grb.NewMask(allow, true) // complement: everything but 3
 		}
 		return nil
-	}, nil, 2)
+	}, nil)
 	if _, ok := denseAt(masked, 1, 3); ok {
 		t.Fatal("masked column written")
 	}
@@ -467,7 +467,7 @@ func TestDenseMxMAccumulatesSharedTargets(t *testing.T) {
 	f.Set(0, 0, 2)
 	f.Set(0, 1, 5)
 	out := grb.NewDenseMatrix(1, 3)
-	grb.DenseMxM(par.Default(), out, f, a, grb.FromGraph(g, true, false), func(int) *grb.Mask { return nil }, nil, 2)
+	grb.DenseMxM(par.Default(), out, f, a, grb.FromGraph(g, true, false), func(int) *grb.Mask { return nil }, nil)
 	if v, ok := denseAt(out, 0, 2); !ok || v != 7 {
 		t.Fatalf("accumulated = %v,%v want 7", v, ok)
 	}

@@ -135,7 +135,7 @@ func checkKernels[T Number](t *testing.T, exec *par.Machine, a, at *Matrix, s Se
 	rng := rand.New(rand.NewSource(11))
 	n := a.nrows
 	frontiers := kernelFrontiers(rng, n, value)
-	if scout := frontierScout(exec, a, frontiers["large/sparse"], 4); scout <= pushSerialCutoff {
+	if scout := frontierScout(exec, a, frontiers["large/sparse"]); scout <= pushSerialCutoff {
 		t.Fatalf("large frontier scout %d does not reach the parallel push (cutoff %d)", scout, pushSerialCutoff)
 	}
 	masks := kernelMasks(rng, n)
@@ -144,12 +144,12 @@ func checkKernels[T Number](t *testing.T, exec *par.Machine, a, at *Matrix, s Se
 		for mname, mask := range masks {
 			label := fmt.Sprintf("%s %s", fname, mname)
 			want := referenceVxM(q, a, s, mask)
-			sameProduct(t, label+" VxM", want, VxM(exec, q, a, s, mask, 4))
-			VxMInto(exec, q, a, s, mask, recycled, 4)
+			sameProduct(t, label+" VxM", want, VxM(exec, q, a, s, mask))
+			VxMInto(exec, q, a, s, mask, recycled)
 			sameProduct(t, label+" VxMInto", want, recycled)
-			sameProduct(t, label+" MxV", want, MxV(exec, at, q, s, mask, 4))
+			sameProduct(t, label+" MxV", want, MxV(exec, at, q, s, mask))
 			for _, policy := range []DirPolicy{DirPush, DirPull, DirAuto} {
-				got := PushPullVxM(exec, q, a, at, s, mask, NewPushPullState(a, policy), 4)
+				got := PushPullVxM(exec, q, a, at, s, mask, NewPushPullState(a, policy))
 				sameProduct(t, fmt.Sprintf("%s PushPullVxM policy %d", label, policy), want, got)
 			}
 		}
@@ -207,9 +207,9 @@ func TestDenseMxMRowsArePushPullVxM(t *testing.T) {
 	rowMask := func(r int) *Mask { return []*Mask{masks["complement0.2"], masks["plain0.8"]}[r] }
 	for _, policy := range []DirPolicy{DirPush, DirPull, DirAuto} {
 		out := NewDenseMatrix(2, n)
-		DenseMxM(exec, out, f, a, at, rowMask, denseStates(a, policy, policy), 4)
+		DenseMxM(exec, out, f, a, at, rowMask, denseStates(a, policy, policy))
 		for r := range f.row {
-			want := PushPullVxM(exec, f.row[r], a, at, PlusFirst(), rowMask(r), NewPushPullState(a, policy), 4)
+			want := PushPullVxM(exec, f.row[r], a, at, PlusFirst(), rowMask(r), NewPushPullState(a, policy))
 			sameProduct(t, fmt.Sprintf("policy %d row %d", policy, r), want, out.row[r])
 		}
 	}

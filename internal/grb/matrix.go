@@ -74,15 +74,15 @@ func FromGraph(g *graph.Graph, transpose, withWeights bool) *Matrix {
 // (GxB_select with GxB_TRIL; k = -1 gives the strictly lower L = tril(A,-1)).
 // Rows are sorted, so each row's band is a prefix found by binary search.
 // Like GxB_select, it runs in parallel: see selectBand.
-func (m *Matrix) Tril(exec *par.Machine, k Index, workers int) *Matrix {
-	return m.selectBand(exec, "Tril", k, true, workers)
+func (m *Matrix) Tril(exec *par.Machine, k Index) *Matrix {
+	return m.selectBand(exec, "Tril", k, true)
 }
 
 // Triu returns the upper band of m: the entries with col >= row + k
 // (GxB_select with GxB_TRIU; k = 1 gives U = triu(A,1)), each row's band
 // being a suffix found by binary search.
-func (m *Matrix) Triu(exec *par.Machine, k Index, workers int) *Matrix {
-	return m.selectBand(exec, "Triu", k, false, workers)
+func (m *Matrix) Triu(exec *par.Machine, k Index) *Matrix {
+	return m.selectBand(exec, "Triu", k, false)
 }
 
 // selectBand copies each row's band — the prefix with col <= row+k when
@@ -92,15 +92,14 @@ func (m *Matrix) Triu(exec *par.Machine, k Index, workers int) *Matrix {
 // block totals, the second turns its block's widths into row offsets and
 // copies the bands. A region the machine's token cut short leaves the result
 // partial; the caller checks exec.Interrupted() before using it.
-func (m *Matrix) selectBand(exec *par.Machine, op string, k Index, lower bool, workers int) *Matrix {
+func (m *Matrix) selectBand(exec *par.Machine, op string, k Index, lower bool) *Matrix {
 	checkMatrix(op+" input", m)
 	checkRowsSorted(op+" input", m)
 	n := int(m.nrows)
 	out := &Matrix{nrows: m.nrows, ncols: m.ncols, rowPtr: make([]Index, n+1)}
-	// ForWorker runs at most max(workers, exec.Size()) slots (workers < 1
-	// means the machine's size).
-	offset := make([]Index, max(workers, exec.Size()))
-	exec.ForWorker(n, workers, func(w, lo, hi int) {
+	slots := exec.Size()
+	offset := make([]Index, slots)
+	exec.ForWorker(n, slots, func(w, lo, hi int) {
 		var total Index
 		for r := lo; r < hi; r++ {
 			cols := m.colInd[m.rowPtr[r]:m.rowPtr[r+1]]
@@ -125,7 +124,7 @@ func (m *Matrix) selectBand(exec *par.Machine, op string, k Index, lower bool, w
 	if m.weight != nil {
 		out.weight = make([]int32, nvals)
 	}
-	exec.ForWorker(n, workers, func(w, lo, hi int) {
+	exec.ForWorker(n, slots, func(w, lo, hi int) {
 		at := offset[w]
 		for r := lo; r < hi; r++ {
 			width := out.rowPtr[r+1]

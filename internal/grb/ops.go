@@ -36,9 +36,9 @@ type entry[T Number] struct {
 //	w[j] = ⊕_{k : q[k] present, A[k][j] present}  Mult(q[k], A[k][j], k)
 //
 // The result is returned in bitmap format.
-func VxM[T Number](exec *par.Machine, q *Vector[T], a *Matrix, s Semiring[T], mask *Mask, workers int) *Vector[T] {
+func VxM[T Number](exec *par.Machine, q *Vector[T], a *Matrix, s Semiring[T], mask *Mask) *Vector[T] {
 	out := newBitmap[T](a.ncols)
-	VxMInto(exec, q, a, s, mask, out, workers)
+	VxMInto(exec, q, a, s, mask, out)
 	return out
 }
 
@@ -46,7 +46,7 @@ func VxM[T Number](exec *par.Machine, q *Vector[T], a *Matrix, s Semiring[T], ma
 // a's column count; its old entries are dropped by resetting presence only,
 // so a loop of products (delta-stepping's relaxations) allocates one output,
 // not one per product.
-func VxMInto[T Number](exec *par.Machine, q *Vector[T], a *Matrix, s Semiring[T], mask *Mask, out *Vector[T], workers int) {
+func VxMInto[T Number](exec *par.Machine, q *Vector[T], a *Matrix, s Semiring[T], mask *Mask, out *Vector[T]) {
 	if out.format != Bitmap || out.n != a.ncols {
 		panic(fmt.Sprintf("grb: VxMInto output must be a bitmap vector of size %d", a.ncols))
 	}
@@ -55,7 +55,7 @@ func VxMInto[T Number](exec *par.Machine, q *Vector[T], a *Matrix, s Semiring[T]
 	checkMask("VxM mask", mask, a.ncols)
 	checkVector("VxM output", out)
 	out.present.Reset()
-	push(exec, q, a, s, mask, frontierScout(exec, a, q, workers), out, &out.partial, workers)
+	push(exec, q, a, s, mask, frontierScout(exec, a, q), out, &out.partial)
 }
 
 // push is the one scatter: out<mask> = q' * A into a bitmap-format out whose
@@ -68,7 +68,7 @@ func VxMInto[T Number](exec *par.Machine, q *Vector[T], a *Matrix, s Semiring[T]
 // through *scratch, which the caller keeps beside its recycled output. Both
 // orders visit q ascending, so ANY keeps the lowest-index witness and PLUS
 // adds a column's contributions in the same order either way.
-func push[T Number](exec *par.Machine, q *Vector[T], a *Matrix, s Semiring[T], mask *Mask, scout Index, out *Vector[T], scratch *[][]entry[T], workers int) {
+func push[T Number](exec *par.Machine, q *Vector[T], a *Matrix, s Semiring[T], mask *Mask, scout Index, out *Vector[T], scratch *[][]entry[T]) {
 	if scout <= pushSerialCutoff {
 		q.Iterate(func(k Index, qv T) {
 			cols, ws := a.Row(k)
@@ -124,15 +124,15 @@ func push[T Number](exec *par.Machine, q *Vector[T], a *Matrix, s Semiring[T], m
 	}
 
 	qs := q.ToSparse()
-	workers = max(workers, 1)
-	if len(*scratch) < workers {
-		*scratch = make([][]entry[T], workers)
+	slots := exec.Size()
+	if len(*scratch) < slots {
+		*scratch = make([][]entry[T], slots)
 	}
-	partial := (*scratch)[:workers]
+	partial := (*scratch)[:slots]
 	for w := range partial {
 		partial[w] = partial[w][:0] // a slot the region skips must merge nothing
 	}
-	exec.ForWorker(len(qs.ind), workers, func(w, lo, hi int) {
+	exec.ForWorker(len(qs.ind), slots, func(w, lo, hi int) {
 		local := partial[w]
 		for t := lo; t < hi; t++ {
 			k, qv := qs.ind[t], qs.val[t]
@@ -216,12 +216,12 @@ func weightAt(ws []int32, c int) int32 {
 //	w[i] = ⊕_{k : A[i][k] present, q[k] present}  Mult(q[k], A[i][k], k)
 //
 // The result is returned in bitmap format.
-func MxV[T Number](exec *par.Machine, a *Matrix, q *Vector[T], s Semiring[T], mask *Mask, workers int) *Vector[T] {
+func MxV[T Number](exec *par.Machine, a *Matrix, q *Vector[T], s Semiring[T], mask *Mask) *Vector[T] {
 	checkVector("MxV input q", q)
 	checkMatrix("MxV input A", a)
 	checkMask("MxV mask", mask, a.nrows)
 	out := newBitmap[T](a.nrows)
-	pull(exec, a, q, s, mask, out, nil, workers)
+	pull(exec, a, q, s, mask, out, nil)
 	return out
 }
 
@@ -234,13 +234,13 @@ func MxV[T Number](exec *par.Machine, a *Matrix, q *Vector[T], s Semiring[T], ma
 // calling goroutine; above it, rows go to the machine in dynamic chunks, so
 // the cancel token is polled at chunk boundaries. Both forms run one row
 // body, pullRows.
-func pull[T Number](exec *par.Machine, a *Matrix, q *Vector[T], s Semiring[T], mask *Mask, out *Vector[T], buf *[]Index, workers int) {
+func pull[T Number](exec *par.Machine, a *Matrix, q *Vector[T], s Semiring[T], mask *Mask, out *Vector[T], buf *[]Index) {
 	qb := q.ToBitmap()
 	var scratch []Index
 	if buf != nil {
 		scratch = *buf
 	}
-	rows, masked := maskSurvivorRows(exec, mask, a.nrows, scratch, workers)
+	rows, masked := maskSurvivorRows(exec, mask, a.nrows, scratch)
 	count := len(rows)
 	if !masked {
 		count = int(a.nrows)
@@ -251,7 +251,7 @@ func pull[T Number](exec *par.Machine, a *Matrix, q *Vector[T], s Semiring[T], m
 		pullRows(a, qb, s, rows, 0, count, out, false)
 		return
 	}
-	exec.ForDynamic(count, 64, workers, func(lo, hi int) {
+	exec.ForDynamic(count, 64, 0, func(lo, hi int) {
 		pullRows(a, qb, s, rows, lo, hi, out, true)
 	})
 }
@@ -319,7 +319,7 @@ func pullRows[T Number](a *Matrix, qb *Vector[T], s Semiring[T], rows []Index, l
 // caller's full vector out (length a.nrows): every output position is
 // overwritten, so round loops reuse one scratch vector per run instead of
 // materializing a fresh result each iteration.
-func MxVFullInto[T Number](exec *par.Machine, a *Matrix, q *Vector[T], s Semiring[T], out *Vector[T], workers int) {
+func MxVFullInto[T Number](exec *par.Machine, a *Matrix, q *Vector[T], s Semiring[T], out *Vector[T]) {
 	checkVector("MxVFullInto input q", q)
 	checkMatrix("MxVFullInto input A", a)
 	if out.format == Sparse || Index(len(out.dense)) != a.nrows {
@@ -329,7 +329,7 @@ func MxVFullInto[T Number](exec *par.Machine, a *Matrix, q *Vector[T], s Semirin
 	res := out.Dense()
 	switch s.Kind {
 	case KindPlusFirst:
-		exec.ForBlocked(int(a.nrows), workers, func(lo, hi int) {
+		exec.ForBlocked(int(a.nrows), 0, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				cols, _ := a.Row(Index(i))
 				var acc T
@@ -341,7 +341,7 @@ func MxVFullInto[T Number](exec *par.Machine, a *Matrix, q *Vector[T], s Semirin
 		})
 		return
 	case KindMinFirst:
-		exec.ForBlocked(int(a.nrows), workers, func(lo, hi int) {
+		exec.ForBlocked(int(a.nrows), 0, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				cols, _ := a.Row(Index(i))
 				acc := s.Monoid.Identity
@@ -355,7 +355,7 @@ func MxVFullInto[T Number](exec *par.Machine, a *Matrix, q *Vector[T], s Semirin
 		})
 		return
 	}
-	exec.ForBlocked(int(a.nrows), workers, func(lo, hi int) {
+	exec.ForBlocked(int(a.nrows), 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			cols, ws := a.Row(Index(i))
 			acc := s.Monoid.Identity
@@ -389,14 +389,14 @@ func ScatterMin(dst *Vector[int64], idx, val []int64) {
 // materialized, then reduced and discarded — "It would be much faster to
 // skip construction of the matrix and simply sum up its entries as they are
 // computed", an unfused cost this reproduction keeps.
-func MxMPlusPairReduce(exec *par.Machine, l, u *Matrix, workers int) int64 {
+func MxMPlusPairReduce(exec *par.Machine, l, u *Matrix) int64 {
 	checkMatrix("MxMPlusPairReduce input L", l)
 	checkMatrix("MxMPlusPairReduce input U", u)
 	checkRowsSorted("MxMPlusPairReduce input L", l)
 	checkRowsSorted("MxMPlusPairReduce input U", u)
 	// Materialize C's values row by row (structure equals L's).
 	values := make([]int64, l.NVals())
-	exec.ForDynamic(int(l.nrows), 64, workers, func(lo, hi int) {
+	exec.ForDynamic(int(l.nrows), 64, 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			li, _ := l.Row(Index(i))
 			base := l.rowPtr[i]

@@ -113,7 +113,7 @@ func (st *PushPullState) choosePull(scout Index, mask *Mask, nrows Index) bool {
 // frontierScout sums the a-row degrees of q's stored entries — the exact
 // edge count a push step would traverse. Sparse frontiers reduce over the
 // index list; bitmap frontiers reduce word-at-a-time on the machine.
-func frontierScout[T Number](exec *par.Machine, a *Matrix, q *Vector[T], workers int) Index {
+func frontierScout[T Number](exec *par.Machine, a *Matrix, q *Vector[T]) Index {
 	switch q.format {
 	case Sparse:
 		ind := q.ind
@@ -124,7 +124,7 @@ func frontierScout[T Number](exec *par.Machine, a *Matrix, q *Vector[T], workers
 			}
 			return s
 		}
-		return Index(exec.ReduceInt64(len(ind), workers, func(lo, hi int) int64 {
+		return Index(exec.ReduceInt64(len(ind), 0, func(lo, hi int) int64 {
 			var s int64
 			for _, k := range ind[lo:hi] {
 				s += int64(a.RowDegree(k))
@@ -138,7 +138,7 @@ func frontierScout[T Number](exec *par.Machine, a *Matrix, q *Vector[T], workers
 			q.present.Each(func(k Index) { s += a.RowDegree(k) })
 			return s
 		}
-		return Index(exec.ReduceInt64(len(words), workers, func(lo, hi int) int64 {
+		return Index(exec.ReduceInt64(len(words), 0, func(lo, hi int) int64 {
 			var s int64
 			for wi := lo; wi < hi; wi++ {
 				w := words[wi]
@@ -160,7 +160,7 @@ func frontierScout[T Number](exec *par.Machine, a *Matrix, q *Vector[T], workers
 // bitmap-format product (asserted in a -tags=check build for small operands —
 // see checkDirectionEquivalence), so callers treat this as a drop-in masked
 // SpMV with Beamer dispatch.
-func PushPullVxM[T Number](exec *par.Machine, q *Vector[T], a, at *Matrix, s Semiring[T], mask *Mask, st *PushPullState, workers int) *Vector[T] {
+func PushPullVxM[T Number](exec *par.Machine, q *Vector[T], a, at *Matrix, s Semiring[T], mask *Mask, st *PushPullState) *Vector[T] {
 	if st == nil {
 		st = NewPushPullState(a, DirAuto)
 	}
@@ -168,13 +168,13 @@ func PushPullVxM[T Number](exec *par.Machine, q *Vector[T], a, at *Matrix, s Sem
 	checkMatrix("PushPullVxM input A", a)
 	checkMatrix("PushPullVxM input A'", at)
 	checkMask("PushPullVxM mask", mask, a.ncols)
-	scout := frontierScout(exec, a, q, workers)
+	scout := frontierScout(exec, a, q)
 	out := recycledOut(st, q, a.ncols)
 	pulled := st.choosePull(scout, mask, a.nrows)
 	if pulled {
-		pull(exec, at, q, s, mask, out, &st.rowsBuf, workers)
+		pull(exec, at, q, s, mask, out, &st.rowsBuf)
 	} else {
-		push(exec, q, a, s, mask, scout, out, &out.partial, workers)
+		push(exec, q, a, s, mask, scout, out, &out.partial)
 	}
 	checkVector("PushPullVxM output", out)
 	if invariant.Armed() && a.nrows <= directionCheckMaxN {
@@ -182,9 +182,9 @@ func PushPullVxM[T Number](exec *par.Machine, q *Vector[T], a, at *Matrix, s Sem
 		// primary result through the recycling ring.
 		pushed, gathered := out, out
 		if pulled {
-			pushed = VxM(exec, q, a, s, mask, workers)
+			pushed = VxM(exec, q, a, s, mask)
 		} else {
-			gathered = MxV(exec, at, q, s, mask, workers)
+			gathered = MxV(exec, at, q, s, mask)
 		}
 		// A product the machine's token cut short is partial and will be
 		// discarded, not wrong. The token never un-fires, so a test after
@@ -226,7 +226,7 @@ func recycledOut[T Number](st *PushPullState, q *Vector[T], n Index) *Vector[T] 
 // popcounts, serial prefix, parallel fill) so the machine polls the cancel
 // token between tiles. A nil mask returns (nil, false): every row survives
 // and the caller should run the dense row loop instead.
-func maskSurvivorRows(exec *par.Machine, mask *Mask, n Index, buf []Index, workers int) ([]Index, bool) {
+func maskSurvivorRows(exec *par.Machine, mask *Mask, n Index, buf []Index) ([]Index, bool) {
 	if mask == nil {
 		return nil, false
 	}
@@ -264,7 +264,7 @@ func maskSurvivorRows(exec *par.Machine, mask *Mask, n Index, buf []Index, worke
 	}
 	tiles := (len(words) + tileWords - 1) / tileWords
 	offsets := make([]int64, tiles+1)
-	exec.ForDynamic(tiles, 1, workers, func(lo, hi int) {
+	exec.ForDynamic(tiles, 1, 0, func(lo, hi int) {
 		for t := lo; t < hi; t++ {
 			var cnt int64
 			for wi := t * tileWords; wi < min((t+1)*tileWords, len(words)); wi++ {
@@ -282,7 +282,7 @@ func maskSurvivorRows(exec *par.Machine, mask *Mask, n Index, buf []Index, worke
 	} else {
 		rows = rows[:offsets[tiles]]
 	}
-	exec.ForDynamic(tiles, 1, workers, func(lo, hi int) {
+	exec.ForDynamic(tiles, 1, 0, func(lo, hi int) {
 		for t := lo; t < hi; t++ {
 			pos := offsets[t]
 			for wi := t * tileWords; wi < min((t+1)*tileWords, len(words)); wi++ {

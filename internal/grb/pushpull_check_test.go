@@ -19,7 +19,7 @@ func TestGrbcheckCorruptedDispatch(t *testing.T) {
 		q := NewSparse[int64](a.NRows())
 		q.SetElement(0, 7)
 		st := NewPushPullState(a, DirPush)
-		mustPanic(t, func() { PushPullVxM(par.Default(), q, a, a, MinFirst(), nil, st, 1) },
+		mustPanic(t, func() { PushPullVxM(par.Default(), q, a, a, MinFirst(), nil, st) },
 			"PushPullVxM", "direction-structure-equivalence")
 	})
 
@@ -32,7 +32,7 @@ func TestGrbcheckCorruptedDispatch(t *testing.T) {
 		q := NewSparse[float64](3)
 		q.SetElement(0, 5)
 		st := NewPushPullState(a, DirPush)
-		mustPanic(t, func() { PushPullVxM(par.Default(), q, a, atBad, PlusFirst(), nil, st, 1) },
+		mustPanic(t, func() { PushPullVxM(par.Default(), q, a, atBad, PlusFirst(), nil, st) },
 			"PushPullVxM", "direction-value-equivalence")
 	})
 
@@ -42,7 +42,7 @@ func TestGrbcheckCorruptedDispatch(t *testing.T) {
 		q.SetElement(0, 7)
 		for _, policy := range []DirPolicy{DirPush, DirPull, DirAuto} {
 			st := NewPushPullState(a, policy)
-			PushPullVxM(par.Default(), q, a, at, MinFirst(), nil, st, 1)
+			PushPullVxM(par.Default(), q, a, at, MinFirst(), nil, st)
 		}
 	})
 }

@@ -49,7 +49,7 @@ func TestPushPullVxMDirectionsAgree(t *testing.T) {
 	q := NewSparse[int64](a.NRows())
 	q.SetElement(0, 7)
 	q.SetElement(2, 4)
-	want := VxM(par.Default(), q, a, s, mask, 2)
+	want := VxM(par.Default(), q, a, s, mask)
 
 	for _, tc := range []struct {
 		name   string
@@ -57,13 +57,13 @@ func TestPushPullVxMDirectionsAgree(t *testing.T) {
 	}{{"push", DirPush}, {"pull", DirPull}, {"auto", DirAuto}} {
 		t.Run(tc.name, func(t *testing.T) {
 			st := NewPushPullState(a, tc.policy)
-			got := PushPullVxM(par.Default(), q, a, at, s, mask, st, 2)
+			got := PushPullVxM(par.Default(), q, a, at, s, mask, st)
 			sameVector(t, tc.name, want, got)
 		})
 	}
 
 	// nil state defaults to fresh auto accounting.
-	sameVector(t, "nil-state", want, PushPullVxM(par.Default(), q, a, at, s, mask, nil, 2))
+	sameVector(t, "nil-state", want, PushPullVxM(par.Default(), q, a, at, s, mask, nil))
 }
 
 // TestPushPullVxMAutoFlipsToPull: once the frontier's degree sum exceeds the
@@ -75,8 +75,8 @@ func TestPushPullVxMAutoFlipsToPull(t *testing.T) {
 	st.FloorOff = true  // isolate the alpha test from the survivor floor
 	q := NewSparse[int64](a.NRows())
 	q.SetElement(2, 4) // out-degree 2: scout > 0/alpha
-	got := PushPullVxM(par.Default(), q, a, at, MinFirst(), nil, st, 2)
-	sameVector(t, "forced-auto-pull", MxV(par.Default(), at, q, MinFirst(), nil, 2), got)
+	got := PushPullVxM(par.Default(), q, a, at, MinFirst(), nil, st)
+	sameVector(t, "forced-auto-pull", MxV(par.Default(), at, q, MinFirst(), nil), got)
 	if st.edgesToCheck != 0 {
 		t.Fatal("pull rounds must not consume the push budget")
 	}
@@ -90,9 +90,9 @@ func TestPushPullVxMFloorKeepsThinFrontierPushing(t *testing.T) {
 	st := NewPushPullState(a, DirAuto)
 	st.edgesToCheck = 0 // alpha test passes on any nonzero scout
 	q := NewSparse[int64](a.NRows())
-	q.SetElement(2, 4)                                                  // scout 2
-	got := PushPullVxM(par.Default(), q, a, at, MinFirst(), nil, st, 2) // floor = 4 rows
-	sameVector(t, "floor-forced-push", MxV(par.Default(), at, q, MinFirst(), nil, 2), got)
+	q.SetElement(2, 4)                                               // scout 2
+	got := PushPullVxM(par.Default(), q, a, at, MinFirst(), nil, st) // floor = 4 rows
+	sameVector(t, "floor-forced-push", MxV(par.Default(), at, q, MinFirst(), nil), got)
 	if st.edgesToCheck == 0 {
 		t.Fatal("untouched push budget: the thin frontier pulled instead of pushing")
 	}
@@ -103,7 +103,7 @@ func TestPushPullVxMFloorKeepsThinFrontierPushing(t *testing.T) {
 	// now gather (the budget stays untouched).
 	st.FloorOff = true
 	st.edgesToCheck = 0
-	if PushPullVxM(par.Default(), q, a, at, MinFirst(), nil, st, 2) == nil {
+	if PushPullVxM(par.Default(), q, a, at, MinFirst(), nil, st) == nil {
 		t.Fatal("FloorOff dispatch returned nil")
 	}
 	if st.edgesToCheck != 0 {
@@ -116,14 +116,14 @@ func TestFrontierScoutCountsDegrees(t *testing.T) {
 	q := NewSparse[int64](a.NRows())
 	q.SetElement(1, 1) // deg 1
 	q.SetElement(2, 1) // deg 2
-	if got := frontierScout(par.Default(), a, q, 2); got != 3 {
+	if got := frontierScout(par.Default(), a, q); got != 3 {
 		t.Fatalf("sparse scout = %d, want 3", got)
 	}
-	if got := frontierScout(par.Default(), a, q.ToBitmap(), 2); got != 3 {
+	if got := frontierScout(par.Default(), a, q.ToBitmap()); got != 3 {
 		t.Fatalf("bitmap scout = %d, want 3", got)
 	}
 	full := NewFull[int64](a.NRows(), 1)
-	if got := frontierScout(par.Default(), a, full, 2); got != a.NVals() {
+	if got := frontierScout(par.Default(), a, full); got != a.NVals() {
 		t.Fatalf("full scout = %d, want every edge (%d)", got, a.NVals())
 	}
 }
@@ -136,12 +136,12 @@ func TestMaskSurvivorRows(t *testing.T) {
 	}
 
 	t.Run("nil mask", func(t *testing.T) {
-		if rows, ok := maskSurvivorRows(par.Default(), nil, n, nil, 2); ok || rows != nil {
+		if rows, ok := maskSurvivorRows(par.Default(), nil, n, nil); ok || rows != nil {
 			t.Fatal("nil mask must report no survivor list")
 		}
 	})
 	t.Run("plain", func(t *testing.T) {
-		rows, ok := maskSurvivorRows(par.Default(), NewMask(set, false), n, nil, 2)
+		rows, ok := maskSurvivorRows(par.Default(), NewMask(set, false), n, nil)
 		if !ok || len(rows) != 4 {
 			t.Fatalf("got %d survivors, want the 4 set rows", len(rows))
 		}
@@ -152,7 +152,7 @@ func TestMaskSurvivorRows(t *testing.T) {
 		}
 	})
 	t.Run("complement clears tail", func(t *testing.T) {
-		rows, ok := maskSurvivorRows(par.Default(), NewMask(set, true), n, nil, 2)
+		rows, ok := maskSurvivorRows(par.Default(), NewMask(set, true), n, nil)
 		if !ok || Index(len(rows)) != n-4 {
 			t.Fatalf("got %d survivors, want %d", len(rows), n-4)
 		}
@@ -181,7 +181,7 @@ func TestMaskSurvivorRowsParallelGather(t *testing.T) {
 	}
 	m := par.NewMachine(4)
 	defer m.Close()
-	rows, ok := maskSurvivorRows(m, NewMask(set, true), n, nil, 4)
+	rows, ok := maskSurvivorRows(m, NewMask(set, true), n, nil)
 	if !ok {
 		t.Fatal("expected a survivor list")
 	}
@@ -251,7 +251,7 @@ func TestDenseMxMDirectionsAgree(t *testing.T) {
 			}
 			rowMask := func(r int) *Mask { return NewMask(visited[r], true) }
 			want := NewDenseMatrix(2, n)
-			DenseMxM(par.Default(), want, f, g.a, g.at, rowMask, denseStates(g.a, DirPush, DirPush), 2)
+			DenseMxM(par.Default(), want, f, g.a, g.at, rowMask, denseStates(g.a, DirPush, DirPush))
 			if want.row[0].NVals()+want.row[1].NVals() == 0 {
 				t.Fatal("reference product is empty")
 			}
@@ -267,7 +267,7 @@ func TestDenseMxMDirectionsAgree(t *testing.T) {
 			} {
 				t.Run(tc.name, func(t *testing.T) {
 					got := NewDenseMatrix(2, n)
-					DenseMxM(par.Default(), got, f, g.a, g.at, rowMask, tc.st, 2)
+					DenseMxM(par.Default(), got, f, g.a, g.at, rowMask, tc.st)
 					sameDense(t, tc.name, want, got)
 				})
 			}
@@ -288,14 +288,14 @@ func TestDenseMxMRecycledOutputHidesStaleValues(t *testing.T) {
 	noMask := func(int) *Mask { return nil }
 	for _, policy := range []DirPolicy{DirPush, DirPull} {
 		want := NewDenseMatrix(2, n)
-		DenseMxM(par.Default(), want, f, a, at, noMask, denseStates(a, policy, policy), 2)
+		DenseMxM(par.Default(), want, f, a, at, noMask, denseStates(a, policy, policy))
 		got := NewDenseMatrix(2, n)
 		for r := 0; r < 2; r++ {
 			for c := Index(0); c < n; c++ {
 				got.Set(r, c, math.NaN()) // a previous product's entries
 			}
 		}
-		DenseMxM(par.Default(), got, f, a, at, noMask, denseStates(a, policy, policy), 2)
+		DenseMxM(par.Default(), got, f, a, at, noMask, denseStates(a, policy, policy))
 		sameDense(t, "recycled", want, got)
 		gotN, wantN := got.row[0].NVals()+got.row[1].NVals(), want.row[0].NVals()+want.row[1].NVals()
 		if gotN != wantN || wantN != 4 {
@@ -330,7 +330,7 @@ func TestDenseMxMFloorKeepsWebShapedRowPushing(t *testing.T) {
 	rowMask := func(int) *Mask { return NewMask(visited, true) }
 
 	want := NewDenseMatrix(1, n)
-	DenseMxM(par.Default(), want, f, a, at, rowMask, nil, 2)
+	DenseMxM(par.Default(), want, f, a, at, rowMask, nil)
 	for _, tc := range []struct {
 		name     string
 		floorOff bool
@@ -341,7 +341,7 @@ func TestDenseMxMFloorKeepsWebShapedRowPushing(t *testing.T) {
 			st[0].edgesToCheck = 0 // alpha passes on any nonzero scout
 			st[0].FloorOff = tc.floorOff
 			got := NewDenseMatrix(1, n)
-			DenseMxM(par.Default(), got, f, a, at, rowMask, st, 2)
+			DenseMxM(par.Default(), got, f, a, at, rowMask, st)
 			sameDense(t, tc.name, want, got)
 			if pushed := st[0].edgesToCheck != 0; pushed != tc.pushed {
 				t.Fatalf("pushed = %v, want %v (scout 200, %d survivors)", pushed, tc.pushed, n-1)
@@ -364,7 +364,7 @@ func TestPushPullCancelTerminates(t *testing.T) {
 	q := NewSparse[int64](a.NRows())
 	q.SetElement(0, 7)
 	st := NewPushPullState(a, DirPull)
-	if out := PushPullVxM(m, q, a, at, MinFirst(), nil, st, 2); out == nil {
+	if out := PushPullVxM(m, q, a, at, MinFirst(), nil, st); out == nil {
 		t.Fatal("cancelled PushPullVxM returned nil")
 	}
 }

@@ -87,9 +87,14 @@ func entries[T grb.Number](v *grb.Vector[T]) []selected[T] {
 // TestTrilTriuMatchesFilter compares Tril and Triu entry for entry against a
 // brute-force filter of every stored entry, on seeded random matrices with
 // empty rows, self loops (the diagonal k = 0 keeps or drops), weighted and
-// unweighted, for k from −2 to 2 at 1 and 4 workers.
+// unweighted, for k from −2 to 2 on machines 1 and 4 wide.
 func TestTrilTriuMatchesFilter(t *testing.T) {
-	exec := par.Default()
+	machines := []*par.Machine{par.NewMachine(1), par.NewMachine(4)}
+	defer func() {
+		for _, m := range machines {
+			m.Close()
+		}
+	}()
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := []int{1, 2, 9, 64, 300, 5000}[seed-1]
@@ -121,10 +126,10 @@ func TestTrilTriuMatchesFilter(t *testing.T) {
 		}
 		a := grb.FromGraph(g, false, weighted)
 		for k := grb.Index(-2); k <= 2; k++ {
-			for _, workers := range []int{1, 4} {
-				name := fmt.Sprintf("n=%d weighted=%v k=%d workers=%d", n, weighted, k, workers)
-				requireBand(t, name+" tril", a, a.Tril(exec, k, workers), func(r, c grb.Index) bool { return c <= r+k })
-				requireBand(t, name+" triu", a, a.Triu(exec, k, workers), func(r, c grb.Index) bool { return c >= r+k })
+			for _, exec := range machines {
+				name := fmt.Sprintf("n=%d weighted=%v k=%d width=%d", n, weighted, k, exec.Size())
+				requireBand(t, name+" tril", a, a.Tril(exec, k), func(r, c grb.Index) bool { return c <= r+k })
+				requireBand(t, name+" triu", a, a.Triu(exec, k), func(r, c grb.Index) bool { return c >= r+k })
 			}
 		}
 	}

@@ -82,7 +82,11 @@ func (m *Mode) UnmarshalText(b []byte) error {
 
 // Options carries per-run knobs to a kernel.
 type Options struct {
-	// Workers is the degree of parallelism; <1 means the process default.
+	// Workers is ignored: a kernel runs at the width of Machine (Exec's
+	// Size), the one source of parallel width.
+	//
+	// Deprecated: nothing in this module reads or writes it; the next change
+	// to the benchmark module deletes it together with its last writer there.
 	Workers int
 	// Mode selects the Baseline or Optimized rule set.
 	Mode Mode
@@ -95,10 +99,11 @@ type Options struct {
 	Delta Dist
 
 	// Machine is the persistent worker pool the kernel's parallel regions
-	// run on. The harness constructs one machine per mode so each cell's
-	// synchronization structure (regions, barriers, dynamic chunks) is
-	// observable via par.Machine.Stats. Nil means the process-default
-	// machine — kernels must reach it through Exec(), never directly.
+	// run on, and its Size is the kernel's parallel width. The harness
+	// constructs one machine per mode so each cell's synchronization
+	// structure (regions, barriers, dynamic chunks) is observable via
+	// par.Machine.Stats. Nil means the process-default machine — kernels
+	// must reach it through Exec(), never directly.
 	Machine *par.Machine
 
 	// Cancel is the trial's cooperative cancellation token (nil when the
@@ -151,14 +156,6 @@ func (o Options) Exec() *par.Machine {
 // and bail out with whatever partial result they have.
 func (o Options) Cancelled() bool {
 	return o.Cancel.Cancelled()
-}
-
-// EffectiveWorkers resolves Options.Workers against the process default.
-func (o Options) EffectiveWorkers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return defaultWorkers()
 }
 
 // Framework is the interface every framework reproduction implements. One

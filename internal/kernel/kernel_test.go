@@ -13,15 +13,6 @@ func TestModeString(t *testing.T) {
 	}
 }
 
-func TestEffectiveWorkers(t *testing.T) {
-	if got := (kernel.Options{Workers: 5}).EffectiveWorkers(); got != 5 {
-		t.Fatalf("explicit workers = %d", got)
-	}
-	if got := (kernel.Options{}).EffectiveWorkers(); got < 1 {
-		t.Fatalf("default workers = %d", got)
-	}
-}
-
 func TestOptionsUndirected(t *testing.T) {
 	g, err := graph.Build([]graph.Edge{{U: 0, V: 1}}, graph.BuildOptions{Directed: true})
 	if err != nil {

@@ -11,7 +11,7 @@ import (
 // PRMass is the start-of-sweep pass of the Gauss-Seidel PageRank kernels. It
 // returns the stored rank mass Σ ranks and the stored dangling mass (Σ ranks[u]
 // over the u with invDeg[u] == 0) from one ForWorker region, one pair of
-// partial sums per worker combined in worker order.
+// partial sums per slot combined in slot order.
 //
 // A Gauss-Seidel sweep does not conserve mass: each update reads a mix of
 // this sweep's and last sweep's contributions, so Σ ranks drifts from 1, and a
@@ -30,11 +30,10 @@ import (
 // otherwise pass the convergence test silently (every comparison with NaN is
 // false). A region the machine's token cut short is partial, not wrong, so an
 // interrupted machine skips the assertion.
-func PRMass(exec *par.Machine, ranks, invDeg []float64, workers int) (mass, dangling float64) {
-	// ForWorker runs at most max(workers, exec.Size()) slots (workers < 1
-	// means the machine's size).
-	partial := make([][2]float64, max(workers, exec.Size()))
-	exec.ForWorker(len(ranks), workers, func(w, lo, hi int) {
+func PRMass(exec *par.Machine, ranks, invDeg []float64) (mass, dangling float64) {
+	slots := exec.Size()
+	partial := make([][2]float64, slots)
+	exec.ForWorker(len(ranks), slots, func(w, lo, hi int) {
 		var m, d float64
 		for u := lo; u < hi; u++ {
 			r := ranks[u]

@@ -17,7 +17,7 @@ func TestPRMassSums(t *testing.T) {
 	invDeg := []float64{1, 0, 0.5, 0, 1}
 	for _, w := range []int{1, 3} {
 		m := par.NewMachine(w)
-		mass, dangling := kernel.PRMass(m, ranks, invDeg, w)
+		mass, dangling := kernel.PRMass(m, ranks, invDeg)
 		m.Close()
 		if mass != 1 || dangling != 0.3125 {
 			t.Errorf("%d workers: mass, dangling = %v, %v, want 1, 0.3125", w, mass, dangling)
@@ -47,7 +47,7 @@ func TestPRMassArmedRejectsNaN(t *testing.T) {
 					t.Errorf("PRMass on scores %v: panic %q, want the pr-mass-finite invariant", ranks, msg)
 				}
 			}()
-			kernel.PRMass(m, ranks, invDeg, 2)
+			kernel.PRMass(m, ranks, invDeg)
 		}()
 	}
 }

@@ -18,7 +18,7 @@ import (
 // for the direction benchmarks) replaces the old frontier-size cutoff, and
 // the pull side gathers only over the complement mask's surviving rows
 // instead of rescanning all n each round.
-func bfsParents(exec *par.Machine, m *matrices, src grb.Index, policy grb.DirPolicy, workers int) *grb.Vector[int64] {
+func bfsParents(exec *par.Machine, m *matrices, src grb.Index, policy grb.DirPolicy) *grb.Vector[int64] {
 	s := grb.AnySecondi()
 	// pi starts in bitmap format: one entry (the source, its own parent).
 	pi := grb.NewSparse[int64](m.a.NRows()).ToBitmap()
@@ -35,7 +35,7 @@ func bfsParents(exec *par.Machine, m *matrices, src grb.Index, policy grb.DirPol
 			return pi // partial; the harness discards cancelled trials
 		}
 		notVisited := grb.NewMask(pi.Structure(), true)
-		q = grb.PushPullVxM(exec, q, m.a, m.at, s, notVisited, st, workers)
+		q = grb.PushPullVxM(exec, q, m.a, m.at, s, notVisited, st)
 		grb.AssignMasked(pi, q, grb.NewMask(q.Structure(), false))
 	}
 	return pi
@@ -45,7 +45,7 @@ func bfsParents(exec *par.Machine, m *matrices, src grb.Index, policy grb.DirPol
 // extracted from the full distance vector with a select (an O(n) scan per
 // bucket — the structural cost that makes GraphBLAS SSSP collapse on Road,
 // §V-B), then relaxed to a fixed point with masked min-plus products.
-func deltaStepping(exec *par.Machine, aw *grb.Matrix, src grb.Index, delta kernel.Dist, workers int) *grb.Vector[int32] {
+func deltaStepping(exec *par.Machine, aw *grb.Matrix, src grb.Index, delta kernel.Dist) *grb.Vector[int32] {
 	n := aw.NRows()
 	s := grb.MinPlus()
 	t := grb.NewFull[int32](n, kernel.Inf)
@@ -77,7 +77,7 @@ func deltaStepping(exec *par.Machine, aw *grb.Matrix, src grb.Index, delta kerne
 		}
 		// Relax this bucket to a fixed point.
 		for tm.NVals() > 0 {
-			grb.VxMInto(exec, tm, aw, s, nil, relaxed, workers)
+			grb.VxMInto(exec, tm, aw, s, nil, relaxed)
 			improvedInBucket := grb.NewSparse[int32](n)
 			relaxed.Iterate(func(j grb.Index, x int32) {
 				if x < dense[j] {
@@ -98,7 +98,7 @@ func deltaStepping(exec *par.Machine, aw *grb.Matrix, src grb.Index, delta kerne
 // plus_first SpMV touches only the adjacency pattern; contributions are
 // prescaled by out-degree, so this is exactly the paper's "plus-second"
 // formulation under this package's operand orientation.
-func pagerank(exec *par.Machine, m *matrices, workers int) *grb.Vector[float64] {
+func pagerank(exec *par.Machine, m *matrices) *grb.Vector[float64] {
 	n := m.at.NRows()
 	if n == 0 {
 		return grb.NewFull[float64](0, 0)
@@ -128,7 +128,7 @@ func pagerank(exec *par.Machine, m *matrices, workers int) *grb.Vector[float64] 
 			}
 		}
 		danglingShare := kernel.PRDamping * dangling / float64(n)
-		grb.MxVFullInto(exec, m.at, w, s, next, workers)
+		grb.MxVFullInto(exec, m.at, w, s, next)
 		nd := next.Dense()
 		var diff float64
 		for i := grb.Index(0); i < n; i++ {
@@ -148,7 +148,7 @@ func pagerank(exec *par.Machine, m *matrices, workers int) *grb.Vector[float64] 
 // with a min_second product, hooks grandparents with the scatter-min kernel
 // LAGraph had to hand-roll (§V-C), and shortcuts by pointer jumping, until
 // the label vector reaches a fixed point.
-func fastSV(exec *par.Machine, und *grb.Matrix, workers int) *grb.Vector[int64] {
+func fastSV(exec *par.Machine, und *grb.Matrix) *grb.Vector[int64] {
 	n := und.NRows()
 	s := grb.MinFirst()
 	f := grb.NewFull[int64](n, 0)
@@ -173,7 +173,7 @@ func fastSV(exec *par.Machine, und *grb.Matrix, workers int) *grb.Vector[int64] 
 			return f // partial; the harness discards cancelled trials
 		}
 		// mngp[v] = min_{u in N(v)} f[u] (isolated vertices keep MaxInt64).
-		grb.MxVFullInto(exec, und, f, s, mngp, workers)
+		grb.MxVFullInto(exec, und, f, s, mngp)
 
 		// Stochastic hooking: f[gp[v]] = min(f[gp[v]], mngp[v]).
 		for v := grb.Index(0); v < n; v++ {
@@ -227,7 +227,7 @@ func fastSV(exec *par.Machine, und *grb.Matrix, workers int) *grb.Vector[int64] 
 // and cleared from those ranges. What remains per level is what LAGraph BFS
 // pays too — grb's word scans of n/64 presence words per row (§V-E: BC on
 // Road "shares BFS's limitation").
-func betweenness(exec *par.Machine, m *matrices, sources []grb.Index, workers int) []float64 {
+func betweenness(exec *par.Machine, m *matrices, sources []grb.Index) []float64 {
 	n := m.a.NRows()
 	k := len(sources)
 	scores := make([]float64, n)
@@ -272,7 +272,7 @@ func betweenness(exec *par.Machine, m *matrices, sources []grb.Index, workers in
 		if exec.Interrupted() {
 			return scores // partial scores; the harness discards cancelled trials
 		}
-		grb.DenseMxM(exec, next, cur, m.a, m.at, fwdMask, states, workers)
+		grb.DenseMxM(exec, next, cur, m.a, m.at, fwdMask, states)
 		live = 0
 		for r := 0; r < k; r++ {
 			vals := next.RowValues(r)
@@ -315,7 +315,7 @@ func betweenness(exec *par.Machine, m *matrices, sources []grb.Index, workers in
 				parents[r].Set(c)
 			}
 		}
-		grb.DenseMxM(exec, t, w, m.at, m.a, bwdMask, nil, workers)
+		grb.DenseMxM(exec, t, w, m.at, m.a, bwdMask, nil)
 		for r := 0; r < k; r++ {
 			sv, dl := sigma.RowValues(r), delta[r]
 			got, vals := t.RowStructure(r), t.RowValues(r)
@@ -354,11 +354,11 @@ func betweenness(exec *par.Machine, m *matrices, sources []grb.Index, workers in
 // triangleCount is the LAGraph TC of §III-A: L = tril(A,-1), U = triu(A,1),
 // C<L> = L*U' over plus_pair, then reduce C to a scalar. The value matrix is
 // materialized and then discarded, the unfused cost §V-F quantifies at ~2x.
-func triangleCount(exec *par.Machine, und *grb.Matrix, workers int) int64 {
-	l := und.Tril(exec, -1, workers)
-	u := und.Triu(exec, 1, workers)
+func triangleCount(exec *par.Machine, und *grb.Matrix) int64 {
+	l := und.Tril(exec, -1)
+	u := und.Triu(exec, 1)
 	if exec.Interrupted() {
 		return 0 // a cut-short select is partial; the harness discards the trial
 	}
-	return grb.MxMPlusPairReduce(exec, l, u, workers)
+	return grb.MxMPlusPairReduce(exec, l, u)
 }

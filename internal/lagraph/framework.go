@@ -137,7 +137,7 @@ func (f *Framework) BFS(g *graph.Graph, src graph.NodeID, opt kernel.Options) []
 // benchmarks use to measure each direction in isolation.
 func (f *Framework) BFSWithPolicy(g *graph.Graph, src graph.NodeID, opt kernel.Options, policy grb.DirPolicy) []graph.NodeID {
 	m := f.matrices(g, opt.UndirectedView)
-	pi := bfsParents(opt.Exec(), m, grb.Index(src), policy, opt.EffectiveWorkers())
+	pi := bfsParents(opt.Exec(), m, grb.Index(src), policy)
 	// Export the 64-bit GraphBLAS vector into the shared 32-bit convention.
 	out := make([]graph.NodeID, g.NumNodes())
 	for i := range out {
@@ -154,21 +154,21 @@ func (f *Framework) SSSP(g *graph.Graph, src graph.NodeID, opt kernel.Options) [
 	if delta <= 0 {
 		delta = 16
 	}
-	t := deltaStepping(opt.Exec(), m.aw, grb.Index(src), delta, opt.EffectiveWorkers())
+	t := deltaStepping(opt.Exec(), m.aw, grb.Index(src), delta)
 	return append([]kernel.Dist(nil), t.Dense()...)
 }
 
 // PR implements kernel.Framework.
 func (f *Framework) PR(g *graph.Graph, opt kernel.Options) []float64 {
 	m := f.matrices(g, opt.UndirectedView)
-	r := pagerank(opt.Exec(), m, opt.EffectiveWorkers())
+	r := pagerank(opt.Exec(), m)
 	return append([]float64(nil), r.Dense()...)
 }
 
 // CC implements kernel.Framework.
 func (f *Framework) CC(g *graph.Graph, opt kernel.Options) []graph.NodeID {
 	m := f.matrices(g, opt.UndirectedView)
-	fvec := fastSV(opt.Exec(), m.und, opt.EffectiveWorkers())
+	fvec := fastSV(opt.Exec(), m.und)
 	out := make([]graph.NodeID, g.NumNodes())
 	for i, v := range fvec.Dense() {
 		out[i] = graph.NodeID(v)
@@ -183,7 +183,7 @@ func (f *Framework) BC(g *graph.Graph, sources []graph.NodeID, opt kernel.Option
 	for i, s := range sources {
 		srcs[i] = grb.Index(s)
 	}
-	return betweenness(opt.Exec(), m, srcs, opt.EffectiveWorkers())
+	return betweenness(opt.Exec(), m, srcs)
 }
 
 // TC implements kernel.Framework.
@@ -200,5 +200,5 @@ func (f *Framework) TC(g *graph.Graph, opt kernel.Options) int64 {
 		rg, _ := graph.DegreeRelabel(opt.Exec(), ug)
 		und = grb.FromGraph(rg, false, false)
 	}
-	return triangleCount(opt.Exec(), und, opt.EffectiveWorkers())
+	return triangleCount(opt.Exec(), und)
 }

@@ -79,7 +79,7 @@ func TestBFSParentsVector(t *testing.T) {
 	for g.OutDegree(graph.NodeID(src)) == 0 {
 		src++
 	}
-	pi := bfsParents(par.Default(), m, src, grb.DirAuto, 2)
+	pi := bfsParents(par.Default(), m, src, grb.DirAuto)
 	if p, ok := pi.Extract(src); !ok || p != int64(src) {
 		t.Fatalf("source parent = %v,%v", p, ok)
 	}
@@ -97,7 +97,7 @@ func TestBFSParentsVector(t *testing.T) {
 func TestDeltaSteppingAgainstDijkstra(t *testing.T) {
 	_, g, m := prepared(t, "Road", 8)
 	for _, delta := range []kernel.Dist{4, 64, 1024} {
-		dist := deltaStepping(par.Default(), m.aw, 0, delta, 2)
+		dist := deltaStepping(par.Default(), m.aw, 0, delta)
 		if err := verify.CheckSSSP(g, 0, dist.Dense()); err != nil {
 			t.Fatalf("delta=%d: %v", delta, err)
 		}
@@ -106,7 +106,7 @@ func TestDeltaSteppingAgainstDijkstra(t *testing.T) {
 
 func TestFastSVFixedPoint(t *testing.T) {
 	_, g, m := prepared(t, "Kron", 8)
-	f := fastSV(par.Default(), m.und, 2)
+	f := fastSV(par.Default(), m.und)
 	labels := f.Dense()
 	// Fixed point: every label is a root (f[f[v]] == f[v]) and labels are
 	// minima over components (checked via the oracle).
@@ -134,14 +134,16 @@ func TestFastSVFixedPoint(t *testing.T) {
 func TestTriangleCountMatchesOracle(t *testing.T) {
 	_, g, m := prepared(t, "Urand", 7)
 	want := verify.Triangles(g)
-	if got := triangleCount(par.Default(), m.und, 2); got != want {
+	if got := triangleCount(par.Default(), m.und); got != want {
 		t.Fatalf("triangles = %d, want %d", got, want)
 	}
 }
 
 func TestPageRankSumsToOne(t *testing.T) {
 	f, g, _ := prepared(t, "Twitter", 7)
-	r := f.PR(g, kernel.Options{Workers: 2})
+	m := par.NewMachine(2)
+	defer m.Close()
+	r := f.PR(g, kernel.Options{Machine: m})
 	if err := verify.CheckPR(g, r); err != nil {
 		t.Fatal(err)
 	}
@@ -201,10 +203,12 @@ func bcShapes(t *testing.T) []bcShape {
 // batched kernel against verify's serial Brandes, one root and four, on shapes
 // whose depth — not whose size — is what the level bookkeeping must survive.
 func TestBetweennessMatchesSerialBrandes(t *testing.T) {
+	m := par.NewMachine(2)
+	defer m.Close()
 	for _, shape := range bcShapes(t) {
 		for _, k := range []int{1, 4} {
 			roots := shape.roots[:k]
-			scores := New().BC(shape.g, roots, kernel.Options{Workers: 2})
+			scores := New().BC(shape.g, roots, kernel.Options{Machine: m})
 			if err := verify.CheckBC(shape.g, roots, scores); err != nil {
 				t.Errorf("%s, %d roots: %v", shape.name, k, err)
 			}
@@ -227,7 +231,7 @@ func TestBetweennessAllocationIsDepthIndependent(t *testing.T) {
 	f.Prepare(g, g)
 	m := f.matrices(g, g)
 	roots := []grb.Index{0, n / 2, n - 1, 7}
-	run := func() { betweenness(par.Default(), m, roots, 2) }
+	run := func() { betweenness(par.Default(), m, roots) }
 	run() // warm the machine
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -252,7 +256,9 @@ func TestOptimizedTCConvertsRelabeledViewOnce(t *testing.T) {
 	}
 	u := g.Undirected()
 	rel, _ := graph.DegreeRelabel(par.Default(), u)
-	opt := kernel.Options{Mode: kernel.Optimized, Workers: 2, UndirectedView: u, RelabeledView: rel}
+	m := par.NewMachine(2)
+	defer m.Close()
+	opt := kernel.Options{Mode: kernel.Optimized, Machine: m, UndirectedView: u, RelabeledView: rel}
 	want := verify.Triangles(u)
 	allocated := func(f *Framework) uint64 {
 		t.Helper()

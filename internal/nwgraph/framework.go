@@ -44,7 +44,7 @@ var (
 
 // BFS implements kernel.Framework.
 func (*Framework) BFS(g *graph.Graph, src graph.NodeID, opt kernel.Options) []graph.NodeID {
-	return BFS(opt.Exec(), NewCSR(g), src, opt.EffectiveWorkers())
+	return BFS(opt.Exec(), NewCSR(g), src)
 }
 
 // SSSP implements kernel.Framework.
@@ -53,25 +53,25 @@ func (*Framework) SSSP(g *graph.Graph, src graph.NodeID, opt kernel.Options) []k
 	if delta <= 0 {
 		delta = 16
 	}
-	return SSSP(opt.Exec(), NewCSR(g), src, delta, opt.EffectiveWorkers())
+	return SSSP(opt.Exec(), NewCSR(g), src, delta)
 }
 
 // PR implements kernel.Framework.
 func (*Framework) PR(g *graph.Graph, opt kernel.Options) []float64 {
-	return PR(opt.Exec(), NewCSR(g), opt.EffectiveWorkers())
+	return PR(opt.Exec(), NewCSR(g))
 }
 
 // CC implements kernel.Framework.
 func (*Framework) CC(g *graph.Graph, opt kernel.Options) []graph.NodeID {
-	return CC(opt.Exec(), NewCSR(g), g.Directed(), opt.EffectiveWorkers())
+	return CC(opt.Exec(), NewCSR(g), g.Directed())
 }
 
 // BC implements kernel.Framework.
 func (*Framework) BC(g *graph.Graph, sources []graph.NodeID, opt kernel.Options) []float64 {
-	return BC(opt.Exec(), NewCSR(g), sources, opt.EffectiveWorkers())
+	return BC(opt.Exec(), NewCSR(g), sources)
 }
 
 // TC implements kernel.Framework.
 func (*Framework) TC(g *graph.Graph, opt kernel.Options) int64 {
-	return TC(opt.Exec(), NewCSR(relabelIfSkewed(g, opt)), opt.EffectiveWorkers())
+	return TC(opt.Exec(), NewCSR(relabelIfSkewed(g, opt)))
 }

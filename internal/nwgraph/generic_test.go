@@ -94,24 +94,24 @@ func TestGenericKernelsOnMapAdjacency(t *testing.T) {
 		src++
 	}
 
-	if err := verify.CheckBFS(g, src, nwgraph.BFS(par.Default(), m, src, 2)); err != nil {
+	if err := verify.CheckBFS(g, src, nwgraph.BFS(par.Default(), m, src)); err != nil {
 		t.Errorf("BFS: %v", err)
 	}
-	if err := verify.CheckSSSP(g, src, nwgraph.SSSP(par.Default(), m, src, 16, 2)); err != nil {
+	if err := verify.CheckSSSP(g, src, nwgraph.SSSP(par.Default(), m, src, 16)); err != nil {
 		t.Errorf("SSSP: %v", err)
 	}
-	if err := verify.CheckPR(g, nwgraph.PR(par.Default(), m, 2)); err != nil {
+	if err := verify.CheckPR(g, nwgraph.PR(par.Default(), m)); err != nil {
 		t.Errorf("PR: %v", err)
 	}
-	if err := verify.CheckCC(g, nwgraph.CC(par.Default(), m, g.Directed(), 2)); err != nil {
+	if err := verify.CheckCC(g, nwgraph.CC(par.Default(), m, g.Directed())); err != nil {
 		t.Errorf("CC: %v", err)
 	}
 	roots := []graph.NodeID{src}
-	if err := verify.CheckBC(g, roots, nwgraph.BC(par.Default(), m, roots, 2)); err != nil {
+	if err := verify.CheckBC(g, roots, nwgraph.BC(par.Default(), m, roots)); err != nil {
 		t.Errorf("BC: %v", err)
 	}
 	// TC requires the undirected view; Kron is already undirected.
-	if err := verify.CheckTC(g, nwgraph.TC(par.Default(), m, 2)); err != nil {
+	if err := verify.CheckTC(g, nwgraph.TC(par.Default(), m)); err != nil {
 		t.Errorf("TC: %v", err)
 	}
 }
@@ -126,8 +126,8 @@ func TestCSRAndMapAgree(t *testing.T) {
 	}
 	csr := nwgraph.NewCSR(g)
 	m := newMapAdjacency(g)
-	dm := nwgraph.SSSP(par.Default(), m, 0, 16, 2)
-	dc := nwgraph.SSSP(par.Default(), csr, 0, 16, 2)
+	dm := nwgraph.SSSP(par.Default(), m, 0, 16)
+	dc := nwgraph.SSSP(par.Default(), csr, 0, 16)
 	for v := range dm {
 		if dm[v] != dc[v] {
 			t.Fatalf("SSSP disagrees at %d: %d vs %d", v, dm[v], dc[v])
@@ -148,13 +148,15 @@ func TestTCAcrossAdjacencies(t *testing.T) {
 		u := g.Undirected()
 		want := verify.Triangles(u)
 		csr, m := nwgraph.NewCSR(u), newMapAdjacency(u)
-		for _, workers := range []int{1, 3, 8} {
-			if got := nwgraph.TC(par.Default(), csr, workers); got != want {
-				t.Errorf("%s, %d workers: CSR counts %d triangles, oracle %d", name, workers, got, want)
+		for _, width := range []int{1, 3, 8} {
+			exec := par.NewMachine(width)
+			if got := nwgraph.TC(exec, csr); got != want {
+				t.Errorf("%s, width %d: CSR counts %d triangles, oracle %d", name, width, got, want)
 			}
-			if got := nwgraph.TC(par.Default(), m, workers); got != want {
-				t.Errorf("%s, %d workers: map adjacency counts %d triangles, oracle %d", name, workers, got, want)
+			if got := nwgraph.TC(exec, m); got != want {
+				t.Errorf("%s, width %d: map adjacency counts %d triangles, oracle %d", name, width, got, want)
 			}
+			exec.Close()
 		}
 	}
 }

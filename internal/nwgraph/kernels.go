@@ -18,7 +18,7 @@ import (
 // membership test opts in to the shared frontier library: the sparse round
 // frontier converts to a frontier.Set bitmap (a timed conversion, like the
 // std::vector<bool> build it replaces) and Contains answers the probes.
-func BFS[G BidirectionalAdjacency](exec *par.Machine, g G, src Vertex, workers int) []Vertex {
+func BFS[G BidirectionalAdjacency](exec *par.Machine, g G, src Vertex) []Vertex {
 	n := g.NumVertices()
 	parent := make([]Vertex, n)
 	for i := range parent {
@@ -36,9 +36,9 @@ func BFS[G BidirectionalAdjacency](exec *par.Machine, g G, src Vertex, workers i
 		}
 		if len(frontier) > n/20 {
 			// Bottom-up: scan all unvisited vertices.
-			inFrontier := ft.FromList(int64(n), frontier).ToBitmap(exec, workers)
+			inFrontier := ft.FromList(int64(n), frontier).ToBitmap(exec)
 			var collect nextCollect
-			exec.ForBlocked(n, workers, func(lo, hi int) {
+			exec.ForBlocked(n, 0, func(lo, hi int) {
 				var local []Vertex
 				for vi := lo; vi < hi; vi++ {
 					v := Vertex(vi)
@@ -62,7 +62,7 @@ func BFS[G BidirectionalAdjacency](exec *par.Machine, g G, src Vertex, workers i
 		} else {
 			cur := frontier
 			var collect nextCollect
-			exec.ForDynamic(len(cur), 64, workers, func(lo, hi int) {
+			exec.ForDynamic(len(cur), 64, 0, func(lo, hi int) {
 				var local []Vertex
 				for i := lo; i < hi; i++ {
 					u := cur[i]
@@ -85,7 +85,7 @@ func BFS[G BidirectionalAdjacency](exec *par.Machine, g G, src Vertex, workers i
 
 // SSSP is generic delta-stepping (no bucket fusion) with per-worker bins,
 // managed the way NWGraph manages parallelism through TBB primitives.
-func SSSP[G WeightedAdjacency](exec *par.Machine, g G, src Vertex, delta kernel.Dist, workers int) []kernel.Dist {
+func SSSP[G WeightedAdjacency](exec *par.Machine, g G, src Vertex, delta kernel.Dist) []kernel.Dist {
 	n := g.NumVertices()
 	dist := make([]kernel.Dist, n)
 	for i := range dist {
@@ -94,11 +94,9 @@ func SSSP[G WeightedAdjacency](exec *par.Machine, g G, src Vertex, delta kernel.
 	if n == 0 {
 		return dist
 	}
-	if workers < 1 {
-		workers = 1
-	}
 	dist[src] = 0
-	bins := make([][][]Vertex, workers)
+	slots := exec.Size()
+	bins := make([][][]Vertex, slots)
 	put := func(w, b int, v Vertex) {
 		for b >= len(bins[w]) {
 			bins[w] = append(bins[w], nil)
@@ -114,7 +112,7 @@ func SSSP[G WeightedAdjacency](exec *par.Machine, g G, src Vertex, delta kernel.
 		}
 		lo := kernel.Dist(bucket) * delta
 		hi := lo + delta
-		exec.ForWorker(len(frontier), workers, func(w, i0, i1 int) {
+		exec.ForWorker(len(frontier), slots, func(w, i0, i1 int) {
 			for i := i0; i < i1; i++ {
 				u := frontier[i]
 				du := atomic.LoadInt32(&dist[u])
@@ -164,7 +162,7 @@ func SSSP[G WeightedAdjacency](exec *par.Machine, g G, src Vertex, delta kernel.
 // Gauss-Seidel algorithm and saw performance in line with ... the other
 // frameworks using that algorithm"): in-place chaotic relaxation, expressed
 // with a parallel execution policy over the vertex range.
-func PR[G BidirectionalAdjacency](exec *par.Machine, g G, workers int) []float64 {
+func PR[G BidirectionalAdjacency](exec *par.Machine, g G) []float64 {
 	n := g.NumVertices()
 	if n == 0 {
 		return nil
@@ -186,7 +184,7 @@ func PR[G BidirectionalAdjacency](exec *par.Machine, g G, workers int) []float64
 			return ranks
 		}
 		// Scores are stored scaled by mass; see kernel.PRMass.
-		mass, dangling := kernel.PRMass(exec, ranks, invDeg, workers)
+		mass, dangling := kernel.PRMass(exec, ranks, invDeg)
 		c := 1 / mass
 		danglingShare := kernel.PRDamping * c * dangling / float64(n)
 		dc := kernel.PRDamping * c
@@ -194,7 +192,7 @@ func PR[G BidirectionalAdjacency](exec *par.Machine, g G, workers int) []float64
 		// offers them, like a template instantiation would; otherwise gather
 		// through the generic internal iterator.
 		fast, hasFast := any(g).(interface{ InNeighborSlice(Vertex) []Vertex })
-		delta := exec.ReduceFloat64(n, workers, func(lo, hi int) float64 {
+		delta := exec.ReduceFloat64(n, 0, func(lo, hi int) float64 {
 			var d float64
 			for vi := lo; vi < hi; vi++ {
 				v := Vertex(vi)
@@ -230,7 +228,7 @@ func PR[G BidirectionalAdjacency](exec *par.Machine, g G, workers int) []float64
 // CC is Afforest over the concepts (Table III: NWGraph uses Afforest), with
 // parallel execution policies standing in for the C++17 parallel algorithms
 // NWGraph leans on.
-func CC[G BidirectionalAdjacency](exec *par.Machine, g G, directed bool, workers int) []Vertex {
+func CC[G BidirectionalAdjacency](exec *par.Machine, g G, directed bool) []Vertex {
 	n := g.NumVertices()
 	comp := make([]Vertex, n)
 	for i := range comp {
@@ -241,7 +239,7 @@ func CC[G BidirectionalAdjacency](exec *par.Machine, g G, directed bool, workers
 	}
 	const rounds = 2
 	for r := 0; r < rounds; r++ {
-		exec.ForDynamic(n, 256, workers, func(lo, hi int) {
+		exec.ForDynamic(n, 256, 0, func(lo, hi int) {
 			for u := lo; u < hi; u++ {
 				k := 0
 				//gapvet:ignore escape-in-kernel -- internal-iterator callback: the per-vertex lambda is the abstraction cost the paper observes for NWGraph; hoisting it would misstate the framework
@@ -256,9 +254,9 @@ func CC[G BidirectionalAdjacency](exec *par.Machine, g G, directed bool, workers
 			}
 		})
 	}
-	compressCAS(exec, comp, workers)
+	compressCAS(exec, comp)
 	giant := frequentLabel(comp)
-	exec.ForDynamic(n, 256, workers, func(lo, hi int) {
+	exec.ForDynamic(n, 256, 0, func(lo, hi int) {
 		for u := lo; u < hi; u++ {
 			if atomic.LoadInt32(&comp[u]) == giant {
 				continue
@@ -281,14 +279,14 @@ func CC[G BidirectionalAdjacency](exec *par.Machine, g G, directed bool, workers
 			}
 		}
 	})
-	compressCAS(exec, comp, workers)
+	compressCAS(exec, comp)
 	return comp
 }
 
 // BC is Brandes over the concepts without a direction-optimized forward
 // search (§V-E: "The BC kernel did not use direction optimized breadth-first
 // search"), followed by level-ordered sigma and dependency passes.
-func BC[G BidirectionalAdjacency](exec *par.Machine, g G, sources []Vertex, workers int) []float64 {
+func BC[G BidirectionalAdjacency](exec *par.Machine, g G, sources []Vertex) []float64 {
 	n := g.NumVertices()
 	scores := make([]float64, n)
 	if n == 0 {
@@ -299,7 +297,7 @@ func BC[G BidirectionalAdjacency](exec *par.Machine, g G, sources []Vertex, work
 	delta := make([]float64, n)
 
 	for _, src := range sources {
-		exec.ForBlocked(n, workers, func(lo, hi int) {
+		exec.ForBlocked(n, 0, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				//gapvet:ignore atomic-plain-mix -- reset phase: barrier-separated from the forward phase's CAS on depth
 				depth[i] = -1
@@ -318,7 +316,7 @@ func BC[G BidirectionalAdjacency](exec *par.Machine, g G, sources []Vertex, work
 			}
 			d := int32(len(levels))
 			var collect nextCollect
-			exec.ForDynamic(len(current), 64, workers, func(lo, hi int) {
+			exec.ForDynamic(len(current), 64, 0, func(lo, hi int) {
 				var local []Vertex
 				for i := lo; i < hi; i++ {
 					u := current[i]
@@ -343,7 +341,7 @@ func BC[G BidirectionalAdjacency](exec *par.Machine, g G, sources []Vertex, work
 
 		for l := 1; l < len(levels); l++ {
 			level := levels[l]
-			exec.ForDynamic(len(level), 64, workers, func(lo, hi int) {
+			exec.ForDynamic(len(level), 64, 0, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					v := level[i]
 					var s float64
@@ -360,7 +358,7 @@ func BC[G BidirectionalAdjacency](exec *par.Machine, g G, sources []Vertex, work
 		}
 		for l := len(levels) - 2; l >= 0; l-- {
 			level := levels[l]
-			exec.ForDynamic(len(level), 64, workers, func(lo, hi int) {
+			exec.ForDynamic(len(level), 64, 0, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					u := level[i]
 					var d float64
@@ -400,17 +398,15 @@ func BC[G BidirectionalAdjacency](exec *par.Machine, g G, sources []Vertex, work
 // resolves the row accessor once: a graph type with contiguous rows hands
 // them out as they are, and any other type copies each row through the
 // generic iterator into per-worker buffers.
-func TC[G AdjacencyList](exec *par.Machine, g G, workers int) int64 {
+func TC[G AdjacencyList](exec *par.Machine, g G) int64 {
 	n := g.NumVertices()
-	if workers < 1 {
-		workers = 1
-	}
+	slots := exec.Size()
 	// Every row adds to its worker's count, so each count gets a cache line
 	// of its own: unpadded, neighbouring workers' counts would share a line
 	// and the cores would trade it once per row.
-	partial := make([]paddedCount, workers)
+	partial := make([]paddedCount, slots)
 	if fast, ok := any(g).(interface{ NeighborSlice(Vertex) []Vertex }); ok {
-		exec.ForCyclic(n, workers, func(w, a int) {
+		exec.ForCyclic(n, slots, func(w, a int) {
 			na := fast.NeighborSlice(Vertex(a))
 			var count int64
 			for _, b := range na {
@@ -422,8 +418,8 @@ func TC[G AdjacencyList](exec *par.Machine, g G, workers int) int64 {
 			partial[w].n += count
 		})
 	} else {
-		bufs := make([]struct{ a, b []Vertex }, workers)
-		exec.ForCyclic(n, workers, func(w, a int) {
+		bufs := make([]struct{ a, b []Vertex }, slots)
+		exec.ForCyclic(n, slots, func(w, a int) {
 			buf := &bufs[w]
 			buf.a = appendNeighbors(g, Vertex(a), buf.a[:0])
 			var count int64
@@ -530,8 +526,8 @@ func unionCASSlow(u, v Vertex, comp []Vertex) {
 	}
 }
 
-func compressCAS(exec *par.Machine, comp []Vertex, workers int) {
-	exec.ForBlocked(len(comp), workers, func(lo, hi int) {
+func compressCAS(exec *par.Machine, comp []Vertex) {
+	exec.ForBlocked(len(comp), 0, func(lo, hi int) {
 		for u := lo; u < hi; u++ {
 			c := atomic.LoadInt32(&comp[u])
 			for {

@@ -4,11 +4,11 @@
 // The paper runs all frameworks on the same 32-core (64-thread) machine; this
 // package is the Go analogue of that machine — literally: all schedules
 // execute on a Machine, a persistent pool of parked workers (machine.go).
-// Frameworks request a worker count (the Baseline rule set pins it to the
-// logical CPU count, the Optimized rule set may raise it to simulate
-// hyperthreading) and use the loop helpers for both statically partitioned
-// ("NUMA-blocked") and dynamically load-balanced ("work-stealing") parallel
-// iteration.
+// A machine's Size is the parallel width of everything run on it (the
+// harness builds one per rule set: the Optimized one may be wider, to
+// simulate hyperthreading), and frameworks use the loop helpers for both
+// statically partitioned ("NUMA-blocked") and dynamically load-balanced
+// ("work-stealing") parallel iteration.
 //
 // Every schedule is a method on a *Machine. Code that wants observable
 // synchronization structure (per-cell region and barrier counts) holds its

@@ -39,6 +39,7 @@ const acquirePollInterval = 500 * time.Microsecond
 // Pool is a bounded set of persistent par.Machines leased to queries one at
 // a time. All methods are safe for concurrent use.
 type Pool struct {
+	// workers is every machine's width, replacements included.
 	workers int
 	// idle holds machines not currently leased. Its capacity is the pool's
 	// size: every live machine is either idle (in the channel) or leased
@@ -67,9 +68,6 @@ func NewPool(size, workersPer int) *Pool {
 	}
 	return p
 }
-
-// Workers returns the per-machine width.
-func (p *Pool) Workers() int { return p.workers }
 
 // Outstanding reports the leases currently held.
 func (p *Pool) Outstanding() int64 { return p.outstanding.Load() }

@@ -277,7 +277,7 @@ func (s *Server) run(p *queryPlan, qTok *par.CancelToken, deadline time.Time, pr
 		}
 		// Backoff before the retry, bounded by the remaining budget; a fired
 		// token (budget gone, client gone) ends the query instead.
-		d := s.cfg.Retry.backoff(retries, p.seed)
+		d := backoff(retries, p.seed)
 		if time.Until(deadline) <= d || !sleepInterruptible(d, qTok) {
 			break
 		}
@@ -328,7 +328,6 @@ func runAttempt[T any](s *Server, p *queryPlan, tok *par.CancelToken, deadline t
 	}()
 
 	opt := kernel.Options{
-		Workers:        s.pool.Workers(),
 		Mode:           kernel.Baseline,
 		Delta:          p.in.Spec.Delta,
 		Machine:        lease.Machine(),

@@ -28,6 +28,8 @@ func TestReachIndexMatchesTraversal(t *testing.T) {
 	if testing.Short() {
 		scales = scales[:1]
 	}
+	m := par.NewMachine(2)
+	defer m.Close()
 	for _, spec := range core.DefaultSuite(8) {
 		t.Run(spec.Name, func(t *testing.T) {
 			for _, scale := range scales {
@@ -44,7 +46,7 @@ func TestReachIndexMatchesTraversal(t *testing.T) {
 					if testing.Short() {
 						stride = n / 16
 					}
-					opt := kernel.Options{Workers: 2, Mode: kernel.Baseline, Delta: spec.Delta, UndirectedView: in.Undirected}
+					opt := kernel.Options{Machine: m, Mode: kernel.Baseline, Delta: spec.Delta, UndirectedView: in.Undirected}
 					labels, sizes := componentsOracle(in.Graph)
 					queries := int64(0)
 					for src := graph.NodeID(0); int64(src) < n; src += graph.NodeID(stride) {

@@ -9,7 +9,7 @@ package serve
 // re-running could only time out again.
 //
 // Between attempts the query backs off exponentially with deterministic
-// jitter: base*2^attempt capped at BackoffCap, then jittered into
+// jitter: backoffBase*2^attempt capped at backoffCap, then jittered into
 // [d/2, d) by a splitmix64 stream seeded from the server seed and the query
 // id. Deterministic jitter keeps chaos tests reproducible while still
 // decorrelating the retry storms of concurrent queries (each query id lands
@@ -21,18 +21,19 @@ import (
 	"gapbench/internal/core"
 )
 
-// RetryConfig tunes attempt retries. The zero value never retries; the
-// backoff fields default as described on them.
+// RetryConfig tunes attempt retries. The zero value never retries.
 type RetryConfig struct {
 	// MaxRetries is the number of extra attempts a query gets when an
 	// attempt panics (gapd -retries, default 1).
 	MaxRetries int
-	// BackoffBase is the pre-jitter delay before the first retry; each
-	// further retry doubles it. Default 10ms.
-	BackoffBase time.Duration
-	// BackoffCap bounds the pre-jitter delay. Default 250ms.
-	BackoffCap time.Duration
 }
+
+// The pre-jitter backoff: backoffBase before the first retry, doubled for
+// each further retry, never above backoffCap.
+const (
+	backoffBase = 10 * time.Millisecond
+	backoffCap  = 250 * time.Millisecond
+)
 
 // policy is the serving rule: Panicked is possibly transient and worth
 // another attempt; everything else is deterministic or budget-bound.
@@ -42,31 +43,16 @@ func (c RetryConfig) policy() *core.RetryPolicy {
 
 func retryPanicked(s core.Status) bool { return s == core.Panicked }
 
-func (c RetryConfig) base() time.Duration {
-	if c.BackoffBase > 0 {
-		return c.BackoffBase
-	}
-	return 10 * time.Millisecond
-}
-
-func (c RetryConfig) cap() time.Duration {
-	if c.BackoffCap > 0 {
-		return c.BackoffCap
-	}
-	return 250 * time.Millisecond
-}
-
 // backoff computes the jittered delay before retry number retry (0-based:
 // the delay between attempt 0 and attempt 1 is retry 0). seed individualizes
 // the jitter stream per query.
-func (c RetryConfig) backoff(retry int, seed uint64) time.Duration {
-	d := c.base()
-	limit := c.cap()
-	for i := 0; i < retry && d < limit; i++ {
+func backoff(retry int, seed uint64) time.Duration {
+	d := backoffBase
+	for i := 0; i < retry && d < backoffCap; i++ {
 		d *= 2
 	}
-	if d > limit {
-		d = limit
+	if d > backoffCap {
+		d = backoffCap
 	}
 	// Jitter into [d/2, d): full-window jitter would let a retry fire
 	// immediately (no backoff at all); half-window keeps a floor while still

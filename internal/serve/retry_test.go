@@ -9,13 +9,13 @@ import (
 )
 
 func TestBackoffDoublesAndCaps(t *testing.T) {
-	cfg := RetryConfig{BackoffBase: 10 * time.Millisecond, BackoffCap: 40 * time.Millisecond}
 	for retry, preJitter := range []time.Duration{
 		10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond,
-		40 * time.Millisecond, // capped
+		80 * time.Millisecond, 160 * time.Millisecond,
+		250 * time.Millisecond, 250 * time.Millisecond, // capped
 	} {
 		for seed := uint64(0); seed < 20; seed++ {
-			d := cfg.backoff(retry, seed)
+			d := backoff(retry, seed)
 			if d < preJitter/2 || d >= preJitter {
 				t.Errorf("backoff(retry=%d, seed=%d) = %v, want in [%v, %v)", retry, seed, d, preJitter/2, preJitter)
 			}
@@ -24,14 +24,13 @@ func TestBackoffDoublesAndCaps(t *testing.T) {
 }
 
 func TestBackoffDeterministic(t *testing.T) {
-	cfg := RetryConfig{}
-	if a, b := cfg.backoff(1, 42), cfg.backoff(1, 42); a != b {
+	if a, b := backoff(1, 42), backoff(1, 42); a != b {
 		t.Errorf("same (retry, seed) gave %v then %v", a, b)
 	}
 	// Different seeds should (overwhelmingly) jitter differently.
 	distinct := map[time.Duration]bool{}
 	for seed := uint64(0); seed < 16; seed++ {
-		distinct[cfg.backoff(0, seed)] = true
+		distinct[backoff(0, seed)] = true
 	}
 	if len(distinct) < 2 {
 		t.Error("jitter produced one value across 16 seeds")

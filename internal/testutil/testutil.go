@@ -241,28 +241,37 @@ func checkAllKernels(t *testing.T, f kernel.Framework, g *graph.Graph, mode kern
 	}
 }
 
-// RunKernelAcrossWorkers runs one kernel at several worker counts to flush
-// out parallelism-dependent bugs.
+// RunKernelAcrossWorkers runs one kernel on machines of several widths to
+// flush out parallelism-dependent bugs. Each machine is closed after its run,
+// and no goroutine may outlive it. The width-7 machine is wider than most
+// hosts, so its kernels run more slots than cores, and its Stats must report
+// width 7.
 func RunKernelAcrossWorkers(t *testing.T, f kernel.Framework, g *graph.Graph) {
 	t.Helper()
-	for _, workers := range []int{1, 2, 7} {
-		opt := kernel.Options{Workers: workers, UndirectedView: g.Undirected()}
+	defer CheckGoroutines(t)()
+	for _, width := range []int{1, 2, 7} {
+		m := par.NewMachine(width)
+		opt := kernel.Options{Machine: m, UndirectedView: g.Undirected()}
 		for _, src := range Sources(g)[:1] {
 			if err := verify.CheckBFS(g, src, f.BFS(g, src, opt)); err != nil {
-				t.Errorf("workers=%d BFS: %v", workers, err)
+				t.Errorf("width=%d BFS: %v", width, err)
 			}
 			if g.Weighted() {
 				if err := verify.CheckSSSP(g, src, f.SSSP(g, src, opt)); err != nil {
-					t.Errorf("workers=%d SSSP: %v", workers, err)
+					t.Errorf("width=%d SSSP: %v", width, err)
 				}
 			}
 		}
 		if err := verify.CheckCC(g, f.CC(g, opt)); err != nil {
-			t.Errorf("workers=%d CC: %v", workers, err)
+			t.Errorf("width=%d CC: %v", width, err)
 		}
 		if err := verify.CheckTC(g, f.TC(g, opt)); err != nil {
-			t.Errorf("workers=%d TC: %v", workers, err)
+			t.Errorf("width=%d TC: %v", width, err)
 		}
+		if got := m.Stats().Workers; got != width {
+			t.Errorf("width=%d machine reports Stats().Workers = %d", width, got)
+		}
+		m.Close()
 	}
 }
 

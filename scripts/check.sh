@@ -21,11 +21,14 @@
 #      harness that drives every framework (core, the one trial sandbox and
 #      the chaos fault matrix included), the fault injector itself (chaos)
 #      and the most concurrent package in the tree, the daemon (serve: pool,
-#      admission, breaker, snapshots, drain, and its chaos tests), plus the
-#      two packages whose kernels keep per-worker state across a region
-#      (nwgraph: TC's padded per-worker counts and copy buffers; grb: the
-#      two-region Tril/Triu select and the products), on tiny graphs so the
-#      whole sweep finishes in seconds (≈ 30 s with a cold race build). Then go test -race -short -count=10 -run 'Snapshot|Reach'
+#      admission, breaker, snapshots, drain, and its chaos tests), the
+#      packages whose kernels keep per-worker state across a region (nwgraph:
+#      TC's padded per-worker counts and copy buffers; grb: the two-region
+#      Tril/Triu select and the products), the other four frameworks (gap,
+#      gkc, graphit, lagraph) and the frontier library, so that every
+#      framework's width-7 run (testutil.RunKernelAcrossWorkers) is raced,
+#      on tiny graphs so the whole sweep finishes in seconds (≈ 50 s warm with
+#      the -count=10 run below, ≈ 75 s with a cold race build). Then go test -race -short -count=10 -run 'Snapshot|Reach'
 #      <serve>: the snapshot single-flight (one build per burst, waiters
 #      re-leading, breaker accounting) and the reach index (build, check,
 #      reach and CC answers against every framework's traversal and
@@ -147,7 +150,8 @@ say "go test ./..."
 go test ./...
 
 say "race smoke tier (go test -race -short; Snapshot and Reach tests -count=10)"
-go test -race -short ./internal/par/... ./internal/galois/... ./internal/core/... ./internal/chaos/... ./internal/serve/... ./internal/nwgraph/... ./internal/grb/...
+go test -race -short ./internal/par/... ./internal/galois/... ./internal/core/... ./internal/chaos/... ./internal/serve/... ./internal/nwgraph/... ./internal/grb/... \
+    ./internal/gap/... ./internal/gkc/... ./internal/graphit/... ./internal/lagraph/... ./internal/frontier/...
 go test -race -short -count=10 -run 'Snapshot|Reach' ./internal/serve/
 
 say "armed tier (go test -tags=check -short ./...)"
