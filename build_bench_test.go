@@ -15,6 +15,7 @@
 // BenchmarkDegreeRelabel and BenchmarkTrianglesOracle time the two pieces of
 // a verified TC trial that are not the kernel: the relabel the Baseline rules
 // charge to the trial, and the oracle that checks its count.
+// BenchmarkUndirected times the undirected view every directed load builds.
 package gapbench_test
 
 import (
@@ -275,6 +276,24 @@ func BenchmarkDegreeRelabel(b *testing.B) {
 		b.Run(sh.name, func(b *testing.B) {
 			for b.Loop() {
 				graph.DegreeRelabel(par.Default(), g)
+			}
+			b.ReportMetric(float64(g.NumEdges()), "edges/op")
+		})
+	}
+}
+
+// BenchmarkUndirected times Graph.Undirected, the per-row merge of the
+// out- and in-rows that every load of a directed graph runs to give TC and
+// CC their undirected view, on the three directed suite generators.
+func BenchmarkUndirected(b *testing.B) {
+	for _, name := range []string{generate.NameRoad, generate.NameTwitter, generate.NameWeb} {
+		g, err := generate.ByName(name, buildBenchScale, 42)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			for b.Loop() {
+				g.Undirected()
 			}
 			b.ReportMetric(float64(g.NumEdges()), "edges/op")
 		})

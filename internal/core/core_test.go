@@ -217,3 +217,22 @@ func (brokenFramework) BC(g *gGraph, sources []gNode, opt kernel.Options) []floa
 	return make([]float64, g.NumNodes())
 }
 func (brokenFramework) TC(g *gGraph, opt kernel.Options) int64 { return -1 }
+
+// TestSuiteSpecsRefusesUnknownAndRepeatedGraphs: a -graphs list selects the
+// named graphs in the order named; an unknown name is an error, and so is a
+// graph named twice (in any case), which would otherwise run twice and be
+// mounted by two writers of one cache file.
+func TestSuiteSpecsRefusesUnknownAndRepeatedGraphs(t *testing.T) {
+	specs, err := core.SuiteSpecs(6, "Kron, road")
+	if err != nil || len(specs) != 2 || specs[0].Name != "Kron" || specs[1].Name != "Road" {
+		t.Fatalf("SuiteSpecs(Kron, road) = %+v, %v; want Kron then Road", specs, err)
+	}
+	if _, err := core.SuiteSpecs(6, "Kron,Ring"); err == nil || !strings.Contains(err.Error(), `"Ring"`) {
+		t.Errorf("unknown graph: %v", err)
+	}
+	for _, csv := range []string{"Kron,Kron", "Road,Kron,kron"} {
+		if specs, err := core.SuiteSpecs(6, csv); err == nil || !strings.Contains(err.Error(), `"Kron" named twice`) {
+			t.Errorf("SuiteSpecs(%s) = %+v, %v; want an error naming Kron", csv, specs, err)
+		}
+	}
+}

@@ -13,6 +13,8 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"gapbench/internal/generate"
@@ -48,7 +50,8 @@ func FrameworksFromCSV(csv string) ([]kernel.Framework, error) {
 
 // SuiteSpecs returns the suite at the given base scale, narrowed to the
 // graphs a -graphs flag names (in the order named); an empty list keeps all
-// five.
+// five. A graph named twice is an error: it would be run twice, and two
+// concurrent mounts would write one cache file.
 func SuiteSpecs(scale int, graphsCSV string) ([]GraphSpec, error) {
 	specs := DefaultSuite(scale)
 	if graphsCSV == "" {
@@ -60,40 +63,84 @@ func SuiteSpecs(scale int, graphsCSV string) ([]GraphSpec, error) {
 		if i < 0 {
 			return nil, fmt.Errorf("unknown graph %q (have %v)", name, generate.Names)
 		}
+		if slices.ContainsFunc(subset, func(s GraphSpec) bool { return s.Name == specs[i].Name }) {
+			return nil, fmt.Errorf("graph %q named twice", specs[i].Name)
+		}
 		subset = append(subset, specs[i])
 	}
 	return subset, nil
 }
 
+// mountWidth is how many inputs MountInputs builds at once. Two hide one
+// input's serial phases (the generator's draw loop, the cache write, the
+// relabel's permute) behind the other's parallel build, and hold peak build
+// scratch to that of the two largest inputs.
+const mountWidth = 2
+
 // MountInputs prepares the inputs a binary runs on: the serialized graphs a
 // -graphfile list names when there is one, otherwise specs generated or
-// reloaded through the dir cache. On error the inputs already mounted are
-// closed.
+// reloaded through the dir cache. Up to two inputs mount at once; the result
+// keeps input order and each input carries its own mount time. On error the
+// inputs already mounted are closed and the first error in input order is
+// returned.
 func MountInputs(graphFiles string, specs []GraphSpec, dir string) ([]*Input, error) {
 	n, load := len(specs), func(i int) (*Input, error) { return LoadCachedInput(specs[i], dir) }
 	if graphFiles != "" {
 		paths := SplitCSV(graphFiles)
 		n, load = len(paths), func(i int) (*Input, error) { return LoadInputFile(paths[i]) }
 	}
-	inputs := make([]*Input, 0, n)
-	for i := 0; i < n; i++ {
-		start := time.Now()
-		in, err := load(i)
+	return mount(n, load)
+}
+
+// mount runs load for inputs 0..n-1 on mountWidth goroutines and returns
+// once every one of them has ended. The goroutines take inputs in order and
+// take no more after a failure, so every input before a failed one has been
+// tried: the first error in input order is the first error there is.
+func mount(n int, load func(i int) (*Input, error)) ([]*Input, error) {
+	inputs := make([]*Input, n)
+	errs := make([]error, n)
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for range min(mountWidth, n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				start := time.Now()
+				in, err := load(i)
+				if err != nil {
+					errs[i] = err
+					failed.Store(true)
+					return
+				}
+				in.Mount = time.Since(start)
+				inputs[i] = in
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
-			for _, prev := range inputs {
-				_ = prev.Close() // the mount error is the one worth reporting
+			for _, in := range inputs {
+				_ = in.Close() // the mount error is the one worth reporting
 			}
 			return nil, err
 		}
-		in.Mount = time.Since(start)
-		inputs = append(inputs, in)
 	}
 	return inputs, nil
 }
 
 // LoadCachedInput loads a serialized graph for spec from dir when present,
 // generating and caching it otherwise; with no dir it always generates.
-// Cache files are format-v2 .sg images, mmap-loaded zero-copy.
+// Cache files are format-v2 .sg images, mmap-loaded zero-copy. A generated
+// graph is written to the cache while its views are built: the write only
+// reads the CSR arrays the views are built from, and the seal, which reads
+// the checksums the write records, waits for it.
 func LoadCachedInput(spec GraphSpec, dir string) (*Input, error) {
 	if dir == "" {
 		return LoadInput(spec)
@@ -107,14 +154,19 @@ func LoadCachedInput(spec GraphSpec, dir string) (*Input, error) {
 		in.File = path
 		return in, nil
 	}
-	in, err := LoadInput(spec)
+	g, err := generateGraph(spec)
 	if err != nil {
 		return nil, err
 	}
-	in.Graph.SetProvenance(spec.Name, uint32(spec.Scale), spec.Seed)
-	if err := in.Graph.SaveSG(path); err != nil {
+	g.SetProvenance(spec.Name, uint32(spec.Scale), spec.Seed)
+	saved := make(chan error, 1)
+	go func() { saved <- g.SaveSG(path) }()
+	in := buildViews(spec, g)
+	if err := <-saved; err != nil {
+		_ = in.Close() // the cache error is the one worth reporting
 		return nil, fmt.Errorf("caching %s: %w", path, err)
 	}
+	in.seal()
 	in.File = path
 	return in, nil
 }

@@ -9,6 +9,7 @@ import (
 	"gapbench/internal/generate"
 	"gapbench/internal/graph"
 	"gapbench/internal/kernel"
+	"gapbench/internal/testutil"
 )
 
 func int64sEqual(a, b []int64) bool {
@@ -190,24 +191,42 @@ func TestResumeRefusesMismatchedInput(t *testing.T) {
 	}
 }
 
-// TestMountInputsTimesEachInput mounts one spec twice through a cache
-// directory, generating it the first time and mmap-loading it the second;
-// both times the input carries how long its mount took.
+// TestMountInputsTimesEachInput mounts the suite twice through a cache
+// directory, generating it the first time and mmap-loading it the second.
+// MountInputs builds two inputs at a time, yet both times returns them in
+// input order, each carrying its file and how long its own mount took. A
+// -graphfile list with bad paths among good ones returns the first bad
+// path's error, and no goroutine outlives a call.
 func TestMountInputsTimesEachInput(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
 	dir := t.TempDir()
-	specs := core.DefaultSuite(6)[3:4] // Kron
+	specs := core.DefaultSuite(4)
+	var files []string
 	for _, pass := range []string{"generate", "mmap"} {
 		inputs, err := core.MountInputs("", specs, dir)
 		if err != nil {
 			t.Fatalf("%s: %v", pass, err)
 		}
-		for _, in := range inputs {
-			if in.Mount <= 0 || in.File == "" {
-				t.Errorf("%s: %s mounted in %v from %q, want a positive time and a file", pass, in.Spec.Name, in.Mount, in.File)
+		if len(inputs) != len(specs) {
+			t.Fatalf("%s: %d inputs for %d specs", pass, len(inputs), len(specs))
+		}
+		files = files[:0]
+		for i, in := range inputs {
+			want := filepath.Join(dir, core.GraphFileName(specs[i], "sg"))
+			if in.Spec != specs[i] || in.File != want || in.Mount <= 0 {
+				t.Errorf("%s: input %d is %s from %q mounted in %v, want %s from %q in a positive time",
+					pass, i, in.Spec.Name, in.File, in.Mount, specs[i].Name, want)
 			}
+			files = append(files, in.File)
 			if err := in.Close(); err != nil {
 				t.Errorf("%s: close: %v", pass, err)
 			}
 		}
+	}
+	bad1, bad2 := filepath.Join(dir, "missing1.sg"), filepath.Join(dir, "missing2.sg")
+	list := strings.Join([]string{files[0], files[1], bad1, files[2], bad2, files[3]}, ",")
+	inputs, err := core.MountInputs(list, nil, "")
+	if inputs != nil || err == nil || !strings.Contains(err.Error(), bad1) {
+		t.Fatalf("MountInputs with %s and %s missing = %v, %v; want the error of %s", bad1, bad2, inputs, err, bad1)
 	}
 }

@@ -78,6 +78,8 @@ type Input struct {
 	File string
 	// Mount is how long MountInputs took to generate or load this input,
 	// its views and sources included; zero for an input made another way.
+	// Inputs mount two at a time, so their Mount times overlap: their sum
+	// can exceed the wall time of the whole mount.
 	Mount time.Duration
 }
 
@@ -121,25 +123,36 @@ const maxTrialSources = 16
 // LoadInput generates the graph and builds every untimed view and source
 // list the suite needs.
 func LoadInput(spec GraphSpec) (*Input, error) {
+	g, err := generateGraph(spec)
+	if err != nil {
+		return nil, err
+	}
+	return PrepareInput(spec, g), nil
+}
+
+// generateGraph draws spec's graph from its generator.
+func generateGraph(spec GraphSpec) (*graph.Graph, error) {
 	g, err := generate.ByName(spec.Name, spec.Scale, spec.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("core: generating %s: %w", spec.Name, err)
 	}
-	return PrepareInput(spec, g), nil
+	return g, nil
 }
 
 // PrepareInput builds the Input around an existing graph (used by tests and
 // by the CLI when loading a serialized graph).
 func PrepareInput(spec GraphSpec, g *graph.Graph) *Input {
+	in := buildViews(spec, g)
+	in.seal()
+	return in
+}
+
+// buildViews builds the Input's views and trial sources; it writes nothing
+// into g.
+func buildViews(spec GraphSpec, g *graph.Graph) *Input {
 	in := &Input{Spec: spec, Graph: g}
 	in.Undirected = g.Undirected()
 	in.Relabeled, _ = graph.DegreeRelabel(par.Default(), in.Undirected)
-	// Armed builds only (a no-op otherwise): checksum the CSR arrays of
-	// every view a kernel can reach, so the runner can prove them untouched
-	// after each trial.
-	in.Graph.Seal()
-	in.Undirected.Seal()
-	in.Relabeled.Seal()
 	in.Sources = PickSources(g, maxTrialSources, spec.SourceSeed)
 	for i := 0; i+kernel.BCSources <= len(in.Sources); i += kernel.BCSources {
 		in.BCRoots = append(in.BCRoots, in.Sources[i:i+kernel.BCSources])
@@ -148,6 +161,15 @@ func PrepareInput(spec GraphSpec, g *graph.Graph) *Input {
 		in.BCRoots = [][]graph.NodeID{in.Sources}
 	}
 	return in
+}
+
+// seal checksums, in armed builds only (a no-op otherwise), the CSR arrays
+// of every view a kernel can reach, so the runner can prove them untouched
+// after each trial.
+func (in *Input) seal() {
+	in.Graph.Seal()
+	in.Undirected.Seal()
+	in.Relabeled.Seal()
 }
 
 // PickSources draws count distinct-ish sources with non-zero out-degree,

@@ -58,7 +58,9 @@ func Road(scale int, seed uint64) (*graph.Graph, error) {
 	r := newRNG(seed ^ 0x0a0d)
 	id := func(x, y int64) graph.NodeID { return graph.NodeID(y*side + x) }
 
-	var edges []graph.WEdge
+	// Room for both arcs of every segment the grid could hold (side-1 per
+	// row and per column), so the list never grows by copying.
+	edges := make([]graph.WEdge, 0, 4*side*(side-1))
 	addSegment := func(a, b graph.NodeID) {
 		w := r.weight()
 		// Two-way street: one weight per segment, both directions.

@@ -85,7 +85,7 @@ func build(exec *par.Machine, edges []WEdge, opt BuildOptions, weighted bool) (*
 
 	index, neigh, weight := scatterCSR(exec, n, work, weighted)
 	kept, newIndex := dedupRows(exec, n, index, neigh, weight)
-	g := assembleCSRGraph(exec, n, opt.Directed, weighted, LayoutPlain, index, newIndex, kept, neigh, weight)
+	g := assembleCSRGraph(exec, n, opt.Directed, weighted, index, newIndex, kept, neigh, weight)
 	if opt.Layout == LayoutDegree {
 		rg, _ := DegreeRelabel(exec, g)
 		if err := g.Close(); err != nil {
@@ -274,7 +274,7 @@ func dedupRows(exec *par.Machine, n int32, index []int64, neigh []NodeID, weight
 // per-row survivor counts) compact into the out-sections, and for directed
 // graphs the transpose scatters straight into the in-sections. This is the
 // single point where builder output becomes graph-owned memory.
-func assembleCSRGraph(exec *par.Machine, n int32, directed, weighted bool, layout Layout, index, newIndex, kept []int64, neigh []NodeID, weight []Weight) *Graph {
+func assembleCSRGraph(exec *par.Machine, n int32, directed, weighted bool, index, newIndex, kept []int64, neigh []NodeID, weight []Weight) *Graph {
 	mOut := newIndex[n]
 	mIn := int64(0)
 	if directed {
@@ -297,12 +297,12 @@ func assembleCSRGraph(exec *par.Machine, n int32, directed, weighted bool, layou
 	if directed {
 		transposeInto(exec, a, n, outIndex, outNeigh, outWeight)
 	}
-	return graphFromArena(a, layout)
+	return graphFromArena(a, LayoutPlain)
 }
 
 // expandRowIDs inverts a CSR index: rows[i] is the row owning position i.
-// The scatter passes of transposition and symmetrization need the source
-// endpoint of every stored edge without a per-item search.
+// Transposition's scatter pass needs the source endpoint of every stored
+// edge without a per-item search.
 func expandRowIDs(exec *par.Machine, n int32, index []int64) []NodeID {
 	rows := make([]NodeID, index[n])
 	exec.ForDynamic(int(n), 256, 0, func(lo, hi int) {
@@ -340,83 +340,92 @@ func transposeInto(exec *par.Machine, a *Arena, n int32, index []int64, neigh []
 // direction was). Triangle counting and connected components consume this,
 // mirroring the GAP treatment of directed inputs.
 //
-// Symmetrization is direct CSR→CSR: a doubled histogram (each stored edge
-// u→v counts toward row u and row v), scan, stable scatter of both
-// orientations, then the usual segment sort + min-weight dedup — no
-// intermediate edge-list materialization. Self-loops are dropped, matching
-// the historical path through the default builder options.
+// Symmetrization is a per-row merge. A directed graph's out-row v and in-row
+// v are both sorted and duplicate-free, so row v of the view is their sorted
+// union with v itself dropped (self-loops never survive, matching the
+// default builder options); a neighbour on both sides keeps the smaller
+// weight, the builder's min-weight rule for duplicates. Two row-parallel
+// passes — count each union, then merge each row into its place — write the
+// arena directly: no histogram, no scatter and no sort.
 func (g *Graph) Undirected() *Graph {
 	if !g.directed {
 		return g
 	}
 	exec := par.Default()
 	n := g.n
-	hasW := g.Weighted()
-	src := expandRowIDs(exec, n, g.outIndex)
-	dst := g.outNeigh
-	ws := g.outWeight
-	m := len(dst)
-	loops := exec.ReduceInt64(m, 0, func(lo, hi int) int64 {
-		var c int64
-		for i := lo; i < hi; i++ {
-			if src[i] == dst[i] {
-				c++
-			}
+	deg := make([]int64, n)
+	exec.ForDynamic(int(n), 256, 0, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			deg[v] = g.mergeSides(NodeID(v), nil, nil)
 		}
-		return c
 	})
-	if loops > 0 {
-		// Rare: only graphs built with KeepSelfLoops reach here. Filter the
-		// loops out up front so the doubled histogram needs no skip logic.
-		fs := make([]NodeID, 0, m-int(loops))
-		fd := make([]NodeID, 0, m-int(loops))
-		var fw []Weight
-		if hasW {
-			fw = make([]Weight, 0, m-int(loops))
-		}
-		for i := 0; i < m; i++ {
-			if src[i] == dst[i] {
-				continue
+	index := exec.PrefixSum(deg, 0)
+	a := newHeapArena(layoutFor(n, index[n], 0, false, g.Weighted()))
+	copy(a.int64s(secOutIndex), index)
+	neigh, weight := a.int32s(secOutNeigh), a.int32s(secOutWeight)
+	exec.ForDynamic(int(n), 256, 0, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			s, e := index[v], index[v+1]
+			var ws []Weight
+			if weight != nil {
+				ws = weight[s:e]
 			}
-			fs = append(fs, src[i])
-			fd = append(fd, dst[i])
-			if hasW {
-				fw = append(fw, ws[i])
-			}
+			g.mergeSides(NodeID(v), neigh[s:e], ws)
 		}
-		src, dst, ws, m = fs, fd, fw, len(fs)
-	}
+	})
+	return graphFromArena(a, g.layout)
+}
 
-	// 2m logical items: item i < m is the stored orientation src[i]→dst[i],
-	// item m+i the reverse. Stability keeps per-row entries in a
-	// deterministic order before the segment sort canonicalizes them.
-	h := exec.ShardedHistogram(2*m, int(n), 0, func(i int) int {
-		if i < m {
-			return int(src[i])
-		}
-		return int(dst[i-m])
-	})
-	uIndex := h.Index()
-	uNeigh := make([]NodeID, 2*m)
-	var uWeight []Weight
-	if hasW {
-		uWeight = make([]Weight, 2*m)
+// mergeSides merges v's out-row and in-row, v itself left out, into dst and
+// dw (dw nil for an unweighted graph, both nil to only count) and returns
+// the merged length. Counting and filling run the same loop, so a row always
+// fills exactly the length its count gave it.
+func (g *Graph) mergeSides(v NodeID, dst []NodeID, dw []Weight) int64 {
+	oLo, oHi := g.outIndex[v], g.outIndex[v+1]
+	iLo, iHi := g.inIndex[v], g.inIndex[v+1]
+	out, in := g.outNeigh[oLo:oHi], g.inNeigh[iLo:iHi]
+	var outW, inW []Weight
+	if dw != nil {
+		outW, inW = g.outWeight[oLo:oHi], g.inWeight[iLo:iHi]
 	}
-	h.Scatter(func(i int, pos int64) {
-		if i < m {
-			uNeigh[pos] = dst[i]
-			if hasW {
-				uWeight[pos] = ws[i]
+	var k int64
+	i, j := 0, 0
+	for i < len(out) || j < len(in) {
+		var u NodeID
+		var w Weight
+		switch {
+		case j == len(in) || (i < len(out) && out[i] < in[j]):
+			u = out[i]
+			if dw != nil {
+				w = outW[i]
 			}
-		} else {
-			uNeigh[pos] = src[i-m]
-			if hasW {
-				uWeight[pos] = ws[i-m]
+			i++
+		case i == len(out) || in[j] < out[i]:
+			u = in[j]
+			if dw != nil {
+				w = inW[j]
+			}
+			j++
+		default: // on both sides: the smaller weight wins
+			u = out[i]
+			if dw != nil {
+				w = min(outW[i], inW[j])
+			}
+			i++
+			j++
+		}
+		if u == v {
+			continue
+		}
+		if dst != nil {
+			dst[k] = u
+			if dw != nil {
+				dw[k] = w
 			}
 		}
-	})
-	kept, newIndex := dedupRows(exec, n, uIndex, uNeigh, uWeight)
-	return assembleCSRGraph(exec, n, false, hasW, g.layout, uIndex, newIndex, kept, uNeigh, uWeight)
+		k++
+	}
+	return k
 }
 
 // validateCSR checks one CSR side for structural consistency.

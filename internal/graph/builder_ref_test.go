@@ -9,7 +9,9 @@ package graph_test
 // weaker would silently change benchmark graphs between releases.
 
 import (
+	"fmt"
 	"math/rand"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"sort"
@@ -277,56 +279,107 @@ func TestBuildAfterGOMAXPROCSShrinks(t *testing.T) {
 	assertCSREqual(t, "GOMAXPROCS=1", g, rg, true)
 }
 
-// TestUndirectedMatchesReference pins the direct CSR symmetrization against
-// the old path: materialize every stored arc of the directed graph as an
-// edge list and rebuild undirected.
+// TestUndirectedMatchesReference pins the per-row merge against the old
+// path: materialize every stored arc of the directed graph as an edge list
+// and rebuild undirected. Besides random graphs it covers stored self-loops
+// (KeepSelfLoops), reciprocal arcs with unequal weights (the smaller must
+// win), isolated vertices, and a graph round-tripped through SaveSG and an
+// mmap Load.
 func TestUndirectedMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xd1ff))
 	for _, weighted := range []bool{false, true} {
 		for trial := 0; trial < 6; trial++ {
 			n := int32(2 + rng.Int31n(120))
 			edges := randomEdges(rng, n, 10*int(n))
-			if !weighted {
-				for i := range edges {
-					edges[i].W = 0
-				}
-			}
-			g, err := graph.BuildWeighted(edges, graph.BuildOptions{NumNodes: n, Directed: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !weighted {
-				g2, err := graph.Build(edgesOnly(edges), graph.BuildOptions{NumNodes: n, Directed: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				g = g2
-			}
-
-			// Reference: old Undirected() — re-list the stored arcs, rebuild.
-			var stored []graph.WEdge
-			for u := int32(0); u < n; u++ {
-				ns := g.OutNeighbors(u)
-				ws := g.OutWeights(u)
-				for i, v := range ns {
-					w := graph.Weight(0)
-					if ws != nil {
-						w = ws[i]
-					}
-					stored = append(stored, graph.WEdge{U: u, V: v, W: w})
-				}
-			}
-			rg, err := refBuildWeighted(t, stored, graph.BuildOptions{NumNodes: n, Directed: false})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ug := g.Undirected()
-			if ug.Directed() {
-				t.Fatal("Undirected returned a directed graph")
-			}
-			assertCSREqual(t, "undirected", ug, rg, weighted)
+			opt := graph.BuildOptions{NumNodes: n, Directed: true, KeepSelfLoops: trial%2 == 1}
+			checkUndirected(t, fmt.Sprintf("random weighted=%v trial %d", weighted, trial), buildDirected(t, edges, opt, weighted), weighted)
 		}
 	}
+
+	// Every arc has its reverse, at a different weight: both orders of the
+	// smaller weight occur.
+	var recip []graph.WEdge
+	for i := 0; i < 400; i++ {
+		u, v := graph.NodeID(rng.Int31n(60)), graph.NodeID(rng.Int31n(60))
+		w := graph.Weight(1 + rng.Int31n(50))
+		recip = append(recip, graph.WEdge{U: u, V: v, W: w}, graph.WEdge{U: v, V: u, W: w + 1 + graph.Weight(rng.Int31n(5))})
+	}
+	g := buildDirected(t, recip, graph.BuildOptions{NumNodes: 60, Directed: true}, true)
+	checkUndirected(t, "reciprocal", g, true)
+	pair := buildDirected(t, []graph.WEdge{{U: 0, V: 1, W: 9}, {U: 1, V: 0, W: 4}, {U: 1, V: 2, W: 3}, {U: 2, V: 1, W: 8}},
+		graph.BuildOptions{Directed: true}, true)
+	u := pair.Undirected()
+	if !slices.Equal(u.OutWeights(1), []graph.Weight{4, 3}) {
+		t.Errorf("reciprocal pair: vertex 1's weights %v, want the smaller of each pair [4 3]", u.OutWeights(1))
+	}
+
+	// Isolated vertices: the edges touch only the even ids below 40 of 100.
+	var sparse []graph.WEdge
+	for i := 0; i < 80; i++ {
+		sparse = append(sparse, graph.WEdge{U: 2 * graph.NodeID(rng.Int31n(20)), V: 2 * graph.NodeID(rng.Int31n(20)), W: graph.Weight(1 + rng.Int31n(4))})
+	}
+	checkUndirected(t, "isolated", buildDirected(t, sparse, graph.BuildOptions{NumNodes: 100, Directed: true}, true), true)
+
+	// A degree-ordered graph after SaveSG and an mmap Load: the view keeps
+	// the layout tag.
+	path := filepath.Join(t.TempDir(), "directed.sg")
+	g = buildDirected(t, randomEdges(rng, 90, 900),
+		graph.BuildOptions{NumNodes: 90, Directed: true, KeepSelfLoops: true, Layout: graph.LayoutDegree}, true)
+	if err := g.SaveSG(path); err != nil {
+		t.Fatal(err)
+	}
+	m, err := graph.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if !m.Arena().Mapped() {
+		t.Fatal("Load did not map the file")
+	}
+	checkUndirected(t, "mmap", m, true)
+}
+
+// buildDirected builds edges as a weighted directed graph, or, when
+// !weighted, through the unweighted builder.
+func buildDirected(t *testing.T, edges []graph.WEdge, opt graph.BuildOptions, weighted bool) *graph.Graph {
+	t.Helper()
+	var g *graph.Graph
+	var err error
+	if weighted {
+		g, err = graph.BuildWeighted(edges, opt)
+	} else {
+		g, err = graph.Build(edgesOnly(edges), opt)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// checkUndirected compares g.Undirected() with the old path's result, and
+// its layout tag with g's.
+func checkUndirected(t *testing.T, label string, g *graph.Graph, weighted bool) {
+	t.Helper()
+	var stored []graph.WEdge
+	for u := int32(0); u < g.NumNodes(); u++ {
+		ws := g.OutWeights(u)
+		for i, v := range g.OutNeighbors(u) {
+			w := graph.Weight(0)
+			if ws != nil {
+				w = ws[i]
+			}
+			stored = append(stored, graph.WEdge{U: u, V: v, W: w})
+		}
+	}
+	rg, err := refBuildWeighted(t, stored, graph.BuildOptions{NumNodes: g.NumNodes(), Directed: false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ug := g.Undirected()
+	if ug.Directed() || ug.Layout() != g.Layout() {
+		t.Fatalf("%s: Undirected is directed=%v with layout %v, want undirected with %v", label, ug.Directed(), ug.Layout(), g.Layout())
+	}
+	assertCSREqual(t, label, ug, rg, weighted)
 }
 
 func edgesOnly(we []graph.WEdge) []graph.Edge {

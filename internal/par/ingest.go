@@ -17,9 +17,9 @@ package par
 // synchronization, and stability for free (workers are ordered by item
 // range, items within a worker are walked in order).
 //
-// All three primitives are reusable building blocks: the graph builder, the
-// CSR symmetrizer, the GraphBLAS transpose and the degree-relabeling
-// counting sort (internal/graph, internal/grb) are the first consumers.
+// All three primitives are reusable building blocks: the graph builder and
+// its transpose, the GraphBLAS transpose and the degree-relabeling counting
+// sort (internal/graph, internal/grb) are the first consumers.
 
 import "math"
 

@@ -91,14 +91,14 @@ func (ix *reachIndex) component(v graph.NodeID) (graph.NodeID, int64) {
 	return ix.label[x], ix.size[x]
 }
 
-// indexReach builds and checks the index of one served graph, and logs what
-// it cost.
-func indexReach(name string, g *graph.Graph, logf func(string, ...any)) (*reachIndex, error) {
+// indexReach builds and checks the index of one served graph, and returns
+// with it the log line that says what it cost.
+func indexReach(name string, g *graph.Graph) (*reachIndex, string, error) {
 	t0 := time.Now()
 	ix, st := newReachIndex(g)
 	t1 := time.Now()
 	if err := checkReachIndex(g, ix); err != nil {
-		return nil, fmt.Errorf("serve: reach index of %s: %w", name, err)
+		return nil, "", fmt.Errorf("serve: reach index of %s: %w", name, err)
 	}
 	t2 := time.Now()
 	rows := fmt.Sprintf("%d rows, %d bitset bytes", st.rows, st.bitsetBytes)
@@ -106,9 +106,9 @@ func indexReach(name string, g *graph.Graph, logf func(string, ...any)) (*reachI
 		rows = fmt.Sprintf("reach not indexed: %d bitset bytes over the 8-bytes-per-arc bound of %d",
 			st.bitsetBytes, st.bound)
 	}
-	logf("reach index %s: %d components, %d weak components, %s; built in %.2f ms, checked in %.2f ms",
+	line := fmt.Sprintf("reach index %s: %d components, %d weak components, %s; built in %.2f ms, checked in %.2f ms",
 		name, st.comps, st.weak, rows, t1.Sub(t0).Seconds()*1e3, t2.Sub(t1).Seconds()*1e3)
-	return ix, nil
+	return ix, line, nil
 }
 
 // newReachIndex builds g's index. Its reach counts are nil when the rows'

@@ -154,7 +154,7 @@ type Server struct {
 // frameworks must be non-empty; frameworks should already be Prepared against
 // the inputs (core.PrepareViews) so no conversion cost lands on first query.
 // Each graph's reach index (SCCs, reach counts, weak components) is built
-// and checked here; a failed check is an error.
+// and checked here, several graphs at once; a failed check is an error.
 func NewServer(cfg Config, inputs []*core.Input, frameworks []kernel.Framework) (*Server, error) {
 	if len(inputs) == 0 {
 		return nil, fmt.Errorf("serve: no graphs to serve")
@@ -177,13 +177,11 @@ func NewServer(cfg Config, inputs []*core.Input, frameworks []kernel.Framework) 
 		if _, dup := s.graphs[name]; dup {
 			return nil, fmt.Errorf("serve: duplicate graph %q", name)
 		}
-		ix, err := indexReach(name, in.Graph, s.logf)
-		if err != nil {
-			return nil, err
-		}
 		s.graphs[name] = in
 		s.graphOrder = append(s.graphOrder, name)
-		s.reach[name] = ix
+	}
+	if err := s.indexGraphs(inputs); err != nil {
+		return nil, err
 	}
 	for _, f := range frameworks {
 		if _, dup := s.frameworks[f.Name()]; dup {
@@ -197,6 +195,33 @@ func NewServer(cfg Config, inputs []*core.Input, frameworks []kernel.Framework) 
 	s.adm = newAdmission(cfg.Admission, cfg.poolSize())
 	s.snaps = newSnapshotStore(s.graphOrder, s.frameworks)
 	return s, nil
+}
+
+// indexGraphs builds and checks every graph's reach index, as many at once
+// as the default machine is wide (each build is serial), and returns once
+// all of them have ended. The log lines keep graph order, and a failed check
+// refuses the server with the first failure in graph order.
+func (s *Server) indexGraphs(inputs []*core.Input) error {
+	type indexed struct {
+		ix   *reachIndex
+		line string
+		err  error
+	}
+	built := make([]indexed, len(inputs))
+	par.Default().ForDynamic(len(inputs), 1, 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			ix, line, err := indexReach(inputs[i].Spec.Name, inputs[i].Graph)
+			built[i] = indexed{ix, line, err}
+		}
+	})
+	for i, b := range built {
+		if b.err != nil {
+			return b.err
+		}
+		s.logf("%s", b.line)
+		s.reach[s.graphOrder[i]] = b.ix
+	}
+	return nil
 }
 
 func (s *Server) logf(format string, args ...any) {

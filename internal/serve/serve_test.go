@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -363,6 +364,39 @@ func TestServeRejectsBadRequests(t *testing.T) {
 	// served.
 	if resp := c.do(Request{Kernel: "bfs", Source: 1}); resp.Code != CodeOK {
 		t.Errorf("lowercase kernel on default graph: %+v", resp)
+	}
+}
+
+// TestNewServerRefusedIndexLeavesNothingRunning: NewServer builds the
+// graphs' reach indexes concurrently, and when one fails its check the
+// server is refused only after every index build has ended — no goroutine is
+// left building one — with the first refused graph in graph order named.
+func TestNewServerRefusedIndexLeavesNothingRunning(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	// bent is a directed 3-cycle whose in-rows each list the vertex itself:
+	// its out-arcs make one strongly connected component, its in-arcs do
+	// not, so the index check refuses it at once.
+	bent := func(name string) *core.Input {
+		g, err := graph.Build([]graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}}, graph.BuildOptions{Directed: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, in := g.RawIn()
+		for v := range in {
+			in[v] = graph.NodeID(v)
+		}
+		return &core.Input{Spec: core.GraphSpec{Name: name}, Graph: g}
+	}
+	road := loadInput(t, core.GraphSpec{Name: "Road", Scale: 14, Seed: 1, Delta: 64, SourceSeed: 5})
+	web := loadInput(t, core.GraphSpec{Name: "Web", Scale: 12, Seed: 1, Delta: 16, SourceSeed: 5})
+	inputs := []*core.Input{road, bent("BentA"), web, bent("BentB")}
+	srv, err := NewServer(Config{PoolSize: 1, Workers: 1}, inputs, []kernel.Framework{core.FrameworkByName("GAP")})
+	if srv != nil || err == nil || !strings.Contains(err.Error(), "reach index of BentA") {
+		t.Fatalf("NewServer = %v, %v; want a refusal naming BentA", srv, err)
+	}
+	buf := make([]byte, 1<<20)
+	if stacks := string(buf[:runtime.Stack(buf, true)]); strings.Contains(stacks, "serve.indexReach") {
+		t.Fatalf("NewServer was refused while an index was still being built:\n%s", stacks)
 	}
 }
 

@@ -25,10 +25,13 @@
 #      packages whose kernels keep per-worker state across a region (nwgraph:
 #      TC's padded per-worker counts and copy buffers; grb: the two-region
 #      Tril/Triu select and the products), the other four frameworks (gap,
-#      gkc, graphit, lagraph) and the frontier library, so that every
+#      gkc, graphit, lagraph), the frontier library, so that every
 #      framework's width-7 run (testutil.RunKernelAcrossWorkers) is raced,
-#      on tiny graphs so the whole sweep finishes in seconds (≈ 50 s warm with
-#      the -count=10 run below, ≈ 75 s with a cold race build). Then go test -race -short -count=10 -run 'Snapshot|Reach'
+#      and the graph package (its parallel builder, transpose, relabel and
+#      Undirected merge; core's concurrent mounts and cache write beside the
+#      view build are raced with core), on tiny graphs so the whole sweep
+#      finishes in seconds (≈ 65 s warm with the -count=10 run below, ≈ 90 s
+#      with a cold race build). Then go test -race -short -count=10 -run 'Snapshot|Reach'
 #      <serve>: the snapshot single-flight (one build per burst, waiters
 #      re-leading, breaker accounting) and the reach index (build, check,
 #      reach and CC answers against every framework's traversal and
@@ -151,7 +154,7 @@ go test ./...
 
 say "race smoke tier (go test -race -short; Snapshot and Reach tests -count=10)"
 go test -race -short ./internal/par/... ./internal/galois/... ./internal/core/... ./internal/chaos/... ./internal/serve/... ./internal/nwgraph/... ./internal/grb/... \
-    ./internal/gap/... ./internal/gkc/... ./internal/graphit/... ./internal/lagraph/... ./internal/frontier/...
+    ./internal/gap/... ./internal/gkc/... ./internal/graphit/... ./internal/lagraph/... ./internal/frontier/... ./internal/graph/...
 go test -race -short -count=10 -run 'Snapshot|Reach' ./internal/serve/
 
 say "armed tier (go test -tags=check -short ./...)"
