@@ -71,12 +71,14 @@ func inputByName(name string) *core.Input {
 const benchWidth = 8
 
 // benchOptions mirrors core.Runner's rule sets on m, a machine the calling
-// benchmark builds once at benchWidth and closes.
+// benchmark builds once at benchWidth and closes. Optimized options build the
+// input's relabeled view on first use, so callers take them outside b.Run's
+// timer.
 func benchOptions(in *core.Input, mode kernel.Mode, m *par.Machine) kernel.Options {
 	opt := kernel.Options{Mode: mode, Delta: in.Spec.Delta, UndirectedView: in.Undirected, Machine: m}
 	if mode == kernel.Optimized {
 		opt.GraphName = in.Spec.Name
-		opt.RelabeledView = in.Relabeled
+		opt.RelabeledView = in.RelabeledView()
 	}
 	return opt
 }
@@ -109,8 +111,9 @@ func BenchmarkSuite(b *testing.B) {
 			for _, in := range inputs {
 				for _, fw := range frameworks {
 					name := fmt.Sprintf("%s/%s/%s/%s", mode, k, in.Spec.Name, fw.Name())
+					opt := benchOptions(in, mode, m)
 					b.Run(name, func(b *testing.B) {
-						runCellBench(b, fw, k, in, benchOptions(in, mode, m))
+						runCellBench(b, fw, k, in, opt)
 					})
 				}
 			}
@@ -326,10 +329,10 @@ func BenchmarkAblationRelabel(b *testing.B) {
 			_ = gap.New().TC(in.Graph, opt)
 		}
 	})
+	untimed := benchOptions(in, kernel.Optimized, m)
 	b.Run("RelabelUntimed", func(b *testing.B) {
-		opt := benchOptions(in, kernel.Optimized, m)
 		for i := 0; i < b.N; i++ {
-			_ = gap.New().TC(in.Graph, opt)
+			_ = gap.New().TC(in.Graph, untimed)
 		}
 	})
 	b.Run("NoRelabel", func(b *testing.B) {

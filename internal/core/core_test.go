@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"gapbench/internal/core"
@@ -46,8 +47,11 @@ func TestLoadInputPreparesEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in.Graph == nil || in.Undirected == nil || in.Relabeled == nil {
+	if in.Graph == nil || in.Undirected == nil {
 		t.Fatal("missing views")
+	}
+	if in.Relabeled != nil {
+		t.Error("the load built the relabeled view; only an Optimized TC cell reads it")
 	}
 	if len(in.Sources) == 0 || len(in.BCRoots) == 0 {
 		t.Fatal("missing sources")
@@ -126,9 +130,10 @@ func TestRunCellVerifiesAndTimes(t *testing.T) {
 	}
 }
 
-// TestTimedRelabelCountsInTheCell: GAP relabels a skewed graph inside every
-// Baseline TC trial, and those regions must land in the cell's SyncStats —
-// one launch for the ordered count plus exactly the relabel's own.
+// TestTimedRelabelCountsInTheCell: every framework relabels a skewed graph
+// inside every Baseline TC trial, and those regions must land in the cell's
+// SyncStats — the framework's count on a relabeled view plus exactly the
+// relabel's own launches.
 func TestTimedRelabelCountsInTheCell(t *testing.T) {
 	in, err := core.LoadInput(core.GraphSpec{Name: "Kron", Scale: 8, Seed: 1, Delta: 16, SourceSeed: 5})
 	if err != nil {
@@ -137,12 +142,6 @@ func TestTimedRelabelCountsInTheCell(t *testing.T) {
 	if !graph.SkewedDegrees(in.Undirected) {
 		t.Fatal("Kron-8 no longer passes the relabel heuristic; the test needs a skewed input")
 	}
-	r := &core.Runner{Trials: 2, BaselineWorkers: 2, OptimizedWorkers: 4}
-	defer r.Close()
-	res := r.RunCell(core.FrameworkByName("GAP"), core.TC, in, kernel.Baseline)
-	if res.Status != core.OK {
-		t.Fatalf("TC cell: %s: %s", res.Status, res.Err)
-	}
 	m := par.NewMachine(2)
 	defer m.Close()
 	graph.DegreeRelabel(m, in.Undirected)
@@ -150,9 +149,110 @@ func TestTimedRelabelCountsInTheCell(t *testing.T) {
 	if relabel == 0 {
 		t.Fatal("the relabel launched no region")
 	}
-	if want := 2 * (1 + relabel); res.Sync.Regions != want {
-		t.Fatalf("TC cell counted %d regions over 2 trials, want %d (1 count + %d relabel launches a trial)",
-			res.Sync.Regions, want, relabel)
+	untimed := kernel.Options{Mode: kernel.Optimized, UndirectedView: in.Undirected, RelabeledView: in.RelabeledView(), Machine: m}
+	r := &core.Runner{Trials: 2, BaselineWorkers: 2, OptimizedWorkers: 4}
+	defer r.Close()
+	for _, f := range core.Frameworks() {
+		m.ResetStats()
+		f.TC(in.Graph, untimed)
+		count := m.Stats().Regions
+		res := r.RunCell(f, core.TC, in, kernel.Baseline)
+		if res.Status != core.OK {
+			t.Fatalf("%s TC cell: %s: %s", f.Name(), res.Status, res.Err)
+		}
+		if want := 2 * (count + relabel); res.Sync.Regions != want {
+			t.Errorf("%s TC cell counted %d regions over 2 trials, want %d (%d count + %d relabel launches a trial)",
+				f.Name(), res.Sync.Regions, want, count, relabel)
+		}
+	}
+}
+
+// TestLoadsBuildNoRelabeledView: no way of loading an input builds the
+// relabeled view; the first Optimized TC cell builds it, and later ones
+// reuse it.
+func TestLoadsBuildNoRelabeledView(t *testing.T) {
+	spec := core.GraphSpec{Name: "Kron", Scale: 6, Seed: 1, Delta: 16, SourceSeed: 5}
+	dir := t.TempDir()
+	loads := []struct {
+		name string
+		load func() (*core.Input, error)
+	}{
+		{"PrepareInput", func() (*core.Input, error) {
+			g, err := generate.ByName(spec.Name, spec.Scale, spec.Seed)
+			if err != nil {
+				return nil, err
+			}
+			return core.PrepareInput(spec, g), nil
+		}},
+		{"LoadCachedInput cold", func() (*core.Input, error) { return core.LoadCachedInput(spec, dir) }},
+		{"LoadCachedInput warm", func() (*core.Input, error) { return core.LoadCachedInput(spec, dir) }},
+		{"MountInputs", func() (*core.Input, error) {
+			ins, err := core.MountInputs("", []core.GraphSpec{spec}, dir)
+			if err != nil {
+				return nil, err
+			}
+			return ins[0], nil
+		}},
+	}
+	var last *core.Input
+	for _, l := range loads {
+		in, err := l.load()
+		if err != nil {
+			t.Fatalf("%s: %v", l.name, err)
+		}
+		if in.Relabeled != nil {
+			t.Errorf("%s built the relabeled view", l.name)
+		}
+		if last != nil {
+			_ = last.Close()
+		}
+		last = in
+	}
+	defer last.Close()
+
+	r := &core.Runner{Trials: 1, BaselineWorkers: 2, OptimizedWorkers: 2, Verify: true}
+	defer r.Close()
+	gap := core.FrameworkByName(core.ReferenceName)
+	if res := r.RunCell(gap, core.TC, last, kernel.Baseline); res.Status != core.OK || last.Relabeled != nil {
+		t.Fatalf("Baseline TC cell: %s %s, relabeled view %p: want OK and none built", res.Status, res.Err, last.Relabeled)
+	}
+	if res := r.RunCell(gap, core.BFS, last, kernel.Optimized); res.Status != core.OK || last.Relabeled != nil {
+		t.Fatalf("Optimized BFS cell: %s %s, relabeled view %p: want OK and none built", res.Status, res.Err, last.Relabeled)
+	}
+	var views []*graph.Graph
+	for range 2 {
+		if res := r.RunCell(gap, core.TC, last, kernel.Optimized); res.Status != core.OK || !res.Verified {
+			t.Fatalf("Optimized TC cell: %s %s", res.Status, res.Err)
+		}
+		views = append(views, last.Relabeled)
+	}
+	if views[0] == nil || views[0] != views[1] {
+		t.Fatalf("two Optimized TC cells saw relabeled views %p and %p, want one built view", views[0], views[1])
+	}
+}
+
+// TestRelabeledViewBuildsOnce: callers racing for the relabeled view all get
+// the one view built.
+func TestRelabeledViewBuildsOnce(t *testing.T) {
+	in, err := core.LoadInput(core.GraphSpec{Name: "Kron", Scale: 6, Seed: 1, Delta: 16, SourceSeed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	views := make([]*graph.Graph, 4)
+	var wg sync.WaitGroup
+	for i := range views {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			views[i] = in.RelabeledView()
+		}()
+	}
+	wg.Wait()
+	for i, v := range views {
+		if v == nil || v != views[0] || v.Layout() != graph.LayoutDegree {
+			t.Fatalf("caller %d got view %p (first %p), want one degree-layout view", i, v, views[0])
+		}
 	}
 }
 

@@ -101,7 +101,7 @@ func TestTCOracleAgreesWithEveryFramework(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := verify.Triangles(in.Graph)
-		if got := verify.Triangles(in.Relabeled); got != want {
+		if got := verify.Triangles(in.RelabeledView()); got != want {
 			t.Errorf("%s: oracle counts %d on the relabelled view, %d on the graph", name, got, want)
 		}
 		opt := kernel.Options{Machine: m, UndirectedView: in.Undirected}

@@ -283,7 +283,8 @@ func (r *Runner) options(in *Input, mode kernel.Mode) kernel.Options {
 	if mode == kernel.Optimized {
 		// Optimized rule set: per-graph identity is known, hyperthreads are
 		// allowed (the mode's machine is OptimizedWorkers wide), and
-		// relabeling time may be excluded.
+		// relabeling time may be excluded: prepare built the relabeled view
+		// for a TC cell.
 		opt.GraphName = in.Spec.Name
 		opt.RelabeledView = in.Relabeled
 	}
@@ -367,10 +368,16 @@ func (r *Runner) runAttempt(f kernel.Framework, k Kernel, in *Input, mode kernel
 	return out
 }
 
-// prepare runs a framework's untimed load-time conversion under recover, so
-// a panicking Prepare fails its cell instead of the suite. An Optimized cell
+// prepare does a cell's untimed set-up. An Optimized TC cell, the only
+// reader of the input's relabeled view, gets it built on the first such
+// cell. A framework's load-time conversion runs under recover, so a
+// panicking Prepare fails its cell instead of the suite; an Optimized TC cell
 // also gets the relabeled view converted, when the framework asks for it.
-func prepare(f kernel.Framework, in *Input, mode kernel.Mode) (out Outcome) {
+func prepare(f kernel.Framework, k Kernel, in *Input, mode kernel.Mode) (out Outcome) {
+	var relabeled *graph.Graph
+	if mode == kernel.Optimized && k == TC {
+		relabeled = in.RelabeledView()
+	}
 	p, ok := f.(kernel.Preparer)
 	if !ok {
 		return out
@@ -383,8 +390,8 @@ func prepare(f kernel.Framework, in *Input, mode kernel.Mode) (out Outcome) {
 		}
 	}()
 	p.Prepare(in.Graph, in.Undirected)
-	if rp, ok := f.(kernel.RelabelPreparer); ok && mode == kernel.Optimized && in.Relabeled != nil {
-		rp.PrepareRelabeled(in.Relabeled)
+	if rp, ok := f.(kernel.RelabelPreparer); ok && relabeled != nil {
+		rp.PrepareRelabeled(relabeled)
 	}
 	return out
 }
@@ -411,7 +418,7 @@ func (r *Runner) RunCell(f kernel.Framework, k Kernel, in *Input, mode kernel.Mo
 		return res
 	}
 
-	if out := prepare(f, in, mode); out.Status != OK {
+	if out := prepare(f, k, in, mode); out.Status != OK {
 		res.Status = out.Status
 		res.Verified = false
 		res.Err = out.Err

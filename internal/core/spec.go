@@ -8,6 +8,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"gapbench/internal/generate"
@@ -69,7 +70,7 @@ type Input struct {
 	Spec       GraphSpec
 	Graph      *graph.Graph
 	Undirected *graph.Graph
-	Relabeled  *graph.Graph // degree-sorted undirected view (Optimized-only)
+	Relabeled  *graph.Graph // degree-sorted undirected view (Optimized TC); nil until RelabeledView
 	Sources    []graph.NodeID
 	BCRoots    [][]graph.NodeID
 	// File is the serialized graph file this input was loaded from, empty
@@ -81,12 +82,26 @@ type Input struct {
 	// Inputs mount two at a time, so their Mount times overlap: their sum
 	// can exceed the wall time of the whole mount.
 	Mount time.Duration
+
+	relabelOnce sync.Once
+}
+
+// RelabeledView returns the degree-sorted undirected view, building and
+// sealing it on the first call. Only Optimized TC cells read it, so a load
+// leaves it unbuilt and the runner builds it, untimed, before the first
+// Optimized TC cell on the input.
+func (in *Input) RelabeledView() *graph.Graph {
+	in.relabelOnce.Do(func() {
+		in.Relabeled, _ = graph.DegreeRelabel(par.Default(), in.Undirected)
+		in.Relabeled.Seal()
+	})
+	return in.Relabeled
 }
 
 // Close releases the storage of every distinct graph view this input holds
-// (the primary graph, the undirected view, and the relabeled view may alias
-// one another). After Close, mmap-backed inputs are unmapped and any retained
-// kernel view panics on use instead of faulting.
+// (the primary graph, the undirected view, and the relabeled view if it was
+// built may alias one another). After Close, mmap-backed inputs are unmapped
+// and any retained kernel view panics on use instead of faulting.
 func (in *Input) Close() error {
 	if in == nil {
 		return nil
@@ -152,7 +167,6 @@ func PrepareInput(spec GraphSpec, g *graph.Graph) *Input {
 func buildViews(spec GraphSpec, g *graph.Graph) *Input {
 	in := &Input{Spec: spec, Graph: g}
 	in.Undirected = g.Undirected()
-	in.Relabeled, _ = graph.DegreeRelabel(par.Default(), in.Undirected)
 	in.Sources = PickSources(g, maxTrialSources, spec.SourceSeed)
 	for i := 0; i+kernel.BCSources <= len(in.Sources); i += kernel.BCSources {
 		in.BCRoots = append(in.BCRoots, in.Sources[i:i+kernel.BCSources])
@@ -164,12 +178,11 @@ func buildViews(spec GraphSpec, g *graph.Graph) *Input {
 }
 
 // seal checksums, in armed builds only (a no-op otherwise), the CSR arrays
-// of every view a kernel can reach, so the runner can prove them untouched
-// after each trial.
+// of the views a load builds, so the runner can prove them untouched after
+// each trial (RelabeledView seals the view it builds).
 func (in *Input) seal() {
 	in.Graph.Seal()
 	in.Undirected.Seal()
-	in.Relabeled.Seal()
 }
 
 // PickSources draws count distinct-ish sources with non-zero out-degree,

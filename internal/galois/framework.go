@@ -80,10 +80,7 @@ func (*Framework) BFS(g *graph.Graph, src graph.NodeID, opt kernel.Options) []gr
 // Neither variant has GAP's bucket-fusion optimization, which §V-B credits
 // for GAP's edge over Galois.
 func (*Framework) SSSP(g *graph.Graph, src graph.NodeID, opt kernel.Options) []kernel.Dist {
-	delta := opt.Delta
-	if delta <= 0 {
-		delta = 16
-	}
+	delta := opt.SSSPDelta()
 	if assumeHighDiameter(g, opt) {
 		return asyncSSSP(opt.Exec(), g, src, delta)
 	}
@@ -111,14 +108,7 @@ func (*Framework) BC(g *graph.Graph, sources []graph.NodeID, opt kernel.Options)
 }
 
 // TC implements kernel.Framework: the GAP order-invariant algorithm with
-// fine-grained work stealing. Optimized mode excludes relabeling time (§V-F)
-// by using the harness's pre-relabeled view.
+// fine-grained work stealing, on the view kernel.Options.TCView picks.
 func (*Framework) TC(g *graph.Graph, opt kernel.Options) int64 {
-	u := opt.Undirected(g)
-	if opt.Mode == kernel.Optimized && opt.RelabeledView != nil {
-		u = opt.RelabeledView
-	} else if graph.SkewedDegrees(u) {
-		u, _ = graph.DegreeRelabel(opt.Exec(), u)
-	}
-	return triangleCount(opt.Exec(), u)
+	return triangleCount(opt.Exec(), opt.TCView(g))
 }

@@ -52,7 +52,7 @@ func (*Framework) BFS(g *graph.Graph, src graph.NodeID, opt kernel.Options) []gr
 
 // SSSP implements kernel.Framework via delta-stepping with bucket fusion.
 func (*Framework) SSSP(g *graph.Graph, src graph.NodeID, opt kernel.Options) []kernel.Dist {
-	return DeltaStep(g, src, delta(opt), opt, true)
+	return DeltaStep(g, src, opt.SSSPDelta(), opt, true)
 }
 
 // PR implements kernel.Framework via Jacobi power iteration.
@@ -74,13 +74,4 @@ func (*Framework) BC(g *graph.Graph, sources []graph.NodeID, opt kernel.Options)
 // worth-relabeling heuristic.
 func (*Framework) TC(g *graph.Graph, opt kernel.Options) int64 {
 	return TriangleCount(g, opt)
-}
-
-// delta resolves the SSSP bucket width: the caller-provided per-graph value
-// (the knob GAP allows even in Baseline mode) or the reference default.
-func delta(opt kernel.Options) kernel.Dist {
-	if opt.Delta > 0 {
-		return opt.Delta
-	}
-	return 16
 }

@@ -58,30 +58,6 @@ func TestDeltaStepFusionEquivalence(t *testing.T) {
 	}
 }
 
-func TestWorthRelabeling(t *testing.T) {
-	road, err := generate.Road(10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gap.WorthRelabeling(road.Undirected()) {
-		t.Error("road graph should not trigger relabeling (bounded degree)")
-	}
-	tw, err := generate.Twitter(10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !gap.WorthRelabeling(tw.Undirected()) {
-		t.Error("twitter graph should trigger relabeling (power-law degree)")
-	}
-	urand, err := generate.Urand(10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gap.WorthRelabeling(urand.Undirected()) {
-		t.Error("urand graph should not trigger relabeling (uniform degree)")
-	}
-}
-
 func TestBFSRepeatedRunsDeterministicShape(t *testing.T) {
 	// Parent arrays may differ between runs (ties are racy by design), but
 	// the depth of every vertex implied by the tree must be stable.

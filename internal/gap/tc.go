@@ -7,23 +7,12 @@ import (
 )
 
 // TriangleCount counts triangles with the GAP reference strategy: operate on
-// the undirected view, optionally relabel vertices by decreasing degree when
-// a sampling heuristic says the degree distribution is skewed enough to pay
-// for it, then count ordered triangles (u < v < w) by merge-intersecting
-// sorted adjacency lists.
-//
-// Per the benchmark rules the relabeling is timed in Baseline mode; in
-// Optimized mode the harness-provided pre-relabeled view is used instead
-// (§V-F: "For the Optimized case, we excluded the time to preprocess and
-// relabel the graph").
+// the undirected view, relabeled by decreasing degree when it is skewed
+// enough to pay for it (kernel.Options.TCView: timed in Baseline mode, the
+// harness's untimed view in Optimized mode), then count ordered triangles
+// (u < v < w) by merge-intersecting sorted adjacency lists.
 func TriangleCount(g *graph.Graph, opt kernel.Options) int64 {
-	u := opt.Undirected(g)
-	if opt.Mode == kernel.Optimized && opt.RelabeledView != nil {
-		u = opt.RelabeledView
-	} else if WorthRelabeling(u) {
-		u, _ = graph.DegreeRelabel(opt.Exec(), u)
-	}
-	return orderedCount(opt.Exec(), u)
+	return orderedCount(opt.Exec(), opt.TCView(g))
 }
 
 // orderedCount is the GAP reference's OrderedCount: for each vertex u it
@@ -61,14 +50,6 @@ func orderedCount(exec *par.Machine, u *graph.Graph) int64 {
 		}
 		return count
 	})
-}
-
-// WorthRelabeling is the GAP sampling heuristic deciding whether degree
-// relabeling will pay for itself. It delegates to the shared
-// graph.SkewedDegrees test (sparse graphs never relabel; heavy-tailed ones
-// do). Road and Urand fail this test; Twitter, Web and Kron pass it.
-func WorthRelabeling(g *graph.Graph) bool {
-	return graph.SkewedDegrees(g)
 }
 
 // OrderedCountBench exposes the raw ordered count (no relabeling decision)

@@ -69,11 +69,7 @@ func (*Framework) BFS(g *graph.Graph, src graph.NodeID, opt kernel.Options) []gr
 
 // SSSP implements kernel.Framework.
 func (*Framework) SSSP(g *graph.Graph, src graph.NodeID, opt kernel.Options) []kernel.Dist {
-	delta := opt.Delta
-	if delta <= 0 {
-		delta = 16
-	}
-	return sssp(opt.Exec(), g, src, delta)
+	return sssp(opt.Exec(), g, src, opt.SSSPDelta())
 }
 
 // PR implements kernel.Framework.
@@ -101,11 +97,6 @@ func (*Framework) TC(g *graph.Graph, opt kernel.Options) int64 {
 	if u.NumEdges() < 8*int64(u.NumNodes()) {
 		return serialPrefixTC(u)
 	}
-	if opt.Mode == kernel.Optimized && opt.RelabeledView != nil {
-		u = opt.RelabeledView
-	} else if graph.SkewedDegrees(u) {
-		// §V-F: "GKC sorts vertices depending on degree skewness".
-		u, _ = graph.DegreeRelabel(opt.Exec(), u)
-	}
-	return leeLowTC(opt.Exec(), u)
+	// §V-F: "GKC sorts vertices depending on degree skewness".
+	return leeLowTC(opt.Exec(), opt.TCView(g))
 }

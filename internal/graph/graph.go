@@ -115,8 +115,13 @@ func (g *Graph) Layout() Layout { return g.layout }
 func (g *Graph) Epoch() uint64 { return g.epoch }
 
 // Arena returns the storage arena backing the CSR views, or nil for graphs
-// assembled without one.
-func (g *Graph) Arena() *Arena { return g.arena }
+// assembled without one and for a nil graph (a view never built).
+func (g *Graph) Arena() *Arena {
+	if g == nil {
+		return nil
+	}
+	return g.arena
+}
 
 // Provenance returns the generator identity carried in the format-v2 header:
 // suite graph name, scale, and seed. Empty/zero when unknown

@@ -119,13 +119,7 @@ func bc(exec *par.Machine, g *graph.Graph, sources []graph.NodeID, sched schedul
 // small graphs switches back to the naive merge ("Changing back to the naive
 // intersection method used in GAP improved performance").
 func tc(exec *par.Machine, g *graph.Graph, opt kernel.Options) int64 {
-	u := opt.Undirected(g)
-	if opt.Mode == kernel.Optimized && opt.RelabeledView != nil {
-		u = opt.RelabeledView
-	} else if graph.SkewedDegrees(u) {
-		ur, _ := graph.DegreeRelabel(exec, u)
-		u = ur
-	}
+	u := opt.TCView(g)
 	naive := opt.Mode == kernel.Optimized && u.NumNodes() < 1<<17
 	n := int(u.NumNodes())
 	return exec.ReduceDynamicInt64(n, 64, 0, func(lo, hi int) int64 {

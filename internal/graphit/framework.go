@@ -49,11 +49,7 @@ func (*Framework) BFS(g *graph.Graph, src graph.NodeID, opt kernel.Options) []gr
 
 // SSSP implements kernel.Framework.
 func (*Framework) SSSP(g *graph.Graph, src graph.NodeID, opt kernel.Options) []kernel.Dist {
-	delta := opt.Delta
-	if delta <= 0 {
-		delta = 16
-	}
-	return sssp(opt.Exec(), g, src, delta)
+	return sssp(opt.Exec(), g, src, opt.SSSPDelta())
 }
 
 // PR implements kernel.Framework.

@@ -94,8 +94,9 @@ type Options struct {
 	// ("Road", "Twitter", ...). Baseline runs leave it empty — frameworks
 	// must then rely on run-time heuristics, exactly as §IV-A requires.
 	GraphName string
-	// Delta is the SSSP bucket width. Zero means "framework default". GAP
-	// allows tuning this per graph even in Baseline mode.
+	// Delta is the SSSP bucket width. Zero means DefaultDelta. GAP allows
+	// tuning this per graph even in Baseline mode. Kernels read it through
+	// SSSPDelta.
 	Delta Dist
 
 	// Machine is the persistent worker pool the kernel's parallel regions
@@ -124,8 +125,8 @@ type Options struct {
 	UndirectedView *graph.Graph
 	// RelabeledView is the degree-sorted undirected form, prebuilt untimed.
 	// The paper's Optimized rule set is the only one that lets frameworks
-	// exclude relabeling time, so kernels must ignore this unless
-	// Mode == Optimized.
+	// exclude relabeling time, so kernels reach it only through TCView,
+	// which ignores it unless Mode == Optimized.
 	RelabeledView *graph.Graph
 }
 
@@ -137,6 +138,37 @@ func (o Options) Undirected(g *graph.Graph) *graph.Graph {
 		return o.UndirectedView
 	}
 	return g.Undirected()
+}
+
+// TCView returns the graph a triangle count walks: the harness's untimed
+// degree-relabeled view in Optimized mode when one is set (§V-F: "For the
+// Optimized case, we excluded the time to preprocess and relabel the
+// graph"); otherwise the undirected view, relabeled by degree inside the
+// timed trial on Exec() when the GAP reference's WorthRelabelling sample says
+// the degrees are skewed enough to pay for it.
+func (o Options) TCView(g *graph.Graph) *graph.Graph {
+	if o.Mode == Optimized && o.RelabeledView != nil {
+		return o.RelabeledView
+	}
+	u := o.Undirected(g)
+	if !graph.SkewedDegrees(u) {
+		return u
+	}
+	ru, _ := graph.DegreeRelabel(o.Exec(), u)
+	return ru
+}
+
+// DefaultDelta is the GAP reference's SSSP bucket width, used when the
+// harness gives none.
+const DefaultDelta Dist = 16
+
+// SSSPDelta resolves the SSSP bucket width: the per-graph Delta (the one
+// knob GAP allows even in Baseline mode) when positive, else DefaultDelta.
+func (o Options) SSSPDelta() Dist {
+	if o.Delta > 0 {
+		return o.Delta
+	}
+	return DefaultDelta
 }
 
 // Exec returns the machine the kernel's parallel regions must run on,

@@ -150,11 +150,7 @@ func (f *Framework) BFSWithPolicy(g *graph.Graph, src graph.NodeID, opt kernel.O
 // SSSP implements kernel.Framework.
 func (f *Framework) SSSP(g *graph.Graph, src graph.NodeID, opt kernel.Options) []kernel.Dist {
 	m := f.matrices(g, opt.UndirectedView)
-	delta := opt.Delta
-	if delta <= 0 {
-		delta = 16
-	}
-	t := deltaStepping(opt.Exec(), m.aw, grb.Index(src), delta)
+	t := deltaStepping(opt.Exec(), m.aw, grb.Index(src), opt.SSSPDelta())
 	return append([]kernel.Dist(nil), t.Dense()...)
 }
 
@@ -189,16 +185,19 @@ func (f *Framework) BC(g *graph.Graph, sources []graph.NodeID, opt kernel.Option
 // TC implements kernel.Framework.
 func (f *Framework) TC(g *graph.Graph, opt kernel.Options) int64 {
 	m := f.matrices(g, opt.UndirectedView)
-	und := m.und
 	// Optional heuristic-driven permutation of A before the masked multiply
 	// (§III-A: "preceded by an optional permutation of A, decided by a
 	// heuristic"). In Optimized mode the pre-relabeled view and its matrix
-	// are free: both are built untimed (PrepareRelabeled).
-	if opt.Mode == kernel.Optimized && opt.RelabeledView != nil {
-		und = f.relabeledMatrix(opt.RelabeledView)
-	} else if ug := opt.Undirected(g); graph.SkewedDegrees(ug) {
-		rg, _ := graph.DegreeRelabel(opt.Exec(), ug)
-		und = grb.FromGraph(rg, false, false)
+	// are free: both are built untimed (PrepareRelabeled). A view relabeled
+	// inside the trial is converted inside it too.
+	var und *grb.Matrix
+	switch view := opt.TCView(g); view {
+	case g, opt.UndirectedView:
+		und = m.und
+	case opt.RelabeledView:
+		und = f.relabeledMatrix(view)
+	default:
+		und = grb.FromGraph(view, false, false)
 	}
 	return triangleCount(opt.Exec(), und)
 }

@@ -49,11 +49,7 @@ func (*Framework) BFS(g *graph.Graph, src graph.NodeID, opt kernel.Options) []gr
 
 // SSSP implements kernel.Framework.
 func (*Framework) SSSP(g *graph.Graph, src graph.NodeID, opt kernel.Options) []kernel.Dist {
-	delta := opt.Delta
-	if delta <= 0 {
-		delta = 16
-	}
-	return SSSP(opt.Exec(), NewCSR(g), src, delta)
+	return SSSP(opt.Exec(), NewCSR(g), src, opt.SSSPDelta())
 }
 
 // PR implements kernel.Framework.
@@ -73,5 +69,5 @@ func (*Framework) BC(g *graph.Graph, sources []graph.NodeID, opt kernel.Options)
 
 // TC implements kernel.Framework.
 func (*Framework) TC(g *graph.Graph, opt kernel.Options) int64 {
-	return TC(opt.Exec(), NewCSR(relabelIfSkewed(g, opt)))
+	return TC(opt.Exec(), NewCSR(opt.TCView(g)))
 }

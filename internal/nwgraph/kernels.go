@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	ft "gapbench/internal/frontier"
-	"gapbench/internal/graph"
 	"gapbench/internal/kernel"
 	"gapbench/internal/par"
 )
@@ -37,7 +36,7 @@ func BFS[G BidirectionalAdjacency](exec *par.Machine, g G, src Vertex) []Vertex 
 		if len(frontier) > n/20 {
 			// Bottom-up: scan all unvisited vertices.
 			inFrontier := ft.FromList(int64(n), frontier).ToBitmap(exec)
-			var collect nextCollect
+			var collect ft.Collector
 			exec.ForBlocked(n, 0, func(lo, hi int) {
 				var local []Vertex
 				for vi := lo; vi < hi; vi++ {
@@ -56,12 +55,12 @@ func BFS[G BidirectionalAdjacency](exec *par.Machine, g G, src Vertex) []Vertex 
 						return true
 					})
 				}
-				collect.add(local)
+				collect.Add(local)
 			})
-			frontier = collect.take()
+			frontier = collect.Take()
 		} else {
 			cur := frontier
-			var collect nextCollect
+			var collect ft.Collector
 			exec.ForDynamic(len(cur), 64, 0, func(lo, hi int) {
 				var local []Vertex
 				for i := lo; i < hi; i++ {
@@ -75,9 +74,9 @@ func BFS[G BidirectionalAdjacency](exec *par.Machine, g G, src Vertex) []Vertex 
 						return true
 					})
 				}
-				collect.add(local)
+				collect.Add(local)
 			})
-			frontier = collect.take()
+			frontier = collect.Take()
 		}
 	}
 	return parent
@@ -315,7 +314,7 @@ func BC[G BidirectionalAdjacency](exec *par.Machine, g G, sources []Vertex) []fl
 				return scores
 			}
 			d := int32(len(levels))
-			var collect nextCollect
+			var collect ft.Collector
 			exec.ForDynamic(len(current), 64, 0, func(lo, hi int) {
 				var local []Vertex
 				for i := lo; i < hi; i++ {
@@ -329,9 +328,9 @@ func BC[G BidirectionalAdjacency](exec *par.Machine, g G, sources []Vertex) []fl
 						return true
 					})
 				}
-				collect.add(local)
+				collect.Add(local)
 			})
-			next := collect.take()
+			next := collect.Take()
 			if len(next) == 0 {
 				break
 			}
@@ -467,30 +466,6 @@ func orderedCommon(na, nb []Vertex, b Vertex) int64 {
 	return count
 }
 
-// nextCollect merges per-chunk frontier fragments.
-type nextCollect struct {
-	mu  spin
-	out []Vertex
-}
-
-func (c *nextCollect) add(local []Vertex) {
-	if len(local) == 0 {
-		return
-	}
-	c.mu.Lock()
-	c.out = append(c.out, local...)
-	c.mu.Unlock()
-}
-func (c *nextCollect) take() []Vertex { return c.out }
-
-type spin struct{ v atomic.Int32 }
-
-func (m *spin) Lock() {
-	for !m.v.CompareAndSwap(0, 1) {
-	}
-}
-func (m *spin) Unlock() { m.v.Store(0) }
-
 // unionCAS hooks the higher root onto the lower (shared Afforest link). The
 // two loads and the equality test are the per-edge fast path — once
 // components converge nearly every call sees equal labels — and fit the
@@ -562,18 +537,4 @@ func frequentLabel(comp []Vertex) Vertex {
 		}
 	}
 	return best
-}
-
-// relabelIfSkewed applies degree relabeling for TC when the heuristic fires,
-// or uses the harness's untimed view in Optimized mode.
-func relabelIfSkewed(g *graph.Graph, opt kernel.Options) *graph.Graph {
-	u := opt.Undirected(g)
-	if opt.Mode == kernel.Optimized && opt.RelabeledView != nil {
-		return opt.RelabeledView
-	}
-	if graph.SkewedDegrees(u) {
-		ru, _ := graph.DegreeRelabel(opt.Exec(), u)
-		return ru
-	}
-	return u
 }

@@ -57,12 +57,14 @@
 #      at the seal check as Panicked.
 #   8. graphgen + gapbench graph-store e2e tier: generate the five suite
 #      graphs once as format-v2 .sg files, then run a gapbench smoke over
-#      them via -graphfile, GAP and GraphIt in both rule sets, so the whole
-#      serialize -> mmap-load -> provenance -> kernel-verify chain is
-#      exercised exactly the way a measurement run uses it (see DESIGN.md §3
-#      "The storage arena"), and an Optimized GraphIt cell runs through
-#      gapbench with its per-graph schedule table keyed by the file's graph
-#      name.
+#      them via -graphfile, GAP, GraphIt and SuiteSparse (LAGraph) in both
+#      rule sets, so the whole serialize -> mmap-load -> provenance ->
+#      kernel-verify chain is exercised exactly the way a measurement run
+#      uses it (see DESIGN.md §3 "The storage arena"), an Optimized GraphIt
+#      cell runs through gapbench with its per-graph schedule table keyed by
+#      the file's graph name, and LAGraph's Optimized TC converts the
+#      relabeled view the runner builds on the first Optimized TC cell
+#      (PrepareRelabeled) over the mmapped input.
 #  Tiers 9 and 11 use the tree's one gapd load driver, gapmark's
 #  (benchmark/drive); tier 10 starts no daemon.
 #   9. gapd serving smoke tier: gapmark's TestSmoke against an armed gapd
@@ -160,12 +162,12 @@ go test -race -short -count=10 -run 'Snapshot|Reach' ./internal/serve/
 say "armed tier (go test -tags=check -short ./...)"
 go test -tags=check -short ./...
 
-say "graph-store e2e tier (graphgen once, gapbench mmap smoke: GAP and GraphIt, both rule sets)"
+say "graph-store e2e tier (graphgen once, gapbench mmap smoke: GAP, GraphIt and SuiteSparse, both rule sets)"
 GDIR="$(mktemp -d)"
 trap 'rm -rf "$GDIR"' EXIT
 go run ./cmd/graphgen -out "$GDIR" -scale 6 >/dev/null
 SGFILES="$(ls "$GDIR"/*.sg | tr '\n' ',' | sed 's/,$//')"
-go run ./cmd/gapbench -table IV -graphfile "$SGFILES" -kernels BFS,TC -frameworks GAP,GraphIt -mode both -trials 1 -q >/dev/null
+go run ./cmd/gapbench -table IV -graphfile "$SGFILES" -kernels BFS,TC -frameworks GAP,GraphIt,SuiteSparse -mode both -trials 1 -q >/dev/null
 echo "graph-store e2e ok (5 graphs saved, mmap-loaded, verified in both rule sets)"
 
 say "gapd serving smoke tier (armed gapd under gapmark's driver: both traffic shapes + SIGTERM drain)"
