@@ -103,7 +103,6 @@ func BenchmarkTableI(b *testing.B) {
 func BenchmarkSuite(b *testing.B) {
 	frameworks := core.Frameworks()
 	inputs := loadInputs()
-	core.PrepareViews(frameworks, inputs)
 	m := par.NewMachine(benchWidth)
 	defer m.Close()
 	for _, mode := range []kernel.Mode{kernel.Baseline, kernel.Optimized} {
@@ -112,6 +111,7 @@ func BenchmarkSuite(b *testing.B) {
 				for _, fw := range frameworks {
 					name := fmt.Sprintf("%s/%s/%s/%s", mode, k, in.Spec.Name, fw.Name())
 					opt := benchOptions(in, mode, m)
+					opt.Prepared = in.Prepared(fw, mode == kernel.Optimized && k == core.TC)
 					b.Run(name, func(b *testing.B) {
 						runCellBench(b, fw, k, in, opt)
 					})
@@ -234,11 +234,9 @@ func BenchmarkAblationCC(b *testing.B) {
 	for _, gname := range []string{generate.NameRoad, generate.NameUrand} {
 		in := inputByName(gname)
 		for _, a := range algos {
-			if p, ok := a.fw.(kernel.Preparer); ok {
-				p.Prepare(in.Graph, in.Undirected)
-			}
+			opt := benchOptions(in, kernel.Baseline, m)
+			opt.Prepared = in.Prepared(a.fw, false)
 			b.Run(a.name+"/"+gname, func(b *testing.B) {
-				opt := benchOptions(in, kernel.Baseline, m)
 				for i := 0; i < b.N; i++ {
 					_ = a.fw.CC(in.Graph, opt)
 				}

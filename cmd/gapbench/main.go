@@ -87,40 +87,8 @@ func run(tableSel string, scale, trials int, graphsCSV, kernelsCSV, fwCSV, modeS
 		return err
 	}
 
-	needGraphs := wantTable("I") || wantTable("IV") || wantTable("V") || csvPath != "" || mdPath != ""
-	if !needGraphs {
-		return nil
-	}
-
-	if graphFiles == "" && !quiet {
-		fmt.Fprintf(os.Stderr, "generating %d graphs at base scale %d...\n", len(specs), scale)
-	}
-	inputs, err := core.MountInputs(graphFiles, specs, graphDir)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		for _, in := range inputs {
-			if err := in.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "gapbench: closing %s: %v\n", in.Spec.Name, err)
-			}
-		}
-	}()
-	var stats []graph.Stats
-	var names []string
-	for _, in := range inputs {
-		names = append(names, in.Spec.Name)
-	}
-	if wantTable("I") {
-		for _, in := range inputs {
-			stats = append(stats, graph.ComputeStats(in.Graph))
-		}
-	}
-	if wantTable("I") {
-		fmt.Println(report.TableI(names, stats))
-	}
-
-	if !(wantTable("IV") || wantTable("V") || csvPath != "" || mdPath != "") {
+	runCells := wantTable("IV") || wantTable("V") || csvPath != "" || mdPath != ""
+	if !runCells && !wantTable("I") {
 		return nil
 	}
 
@@ -153,8 +121,7 @@ func run(tableSel string, scale, trials int, graphsCSV, kernelsCSV, fwCSV, modeS
 	runner.Timeout = timeout
 	runner.JournalPath = journal
 	runner.Resume = resume
-	defer runner.Close()                  // park the per-mode machines
-	core.PrepareViews(frameworks, inputs) // untimed load-phase conversions
+	defer runner.Close() // park the per-mode machines
 
 	progress := func(r core.Result) {
 		if quiet {
@@ -172,9 +139,35 @@ func run(tableSel string, scale, trials int, graphsCSV, kernelsCSV, fwCSV, modeS
 		fmt.Fprintf(os.Stderr, "%-9s %-10s %-4s %-7s best=%.4fs avg=%.4fs %s\n",
 			r.Mode, r.Framework, r.Kernel, r.Graph, r.Seconds, r.AvgSeconds, status)
 	}
-	results, err := runner.RunSuite(frameworks, inputs, modes, kernels, progress)
+
+	if graphFiles == "" && !quiet {
+		fmt.Fprintf(os.Stderr, "generating %d graphs at base scale %d...\n", len(specs), scale)
+	}
+	// One input at a time: each is mounted, prepared at its first cell, run
+	// in both modes and closed, frameworks' state with it, before the next.
+	var stats []graph.Stats
+	var names []string
+	var results []core.Result
+	err = core.EachInput(graphFiles, specs, graphDir, func(in *core.Input) error {
+		names = append(names, in.Spec.Name)
+		if wantTable("I") {
+			stats = append(stats, graph.ComputeStats(in.Graph))
+		}
+		if !runCells {
+			return nil
+		}
+		res, err := runner.RunSuite(frameworks, []*core.Input{in}, modes, kernels, progress)
+		results = append(results, res...)
+		return err
+	})
 	if err != nil {
 		return err
+	}
+	if wantTable("I") {
+		fmt.Println(report.TableI(names, stats))
+	}
+	if !runCells {
+		return nil
 	}
 
 	if wantTable("IV") {

@@ -9,7 +9,6 @@ package gapbench_test
 import (
 	"testing"
 
-	"gapbench/internal/core"
 	"gapbench/internal/grb"
 	"gapbench/internal/kernel"
 	"gapbench/internal/lagraph"
@@ -22,7 +21,6 @@ import (
 func BenchmarkDirection(b *testing.B) {
 	fw := lagraph.New()
 	inputs := loadInputs()
-	core.PrepareViews([]kernel.Framework{fw}, inputs)
 	m := par.NewMachine(benchWidth)
 	defer m.Close()
 	policies := []struct {
@@ -34,9 +32,10 @@ func BenchmarkDirection(b *testing.B) {
 		{"Auto", grb.DirAuto},
 	}
 	for _, in := range inputs {
+		opt := benchOptions(in, kernel.Baseline, m)
+		opt.Prepared = in.Prepared(fw, false) // untimed, outside b.Run
 		for _, pol := range policies {
 			b.Run(in.Spec.Name+"/"+pol.name, func(b *testing.B) {
-				opt := benchOptions(in, kernel.Baseline, m)
 				for i := 0; i < b.N; i++ {
 					src := in.Sources[i%len(in.Sources)]
 					if pi := fw.BFSWithPolicy(in.Graph, src, opt, pol.policy); pi == nil {

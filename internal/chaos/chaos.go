@@ -103,11 +103,13 @@ func Wrap(f kernel.Framework, seed uint64, faults ...*Fault) *Injector {
 // Name returns the wrapped framework's name.
 func (i *Injector) Name() string { return i.inner.Name() }
 
-// Prepare forwards the load-time conversion when the inner framework has one.
-func (i *Injector) Prepare(g *graph.Graph, undirected *graph.Graph) {
+// Prepare forwards the load-time conversion when the inner framework has one
+// and returns its state, which the kernels forward with their options.
+func (i *Injector) Prepare(g, undirected *graph.Graph) any {
 	if p, ok := i.inner.(kernel.Preparer); ok {
-		p.Prepare(g, undirected)
+		return p.Prepare(g, undirected)
 	}
+	return nil
 }
 
 // Attributes forwards Table II metadata when available.

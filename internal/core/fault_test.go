@@ -77,7 +77,7 @@ func (hanger) TC(g *gGraph, opt kernel.Options) int64 {
 // badPreparer panics during the untimed load-time conversion.
 type badPreparer struct{ zeroFramework }
 
-func (badPreparer) Prepare(g *gGraph, undirected *gGraph) { panic("bad view build") }
+func (badPreparer) Prepare(g, undirected *gGraph) any { panic("bad view build") }
 
 func loadSmallInput(t *testing.T) *core.Input {
 	t.Helper()

@@ -8,9 +8,11 @@ package core
 // provenance.
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -84,12 +86,40 @@ const mountWidth = 2
 // inputs already mounted are closed and the first error in input order is
 // returned.
 func MountInputs(graphFiles string, specs []GraphSpec, dir string) ([]*Input, error) {
-	n, load := len(specs), func(i int) (*Input, error) { return LoadCachedInput(specs[i], dir) }
+	return mount(loader(graphFiles, specs, dir))
+}
+
+// EachInput mounts the inputs MountInputs would, one at a time: it hands each
+// to fn and closes it, with every framework's state prepared on it, before
+// mounting the next, so one input's graphs are live at a time. It stops at
+// the first input whose mount, fn or Close fails.
+func EachInput(graphFiles string, specs []GraphSpec, dir string, fn func(*Input) error) error {
+	n, load := loader(graphFiles, specs, dir)
+	for i := range n {
+		in, err := load(i)
+		if err != nil {
+			return err
+		}
+		if err := errors.Join(fn(in), in.Close()); err != nil {
+			return err
+		}
+		// Collect the closed input now: the heap goal the collector set
+		// while it was live would otherwise let the next input grow into
+		// its garbage before the next cycle.
+		runtime.GC()
+	}
+	return nil
+}
+
+// loader returns how many inputs a binary runs on and how to load the i-th:
+// the serialized graphs a -graphfile list names when there is one, otherwise
+// specs generated or reloaded through the dir cache.
+func loader(graphFiles string, specs []GraphSpec, dir string) (int, func(i int) (*Input, error)) {
 	if graphFiles != "" {
 		paths := SplitCSV(graphFiles)
-		n, load = len(paths), func(i int) (*Input, error) { return LoadInputFile(paths[i]) }
+		return len(paths), func(i int) (*Input, error) { return LoadInputFile(paths[i]) }
 	}
-	return mount(n, load)
+	return len(specs), func(i int) (*Input, error) { return LoadCachedInput(specs[i], dir) }
 }
 
 // mount runs load for inputs 0..n-1 on mountWidth goroutines and returns

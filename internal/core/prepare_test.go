@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"sync"
 	"testing"
 
 	"gapbench/internal/core"
@@ -87,34 +88,88 @@ func (s *optionsSpy) TC(g *gGraph, opt kernel.Options) int64 {
 	return 0
 }
 
-// TestRunCellPreparesRelabeledViewForOptimized checks that a RelabelPreparer
-// gets the relabeled view before an Optimized cell's trials, and never
-// before a Baseline cell's.
+// TestRunCellPreparesRelabeledViewForOptimized checks that an Optimized TC
+// cell prepares the relabeled view, with no input graph, and hands the kernel
+// that view's state, while a Baseline cell prepares and reads the input
+// graph's.
 func TestRunCellPreparesRelabeledViewForOptimized(t *testing.T) {
 	in, err := core.LoadInput(core.GraphSpec{Name: "Kron", Scale: 6, Seed: 2, Delta: 16, SourceSeed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	spy := &relabelSpy{zeroFramework: zeroFramework{"RelabelSpy"}}
+	defer in.Close()
+	spy := &prepareSpy{zeroFramework: zeroFramework{"PrepareSpy"}}
 	r := &core.Runner{Trials: 1, BaselineWorkers: 1, OptimizedWorkers: 1}
 	defer r.Close()
 	r.RunCell(spy, core.TC, in, kernel.Baseline)
-	if len(spy.relabeled) != 0 {
-		t.Fatalf("Baseline cell prepared %d relabeled views, want none", len(spy.relabeled))
+	if len(spy.calls) != 1 || spy.calls[0] != [2]*gGraph{in.Graph, in.Undirected} || spy.seen != spy.states[0] {
+		t.Fatalf("Baseline cell prepared %v and read state %v, want the input graph's once", spy.calls, spy.seen)
 	}
-	r.RunCell(spy, core.TC, in, kernel.Optimized)
-	if len(spy.relabeled) != 1 || spy.relabeled[0] != in.Relabeled {
-		t.Fatalf("Optimized cell prepared %v, want the input's relabeled view once", spy.relabeled)
+	for range 2 {
+		r.RunCell(spy, core.TC, in, kernel.Optimized)
+	}
+	if len(spy.calls) != 2 || spy.calls[1] != [2]*gGraph{nil, in.Relabeled} || spy.seen != spy.states[1] {
+		t.Fatalf("Optimized cells prepared %v and read state %v, want the relabeled view's once", spy.calls, spy.seen)
 	}
 }
 
-// relabelSpy records the relabeled views it is asked to prepare.
-type relabelSpy struct {
+// TestPrepareRunsOncePerInputFrameworkAndView has concurrent callers ask for
+// both views' states, then runs every kernel in both modes, over two inputs:
+// Prepare runs once per (input, framework, view), and never on a closed
+// input.
+func TestPrepareRunsOncePerInputFrameworkAndView(t *testing.T) {
+	spy := &prepareSpy{zeroFramework: zeroFramework{"PrepareSpy"}}
+	r := &core.Runner{Trials: 2, BaselineWorkers: 2, OptimizedWorkers: 2}
+	defer r.Close()
+	for i := range 2 {
+		in, err := core.LoadInput(core.GraphSpec{Name: "Twitter", Scale: 6, Seed: uint64(i + 1), Delta: 16, SourceSeed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for c := range 8 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				in.Prepared(spy, c%2 == 0)
+			}()
+		}
+		wg.Wait()
+		if _, err := r.RunSuite([]kernel.Framework{spy}, []*core.Input{in}, []kernel.Mode{kernel.Baseline, kernel.Optimized}, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(spy.calls); got != 2*(i+1) {
+			t.Fatalf("input %d: %d Prepare calls so far, want %d: one per view", i, got, 2*(i+1))
+		}
+		if err := in.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if st := in.Prepared(spy, false); st != nil || len(spy.calls) != 2*(i+1) {
+			t.Fatalf("closed input returned %v after %d calls", st, len(spy.calls))
+		}
+	}
+}
+
+// prepareSpy records the views it prepares, the state it returned for each,
+// and the state its last TC was handed.
+type prepareSpy struct {
 	zeroFramework
-	relabeled []*gGraph
+	mu     sync.Mutex
+	calls  [][2]*gGraph
+	states []any
+	seen   any
 }
 
-func (*relabelSpy) Prepare(g *gGraph, undirected *gGraph) {}
-func (s *relabelSpy) PrepareRelabeled(relabeled *gGraph) {
-	s.relabeled = append(s.relabeled, relabeled)
+func (s *prepareSpy) Prepare(g, undirected *gGraph) any {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	state := new(int)
+	s.calls = append(s.calls, [2]*gGraph{g, undirected})
+	s.states = append(s.states, state)
+	return state
+}
+
+func (s *prepareSpy) TC(g *gGraph, opt kernel.Options) int64 {
+	s.seen = opt.Prepared
+	return 0
 }

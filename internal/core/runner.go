@@ -161,7 +161,7 @@ type Runner struct {
 	// 8. The floor of 8 keeps each framework's synchronization structure —
 	// barriers per round, worklist contention, fork/join fan-out — exercised
 	// at one width on small hosts. Whether that floor or one worker per core
-	// should be the default is open (ROADMAP item 4).
+	// should be the default is open (ROADMAP item 7).
 	BaselineWorkers  int
 	OptimizedWorkers int
 	// Verify enables oracle checking of every trial (untimed).
@@ -272,13 +272,15 @@ func (r *Runner) grace() time.Duration {
 	return 2 * time.Second
 }
 
-// options assembles the kernel.Options for one cell under the mode's rules.
-func (r *Runner) options(in *Input, mode kernel.Mode) kernel.Options {
+// options assembles the kernel.Options for one cell under the mode's rules,
+// handing the kernel the framework's prepared state for the view it reads.
+func (r *Runner) options(in *Input, mode kernel.Mode, prepared any) kernel.Options {
 	opt := kernel.Options{
 		Mode:           mode,
 		Delta:          in.Spec.Delta,
 		UndirectedView: in.Undirected,
 		Machine:        r.machine(mode),
+		Prepared:       prepared,
 	}
 	if mode == kernel.Optimized {
 		// Optimized rule set: per-graph identity is known, hyperthreads are
@@ -308,8 +310,8 @@ func checkOracle(check func() error) (err error) {
 // options carry too. A kernel that ignores the fired token past the grace
 // period costs the runner that machine, never the suite: the attempt reports
 // TimedOut and the next one gets a fresh pool.
-func (r *Runner) runAttempt(f kernel.Framework, k Kernel, in *Input, mode kernel.Mode, trial int) Outcome {
-	opt := r.options(in, mode)
+func (r *Runner) runAttempt(f kernel.Framework, k Kernel, in *Input, mode kernel.Mode, prepared any, trial int) Outcome {
+	opt := r.options(in, mode, prepared)
 	var deadline time.Time // zero: no -timeout, wait for the kernel
 	if r.Timeout > 0 {
 		opt.Cancel = par.NewDeadlineToken(r.Timeout)
@@ -368,20 +370,13 @@ func (r *Runner) runAttempt(f kernel.Framework, k Kernel, in *Input, mode kernel
 	return out
 }
 
-// prepare does a cell's untimed set-up. An Optimized TC cell, the only
-// reader of the input's relabeled view, gets it built on the first such
-// cell. A framework's load-time conversion runs under recover, so a
-// panicking Prepare fails its cell instead of the suite; an Optimized TC cell
-// also gets the relabeled view converted, when the framework asks for it.
-func prepare(f kernel.Framework, k Kernel, in *Input, mode kernel.Mode) (out Outcome) {
-	var relabeled *graph.Graph
-	if mode == kernel.Optimized && k == TC {
-		relabeled = in.RelabeledView()
-	}
-	p, ok := f.(kernel.Preparer)
-	if !ok {
-		return out
-	}
+// prepare does a cell's untimed set-up and returns the framework's prepared
+// state for the view the cell reads. An Optimized TC cell, the only reader of
+// the input's relabeled view, gets that view built and prepared on the first
+// such cell; every other cell reads the input graph's state. A framework's
+// load-time conversion runs under recover, so a panicking Prepare fails its
+// cell instead of the suite.
+func prepare(f kernel.Framework, k Kernel, in *Input, mode kernel.Mode) (prepared any, out Outcome) {
 	defer func() {
 		if pv := recover(); pv != nil {
 			out.Status = Panicked
@@ -389,11 +384,7 @@ func prepare(f kernel.Framework, k Kernel, in *Input, mode kernel.Mode) (out Out
 			out.Stack = TrimStack(debug.Stack())
 		}
 	}()
-	p.Prepare(in.Graph, in.Undirected)
-	if rp, ok := f.(kernel.RelabelPreparer); ok && relabeled != nil {
-		rp.PrepareRelabeled(relabeled)
-	}
-	return out
+	return in.Prepared(f, mode == kernel.Optimized && k == TC), out
 }
 
 // RunCell times one (framework, kernel, input, mode) cell. Every trial is
@@ -418,7 +409,8 @@ func (r *Runner) RunCell(f kernel.Framework, k Kernel, in *Input, mode kernel.Mo
 		return res
 	}
 
-	if out := prepare(f, k, in, mode); out.Status != OK {
+	prepared, out := prepare(f, k, in, mode)
+	if out.Status != OK {
 		res.Status = out.Status
 		res.Verified = false
 		res.Err = out.Err
@@ -452,7 +444,7 @@ func (r *Runner) RunCell(f kernel.Framework, k Kernel, in *Input, mode kernel.Mo
 		}
 		var out Outcome
 		for attempt := 0; ; attempt++ {
-			out = r.runAttempt(f, k, in, mode, t)
+			out = r.runAttempt(f, k, in, mode, prepared, t)
 			res.TrialRecords = append(res.TrialRecords, TrialRecord{
 				Trial: t, Attempt: attempt,
 				Status: out.Status, Seconds: out.Seconds,
@@ -490,8 +482,9 @@ func (r *Runner) RunCell(f kernel.Framework, k Kernel, in *Input, mode kernel.Mo
 	return res
 }
 
-// RunSuite runs every (framework, kernel, mode) cell over the inputs,
-// reporting progress through progress (which may be nil). With JournalPath
+// RunSuite runs every (framework, kernel, mode) cell over the inputs, one
+// input at a time (both modes inside), reporting progress through progress
+// (which may be nil) and returning results in that order. With JournalPath
 // set, each completed cell is appended to the JSONL journal as it finishes;
 // with Resume also set, cells already journaled are replayed (marked
 // Resumed) instead of re-run, so an interrupted run picks up where it died.
@@ -513,8 +506,8 @@ func (r *Runner) RunSuite(frameworks []kernel.Framework, inputs []*Input, modes 
 		}
 	}
 	var results []Result
-	for _, mode := range modes {
-		for _, in := range inputs {
+	for _, in := range inputs {
+		for _, mode := range modes {
 			for _, k := range kernels {
 				for _, f := range frameworks {
 					if prior, ok := journaled[CellID(f.Name(), k, in.Spec.Name, mode)]; ok {
@@ -565,17 +558,14 @@ func checkResumeIdentity(prior Result, in *Input) error {
 	return nil
 }
 
-// PrepareViews warms each graph's per-framework internal representations so
-// conversion costs stay out of the timed region, mirroring the benchmark's
-// untimed load phase.
+// PrepareViews prepares every framework's state for each input graph up
+// front, so conversion costs stay out of the timed region and off a served
+// query's budget, mirroring the benchmark's untimed load phase. Each input
+// keeps the state until it closes.
 func PrepareViews(frameworks []kernel.Framework, inputs []*Input) {
-	for _, f := range frameworks {
-		p, ok := f.(kernel.Preparer)
-		if !ok {
-			continue
-		}
-		for _, in := range inputs {
-			p.Prepare(in.Graph, in.Undirected)
+	for _, in := range inputs {
+		for _, f := range frameworks {
+			in.Prepared(f, false)
 		}
 	}
 }

@@ -84,6 +84,17 @@ type Input struct {
 	Mount time.Duration
 
 	relabelOnce sync.Once
+	// mu guards prepared, which holds each Preparer's state per view until
+	// Close drops it. Prepare runs under it, so a Close waits for one in
+	// flight; no Prepare calls back into its input.
+	mu       sync.Mutex
+	prepared map[preparedKey]any
+}
+
+// preparedKey names one framework's prepared state for one view of an input.
+type preparedKey struct {
+	framework string
+	relabeled bool
 }
 
 // RelabeledView returns the degree-sorted undirected view, building and
@@ -98,14 +109,48 @@ func (in *Input) RelabeledView() *graph.Graph {
 	return in.Relabeled
 }
 
-// Close releases the storage of every distinct graph view this input holds
-// (the primary graph, the undirected view, and the relabeled view if it was
-// built may alias one another). After Close, mmap-backed inputs are unmapped
-// and any retained kernel view panics on use instead of faulting.
+// Prepared returns f's prepared state for the input graph, or for the
+// degree-relabeled view when relabeled is set (what an Optimized TC cell
+// reads; the view is built here, for every framework, on first use). The
+// first caller for a (framework, view) pair runs f's Prepare on that view,
+// untimed; later callers, concurrent ones included, get what it returned.
+// The input owns the state and drops it in Close. Nil when f is no
+// kernel.Preparer or the input is closed. A panicking Prepare stores nothing
+// and panics through to the caller.
+func (in *Input) Prepared(f kernel.Framework, relabeled bool) any {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if in.Graph == nil {
+		return nil
+	}
+	g, u := in.Graph, in.Undirected
+	if relabeled {
+		g, u = nil, in.RelabeledView()
+	}
+	key := preparedKey{f.Name(), relabeled}
+	state, done := in.prepared[key]
+	if p, ok := f.(kernel.Preparer); ok && !done {
+		state = p.Prepare(g, u)
+		if in.prepared == nil {
+			in.prepared = make(map[preparedKey]any)
+		}
+		in.prepared[key] = state
+	}
+	return state
+}
+
+// Close drops every framework's prepared state and releases the storage of
+// every distinct graph view this input holds (the primary graph, the
+// undirected view, and the relabeled view if it was built may alias one
+// another). After Close, mmap-backed inputs are unmapped and any retained
+// kernel view panics on use instead of faulting.
 func (in *Input) Close() error {
 	if in == nil {
 		return nil
 	}
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	in.prepared = nil
 	var first error
 	closed := make(map[*graph.Graph]bool, 3)
 	for _, g := range []*graph.Graph{in.Relabeled, in.Undirected, in.Graph} {

@@ -142,8 +142,7 @@ func forwardSync(exec *par.Machine, g *graph.Graph, src graph.NodeID, depth []in
 		cur := current // read-only in the closure: captured by value
 		collected := &bag{}
 		exec.ForDynamic(len(cur), chunkSize, 0, func(lo, hi int) {
-			local := chunkPool.Get().(*chunk)
-			local.n = 0
+			local := newChunk()
 			for i := lo; i < hi; i++ {
 				u := cur[i]
 				for _, v := range g.OutNeighbors(u) {
@@ -152,8 +151,7 @@ func forwardSync(exec *par.Machine, g *graph.Graph, src graph.NodeID, depth []in
 						if local.n == chunkSize {
 							//gapvet:ignore inline-miss -- overflow branch: reached once per chunkSize pushes, amortized across the chunk
 							collected.put(local)
-							local = chunkPool.Get().(*chunk)
-							local.n = 0
+							local = newChunk()
 						}
 						local.items[local.n] = v
 						local.n++

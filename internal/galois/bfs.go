@@ -132,8 +132,7 @@ func syncBFS(exec *par.Machine, g *graph.Graph, src graph.NodeID) []graph.NodeID
 			collected := &bag{}
 			cur := frontier
 			exec.ForDynamic(len(cur), chunkSize, 0, func(lo, hi int) {
-				local := chunkPool.Get().(*chunk)
-				local.n = 0
+				local := newChunk()
 				var sc int64
 				for i := lo; i < hi; i++ {
 					u := cur[i]
@@ -143,8 +142,7 @@ func syncBFS(exec *par.Machine, g *graph.Graph, src graph.NodeID) []graph.NodeID
 							if local.n == chunkSize {
 								//gapvet:ignore inline-miss -- overflow branch: reached once per chunkSize pushes, amortized across the chunk
 								collected.put(local)
-								local = chunkPool.Get().(*chunk)
-								local.n = 0
+								local = newChunk()
 							}
 							local.items[local.n] = v
 							local.n++

@@ -32,9 +32,14 @@ func TestDiameterDispatch(t *testing.T) {
 		if got := assumeHighDiameter(g, base); got != c.baselineHigh {
 			t.Errorf("%s: baseline high-diameter = %t, want %t", c.name, got, c.baselineHigh)
 		}
-		// Cached: second call must agree.
-		if got := assumeHighDiameter(g, base); got != c.baselineHigh {
-			t.Errorf("%s: cached classification flipped", c.name)
+		// Prepare classifies at load, and a cell handed its state follows
+		// it: flipping the state flips the dispatch.
+		state := New().Prepare(g, g.Undirected())
+		if state != c.baselineHigh {
+			t.Errorf("%s: Prepare classified high-diameter = %v, want %t", c.name, state, c.baselineHigh)
+		}
+		if got := assumeHighDiameter(g, kernel.Options{Prepared: !c.baselineHigh}); got == c.baselineHigh {
+			t.Errorf("%s: dispatch ignored the prepared classification", c.name)
 		}
 		// Optimized mode knows the graph by name: only Road is high-diameter.
 		opt := kernel.Options{Mode: kernel.Optimized, GraphName: c.name, UndirectedView: g.Undirected()}

@@ -11,10 +11,15 @@ import (
 )
 
 // PCtx is the push context for the ordered executor; pushes carry a priority
-// (lower runs earlier, best-effort).
+// (lower runs earlier, best-effort). One PCtx belongs to one worker.
 type PCtx struct {
-	exec  *obim
-	local map[int]*chunk
+	exec *obim
+	// local[p] is the worker's partial chunk at priority p, nil when it has
+	// none; no local chunk sits below priority low.
+	local []*chunk
+	low   int
+	// pushed counts the pushes not yet added to the shared pending count.
+	pushed int64
 }
 
 // Push schedules v at the given priority level. Full chunks spill to the
@@ -23,39 +28,40 @@ type PCtx struct {
 // locality that lets one worker race down a high-diameter graph with no
 // synchronization at all while others help whenever chunks spill.
 func (c *PCtx) Push(v graph.NodeID, priority int) {
-	c.exec.pending.Add(1)
+	c.pushed++
+	for priority >= len(c.local) {
+		c.local = append(c.local, nil)
+	}
 	lc := c.local[priority]
 	if lc == nil {
-		lc = chunkPool.Get().(*chunk)
-		lc.n = 0
+		lc = newChunk()
 		c.local[priority] = lc
+		c.low = min(c.low, priority)
 	}
 	lc.items[lc.n] = v
 	lc.n++
 	if lc.n == chunkSize {
+		// The worker's pushes are counted before the chunk becomes
+		// stealable, so no worker can process an item the pending count
+		// does not hold yet.
+		c.local[priority] = nil
+		c.exec.pending.Add(c.pushed)
+		c.pushed = 0
 		c.exec.level(priority).put(lc)
-		delete(c.local, priority)
 	}
 }
 
 // popLowestLocal removes and returns the worker's lowest-priority local
-// chunk, or nil.
+// chunk, or nil. The low-water cursor only moves up past empty levels (a push
+// below it moves it down), so the scans cost no more than the pushes.
 func (c *PCtx) popLowestLocal() *chunk {
-	best := -1
-	for p, lc := range c.local {
-		if lc.n == 0 {
-			continue
-		}
-		if best < 0 || p < best {
-			best = p
+	for ; c.low < len(c.local); c.low++ {
+		if lc := c.local[c.low]; lc != nil {
+			c.local[c.low] = nil
+			return lc
 		}
 	}
-	if best < 0 {
-		return nil
-	}
-	lc := c.local[best]
-	delete(c.local, best)
-	return lc
+	return nil
 }
 
 // obim is the ordered-by-integer-metric scheduler: one bag per priority
@@ -113,14 +119,19 @@ func (o *obim) next() *chunk {
 // executor behind Galois' asynchronous BFS, SSSP, and BC. Each worker
 // prefers its own lowest-priority partial chunk (no synchronization), then
 // steals from the shared levels; spilled full chunks keep the other workers
-// fed. Quiescence is detected with a global outstanding-work counter.
+// fed. Quiescence is detected with a global outstanding-work count that
+// each worker settles once per chunk, by its pushes less the chunk's items:
+// a chunk in hand stays counted until it is done, and a worker's pushes are
+// counted before they spill, so the count reaches zero only when no work is
+// left anywhere.
 func ForEachOrdered(exec *par.Machine, initial []graph.NodeID, initialPriority int, op func(ctx *PCtx, v graph.NodeID)) {
 	o := &obim{}
-	seedCtx := &PCtx{exec: o, local: map[int]*chunk{}}
-	for _, v := range initial {
-		seedCtx.Push(v, initialPriority)
+	for i := 0; i < len(initial); i += chunkSize {
+		c := newChunk()
+		c.n = copy(c.items[:], initial[i:])
+		o.pending.Add(int64(c.n))
+		o.level(initialPriority).put(c)
 	}
-	seedCtx.flushAll()
 
 	// Cooperative cancellation: every worker checks the machine's token at
 	// its chunk-claim boundary. One worker bailing early leaves pending > 0
@@ -128,7 +139,7 @@ func ForEachOrdered(exec *par.Machine, initial []graph.NodeID, initialPriority i
 	// observes it either at the loop top or in the idle branch.
 	tok := exec.CancelToken()
 	exec.ForWorker(exec.Size(), 0, func(_, _, _ int) {
-		ctx := &PCtx{exec: o, local: map[int]*chunk{}}
+		ctx := &PCtx{exec: o}
 		idle := 0
 		for {
 			if tok.Cancelled() {
@@ -158,21 +169,10 @@ func ForEachOrdered(exec *par.Machine, initial []graph.NodeID, initialPriority i
 			for i := 0; i < n; i++ {
 				op(ctx, c.items[i])
 			}
-			o.pending.Add(-int64(n))
+			o.pending.Add(ctx.pushed - int64(n))
+			ctx.pushed = 0
 			c.n = 0
 			chunkPool.Put(c)
 		}
 	})
-}
-
-// flushAll spills every partial local chunk to the shared levels.
-func (c *PCtx) flushAll() {
-	for p, lc := range c.local {
-		if lc.n > 0 {
-			c.exec.level(p).put(lc)
-		} else {
-			chunkPool.Put(lc)
-		}
-		delete(c.local, p)
-	}
 }

@@ -3,6 +3,7 @@ package galois
 import (
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"gapbench/internal/graph"
 	"gapbench/internal/par"
@@ -61,12 +62,76 @@ func TestForEachOrderedApproximatePriority(t *testing.T) {
 	}
 }
 
+// TestForEachOrderedTerminates runs a binary tree of pushes, many items per
+// priority level so full chunks spill and get stolen, at several widths:
+// every item runs exactly once and the executor returns, so the pending
+// count settled once per chunk neither stops early nor stays above zero.
+func TestForEachOrderedTerminates(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	const limit = 1 << 15
+	for _, workers := range []int{1, 2, 7} {
+		m := par.NewMachine(workers)
+		runs := make([]int32, limit)
+		ForEachOrdered(m, []graph.NodeID{0}, 0, func(ctx *PCtx, v graph.NodeID) {
+			atomic.AddInt32(&runs[v], 1)
+			for _, w := range []graph.NodeID{2*v + 1, 2*v + 2} {
+				if w < limit {
+					ctx.Push(w, treeDepth(w))
+				}
+			}
+		})
+		m.Close()
+		for v, n := range runs {
+			if n != 1 {
+				t.Fatalf("%d workers: item %d ran %d times, want once", workers, v, n)
+			}
+		}
+	}
+}
+
+// treeDepth is v's depth in the binary tree of TestForEachOrderedTerminates.
+func treeDepth(v graph.NodeID) int {
+	d := 0
+	for ; v > 0; v = (v - 1) / 2 {
+		d++
+	}
+	return d
+}
+
+// TestForEachOrderedCancellation gives the executor work that never drains:
+// it must return once the machine's token fires, every worker leaving at its
+// next chunk boundary.
+func TestForEachOrderedCancellation(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	m := par.NewMachine(4)
+	defer m.Close()
+	tok := par.NewDeadlineToken(20 * time.Millisecond)
+	m.SetCancel(tok)
+	var ran atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ForEachOrdered(m, []graph.NodeID{0, 1, 2, 3, 4, 5, 6, 7}, 0, func(ctx *PCtx, v graph.NodeID) {
+			ran.Add(1)
+			ctx.Push(v+8, int(v/8)%100)
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the executor ignored its machine's cancellation")
+	}
+	if !tok.Cancelled() || ran.Load() == 0 {
+		t.Fatalf("returned with token cancelled=%t after %d items", tok.Cancelled(), ran.Load())
+	}
+}
+
 func TestBagPutGet(t *testing.T) {
 	b := &bag{}
 	if !b.empty() || b.get() != nil {
 		t.Fatal("fresh bag not empty")
 	}
-	c := chunkPool.Get().(*chunk)
+	c := newChunk()
 	c.n = 1
 	c.items[0] = 7
 	b.put(c)
@@ -80,8 +145,7 @@ func TestBagPutGet(t *testing.T) {
 	got.n = 0
 	chunkPool.Put(got)
 	// Empty chunks are dropped silently.
-	e := chunkPool.Get().(*chunk)
-	e.n = 0
+	e := newChunk()
 	b.put(e)
 	if !b.empty() {
 		t.Fatal("empty chunk stored")

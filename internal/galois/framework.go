@@ -1,8 +1,6 @@
 package galois
 
 import (
-	"sync"
-
 	"gapbench/internal/graph"
 	"gapbench/internal/kernel"
 )
@@ -42,28 +40,35 @@ func (*Framework) Algorithms() kernel.Algorithms {
 var (
 	_ kernel.Framework = (*Framework)(nil)
 	_ kernel.Describer = (*Framework)(nil)
+	_ kernel.Preparer  = (*Framework)(nil)
 )
 
-// diameterGuess caches the degree-distribution sampling per input graph;
-// Galois classifies an input once when it is loaded, not per kernel run.
-var diameterGuess sync.Map // *graph.Graph -> bool (assumed high diameter)
+// Prepare classifies the input once, untimed, when it is loaded — Galois
+// samples the degree distribution at load, not per kernel run — and returns
+// whether the Baseline heuristic assumes it has a high diameter. A view only
+// TC reads (g nil) needs no classification.
+func (*Framework) Prepare(g, undirected *graph.Graph) any {
+	if g == nil {
+		return nil
+	}
+	return assumeHighDiameter(g, kernel.Options{UndirectedView: undirected})
+}
 
 // assumeHighDiameter is the per-graph dispatch from §V: in the Baseline rule
 // set Galois samples the degree distribution and "assumed the graph had a
 // low diameter if it has power-law degree distribution and a high diameter
 // otherwise" — which mislabels Urand (low diameter, uniform degrees), the
-// source of its poor Baseline BFS/BC there. In Optimized mode the graph is
-// known by name and only Road is treated as high-diameter.
+// source of its poor Baseline BFS/BC there. The classification is Prepare's,
+// made inside the timed region only when the cell carries none. In Optimized
+// mode the graph is known by name and only Road is treated as high-diameter.
 func assumeHighDiameter(g *graph.Graph, opt kernel.Options) bool {
 	if opt.Mode == kernel.Optimized && opt.GraphName != "" {
 		return opt.GraphName == "Road"
 	}
-	if v, ok := diameterGuess.Load(g); ok {
-		return v.(bool)
+	if high, ok := opt.Prepared.(bool); ok {
+		return high
 	}
-	high := graph.ClassifyDegrees(opt.Undirected(g)) != graph.DistPower
-	diameterGuess.Store(g, high)
-	return high
+	return graph.ClassifyDegrees(opt.Undirected(g)) != graph.DistPower
 }
 
 // BFS implements kernel.Framework: asynchronous relaxation when the graph is

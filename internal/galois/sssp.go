@@ -72,7 +72,7 @@ func bulkSSSP(exec *par.Machine, g *graph.Graph, src graph.NodeID, delta kernel.
 		}
 		return buckets[b]
 	}
-	seed := chunkPool.Get().(*chunk)
+	seed := newChunk()
 	seed.items[0] = src
 	seed.n = 1
 	level(0).put(seed)
@@ -111,16 +111,14 @@ func bulkSSSP(exec *par.Machine, g *graph.Graph, src graph.NodeID, delta kernel.
 						p := int(nd / delta)
 						lc := local[p]
 						if lc == nil {
-							lc = chunkPool.Get().(*chunk)
-							lc.n = 0
+							lc = newChunk()
 							local[p] = lc
 						}
 						// Tag the chunk with its priority via the bag map on
 						// flush; chunks themselves are priority-agnostic.
 						if lc.n == chunkSize {
 							out.putTagged(p, lc)
-							lc = chunkPool.Get().(*chunk)
-							lc.n = 0
+							lc = newChunk()
 							local[p] = lc
 						}
 						lc.items[lc.n] = v

@@ -28,6 +28,13 @@ type chunk struct {
 
 var chunkPool = sync.Pool{New: func() any { return new(chunk) }}
 
+// newChunk returns an empty chunk from the pool.
+func newChunk() *chunk {
+	c := chunkPool.Get().(*chunk)
+	c.n = 0
+	return c
+}
+
 // bag is an unordered concurrent collection of chunks (the Galois
 // InsertBag / ChunkedFIFO hybrid): producers push full chunks, consumers
 // steal whole chunks. A single mutex suffices because contention is once per

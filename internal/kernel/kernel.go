@@ -128,6 +128,13 @@ type Options struct {
 	// exclude relabeling time, so kernels reach it only through TCView,
 	// which ignores it unless Mode == Optimized.
 	RelabeledView *graph.Graph
+
+	// Prepared is what the framework's Prepare returned for the view this
+	// cell reads — the relabeled view for an Optimized TC cell, the input
+	// graph otherwise. The harness sets it from the input that owns it. Nil
+	// means nothing was prepared, and the kernel converts inside the timed
+	// region.
+	Prepared any
 }
 
 // Undirected returns the prebuilt undirected view when available, falling
@@ -216,20 +223,15 @@ type Algorithms struct {
 }
 
 // Preparer is implemented by frameworks that build internal representations
-// of the input graph at load time. The harness calls Prepare once per graph,
-// untimed — the analogue of each paper framework loading the benchmark graph
-// into its own native structures before trials begin. (Per-kernel format
-// conversion beyond this remains timed, per the GAP rules.)
+// of the input graph at load time — the analogue of each paper framework
+// loading the benchmark graph into its own native structures before trials
+// begin. The harness calls Prepare untimed, once per input and view, keeps
+// what it returns with the input until the input closes, and hands it to
+// kernels as Options.Prepared. g is nil for a view only TC reads (the
+// degree-relabeled view): then only undirected needs converting. Per-kernel
+// format conversion beyond this remains timed, per the GAP rules.
 type Preparer interface {
-	Prepare(g *graph.Graph, undirected *graph.Graph)
-}
-
-// RelabelPreparer is implemented by Preparers whose Optimized kernels also
-// convert Options.RelabeledView. The harness calls PrepareRelabeled before
-// every Optimized cell, untimed, so like Prepare it must cache: the Optimized
-// rule set excludes relabeling time, and so converting the relabeled view.
-type RelabelPreparer interface {
-	PrepareRelabeled(relabeled *graph.Graph)
+	Prepare(g, undirected *graph.Graph) any
 }
 
 // Describer is implemented by frameworks that report their Table II/III

@@ -7,17 +7,18 @@
 package lagraph
 
 import (
-	"sync"
-
 	"gapbench/internal/graph"
 	"gapbench/internal/grb"
 	"gapbench/internal/kernel"
 )
 
-// matrices is the cached GraphBLAS form of one input graph, built at load
-// time like a LAGraph_Graph: the adjacency matrix, its transpose, a weighted
-// copy for SSSP, and the symmetrized matrix for CC/TC.
+// matrices is the GraphBLAS form of one view of an input graph, built at
+// load time like a LAGraph_Graph: the adjacency matrix, its transpose, a
+// weighted copy for SSSP, and the symmetrized matrix for CC/TC. g and u are
+// the views it was converted from; a view only TC reads (the relabeled view)
+// has g nil and only und.
 type matrices struct {
+	g, u   *graph.Graph
 	a      *grb.Matrix // out-adjacency, structural
 	at     *grb.Matrix // in-adjacency (transpose), structural
 	aw     *grb.Matrix // out-adjacency with weights
@@ -25,19 +26,12 @@ type matrices struct {
 	degree []float64   // out-degrees as float64 (PR divides by them)
 }
 
-// Framework is the SuiteSparse GraphBLAS + LAGraph reproduction.
-type Framework struct {
-	mu    sync.Mutex
-	cache map[*graph.Graph]*matrices
-	// relabeled holds the structural matrix of each degree-relabeled view
-	// Optimized TC has been handed, keyed by that view.
-	relabeled map[*graph.Graph]*grb.Matrix
-}
+// Framework is the SuiteSparse GraphBLAS + LAGraph reproduction. It holds no
+// per-graph state: the input it was prepared from owns the matrices.
+type Framework struct{}
 
 // New returns the GraphBLAS/LAGraph framework.
-func New() *Framework {
-	return &Framework{cache: make(map[*graph.Graph]*matrices), relabeled: make(map[*graph.Graph]*grb.Matrix)}
-}
+func New() *Framework { return &Framework{} }
 
 // Name implements kernel.Framework.
 func (*Framework) Name() string { return "SuiteSparse" }
@@ -66,56 +60,44 @@ func (*Framework) Algorithms() kernel.Algorithms {
 }
 
 var (
-	_ kernel.Framework       = (*Framework)(nil)
-	_ kernel.Describer       = (*Framework)(nil)
-	_ kernel.Preparer        = (*Framework)(nil)
-	_ kernel.RelabelPreparer = (*Framework)(nil)
+	_ kernel.Framework = (*Framework)(nil)
+	_ kernel.Describer = (*Framework)(nil)
+	_ kernel.Preparer  = (*Framework)(nil)
 )
 
-// Prepare converts the graph into GraphBLAS matrices once, untimed — the
+// Prepare converts a view into GraphBLAS matrices, untimed — the
 // LAGraph_Graph construction that happens when a benchmark graph is loaded.
-func (f *Framework) Prepare(g *graph.Graph, undirected *graph.Graph) {
-	f.matrices(g, undirected)
-}
-
-// PrepareRelabeled converts the Optimized-mode relabeled view once, untimed,
-// like Prepare does the input graph.
-func (f *Framework) PrepareRelabeled(relabeled *graph.Graph) {
-	f.relabeledMatrix(relabeled)
-}
-
-// relabeledMatrix returns the cached matrix of a relabeled view, building it
-// on first use.
-func (f *Framework) relabeledMatrix(relabeled *graph.Graph) *grb.Matrix {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	m, ok := f.relabeled[relabeled]
-	if !ok {
-		m = grb.FromGraph(relabeled, false, false)
-		f.relabeled[relabeled] = m
+// For a view only TC reads (g nil) it converts the undirected form alone.
+func (*Framework) Prepare(g, undirected *graph.Graph) any {
+	if g == nil {
+		return &matrices{u: undirected, und: grb.FromGraph(undirected, false, false)}
 	}
-	return m
+	return convert(g, undirected)
 }
 
-// matrices returns the cached GraphBLAS form, building it on first use.
-func (f *Framework) matrices(g *graph.Graph, undirected *graph.Graph) *matrices {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if m, ok := f.cache[g]; ok {
+// matricesFor returns the matrices opt carries for g, converting g inside the
+// timed region when it carries none.
+func matricesFor(g *graph.Graph, opt kernel.Options) *matrices {
+	if m, ok := opt.Prepared.(*matrices); ok && m.g == g {
 		return m
 	}
-	if undirected == nil {
-		undirected = g.Undirected()
-	}
+	return convert(g, opt.Undirected(g))
+}
+
+// convert builds the GraphBLAS form of g and its undirected view.
+func convert(g, undirected *graph.Graph) *matrices {
 	m := &matrices{
+		g:  g,
+		u:  undirected,
 		a:  grb.FromGraph(g, false, false),
-		at: grb.FromGraph(g, true, false),
 		aw: grb.FromGraph(g, false, true),
 	}
+	// An undirected graph's matrix is symmetric: like LAGraph, which caches
+	// no G->AT for one, its transpose and symmetrized forms are A itself.
+	m.at, m.und = m.a, m.a
 	if g.Directed() {
+		m.at = grb.FromGraph(g, true, false)
 		m.und = grb.FromGraph(undirected, false, false)
-	} else {
-		m.und = m.a
 	}
 	// Indexing stays 64-bit on the GraphBLAS side (the GAP spec's index-width
 	// rule, enforced by gapvet); NodeID narrows only at the graph boundary.
@@ -123,7 +105,6 @@ func (f *Framework) matrices(g *graph.Graph, undirected *graph.Graph) *matrices 
 	for u := range m.degree {
 		m.degree[u] = float64(g.OutDegree(graph.NodeID(u)))
 	}
-	f.cache[g] = m
 	return m
 }
 
@@ -136,7 +117,7 @@ func (f *Framework) BFS(g *graph.Graph, src graph.NodeID, opt kernel.Options) []
 // grb.DirPull) or freed (grb.DirAuto) — the hook the push-vs-pull crossover
 // benchmarks use to measure each direction in isolation.
 func (f *Framework) BFSWithPolicy(g *graph.Graph, src graph.NodeID, opt kernel.Options, policy grb.DirPolicy) []graph.NodeID {
-	m := f.matrices(g, opt.UndirectedView)
+	m := matricesFor(g, opt)
 	pi := bfsParents(opt.Exec(), m, grb.Index(src), policy)
 	// Export the 64-bit GraphBLAS vector into the shared 32-bit convention.
 	out := make([]graph.NodeID, g.NumNodes())
@@ -149,21 +130,21 @@ func (f *Framework) BFSWithPolicy(g *graph.Graph, src graph.NodeID, opt kernel.O
 
 // SSSP implements kernel.Framework.
 func (f *Framework) SSSP(g *graph.Graph, src graph.NodeID, opt kernel.Options) []kernel.Dist {
-	m := f.matrices(g, opt.UndirectedView)
+	m := matricesFor(g, opt)
 	t := deltaStepping(opt.Exec(), m.aw, grb.Index(src), opt.SSSPDelta())
 	return append([]kernel.Dist(nil), t.Dense()...)
 }
 
 // PR implements kernel.Framework.
 func (f *Framework) PR(g *graph.Graph, opt kernel.Options) []float64 {
-	m := f.matrices(g, opt.UndirectedView)
+	m := matricesFor(g, opt)
 	r := pagerank(opt.Exec(), m)
 	return append([]float64(nil), r.Dense()...)
 }
 
 // CC implements kernel.Framework.
 func (f *Framework) CC(g *graph.Graph, opt kernel.Options) []graph.NodeID {
-	m := f.matrices(g, opt.UndirectedView)
+	m := matricesFor(g, opt)
 	fvec := fastSV(opt.Exec(), m.und)
 	out := make([]graph.NodeID, g.NumNodes())
 	for i, v := range fvec.Dense() {
@@ -174,7 +155,7 @@ func (f *Framework) CC(g *graph.Graph, opt kernel.Options) []graph.NodeID {
 
 // BC implements kernel.Framework.
 func (f *Framework) BC(g *graph.Graph, sources []graph.NodeID, opt kernel.Options) []float64 {
-	m := f.matrices(g, opt.UndirectedView)
+	m := matricesFor(g, opt)
 	srcs := make([]grb.Index, len(sources))
 	for i, s := range sources {
 		srcs[i] = grb.Index(s)
@@ -183,21 +164,15 @@ func (f *Framework) BC(g *graph.Graph, sources []graph.NodeID, opt kernel.Option
 }
 
 // TC implements kernel.Framework.
-func (f *Framework) TC(g *graph.Graph, opt kernel.Options) int64 {
-	m := f.matrices(g, opt.UndirectedView)
+func (*Framework) TC(g *graph.Graph, opt kernel.Options) int64 {
 	// Optional heuristic-driven permutation of A before the masked multiply
 	// (§III-A: "preceded by an optional permutation of A, decided by a
 	// heuristic"). In Optimized mode the pre-relabeled view and its matrix
-	// are free: both are built untimed (PrepareRelabeled). A view relabeled
-	// inside the trial is converted inside it too.
-	var und *grb.Matrix
-	switch view := opt.TCView(g); view {
-	case g, opt.UndirectedView:
-		und = m.und
-	case opt.RelabeledView:
-		und = f.relabeledMatrix(view)
-	default:
-		und = grb.FromGraph(view, false, false)
+	// are free: both are built untimed, and the cell carries the matrix. A
+	// view relabeled inside the trial is converted inside it too.
+	view := opt.TCView(g)
+	if m, ok := opt.Prepared.(*matrices); ok && m.u == view {
+		return triangleCount(opt.Exec(), m.und)
 	}
-	return triangleCount(opt.Exec(), und)
+	return triangleCount(opt.Exec(), grb.FromGraph(view, false, false))
 }

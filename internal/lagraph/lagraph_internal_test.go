@@ -19,15 +19,23 @@ func prepared(t *testing.T, name string, scale int) (*Framework, *graph.Graph, *
 		t.Fatal(err)
 	}
 	f := New()
-	u := g.Undirected()
-	f.Prepare(g, u)
-	return f, g, f.matrices(g, u)
+	return f, g, f.Prepare(g, g.Undirected()).(*matrices)
 }
 
+// TestMatricesCachedPerGraph checks that Prepare converts every matrix and
+// that a kernel handed them uses them instead of converting again, while one
+// handed another graph's matrices converts its own.
 func TestMatricesCachedPerGraph(t *testing.T) {
-	f, g, m := prepared(t, "Kron", 7)
-	if again := f.matrices(g, nil); again != m {
-		t.Fatal("matrices rebuilt for the same graph")
+	_, g, m := prepared(t, "Kron", 7)
+	if again := matricesFor(g, kernel.Options{Prepared: m}); again != m {
+		t.Fatal("matrices rebuilt for the graph they were prepared from")
+	}
+	other, err := generate.ByName("Kron", 7, 18)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mo := matricesFor(other, kernel.Options{Prepared: m}); mo == m || mo.g != other {
+		t.Fatal("another graph's matrices were used")
 	}
 	if m.a.NVals() != g.NumEdges() {
 		t.Fatalf("A nvals = %d, graph edges = %d", m.a.NVals(), g.NumEdges())
@@ -227,9 +235,7 @@ func TestBetweennessAllocationIsDepthIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := New()
-	f.Prepare(g, g)
-	m := f.matrices(g, g)
+	m := New().Prepare(g, g).(*matrices)
 	roots := []grb.Index{0, n / 2, n - 1, 7}
 	run := func() { betweenness(par.Default(), m, roots) }
 	run() // warm the machine
@@ -244,11 +250,10 @@ func TestBetweennessAllocationIsDepthIndependent(t *testing.T) {
 	}
 }
 
-// TestOptimizedTCConvertsRelabeledViewOnce requires Optimized TC to convert
-// the relabeled view at most once per framework: a first call on a framework
-// that was not handed the view builds its matrix, while a second call, or a
-// first call after PrepareRelabeled, allocates at least that matrix's column
-// array less.
+// TestOptimizedTCConvertsRelabeledViewOnce requires an Optimized TC cell
+// handed the relabeled view's prepared matrix not to convert that view
+// again: it allocates at least the matrix's column array less than a cell
+// handed nothing, which converts the view inside the trial.
 func TestOptimizedTCConvertsRelabeledViewOnce(t *testing.T) {
 	g, err := generate.ByName("Kron", 9, 17)
 	if err != nil {
@@ -260,7 +265,8 @@ func TestOptimizedTCConvertsRelabeledViewOnce(t *testing.T) {
 	defer m.Close()
 	opt := kernel.Options{Mode: kernel.Optimized, Machine: m, UndirectedView: u, RelabeledView: rel}
 	want := verify.Triangles(u)
-	allocated := func(f *Framework) uint64 {
+	f := New()
+	allocated := func(opt kernel.Options) uint64 {
 		t.Helper()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -274,17 +280,17 @@ func TestOptimizedTCConvertsRelabeledViewOnce(t *testing.T) {
 	_, neigh := rel.RawOut()
 	colBytes := uint64(8 * len(neigh))
 
-	f := New()
-	f.Prepare(g, u)
-	first := allocated(f)
-	second := allocated(f)
-	if second+colBytes > first {
-		t.Errorf("second call allocated %d B, first %d B: the %d B column array was rebuilt", second, first, colBytes)
+	unprepared := allocated(opt)
+	state := f.Prepare(nil, rel).(*matrices)
+	if state.a != nil || state.at != nil || state.aw != nil {
+		t.Error("the relabeled view's state converts more than TC reads")
 	}
-	pf := New()
-	pf.Prepare(g, u)
-	pf.PrepareRelabeled(rel)
-	if p := allocated(pf); p+colBytes > first {
-		t.Errorf("call after PrepareRelabeled allocated %d B, unprepared first call %d B: the %d B column array was rebuilt", p, first, colBytes)
+	opt.Prepared = state
+	if p := allocated(opt); p+colBytes > unprepared {
+		t.Errorf("call handed the prepared matrix allocated %d B, unprepared call %d B: the %d B column array was rebuilt", p, unprepared, colBytes)
+	}
+	opt.Prepared = f.Prepare(g, u) // the input graph's state: not the relabeled view's
+	if p := allocated(opt); p+colBytes < unprepared {
+		t.Errorf("call handed the input graph's matrices allocated %d B, unprepared call %d B: the wrong view's matrix was used", p, unprepared)
 	}
 }

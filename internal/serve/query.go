@@ -333,6 +333,7 @@ func runAttempt[T any](s *Server, p *queryPlan, tok *par.CancelToken, deadline t
 		Machine:        lease.Machine(),
 		Cancel:         tok,
 		UndirectedView: p.in.Undirected,
+		Prepared:       p.in.Prepared(p.f, false),
 	}
 	// The graph views are captured before the sandbox starts: an abandoned
 	// sandbox may wake long after this query (and even the Input) is gone,

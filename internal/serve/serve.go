@@ -151,8 +151,9 @@ type Server struct {
 
 // NewServer builds a Server over the given prepared inputs and frameworks.
 // The first framework is the default for requests that name none. Inputs and
-// frameworks must be non-empty; frameworks should already be Prepared against
-// the inputs (core.PrepareViews) so no conversion cost lands on first query.
+// frameworks must be non-empty; frameworks should already be prepared on
+// the inputs (core.PrepareViews), or the first query per (graph, framework)
+// pays the conversion before its kernel starts.
 // Each graph's reach index (SCCs, reach counts, weak components) is built
 // and checked here, several graphs at once; a failed check is an error.
 func NewServer(cfg Config, inputs []*core.Input, frameworks []kernel.Framework) (*Server, error) {

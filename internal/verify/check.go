@@ -220,10 +220,13 @@ func CheckPR(g *graph.Graph, ranks []float64) error {
 		}
 		residual += math.Abs(base + danglingShare + kernel.PRDamping*s - ranks[v])
 	}
-	// The kernels stop when the L1 delta drops below PRTolerance; allow a
-	// small multiple of that to absorb floating-point reassociation.
-	if residual > 4*kernel.PRTolerance {
-		return fmt.Errorf("pr: fixed-point residual %v exceeds %v", residual, 4*kernel.PRTolerance)
+	// The kernels stop when the L1 delta drops below PRTolerance, and one
+	// more Jacobi step from there moves the vector by at most PRDamping
+	// times that delta, so the GAP reference verifier's bound, the tolerance
+	// itself, holds for every converged method. An answer stopped one
+	// iteration short meets it too; two short does not.
+	if residual > kernel.PRTolerance {
+		return fmt.Errorf("pr: fixed-point residual %v exceeds %v", residual, kernel.PRTolerance)
 	}
 	return nil
 }

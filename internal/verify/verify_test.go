@@ -152,6 +152,39 @@ func TestPageRankOracleAndCheck(t *testing.T) {
 	}
 }
 
+// TestCheckPRRejectsTwoIterationsShort stops the oracle's power iteration
+// two iterations before it converges on each suite graph at base scale 12:
+// CheckPR must reject every such answer and accept the converged one. Road-14
+// is the thinnest case, its residual about 1.01 tolerances. One iteration
+// short cannot be rejected by any residual check: that answer's residual lies
+// within the converged kernels' own, and its last change was already below
+// tolerance.
+func TestCheckPRRejectsTwoIterationsShort(t *testing.T) {
+	for _, spec := range []struct {
+		name  string
+		scale int
+	}{{"Road", 14}, {"Twitter", 12}, {"Web", 12}, {"Kron", 13}, {"Urand", 13}} {
+		g, err := generate.ByName(spec.name, spec.scale, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		converged := verify.PageRank(g, kernel.PRMaxIters, kernel.PRTolerance)
+		if err := verify.CheckPR(g, converged); err != nil {
+			t.Fatalf("%s: converged oracle rejected: %v", spec.name, err)
+		}
+		iters := 1
+		for !slices.Equal(verify.PageRank(g, iters, kernel.PRTolerance), converged) {
+			iters++
+		}
+		if iters < 3 {
+			t.Fatalf("%s converged in %d iterations: nothing to stop two short of", spec.name, iters)
+		}
+		if err := verify.CheckPR(g, verify.PageRank(g, iters-2, kernel.PRTolerance)); err == nil {
+			t.Errorf("%s: PageRank stopped 2 of %d iterations short accepted", spec.name, iters)
+		}
+	}
+}
+
 func TestBetweennessOracleAndCheck(t *testing.T) {
 	// Path 0-1-2-3: vertex 1 and 2 lie on all long shortest paths.
 	g := buildWeighted(t, []graph.WEdge{

@@ -64,7 +64,7 @@
 #      cell runs through gapbench with its per-graph schedule table keyed by
 #      the file's graph name, and LAGraph's Optimized TC converts the
 #      relabeled view the runner builds on the first Optimized TC cell
-#      (PrepareRelabeled) over the mmapped input.
+#      (Input.Prepared on that view) over the mmapped input.
 #  Tiers 9 and 11 use the tree's one gapd load driver, gapmark's
 #  (benchmark/drive); tier 10 starts no daemon.
 #   9. gapd serving smoke tier: gapmark's TestSmoke against an armed gapd
