@@ -68,13 +68,12 @@ func main() {
 
 		journal = flag.String("journal", "", "append every served query outcome to this JSONL journal (suite core.Result format)")
 		drain   = flag.Duration("drain", 10*time.Second, "hard deadline for the SIGTERM/SIGINT graceful drain")
-		seed    = flag.Uint64("seed", 1, "retry-jitter seed")
 		quiet   = flag.Bool("q", false, "suppress operational log lines")
 	)
 	flag.Parse()
 	if err := run(*listenAddr, *graphsFlag, *scale, *graphDir, *graphFiles, *fwFlag,
 		*poolSize, *workers, *budget, *maxBudget, *grace, *rate, *burst, *maxQueue,
-		*breakerN, *breakerCooldown, *retries, *journal, *drain, *seed, *quiet); err != nil {
+		*breakerN, *breakerCooldown, *retries, *journal, *drain, *quiet); err != nil {
 		fmt.Fprintln(os.Stderr, "gapd:", err)
 		os.Exit(1)
 	}
@@ -83,7 +82,7 @@ func main() {
 func run(listenAddr, graphsCSV string, scale int, graphDir, graphFiles, fwCSV string,
 	poolSize, workers int, budget, maxBudget, grace time.Duration,
 	rate float64, burst, maxQueue int, breakerN int, breakerCooldown time.Duration,
-	retries int, journal string, drain time.Duration, seed uint64, quiet bool) error {
+	retries int, journal string, drain time.Duration, quiet bool) error {
 
 	logf := log.New(os.Stderr, "gapd: ", log.LstdFlags).Printf
 	if quiet {
@@ -131,9 +130,8 @@ func run(listenAddr, graphsCSV string, scale int, graphDir, graphFiles, fwCSV st
 		Grace:         grace,
 		Admission:     serve.AdmissionConfig{Rate: rate, Burst: burst, MaxQueue: maxQueue},
 		Breaker:       serve.BreakerConfig{Threshold: breakerN, Cooldown: breakerCooldown},
-		Retry:         serve.RetryConfig{MaxRetries: retries},
+		Retry:         core.RetryPolicy{MaxRetries: retries},
 		JournalPath:   journal,
-		Seed:          seed,
 		Logf:          logf,
 	}
 	srv, err := serve.NewServer(cfg, inputs, frameworks)

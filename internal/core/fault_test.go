@@ -167,6 +167,25 @@ func TestNoRetryPolicySingleAttempt(t *testing.T) {
 	}
 }
 
+// TestRetryPolicyRule: Panicked and TimedOut are retried while attempts
+// remain (a nil policy allows one), and no other status ever is.
+func TestRetryPolicyRule(t *testing.T) {
+	var once *core.RetryPolicy
+	for _, s := range []core.Status{core.Panicked, core.TimedOut} {
+		if !once.Retries(s, 0) || once.Retries(s, 1) {
+			t.Errorf("nil policy on %v: want exactly one retry", s)
+		}
+		if (&core.RetryPolicy{}).Retries(s, 0) {
+			t.Errorf("zero policy retried %v", s)
+		}
+	}
+	for _, s := range []core.Status{core.OK, core.VerifyFailed, core.Skipped} {
+		if (&core.RetryPolicy{MaxRetries: 5}).Retries(s, 0) {
+			t.Errorf("policy retried %v", s)
+		}
+	}
+}
+
 func TestVerifyFailureIsNotRetried(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	in := loadSmallInput(t)

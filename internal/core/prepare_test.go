@@ -173,3 +173,47 @@ func (s *prepareSpy) TC(g *gGraph, opt kernel.Options) int64 {
 	s.seen = opt.Prepared
 	return 0
 }
+
+// TestRunCellWhileRelabeledViewBuilds runs cells while another goroutine,
+// started from inside the first trial's kernel, builds the input's relabeled
+// view through Prepared(f, true). The runner reads that view only for
+// Optimized TC cells and only through RelabeledView, so under -race nothing
+// the cells read races the build.
+func TestRunCellWhileRelabeledViewBuilds(t *testing.T) {
+	in, err := core.LoadInput(core.GraphSpec{Name: "Kron", Scale: 6, Seed: 2, Delta: 16, SourceSeed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	f := &relabelDuringBFS{Framework: core.FrameworkByName("GAP"), in: in, built: make(chan struct{})}
+	r := &core.Runner{Trials: 3, BaselineWorkers: 2, OptimizedWorkers: 2, Verify: true}
+	defer r.Close()
+	for _, mode := range []kernel.Mode{kernel.Optimized, kernel.Baseline} {
+		if res := r.RunCell(f, core.BFS, in, mode); res.Status != core.OK {
+			t.Errorf("%v BFS: %s: %s", mode, res.Status, res.Err)
+		}
+	}
+	<-f.built
+	if res := r.RunCell(f, core.TC, in, kernel.Optimized); res.Status != core.OK {
+		t.Errorf("Optimized TC after the build: %s: %s", res.Status, res.Err)
+	}
+}
+
+// relabelDuringBFS is a framework whose first BFS starts a goroutine that
+// prepares the input's relabeled view, and closes built when it is done.
+type relabelDuringBFS struct {
+	kernel.Framework
+	in    *core.Input
+	once  sync.Once
+	built chan struct{}
+}
+
+func (f *relabelDuringBFS) BFS(g *gGraph, src gNode, opt kernel.Options) []gNode {
+	f.once.Do(func() {
+		go func() {
+			defer close(f.built)
+			f.in.Prepared(f.Framework, true)
+		}()
+	})
+	return f.Framework.BFS(g, src, opt)
+}

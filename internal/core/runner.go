@@ -114,37 +114,25 @@ type Result struct {
 	Sync SyncStats
 }
 
-// RetryPolicy decides which trial failures are worth a second attempt.
+// RetryPolicy bounds the attempts spent on a trial. Panicked and TimedOut
+// can be transient (a race that fired, a scheduling hiccup against a tight
+// deadline), so an attempt that ended in either is retried while attempts
+// remain; VerifyFailed is a wrong answer and will be wrong again.
 type RetryPolicy struct {
 	// MaxRetries is the number of extra attempts per trial.
 	MaxRetries int
-	// RetryOn reports whether a status should be treated as transient. Nil
-	// retries nothing.
-	RetryOn func(Status) bool
-}
-
-// DefaultRetryPolicy retries Panicked and TimedOut trials once: those can be
-// transient (a race that fired, a scheduling hiccup against a tight
-// deadline), whereas VerifyFailed is a wrong answer and will be wrong again.
-func DefaultRetryPolicy() *RetryPolicy {
-	return &RetryPolicy{
-		MaxRetries: 1,
-		RetryOn:    func(s Status) bool { return s == Panicked || s == TimedOut },
-	}
 }
 
 // Retries reports whether an attempt that ended in s, after the given number
 // of earlier attempts, is followed by another — the one retry decision, for
-// the runner's trials and the daemon's queries alike. A nil policy is
-// DefaultRetryPolicy.
+// the runner's trials and the daemon's queries alike. A nil policy retries
+// once.
 func (p *RetryPolicy) Retries(s Status, attempt int) bool {
-	if s == OK {
-		return false
+	limit := 1
+	if p != nil {
+		limit = p.MaxRetries
 	}
-	if p == nil {
-		p = DefaultRetryPolicy()
-	}
-	return attempt < p.MaxRetries && p.RetryOn != nil && p.RetryOn(s)
+	return (s == Panicked || s == TimedOut) && attempt < limit
 }
 
 // Runner executes benchmark cells under the paper's two rule sets.
@@ -164,7 +152,9 @@ type Runner struct {
 	// should be the default is open (ROADMAP item 7).
 	BaselineWorkers  int
 	OptimizedWorkers int
-	// Verify enables oracle checking of every trial (untimed).
+	// Verify enables oracle checking of every trial (untimed). Each trial's
+	// output is compared with its input's oracle answer, built once per
+	// (input, kernel, source or root set) and shared by every cell.
 	Verify bool
 
 	// Timeout is the per-trial deadline; zero means none. When it passes,
@@ -174,8 +164,8 @@ type Runner struct {
 	// Grace is how long past a fired deadline the runner waits for a kernel
 	// to notice the token before abandoning its machine (default 2s).
 	Grace time.Duration
-	// Retry decides which trial failures get re-attempted; nil means the
-	// default policy (one retry for Panicked/TimedOut).
+	// Retry bounds the re-attempts of Panicked and TimedOut trials; nil
+	// means one.
 	Retry *RetryPolicy
 	// JournalPath, when set, makes RunSuite append every completed cell to a
 	// JSONL journal; with Resume also set, cells already journaled are
@@ -272,27 +262,6 @@ func (r *Runner) grace() time.Duration {
 	return 2 * time.Second
 }
 
-// options assembles the kernel.Options for one cell under the mode's rules,
-// handing the kernel the framework's prepared state for the view it reads.
-func (r *Runner) options(in *Input, mode kernel.Mode, prepared any) kernel.Options {
-	opt := kernel.Options{
-		Mode:           mode,
-		Delta:          in.Spec.Delta,
-		UndirectedView: in.Undirected,
-		Machine:        r.machine(mode),
-		Prepared:       prepared,
-	}
-	if mode == kernel.Optimized {
-		// Optimized rule set: per-graph identity is known, hyperthreads are
-		// allowed (the mode's machine is OptimizedWorkers wide), and
-		// relabeling time may be excluded: prepare built the relabeled view
-		// for a TC cell.
-		opt.GraphName = in.Spec.Name
-		opt.RelabeledView = in.Relabeled
-	}
-	return opt
-}
-
 // checkOracle runs an oracle check under its own recover: a panic while
 // inspecting garbage kernel output is the kernel's failure, reported as a
 // verification error rather than crashing the harness.
@@ -307,11 +276,20 @@ func checkOracle(check func() error) (err error) {
 
 // runAttempt executes one trial attempt in the sandbox (sandbox.go) on the
 // mode's machine, under a per-attempt cancellation token that the kernel
-// options carry too. A kernel that ignores the fired token past the grace
-// period costs the runner that machine, never the suite: the attempt reports
-// TimedOut and the next one gets a fresh pool.
-func (r *Runner) runAttempt(f kernel.Framework, k Kernel, in *Input, mode kernel.Mode, prepared any, trial int) Outcome {
-	opt := r.options(in, mode, prepared)
+// options carry too. With Verify on, it first takes the trial's oracle answer
+// from the input, untimed and outside the sandbox, and the check compares the
+// kernel's output with it. A kernel that ignores the fired token past the
+// grace period costs the runner that machine, never the suite: the attempt
+// reports TimedOut and the next one gets a fresh pool.
+func (r *Runner) runAttempt(f kernel.Framework, k Kernel, in *Input, opt kernel.Options, trial int) Outcome {
+	var ref any
+	if r.Verify {
+		var out Outcome
+		if ref, out = untimed(f, in, "reference", func() any { return in.reference(k, trial) }); out.Status != OK {
+			return out
+		}
+	}
+	opt.Machine = r.machine(opt.Mode)
 	var deadline time.Time // zero: no -timeout, wait for the kernel
 	if r.Timeout > 0 {
 		opt.Cancel = par.NewDeadlineToken(r.Timeout)
@@ -328,34 +306,33 @@ func (r *Runner) runAttempt(f kernel.Framework, k Kernel, in *Input, mode kernel
 		Deadline:  deadline,
 		Limit:     r.Timeout,
 		Grace:     r.grace(),
-		Seals:     [3]*graph.Graph{in.Graph, in.Undirected, in.Relabeled},
+		Seals:     [3]*graph.Graph{in.Graph, in.Undirected, opt.RelabeledView},
 	}
 
 	g := in.Graph
 	_, out := RunSandboxed(sb, func() func() (struct{}, error) {
 		var check func() error
+		slot := in.trialSlot(k, trial)
 		switch k {
 		case BFS:
-			src := in.Sources[trial%len(in.Sources)]
+			src := in.Sources[slot]
 			parent := f.BFS(g, src, opt)
-			check = func() error { return verify.CheckBFS(g, src, parent) }
+			check = func() error { return verify.CompareBFS(g, src, ref.([]int32), parent) }
 		case SSSP:
-			src := in.Sources[trial%len(in.Sources)]
-			dist := f.SSSP(g, src, opt)
-			check = func() error { return verify.CheckSSSP(g, src, dist) }
+			dist := f.SSSP(g, in.Sources[slot], opt)
+			check = func() error { return verify.CompareSSSP(ref.([]kernel.Dist), dist) }
 		case PR:
 			ranks := f.PR(g, opt)
 			check = func() error { return verify.CheckPR(g, ranks) }
 		case CC:
 			labels := f.CC(g, opt)
-			check = func() error { return verify.CheckCC(g, labels) }
+			check = func() error { return verify.CompareCC(ref.([]graph.NodeID), labels) }
 		case BC:
-			roots := in.BCRoots[trial%len(in.BCRoots)]
-			scores := f.BC(g, roots, opt)
-			check = func() error { return verify.CheckBC(g, roots, scores) }
+			scores := f.BC(g, in.BCRoots[slot], opt)
+			check = func() error { return verify.CompareBC(ref.([]float64), scores) }
 		case TC:
 			count := f.TC(g, opt)
-			check = func() error { return verify.CheckTC(in.Undirected, count) }
+			check = func() error { return verify.CompareTC(ref.(int64), count) }
 		}
 		return func() (struct{}, error) {
 			if !r.Verify {
@@ -365,26 +342,42 @@ func (r *Runner) runAttempt(f kernel.Framework, k Kernel, in *Input, mode kernel
 		}
 	})
 	if out.Abandoned {
-		r.abandonMachine(mode, sb.Machine)
+		r.abandonMachine(opt.Mode, sb.Machine)
 	}
 	return out
 }
 
-// prepare does a cell's untimed set-up and returns the framework's prepared
-// state for the view the cell reads. An Optimized TC cell, the only reader of
-// the input's relabeled view, gets that view built and prepared on the first
-// such cell; every other cell reads the input graph's state. A framework's
-// load-time conversion runs under recover, so a panicking Prepare fails its
-// cell instead of the suite.
-func prepare(f kernel.Framework, k Kernel, in *Input, mode kernel.Mode) (prepared any, out Outcome) {
+// prepare does a cell's untimed set-up and returns the options its trials
+// share (each attempt adds its machine and token). The Optimized rule set
+// knows the graph's identity, and an Optimized TC cell, the only reader of
+// the input's relabeled view, gets that view, built and prepared on the first
+// such cell; every other cell reads the input graph's state.
+func prepare(f kernel.Framework, k Kernel, in *Input, mode kernel.Mode) (opt kernel.Options, out Outcome) {
+	opt = kernel.Options{Mode: mode, Delta: in.Spec.Delta, UndirectedView: in.Undirected}
+	if mode == kernel.Optimized {
+		opt.GraphName = in.Spec.Name
+	}
+	opt.Prepared, out = untimed(f, in, "Prepare", func() any {
+		if mode == kernel.Optimized && k == TC {
+			opt.RelabeledView = in.RelabeledView()
+		}
+		return in.Prepared(f, opt.RelabeledView != nil)
+	})
+	return opt, out
+}
+
+// untimed runs one untimed step of a cell, named step in the error text,
+// under recover: a framework's panicking Prepare fails its cell, and a
+// panicking oracle its trial, instead of the suite.
+func untimed(f kernel.Framework, in *Input, step string, build func() any) (v any, out Outcome) {
 	defer func() {
 		if pv := recover(); pv != nil {
 			out.Status = Panicked
-			out.Err = fmt.Sprintf("%s: panic in Prepare(%s): %v", f.Name(), in.Spec.Name, pv)
+			out.Err = fmt.Sprintf("%s: panic in %s(%s): %v", f.Name(), step, in.Spec.Name, pv)
 			out.Stack = TrimStack(debug.Stack())
 		}
 	}()
-	return in.Prepared(f, mode == kernel.Optimized && k == TC), out
+	return build(), out
 }
 
 // RunCell times one (framework, kernel, input, mode) cell. Every trial is
@@ -409,7 +402,7 @@ func (r *Runner) RunCell(f kernel.Framework, k Kernel, in *Input, mode kernel.Mo
 		return res
 	}
 
-	prepared, out := prepare(f, k, in, mode)
+	opt, out := prepare(f, k, in, mode)
 	if out.Status != OK {
 		res.Status = out.Status
 		res.Verified = false
@@ -444,7 +437,7 @@ func (r *Runner) RunCell(f kernel.Framework, k Kernel, in *Input, mode kernel.Mo
 		}
 		var out Outcome
 		for attempt := 0; ; attempt++ {
-			out = r.runAttempt(f, k, in, mode, prepared, t)
+			out = r.runAttempt(f, k, in, opt, t)
 			res.TrialRecords = append(res.TrialRecords, TrialRecord{
 				Trial: t, Attempt: attempt,
 				Status: out.Status, Seconds: out.Seconds,

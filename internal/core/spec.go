@@ -15,6 +15,7 @@ import (
 	"gapbench/internal/graph"
 	"gapbench/internal/kernel"
 	"gapbench/internal/par"
+	"gapbench/internal/verify"
 )
 
 // Kernel names the six GAP benchmark kernels.
@@ -84,17 +85,26 @@ type Input struct {
 	Mount time.Duration
 
 	relabelOnce sync.Once
-	// mu guards prepared, which holds each Preparer's state per view until
-	// Close drops it. Prepare runs under it, so a Close waits for one in
-	// flight; no Prepare calls back into its input.
-	mu       sync.Mutex
-	prepared map[preparedKey]any
+	// mu guards prepared, which holds each Preparer's state per view, and
+	// references, which holds each oracle answer trials are compared with,
+	// until Close drops both. Prepare and the oracles run under it, so a
+	// Close waits for one in flight; neither calls back into its input.
+	mu         sync.Mutex
+	prepared   map[preparedKey]any
+	references map[referenceKey]any
 }
 
 // preparedKey names one framework's prepared state for one view of an input.
 type preparedKey struct {
 	framework string
 	relabeled bool
+}
+
+// referenceKey names one oracle answer: the kernel and the trial slot it
+// answers (see trialSlot).
+type referenceKey struct {
+	kernel Kernel
+	slot   int
 }
 
 // RelabeledView returns the degree-sorted undirected view, building and
@@ -139,18 +149,68 @@ func (in *Input) Prepared(f kernel.Framework, relabeled bool) any {
 	return state
 }
 
-// Close drops every framework's prepared state and releases the storage of
-// every distinct graph view this input holds (the primary graph, the
-// undirected view, and the relabeled view if it was built may alias one
-// another). After Close, mmap-backed inputs are unmapped and any retained
-// kernel view panics on use instead of faulting.
+// trialSlot returns the index, in Sources for BFS and SSSP or in BCRoots for
+// BC, of what trial reads; trials rotate through them. Zero for the other
+// kernels, whose every trial reads the whole graph.
+func (in *Input) trialSlot(k Kernel, trial int) int {
+	switch k {
+	case BFS, SSSP:
+		return trial % len(in.Sources)
+	case BC:
+		return trial % len(in.BCRoots)
+	}
+	return 0
+}
+
+// reference returns the oracle answer a k trial is compared with: BFSDepths
+// or Dijkstra from the trial's source, Betweenness over its root set,
+// Components, or Triangles on the undirected view. The first caller for a
+// (kernel, source or root set) builds it, untimed; later callers, concurrent
+// ones included, share it until Close drops it. Nil for PR, which CheckPR
+// checks from the answer alone, and on a closed input. A panicking oracle
+// stores nothing and panics through to the caller.
+func (in *Input) reference(k Kernel, trial int) any {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if in.Graph == nil || k == PR {
+		return nil
+	}
+	key := referenceKey{k, in.trialSlot(k, trial)}
+	if ref, done := in.references[key]; done {
+		return ref
+	}
+	var ref any
+	switch k {
+	case BFS:
+		ref = verify.BFSDepths(in.Graph, in.Sources[key.slot])
+	case SSSP:
+		ref = verify.Dijkstra(in.Graph, in.Sources[key.slot])
+	case CC:
+		ref = verify.Components(in.Graph)
+	case BC:
+		ref = verify.Betweenness(in.Graph, in.BCRoots[key.slot])
+	case TC:
+		ref = verify.Triangles(in.Undirected)
+	}
+	if in.references == nil {
+		in.references = make(map[referenceKey]any)
+	}
+	in.references[key] = ref
+	return ref
+}
+
+// Close drops every framework's prepared state and every oracle answer, and
+// releases the storage of every distinct graph view this input holds (the
+// primary graph, the undirected view, and the relabeled view if it was built
+// may alias one another). After Close, mmap-backed inputs are unmapped and
+// any retained kernel view panics on use instead of faulting.
 func (in *Input) Close() error {
 	if in == nil {
 		return nil
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	in.prepared = nil
+	in.prepared, in.references = nil, nil
 	var first error
 	closed := make(map[*graph.Graph]bool, 3)
 	for _, g := range []*graph.Graph{in.Relabeled, in.Undirected, in.Graph} {

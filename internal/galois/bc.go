@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"gapbench/internal/graph"
+	"gapbench/internal/kernel"
 	"gapbench/internal/par"
 )
 
@@ -80,20 +81,7 @@ func brandes(exec *par.Machine, g *graph.Graph, sources []graph.NodeID, asyncFor
 		}
 	}
 
-	maxScore := 0.0
-	for _, s := range scores {
-		if s > maxScore {
-			maxScore = s
-		}
-	}
-	if maxScore > 0 {
-		exec.ForBlocked(n, 0, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				scores[i] /= maxScore
-			}
-		})
-	}
-	return scores
+	return kernel.BCNormalize(scores)
 }
 
 // forwardAsync assigns BFS depths with the asynchronous ordered executor,

@@ -87,21 +87,7 @@ func Brandes(g *graph.Graph, sources []graph.NodeID, opt kernel.Options) []float
 		}
 	}
 
-	// Normalize by the maximum score.
-	maxScore := 0.0
-	for _, s := range scores {
-		if s > maxScore {
-			maxScore = s
-		}
-	}
-	if maxScore > 0 {
-		exec.ForBlocked(n, 0, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				scores[i] /= maxScore
-			}
-		})
-	}
-	return scores
+	return kernel.BCNormalize(scores)
 }
 
 // bcForward runs a push-based parallel BFS from src, assigning depths and

@@ -89,7 +89,7 @@ func TestBrandesMatchesOracleOnAllSources(t *testing.T) {
 	}
 	srcs := testutil.BCSources(g)
 	scores := gap.New().BC(g, srcs, kernel.Options{})
-	if err := verify.CheckBC(g, srcs, scores); err != nil {
+	if err := verify.CompareBC(verify.Betweenness(g, srcs), scores); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -274,18 +274,7 @@ func brandes(exec *par.Machine, g *graph.Graph, sources []graph.NodeID) []float6
 		}
 	}
 
-	maxScore := 0.0
-	for _, s := range scores {
-		if s > maxScore {
-			maxScore = s
-		}
-	}
-	if maxScore > 0 {
-		for i := range scores {
-			scores[i] /= maxScore
-		}
-	}
-	return scores
+	return kernel.BCNormalize(scores)
 }
 
 // leeLowTC is the Lee & Low triangle count: build the forward (upper-

@@ -97,20 +97,7 @@ func bc(exec *par.Machine, g *graph.Graph, sources []graph.NodeID, sched schedul
 		}
 	}
 
-	maxScore := 0.0
-	for _, s := range scores {
-		if s > maxScore {
-			maxScore = s
-		}
-	}
-	if maxScore > 0 {
-		exec.ForBlocked(n, 0, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				scores[i] /= maxScore
-			}
-		})
-	}
-	return scores
+	return kernel.BCNormalize(scores)
 }
 
 // tc is GraphIt's order-invariant triangle count. §V-F notes GraphIt's set

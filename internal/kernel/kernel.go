@@ -42,6 +42,23 @@ const (
 // approximates BC "by considering only four root vertices per trial").
 const BCSources = 4
 
+// BCNormalize divides BC scores by their maximum, the GAP reference's output
+// convention, and returns them; an all-zero vector is left as it is. It runs
+// once per call, after the last root, serially: a region here would add a
+// launch to every trial for an O(n) pass the root traversals dwarf.
+func BCNormalize(scores []float64) []float64 {
+	maxScore := 0.0
+	for _, s := range scores {
+		maxScore = max(maxScore, s)
+	}
+	if maxScore > 0 {
+		for i := range scores {
+			scores[i] /= maxScore
+		}
+	}
+	return scores
+}
+
 // Mode selects the paper's rule set.
 type Mode int
 

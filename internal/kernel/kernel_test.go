@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -34,6 +35,17 @@ func TestOptionsUndirected(t *testing.T) {
 	view := g.Undirected()
 	if got := (kernel.Options{UndirectedView: view}).Undirected(g); got != view {
 		t.Fatal("prebuilt view not used")
+	}
+}
+
+// TestBCNormalize: scores are divided by their maximum in place, and an
+// all-zero vector stays as it is.
+func TestBCNormalize(t *testing.T) {
+	if got := kernel.BCNormalize([]float64{2, 8, 0}); !slices.Equal(got, []float64{0.25, 1, 0}) {
+		t.Errorf("BCNormalize([2 8 0]) = %v, want [0.25 1 0]", got)
+	}
+	if got := kernel.BCNormalize([]float64{0, 0}); !slices.Equal(got, []float64{0, 0}) {
+		t.Errorf("BCNormalize([0 0]) = %v, want it unchanged", got)
 	}
 }
 

@@ -337,18 +337,7 @@ func betweenness(exec *par.Machine, m *matrices, sources []grb.Index) []float64 
 		}
 	}
 
-	maxScore := 0.0
-	for _, x := range scores {
-		if x > maxScore {
-			maxScore = x
-		}
-	}
-	if maxScore > 0 {
-		for i := range scores {
-			scores[i] /= maxScore
-		}
-	}
-	return scores
+	return kernel.BCNormalize(scores)
 }
 
 // triangleCount is the LAGraph TC of §III-A: L = tril(A,-1), U = triu(A,1),

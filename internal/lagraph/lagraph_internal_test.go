@@ -217,7 +217,7 @@ func TestBetweennessMatchesSerialBrandes(t *testing.T) {
 		for _, k := range []int{1, 4} {
 			roots := shape.roots[:k]
 			scores := New().BC(shape.g, roots, kernel.Options{Machine: m})
-			if err := verify.CheckBC(shape.g, roots, scores); err != nil {
+			if err := verify.CompareBC(verify.Betweenness(shape.g, roots), scores); err != nil {
 				t.Errorf("%s, %d roots: %v", shape.name, k, err)
 			}
 		}

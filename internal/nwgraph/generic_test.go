@@ -107,7 +107,7 @@ func TestGenericKernelsOnMapAdjacency(t *testing.T) {
 		t.Errorf("CC: %v", err)
 	}
 	roots := []graph.NodeID{src}
-	if err := verify.CheckBC(g, roots, nwgraph.BC(par.Default(), m, roots)); err != nil {
+	if err := verify.CompareBC(verify.Betweenness(g, roots), nwgraph.BC(par.Default(), m, roots)); err != nil {
 		t.Errorf("BC: %v", err)
 	}
 	// TC requires the undirected view; Kron is already undirected.

@@ -377,18 +377,7 @@ func BC[G BidirectionalAdjacency](exec *par.Machine, g G, sources []Vertex) []fl
 		}
 	}
 
-	maxScore := 0.0
-	for _, s := range scores {
-		if s > maxScore {
-			maxScore = s
-		}
-	}
-	if maxScore > 0 {
-		for i := range scores {
-			scores[i] /= maxScore
-		}
-	}
-	return scores
+	return kernel.BCNormalize(scores)
 }
 
 // TC counts triangles with a cyclic distribution of rows across workers —

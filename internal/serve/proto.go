@@ -103,10 +103,11 @@ type Response struct {
 
 	// Micros is the end-to-end service time in microseconds: admission to
 	// response, queue wait and retries included. KernelMicros is the final
-	// attempt's kernel execution alone. A query answered from a snapshot (PR)
-	// or a reach index (CC, BFS/SSSP without a target) ran no kernel and
-	// carries no KernelMicros; the one query that built a snapshot carries
-	// the build's kernel time.
+	// attempt's kernel execution alone, rounded up, so at least 1 when a
+	// kernel ran. A query answered from a snapshot (PR) or a reach index
+	// (CC, BFS/SSSP without a target) ran no kernel and carries no
+	// KernelMicros; the one query that built a snapshot carries the build's
+	// kernel time.
 	Micros       int64 `json:"micros,omitempty"`
 	KernelMicros int64 `json:"kernel_micros,omitempty"`
 	// Retries counts extra attempts spent on transient faults.

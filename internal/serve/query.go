@@ -14,6 +14,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -155,7 +156,7 @@ func (s *Server) query(req Request, connTok *par.CancelToken) Response {
 		return *errResp
 	}
 	p.id = s.queryID.Add(1)
-	p.seed = splitmix64(s.cfg.Seed ^ p.id)
+	p.seed = splitmix64(p.id)
 
 	// Shed gates, cheapest first. Each refusal costs microseconds and no
 	// pool time — the whole point of shedding over queuing.
@@ -232,7 +233,6 @@ func (s *Server) run(p *queryPlan, qTok *par.CancelToken, deadline time.Time, pr
 	var result *QueryResult
 	var snap *snapshot
 	retries := 0
-	policy := s.cfg.Retry.policy()
 	for attempt := 0; ; attempt++ {
 		var err error
 		if p.slot != nil {
@@ -272,7 +272,7 @@ func (s *Server) run(p *queryPlan, qTok *par.CancelToken, deadline time.Time, pr
 		if !out.Abandoned {
 			s.breakers.OnFailure(p.fwName, string(p.k), probe)
 		}
-		if !policy.Retries(out.Status, attempt) {
+		if !s.cfg.Retry.Retries(out.Status, attempt) {
 			break
 		}
 		// Backoff before the retry, bounded by the remaining budget; a fired
@@ -293,7 +293,7 @@ func (s *Server) run(p *queryPlan, qTok *par.CancelToken, deadline time.Time, pr
 			result = snap.answer(p)
 		}
 		return Response{Code: CodeOK, Retries: retries, Result: result,
-			KernelMicros: int64(out.Seconds * 1e6)}, snap
+			KernelMicros: kernelMicros(out.Seconds)}, snap
 	case core.TimedOut:
 		s.c.timeouts.Add(1)
 		return Response{Code: CodeDeadlineExceeded, Error: out.Err, Retries: retries}, nil
@@ -302,6 +302,14 @@ func (s *Server) run(p *queryPlan, qTok *par.CancelToken, deadline time.Time, pr
 	}
 	// Panicked, or VerifyFailed: a snapshot build the oracle rejected.
 	return Response{Code: CodeInternal, Error: out.Err, Retries: retries}, nil
+}
+
+// kernelMicros is an attempt's kernel time in whole microseconds, rounded up
+// from the nanosecond: an attempt that ran reports at least 1, so a missing
+// kernel_micros always means no kernel ran.
+func kernelMicros(seconds float64) int64 {
+	ns := int64(math.Round(seconds * 1e9))
+	return max(1, (ns+999)/1000)
 }
 
 // runAttempt runs one kernel attempt on a leased machine in the suite's

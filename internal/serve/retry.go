@@ -1,32 +1,20 @@
 package serve
 
-// retry.go is the serving-layer retry policy, reusing the suite runner's
-// Status taxonomy and core.RetryPolicy (internal/core): a query attempt ends
-// in exactly one Status, and the policy decides which statuses are worth
-// another attempt inside the same deadline budget. Serving retries Panicked
-// only — a panic can be a transient race, but TimedOut means the query's
-// budget is already spent (the budget token IS the attempt deadline), so
-// re-running could only time out again.
+// retry.go is the serving layer's backoff between attempts. The retry
+// decision itself is the suite runner's core.RetryPolicy (internal/core): a
+// query attempt ends in exactly one Status, and Panicked or TimedOut earns
+// another attempt inside the same deadline budget. A served TimedOut never
+// gets one in practice: the budget token IS the attempt deadline, so it has
+// fired, and the backoff below ends the query instead of sleeping.
 //
 // Between attempts the query backs off exponentially with deterministic
 // jitter: backoffBase*2^attempt capped at backoffCap, then jittered into
-// [d/2, d) by a splitmix64 stream seeded from the server seed and the query
-// id. Deterministic jitter keeps chaos tests reproducible while still
-// decorrelating the retry storms of concurrent queries (each query id lands
-// at a different point in the window).
+// [d/2, d) by a splitmix64 stream seeded from the query id. Deterministic
+// jitter keeps chaos tests reproducible while still decorrelating the retry
+// storms of concurrent queries (each query id lands at a different point in
+// the window).
 
-import (
-	"time"
-
-	"gapbench/internal/core"
-)
-
-// RetryConfig tunes attempt retries. The zero value never retries.
-type RetryConfig struct {
-	// MaxRetries is the number of extra attempts a query gets when an
-	// attempt panics (gapd -retries, default 1).
-	MaxRetries int
-}
+import "time"
 
 // The pre-jitter backoff: backoffBase before the first retry, doubled for
 // each further retry, never above backoffCap.
@@ -34,14 +22,6 @@ const (
 	backoffBase = 10 * time.Millisecond
 	backoffCap  = 250 * time.Millisecond
 )
-
-// policy is the serving rule: Panicked is possibly transient and worth
-// another attempt; everything else is deterministic or budget-bound.
-func (c RetryConfig) policy() *core.RetryPolicy {
-	return &core.RetryPolicy{MaxRetries: c.MaxRetries, RetryOn: retryPanicked}
-}
-
-func retryPanicked(s core.Status) bool { return s == core.Panicked }
 
 // backoff computes the jittered delay before retry number retry (0-based:
 // the delay between attempt 0 and attempt 1 is retry 0). seed individualizes

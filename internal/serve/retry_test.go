@@ -6,6 +6,7 @@ import (
 
 	"gapbench/internal/core"
 	"gapbench/internal/par"
+	"gapbench/internal/testutil"
 )
 
 func TestBackoffDoublesAndCaps(t *testing.T) {
@@ -37,21 +38,40 @@ func TestBackoffDeterministic(t *testing.T) {
 	}
 }
 
-func TestServeRetryPolicyDefaults(t *testing.T) {
-	p := RetryConfig{MaxRetries: 1}.policy()
-	if !p.Retries(core.Panicked, 0) {
-		t.Error("a first panicked attempt is not retried")
+// TestServeTimedOutIsNotRetried: the shared policy retries TimedOut, but a
+// served attempt's deadline is the query's budget token, so a TimedOut query
+// has no budget left. With MaxRetries 1 it still ends after one attempt.
+func TestServeTimedOutIsNotRetried(t *testing.T) {
+	defer testutil.CheckGoroutines(t)()
+	in := smallInput(t)
+	srv, sock := startServer(t, Config{PoolSize: 1, Workers: 1}, in, stallSSSP{stubFramework{"Stub"}})
+	if srv.cfg.Retry.MaxRetries != 1 || !srv.cfg.Retry.Retries(core.TimedOut, 0) {
+		t.Fatalf("policy %+v does not retry a first TimedOut attempt", srv.cfg.Retry)
 	}
-	if p.Retries(core.Panicked, 1) {
-		t.Error("MaxRetries: 1 allowed a second retry")
+	c := dial(t, sock)
+	resp := c.do(kernelQuery(t, srv, Request{Source: 1, BudgetMS: 30}))
+	if resp.Code != CodeDeadlineExceeded || resp.Retries != 0 {
+		t.Fatalf("stalled query: code=%s retries=%d err=%q, want DeadlineExceeded with 0 retries", resp.Code, resp.Retries, resp.Error)
 	}
-	for _, s := range []core.Status{core.OK, core.TimedOut, core.VerifyFailed, core.Skipped} {
-		if p.Retries(s, 0) {
-			t.Errorf("the serving policy retries %v; the budget token makes that pointless", s)
+	if st := srv.StatsSnapshot(); st.Retries != 0 || st.Timeouts != 1 {
+		t.Errorf("stats after a timed-out query: %+v", st)
+	}
+	if err := srv.Shutdown(5 * time.Second); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+}
+
+// TestKernelMicrosRoundsUp: an attempt that ran reports at least 1 µs, a
+// whole number of microseconds reads as itself, and any part of one more
+// counts as one more.
+func TestKernelMicrosRoundsUp(t *testing.T) {
+	for _, c := range []struct {
+		seconds float64
+		want    int64
+	}{{0, 1}, {1e-9, 1}, {4e-7, 1}, {1e-6, 1}, {3e-6, 3}, {3.001e-6, 4}, {0.25, 250000}} {
+		if got := kernelMicros(c.seconds); got != c.want {
+			t.Errorf("kernelMicros(%g) = %d, want %d", c.seconds, got, c.want)
 		}
-	}
-	if (RetryConfig{}).policy().Retries(core.Panicked, 0) {
-		t.Error("the zero RetryConfig retried")
 	}
 }
 

@@ -63,14 +63,14 @@ type Config struct {
 
 	Admission AdmissionConfig
 	Breaker   BreakerConfig
-	Retry     RetryConfig
+	// Retry bounds the extra attempts a query gets when an attempt panics
+	// (gapd -retries, default 1). The zero value never retries.
+	Retry core.RetryPolicy
 
 	// JournalPath, when set, appends every executed (admitted, non-shed)
 	// query outcome to the suite's JSONL journal format (internal/core), so
 	// served results and batch results share one ledger and one CellID key.
 	JournalPath string
-	// Seed drives retry jitter deterministically.
-	Seed uint64
 	// Logf receives operational messages (journal write failures, drain
 	// progress). Nil discards them.
 	Logf func(format string, args ...any)

@@ -232,7 +232,7 @@ func checkAllKernels(t *testing.T, f kernel.Framework, g *graph.Graph, mode kern
 		t.Errorf("CC: %v", err)
 	}
 	if srcs := BCSources(g); len(srcs) > 0 {
-		if err := verify.CheckBC(g, srcs, f.BC(g, srcs, opt)); err != nil {
+		if err := verify.CompareBC(verify.Betweenness(g, srcs), f.BC(g, srcs, opt)); err != nil {
 			t.Errorf("BC from %v: %v", srcs, err)
 		}
 	}

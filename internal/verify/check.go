@@ -14,11 +14,16 @@ import (
 // exactly one level closer to the source, unreachable vertices must have
 // parent -1, and the source must be its own parent.
 func CheckBFS(g *graph.Graph, src graph.NodeID, parent []graph.NodeID) error {
+	return CompareBFS(g, src, BFSDepths(g, src), parent)
+}
+
+// CompareBFS is CheckBFS against depth, the BFSDepths reference from src,
+// built once and shared by every parent array checked from that source.
+func CompareBFS(g *graph.Graph, src graph.NodeID, depth []int32, parent []graph.NodeID) error {
 	n := int(g.NumNodes())
 	if len(parent) != n {
 		return fmt.Errorf("bfs: result length %d != n %d", len(parent), n)
 	}
-	depth := BFSDepths(g, src)
 	for v := 0; v < n; v++ {
 		p := parent[v]
 		switch {
@@ -54,11 +59,15 @@ func hasEdge(g *graph.Graph, u, v graph.NodeID) bool {
 
 // CheckSSSP validates distances against a serial Dijkstra run.
 func CheckSSSP(g *graph.Graph, src graph.NodeID, dist []kernel.Dist) error {
-	n := int(g.NumNodes())
+	return CompareSSSP(Dijkstra(g, src), dist)
+}
+
+// CompareSSSP is CheckSSSP against want, the Dijkstra reference.
+func CompareSSSP(want, dist []kernel.Dist) error {
+	n := len(want)
 	if len(dist) != n {
 		return fmt.Errorf("sssp: result length %d != n %d", len(dist), n)
 	}
-	want := Dijkstra(g, src)
 	for v := 0; v < n; v++ {
 		if dist[v] != want[v] {
 			return fmt.Errorf("sssp: dist[%d] = %d, want %d", v, dist[v], want[v])
@@ -70,11 +79,15 @@ func CheckSSSP(g *graph.Graph, src graph.NodeID, dist []kernel.Dist) error {
 // CheckCC validates component labels: vertices must share a label iff they
 // share a weakly connected component (compared against the serial oracle).
 func CheckCC(g *graph.Graph, labels []graph.NodeID) error {
-	n := int(g.NumNodes())
+	return CompareCC(Components(g), labels)
+}
+
+// CompareCC is CheckCC against want, the Components reference.
+func CompareCC(want, labels []graph.NodeID) error {
+	n := len(want)
 	if len(labels) != n {
 		return fmt.Errorf("cc: result length %d != n %d", len(labels), n)
 	}
-	want := Components(g)
 	// For each oracle component, all members must share one result label and
 	// that label must not be used by any other component.
 	owner := map[graph.NodeID]graph.NodeID{} // result label -> oracle label
@@ -231,14 +244,14 @@ func CheckPR(g *graph.Graph, ranks []float64) error {
 	return nil
 }
 
-// CheckBC validates normalized betweenness scores against the serial Brandes
-// oracle for the same roots, within a floating-point reassociation tolerance.
-func CheckBC(g *graph.Graph, sources []graph.NodeID, scores []float64) error {
-	n := int(g.NumNodes())
+// CompareBC validates normalized betweenness scores against want, the serial
+// Brandes reference (Betweenness) for the same roots, within a floating-point
+// reassociation tolerance.
+func CompareBC(want, scores []float64) error {
+	n := len(want)
 	if len(scores) != n {
 		return fmt.Errorf("bc: result length %d != n %d", len(scores), n)
 	}
-	want := Betweenness(g, sources)
 	for v := 0; v < n; v++ {
 		if math.IsNaN(scores[v]) {
 			return fmt.Errorf("bc: score[%d] is NaN", v)
@@ -253,7 +266,11 @@ func CheckBC(g *graph.Graph, sources []graph.NodeID, scores []float64) error {
 
 // CheckTC validates a triangle count against the exact serial oracle.
 func CheckTC(g *graph.Graph, count int64) error {
-	want := Triangles(g)
+	return CompareTC(Triangles(g), count)
+}
+
+// CompareTC is CheckTC against want, the Triangles reference.
+func CompareTC(want, count int64) error {
 	if count != want {
 		return fmt.Errorf("tc: count = %d, want %d", count, want)
 	}

@@ -198,12 +198,12 @@ func TestBetweennessOracleAndCheck(t *testing.T) {
 	if scores[0] != 0 || scores[3] != 0 {
 		t.Fatalf("endpoints scored: %v", scores)
 	}
-	if err := verify.CheckBC(g, src, scores); err != nil {
+	if err := verify.CompareBC(verify.Betweenness(g, src), scores); err != nil {
 		t.Fatalf("oracle BC rejected: %v", err)
 	}
 	bad := append([]float64(nil), scores...)
 	bad[1] = 0.5
-	if err := verify.CheckBC(g, src, bad); err == nil {
+	if err := verify.CompareBC(verify.Betweenness(g, src), bad); err == nil {
 		t.Error("wrong BC accepted")
 	}
 }
