@@ -38,6 +38,29 @@ func TestBackoffDeterministic(t *testing.T) {
 	}
 }
 
+// TestServeRetryPolicyDefaults: a Config.Retry with gapd's -retries default
+// of 1 retries a first Panicked or TimedOut attempt and no second one, never
+// retries a deterministic outcome, and the zero Config.Retry never retries.
+func TestServeRetryPolicyDefaults(t *testing.T) {
+	p := Config{Retry: core.RetryPolicy{MaxRetries: 1}}.Retry
+	for _, s := range []core.Status{core.Panicked, core.TimedOut} {
+		if !p.Retries(s, 0) {
+			t.Errorf("a first %v attempt is not retried", s)
+		}
+		if p.Retries(s, 1) {
+			t.Errorf("MaxRetries: 1 allowed a second retry after %v", s)
+		}
+	}
+	for _, s := range []core.Status{core.OK, core.VerifyFailed, core.Skipped} {
+		if p.Retries(s, 0) {
+			t.Errorf("the serving policy retries %v, which would end the same way again", s)
+		}
+	}
+	if zero := (Config{}).Retry; zero.Retries(core.Panicked, 0) || zero.Retries(core.TimedOut, 0) {
+		t.Error("the zero Config.Retry retried")
+	}
+}
+
 // TestServeTimedOutIsNotRetried: the shared policy retries TimedOut, but a
 // served attempt's deadline is the query's budget token, so a TimedOut query
 // has no budget left. With MaxRetries 1 it still ends after one attempt.
