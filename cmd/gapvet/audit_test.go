@@ -55,7 +55,7 @@ var plants = []plant{
 		what: "fmt.Println in DOBFS's round loop",
 		edits: [][2]string{
 			{"import (\n", "import (\n\t\"fmt\"\n"},
-			{"\t\tif scoutCount > edgesToCheck/dobfsAlpha {\n", "\t\tfmt.Println(\"frontier\", queue.Size())\n\t\tif scoutCount > edgesToCheck/dobfsAlpha {\n"},
+			{"\t\tif disp.UsePull() {\n", "\t\tfmt.Println(\"frontier\", queue.Size())\n\t\tif disp.UsePull() {\n"},
 		},
 		pkgs: []string{"internal/gap"},
 	},
@@ -64,7 +64,7 @@ var plants = []plant{
 		what: "os.Stderr.WriteString in DOBFS's round loop", // a method on a package variable: silent before PR 23
 		edits: [][2]string{
 			{"import (\n", "import (\n\t\"os\"\n"},
-			{"\t\tif scoutCount > edgesToCheck/dobfsAlpha {\n", "\t\t_, _ = os.Stderr.WriteString(\"round\\n\")\n\t\tif scoutCount > edgesToCheck/dobfsAlpha {\n"},
+			{"\t\tif disp.UsePull() {\n", "\t\t_, _ = os.Stderr.WriteString(\"round\\n\")\n\t\tif disp.UsePull() {\n"},
 		},
 		pkgs: []string{"internal/gap"},
 	},

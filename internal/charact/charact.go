@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"strings"
 
+	ft "gapbench/internal/frontier"
 	"gapbench/internal/graph"
 	"gapbench/internal/kernel"
 )
@@ -53,9 +54,10 @@ func (p Profile) EdgesPerRound() float64 {
 
 // BFS runs a serial instrumented direction-optimizing BFS and returns its
 // profile. The direction heuristic is the GAP reference's (alpha=15,
-// beta=18): push until the scout count passes edgesToCheck/alpha, then pull
-// while the frontier grows or stays above n/beta. So the push/pull round
-// counts are the ones the benchmark's BFS actually executes.
+// beta=18), through the shared frontier.Dispatcher: push until the scout
+// count passes edgesToCheck/alpha, then pull while the frontier grows or
+// stays above n/beta. So the push/pull round counts are the ones the
+// benchmark's BFS actually executes.
 func BFS(g *graph.Graph, src graph.NodeID) Profile {
 	p := Profile{Kernel: "BFS"}
 	n := g.NumNodes()
@@ -69,15 +71,13 @@ func BFS(g *graph.Graph, src graph.NodeID) Profile {
 	parent[src] = src
 	frontier := []graph.NodeID{src}
 	inFrontier := make([]bool, n)
-	edgesToCheck := g.NumEdges()
-	scout := g.OutDegree(src)
-	const alpha, beta = 15, 18
+	disp := ft.NewDispatcher(int64(n), g.NumEdges(), g.OutDegree(src))
 	pulling := false // GAP's bottom-up loop is still running
 
 	for len(frontier) > 0 {
 		p.Rounds++
 		p.FrontierSizes = append(p.FrontierSizes, int64(len(frontier)))
-		if pulling || scout > edgesToCheck/alpha {
+		if pulling || disp.UsePull() {
 			// Pull round.
 			p.PullRounds++
 			for i := range inFrontier {
@@ -101,14 +101,14 @@ func BFS(g *graph.Graph, src graph.NodeID) Profile {
 				}
 			}
 			// Stay bottom-up while the frontier grows or stays large.
-			pulling = len(next) >= len(frontier) || int64(len(next)) > int64(n)/beta
+			pulling = disp.KeepPulling(int64(len(next)), int64(len(frontier)))
 			frontier = next
-			scout = 1
+			disp.EndPull()
 		} else {
 			// Push round.
 			p.PushRounds++
-			edgesToCheck -= scout
-			scout = 0
+			disp.BeginPush()
+			scout := int64(0)
 			var next []graph.NodeID
 			for _, u := range frontier {
 				for _, v := range g.OutNeighbors(u) {
@@ -121,6 +121,7 @@ func BFS(g *graph.Graph, src graph.NodeID) Profile {
 				}
 			}
 			frontier = next
+			disp.EndPush(scout)
 		}
 	}
 	return p

@@ -107,10 +107,9 @@ type Result struct {
 	// TrialRecords is the per-attempt fault log (empty only for resumed
 	// cells journaled by older builds).
 	TrialRecords []TrialRecord `json:",omitempty"`
-	// Sync is the cell's synchronization structure, accumulated over the
-	// timed trials from the mode's machine (reset per cell; after a
-	// mid-cell machine abandonment it covers the replacement machine's
-	// trials only).
+	// Sync is the cell's synchronization structure: the leased machine's
+	// counters summed over the cell's attempts (an abandoned attempt's
+	// counters cannot be read, so only its width counts).
 	Sync SyncStats
 }
 
@@ -162,7 +161,8 @@ type Runner struct {
 	// drain cooperatively (DESIGN.md §9).
 	Timeout time.Duration
 	// Grace is how long past a fired deadline the runner waits for a kernel
-	// to notice the token before abandoning its machine (default 2s).
+	// to notice the token before abandoning its machine (default 2s), and
+	// how long Close waits for abandoned machines to be joined.
 	Grace time.Duration
 	// Retry bounds the re-attempts of Panicked and TimedOut trials; nil
 	// means one.
@@ -173,16 +173,14 @@ type Runner struct {
 	JournalPath string
 	Resume      bool
 
-	// machines holds one persistent worker pool per mode, built lazily at
-	// the mode's worker count (the Baseline 8-analogue vs the Optimized
+	// pools holds one one-machine lease pool per mode, built lazily at the
+	// mode's worker count (the Baseline 8-analogue vs the Optimized
 	// hyperthread count) and reused across every cell of that mode, exactly
 	// like the paper pins each rule set's thread count for a whole data set.
-	machines map[kernel.Mode]*par.Machine
-	// abandoned holds machines dropped mid-trial because a kernel ignored
-	// cancellation past the grace period. Their workers may still be running
-	// the stuck kernel, so Close must not join them; ReapAbandoned does,
-	// for callers that know the stuck kernels eventually return.
-	abandoned []*par.Machine
+	// A kernel that ignores cancellation costs the pool its machine: the
+	// pool replaces it at the same width and joins the stuck one when the
+	// kernel returns.
+	pools map[kernel.Mode]*par.Pool
 }
 
 // NewRunner returns a Runner with the defaults described on the fields.
@@ -201,57 +199,41 @@ func NewRunner() *Runner {
 	return &Runner{Trials: 3, BaselineWorkers: base, OptimizedWorkers: opt, Verify: true}
 }
 
-// machine returns the persistent pool for the given mode, building it on
-// first use at that mode's worker count (and rebuilding it after an
-// abandonment dropped the previous one).
-func (r *Runner) machine(mode kernel.Mode) *par.Machine {
-	if r.machines == nil {
-		r.machines = make(map[kernel.Mode]*par.Machine)
+// pool returns the lease pool for the given mode, building it on first use
+// at that mode's worker count.
+func (r *Runner) pool(mode kernel.Mode) *par.Pool {
+	if r.pools == nil {
+		r.pools = make(map[kernel.Mode]*par.Pool)
 	}
-	m, ok := r.machines[mode]
+	p, ok := r.pools[mode]
 	if !ok {
 		workers := r.BaselineWorkers
 		if mode == kernel.Optimized {
 			workers = r.OptimizedWorkers
 		}
-		m = par.NewMachine(workers)
-		r.machines[mode] = m
+		p = par.NewPool(1, workers)
+		r.pools[mode] = p
 	}
-	return m
-}
-
-// abandonMachine removes a poisoned machine from service: the next cell (or
-// retry) of the mode lazily builds a fresh pool, and the stuck one is parked
-// on the abandoned list so Close never blocks on it.
-func (r *Runner) abandonMachine(mode kernel.Mode, m *par.Machine) {
-	if r.machines[mode] == m {
-		delete(r.machines, mode)
-	}
-	r.abandoned = append(r.abandoned, m)
+	return p
 }
 
 // Abandoned reports how many machines have been abandoned to stuck kernels
 // over the Runner's lifetime.
-func (r *Runner) Abandoned() int { return len(r.abandoned) }
-
-// ReapAbandoned joins the workers of every abandoned machine and clears the
-// list. It blocks until the stuck kernels actually return, so it is only
-// safe when they eventually do (tests use it for goroutine accounting);
-// production callers normally leave abandoned machines to process exit.
-func (r *Runner) ReapAbandoned() {
-	for _, m := range r.abandoned {
-		m.Close()
+func (r *Runner) Abandoned() int {
+	n := int64(0)
+	for _, p := range r.pools {
+		n += p.Abandoned()
 	}
-	r.abandoned = nil
+	return int(n)
 }
 
-// Close parks the Runner's live machines, joining every pool worker (but not
-// workers of abandoned machines — see ReapAbandoned). Safe to call more than
-// once; a closed Runner still runs cells (regions degrade to serial
-// execution on the calling goroutine).
+// Close drains the Runner's pools: their machines' workers are joined, and
+// so are an abandoned machine's once its stuck kernel returns, for up to the
+// grace period. Safe to call more than once; a closed Runner's trials report
+// Skipped.
 func (r *Runner) Close() {
-	for _, m := range r.machines {
-		m.Close()
+	for _, p := range r.pools {
+		_ = p.Drain(r.grace()) // only abandoned machines outlive the grace: left to their reapers
 	}
 }
 
@@ -274,13 +256,13 @@ func checkOracle(check func() error) (err error) {
 	return check()
 }
 
-// runAttempt executes one trial attempt in the sandbox (sandbox.go) on the
-// mode's machine, under a per-attempt cancellation token that the kernel
-// options carry too. With Verify on, it first takes the trial's oracle answer
-// from the input, untimed and outside the sandbox, and the check compares the
-// kernel's output with it. A kernel that ignores the fired token past the
-// grace period costs the runner that machine, never the suite: the attempt
-// reports TimedOut and the next one gets a fresh pool.
+// runAttempt executes one trial attempt in the sandbox (sandbox.go) on a
+// machine leased from the mode's pool, under a per-attempt cancellation token
+// that the kernel options carry too. With Verify on, it first takes the
+// trial's oracle answer from the input, untimed and outside the sandbox, and
+// the check compares the kernel's output with it. A kernel that ignores the
+// fired token past the grace period costs the pool that machine, never the
+// suite: the attempt reports TimedOut and the next one gets the replacement.
 func (r *Runner) runAttempt(f kernel.Framework, k Kernel, in *Input, opt kernel.Options, trial int) Outcome {
 	var ref any
 	if r.Verify {
@@ -289,7 +271,6 @@ func (r *Runner) runAttempt(f kernel.Framework, k Kernel, in *Input, opt kernel.
 			return out
 		}
 	}
-	opt.Machine = r.machine(opt.Mode)
 	var deadline time.Time // zero: no -timeout, wait for the kernel
 	if r.Timeout > 0 {
 		opt.Cancel = par.NewDeadlineToken(r.Timeout)
@@ -301,7 +282,6 @@ func (r *Runner) runAttempt(f kernel.Framework, k Kernel, in *Input, opt kernel.
 		Framework: f.Name(),
 		Kernel:    k,
 		Graph:     in.Spec.Name,
-		Machine:   opt.Machine,
 		Token:     opt.Cancel,
 		Deadline:  deadline,
 		Limit:     r.Timeout,
@@ -310,7 +290,8 @@ func (r *Runner) runAttempt(f kernel.Framework, k Kernel, in *Input, opt kernel.
 	}
 
 	g := in.Graph
-	_, out := RunSandboxed(sb, func() func() (struct{}, error) {
+	_, out, err := RunSandboxed(r.pool(opt.Mode), sb, func(m *par.Machine) func() (struct{}, error) {
+		opt.Machine = m
 		var check func() error
 		slot := in.trialSlot(k, trial)
 		switch k {
@@ -341,8 +322,8 @@ func (r *Runner) runAttempt(f kernel.Framework, k Kernel, in *Input, opt kernel.
 			return struct{}{}, checkOracle(check)
 		}
 	})
-	if out.Abandoned {
-		r.abandonMachine(opt.Mode, sb.Machine)
+	if err != nil { // the pool drained: the Runner was closed
+		return Outcome{Status: Skipped, Err: sb.fail("%v", err)}
 	}
 	return out
 }
@@ -413,10 +394,7 @@ func (r *Runner) RunCell(f kernel.Framework, k Kernel, in *Input, mode kernel.Mo
 		return res
 	}
 
-	// Per-cell stats window: the counters accumulated during this cell's
-	// trials become the cell's SyncStats block.
-	r.machine(mode).ResetStats()
-
+	var counters par.Stats // the machine counters of the cell's attempts, summed
 	var total float64
 	var samples []float64
 	record := func(sec float64) {
@@ -438,6 +416,11 @@ func (r *Runner) RunCell(f kernel.Framework, k Kernel, in *Input, mode kernel.Mo
 		var out Outcome
 		for attempt := 0; ; attempt++ {
 			out = r.runAttempt(f, k, in, opt, t)
+			counters.Workers = max(counters.Workers, out.Stats.Workers)
+			counters.Regions += out.Stats.Regions
+			counters.SerialRegions += out.Stats.SerialRegions
+			counters.Barriers += out.Stats.Barriers
+			counters.Chunks += out.Stats.Chunks
 			res.TrialRecords = append(res.TrialRecords, TrialRecord{
 				Trial: t, Attempt: attempt,
 				Status: out.Status, Seconds: out.Seconds,
@@ -471,7 +454,7 @@ func (r *Runner) RunCell(f kernel.Framework, k Kernel, in *Input, mode kernel.Mo
 		}
 		res.StdDev = math.Sqrt(sq / float64(len(samples)-1))
 	}
-	res.Sync = syncStatsFrom(r.machine(mode).Stats())
+	res.Sync = syncStatsFrom(counters)
 	return res
 }
 

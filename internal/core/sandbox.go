@@ -13,17 +13,17 @@ import (
 // Sandbox describes one contained kernel attempt (DESIGN.md §9). The suite
 // runner's trials, the daemon's BFS/SSSP queries and its snapshot builds all
 // run through RunSandboxed, so a Table IV cell and a served answer are
-// contained, timed and failed by one procedure.
+// leased, contained, timed and failed by one procedure.
 type Sandbox struct {
 	// Framework, Kernel and Graph name the attempt; every error text starts
 	// "GAP BFS on Kron: " (formatted only when one is produced).
 	Framework string
 	Kernel    Kernel
 	Graph     string
-	// Machine runs the kernel's parallel regions. Token is installed on it
-	// for the attempt and cleared on every return except abandonment.
-	Machine *par.Machine
-	Token   *par.CancelToken
+	// Token bounds the wait for a lease and is installed on the leased
+	// machine for the attempt; the lease's Release clears it, and an
+	// abandoned machine keeps it.
+	Token *par.CancelToken
 	// Deadline is when the caller stops waiting and fires Token; the zero
 	// time means wait for as long as the kernel runs. Limit is the nominal
 	// duration error texts quote (Deadline may lie closer: a query spends one
@@ -58,10 +58,13 @@ type Outcome struct {
 	Stack string
 	// Abandoned reports that the kernel ignored its fired token past the
 	// grace period. The sandbox goroutine (and any worker stuck in the
-	// kernel) still owns Machine, with Token left installed so the stray
-	// kernel's future regions drain fast if it ever starts polling; the
-	// caller must take the machine out of service.
+	// kernel) still owns the machine, with Token left installed so the stray
+	// kernel's future regions drain fast if it ever starts polling; the lease
+	// was abandoned, so the pool has already replaced the machine.
 	Abandoned bool
+	// Stats is the leased machine's counters over the attempt (reset before
+	// it, read after it); only Workers when the attempt was abandoned.
+	Stats par.Stats
 }
 
 // TrimStack keeps the head of a panic stack (the frames that identify the
@@ -75,22 +78,42 @@ func TrimStack(stack []byte) string {
 	return strings.Join(lines, "\n")
 }
 
-// RunSandboxed executes one attempt. run is the timed part — the kernel call
-// — and returns the untimed finish (oracle check, reduction to an answer)
-// whose error fails the attempt as VerifyFailed. Both execute on a goroutine
-// of their own under recover, in this order: run, seal checks, token fired →
+// RunSandboxed executes one attempt on a machine leased from pool. It
+// acquires the machine (returning the acquire error, with nothing run, when
+// the pool is draining or Token fired in the queue), then runs the attempt
+// and settles the lease: Abandon when the kernel ignored its fired token past
+// the grace period, Release otherwise — on every path, so no caller holds a
+// lease. run is the timed part — the kernel call on the leased machine — and
+// returns the untimed finish (oracle check, reduction to an answer) whose
+// error fails the attempt as VerifyFailed. Both execute on a goroutine of
+// their own under recover, in this order: run, seal checks, token fired →
 // TimedOut with the partial output dropped unverified, finish. A panic at any
 // of those steps (a seal check names the corrupted array) is Panicked, so the
 // precedence is panic > timeout > verify. The value and outcome reach the
 // caller through a buffered channel, never through captured variables: an
 // abandoned goroutine that wakes later sends into the buffer and exits
 // without touching anything its caller still reads.
-func RunSandboxed[T any](sb Sandbox, run func() func() (T, error)) (T, Outcome) {
+func RunSandboxed[T any](pool *par.Pool, sb Sandbox, run func(m *par.Machine) func() (T, error)) (T, Outcome, error) {
 	type result struct {
 		val T
 		out Outcome
 	}
-	sb.Machine.SetCancel(sb.Token)
+	var none T
+	lease, err := pool.Acquire(sb.Token)
+	if err != nil {
+		return none, Outcome{}, err
+	}
+	abandoned := false
+	defer func() {
+		if abandoned {
+			lease.Abandon()
+		} else {
+			lease.Release()
+		}
+	}()
+	m := lease.Machine()
+	m.ResetStats()
+	m.SetCancel(sb.Token)
 	done := make(chan result, 1) // buffered: an abandoned sandbox still exits
 	go func() {
 		var res result
@@ -106,7 +129,7 @@ func RunSandboxed[T any](sb Sandbox, run func() func() (T, error)) (T, Outcome) 
 			done <- res
 		}()
 		start := time.Now()
-		finish := run()
+		finish := run(m)
 		res.out.Seconds = time.Since(start).Seconds()
 		for _, g := range sb.Seals {
 			g.MustCheckSeal()
@@ -136,21 +159,22 @@ func RunSandboxed[T any](sb Sandbox, run func() func() (T, error)) (T, Outcome) 
 	for {
 		select {
 		case res := <-done:
-			sb.Machine.SetCancel(nil)
-			return res.val, res.out
+			res.out.Stats = m.Stats()
+			return res.val, res.out, nil
 		case <-expire:
 			sb.Token.Cancel() // idempotent with a deadline token; also covers clock skew on a chained one
 			t := time.NewTimer(sb.Grace)
 			defer t.Stop()
 			expire, grace = nil, t.C
 		case <-grace:
-			var none T
+			abandoned = true
 			return none, Outcome{
 				Status:    TimedOut,
 				Abandoned: true,
+				Stats:     par.Stats{Workers: m.Size()},
 				Err: sb.fail("kernel ignored cancellation for %v past the %v deadline; machine abandoned",
 					sb.Grace, sb.Limit),
-			}
+			}, nil
 		}
 	}
 }

@@ -3,6 +3,7 @@ package galois
 import (
 	"sync/atomic"
 
+	ft "gapbench/internal/frontier"
 	"gapbench/internal/graph"
 	"gapbench/internal/par"
 )
@@ -79,15 +80,13 @@ func syncBFS(exec *par.Machine, g *graph.Graph, src graph.NodeID) []graph.NodeID
 	frontier := []graph.NodeID{src}
 	front := graph.NewBitmap(n)
 	next := graph.NewBitmap(n)
-	edgesToCheck := g.NumEdges()
-	scout := g.OutDegree(src)
-	const alpha, beta = 15, 18
+	disp := ft.NewDispatcher(n, g.NumEdges(), g.OutDegree(src))
 
 	for len(frontier) > 0 {
 		if exec.Interrupted() {
 			return parent // partial tree; the harness discards cancelled trials
 		}
-		if scout > edgesToCheck/alpha {
+		if disp.UsePull() {
 			front.Reset()
 			for _, u := range frontier {
 				front.Set(int64(u))
@@ -115,7 +114,7 @@ func syncBFS(exec *par.Machine, g *graph.Graph, src graph.NodeID) []graph.NodeID
 					return count
 				})
 				front.Swap(next)
-				if awake == 0 || !(awake >= prev || awake > n/beta) {
+				if !disp.KeepPulling(awake, prev) {
 					break
 				}
 			}
@@ -125,9 +124,9 @@ func syncBFS(exec *par.Machine, g *graph.Graph, src graph.NodeID) []graph.NodeID
 					frontier = append(frontier, graph.NodeID(u))
 				}
 			}
-			scout = 1
+			disp.EndPull()
 		} else {
-			edgesToCheck -= scout
+			disp.BeginPush()
 			var newScout atomic.Int64
 			collected := &bag{}
 			cur := frontier
@@ -154,7 +153,7 @@ func syncBFS(exec *par.Machine, g *graph.Graph, src graph.NodeID) []graph.NodeID
 				newScout.Add(sc)
 			})
 			frontier = drainBag(collected, frontier[:0])
-			scout = newScout.Load()
+			disp.EndPush(newScout.Load())
 		}
 	}
 	return parent

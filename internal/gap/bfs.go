@@ -3,20 +3,16 @@ package gap
 import (
 	"sync/atomic"
 
+	"gapbench/internal/frontier"
 	"gapbench/internal/graph"
 	"gapbench/internal/kernel"
 	"gapbench/internal/par"
 )
 
-// Direction-optimizing BFS tuning constants from Beamer et al. (SC'12), the
-// values the GAP reference ships with.
-const (
-	dobfsAlpha = 15 // push->pull when frontier edges exceed unexplored/alpha
-	dobfsBeta  = 18 // pull->push when awake count drops below n/beta
-)
-
 // DOBFS runs direction-optimizing breadth-first search from src and returns
-// the parent array under the shared result convention.
+// the parent array under the shared result convention. The direction switch
+// is Beamer's α/β rule with the GAP reference's constants, through the shared
+// frontier.Dispatcher.
 func DOBFS(g *graph.Graph, src graph.NodeID, opt kernel.Options) []graph.NodeID {
 	n := int64(g.NumNodes())
 	exec := opt.Exec()
@@ -35,8 +31,7 @@ func DOBFS(g *graph.Graph, src graph.NodeID, opt kernel.Options) []graph.NodeID 
 	front := graph.NewBitmap(n)
 	curr := graph.NewBitmap(n)
 
-	edgesToCheck := g.NumEdges()
-	scoutCount := g.OutDegree(src)
+	disp := frontier.NewDispatcher(n, g.NumEdges(), g.OutDegree(src))
 	// One scout accumulator for the whole search: tdStep's chunk closures
 	// capture the pointer by value, so no per-round heap cell is allocated.
 	var scout atomic.Int64
@@ -45,7 +40,7 @@ func DOBFS(g *graph.Graph, src graph.NodeID, opt kernel.Options) []graph.NodeID 
 		if opt.Cancelled() {
 			return parent // partial tree; the harness discards cancelled trials
 		}
-		if scoutCount > edgesToCheck/dobfsAlpha {
+		if disp.UsePull() {
 			// Switch to pull: the frontier is touching a large fraction of
 			// the remaining edges, so scanning unvisited vertices' in-edges
 			// is cheaper than pushing from the frontier.
@@ -63,16 +58,16 @@ func DOBFS(g *graph.Graph, src graph.NodeID, opt kernel.Options) []graph.NodeID 
 				curr.Reset()
 				awake = buStep(exec, g, parent, front, curr)
 				front.Swap(curr)
-				if awake == 0 || !(awake >= prevAwake || awake > n/dobfsBeta) {
+				if !disp.KeepPulling(awake, prevAwake) {
 					break
 				}
 			}
 			bitmapToQueue(exec, front, queue)
 			queue.SlideWindow()
-			scoutCount = 1
+			disp.EndPull()
 		} else {
-			edgesToCheck -= scoutCount
-			scoutCount = tdStep(exec, g, parent, queue, &scout)
+			disp.BeginPush()
+			disp.EndPush(tdStep(exec, g, parent, queue, &scout))
 			queue.SlideWindow()
 		}
 	}

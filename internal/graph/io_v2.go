@@ -2,6 +2,7 @@ package graph
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -106,34 +107,9 @@ func (g *Graph) sectionSums() [numSections]uint64 {
 	}
 }
 
-// materializeArena ensures the graph's views live in one arena, copying them
-// into a fresh heap arena if the graph was assembled from loose slices (the
-// zero-value escape hatch tests use). Builders and loaders always produce
-// arena-backed graphs, so this is normally a no-op.
-func (g *Graph) materializeArena() {
-	if g.arena != nil {
-		return
-	}
-	mIn := int64(0)
-	if g.directed {
-		mIn = int64(len(g.inNeigh))
-	}
-	lay := layoutFor(g.n, int64(len(g.outNeigh)), mIn, g.directed, g.Weighted())
-	a := newHeapArena(lay)
-	copy(a.int64s(secOutIndex), g.outIndex)
-	copy(a.int32s(secOutNeigh), g.outNeigh)
-	copy(a.int32s(secOutWeight), g.outWeight)
-	copy(a.int64s(secInIndex), g.inIndex)
-	copy(a.int32s(secInNeigh), g.inNeigh)
-	copy(a.int32s(secInWeight), g.inWeight)
-	ng := graphFromArena(a, g.layout)
-	g.outIndex, g.outNeigh, g.outWeight = ng.outIndex, ng.outNeigh, ng.outWeight
-	g.inIndex, g.inNeigh, g.inWeight = ng.inIndex, ng.inNeigh, ng.inWeight
-	g.arena = a
-	if g.epoch == 0 {
-		g.epoch = ng.epoch
-	}
-}
+// errClosed is what WriteSG and SaveSG return for a graph whose storage
+// Close released: there is no arena left to write.
+var errClosed = errors.New("graph: cannot write a closed graph")
 
 // encodeSGHeader builds the 256-byte v2 header for g's arena.
 func (g *Graph) encodeSGHeader(sums [numSections]uint64) [sgHeaderSize]byte {
@@ -170,12 +146,15 @@ func (g *Graph) encodeSGHeader(sums [numSections]uint64) [sgHeaderSize]byte {
 // WriteSG serializes the graph in format v2: header, then the arena block in
 // one write. On success the graph's epoch becomes the header checksum — a
 // content identity shared with every future load of these bytes — and the
-// section checksums are retained for cheap sealing.
+// section checksums are retained for cheap sealing. A closed graph is an
+// error.
 func (g *Graph) WriteSG(w io.Writer) error {
 	if !hostLE {
 		return fmt.Errorf("graph: format v2 requires a little-endian host")
 	}
-	g.materializeArena()
+	if g.arena == nil {
+		return errClosed
+	}
 	sums := g.sectionSums()
 	hdr := g.encodeSGHeader(sums)
 	if _, err := w.Write(hdr[:]); err != nil {
@@ -189,8 +168,12 @@ func (g *Graph) WriteSG(w io.Writer) error {
 	return nil
 }
 
-// SaveSG writes the graph to path in format v2.
+// SaveSG writes the graph to path in format v2. A closed graph is an error,
+// and no file is created for it.
 func (g *Graph) SaveSG(path string) error {
+	if g.arena == nil {
+		return errClosed
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err

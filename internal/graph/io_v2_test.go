@@ -184,6 +184,28 @@ func TestSGBodyCorruption(t *testing.T) {
 	}
 }
 
+// TestWriteSGClosedGraphFails: a closed graph has no arena to write, so
+// WriteSG and SaveSG refuse it instead of writing a file that loads back as
+// the right vertex count with no edges, and SaveSG leaves no file behind.
+func TestWriteSGClosedGraphFails(t *testing.T) {
+	g := mustBuild(t, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}}, graph.BuildOptions{Directed: true})
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := g.WriteSG(&buf); err == nil {
+		back, rerr := graph.ReadFrom(&buf)
+		t.Fatalf("WriteSG on a closed graph returned nil (the bytes read back as %v, err %v)", back, rerr)
+	}
+	path := filepath.Join(t.TempDir(), "closed.sg")
+	if err := g.SaveSG(path); err == nil {
+		t.Fatal("SaveSG on a closed graph returned nil")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("SaveSG on a closed graph left a file: %v", err)
+	}
+}
+
 func TestSGMmapCloseThenUsePanics(t *testing.T) {
 	path, _ := saveSample(t)
 	g, err := graph.Load(path)

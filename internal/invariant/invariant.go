@@ -1,7 +1,7 @@
 // Package invariant is the tree's one runtime-assertion gate. Every invariant
 // assertion — grb's operand and direction checks, frontier's conversion
-// checks, graph's CSR seal, serve's lease, epoch and reach checks, kernel's
-// PageRank mass check — is compiled in always and armed only in a binary
+// checks, graph's CSR seal, par's lease-leak check, serve's epoch and reach
+// checks, kernel's PageRank mass check — is compiled in always and armed only in a binary
 // built with -tags=check:
 //
 //	go test -tags=check -short ./...

@@ -145,7 +145,7 @@ func (m *Machine) Close() {
 	m.wg.Wait()
 }
 
-// ResetStats zeroes the counters (between benchmark cells).
+// ResetStats zeroes the counters (core.RunSandboxed does, before each attempt).
 func (m *Machine) ResetStats() {
 	m.regions.Store(0)
 	m.serialRegions.Store(0)
@@ -156,7 +156,8 @@ func (m *Machine) ResetStats() {
 }
 
 // Stats snapshots the counters. The snapshot is not atomic across fields;
-// callers read it between regions (the Runner reads it between cells).
+// callers read it between regions (core.RunSandboxed reads it after each
+// attempt), and then it counts every region that has returned.
 func (m *Machine) Stats() Stats {
 	s := Stats{
 		Workers:       m.size,
@@ -198,27 +199,36 @@ type region struct {
 }
 
 // participate claims and runs slots until none remain, crediting barrier
-// crossings to the given shard.
+// crossings to the given shard. The participant that joined the last slot
+// closes done only after crediting its share, so a Stats read after the
+// region returns counts every barrier crossing of it.
 func (r *region) participate(sh *shard) {
 	var took int64
+	last := false
 	for {
 		slot := r.next.Add(1) - 1
 		if slot >= r.active {
 			break
 		}
 		took++
-		r.runSlot(int(slot))
+		if r.runSlot(int(slot)) {
+			last = true
+		}
 	}
 	if took > 0 {
 		sh.barriers.Add(took)
 	}
+	if last {
+		close(r.done)
+	}
 }
 
 // runSlot executes one slot, capturing a panic instead of letting it kill a
-// pool worker, and always joins the barrier so the region cannot deadlock. A
-// cancelled region skips the body but still joins, which is what lets a
-// deadline drain a multi-slot region without anyone waiting forever.
-func (r *region) runSlot(slot int) {
+// pool worker, and always joins the barrier so the region cannot deadlock; it
+// reports whether its join was the region's last. A cancelled region skips
+// the body but still joins, which is what lets a deadline drain a multi-slot
+// region without anyone waiting forever.
+func (r *region) runSlot(slot int) (last bool) {
 	defer func() {
 		if p := recover(); p != nil {
 			r.mu.Lock()
@@ -227,14 +237,13 @@ func (r *region) runSlot(slot int) {
 			}
 			r.mu.Unlock()
 		}
-		if r.joined.Add(1) == r.active {
-			close(r.done)
-		}
+		last = r.joined.Add(1) == r.active
 	}()
 	if r.cancel.Cancelled() {
 		return
 	}
 	r.body(slot)
+	return
 }
 
 // rethrow surfaces a captured region panic on the submitting goroutine. The

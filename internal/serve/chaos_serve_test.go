@@ -86,7 +86,7 @@ func TestChaosServeStallTimesOutMachineKept(t *testing.T) {
 	if resp.Code != CodeDeadlineExceeded {
 		t.Fatalf("stalled query: %+v", resp)
 	}
-	if got := srv.Pool().Abandoned(); got != 0 {
+	if got := srv.pool.Abandoned(); got != 0 {
 		t.Errorf("cooperative stall abandoned %d machines", got)
 	}
 	buildPR(t, srv, c, "PR build after stall")
@@ -106,7 +106,7 @@ func TestChaosServeHangAbandonsHealsAndDrainsClean(t *testing.T) {
 	if resp.Code != CodeDeadlineExceeded || !strings.Contains(resp.Error, "abandoned") {
 		t.Fatalf("hung query: %+v", resp)
 	}
-	if got := srv.Pool().Abandoned(); got != 1 {
+	if got := srv.pool.Abandoned(); got != 1 {
 		t.Errorf("abandoned = %d, want 1", got)
 	}
 	// Self-healed pool keeps serving while the hung kernel sleeps on.
@@ -116,7 +116,7 @@ func TestChaosServeHangAbandonsHealsAndDrainsClean(t *testing.T) {
 	if err := srv.Shutdown(5 * time.Second); err != nil {
 		t.Fatalf("shutdown after hang: %v", err)
 	}
-	if got := srv.Pool().Outstanding(); got != 0 {
+	if got := srv.pool.Outstanding(); got != 0 {
 		t.Errorf("outstanding leases after drain = %d", got)
 	}
 }
@@ -151,7 +151,7 @@ func TestChaosServeBreakerOpensAndProbeCloses(t *testing.T) {
 	if resp.Code != CodeUnavailable || !strings.Contains(resp.Error, "quarantined") {
 		t.Fatalf("quarantined query: %+v", resp)
 	}
-	abandonedBefore := srv.Pool().Abandoned()
+	abandonedBefore := srv.pool.Abandoned()
 
 	// Cooldown, then the probe (faults exhausted → clean run) closes it.
 	time.Sleep(180 * time.Millisecond)
@@ -165,7 +165,7 @@ func TestChaosServeBreakerOpensAndProbeCloses(t *testing.T) {
 	if st.BreakerOpens != 1 {
 		t.Errorf("breaker_opens = %d, want 1 (no reopen after recovery)", st.BreakerOpens)
 	}
-	if got := srv.Pool().Abandoned(); got != abandonedBefore {
+	if got := srv.pool.Abandoned(); got != abandonedBefore {
 		t.Errorf("quarantine/probe cost %d extra machines", got-abandonedBefore)
 	}
 	if err := srv.Shutdown(5 * time.Second); err != nil {
@@ -218,7 +218,7 @@ func TestChaosServeSnapshotPanicOnceRetriesAndPublishes(t *testing.T) {
 	// stalled SSSP on another connection, and the answer still comes.
 	busy := dial(t, sock)
 	busy.send(kernelQuery(t, srv, Request{Source: 1, BudgetMS: 300}))
-	waitFor(t, func() bool { return srv.Pool().Outstanding() == 1 })
+	waitFor(t, func() bool { return srv.pool.Outstanding() == 1 })
 	hit := c.do(Request{Kernel: "PR"})
 	if hit.Code != CodeOK || hit.KernelMicros != 0 || !reflect.DeepEqual(hit.Result, build.Result) {
 		t.Fatalf("PR hit behind a busy pool: %+v, build answered %+v", hit, build.Result)
@@ -281,7 +281,7 @@ func TestChaosServeSnapshotHangAbandonsHealsAndDrainsClean(t *testing.T) {
 	if resp.Code != CodeDeadlineExceeded || !strings.Contains(resp.Error, "abandoned") {
 		t.Fatalf("hung PR build: %+v", resp)
 	}
-	if got := srv.Pool().Abandoned(); got != 1 {
+	if got := srv.pool.Abandoned(); got != 1 {
 		t.Errorf("abandoned = %d, want 1", got)
 	}
 	// The pool healed and the slot stayed empty: the next PR query rebuilds on
@@ -297,7 +297,7 @@ func TestChaosServeSnapshotHangAbandonsHealsAndDrainsClean(t *testing.T) {
 	if err := srv.Shutdown(5 * time.Second); err != nil {
 		t.Fatalf("shutdown after hang: %v", err)
 	}
-	if got := srv.Pool().Outstanding(); got != 0 {
+	if got := srv.pool.Outstanding(); got != 0 {
 		t.Errorf("outstanding leases after drain = %d", got)
 	}
 }

@@ -2,16 +2,12 @@ package serve
 
 // check.go is the servecheck runtime sanitizer, the serving layer's share of
 // the tree's invariant assertions: always compiled, armed by the one gate,
-// invariant.Armed (build with -tags=check). Armed, a pool drain that finds
-// outstanding machine leases panics naming the count: a leaked lease is a
-// machine no future query can ever use, the serving-layer analogue of a lost
-// goroutine. It is the invariant's only enforcement, and unlike a static
-// per-function rule it covers functions, retries, and fault paths alike.
-// Armed, it also panics
-// when a snapshot (snapshot.go) or a reach index (reach.go) is about to answer
-// for a graph epoch other than the one it was computed on, and when a sampled
-// answer read off the reach index disagrees with the oracle: a reach count
-// with a traversal, a CC answer with verify.Components.
+// invariant.Armed (build with -tags=check). Armed, it panics when a snapshot
+// (snapshot.go) or a reach index (reach.go) is about to answer for a graph
+// epoch other than the one it was computed on, and when a sampled answer read
+// off the reach index disagrees with the oracle: a reach count with a
+// traversal, a CC answer with verify.Components. The lease-leak check at
+// drain lives with the pool (par.Pool).
 
 import (
 	"fmt"
@@ -20,15 +16,6 @@ import (
 	"gapbench/internal/invariant"
 	"gapbench/internal/verify"
 )
-
-// leaseLeakCheck asserts the outstanding-lease count is zero at drain,
-// panicking in an armed build. Unarmed it does nothing; the pool then
-// reports the leak as an ordinary drain error.
-func leaseLeakCheck(outstanding int64) {
-	if invariant.Armed() && outstanding != 0 {
-		panic(fmt.Sprintf("servecheck: %d machine lease(s) still outstanding at drain — every Acquire must reach Release or Abandon", outstanding))
-	}
-}
 
 // epochCheck asserts a snapshot or a reach index (what) is served only for
 // the graph epoch it was built on, panicking in an armed build. Served graphs

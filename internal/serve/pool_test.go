@@ -1,5 +1,10 @@
 package serve
 
+// The lease pool is par.Pool; these tests drive it through the deprecated
+// serve names the benchmark module's lease-cycle probe still calls, and move
+// to internal/par when those names go (ROADMAP item 3). The armed leak check
+// is tested beside it, in internal/par.
+
 import (
 	"errors"
 	"testing"
@@ -69,7 +74,7 @@ func TestPoolAcquireCancelledWhileQueued(t *testing.T) {
 		t.Fatal(err)
 	}
 	tok := par.NewDeadlineToken(20 * time.Millisecond)
-	if _, err := p.Acquire(tok); !errors.Is(err, ErrAcquireCancelled) {
+	if _, err := p.Acquire(tok); !errors.Is(err, par.ErrAcquireCancelled) {
 		t.Fatalf("queued Acquire with fired token: err = %v, want ErrAcquireCancelled", err)
 	}
 	l.Release()
@@ -137,7 +142,7 @@ func TestPoolDrainRefusesNewLeases(t *testing.T) {
 	if err := p.Drain(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Acquire(nil); !errors.Is(err, ErrPoolDraining) {
+	if _, err := p.Acquire(nil); !errors.Is(err, par.ErrPoolDraining) {
 		t.Fatalf("Acquire on drained pool: err = %v, want ErrPoolDraining", err)
 	}
 }
@@ -155,29 +160,6 @@ func TestPoolDrainReportsLeakedLease(t *testing.T) {
 		t.Fatal("Drain with an outstanding lease reported success")
 	}
 	l.Release() // settle so workers are joined (Release during drain closes)
-	if err := p.Drain(time.Second); err != nil {
-		t.Fatalf("drain after settling: %v", err)
-	}
-}
-
-func TestServecheckPanicsOnLeakedLease(t *testing.T) {
-	if !invariant.Armed() {
-		t.Skip("needs -tags=check")
-	}
-	p := NewPool(1, 1)
-	l, err := p.Acquire(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("armed build did not panic on a leaked lease at drain")
-			}
-		}()
-		_ = p.Drain(50 * time.Millisecond)
-	}()
-	l.Release()
 	if err := p.Drain(time.Second); err != nil {
 		t.Fatalf("drain after settling: %v", err)
 	}

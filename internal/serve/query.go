@@ -248,7 +248,7 @@ func (s *Server) run(p *queryPlan, qTok *par.CancelToken, deadline time.Time, pr
 				s.breakers.ResetProbe(p.fwName, string(p.k))
 			}
 			s.journalQuery(p, records, core.TimedOut, retries, err.Error())
-			if err == ErrPoolDraining {
+			if err == par.ErrPoolDraining {
 				s.c.drainShed.Add(1)
 				return Response{Code: CodeUnavailable, Error: "server draining", Retries: retries}, nil
 			}
@@ -312,33 +312,16 @@ func kernelMicros(seconds float64) int64 {
 	return max(1, (ns+999)/1000)
 }
 
-// runAttempt runs one kernel attempt on a leased machine in the suite's
-// sandbox (core.RunSandboxed): kernel is the timed part and returns the
-// finish that produces the attempt's value. The lease is settled on every
-// path — Release normally, Abandon when the kernel ignored its fired token
-// past the grace period — via the deferred closure (a panic cannot skip it;
-// servecheck's drain assertion fails without it). A non-nil error means no
-// lease was obtained (pool draining, budget gone while queued).
+// runAttempt runs one kernel attempt in the suite's sandbox
+// (core.RunSandboxed), on a machine it leases from the server's pool and
+// settles on every path: kernel is the timed part and returns the finish that
+// produces the attempt's value. A non-nil error means no lease was obtained
+// (pool draining, budget gone while queued).
 func runAttempt[T any](s *Server, p *queryPlan, tok *par.CancelToken, deadline time.Time,
 	kernelRun func(*queryPlan, *graph.Graph, kernel.Options) func() (T, error)) (T, core.Outcome, error) {
-	lease, err := s.pool.Acquire(tok)
-	if err != nil {
-		var none T
-		return none, core.Outcome{}, err
-	}
-	abandoned := false
-	defer func() {
-		if abandoned {
-			lease.Abandon()
-		} else {
-			lease.Release()
-		}
-	}()
-
 	opt := kernel.Options{
 		Mode:           kernel.Baseline,
 		Delta:          p.in.Spec.Delta,
-		Machine:        lease.Machine(),
 		Cancel:         tok,
 		UndirectedView: p.in.Undirected,
 		Prepared:       p.in.Prepared(p.f, false),
@@ -349,19 +332,19 @@ func runAttempt[T any](s *Server, p *queryPlan, tok *par.CancelToken, deadline t
 	// checks (armed under -tags=check) keep one corrupting kernel from
 	// poisoning answers for every later client.
 	g := p.in.Graph
-	val, out := core.RunSandboxed(core.Sandbox{
+	return core.RunSandboxed(s.pool, core.Sandbox{
 		Framework: p.fwName,
 		Kernel:    p.k,
 		Graph:     p.in.Spec.Name,
-		Machine:   opt.Machine,
 		Token:     tok,
 		Deadline:  deadline,
 		Limit:     p.budget,
 		Grace:     s.cfg.grace(),
 		Seals:     [3]*graph.Graph{g, p.in.Undirected},
-	}, func() func() (T, error) { return kernelRun(p, g, opt) })
-	abandoned = out.Abandoned
-	return val, out, nil
+	}, func(m *par.Machine) func() (T, error) {
+		opt.Machine = m
+		return kernelRun(p, g, opt)
+	})
 }
 
 // runKernel is the timed part of a BFS or SSSP query that plan did not route

@@ -313,7 +313,7 @@ func TestReachAnswerHoldsNoLeaseAndClosesProbe(t *testing.T) {
 	stalled := kernelQuery(t, srv, Request{Source: 1, BudgetMS: 2000})
 	ssspDone := make(chan Response, 1)
 	go func() { ssspDone <- srv.query(stalled, tok) }()
-	waitFor(t, func() bool { return srv.Pool().Outstanding() == 1 })
+	waitFor(t, func() bool { return srv.pool.Outstanding() == 1 })
 
 	want := bfsReached(in.Graph, 2)
 	if r := srv.query(Request{Kernel: "BFS", Source: 2}, par.NewCancelToken()); r.Code != CodeOK || r.KernelMicros != 0 || r.Result.Reached != want {
@@ -335,7 +335,7 @@ func TestReachAnswerHoldsNoLeaseAndClosesProbe(t *testing.T) {
 	if ok, probe := srv.breakers.Allow("Stub", "BFS"); !ok || probe {
 		t.Errorf("after the probe: ok=%v probe=%v, want a closed circuit", ok, probe)
 	}
-	if got := srv.Pool().Outstanding(); got != 1 {
+	if got := srv.pool.Outstanding(); got != 1 {
 		t.Errorf("outstanding leases = %d, want 1 (the SSSP's)", got)
 	}
 	tok.Cancel()

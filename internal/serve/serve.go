@@ -15,8 +15,9 @@ package serve
 //     reusing the core.Status taxonomy;
 //   - a circuit breaker (breaker.go) quarantines a (framework, kernel) pair
 //     that keeps losing machines, until a probe succeeds;
-//   - the machine-lease pool (pool.go) self-heals: an abandoned machine is
-//     replaced immediately and reaped in the background;
+//   - the machine-lease pool (par.Pool, shared with the suite runner)
+//     self-heals: an abandoned machine is replaced immediately and reaped in
+//     the background;
 //   - PR is computed and oracle-checked once per (graph, framework) and
 //     answered from that snapshot (snapshot.go);
 //   - a CC query, and a BFS or SSSP without a target, is answered from the
@@ -24,7 +25,7 @@ package serve
 //     CC's answer is the canonical weak component, the same for every
 //     framework;
 //   - SIGTERM drains gracefully under a hard deadline, and the drain proves
-//     no machine lease leaked (servecheck).
+//     no machine lease leaked (the pool's armed leak check).
 
 import (
 	"bufio"
@@ -124,7 +125,7 @@ type counters struct {
 // Serve (one goroutine each), stop with Shutdown.
 type Server struct {
 	cfg      Config
-	pool     *Pool
+	pool     *par.Pool
 	adm      *admission
 	breakers *breakerSet
 	snaps    *snapshotStore
@@ -192,7 +193,7 @@ func NewServer(cfg Config, inputs []*core.Input, frameworks []kernel.Framework) 
 	}
 	// The pool starts its machines' workers, so it comes last: a refused
 	// Server leaves nothing running.
-	s.pool = NewPool(cfg.poolSize(), cfg.workers())
+	s.pool = par.NewPool(cfg.poolSize(), cfg.workers())
 	s.adm = newAdmission(cfg.Admission, cfg.poolSize())
 	s.snaps = newSnapshotStore(s.graphOrder, s.frameworks)
 	return s, nil
@@ -230,9 +231,6 @@ func (s *Server) logf(format string, args ...any) {
 		s.cfg.Logf(format, args...)
 	}
 }
-
-// Pool exposes the lease pool (tests and the drain log read its counters).
-func (s *Server) Pool() *Pool { return s.pool }
 
 // Listen opens the daemon's listener for an address of the form
 // "unix:/path/to.sock" (a stale socket file — one nobody is accepting on —

@@ -313,7 +313,7 @@ func TestServeEndToEndRealFramework(t *testing.T) {
 	if err := srv.Shutdown(5 * time.Second); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	if got := srv.Pool().Outstanding(); got != 0 {
+	if got := srv.pool.Outstanding(); got != 0 {
 		t.Errorf("outstanding leases after drain = %d", got)
 	}
 }
@@ -415,7 +415,7 @@ func TestServeBudgetStallCooperative(t *testing.T) {
 		t.Errorf("cooperative stall took %v, want ~budget (60ms)", elapsed)
 	}
 	// The kernel drained cooperatively: machine kept, no abandonment.
-	if got := srv.Pool().Abandoned(); got != 0 {
+	if got := srv.pool.Abandoned(); got != 0 {
 		t.Errorf("abandoned = %d after a cooperative stall", got)
 	}
 	// The same pool serves the next kernel run.
@@ -435,7 +435,7 @@ func TestServeHangAbandonsAndSelfHeals(t *testing.T) {
 	if resp.Code != CodeDeadlineExceeded || !strings.Contains(resp.Error, "abandoned") {
 		t.Fatalf("hung query: %+v", resp)
 	}
-	if got := srv.Pool().Abandoned(); got != 1 {
+	if got := srv.pool.Abandoned(); got != 1 {
 		t.Errorf("abandoned = %d, want 1", got)
 	}
 	// Self-healing: the replacement machine serves immediately, long before
@@ -615,7 +615,7 @@ func TestServeGracefulDrainUnderLoad(t *testing.T) {
 			t.Errorf("drained query %d: %+v", i, resp)
 		}
 	}
-	if got := srv.Pool().Outstanding(); got != 0 {
+	if got := srv.pool.Outstanding(); got != 0 {
 		t.Errorf("outstanding leases after drain = %d", got)
 	}
 	// A fresh connection is refused (listener closed).

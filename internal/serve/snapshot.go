@@ -199,10 +199,14 @@ func (s *Server) leadBuild(p *queryPlan, qTok *par.CancelToken, deadline time.Ti
 	return resp
 }
 
+// flightPollInterval is how often awaitFlight re-checks its token, the period
+// par.Pool's Acquire polls at.
+const flightPollInterval = 500 * time.Microsecond
+
 // awaitFlight blocks until the flight settles (true) or tok fires (false).
-// Tokens are poll-based, so the wait polls like Pool.Acquire does.
+// Tokens are poll-based, so the wait polls like par.Pool's Acquire does.
 func awaitFlight(flight <-chan struct{}, tok *par.CancelToken) bool {
-	timer := time.NewTimer(acquirePollInterval)
+	timer := time.NewTimer(flightPollInterval)
 	defer timer.Stop()
 	for {
 		select {
@@ -212,7 +216,7 @@ func awaitFlight(flight <-chan struct{}, tok *par.CancelToken) bool {
 			if tok.Cancelled() {
 				return false
 			}
-			timer.Reset(acquirePollInterval)
+			timer.Reset(flightPollInterval)
 		}
 	}
 }

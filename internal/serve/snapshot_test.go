@@ -117,7 +117,7 @@ func TestSnapshotSingleFlightBuildsOnce(t *testing.T) {
 				return
 			default:
 			}
-			if n := srv.Pool().Outstanding(); n > maxLeases.Load() {
+			if n := srv.pool.Outstanding(); n > maxLeases.Load() {
 				maxLeases.Store(n)
 			}
 			time.Sleep(50 * time.Microsecond)
@@ -175,13 +175,13 @@ func TestSnapshotHitHoldsNoLease(t *testing.T) {
 	ssspDone := make(chan Response, 1)
 	stalled := kernelQuery(t, srv, Request{Source: 1, BudgetMS: 2000})
 	go func() { ssspDone <- srv.query(stalled, tok) }()
-	waitFor(t, func() bool { return srv.Pool().Outstanding() == 1 })
+	waitFor(t, func() bool { return srv.pool.Outstanding() == 1 })
 
 	pr := srv.query(Request{Kernel: "PR", K: 3}, tok)
 	if pr.Code != CodeOK || len(pr.Result.TopK) != 3 || pr.KernelMicros != 0 {
 		t.Errorf("PR hit behind a busy pool: %+v", pr)
 	}
-	if got := srv.Pool().Outstanding(); got != 1 {
+	if got := srv.pool.Outstanding(); got != 1 {
 		t.Errorf("outstanding leases = %d, want 1 (the SSSP's)", got)
 	}
 	tok.Cancel()

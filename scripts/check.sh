@@ -38,7 +38,12 @@
 #      verify.Components, at scale 8 from 16 sources under -short; its weak
 #      components against verify.Components on the five generators and on
 #      random digraphs, over-bound ones included: every TestReach* and
-#      TestSnapshot* test) under the race detector, ten times over.
+#      TestSnapshot* test) under the race detector, ten times over. And
+#      go test -race -short -count=10 -run 'Pool|Lease|Abandon|RunSandboxed'
+#      <par core serve>: the one machine-lease path (par.Pool's concurrent
+#      settles and drain, core.RunSandboxed's lease on every outcome, the
+#      runner's and the daemon's abandonment and self-healing), ten times
+#      over (≈ 25 s: the core abandonment tests wait out their 700 ms hangers).
 #   7. go test -tags=check -short ./...  the armed tier: the whole tree
 #      rebuilt with every invariant assertion armed (DESIGN.md §8 "Runtime
 #      sanitizer"; one tag, one gate, internal/invariant): grb's operand,
@@ -154,10 +159,11 @@ echo "gapvet -perf clean in ${perf_elapsed}s"
 say "go test ./..."
 go test ./...
 
-say "race smoke tier (go test -race -short; Snapshot and Reach tests -count=10)"
+say "race smoke tier (go test -race -short; Snapshot, Reach and lease tests -count=10)"
 go test -race -short ./internal/par/... ./internal/galois/... ./internal/core/... ./internal/chaos/... ./internal/serve/... ./internal/nwgraph/... ./internal/grb/... \
     ./internal/gap/... ./internal/gkc/... ./internal/graphit/... ./internal/lagraph/... ./internal/frontier/... ./internal/graph/...
 go test -race -short -count=10 -run 'Snapshot|Reach' ./internal/serve/
+go test -race -short -count=10 -run 'Pool|Lease|Abandon|RunSandboxed' ./internal/par/ ./internal/core/ ./internal/serve/
 
 say "armed tier (go test -tags=check -short ./...)"
 go test -tags=check -short ./...
