@@ -245,9 +245,9 @@ func BenchmarkAblationCC(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPR contrasts Jacobi (GAP) with Gauss-Seidel (Galois, and
-// the §VI-recommended GAP variant) and reports each arm's sweeps/op from its
-// own machine's region count: every arm runs two regions a sweep. §V-D
+// BenchmarkAblationPR contrasts Jacobi (GAP) with Gauss-Seidel (Galois) and
+// reports each arm's sweeps/op from its own machine's region count: every
+// arm runs two regions a sweep. §V-D
 // credits Gauss-Seidel with converging in fewer sweeps; here it does on every
 // graph, by most on the high-diameter Road. Kron's dangling vertices are all
 // isolated, Twitter's have in-edges, so the two arms check that the
@@ -260,7 +260,6 @@ func BenchmarkAblationPR(b *testing.B) {
 	}{
 		{"Jacobi", gap.New().PR},
 		{"GaussSeidel", galois.New().PR},
-		{"GAPProposedGS", gap.PageRankGS},
 	}
 	m := par.NewMachine(benchWidth)
 	defer m.Close()

@@ -1,9 +1,9 @@
-// Package kernel is a helper fixture the sibling fixture packages call into:
+// Package core is a helper fixture the sibling fixture packages call into:
 // it allocates and reaches the OS, so the interprocedural rules can report
 // kernel-side call sites that cross a package boundary. It has no findings
-// of its own — util is not a timed kernel package, and its errors are
-// returned, not dropped.
-package kernel
+// of its own — core is shared substrate, not a timed kernel package, and its
+// errors are returned, not dropped.
+package core
 
 import "os"
 

@@ -2,7 +2,7 @@
 // kernel package, once through a method on an os package variable
 // (timed-region-purity), allocates on a spawned hot path
 // directly and through a cross-package call (alloc-in-timed-region), and
-// reaches the OS through the sibling kernel package, which the transitive
+// reaches the OS through the sibling core package, which the transitive
 // purity rule reports at the kernel-side call site.
 package gap
 
@@ -10,7 +10,7 @@ import (
 	"fmt"
 	"os"
 
-	"gapbench/cmd/gapvet/testdata/src/kernel"
+	"gapbench/cmd/gapvet/testdata/src/core"
 )
 
 // NoisyKernel logs progress from inside what would be a timed region.
@@ -19,14 +19,14 @@ func NoisyKernel(level int) {
 }
 
 // HotAlloc allocates per element on a spawned path: one make directly in
-// the goroutine, and one reached through kernel.Scratch across the package
+// the goroutine, and one reached through core.Scratch across the package
 // boundary.
 func HotAlloc(out [][]int64) {
 	done := make(chan struct{})
 	go func() {
 		for i := range out {
 			buf := make([]int64, 8)
-			copy(buf, kernel.Scratch(8))
+			copy(buf, core.Scratch(8))
 			out[i] = buf
 		}
 		close(done)
@@ -34,10 +34,10 @@ func HotAlloc(out [][]int64) {
 	<-done
 }
 
-// Dump reaches os.Create through kernel.Spill; the purity rule reports the
+// Dump reaches os.Create through core.Spill; the purity rule reports the
 // chain at this call site, naming its endpoint.
 func Dump(name string) error {
-	return kernel.Spill(name)
+	return core.Spill(name)
 }
 
 // Progress writes through a method on an os package variable: I/O with no

@@ -33,11 +33,11 @@ func Expand(g *graph.Graph, work []graph.NodeID) {
 	}
 }
 
-// DrainPolite is the polled control: the direct Cancelled() call keeps the
+// DrainPolite is the polled control: the direct Interrupted() poll keeps the
 // loop live.
 func DrainPolite(work []graph.NodeID, opt kernel.Options) {
 	for len(work) > 0 {
-		if opt.Cancelled() {
+		if opt.Exec().Interrupted() {
 			return
 		}
 		work = next(work)

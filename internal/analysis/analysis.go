@@ -60,6 +60,7 @@ var pkgRoles = map[string]pkgRole{
 	"grb":      roleTimed | roleIndex64,
 	"par":      roleTimed,
 	"frontier": roleTimed | rolePolled,
+	"kernel":   roleTimed | rolePolled,
 	// gapvet fixture packages (cmd/gapvet/testdata/src).
 	"spin":    rolePolled,
 	"hotpath": rolePerf,

@@ -12,8 +12,8 @@ import (
 // reproductions and the shared frontier library) that can spin forever after
 // the harness cancels a trial: a condition-only (or infinite) `for` loop whose trip
 // count is data-dependent — frontier drains, worklist pulls, fixed-point
-// rounds — and whose condition and body never reach Options.Cancelled(),
-// par.CancelToken.Cancelled(), Machine.Interrupted(), or a par schedule
+// rounds — and whose condition and body never reach Machine.Interrupted(),
+// par.CancelToken.Cancelled(), or a par schedule
 // (which polls the installed token itself). Such a loop makes machine
 // abandonment (DESIGN.md §9) the runner's only defense.
 //
@@ -82,7 +82,7 @@ func runCancelLiveness(pass *Pass) {
 						findings = append(findings, finding{
 							pos: loop.For,
 							msg: "data-dependent loop in " + sum.Name +
-								" never reaches a cancellation poll or par schedule: poll Options.Cancelled() / Machine.Interrupted() each iteration, or justify with //gapvet:ignore",
+								" never reaches a cancellation poll or par schedule: poll Machine.Interrupted() (opt.Exec().Interrupted() in a kernel) each iteration, or justify with //gapvet:ignore",
 						})
 					}
 				}

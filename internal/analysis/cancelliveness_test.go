@@ -36,7 +36,7 @@ func step(work []int) []int {
 
 func DrainPolite(work []int, opt kernel.Options) {
 	for len(work) > 0 {
-		if opt.Cancelled() {
+		if opt.Exec().Interrupted() {
 			return
 		}
 		work = step(work)
@@ -53,7 +53,7 @@ func DrainPolite(work []int, opt kernel.Options) {
 import "gapbench/internal/kernel"
 
 func politeStep(work []int, opt kernel.Options) []int {
-	if opt.Cancelled() {
+	if opt.Exec().Interrupted() {
 		return nil
 	}
 	return work[1:]

@@ -287,7 +287,7 @@ func BuildProgram(pkgs []*Package) *Program {
 }
 
 // isCancelPoll reports whether the callee is a cancellation poll: any method
-// named Cancelled (par.CancelToken, kernel.Options) or Interrupted
+// named Cancelled (par.CancelToken) or Interrupted
 // (par.Machine). Matching on the method name keeps fixtures free to supply
 // their own token types.
 func isCancelPoll(id FuncID) bool {

@@ -162,7 +162,7 @@ func (i *Injector) fire(f *Fault, kernelName string, g *graph.Graph, opt kernel.
 		panic(fmt.Sprintf("chaos: injected panic in %s %s", i.inner.Name(), kernelName))
 	case Stall:
 		// Cooperative: poll the token like a well-behaved kernel, then bail.
-		for !opt.Cancelled() {
+		for !opt.Exec().Interrupted() {
 			time.Sleep(time.Millisecond)
 		}
 		return true
@@ -173,7 +173,7 @@ func (i *Injector) fire(f *Fault, kernelName string, g *graph.Graph, opt kernel.
 		if extra <= 0 {
 			extra = 30 * time.Second
 		}
-		for !opt.Cancelled() {
+		for !opt.Exec().Interrupted() {
 			time.Sleep(time.Millisecond)
 		}
 		time.Sleep(extra)

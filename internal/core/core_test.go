@@ -297,6 +297,32 @@ func TestRunSuiteAndSpeedups(t *testing.T) {
 	}
 }
 
+// TestUnverifiedCellsAreOKAndFillTheTables: with verification off a cell
+// that ran is OK but not Verified, since no oracle looked at it, and the
+// speedup table still takes it: the tables pick cells by status, and with
+// verification on OK already implies Verified.
+func TestUnverifiedCellsAreOKAndFillTheTables(t *testing.T) {
+	in, err := core.LoadInput(core.GraphSpec{Name: "Kron", Scale: 6, Seed: 1, Delta: 16, SourceSeed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &core.Runner{Trials: 1, BaselineWorkers: 1, OptimizedWorkers: 1}
+	defer r.Close()
+	fws := []kernel.Framework{core.FrameworkByName("GAP"), core.FrameworkByName("GKC")}
+	results, err := r.RunSuite(fws, []*core.Input{in}, []kernel.Mode{kernel.Baseline}, []core.Kernel{core.BFS, core.TC}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, res := range results {
+		if res.Status != core.OK || res.Verified {
+			t.Errorf("%s %s unverified: status %v, verified %v; want OK and not verified", res.Framework, res.Kernel, res.Status, res.Verified)
+		}
+	}
+	if got := core.SpeedupVsReference(results); len(got) != 2 {
+		t.Errorf("speedups = %v, want 2 GKC entries from unverified OK cells", got)
+	}
+}
+
 // brokenFramework returns wrong answers for everything; only TC is used.
 type brokenFramework struct{}
 

@@ -57,7 +57,7 @@ func (f flaky) TC(g *gGraph, opt kernel.Options) int64 {
 type staller struct{ zeroFramework }
 
 func (staller) TC(g *gGraph, opt kernel.Options) int64 {
-	for !opt.Cancelled() {
+	for !opt.Exec().Interrupted() {
 		time.Sleep(100 * time.Microsecond)
 	}
 	return 0

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"gapbench/internal/core"
-	"gapbench/internal/gap"
 	"gapbench/internal/generate"
 	"gapbench/internal/graph"
 	"gapbench/internal/kernel"
@@ -37,7 +36,6 @@ func TestGaussSeidelSweepsNoMoreThanJacobi(t *testing.T) {
 		{"Galois", core.FrameworkByName("Galois").PR},
 		{"GKC", core.FrameworkByName("GKC").PR},
 		{"NWGraph", core.FrameworkByName("NWGraph").PR},
-		{"GAP-GS", gap.PageRankGS},
 	}
 	for _, name := range generate.Names {
 		in, err := core.LoadInput(core.GraphSpec{Name: name, Scale: 10, Seed: 1, Delta: 16, SourceSeed: 5})

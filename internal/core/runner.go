@@ -97,11 +97,11 @@ type Result struct {
 	// journaled cell and the current input are the same graph.
 	GraphFile  string `json:",omitempty"`
 	GraphEpoch uint64 `json:",omitempty"`
-	// Verified reports whether the cell finished OK (every trial returned in
-	// time and, when verification is on, passed the oracle); Err carries the
-	// first failure. Per §VI's call for "more formally specified verification
-	// and validation procedures", a failed cell is reported, never silently
-	// kept.
+	// Verified reports whether the oracle checked every trial of the cell and
+	// the cell finished OK; with verification off it is false, since nothing
+	// was checked. Err carries the first failure. Per §VI's call for "more
+	// formally specified verification and validation procedures", a failed
+	// cell is reported, never silently kept.
 	Verified bool
 	Err      string `json:",omitempty"`
 	// TrialRecords is the per-attempt fault log (empty only for resumed
@@ -258,7 +258,7 @@ func checkOracle(check func() error) (err error) {
 
 // runAttempt executes one trial attempt in the sandbox (sandbox.go) on a
 // machine leased from the mode's pool, under a per-attempt cancellation token
-// that the kernel options carry too. With Verify on, it first takes the
+// the sandbox installs on that machine. With Verify on, it first takes the
 // trial's oracle answer from the input, untimed and outside the sandbox, and
 // the check compares the kernel's output with it. A kernel that ignores the
 // fired token past the grace period costs the pool that machine, never the
@@ -272,17 +272,16 @@ func (r *Runner) runAttempt(f kernel.Framework, k Kernel, in *Input, opt kernel.
 		}
 	}
 	var deadline time.Time // zero: no -timeout, wait for the kernel
+	tok := par.NewCancelToken()
 	if r.Timeout > 0 {
-		opt.Cancel = par.NewDeadlineToken(r.Timeout)
+		tok = par.NewDeadlineToken(r.Timeout)
 		deadline = time.Now().Add(r.Timeout)
-	} else {
-		opt.Cancel = par.NewCancelToken()
 	}
 	sb := Sandbox{
 		Framework: f.Name(),
 		Kernel:    k,
 		Graph:     in.Spec.Name,
-		Token:     opt.Cancel,
+		Token:     tok,
 		Deadline:  deadline,
 		Limit:     r.Timeout,
 		Grace:     r.grace(),
@@ -365,7 +364,7 @@ func untimed(f kernel.Framework, in *Input, step string, build func() any) (v an
 // sandboxed (DESIGN.md §9): panics, deadline overruns, and oracle rejections
 // become per-trial statuses on the Result, never harness crashes.
 func (r *Runner) RunCell(f kernel.Framework, k Kernel, in *Input, mode kernel.Mode) Result {
-	res := Result{Framework: f.Name(), Kernel: k, Graph: in.Spec.Name, Mode: mode, Verified: true, Seconds: -1}
+	res := Result{Framework: f.Name(), Kernel: k, Graph: in.Spec.Name, Mode: mode, Seconds: -1}
 	res.GraphFile = in.File
 	if in.Graph != nil {
 		res.GraphEpoch = in.Graph.Epoch()
@@ -378,7 +377,6 @@ func (r *Runner) RunCell(f kernel.Framework, k Kernel, in *Input, mode kernel.Mo
 
 	if !slices.Contains(Kernels, k) {
 		res.Status = Skipped
-		res.Verified = false
 		res.Err = fmt.Sprintf("unknown kernel %q", k)
 		return res
 	}
@@ -386,7 +384,6 @@ func (r *Runner) RunCell(f kernel.Framework, k Kernel, in *Input, mode kernel.Mo
 	opt, out := prepare(f, k, in, mode)
 	if out.Status != OK {
 		res.Status = out.Status
-		res.Verified = false
 		res.Err = out.Err
 		for t := 0; t < trials; t++ {
 			res.TrialRecords = append(res.TrialRecords, TrialRecord{Trial: t, Status: Skipped})
@@ -437,7 +434,6 @@ func (r *Runner) RunCell(f kernel.Framework, k Kernel, in *Input, mode kernel.Mo
 			failed = true
 			if res.Status == OK {
 				res.Status = out.Status
-				res.Verified = false
 				res.Err = out.Err
 			}
 		}
@@ -454,6 +450,7 @@ func (r *Runner) RunCell(f kernel.Framework, k Kernel, in *Input, mode kernel.Mo
 		}
 		res.StdDev = math.Sqrt(sq / float64(len(samples)-1))
 	}
+	res.Verified = r.Verify && res.Status == OK
 	res.Sync = syncStatsFrom(counters)
 	return res
 }
@@ -554,7 +551,7 @@ func PrepareViews(frameworks []kernel.Framework, inputs []*Input) {
 func SpeedupVsReference(results []Result) map[string]float64 {
 	ref := map[string]float64{}
 	for _, res := range results {
-		if res.Framework == ReferenceName && res.Status == OK && res.Verified && res.Seconds > 0 {
+		if res.Framework == ReferenceName && res.Status == OK && res.Seconds > 0 {
 			ref[cellKey(string(res.Kernel), res.Graph, res.Mode)] = res.Seconds
 		}
 	}
@@ -564,7 +561,7 @@ func SpeedupVsReference(results []Result) map[string]float64 {
 			continue
 		}
 		base, ok := ref[cellKey(string(res.Kernel), res.Graph, res.Mode)]
-		if !ok || res.Status != OK || !res.Verified || res.Seconds <= 0 {
+		if !ok || res.Status != OK || res.Seconds <= 0 {
 			continue
 		}
 		out[res.Framework+"|"+cellKey(string(res.Kernel), res.Graph, res.Mode)] = base / res.Seconds

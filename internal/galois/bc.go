@@ -44,41 +44,7 @@ func brandes(exec *par.Machine, g *graph.Graph, sources []graph.NodeID, asyncFor
 			levels = forwardSync(exec, g, src, depth)
 		}
 
-		// Path counts per level, pulling from predecessors.
-		for l := 1; l < len(levels); l++ {
-			level := levels[l]
-			exec.ForDynamic(len(level), chunkSize, 0, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					v := level[i]
-					var s float64
-					for _, u := range g.InNeighbors(v) {
-						if depth[u] == depth[v]-1 {
-							s += sigma[u]
-						}
-					}
-					sigma[v] = s
-				}
-			})
-		}
-		// Dependencies in reverse level order.
-		for l := len(levels) - 2; l >= 0; l-- {
-			level := levels[l]
-			exec.ForDynamic(len(level), chunkSize, 0, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					u := level[i]
-					var d float64
-					for _, v := range g.OutNeighbors(u) {
-						if depth[v] == depth[u]+1 {
-							d += sigma[u] / sigma[v] * (1 + delta[v])
-						}
-					}
-					delta[u] = d
-					if u != src {
-						scores[u] += d
-					}
-				}
-			})
-		}
+		kernel.BCSweeps(exec, g, src, levels, chunkSize, depth, sigma, delta, scores)
 	}
 
 	return kernel.BCNormalize(scores)

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"gapbench/internal/graph"
+	"gapbench/internal/kernel"
 	"gapbench/internal/par"
 )
 
@@ -31,13 +32,13 @@ func afforest(exec *par.Machine, g *graph.Graph, edgeBlocked bool) []graph.NodeI
 			for u := lo; u < hi; u++ {
 				neigh := g.OutNeighbors(graph.NodeID(u))
 				if r < len(neigh) {
-					unionCAS(graph.NodeID(u), neigh[r], comp)
+					kernel.Link(graph.NodeID(u), neigh[r], comp)
 				}
 			}
 		})
 	}
-	compressLabels(exec, comp)
-	giant := mostFrequentLabel(comp)
+	kernel.Compress(exec, comp)
+	giant := kernel.GiantLabel(comp)
 
 	if edgeBlocked {
 		finishEdgeBlocked(exec, g, comp, giant)
@@ -49,17 +50,17 @@ func afforest(exec *par.Machine, g *graph.Graph, edgeBlocked bool) []graph.NodeI
 				}
 				neigh := g.OutNeighbors(graph.NodeID(u))
 				for r := neighborRounds; r < len(neigh); r++ {
-					unionCAS(graph.NodeID(u), neigh[r], comp)
+					kernel.Link(graph.NodeID(u), neigh[r], comp)
 				}
 				if g.Directed() {
 					for _, v := range g.InNeighbors(graph.NodeID(u)) {
-						unionCAS(graph.NodeID(u), v, comp)
+						kernel.Link(graph.NodeID(u), v, comp)
 					}
 				}
 			}
 		})
 	}
-	compressLabels(exec, comp)
+	kernel.Compress(exec, comp)
 	return comp
 }
 
@@ -83,7 +84,7 @@ func finishEdgeBlocked(exec *par.Machine, g *graph.Graph, comp []graph.NodeID, g
 			if atomic.LoadInt32(&comp[u]) == giant {
 				continue
 			}
-			unionCAS(u, neigh[e], comp)
+			kernel.Link(u, neigh[e], comp)
 		}
 	}
 	m := index[n]
@@ -111,82 +112,4 @@ func searchRow(index []int64, e int64) int {
 		}
 	}
 	return lo
-}
-
-// unionCAS hooks the higher component root onto the lower with CAS loops
-// (identical semantics to the GAP reference's Link). The two loads and the
-// equality test are the per-edge fast path — once components converge nearly
-// every call sees equal labels — and fit the inline budget; the CAS loop
-// lives out of line in unionCASSlow, which re-loads under its own loop
-// anyway.
-func unionCAS(u, v graph.NodeID, comp []graph.NodeID) {
-	if atomic.LoadInt32(&comp[u]) != atomic.LoadInt32(&comp[v]) {
-		unionCASSlow(u, v, comp)
-	}
-}
-
-// unionCASSlow repeatedly hooks the higher root onto the lower one with CAS.
-// Kept out of line so unionCAS stays under the inline budget; the loads race
-// with concurrent hooks either way, and the loop revalidates before every
-// CAS.
-//
-//go:noinline
-func unionCASSlow(u, v graph.NodeID, comp []graph.NodeID) {
-	p1 := atomic.LoadInt32(&comp[u])
-	p2 := atomic.LoadInt32(&comp[v])
-	for p1 != p2 {
-		high, low := p1, p2
-		if high < low {
-			high, low = low, high
-		}
-		pHigh := atomic.LoadInt32(&comp[high])
-		if pHigh == low {
-			break
-		}
-		if pHigh == high && atomic.CompareAndSwapInt32(&comp[high], high, low) {
-			break
-		}
-		p1 = atomic.LoadInt32(&comp[atomic.LoadInt32(&comp[high])])
-		p2 = atomic.LoadInt32(&comp[low])
-	}
-}
-
-// compressLabels pointer-jumps every label to its root.
-func compressLabels(exec *par.Machine, comp []graph.NodeID) {
-	exec.ForBlocked(len(comp), 0, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			c := atomic.LoadInt32(&comp[u])
-			for {
-				cc := atomic.LoadInt32(&comp[c])
-				if c == cc {
-					break
-				}
-				c = cc
-			}
-			atomic.StoreInt32(&comp[u], c)
-		}
-	})
-}
-
-// mostFrequentLabel samples labels to find the giant component.
-func mostFrequentLabel(comp []graph.NodeID) graph.NodeID {
-	const samples = 1024
-	counts := make(map[graph.NodeID]int, samples)
-	n := uint64(len(comp))
-	x := uint64(0x853c49e6748fea9b)
-	for i := 0; i < samples; i++ {
-		x = x*6364136223846793005 + 1442695040888963407
-		root := comp[(x>>17)%n]
-		for root != comp[root] {
-			root = comp[root]
-		}
-		counts[root]++
-	}
-	best, bestCount := graph.NodeID(0), -1
-	for c, k := range counts {
-		if k > bestCount {
-			best, bestCount = c, k
-		}
-	}
-	return best
 }

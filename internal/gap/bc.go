@@ -47,44 +47,7 @@ func Brandes(g *graph.Graph, sources []graph.NodeID, opt kernel.Options) []float
 		// Forward phase: level-synchronous parallel BFS capturing each level.
 		levels := bcForward(exec, g, src, depth, &sink)
 
-		// Sigma phase: per level (in order), each vertex pulls path counts
-		// from in-neighbors one level up. Writes are owner-only.
-		for l := 1; l < len(levels); l++ {
-			level := levels[l]
-			exec.ForDynamic(len(level), 128, 0, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					v := level[i]
-					var s float64
-					for _, u := range g.InNeighbors(v) {
-						if depth[u] == depth[v]-1 {
-							s += sigma[u]
-						}
-					}
-					sigma[v] = s
-				}
-			})
-		}
-
-		// Backward phase: reverse level order; each vertex folds in its
-		// successors' dependencies. Again owner-only writes.
-		for l := len(levels) - 2; l >= 0; l-- {
-			level := levels[l]
-			exec.ForDynamic(len(level), 128, 0, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					u := level[i]
-					var d float64
-					for _, v := range g.OutNeighbors(u) {
-						if depth[v] == depth[u]+1 {
-							d += sigma[u] / sigma[v] * (1 + delta[v])
-						}
-					}
-					delta[u] = d
-					if u != src {
-						scores[u] += d
-					}
-				}
-			})
-		}
+		kernel.BCSweeps(exec, g, src, levels, 128, depth, sigma, delta, scores)
 	}
 
 	return kernel.BCNormalize(scores)

@@ -37,7 +37,7 @@ func DOBFS(g *graph.Graph, src graph.NodeID, opt kernel.Options) []graph.NodeID 
 	var scout atomic.Int64
 
 	for !queue.Empty() {
-		if opt.Cancelled() {
+		if exec.Interrupted() {
 			return parent // partial tree; the harness discards cancelled trials
 		}
 		if disp.UsePull() {
@@ -51,7 +51,7 @@ func DOBFS(g *graph.Graph, src graph.NodeID, opt kernel.Options) []graph.NodeID 
 			awake := queue.Size()
 			queue.Reset()
 			for {
-				if opt.Cancelled() {
+				if exec.Interrupted() {
 					return parent
 				}
 				prevAwake := awake

@@ -113,21 +113,6 @@ func TestTriangleCountKnownValues(t *testing.T) {
 	}
 }
 
-func TestPageRankGSVariant(t *testing.T) {
-	// The §VI-proposed Gauss-Seidel reference variant must converge to the
-	// same fixed point as the Jacobi reference.
-	g, err := generate.Web(9, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := par.NewMachine(2)
-	defer m.Close()
-	ranks := gap.PageRankGS(g, kernel.Options{Machine: m})
-	if err := verify.CheckPR(g, ranks); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDeltaStepLightHeavy(t *testing.T) {
 	m := par.NewMachine(3)
 	defer m.Close()

@@ -68,7 +68,7 @@ func DeltaStep(g *graph.Graph, src graph.NodeID, delta kernel.Dist, opt kernel.O
 	}
 
 	for {
-		if opt.Cancelled() {
+		if exec.Interrupted() {
 			return dist // partial distances; the harness discards cancelled trials
 		}
 		lowBound := kernel.Dist(bucket) * delta
@@ -209,7 +209,7 @@ func DeltaStepLightHeavy(g *graph.Graph, src graph.NodeID, delta kernel.Dist, op
 	var settled []graph.NodeID // bucket members settled this bucket (for heavy phase)
 	bucket := 0
 	for {
-		if opt.Cancelled() {
+		if exec.Interrupted() {
 			return dist
 		}
 		lo := kernel.Dist(bucket) * delta
@@ -217,7 +217,7 @@ func DeltaStepLightHeavy(g *graph.Graph, src graph.NodeID, delta kernel.Dist, op
 		settled = settled[:0]
 		// Light phase: iterate to a fixed point within the bucket.
 		for len(frontier) > 0 {
-			if opt.Cancelled() {
+			if exec.Interrupted() {
 				return dist
 			}
 			var mu sync.Mutex

@@ -108,19 +108,7 @@ func hybridSV(exec *par.Machine, g *graph.Graph) []graph.NodeID {
 			}
 		}
 		// Shortcut sweep: full pointer jumping.
-		exec.ForBlocked(n, 0, func(lo, hi int) {
-			for u := lo; u < hi; u++ {
-				c := atomic.LoadInt32(&comp[u])
-				for {
-					cc := atomic.LoadInt32(&comp[c])
-					if cc == c {
-						break
-					}
-					c = cc
-				}
-				atomic.StoreInt32(&comp[u], c)
-			}
-		})
+		kernel.Compress(exec, comp)
 		if !changed {
 			return comp
 		}
@@ -239,39 +227,7 @@ func brandes(exec *par.Machine, g *graph.Graph, sources []graph.NodeID) []float6
 			current = next
 		}
 
-		for l := 1; l < len(levels); l++ {
-			level := levels[l]
-			exec.ForDynamic(len(level), 128, 0, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					v := level[i]
-					var s float64
-					for _, u := range g.InNeighbors(v) {
-						if depth[u] == depth[v]-1 {
-							s += sigma[u]
-						}
-					}
-					sigma[v] = s
-				}
-			})
-		}
-		for l := len(levels) - 2; l >= 0; l-- {
-			level := levels[l]
-			exec.ForDynamic(len(level), 128, 0, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					u := level[i]
-					var dd float64
-					for _, v := range g.OutNeighbors(u) {
-						if depth[v] == depth[u]+1 {
-							dd += sigma[u] / sigma[v] * (1 + delta[v])
-						}
-					}
-					delta[u] = dd
-					if u != src {
-						scores[u] += dd
-					}
-				}
-			})
-		}
+		kernel.BCSweeps(exec, g, src, levels, 128, depth, sigma, delta, scores)
 	}
 
 	return kernel.BCNormalize(scores)

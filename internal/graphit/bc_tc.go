@@ -12,9 +12,11 @@ import (
 // bc is GraphIt's Brandes: the forward traversal tracks frontiers in the
 // layout the schedule picks (bitvector by default — "advantageous when there
 // are many active elements in the frontier", sparse list for the Optimized
-// Road schedule), and the backward pass walks the transposed graph (§V-E:
-// "GraphIt transposes the graph for the backward pass"): dependencies are
-// pushed from each successor to its parents over in-edges.
+// Road schedule). The sigma and dependency sweeps are the level-ordered
+// pulls every other Brandes here runs: the dependency sweep reads each
+// vertex's out-edges, as GAP's does. §V-E's transposed backward pass ("GraphIt
+// transposes the graph for the backward pass"), a push from each successor
+// to its parents over in-edges, is not reproduced.
 func bc(exec *par.Machine, g *graph.Graph, sources []graph.NodeID, sched schedule) []float64 {
 	n := int(g.NumNodes())
 	scores := make([]float64, n)
@@ -26,7 +28,6 @@ func bc(exec *par.Machine, g *graph.Graph, sources []graph.NodeID, sched schedul
 	delta := make([]float64, n)
 
 	for _, src := range sources {
-		src := src // assigned-once copy: the phase closures capture it by value, not as a heap cell
 		exec.ForBlocked(n, 0, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				//gapvet:ignore atomic-plain-mix -- reset phase: barrier-separated from the forward phase's CAS on depth
@@ -58,43 +59,12 @@ func bc(exec *par.Machine, g *graph.Graph, sources []graph.NodeID, sched schedul
 			front = next
 		}
 
-		// Path counts per level (pull from parents over in-edges).
-		for l := 1; l < len(levels); l++ {
-			level := levels[l].ToList(exec).List()
-			exec.ForDynamic(len(level), 64, 0, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					v := level[i]
-					var s float64
-					for _, u := range g.InNeighbors(v) {
-						if depth[u] == depth[v]-1 {
-							s += sigma[u]
-						}
-					}
-					sigma[v] = s
-				}
-			})
+		// The sweeps walk each level as a list: convert every level once.
+		lists := make([][]graph.NodeID, len(levels))
+		for l, set := range levels {
+			lists[l] = set.ToList(exec).List()
 		}
-
-		// Backward over the transpose: each level-d vertex pushes its
-		// dependency share to parents through in-edges; parents gather.
-		for l := len(levels) - 2; l >= 0; l-- {
-			level := levels[l].ToList(exec).List()
-			exec.ForDynamic(len(level), 64, 0, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					u := level[i]
-					var d float64
-					for _, v := range g.OutNeighbors(u) {
-						if depth[v] == depth[u]+1 {
-							d += sigma[u] / sigma[v] * (1 + delta[v])
-						}
-					}
-					delta[u] = d
-					if u != src {
-						scores[u] += d
-					}
-				}
-			})
-		}
+		kernel.BCSweeps(exec, g, src, lists, 64, depth, sigma, delta, scores)
 	}
 
 	return kernel.BCNormalize(scores)

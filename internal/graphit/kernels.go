@@ -235,19 +235,7 @@ func cc(exec *par.Machine, g *graph.Graph, sched schedule) []graph.NodeID {
 		front = collect.Take()
 		if sched.ShortCircuit {
 			// Pointer-jump chains: comp[v] <- comp[comp[v]] to a fixed point.
-			exec.ForBlocked(n, 0, func(lo, hi int) {
-				for v := lo; v < hi; v++ {
-					c := atomic.LoadInt32(&comp[v])
-					for {
-						cc := atomic.LoadInt32(&comp[c])
-						if cc == c {
-							break
-						}
-						c = cc
-					}
-					atomic.StoreInt32(&comp[v], c)
-				}
-			})
+			kernel.Compress(exec, comp)
 		}
 	}
 	return comp

@@ -1,6 +1,12 @@
 // Package kernel defines the contracts shared by every framework
 // reproduction: the six GAP kernel signatures, their result conventions, and
-// the run options that encode the paper's Baseline/Optimized rule sets.
+// the run options that encode the paper's Baseline/Optimized rule sets. It
+// also states once each algorithm phase that Table III gives several
+// frameworks as one algorithm, for the frameworks to call inside their own
+// phase order and scheduling: Afforest's union-find (Link, Compress,
+// GiantLabel), Brandes' level sweeps (BCSweeps, BCNormalize) and the
+// Gauss-Seidel PageRank mass pass (PRMass, PRUnitMass). That code runs
+// inside the frameworks' timed trials.
 //
 // Result conventions (fixed so results can be cross-validated between
 // frameworks, the way the paper's teams cross-validated each other):
@@ -11,7 +17,8 @@
 //   - PR returns per-vertex scores that sum to ~1, damping 0.85, run until
 //     the per-iteration L1 delta falls below Tolerance (or MaxIters).
 //   - CC returns component labels; two vertices get equal labels iff they are
-//     in the same weakly connected component. Label values are arbitrary.
+//     in the same weakly connected component. Label values are arbitrary
+//     (the Afforest frameworks' happen to be each component's minimum id).
 //   - BC returns scores normalized by the maximum score, computed from the
 //     given root vertices only (the benchmark uses 4 roots per trial).
 //   - TC returns the global triangle count, each triangle counted once.
@@ -41,23 +48,6 @@ const (
 // BCSources is the number of root vertices per BC trial (the paper
 // approximates BC "by considering only four root vertices per trial").
 const BCSources = 4
-
-// BCNormalize divides BC scores by their maximum, the GAP reference's output
-// convention, and returns them; an all-zero vector is left as it is. It runs
-// once per call, after the last root, serially: a region here would add a
-// launch to every trial for an O(n) pass the root traversals dwarf.
-func BCNormalize(scores []float64) []float64 {
-	maxScore := 0.0
-	for _, s := range scores {
-		maxScore = max(maxScore, s)
-	}
-	if maxScore > 0 {
-		for i := range scores {
-			scores[i] /= maxScore
-		}
-	}
-	return scores
-}
 
 // Mode selects the paper's rule set.
 type Mode int
@@ -122,18 +112,16 @@ type Options struct {
 	// structure (regions, barriers, dynamic chunks) is observable via
 	// par.Machine.Stats. Nil means the process-default machine — kernels
 	// must reach it through Exec(), never directly.
+	//
+	// The machine also carries the attempt's cancellation token, installed
+	// by the harness's sandbox (core.RunSandboxed): its regions poll it at
+	// slot and chunk boundaries and drain on their own, and kernels poll it
+	// in their own round and iteration loops through Exec().Interrupted(),
+	// returning early. The returned result is garbage, which is fine: the
+	// harness discards every cancelled trial. A kernel that ignores the
+	// token past the runner's grace period gets its machine abandoned
+	// (DESIGN.md §9), so polling is also self-interest.
 	Machine *par.Machine
-
-	// Cancel is the trial's cooperative cancellation token (nil when the
-	// harness set no deadline). The machine already polls it at slot and
-	// chunk boundaries, so parallel regions drain on their own; kernels must
-	// additionally poll it in their own round/iteration loops (PR
-	// convergence sweeps, SSSP bucket rounds, BFS frontier steps) via
-	// Cancelled() and return early — the returned result is garbage, which
-	// is fine: the harness discards every cancelled trial. A kernel that
-	// ignores the token past the runner's grace period gets its machine
-	// abandoned (DESIGN.md §9), so polling is also self-interest.
-	Cancel *par.CancelToken
 
 	// UndirectedView is the symmetrized form of the input, prebuilt by the
 	// harness. The GAP rules let implementations store multiple forms of the
@@ -205,13 +193,6 @@ func (o Options) Exec() *par.Machine {
 		return o.Machine
 	}
 	return par.Default()
-}
-
-// Cancelled reports whether the harness has cancelled this trial (deadline
-// passed or caller-driven). Nil-safe; kernels poll it at round boundaries
-// and bail out with whatever partial result they have.
-func (o Options) Cancelled() bool {
-	return o.Cancel.Cancelled()
 }
 
 // Framework is the interface every framework reproduction implements. One

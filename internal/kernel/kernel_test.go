@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -174,4 +175,127 @@ func TestFrameworksReadTheRulesThroughOptions(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestFrameworksShareAlgorithmPhases fails when a framework package restates
+// a phase Table III gives several frameworks as one algorithm, and which
+// lives here once: Afforest's CAS hook retry loop (Link), its pointer-jump
+// loop (Compress), its 1024-sample giant-label pick (GiantLabel), and
+// Brandes' dependency update (BCSweeps). NWGraph's BC keeps its own sweeps:
+// they run over its iterator callbacks, the abstraction cost §V charges it.
+func TestFrameworksShareAlgorithmPhases(t *testing.T) {
+	exempt := map[string]bool{"nwgraph.BC": true}
+	count := 0
+	for _, pkg := range []string{"gap", "galois", "graphit", "gkc", "nwgraph", "lagraph"} {
+		files, err := filepath.Glob(filepath.Join("..", pkg, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("%s: no Go files (%v)", pkg, err)
+		}
+		fset := token.NewFileSet()
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil || exempt[pkg+"."+fd.Name.Name] {
+					continue
+				}
+				for _, phase := range sharedPhases(fd.Body) {
+					count++
+					t.Errorf("%s: %s restates %s; call the kernel package's copy", fset.Position(phase.pos), fd.Name.Name, phase.what)
+				}
+			}
+		}
+	}
+	t.Logf("%d restated phases", count)
+}
+
+type phase struct {
+	pos  token.Pos
+	what string
+}
+
+// sharedPhases finds the shapes of the four shared phases in a function body.
+func sharedPhases(body *ast.BlockStmt) []phase {
+	var found []phase
+	var lcg, samples token.Pos
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.ForStmt:
+			if isHookRetry(n) {
+				found = append(found, phase{n.For, "the CAS hook retry loop (kernel.Link)"})
+			}
+			if isPointerJump(n) {
+				found = append(found, phase{n.For, "the pointer-jump loop (kernel.Compress)"})
+			}
+		case *ast.BasicLit:
+			switch n.Value {
+			case "6364136223846793005":
+				lcg = n.Pos()
+			case "1024":
+				samples = n.Pos()
+			}
+		case *ast.BinaryExpr:
+			if types.ExprString(n) == "sigma[u] / sigma[v] * (1 + delta[v])" {
+				found = append(found, phase{n.Pos(), "the dependency update (kernel.BCSweeps)"})
+			}
+		}
+		return true
+	})
+	if lcg.IsValid() && samples.IsValid() {
+		found = append(found, phase{samples, "the 1024-sample giant-label pick (kernel.GiantLabel)"})
+	}
+	return found
+}
+
+// isHookRetry matches `for a != b { ... atomic.CompareAndSwapInt32(...) ... }`.
+func isHookRetry(loop *ast.ForStmt) bool {
+	cond, ok := loop.Cond.(*ast.BinaryExpr)
+	if !ok || cond.Op != token.NEQ {
+		return false
+	}
+	cas := false
+	ast.Inspect(loop.Body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && types.ExprString(call.Fun) == "atomic.CompareAndSwapInt32" {
+			cas = true
+		}
+		return !cas
+	})
+	return cas
+}
+
+// isPointerJump matches `for { c2 := atomic.LoadInt32(&comp[c]); ...; c = c2 }`.
+func isPointerJump(loop *ast.ForStmt) bool {
+	if loop.Init != nil || loop.Cond != nil || loop.Post != nil || len(loop.Body.List) == 0 {
+		return false
+	}
+	first, ok := loop.Body.List[0].(*ast.AssignStmt)
+	if !ok || first.Tok != token.DEFINE || len(first.Lhs) != 1 || len(first.Rhs) != 1 {
+		return false
+	}
+	load, ok := first.Rhs[0].(*ast.CallExpr)
+	if !ok || types.ExprString(load.Fun) != "atomic.LoadInt32" || len(load.Args) != 1 {
+		return false
+	}
+	addr, ok := load.Args[0].(*ast.UnaryExpr)
+	if !ok || addr.Op != token.AND {
+		return false
+	}
+	index, ok := addr.X.(*ast.IndexExpr)
+	if !ok {
+		return false
+	}
+	jump := types.ExprString(index.Index) + " = " + types.ExprString(first.Lhs[0])
+	for _, stmt := range loop.Body.List[1:] {
+		if as, ok := stmt.(*ast.AssignStmt); ok && as.Tok == token.ASSIGN && len(as.Lhs) == 1 && len(as.Rhs) == 1 &&
+			types.ExprString(as.Lhs[0])+" = "+types.ExprString(as.Rhs[0]) == jump {
+			return true
+		}
+	}
+	return false
 }

@@ -244,7 +244,7 @@ func CC[G BidirectionalAdjacency](exec *par.Machine, g G, directed bool) []Verte
 				//gapvet:ignore escape-in-kernel -- internal-iterator callback: the per-vertex lambda is the abstraction cost the paper observes for NWGraph; hoisting it would misstate the framework
 				g.Neighbors(Vertex(u), func(v Vertex) bool {
 					if k == r {
-						unionCAS(Vertex(u), v, comp)
+						kernel.Link(Vertex(u), v, comp)
 						return false
 					}
 					k++
@@ -253,8 +253,8 @@ func CC[G BidirectionalAdjacency](exec *par.Machine, g G, directed bool) []Verte
 			}
 		})
 	}
-	compressCAS(exec, comp)
-	giant := frequentLabel(comp)
+	kernel.Compress(exec, comp)
+	giant := kernel.GiantLabel(comp)
 	exec.ForDynamic(n, 256, 0, func(lo, hi int) {
 		for u := lo; u < hi; u++ {
 			if atomic.LoadInt32(&comp[u]) == giant {
@@ -264,7 +264,7 @@ func CC[G BidirectionalAdjacency](exec *par.Machine, g G, directed bool) []Verte
 			//gapvet:ignore escape-in-kernel -- internal-iterator callback: the per-vertex lambda is the abstraction cost the paper observes for NWGraph; hoisting it would misstate the framework
 			g.Neighbors(Vertex(u), func(v Vertex) bool {
 				if k >= rounds {
-					unionCAS(Vertex(u), v, comp)
+					kernel.Link(Vertex(u), v, comp)
 				}
 				k++
 				return true
@@ -272,13 +272,13 @@ func CC[G BidirectionalAdjacency](exec *par.Machine, g G, directed bool) []Verte
 			if directed {
 				//gapvet:ignore escape-in-kernel -- internal-iterator callback: the per-vertex lambda is the abstraction cost the paper observes for NWGraph; hoisting it would misstate the framework
 				g.InNeighbors(Vertex(u), func(v Vertex) bool {
-					unionCAS(Vertex(u), v, comp)
+					kernel.Link(Vertex(u), v, comp)
 					return true
 				})
 			}
 		}
 	})
-	compressCAS(exec, comp)
+	kernel.Compress(exec, comp)
 	return comp
 }
 
@@ -453,77 +453,4 @@ func orderedCommon(na, nb []Vertex, b Vertex) int64 {
 		}
 	}
 	return count
-}
-
-// unionCAS hooks the higher root onto the lower (shared Afforest link). The
-// two loads and the equality test are the per-edge fast path — once
-// components converge nearly every call sees equal labels — and fit the
-// inline budget; the CAS loop lives out of line in unionCASSlow, which
-// re-loads under its own loop anyway.
-func unionCAS(u, v Vertex, comp []Vertex) {
-	if atomic.LoadInt32(&comp[u]) != atomic.LoadInt32(&comp[v]) {
-		unionCASSlow(u, v, comp)
-	}
-}
-
-// unionCASSlow repeatedly hooks the higher root onto the lower one with CAS.
-// Kept out of line so unionCAS stays under the inline budget.
-//
-//go:noinline
-func unionCASSlow(u, v Vertex, comp []Vertex) {
-	p1 := atomic.LoadInt32(&comp[u])
-	p2 := atomic.LoadInt32(&comp[v])
-	for p1 != p2 {
-		high, low := p1, p2
-		if high < low {
-			high, low = low, high
-		}
-		pHigh := atomic.LoadInt32(&comp[high])
-		if pHigh == low {
-			break
-		}
-		if pHigh == high && atomic.CompareAndSwapInt32(&comp[high], high, low) {
-			break
-		}
-		p1 = atomic.LoadInt32(&comp[atomic.LoadInt32(&comp[high])])
-		p2 = atomic.LoadInt32(&comp[low])
-	}
-}
-
-func compressCAS(exec *par.Machine, comp []Vertex) {
-	exec.ForBlocked(len(comp), 0, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			c := atomic.LoadInt32(&comp[u])
-			for {
-				cc := atomic.LoadInt32(&comp[c])
-				if c == cc {
-					break
-				}
-				c = cc
-			}
-			atomic.StoreInt32(&comp[u], c)
-		}
-	})
-}
-
-func frequentLabel(comp []Vertex) Vertex {
-	const samples = 1024
-	counts := make(map[Vertex]int, samples)
-	n := uint64(len(comp))
-	x := uint64(0x2545f4914f6cdd1d)
-	for i := 0; i < samples; i++ {
-		x = x*6364136223846793005 + 1442695040888963407
-		root := comp[(x>>17)%n]
-		for root != comp[root] {
-			root = comp[root]
-		}
-		counts[root]++
-	}
-	best, bestCount := Vertex(0), -1
-	for c, k := range counts {
-		if k > bestCount {
-			best, bestCount = c, k
-		}
-	}
-	return best
 }

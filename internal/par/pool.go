@@ -94,6 +94,14 @@ func (l *Lease) Machine() *Machine { return l.m }
 // guarantees it is short, and the query's deadline budget keeps ticking
 // while queued.
 func (p *Pool) Acquire(tok *CancelToken) (*Lease, error) {
+	// An idle machine is leased at once: the poll timer is for waiting.
+	if !p.draining.Load() {
+		select {
+		case m := <-p.idle:
+			return p.lease(m), nil
+		default:
+		}
+	}
 	timer := time.NewTimer(acquirePollInterval)
 	defer timer.Stop()
 	for {
@@ -102,8 +110,7 @@ func (p *Pool) Acquire(tok *CancelToken) (*Lease, error) {
 		}
 		select {
 		case m := <-p.idle:
-			p.outstanding.Add(1)
-			return &Lease{p: p, m: m}, nil
+			return p.lease(m), nil
 		case <-timer.C:
 			if tok.Cancelled() {
 				return nil, ErrAcquireCancelled
@@ -111,6 +118,12 @@ func (p *Pool) Acquire(tok *CancelToken) (*Lease, error) {
 			timer.Reset(acquirePollInterval)
 		}
 	}
+}
+
+// lease counts m out of the idle set and wraps it.
+func (p *Pool) lease(m *Machine) *Lease {
+	p.outstanding.Add(1)
+	return &Lease{p: p, m: m}
 }
 
 // Release returns a healthy machine to the idle set (clearing its cancel

@@ -81,3 +81,28 @@ func TestPoolConcurrentSettle(t *testing.T) {
 		t.Fatalf("drain: %v", err)
 	}
 }
+
+// TestPoolUncontendedAcquireAllocatesOnlyTheLease: with a machine idle,
+// Acquire takes it without creating the poll timer a queued wait needs, so an
+// Acquire and Release cycle allocates the Lease and nothing else.
+func TestPoolUncontendedAcquireAllocatesOnlyTheLease(t *testing.T) {
+	p := NewPool(1, 1)
+	defer func() {
+		if err := p.Drain(time.Second); err != nil {
+			t.Error(err)
+		}
+	}()
+	var held *Lease
+	lease := testing.AllocsPerRun(100, func() { held = &Lease{p: p} })
+	_ = held
+	cycle := testing.AllocsPerRun(100, func() {
+		l, err := p.Acquire(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.Release()
+	})
+	if cycle > lease {
+		t.Errorf("uncontended Acquire+Release: %v allocs, want at most the Lease's %v", cycle, lease)
+	}
+}

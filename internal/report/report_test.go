@@ -94,6 +94,23 @@ func TestCSV(t *testing.T) {
 	}
 }
 
+// TestTablesTakeUnverifiedOKCells: a -noverify run's cells are OK but not
+// Verified, and they fill Tables IV and V exactly as the same cells checked.
+func TestTablesTakeUnverifiedOKCells(t *testing.T) {
+	checked := sampleResults()
+	unchecked := sampleResults()
+	for i := range unchecked {
+		unchecked[i].Verified = false
+	}
+	graphs := []string{"Kron"}
+	if got, want := report.TableIV(unchecked, graphs), report.TableIV(checked, graphs); got != want {
+		t.Errorf("Table IV of unverified cells:\n%s\nwant:\n%s", got, want)
+	}
+	if got, want := report.TableV(unchecked, graphs), report.TableV(checked, graphs); got != want {
+		t.Errorf("Table V of unverified cells:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 func TestTableIVAndVSkipNonOKCells(t *testing.T) {
 	// A timed-out cell must neither win Table IV nor contribute a Table V
 	// ratio, even if a bogus positive time is attached.

@@ -322,7 +322,6 @@ func runAttempt[T any](s *Server, p *queryPlan, tok *par.CancelToken, deadline t
 	opt := kernel.Options{
 		Mode:           kernel.Baseline,
 		Delta:          p.in.Spec.Delta,
-		Cancel:         tok,
 		UndirectedView: p.in.Undirected,
 		Prepared:       p.in.Prepared(p.f, false),
 	}

@@ -82,7 +82,7 @@ func (f flakySSSP) SSSP(g *graph.Graph, src graph.NodeID, opt kernel.Options) []
 type stallSSSP struct{ stubFramework }
 
 func (f stallSSSP) SSSP(g *graph.Graph, src graph.NodeID, opt kernel.Options) []kernel.Dist {
-	for !opt.Cancelled() {
+	for !opt.Exec().Interrupted() {
 		time.Sleep(100 * time.Microsecond)
 	}
 	return f.stubFramework.SSSP(g, src, opt)

@@ -42,7 +42,7 @@ type stallOncePR struct {
 
 func (f stallOncePR) PR(g *graph.Graph, opt kernel.Options) []float64 {
 	if f.calls.Add(1) == 1 {
-		for !opt.Cancelled() {
+		for !opt.Exec().Interrupted() {
 			time.Sleep(100 * time.Microsecond)
 		}
 	}

@@ -27,7 +27,9 @@
 #      Tril/Triu select and the products), the other four frameworks (gap,
 #      gkc, graphit, lagraph), the frontier library, so that every
 #      framework's width-7 run (testutil.RunKernelAcrossWorkers) is raced,
-#      and the graph package (its parallel builder, transpose, relabel and
+#      the algorithm phases the frameworks share (kernel: Afforest's
+#      union-find and Brandes' level sweeps at widths 1, 2 and 7), and the
+#      graph package (its parallel builder, transpose, relabel and
 #      Undirected merge; core's concurrent mounts and cache write beside the
 #      view build are raced with core), on tiny graphs so the whole sweep
 #      finishes in seconds (≈ 65 s warm with the -count=10 run below, ≈ 90 s
@@ -161,7 +163,8 @@ go test ./...
 
 say "race smoke tier (go test -race -short; Snapshot, Reach and lease tests -count=10)"
 go test -race -short ./internal/par/... ./internal/galois/... ./internal/core/... ./internal/chaos/... ./internal/serve/... ./internal/nwgraph/... ./internal/grb/... \
-    ./internal/gap/... ./internal/gkc/... ./internal/graphit/... ./internal/lagraph/... ./internal/frontier/... ./internal/graph/...
+    ./internal/gap/... ./internal/gkc/... ./internal/graphit/... ./internal/lagraph/... ./internal/frontier/... ./internal/graph/... \
+    ./internal/kernel/...
 go test -race -short -count=10 -run 'Snapshot|Reach' ./internal/serve/
 go test -race -short -count=10 -run 'Pool|Lease|Abandon|RunSandboxed' ./internal/par/ ./internal/core/ ./internal/serve/
 
